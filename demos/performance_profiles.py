@@ -4,7 +4,9 @@ Sweeping the observation cost traces each stopper's curve of mean final
 error against mean stopping stage.  A good stopper sits below the
 fixed-stage baseline: less error for the same average number of frames.
 The corpus mixes easy and hard clips, which is exactly where adaptive
-stopping pays off.
+stopping pays off.  "normalised once" is method b: method a's aggregate
+distance, normalised once instead of per candidate, read from the same
+history store in the same O(n*S*K) numpy scan.
 """
 
 from framestop import (
@@ -32,7 +34,7 @@ thresholds = [0.002 * i for i in range(25)]
 for label, method in [
     ("full modelling", StopperMethod.BASE),
     ("direct summation", StopperMethod.METHOD_A),
-    ("treap queries", StopperMethod.METHOD_B),
+    ("normalised once", StopperMethod.METHOD_B),
 ]:
     config = StopperConfig(method, delta=0.1, max_stages=30)
     rows = profile(clips, config, thresholds)

@@ -3,7 +3,11 @@
 A noisy synthetic clip is combined frame by frame.  At each stage every
 estimator guesses how far the next combined result will move; the process
 stops once that guess drops to the observation cost.  The full estimate
-yields the reference trace, the two fast approximations track it.
+yields the reference trace, the two fast approximations track it:
+"direct summation" (method a) scores each candidate from the recorded row
+alignments, "normalised once" (method b) is a's aggregate normalised once
+instead of per candidate, read from the same history store.  Both cost one
+O(n*S*K) numpy scan of that store per stage.
 """
 
 from framestop import (
@@ -28,7 +32,7 @@ print(f"clip {clip.id}: truth = {clip.truth!r}, {len(clip.frames)} frames\n")
 methods = {
     "full modelling": StopperMethod.BASE,
     "direct summation": StopperMethod.METHOD_A,
-    "treap queries": StopperMethod.METHOD_B,
+    "normalised once": StopperMethod.METHOD_B,
 }
 
 traces = {}

@@ -100,6 +100,18 @@ def gld(x, y):
     return prev[ny]
 
 
+def normalized(g, length_sum):
+    """nGLD value 2g / (g + L) of a GLD ``g`` between sequences of total length ``L``.
+
+    Elementwise when ``g`` is an array.  The value is 0 wherever g + L is
+    0: two empty sequences are identical.
+    """
+    denom = g + length_sum
+    if isinstance(denom, np.ndarray):
+        return np.divide(2.0 * g, denom, out=np.zeros_like(denom), where=denom > 0)
+    return 2.0 * g / denom if denom > 0 else 0.0
+
+
 def ngld(x, y):
     """Normalized generalized Levenshtein distance, valued in [0, 1].
 
@@ -111,5 +123,4 @@ def ngld(x, y):
     total = xr.shape[0] + yr.shape[0]
     if total == 0:
         return 0.0
-    g = gld(xr, yr)
-    return 2.0 * g / (g + total)
+    return normalized(gld(xr, yr), total)

@@ -10,11 +10,15 @@ Three estimators compute the same quantity at different price points:
 * ``estimate_base`` re-combines every candidate in full and measures the
   real sequence distance, O(n * S * K * (S + M)) per stage.
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
-  scores the modelled merge row-by-row, O(n * S * K).
-* ``estimate_method_b`` collapses the candidate sum per (row, class) cell
-  into one below-the-mean treap query, O(S * K * log n); unweighted only,
-  and with the normalized metric it normalizes the aggregate once instead
-  of per candidate.
+  scores the modelled merge row-by-row, O(n * S * K): one numpy scan of
+  the state's history store (``CombinerState.spread``).
+* ``estimate_method_b`` is ``a``'s aggregate normalised once instead of
+  per candidate, read from the same scan, so it costs the same
+  O(n * S * K); unweighted only.  The paper prices it at
+  O(S * K * log n), one order-statistic treap query per (row, class)
+  cell.  On the benchmark corpus (K=36, 15 characters, 2-vCPU Xeon) those
+  trees never grew deeper than 3, and a ``b`` stage cost 1.0-2.1 ms at
+  n=5-400 with treaps against 0.17-0.81 ms with the scan.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ import numpy as np
 
 from .combiner import CombinerState
 from .core import from_string
-from .metrics import MetricKind, gld, ngld
+from .metrics import MetricKind, gld, ngld, normalized
 
 
 class StopperMethod(Enum):
@@ -88,12 +92,6 @@ class StopOutcome:
     estimate_trace: tuple[float, ...]
 
 
-def _normalized(g, length_sum):
-    """nGLD value for a known distance ``g`` between sequences of total length ``length_sum``."""
-    denom = g + length_sum
-    return 2.0 * g / denom if denom > 0 else 0.0
-
-
 def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
     """Full modelling: re-combine every seen frame as the next candidate."""
     if state.n == 0:
@@ -111,67 +109,51 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
         if metric is MetricKind.GLD:
             distances.append(g)
         else:
-            distances.append(_normalized(g, s + len(candidate)))
+            distances.append(normalized(g, s + len(candidate)))
     estimate = (delta + sum(distances)) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, tuple(distances))
+
+
+def _candidate_gld(state):
+    """Per-candidate GLD of method a's modelled merges, from one store scan.
+
+    Candidate i moves every row by its weight's share w / (W + w) of the
+    gap between the current row and what frame i merged into it; the
+    share is 0 when that total is not positive, as in the merge itself.
+    """
+    if state.n == 0:
+        raise ValueError("cannot estimate before the first frame")
+    w = np.asarray(state.weights)
+    totals = state.weight_total + w
+    share = np.divide(w, totals, out=np.zeros(state.n), where=totals > 0)
+    return state.spread() * share / 2.0
 
 
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Approximate modelling via the recorded per-frame row contributions."""
     if not state.track_history:
         raise ValueError("method A needs a state with track_history")
-    n = state.n
-    if n == 0:
-        raise ValueError("cannot estimate before the first frame")
-    current = state.mean_rows
-    s = current.shape[0]
-    if s == 0:
-        g = np.zeros(n)
+    g = _candidate_gld(state)
+    if metric is MetricKind.NGLD:
+        distances = normalized(g, 2.0 * state.mean_rows.shape[0])
     else:
-        spread = np.abs(current[None, :, :] - state.contributions).sum(axis=(1, 2))
-        if state.unweighted:
-            g = spread / (2.0 * (n + 1))
-        else:
-            w = np.asarray(state.weights)
-            g = spread * (w / (2.0 * (state.weight_total + w)))
-    aggregate = float(g.sum())
-    if metric is MetricKind.GLD:
         distances = g
-    else:
-        distances = np.zeros(n)
-        denom = g + 2.0 * s
-        ok = denom > 0
-        distances[ok] = 2.0 * g[ok] / denom[ok]
-    estimate = (delta + float(distances.sum())) / (n + 1)
-    return EstimationBreakdown(estimate, aggregate, tuple(float(d) for d in distances))
+    estimate = (delta + float(distances.sum())) / (state.n + 1)
+    return EstimationBreakdown(estimate, float(g.sum()), tuple(distances.tolist()))
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
-    """Approximate modelling via one below-the-mean treap query per cell."""
+    """Method a's aggregate normalised once, instead of per candidate."""
     if not state.track_treaps:
         raise ValueError("method B needs a state with track_treaps")
     if not state.unweighted:
         raise ValueError("method B supports unweighted input only")
-    n = state.n
-    if n == 0:
-        raise ValueError("cannot estimate before the first frame")
-    s = state.mean_rows.shape[0]
-    width = state.mean_rows.shape[1]
-    aggregate = 0.0
-    for rid in state.row_ids:
-        for k in range(width):
-            cell = state.cell(rid, k)
-            _, total = cell.totals()
-            if total == 0.0:
-                continue
-            count, below_sum = cell.below(total / n)
-            aggregate += total * count - n * below_sum
-    aggregate /= n * (n + 1)
-    if metric is MetricKind.GLD:
-        converted = aggregate
+    aggregate = float(_candidate_gld(state).sum())
+    if metric is MetricKind.NGLD:
+        converted = normalized(aggregate, 2.0 * state.mean_rows.shape[0])
     else:
-        converted = _normalized(aggregate, 2.0 * s)
-    estimate = (delta + converted) / (n + 1)
+        converted = aggregate
+    estimate = (delta + converted) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, None)
 
 

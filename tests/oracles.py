@@ -9,7 +9,8 @@ import warnings
 
 import numpy as np
 
-from framestop.core import Alphabet, Clip, make_frame
+from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
+from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind
 
 
@@ -117,6 +118,42 @@ def random_clip(rng, index, *, max_frames=10, max_rows=6, max_classes=5, weighte
             frames.append(make_frame(rows, weight, num_classes=k))
     truth = "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, max_rows)))
     return Clip(f"oracle-{index}", alphabet, truth, frames)
+
+
+def looped_clip(stages=150, *, weighted=False, seed=27):
+    """One clip of the criterion-7 recipe, its 30 frames looped to ``stages``.
+
+    Long enough to span several blocks of a history store; with seed 27
+    the combination still creates rows at stages 37 and 51, after the
+    first block is full.  ``weighted`` gives every frame a random weight
+    in [0.25, 3].
+    """
+    config = SyntheticConfig(
+        clip_count=1, text_length=15,
+        alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", frames_per_clip=30,
+        p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=seed,
+    )
+    clip = generate_synthetic(config)[0]
+    rng = random.Random(seed)
+    frames = []
+    for stage in range(stages):
+        frame = clip.frames[stage % len(clip.frames)]
+        if weighted:
+            frame = RecognitionFrame(frame.rows, rng.uniform(0.25, 3.0))
+        frames.append(frame)
+    return Clip(f"looped-{seed}", clip.alphabet, clip.truth, frames)
+
+
+def late_rows_clip():
+    """40 frames of "A", then frames of 12 characters.
+
+    The rows the long frames add appear after a history store's first
+    block is full, and outnumber the room that block kept for new rows.
+    """
+    alphabet = Alphabet("AB")
+    short = make_frame([[1.0, 0.0]])
+    long = make_frame([[1.0, 0.0], [0.0, 1.0]] * 6)
+    return Clip("late-rows", alphabet, "AB" * 6, [short] * 40 + [long] * 3)
 
 
 def random_onehot_rows(rng, length, width):

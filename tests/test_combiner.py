@@ -11,9 +11,10 @@ from framestop.combiner import (
     align,
 )
 from framestop.core import Alphabet, empty_distribution, from_string, make_frame
-from framestop.metrics import char_distance, gld
+from framestop.metrics import MetricKind, char_distance, gld
+from framestop.stoppers import estimate_method_a
 
-from oracles import random_clip
+from oracles import late_rows_clip, looped_clip, method_a_oracle, random_clip
 
 ALPHA = Alphabet("AB")
 
@@ -125,6 +126,16 @@ def test_absorb_class_mismatch():
         state.absorb(make_frame([[1, 0, 0]]))
 
 
+def test_absorb_rejects_overflowing_weight_total():
+    state = CombinerState(ALPHA, track_history=True)
+    state.absorb(make_frame([[1, 0]], 1e308))
+    with pytest.raises(ValueError, match="overflow"):
+        state.absorb(make_frame([[0, 1]], 1e308))
+    assert state.n == 1
+    assert state.weight_total == 1e308
+    assert np.array_equal(state.mean_rows, [[0.0, 1.0, 0.0]])
+
+
 def test_absorb_weighted_frame_in_treap_mode_rejected():
     state = CombinerState(ALPHA, track_treaps=True)
     with pytest.raises(ValueError, match="unit frame weights"):
@@ -213,11 +224,26 @@ def _history_weighted_sums(state):
     return sums
 
 
+def _check_against_oracle(state):
+    """Method a equals the oracle, and the gathered history equals contribution()."""
+    for metric in MetricKind:
+        got = estimate_method_a(state, metric=metric, delta=0.1)
+        want_estimate, want_per, want_aggregate = method_a_oracle(state, metric=metric, delta=0.1)
+        assert abs(got.estimate - want_estimate) <= 1e-9
+        assert np.allclose(got.per_candidate, want_per, atol=1e-9)
+        assert abs(got.gld_aggregate - want_aggregate) <= 1e-9
+    gathered = np.array(
+        [[state.contribution(i, rid) for rid in state.row_ids] for i in range(state.n)]
+    )
+    assert np.array_equal(state.contributions, gathered.reshape(state.contributions.shape))
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_mean_consistency_invariant(weighted):
     rng = random.Random(31 + weighted)
-    for i in range(25):
-        clip = random_clip(rng, i, weighted=weighted)
+    clips = [random_clip(rng, i, weighted=weighted) for i in range(25)]
+    clips += [looped_clip(weighted=weighted), late_rows_clip()]
+    for clip in clips:
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:
             state.absorb(frame)
@@ -226,6 +252,7 @@ def test_mean_consistency_invariant(weighted):
                 assert np.allclose(
                     state.mean_rows[pos] * state.weight_total, sums[rid], atol=1e-9
                 )
+        _check_against_oracle(state)
 
 
 def test_treap_mirror_invariant():

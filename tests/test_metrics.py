@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framestop.core import Alphabet, from_string
-from framestop.metrics import char_distance, gap_costs, gld, ngld
+from framestop.metrics import char_distance, gap_costs, gld, ngld, normalized
 
 from oracles import gld_recursive, random_distribution, random_onehot_rows
 
@@ -121,3 +121,12 @@ def test_ngld_range_and_triangle_on_onehots(na, nb, nc, seed):
     for d in (dab, dbc, dac):
         assert 0.0 <= d <= 1.0
     assert dac <= dab + dbc + 1e-12
+
+
+def test_normalized_scalar_and_elementwise():
+    assert normalized(1.0, 3) == 0.5
+    assert normalized(0.0, 0) == 0.0
+    got = normalized(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, 2.0]))
+    assert np.array_equal(got, [0.0, 0.5, 1.0])
+    x, y = onehot("AB"), onehot("BBA")
+    assert ngld(x, y) == normalized(gld(x, y), 5)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from framestop.stoppers import (
     stage_traces,
 )
 
-from oracles import method_a_oracle, random_clip
+from oracles import late_rows_clip, looped_clip, method_a_oracle, random_clip
 
 ALPHA = Alphabet("AB")
 DELTA = 0.1
@@ -134,14 +135,39 @@ def test_weighted_method_a_matches_oracle():
 
 def test_method_b_aggregate_matches_method_a():
     rng = random.Random(41)
-    for i in range(30):
-        clip = random_clip(rng, i)
+    clips = [random_clip(rng, i) for i in range(30)]
+    clips += [looped_clip(), late_rows_clip()]
+    for clip in clips:
         state = CombinerState(clip.alphabet, track_history=True, track_treaps=True)
         for frame in clip.frames:
             state.absorb(frame)
             a = estimate_method_a(state, delta=DELTA)
             b = estimate_method_b(state, delta=DELTA)
             assert math.isclose(a.gld_aggregate, b.gld_aggregate, abs_tol=1e-9)
+        _, _, want_aggregate = method_a_oracle(state, metric=MetricKind.GLD, delta=DELTA)
+        assert math.isclose(b.gld_aggregate, want_aggregate, abs_tol=1e-9)
+        gathered = np.array(
+            [[state.contribution(i, rid) for rid in state.row_ids] for i in range(state.n)]
+        )
+        assert np.array_equal(state.contributions, gathered.reshape(state.contributions.shape))
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_zero_weight_first_frame_method_a_matches_base(metric):
+    frames = [make_frame([[1, 0], [0, 1]], 0.0), from_string("AB", ALPHA), from_string("AB", ALPHA)]
+    base_state = CombinerState(ALPHA)
+    a_state = CombinerState(ALPHA, track_history=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, frame in enumerate(frames, 1):
+            base_state.absorb(frame)
+            a_state.absorb(frame)
+            base = estimate_base(base_state, frames[:n], metric=metric, delta=DELTA)
+            a = estimate_method_a(a_state, metric=metric, delta=DELTA)
+            assert math.isclose(a.estimate, base.estimate, abs_tol=1e-12)
+            assert math.isclose(a.gld_aggregate, base.gld_aggregate, abs_tol=1e-12)
+            assert np.allclose(a.per_candidate, base.per_candidate, atol=1e-12)
+    assert a.estimate == DELTA / 4
 
 
 def test_estimates_never_below_delta_floor():
