@@ -1,14 +1,15 @@
 """Per-stage cost of making the stopping decision, method by method.
 
-Full modelling re-combines every seen frame at every stage, so its cost
-grows linearly with the stage number.  The two approximations write each
-frame's aligned rows into one history store during combination, then
-estimate with one O(n*S*K) numpy scan of it; "normalised once" (method b)
-is method a's aggregate normalised once instead of per candidate.  On the
-same corpus recipe a stage of either took 0.17-0.25 ms at n=5-15 on a
-2-vCPU Xeon, against 1.5-4.8 ms for full modelling.  Timings cover
-absorb plus estimate, since the methods split work between the two
-phases differently.
+Full modelling aligns every seen frame against the current result at
+every stage and reads the distance to that re-combined candidate off the
+alignment cost, so its cost grows linearly with the stage number.  The
+two approximations write each frame's aligned rows into one history store
+during combination, then estimate with one O(n*S*K) numpy scan of it;
+"normalised once" (method b) is method a's aggregate normalised once
+instead of per candidate.  On the same corpus recipe a stage of either
+took 0.17-0.25 ms at n=5-15 on a 2-vCPU Xeon, against 0.7-2.1 ms for full
+modelling.  Timings cover absorb plus estimate, since the methods split
+work between the two phases differently.
 """
 
 from framestop import StopperMethod, SyntheticConfig, bench, generate_synthetic

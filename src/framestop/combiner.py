@@ -2,15 +2,17 @@
 
 Each new frame is aligned against the running combined result with a
 dynamic program whose costs come from the character-level distance, then
-merged row by row as a weighted average, pairing unaligned positions with
-the empty distribution.  The state optionally keeps the one history store
-the fast stopping estimators read: per frame and row id, the row the frame
-merged into it, in blocks of ``BLOCK`` frames.  Absorbing a frame writes
-only the rows it was aligned to (O(M*K)); a new block opens every
-``BLOCK`` frames and nothing older is copied; the open block's row
-capacity grows geometrically; display order is applied only when the
-history is read.  Method ``a`` scores candidates from the store's
-per-frame spread, an O(n*S*K) numpy scan; method ``b`` is ``a``'s
+merged as a weighted average in one numpy step: the alignment's steps
+become two row-index arrays into the result and the frame, each padded
+with the empty distribution for the side a gap step skips, and every
+merged row is ``old + factor * (new - old)``.  The state optionally keeps
+the one history store the fast stopping estimators read: per frame and
+row id, the row the frame merged into it, in blocks of ``BLOCK`` frames.
+Absorbing a frame writes only the rows it was aligned to (O(M*K)); a new
+block opens every ``BLOCK`` frames and nothing older is copied; the open
+block's row capacity grows geometrically; display order is applied only
+when the history is read.  Method ``a`` scores candidates from the
+store's per-frame spread, an O(n*S*K) numpy scan; method ``b`` is ``a``'s
 aggregate normalised once, read from the same scan.  Over 400 stages of
 the benchmark corpus (K=36) this took absorb's own time from 13.5 s to
 1.2 s per pass, where it had rebuilt the whole history every stage.
@@ -58,6 +60,27 @@ class Alignment:
 
     steps: tuple[AlignmentStep, ...]
     cost: float
+
+    @property
+    def inserted(self):
+        """Number of GAP_COMBINED steps: rows the merge adds to the result."""
+        return sum(step.kind == GAP_COMBINED for step in self.steps)
+
+
+def merge_share(weight, total):
+    """Share w / (W + w) that a frame of weight ``w`` takes in a merge into weight ``W``.
+
+    Elementwise when ``weight`` is a numpy array.  Both terms are halved
+    first, so the sum stays finite for any pair of finite weights; for
+    weights in the normal float range the halving is exact and the share
+    is bit-identical to w / (W + w).  The share is 0 where the halved sum
+    is not positive.
+    """
+    half = 0.5 * weight
+    denom = 0.5 * total + half
+    if isinstance(denom, np.ndarray):
+        return np.divide(half, denom, out=np.zeros_like(denom), where=denom > 0)
+    return half / denom if denom > 0 else 0.0
 
 
 def _rows_of(seq):
@@ -122,15 +145,19 @@ def align(frame, result):
     return Alignment(tuple(steps), cost[0][0])
 
 
-def _merge_step(step, frame_rows, result_rows, factor, empty):
-    """Merged row for one alignment step; factor = new weight / total weight."""
-    if step.kind == MATCH:
-        old = result_rows[step.combined_row]
-        return old + factor * (frame_rows[step.frame_row] - old)
-    if step.kind == GAP_FRAME:
-        old = result_rows[step.combined_row]
-        return old + factor * (empty - old)
-    return empty + factor * (frame_rows[step.frame_row] - empty)
+def _merge(alignment, frame_rows, result_rows, factor):
+    """Rows of the merge along ``alignment``; factor = new weight / total weight.
+
+    Each step gives ``old + factor * (new - old)``, with the empty row on
+    the side a gap step skips: it sits at the end of both padded inputs.
+    """
+    s, m = len(result_rows), len(frame_rows)
+    old_idx = [s if step.combined_row is None else step.combined_row for step in alignment.steps]
+    new_idx = [m if step.frame_row is None else step.frame_row for step in alignment.steps]
+    empty = _empty_row(result_rows.shape[1])[None]
+    old = np.concatenate((result_rows, empty))[old_idx]
+    new = np.concatenate((frame_rows, empty))[new_idx]
+    return old + factor * (new - old)
 
 
 class CombinerState:
@@ -205,15 +232,12 @@ class CombinerState:
         new_total = self.weight_total + w
         if not math.isfinite(new_total):
             raise ValueError(f"frame weight {w} makes the weight total overflow")
-        factor = w / new_total if new_total > 0 else 0.0
-        empty = _empty_row(self._width)
+        factor = merge_share(w, self.weight_total)
         alignment = align(frame, self._matrix)
 
-        rows = []
         order = []
         aligned = []  # row id of each frame row, in frame order
         for step in alignment.steps:
-            rows.append(_merge_step(step, frame.rows, self._matrix, factor, empty))
             if step.kind == GAP_COMBINED:
                 rid = self._next_id
                 self._next_id += 1
@@ -225,7 +249,7 @@ class CombinerState:
         if self._blocks is not None:
             self._record(aligned, frame.rows)
 
-        matrix = np.array(rows) if rows else np.zeros((0, self._width))
+        matrix = _merge(alignment, frame.rows, self._matrix, factor)
         matrix.setflags(write=False)
         self._matrix = matrix
         self._order = order
@@ -254,26 +278,27 @@ class CombinerState:
             self._blocks[-1] = block = wider
         block[slot, rids] = rows
 
+    def candidate_alignment(self, candidate):
+        """Alignment of ``candidate`` against the current result, and its merge share.
+
+        The share is :func:`merge_share` of the candidate's weight into the
+        weight total so far; the state is untouched.
+        """
+        self._check_frame(candidate)
+        return align(candidate, self._matrix), merge_share(candidate.weight, self.weight_total)
+
     def combine_candidate(self, candidate):
         """Combined result if ``candidate`` arrived next; the state is untouched."""
-        self._check_frame(candidate)
-        w = candidate.weight
-        new_total = self.weight_total + w
-        factor = w / new_total if new_total > 0 else 0.0
-        empty = _empty_row(self._width)
-        alignment = align(candidate, self._matrix)
-
-        rows = []
+        alignment, share = self.candidate_alignment(candidate)
         ids = []
         temp_id = self._next_id
         for step in alignment.steps:
-            rows.append(_merge_step(step, candidate.rows, self._matrix, factor, empty))
             if step.kind == GAP_COMBINED:
                 ids.append(temp_id)
                 temp_id += 1
             else:
                 ids.append(self._order[step.combined_row])
-        return CombinedResult(np.array(rows) if rows else np.zeros((0, self._width)), ids)
+        return CombinedResult(_merge(alignment, candidate.rows, self._matrix, share), ids)
 
     def current_result(self):
         """Snapshot of the combined result after the frames absorbed so far."""

@@ -11,6 +11,7 @@ combination.  Driver outputs are CSV with floats at 9 significant digits.
 
 import csv
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from .stoppers import (
 SIMULATE_FIELDS = ("clip_id", "stop_stage", "forced", "final_error", "estimate_at_stop")
 PROFILE_FIELDS = ("threshold", "mean_stop_stage", "mean_error", "forced_fraction")
 BENCH_FIELDS = ("method", "stage", "mean_seconds", "samples")
+
+# most points a threshold grid may have; a profile runs every clip per point
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,11 @@ def write_clips(clips, path):
 
 
 def parse_grid(spec):
-    """Parse a "lo:hi:step" grid, inclusive of both ends when step divides the range."""
+    """Parse a "lo:hi:step" grid, inclusive of both ends when step divides the range.
+
+    All three parts must be finite, and the grid may have at most
+    ``MAX_GRID_POINTS`` points; the count is checked before any is built.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {spec!r}")
@@ -175,13 +183,18 @@ def parse_grid(spec):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"grid has non-numeric parts: {spec!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"grid parts must be finite: {spec!r}")
     if hi < lo:
         raise ValueError("grid upper end is below the lower end")
     if step <= 0:
         if lo == hi:
             return [lo]
         raise ValueError("grid step must be positive")
-    count = int((hi - lo) / step + 1e-9)
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    count = int(span)
     return [lo + i * step for i in range(count + 1)]
 
 

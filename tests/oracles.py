@@ -1,7 +1,9 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is deliberately written the slow, obvious way and shares
-no code path with the implementations under test.
+Everything here is deliberately written the slow, obvious way.  Apart
+from ``base_oracle``, which scores the library's own candidate merge with
+the library's GLD (the definition ``estimate_base`` shortcuts), nothing
+shares a code path with the implementations under test.
 """
 
 import random
@@ -11,7 +13,7 @@ import numpy as np
 
 from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
-from framestop.metrics import MetricKind
+from framestop.metrics import MetricKind, gld
 
 
 def char_distance_slow(a, b):
@@ -73,6 +75,31 @@ def method_a_oracle(state, *, metric, delta):
             denom = g + 2.0 * s
             per_candidate.append(2.0 * g / denom if denom > 0 else 0.0)
     estimate = (delta + sum(per_candidate)) / (n + 1)
+    return estimate, per_candidate, aggregate
+
+
+def base_oracle(state, frames, metric, delta):
+    """Full modelling by its definition: re-combine, then measure.
+
+    Merge every seen frame into the current result as the next candidate
+    (``combine_candidate``) and score the merge with a GLD dynamic program
+    against the current result.  Returns (estimate, per-candidate
+    distances, GLD aggregate).
+    """
+    current = state.mean_rows
+    s = current.shape[0]
+    per_candidate = []
+    aggregate = 0.0
+    for frame in frames:
+        candidate = state.combine_candidate(frame)
+        g = gld(current, candidate.rows)
+        aggregate += g
+        if metric is MetricKind.GLD:
+            per_candidate.append(g)
+        else:
+            denom = g + s + len(candidate)
+            per_candidate.append(2.0 * g / denom if denom > 0 else 0.0)
+    estimate = (delta + sum(per_candidate)) / (len(frames) + 1)
     return estimate, per_candidate, aggregate
 
 

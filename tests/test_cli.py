@@ -125,6 +125,21 @@ def test_profile_bad_grid(clips_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_profile_non_finite_grid_exits_without_traceback(clips_file, tmp_path, capsys):
+    code = main(
+        [
+            "profile",
+            "-i", str(clips_file),
+            "-o", str(tmp_path / "x.csv"),
+            "--thresholds", "0:inf:1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_bench_end_to_end(clips_file, tmp_path):
     out = tmp_path / "bench.csv"
     code = main(

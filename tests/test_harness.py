@@ -8,6 +8,7 @@ import pytest
 from framestop.core import Alphabet, Clip, from_string
 from framestop.harness import (
     BENCH_FIELDS,
+    MAX_GRID_POINTS,
     PROFILE_FIELDS,
     SIMULATE_FIELDS,
     SyntheticConfig,
@@ -164,6 +165,17 @@ def test_parse_grid():
         parse_grid("a:b:c")
     with pytest.raises(ValueError):
         parse_grid("0:1:0")
+
+
+def test_parse_grid_rejects_non_finite_and_oversized_grids():
+    for spec in ("0:inf:1", "-inf:1:1", "nan:1:1", "0:1:nan", "0:1:inf"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(spec)
+    # the point count is checked before the list is built
+    for spec in ("0:1:1e-12", "-1e308:1e308:1", f"0:{MAX_GRID_POINTS}:1"):
+        with pytest.raises(ValueError, match="points"):
+            parse_grid(spec)
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
 
 def constant_clips(count=3):

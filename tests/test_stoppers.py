@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from framestop.combiner import CombinerState
+from framestop.combiner import GAP_COMBINED, CombinerState, align
 from framestop.core import Alphabet, Clip, from_string, make_frame
-from framestop.metrics import MetricKind
+from framestop.metrics import MetricKind, gld
 from framestop.stoppers import (
     EstimationBreakdown,
     StopperConfig,
@@ -21,7 +21,7 @@ from framestop.stoppers import (
     stage_traces,
 )
 
-from oracles import late_rows_clip, looped_clip, method_a_oracle, random_clip
+from oracles import base_oracle, late_rows_clip, looped_clip, method_a_oracle, random_clip
 
 ALPHA = Alphabet("AB")
 DELTA = 0.1
@@ -64,6 +64,83 @@ def test_base_estimate_hand_example():
     assert np.allclose(got.per_candidate, [2 / 13, 2 / 13], atol=1e-12)
     got_gld = estimate_base(state, frames, metric=MetricKind.GLD, delta=DELTA)
     assert math.isclose(got_gld.estimate, (0.1 + 1 / 3) / 3, abs_tol=1e-9)
+
+
+def _base_corpus():
+    rng = random.Random(404)
+    clips = [random_clip(rng, i, weighted=i % 2 == 1) for i in range(120)]
+    return clips + [looped_clip(60, weighted=True)]
+
+
+def test_base_matches_recombination_oracle():
+    worst = 0.0
+    for clip in _base_corpus():
+        state = CombinerState(clip.alphabet)
+        frames = []
+        for frame in clip.frames:
+            state.absorb(frame)
+            frames.append(frame)
+            for metric in MetricKind:
+                got = estimate_base(state, frames, metric=metric, delta=DELTA)
+                estimate, per_candidate, aggregate = base_oracle(state, frames, metric, DELTA)
+                worst = max(
+                    worst,
+                    abs(got.estimate - estimate),
+                    abs(got.gld_aggregate - aggregate),
+                    *(abs(x - y) for x, y in zip(got.per_candidate, per_candidate)),
+                )
+                assert len(got.per_candidate) == len(per_candidate)
+    assert worst <= 1e-9, f"worst deviation from the oracle {worst}"
+
+
+def test_candidate_gld_is_share_times_alignment_cost():
+    checked = 0
+    for clip in _base_corpus():
+        state = CombinerState(clip.alphabet)
+        for frame in clip.frames:
+            state.absorb(frame)
+            current = state.mean_rows
+            for candidate in clip.frames:
+                merged = state.combine_candidate(candidate)
+                alignment = align(candidate, current)
+                share = candidate.weight / (state.weight_total + candidate.weight)
+                assert abs(gld(current, merged.rows) - share * alignment.cost) <= 1e-12
+                inserted = sum(step.kind == GAP_COMBINED for step in alignment.steps)
+                assert len(merged) == len(current) + inserted
+                checked += 1
+    assert checked > 5000
+
+
+def test_estimates_with_weights_near_the_float_limit():
+    # A then B: W + w overflows for candidate A, the halved sum does not
+    a_frame = from_string("A", ALPHA, weight=1e308)
+    b_frame = from_string("B", ALPHA, weight=1e307)
+    frames = [a_frame, b_frame]
+    base_state = CombinerState(ALPHA)
+    a_state = CombinerState(ALPHA, track_history=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frame in frames:
+            base_state.absorb(frame)
+            a_state.absorb(frame)
+        # current row is (W_A * A + W_B * B) / (W_A + W_B) = [10/11, 1/11]
+        np.testing.assert_allclose(base_state.mean_rows, [[0.0, 10 / 11, 1 / 11]], rtol=1e-12)
+        # (1.1e308 * [10/11, 1/11] + 1e308 * [1, 0]) / 2.1e308
+        merged = base_state.combine_candidate(a_frame).rows
+        np.testing.assert_allclose(merged, [[0.0, 20 / 21, 1 / 21]], rtol=1e-12)
+        merged = base_state.combine_candidate(b_frame).rows
+        np.testing.assert_allclose(merged, [[0.0, 5 / 6, 1 / 6]], rtol=1e-12)
+
+        # shares 10/21 and 1/12 of the match costs 1/11 and 10/11
+        want_gld = [10 / 21 / 11, 10 / 11 / 12]
+        want_ngld = [2 * g / (g + 2) for g in want_gld]
+        for metric, want in ((MetricKind.GLD, want_gld), (MetricKind.NGLD, want_ngld)):
+            base = estimate_base(base_state, frames, metric=metric, delta=DELTA)
+            approx = estimate_method_a(a_state, metric=metric, delta=DELTA)
+            for got in (base, approx):
+                np.testing.assert_allclose(got.per_candidate, want, rtol=1e-12)
+                assert math.isclose(got.estimate, (DELTA + sum(want)) / 3, rel_tol=1e-12)
+                assert math.isclose(got.gld_aggregate, sum(want_gld), rel_tol=1e-12)
 
 
 def test_method_a_matches_base_on_hand_example():
