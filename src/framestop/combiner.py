@@ -2,30 +2,36 @@
 
 Each new frame is aligned against the running combined result with a
 dynamic program whose costs come from the character-level distance, then
-merged as a weighted average in one numpy step: the alignment's steps
-become two row-index arrays into the result and the frame, each padded
-with the empty distribution for the side a gap step skips, and every
-merged row is ``old + factor * (new - old)``.  The state optionally keeps
-the one history store the fast stopping estimators read: per frame and
-row id, the row the frame merged into it, in blocks of ``BLOCK`` frames.
-Absorbing a frame writes only the rows it was aligned to (O(M*K)); a new
-block opens every ``BLOCK`` frames and nothing older is copied; the open
-block's row capacity grows geometrically; display order is applied only
-when the history is read.  Method ``a`` scores candidates from the
-store's per-frame spread, an O(n*S*K) numpy scan; method ``b`` is ``a``'s
-aggregate normalised once, read from the same scan.  Over 400 stages of
-the benchmark corpus (K=36) this took absorb's own time from 13.5 s to
-1.2 s per pass, where it had rebuilt the whole history every stage.
+merged as a weighted average in one numpy step.  ``align`` fills the
+backward cost table with ``metrics.cost_table``, the one GLD kernel that
+``metrics.gld`` also runs for its cost, and reads the path off as two
+index lists into the result and the frame, each padded with the empty
+distribution for the side a gap step skips; a frame's own gap costs are
+computed once and kept on the frame.  The merge gathers with those lists
+directly, and every merged row is ``old + factor * (new - old)``;
+``Alignment.steps`` builds :class:`AlignmentStep` objects only when read,
+so no step object is made on the per-stage path.  The state optionally
+keeps the one history store the fast stopping estimators read: per frame
+and row id, the row the frame merged into it, in blocks of ``BLOCK``
+frames.  Absorbing a frame writes only the rows it was aligned to
+(O(M*K)); a new block opens every ``BLOCK`` frames and nothing older is
+copied; the open block's row capacity grows geometrically; display order
+is applied only when the history is read.  Method ``a`` scores candidates
+from the store's per-frame spread, an O(n*S*K) numpy scan; method ``b``
+is ``a``'s aggregate normalised once, read from the same scan.  Over 400
+stages of the benchmark corpus (K=36) this took absorb's own time from
+13.5 s to 1.2 s per pass, where it had rebuilt the whole history every
+stage.
 """
-
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import CombinedResult, _empty_row
-from .metrics import gap_costs, pairwise_costs
+from .core import CombinedResult, RecognitionFrame, _empty_row
+from .metrics import cost_table, gap_costs, pairwise_costs
 from .treap import MultisetIndex
 
 # frames per block of the history store
@@ -53,18 +59,33 @@ class AlignmentStep:
 class Alignment:
     """Ordered row pairing between a frame and the combined result.
 
-    Steps appear in output order: walking them while merging produces the
-    rows of the next combined result, with GAP_COMBINED steps marking
-    where brand-new rows are inserted.
+    Two index lists, one entry per step in output order: walking them
+    while merging produces the rows of the next combined result.
+    ``result_rows`` holds the combined row, or S (one past the last) for a
+    GAP_COMBINED step, where a brand-new row is inserted; ``frame_rows``
+    holds the frame row, or M for a GAP_FRAME step.  These are the indices
+    into both row matrices padded with the empty row, which is what the
+    merge gathers with.  ``inserted`` and ``dropped`` count the
+    GAP_COMBINED and GAP_FRAME steps.
     """
 
-    steps: tuple[AlignmentStep, ...]
+    result_rows: tuple[int, ...]
+    frame_rows: tuple[int, ...]
     cost: float
+    inserted: int
+    dropped: int
 
-    @property
-    def inserted(self):
-        """Number of GAP_COMBINED steps: rows the merge adds to the result."""
-        return sum(step.kind == GAP_COMBINED for step in self.steps)
+    @cached_property
+    def steps(self):
+        """The pairing as :class:`AlignmentStep` objects, built on first read."""
+        s = len(self.result_rows) - self.inserted
+        m = len(self.frame_rows) - self.dropped
+        return tuple(
+            AlignmentStep(GAP_COMBINED, frame_row=f) if r == s
+            else AlignmentStep(GAP_FRAME, combined_row=r) if f == m
+            else AlignmentStep(MATCH, combined_row=r, frame_row=f)
+            for r, f in zip(self.result_rows, self.frame_rows)
+        )
 
 
 def merge_share(weight, total):
@@ -93,7 +114,8 @@ def align(frame, result):
     MATCH costs the char distance between the paired rows; either gap
     costs the skipped row's distance to the empty distribution.  Ties are
     broken deterministically, scanning from the start: MATCH, then
-    GAP_FRAME, then GAP_COMBINED.
+    GAP_FRAME, then GAP_COMBINED.  A :class:`RecognitionFrame` brings its
+    own cached gap costs.
     """
     combined = _rows_of(result)
     fresh = _rows_of(frame)
@@ -104,45 +126,32 @@ def align(frame, result):
     s, m = combined.shape[0], fresh.shape[0]
 
     sub = pairwise_costs(combined, fresh).tolist() if s and m else []
-    skip_combined = gap_costs(combined).tolist()  # cost of a GAP_FRAME step per combined row
-    insert_fresh = gap_costs(fresh).tolist()  # cost of a GAP_COMBINED step per frame row
+    skip = gap_costs(combined).tolist()  # cost of a GAP_FRAME step per combined row
+    fresh_gaps = frame.gap_costs if isinstance(frame, RecognitionFrame) else gap_costs(fresh)
+    table = cost_table(sub, skip, fresh_gaps.tolist())
 
-    # cost[i][j] = optimal cost of aligning combined rows i.. with frame rows j..;
-    # filled from the tail so the path can be read off from the front, which is
-    # where the tie-breaking preference applies.
-    cost = [[0.0] * (m + 1) for _ in range(s + 1)]
-    for j in range(m - 1, -1, -1):
-        cost[s][j] = insert_fresh[j] + cost[s][j + 1]
-    for i in range(s - 1, -1, -1):
-        cost[i][m] = skip_combined[i] + cost[i + 1][m]
-        row_i = cost[i]
-        next_i = cost[i + 1]
-        sub_i = sub[i] if m else []
-        for j in range(m - 1, -1, -1):
-            best = sub_i[j] + next_i[j + 1]
-            alt = skip_combined[i] + next_i[j]
-            if alt < best:
-                best = alt
-            alt = insert_fresh[j] + row_i[j + 1]
-            if alt < best:
-                best = alt
-            row_i[j] = best
-
-    steps = []
+    # read the path off from the front, recomputing each cell's choices in
+    # tie order; the recomputation is bit-equal to the one that filled it
+    result_rows = []
+    frame_rows = []
     i = j = 0
     while i < s or j < m:
-        here = cost[i][j]
-        if i < s and j < m and sub[i][j] + cost[i + 1][j + 1] == here:
-            steps.append(AlignmentStep(MATCH, combined_row=i, frame_row=j))
+        here = table[i][j]
+        if i < s and j < m and sub[i][j] + table[i + 1][j + 1] == here:  # MATCH
+            result_rows.append(i)
+            frame_rows.append(j)
             i += 1
             j += 1
-        elif i < s and skip_combined[i] + cost[i + 1][j] == here:
-            steps.append(AlignmentStep(GAP_FRAME, combined_row=i))
+        elif i < s and skip[i] + table[i + 1][j] == here:  # GAP_FRAME
+            result_rows.append(i)
+            frame_rows.append(m)
             i += 1
-        else:
-            steps.append(AlignmentStep(GAP_COMBINED, frame_row=j))
+        else:  # GAP_COMBINED
+            result_rows.append(s)
+            frame_rows.append(j)
             j += 1
-    return Alignment(tuple(steps), cost[0][0])
+    steps = len(result_rows)
+    return Alignment(tuple(result_rows), tuple(frame_rows), table[0][0], steps - s, steps - m)
 
 
 def _merge(alignment, frame_rows, result_rows, factor):
@@ -151,12 +160,9 @@ def _merge(alignment, frame_rows, result_rows, factor):
     Each step gives ``old + factor * (new - old)``, with the empty row on
     the side a gap step skips: it sits at the end of both padded inputs.
     """
-    s, m = len(result_rows), len(frame_rows)
-    old_idx = [s if step.combined_row is None else step.combined_row for step in alignment.steps]
-    new_idx = [m if step.frame_row is None else step.frame_row for step in alignment.steps]
     empty = _empty_row(result_rows.shape[1])[None]
-    old = np.concatenate((result_rows, empty))[old_idx]
-    new = np.concatenate((frame_rows, empty))[new_idx]
+    old = np.concatenate((result_rows, empty)).take(alignment.result_rows, axis=0)
+    new = np.concatenate((frame_rows, empty)).take(alignment.frame_rows, axis=0)
     return old + factor * (new - old)
 
 
@@ -187,7 +193,8 @@ class CombinerState:
         self._matrix.setflags(write=False)
         self._order = []
         self._next_id = 0
-        self._weights = []
+        self._weights = np.empty(BLOCK)  # frame weights, grown in place
+        self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._seed = seed
         # the history store: _blocks[b][j, rid] is what frame b * BLOCK + j
         # merged into row rid.  Unwritten slots hold the empty distribution,
@@ -206,11 +213,11 @@ class CombinerState:
 
     @property
     def weights(self):
-        return tuple(self._weights)
+        return tuple(self._weights[: self.n].tolist())
 
     @property
     def unweighted(self):
-        return self._weights.count(1.0) == len(self._weights)
+        return self._common_weight == 1.0
 
     def _check_frame(self, frame):
         if frame.num_classes != self.alphabet.size:
@@ -235,27 +242,36 @@ class CombinerState:
         factor = merge_share(w, self.weight_total)
         alignment = align(frame, self._matrix)
 
-        order = []
-        aligned = []  # row id of each frame row, in frame order
-        for step in alignment.steps:
-            if step.kind == GAP_COMBINED:
-                rid = self._next_id
-                self._next_id += 1
-            else:
-                rid = self._order[step.combined_row]
-            order.append(rid)
-            if step.frame_row is not None:
-                aligned.append(rid)
+        order = self._row_ids_after(alignment)
+        self._next_id += alignment.inserted
         if self._blocks is not None:
-            self._record(aligned, frame.rows)
+            # row id of each frame row, in frame order
+            m = frame.num_chars
+            self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
 
         matrix = _merge(alignment, frame.rows, self._matrix, factor)
         matrix.setflags(write=False)
         self._matrix = matrix
         self._order = order
+        if self.n == len(self._weights):
+            self._weights = np.concatenate((self._weights, np.empty(self.n)))
+        self._weights[self.n] = w
+        if self.n == 0:
+            self._common_weight = w
+        elif w != self._common_weight:
+            self._common_weight = None
         self.n += 1
         self.weight_total = new_total
-        self._weights.append(w)
+
+    def _row_ids_after(self, alignment):
+        """Row ids in display order after a merge along ``alignment``.
+
+        Rows the merge inserts take the next free ids, in order.
+        """
+        ids = self._order
+        s = len(ids)
+        new_ids = iter(range(self._next_id, self._next_id + alignment.inserted))
+        return [ids[r] if r < s else next(new_ids) for r in alignment.result_rows]
 
     def _new_block(self, width):
         block = np.zeros((BLOCK, width, self._width))
@@ -287,17 +303,20 @@ class CombinerState:
         self._check_frame(candidate)
         return align(candidate, self._matrix), merge_share(candidate.weight, self.weight_total)
 
+    def candidate_shares(self):
+        """Merge share of every absorbed frame as the next candidate.
+
+        :func:`merge_share` of each frame's weight into the weight total;
+        one scalar when all frames have the same weight, else shape (n,).
+        """
+        if self._common_weight is not None:
+            return merge_share(self._common_weight, self.weight_total)
+        return merge_share(self._weights[: self.n], self.weight_total)
+
     def combine_candidate(self, candidate):
         """Combined result if ``candidate`` arrived next; the state is untouched."""
         alignment, share = self.candidate_alignment(candidate)
-        ids = []
-        temp_id = self._next_id
-        for step in alignment.steps:
-            if step.kind == GAP_COMBINED:
-                ids.append(temp_id)
-                temp_id += 1
-            else:
-                ids.append(self._order[step.combined_row])
+        ids = self._row_ids_after(alignment)
         return CombinedResult(_merge(alignment, candidate.rows, self._matrix, share), ids)
 
     def current_result(self):

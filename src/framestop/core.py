@@ -15,8 +15,11 @@ across workers.
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
+
+from . import metrics
 
 # Rows must sum to one within this bound to count as valid distributions.
 SUM_TOLERANCE = 1e-9
@@ -138,6 +141,18 @@ class RecognitionFrame:
     def num_classes(self):
         """Number of character classes, excluding the empty class."""
         return self.rows.shape[1] - 1
+
+    @cached_property
+    def gap_costs(self):
+        """Each row's distance to the empty distribution; write-protected.
+
+        Computed on first use and kept, so the alignments of one frame
+        against many results (every candidate of every ``base`` stage)
+        share it, and building a frame stays as cheap as before.
+        """
+        costs = metrics.gap_costs(self.rows)
+        costs.setflags(write=False)
+        return costs
 
     def __repr__(self):
         return f"RecognitionFrame(chars={self.num_chars}, classes={self.num_classes}, weight={self.weight})"

@@ -29,7 +29,7 @@ from .stoppers import (
 
 SIMULATE_FIELDS = ("clip_id", "stop_stage", "forced", "final_error", "estimate_at_stop")
 PROFILE_FIELDS = ("threshold", "mean_stop_stage", "mean_error", "forced_fraction")
-BENCH_FIELDS = ("method", "stage", "mean_seconds", "samples")
+BENCH_FIELDS = ("method", "stage", "mean_seconds", "best_seconds", "samples")
 
 # most points a threshold grid may have; a profile runs every clip per point
 MAX_GRID_POINTS = 10_000
@@ -126,9 +126,11 @@ def load_clips(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
             try:
                 clips.append(_clip_from_record(record))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return clips
 
@@ -268,8 +270,11 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     """Wall-clock seconds of absorb plus estimate, per method and stage.
 
     Bookkeeping and estimation shift work between the two phases
-    differently per method, so they are timed as one unit.  Means are over
-    clips x repeats; runs single-threaded.
+    differently per method, so they are timed as one unit.  Each repeat
+    drives every clip under every method in turn, so slow spells of a
+    shared machine hit all methods alike.  ``mean_seconds`` is the mean
+    over clips x repeats; ``best_seconds`` takes each clip's minimum over
+    the repeats, then the mean over clips.  Runs single-threaded.
     """
     if not clips:
         raise ValueError("no clips to benchmark")
@@ -278,24 +283,28 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     methods = list(methods)
     if any(m is StopperMethod.FIXED_STAGE for m in methods):
         raise ValueError("FIXED_STAGE has no estimator to benchmark")
-    sums = {}
-    counts = {}
-    for method in methods:
-        config = StopperConfig(method, metric=metric, delta=delta, max_stages=max_stages)
-        for _ in range(repeats):
-            for clip in clips:
+    configs = [
+        StopperConfig(method, metric=metric, delta=delta, max_stages=max_stages)
+        for method in methods
+    ]
+    times = {}  # (method, stage) -> per clip, the seconds of every repeat
+    for _ in range(repeats):
+        for index, clip in enumerate(clips):
+            for config in configs:
                 for stage, elapsed in _timed_stages(clip, config, seed):
-                    key = (method.value, stage)
-                    sums[key] = sums.get(key, 0.0) + elapsed
-                    counts[key] = counts.get(key, 0) + 1
+                    per_clip = times.setdefault((config.method.value, stage), {})
+                    per_clip.setdefault(index, []).append(elapsed)
     rows = []
-    for key in sorted(sums):
+    for key in sorted(times):
+        per_clip = times[key].values()
+        samples = sum(len(seconds) for seconds in per_clip)
         rows.append(
             {
                 "method": key[0],
                 "stage": key[1],
-                "mean_seconds": sums[key] / counts[key],
-                "samples": counts[key],
+                "mean_seconds": sum(sum(seconds) for seconds in per_clip) / samples,
+                "best_seconds": sum(min(seconds) for seconds in per_clip) / len(per_clip),
+                "samples": samples,
             }
         )
     return rows

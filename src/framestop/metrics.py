@@ -4,6 +4,8 @@ Three layers: a scaled taxicab distance between two character
 distributions, a generalized Levenshtein distance (GLD) between row
 sequences that uses the taxicab distance for substitution and gap costs,
 and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
+``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
+and ``combiner.align`` reads its path.
 """
 
 from enum import Enum
@@ -56,6 +58,41 @@ def pairwise_costs(x_rows, y_rows):
     return 0.5 * np.abs(x_rows[:, None, :] - y_rows[None, :, :]).sum(axis=2)
 
 
+def cost_table(sub, gap_rows, gap_cols):
+    """Backward table of the GLD recurrence over precomputed costs.
+
+    ``table[i][j]`` is the least cost of aligning rows ``i..`` of the first
+    sequence with rows ``j..`` of the second, so ``table[0][0]`` is their
+    GLD.  ``sub[i][j]`` is the cost of pairing row i with row j (``sub``
+    may be empty when either sequence is), ``gap_rows[i]`` / ``gap_cols[j]``
+    the cost of skipping one row of either sequence.  Filled from the tail,
+    so :func:`framestop.combiner.align` can read its path off from the
+    front, where its tie order applies.  Nested lists of floats: at the
+    sizes of one text line the Python loop beats per-row numpy calls.
+    """
+    s, m = len(gap_rows), len(gap_cols)
+    below = [0.0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        below[j] = gap_cols[j] + below[j + 1]
+    table = [below] * (s + 1)
+    for i in range(s - 1, -1, -1):
+        skip = gap_rows[i]
+        left = skip + below[m]
+        row = [left] * (m + 1)
+        sub_i = sub[i] if m else ()
+        for j in range(m - 1, -1, -1):
+            best = sub_i[j] + below[j + 1]
+            alt = skip + below[j]
+            if alt < best:
+                best = alt
+            alt = gap_cols[j] + left
+            if alt < best:
+                best = alt
+            row[j] = left = best
+        table[i] = below = row
+    return table
+
+
 def gld(x, y):
     """Generalized Levenshtein distance between two row sequences.
 
@@ -65,39 +102,10 @@ def gld(x, y):
     """
     xr = _as_rows(x)
     yr = _as_rows(y)
-    nx, ny = xr.shape[0], yr.shape[0]
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    if nx == 0 and ny == 0:
-        return 0.0
-    if nx == 0:
-        return float(gap_costs(yr).sum())
-    if ny == 0:
-        return float(gap_costs(xr).sum())
-
-    sub = pairwise_costs(xr, yr).tolist()
-    gx = gap_costs(xr).tolist()
-    gy = gap_costs(yr).tolist()
-
-    # prev[m] = cost of aligning the first j rows of x with the first m of y
-    prev = [0.0] * (ny + 1)
-    for m in range(1, ny + 1):
-        prev[m] = prev[m - 1] + gy[m - 1]
-    for j in range(1, nx + 1):
-        sub_j = sub[j - 1]
-        gap_j = gx[j - 1]
-        cur = [prev[0] + gap_j]
-        for m in range(1, ny + 1):
-            best = prev[m - 1] + sub_j[m - 1]
-            up = prev[m] + gap_j
-            if up < best:
-                best = up
-            left = cur[m - 1] + gy[m - 1]
-            if left < best:
-                best = left
-            cur.append(best)
-        prev = cur
-    return prev[ny]
+    sub = pairwise_costs(xr, yr).tolist() if xr.shape[0] and yr.shape[0] else []
+    return cost_table(sub, gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
 
 
 def normalized(g, length_sum):

@@ -15,7 +15,8 @@ Three estimators compute the same quantity at different price points:
   to 1.16 ms (``perfbench`` ``online-base``, 2-vCPU Xeon).
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
   scores the modelled merge row-by-row, O(n * S * K): one numpy scan of
-  the state's history store (``CombinerState.spread``).
+  the state's history store (``CombinerState.spread``), scaled by one
+  scalar merge share when every frame has the same weight.
 * ``estimate_method_b`` is ``a``'s aggregate normalised once instead of
   per candidate, read from the same scan, so it costs the same
   O(n * S * K); unweighted only.  The paper prices it at
@@ -23,14 +24,19 @@ Three estimators compute the same quantity at different price points:
   cell.  On the benchmark corpus (K=36, 15 characters, 2-vCPU Xeon) those
   trees never grew deeper than 3, and a ``b`` stage cost 1.0-2.1 ms at
   n=5-400 with treaps against 0.17-0.81 ms with the scan.
+
+A stage of ``a`` or ``b`` is mostly the absorb that every method pays:
+one alignment (``combiner.align``, on the one GLD kernel
+``metrics.cost_table``) and the merge.  Building that alignment as two
+index lists instead of step objects, keeping each frame's gap costs and
+the scalar share took the median frame decision of ``perfbench``
+``online-fast`` from 0.37 to 0.29 ms (2-vCPU Xeon).
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .combiner import CombinerState, merge_share
+from .combiner import CombinerState
 from .core import from_string
 from .metrics import MetricKind, ngld, normalized
 from .metrics import gld  # noqa: F401  unused here; the traced benchmark wraps stoppers.gld
@@ -137,12 +143,12 @@ def _candidate_gld(state):
     """Per-candidate GLD of method a's modelled merges, from one store scan.
 
     Candidate i moves every row by its weight's merge share
-    (:func:`merge_share`) of the gap between the current row and what
-    frame i merged into it, as in the merge itself.
+    (:meth:`CombinerState.candidate_shares`) of the gap between the
+    current row and what frame i merged into it, as in the merge itself.
     """
     if state.n == 0:
         raise ValueError("cannot estimate before the first frame")
-    return state.spread() * merge_share(np.asarray(state.weights), state.weight_total) / 2.0
+    return state.spread() * state.candidate_shares() / 2.0
 
 
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way.  Apart
 from ``base_oracle``, which scores the library's own candidate merge with
-the library's GLD (the definition ``estimate_base`` shortcuts), nothing
-shares a code path with the implementations under test.
+the library's GLD (the definition ``estimate_base`` shortcuts), and the
+exact references for alignment and combination, which use the library's
+row costs and merge share so their results can be required bit for bit,
+nothing shares a code path with the implementations under test.
 """
 
 import random
@@ -11,9 +13,10 @@ import warnings
 
 import numpy as np
 
+from framestop.combiner import GAP_COMBINED, GAP_FRAME, MATCH, AlignmentStep, merge_share
 from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
-from framestop.metrics import MetricKind, gld
+from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
 
 
 def char_distance_slow(a, b):
@@ -66,7 +69,10 @@ def method_a_oracle(state, *, metric, delta):
         g = 0.0
         for pos in range(s):
             contribution = state.contribution(i, ids[pos])
-            merged = (total_weight * current[pos] + w * contribution) / (total_weight + w)
+            if total_weight + w > 0:
+                merged = (total_weight * current[pos] + w * contribution) / (total_weight + w)
+            else:  # no weight at all: the merge leaves the row where it is
+                merged = current[pos]
             g += char_distance_slow(current[pos], merged)
         aggregate += g
         if metric is MetricKind.GLD:
@@ -101,6 +107,119 @@ def base_oracle(state, frames, metric, delta):
             per_candidate.append(2.0 * g / denom if denom > 0 else 0.0)
     estimate = (delta + sum(per_candidate)) / (len(frames) + 1)
     return estimate, per_candidate, aggregate
+
+
+def align_reference(frame_rows, result_rows):
+    """The step-object alignment: (steps, cost), kept as the exact reference.
+
+    Same costs (the library's ``pairwise_costs`` / ``gap_costs``) and the
+    same backward table, written out in full, with the path read off from
+    the front as a tuple of ``AlignmentStep``.  ``combiner.align`` must
+    agree with it bit for bit.
+    """
+    combined = np.asarray(result_rows, dtype=np.float64)
+    fresh = np.asarray(frame_rows, dtype=np.float64)
+    s, m = combined.shape[0], fresh.shape[0]
+    sub = pairwise_costs(combined, fresh).tolist() if s and m else []
+    skip_combined = gap_costs(combined).tolist()
+    insert_fresh = gap_costs(fresh).tolist()
+    cost = [[0.0] * (m + 1) for _ in range(s + 1)]
+    for j in range(m - 1, -1, -1):
+        cost[s][j] = insert_fresh[j] + cost[s][j + 1]
+    for i in range(s - 1, -1, -1):
+        cost[i][m] = skip_combined[i] + cost[i + 1][m]
+        for j in range(m - 1, -1, -1):
+            best = sub[i][j] + cost[i + 1][j + 1]
+            alt = skip_combined[i] + cost[i + 1][j]
+            if alt < best:
+                best = alt
+            alt = insert_fresh[j] + cost[i][j + 1]
+            if alt < best:
+                best = alt
+            cost[i][j] = best
+    steps = []
+    i = j = 0
+    while i < s or j < m:
+        here = cost[i][j]
+        if i < s and j < m and sub[i][j] + cost[i + 1][j + 1] == here:
+            steps.append(AlignmentStep(MATCH, combined_row=i, frame_row=j))
+            i += 1
+            j += 1
+        elif i < s and skip_combined[i] + cost[i + 1][j] == here:
+            steps.append(AlignmentStep(GAP_FRAME, combined_row=i))
+            i += 1
+        else:
+            steps.append(AlignmentStep(GAP_COMBINED, frame_row=j))
+            j += 1
+    return tuple(steps), cost[0][0]
+
+
+def merge_reference(steps, frame_rows, result_rows, factor):
+    """The step-object merge: old + factor * (new - old) per step, empty for a skipped side."""
+    s, m = len(result_rows), len(frame_rows)
+    old_idx = [s if step.combined_row is None else step.combined_row for step in steps]
+    new_idx = [m if step.frame_row is None else step.frame_row for step in steps]
+    empty = np.zeros((1, result_rows.shape[1]))
+    empty[0, 0] = 1.0
+    old = np.concatenate((result_rows, empty))[old_idx]
+    new = np.concatenate((frame_rows, empty))[new_idx]
+    return old + factor * (new - old)
+
+
+def combine_reference(frames, width):
+    """Absorb ``frames`` step by step: (rows, row ids, history tensor).
+
+    Row ids are handed out in creation order; the history holds, per frame
+    and row in display order, the row the frame merged into it, or the
+    empty row.
+    """
+    rows = np.zeros((0, width))
+    order = []
+    next_id = 0
+    total = 0.0
+    history = []  # per frame: row id -> the frame row merged into it
+    for frame in frames:
+        steps, _ = align_reference(frame.rows, rows)
+        merged_into = {}
+        new_order = []
+        for step in steps:
+            if step.kind == GAP_COMBINED:
+                rid = next_id
+                next_id += 1
+            else:
+                rid = order[step.combined_row]
+            new_order.append(rid)
+            if step.frame_row is not None:
+                merged_into[rid] = frame.rows[step.frame_row]
+        rows = merge_reference(steps, frame.rows, rows, merge_share(frame.weight, total))
+        order = new_order
+        total += frame.weight
+        history.append(merged_into)
+    empty = np.zeros(width)
+    empty[0] = 1.0
+    contributions = np.array([[h.get(rid, empty) for rid in order] for h in history])
+    return rows, tuple(order), contributions.reshape(len(history), len(order), width)
+
+
+def gld_reference(x_rows, y_rows):
+    """The forward GLD dynamic program, one row of the table at a time."""
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    y_rows = np.asarray(y_rows, dtype=np.float64)
+    nx, ny = x_rows.shape[0], y_rows.shape[0]
+    gx = gap_costs(x_rows).tolist()
+    gy = gap_costs(y_rows).tolist()
+    sub = pairwise_costs(x_rows, y_rows).tolist() if nx and ny else []
+    prev = [0.0] * (ny + 1)
+    for m in range(1, ny + 1):
+        prev[m] = prev[m - 1] + gy[m - 1]
+    for j in range(1, nx + 1):
+        cur = [prev[0] + gx[j - 1]]
+        for m in range(1, ny + 1):
+            cur.append(
+                min(prev[m - 1] + sub[j - 1][m - 1], prev[m] + gx[j - 1], cur[m - 1] + gy[m - 1])
+            )
+        prev = cur
+    return prev[ny]
 
 
 class MultisetScan:

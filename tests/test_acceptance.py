@@ -249,8 +249,10 @@ def test_criterion_7_timing_shape():
             alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", frames_per_clip=30,
             p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
         )
-        rows = bench(generate_synthetic(config), list(ESTIMATORS), repeats=2, max_stages=25)
-        times = {(row["method"], row["stage"]): row["mean_seconds"] for row in rows}
+        # per clip the fastest of three interleaved repeats: a slow spell of a
+        # shared machine then has to last a whole repeat to show
+        rows = bench(generate_synthetic(config), list(ESTIMATORS), repeats=3, max_stages=25)
+        times = {(row["method"], row["stage"]): row["best_seconds"] for row in rows}
         elapsed = time.perf_counter() - start
         base_25 = times[("base", 25)]
         a_25 = times[("a", 25)]

@@ -165,3 +165,35 @@ def test_bench_defaults_to_all_methods(clips_file, tmp_path):
     code = main(["bench", "-i", str(clips_file), "-o", str(out), "--max-stages", "3"])
     assert code == 0
     assert {r["method"] for r in read_csv(out)} == {"base", "a", "b"}
+
+
+MALFORMED_LINES = {
+    "non-object": "[1, 2, 3]",
+    "frames-not-a-list": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": 5}',
+    "ragged-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1, 0], [1]]}]}',
+    "string-entries": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [["a", "b"]]}]}',
+    "nan-weight": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"w": NaN, "rows": [[1, 0]]}]}',
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "huge-integer": (
+        '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1%s, 0]]}]}' % ("0" * 400)
+    ),
+}
+COMMANDS = {
+    "simulate": ["simulate", "--method", "a", "--threshold", "0.05"],
+    "profile": ["profile", "--method", "b", "--thresholds", "0:0.1:0.05"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_malformed_jsonl_exits_without_traceback(tmp_path, capsys, command, case):
+    good = '{"id": "ok", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[0.9, 0.1]]}]}'
+    path = tmp_path / "clips.jsonl"
+    path.write_text(good + "\n" + MALFORMED_LINES[case] + "\n")
+    argv = COMMANDS[command] + ["-i", str(path), "-o", str(tmp_path / "out.csv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"{path}:2:" in err
+    assert "Traceback" not in err

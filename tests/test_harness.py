@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import framestop.harness as harness
 from framestop.core import Alphabet, Clip, from_string
 from framestop.harness import (
     BENCH_FIELDS,
@@ -269,6 +270,31 @@ def test_bench_sample_counts():
     assert all(row["mean_seconds"] > 0 for row in rows)
     methods = {row["method"] for row in rows}
     assert methods == {"base", "a", "b"}
+
+
+def test_bench_interleaves_methods_and_takes_per_clip_minima(monkeypatch):
+    clips = constant_clips(2)
+    order = []
+    seconds = {
+        ("base", 0): [4.0, 2.0], ("base", 1): [6.0, 8.0],
+        ("a", 0): [1.0, 3.0], ("a", 1): [5.0, 5.0],
+    }
+
+    def fake_stages(clip, config, seed):
+        index = clips.index(clip)
+        order.append((config.method.value, index))
+        repeat = sum(1 for key in order if key == (config.method.value, index)) - 1
+        yield 1, seconds[(config.method.value, index)][repeat]
+
+    monkeypatch.setattr(harness, "_timed_stages", fake_stages)
+    rows = bench(clips, [StopperMethod.BASE, StopperMethod.METHOD_A], repeats=2)
+    assert order == [("base", 0), ("a", 0), ("base", 1), ("a", 1)] * 2
+    by_method = {row["method"]: row for row in rows}
+    assert by_method["base"]["mean_seconds"] == 5.0
+    assert by_method["base"]["best_seconds"] == 4.0  # mean of 2.0 and 6.0
+    assert by_method["a"]["mean_seconds"] == 3.5
+    assert by_method["a"]["best_seconds"] == 3.0  # mean of 1.0 and 5.0
+    assert all(row["samples"] == 4 for row in rows)
 
 
 def test_bench_validation():

@@ -189,6 +189,7 @@ def test_method_b_rejects_weighted_state():
     forced = CombinerState(ALPHA, track_treaps=True)
     forced.absorb(make_frame([[1, 0]]))
     forced._weights[0] = 2.0
+    forced._common_weight = 2.0  # absorb tracks it; set it as absorb would have
     with pytest.raises(ValueError, match="unweighted"):
         estimate_method_b(forced)
 
