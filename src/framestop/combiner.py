@@ -34,6 +34,9 @@ from .core import CombinedResult, RecognitionFrame, _empty_row
 from .metrics import cost_table, gap_costs, pairwise_costs
 from .treap import MultisetIndex
 
+# merge_share halves both weights from here on, so their sum stays finite
+_HALVE_FROM = 2.0**1023
+
 # frames per block of the history store
 BLOCK = 32
 
@@ -91,17 +94,21 @@ class Alignment:
 def merge_share(weight, total):
     """Share w / (W + w) that a frame of weight ``w`` takes in a merge into weight ``W``.
 
-    Elementwise when ``weight`` is a numpy array.  Both terms are halved
-    first, so the sum stays finite for any pair of finite weights; for
-    weights in the normal float range the halving is exact and the share
-    is bit-identical to w / (W + w).  The share is 0 where the halved sum
-    is not positive.
+    Elementwise when ``weight`` is a numpy array.  Exactly w / (W + w)
+    while both terms are below 2**1023, where their sum cannot overflow.
+    From there both are halved first, so the sum stays finite for any pair
+    of finite weights; the halving is exact for every term but a subnormal
+    one, whose effect on the share then rounds away either way.  The share
+    is 0 where the sum is not positive.
     """
-    half = 0.5 * weight
-    denom = 0.5 * total + half
+    top = weight.max(initial=total) if isinstance(weight, np.ndarray) else max(weight, total)
+    if top >= _HALVE_FROM:
+        weight = 0.5 * weight
+        total = 0.5 * total
+    denom = total + weight
     if isinstance(denom, np.ndarray):
-        return np.divide(half, denom, out=np.zeros_like(denom), where=denom > 0)
-    return half / denom if denom > 0 else 0.0
+        return np.divide(weight, denom, out=np.zeros_like(denom), where=denom > 0)
+    return weight / denom if denom > 0 else 0.0
 
 
 def _rows_of(seq):
@@ -193,7 +200,7 @@ class CombinerState:
         self._matrix.setflags(write=False)
         self._order = []
         self._next_id = 0
-        self._weights = np.empty(BLOCK)  # frame weights, grown in place
+        self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._seed = seed
         # the history store: _blocks[b][j, rid] is what frame b * BLOCK + j
@@ -213,7 +220,7 @@ class CombinerState:
 
     @property
     def weights(self):
-        return tuple(self._weights[: self.n].tolist())
+        return tuple(self._weights)
 
     @property
     def unweighted(self):
@@ -253,9 +260,7 @@ class CombinerState:
         matrix.setflags(write=False)
         self._matrix = matrix
         self._order = order
-        if self.n == len(self._weights):
-            self._weights = np.concatenate((self._weights, np.empty(self.n)))
-        self._weights[self.n] = w
+        self._weights.append(w)
         if self.n == 0:
             self._common_weight = w
         elif w != self._common_weight:
@@ -311,7 +316,7 @@ class CombinerState:
         """
         if self._common_weight is not None:
             return merge_share(self._common_weight, self.weight_total)
-        return merge_share(self._weights[: self.n], self.weight_total)
+        return merge_share(np.asarray(self._weights), self.weight_total)
 
     def combine_candidate(self, candidate):
         """Combined result if ``candidate`` arrived next; the state is untouched."""

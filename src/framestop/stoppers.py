@@ -30,7 +30,10 @@ one alignment (``combiner.align``, on the one GLD kernel
 ``metrics.cost_table``) and the merge.  Building that alignment as two
 index lists instead of step objects, keeping each frame's gap costs and
 the scalar share took the median frame decision of ``perfbench``
-``online-fast`` from 0.37 to 0.29 ms (2-vCPU Xeon).
+``online-fast`` from 0.374 to 0.288 ms (2-vCPU Xeon).  That benchmark
+decides the same frames again under ``b`` and in every pass, so the kept
+gap costs are reused there as a live stream would not reuse them: with
+them recomputed per alignment the median was 0.314 ms.
 """
 
 from dataclasses import dataclass

@@ -70,7 +70,11 @@ def method_a_oracle(state, *, metric, delta):
         for pos in range(s):
             contribution = state.contribution(i, ids[pos])
             if total_weight + w > 0:
-                merged = (total_weight * current[pos] + w * contribution) / (total_weight + w)
+                # weigh by the two shares rather than scaling the rows by the
+                # weights themselves, which underflow for subnormal weights
+                merged = (total_weight / (total_weight + w)) * current[pos] + (
+                    w / (total_weight + w)
+                ) * contribution
             else:  # no weight at all: the merge leaves the row where it is
                 merged = current[pos]
             g += char_distance_slow(current[pos], merged)

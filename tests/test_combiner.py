@@ -9,6 +9,7 @@ from framestop.combiner import (
     MATCH,
     CombinerState,
     align,
+    merge_share,
 )
 from framestop.core import Alphabet, empty_distribution, from_string, make_frame
 from framestop.metrics import MetricKind, char_distance, gld
@@ -134,6 +135,18 @@ def test_absorb_rejects_overflowing_weight_total():
     assert state.n == 1
     assert state.weight_total == 1e308
     assert np.array_equal(state.mean_rows, [[0.0, 1.0, 0.0]])
+
+
+def test_subnormal_weights_merge_by_their_share():
+    tiny = 5e-324  # the smallest subnormal; halving it rounds to 0
+    assert merge_share(tiny, 0.0) == 1.0
+    assert merge_share(tiny, tiny) == 0.5
+    assert np.array_equal(merge_share(np.array([tiny, 3 * tiny]), 2 * tiny), [1 / 3, 0.6])
+    state = CombinerState(ALPHA, track_history=True)
+    state.absorb(make_frame([[1, 0]], tiny))
+    assert np.array_equal(state.mean_rows, [[0.0, 1.0, 0.0]])
+    state.absorb(make_frame([[0, 1]], tiny))
+    assert np.array_equal(state.mean_rows, [[0.0, 0.5, 0.5]])
 
 
 def test_absorb_weighted_frame_in_treap_mode_rejected():
