@@ -3,25 +3,32 @@
 Each new frame is aligned against the running combined result with a
 dynamic program whose costs come from the character-level distance, then
 merged as a weighted average in one numpy step.  ``align`` fills the
-backward cost table with ``metrics.cost_table``, the one GLD kernel that
-``metrics.gld`` also runs for its cost, and reads the path off as two
-index lists into the result and the frame, each padded with the empty
-distribution for the side a gap step skips; a frame's own gap costs are
-computed once and kept on the frame.  The merge gathers with those lists
-directly, and every merged row is ``old + factor * (new - old)``;
-``Alignment.steps`` builds :class:`AlignmentStep` objects only when read,
-so no step object is made on the per-stage path.  The state optionally
-keeps the one history store the fast stopping estimators read: per frame
-and row id, the row the frame merged into it, in blocks of ``BLOCK``
-frames.  Absorbing a frame writes only the rows it was aligned to
-(O(M*K)); a new block opens every ``BLOCK`` frames and nothing older is
-copied; the open block's row capacity grows geometrically; display order
-is applied only when the history is read.  Method ``a`` scores candidates
-from the store's per-frame spread, an O(n*S*K) numpy scan; method ``b``
+backward GLD table over numpy's ``pairwise_costs`` / ``gap_costs`` and
+reads the path off as two index lists into the result and the frame,
+each padded with the empty distribution for the side a gap step skips; a
+frame's own gap costs are computed once and kept on the frame.  The fill
+and the traceback run compiled (``_kernels.c``, the same floating-point
+operations in the same order, so the same alignment bit for bit) where a
+C compiler is available, and otherwise as ``metrics.cost_table`` and the
+Python traceback ``_path``, which stay the reference.  The merge gathers
+with the index lists from the frame's and the state's rows, both kept
+followed by the empty row, and blends ``old + factor * (new - old)`` in
+place in its output; ``Alignment.steps`` builds :class:`AlignmentStep`
+objects only when read, so no step object is made on the per-stage path.
+The state optionally keeps the one history store the fast stopping
+estimators read: per frame and row id, the row the frame merged into it,
+in blocks of ``BLOCK`` frames.  Absorbing a frame writes only the rows it
+was aligned to (O(M*K)); a new block opens every ``BLOCK`` frames and
+nothing older is copied; the open block's row capacity grows
+geometrically; display order is applied only when the history is read.
+Method ``a`` scores candidates from the store's per-frame spread, an
+O(n*S*K) scan, compiled where available (numpy otherwise); method ``b``
 is ``a``'s aggregate normalised once, read from the same scan.  Over 400
-stages of the benchmark corpus (K=36) this took absorb's own time from
-13.5 s to 1.2 s per pass, where it had rebuilt the whole history every
-stage.
+stages of the benchmark corpus (K=36) the store took absorb's own time
+from 13.5 s to 1.2 s per pass, where it had rebuilt the whole history
+every stage.  On 40 stage pairs of that corpus (S about 19, M about 15,
+2-vCPU Xeon) the compiled kernels took ``align`` from about 165 to 92 us,
+and ``spread`` from 58 to 22 us at n=25 and from 470 to 150 us at n=200.
 """
 import math
 import random
@@ -30,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .core import CombinedResult, RecognitionFrame, _empty_row
 from .metrics import cost_table, gap_costs, pairwise_costs
 from .treap import MultisetIndex
@@ -132,11 +140,22 @@ def align(frame, result):
         )
     s, m = combined.shape[0], fresh.shape[0]
 
-    sub = pairwise_costs(combined, fresh).tolist() if s and m else []
-    skip = gap_costs(combined).tolist()  # cost of a GAP_FRAME step per combined row
+    sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
+    skip = gap_costs(combined)  # cost of a GAP_FRAME step per combined row
     fresh_gaps = frame.gap_costs if isinstance(frame, RecognitionFrame) else gap_costs(fresh)
-    table = cost_table(sub, skip, fresh_gaps.tolist())
+    if _kernels.get() is not None:
+        result_rows, frame_rows, cost = _kernels.path(sub, skip, fresh_gaps)
+    else:
+        result_rows, frame_rows, cost = _path(sub.tolist(), skip.tolist(), fresh_gaps.tolist())
+    steps = len(result_rows)
+    return Alignment(result_rows, frame_rows, cost, steps - s, steps - m)
 
+
+def _path(sub, skip, gaps):
+    """(result_rows, frame_rows, cost) from :func:`metrics.cost_table` over
+    nested lists: the Python kernel, and the reference of ``_kernels.path``."""
+    table = cost_table(sub, skip, gaps)
+    s, m = len(skip), len(gaps)
     # read the path off from the front, recomputing each cell's choices in
     # tie order; the recomputation is bit-equal to the one that filled it
     result_rows = []
@@ -157,20 +176,27 @@ def align(frame, result):
             result_rows.append(s)
             frame_rows.append(j)
             j += 1
-    steps = len(result_rows)
-    return Alignment(tuple(result_rows), tuple(frame_rows), table[0][0], steps - s, steps - m)
+    return tuple(result_rows), tuple(frame_rows), table[0][0]
 
 
-def _merge(alignment, frame_rows, result_rows, factor):
-    """Rows of the merge along ``alignment``; factor = new weight / total weight.
+def _merge(alignment, frame_padded, result_padded, factor):
+    """Rows of the merge along ``alignment``, followed by the empty row;
+    factor = new weight / total weight.
 
-    Each step gives ``old + factor * (new - old)``, with the empty row on
-    the side a gap step skips: it sits at the end of both padded inputs.
+    Both inputs end with the empty row, which a gap step gathers for the
+    side it skips.  Each step gives ``old + factor * (new - old)``,
+    computed in place in the output.
     """
-    empty = _empty_row(result_rows.shape[1])[None]
-    old = np.concatenate((result_rows, empty)).take(alignment.result_rows, axis=0)
-    new = np.concatenate((frame_rows, empty)).take(alignment.frame_rows, axis=0)
-    return old + factor * (new - old)
+    steps = len(alignment.result_rows)
+    merged = np.empty((steps + 1, result_padded.shape[1]))
+    rows = merged[:steps]
+    frame_padded.take(alignment.frame_rows, axis=0, out=rows)
+    old = result_padded.take(alignment.result_rows, axis=0)
+    rows -= old
+    rows *= factor
+    rows += old
+    merged[steps] = result_padded[-1]
+    return merged
 
 
 class CombinerState:
@@ -196,8 +222,9 @@ class CombinerState:
         self.n = 0
         self.weight_total = 0.0
         self._width = alphabet.size + 1
-        self._matrix = np.zeros((0, self._width))
-        self._matrix.setflags(write=False)
+        self._padded = _empty_row(self._width)[None]  # the rows, then the empty row
+        self._padded.setflags(write=False)
+        self._matrix = self._padded[:0]
         self._order = []
         self._next_id = 0
         self._weights = []
@@ -256,9 +283,10 @@ class CombinerState:
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
 
-        matrix = _merge(alignment, frame.rows, self._matrix, factor)
-        matrix.setflags(write=False)
-        self._matrix = matrix
+        padded = _merge(alignment, frame.padded_rows, self._padded, factor)
+        padded.setflags(write=False)
+        self._padded = padded
+        self._matrix = padded[:-1]
         self._order = order
         self._weights.append(w)
         if self.n == 0:
@@ -322,7 +350,8 @@ class CombinerState:
         """Combined result if ``candidate`` arrived next; the state is untouched."""
         alignment, share = self.candidate_alignment(candidate)
         ids = self._row_ids_after(alignment)
-        return CombinedResult(_merge(alignment, candidate.rows, self._matrix, share), ids)
+        merged = _merge(alignment, candidate.padded_rows, self._padded, share)
+        return CombinedResult(merged[:-1], ids)
 
     def current_result(self):
         """Snapshot of the combined result after the frames absorbed so far."""
@@ -333,9 +362,12 @@ class CombinerState:
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
-        Shape (n,).  A numpy scan of the store, one block at a time
-        through one block-sized scratch buffer, so no temporary grows with
-        the history.
+        Shape (n,).  One compiled pass over the store's blocks where
+        :mod:`framestop._kernels` loads; otherwise a numpy scan, one block
+        at a time through one block-sized scratch buffer, so no temporary
+        grows with the history.  The two sum in different orders and agree
+        to about 1e-15; both give exactly 0 for a frame equal to the
+        current rows.
         """
         if self._blocks is None:
             raise ValueError("state was built without history bookkeeping")
@@ -346,6 +378,8 @@ class CombinerState:
             return out
         current = np.empty((s, self._width))
         current[self._order] = self._matrix
+        if _kernels.get() is not None:
+            return _kernels.spread(self._blocks, BLOCK, n, current)
         scratch = np.empty((min(n, BLOCK), s, self._width))
         for b, block in enumerate(self._blocks):
             frames = slice(b * BLOCK, min(n, (b + 1) * BLOCK))

@@ -14,6 +14,7 @@ are write-protected after construction, so instances can be shared freely
 across workers.
 """
 
+import math
 import warnings
 from functools import cached_property
 
@@ -32,6 +33,8 @@ RENORMALIZE_WARN = 1e-6
 # Sums this close to one are left untouched so that writing and reloading
 # already-normalized data reproduces it bit for bit.
 _RENORMALIZE_SKIP = 1e-12
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class Alphabet:
@@ -99,38 +102,49 @@ def _empty_row(width):
 
 
 def _check_distribution_rows(rows, what):
-    """Validate a 2-D array of extended distribution rows."""
+    """Validate a 2-D array of extended distribution rows; returns the least entry."""
     if rows.ndim != 2:
         raise ValueError(f"{what} must be a 2-D array of distribution rows")
     if rows.shape[1] < 2:
         raise ValueError(f"{what} rows need the empty class plus at least one symbol class")
     if rows.size == 0:
-        return
-    if not np.isfinite(rows).all():
+        return 0.0
+    least, most = rows.min(), rows.max()
+    if not (math.isfinite(least) and math.isfinite(most)):  # NaN reaches both
         raise ValueError(f"{what} contains non-finite values")
-    if rows.min() < -SUM_TOLERANCE or rows.max() > 1.0 + SUM_TOLERANCE:
+    if least < -SUM_TOLERANCE or most > 1.0 + SUM_TOLERANCE:
         raise ValueError(f"{what} entries must lie in [0, 1]")
     sums = rows.sum(axis=1)
     worst = np.abs(sums - 1.0).max()
     if worst > SUM_TOLERANCE:
         raise ValueError(f"{what} rows must sum to 1 (worst deviation {worst:.3g})")
+    return least
 
 
 class RecognitionFrame:
     """One frame's recognition result: distribution rows plus a weight.
 
-    ``rows`` has shape (M, K+1) with the empty-class column at index 0.
+    ``rows`` has shape (M, K+1) with the empty-class column at index 0;
+    entries in [-SUM_TOLERANCE, 0), which validation accepts, are stored
+    as 0.  ``padded_rows`` is ``rows`` followed by the empty row, the
+    layout the merge gathers from; ``rows`` is a view of it.
     Use :func:`make_frame` or :func:`from_string` to build frames from raw
     per-class scores or ground-truth text.
     """
 
     def __init__(self, rows, weight=1.0):
-        rows = np.array(rows, dtype=np.float64)
-        _check_distribution_rows(rows, "frame")
+        rows = np.asarray(rows, dtype=np.float64)
+        least = _check_distribution_rows(rows, "frame")
         if not np.isfinite(weight) or weight < 0:
             raise ValueError("frame weight must be a non-negative number")
-        rows.setflags(write=False)
-        self.rows = rows
+        padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
+        padded[:-1] = rows
+        if least < 0:  # the tiny negatives validation lets through
+            np.maximum(padded, 0.0, out=padded)
+        padded[-1, 0] = 1.0
+        padded.setflags(write=False)
+        self.padded_rows = padded
+        self.rows = padded[:-1]  # a view made after the write lock, so locked too
         self.weight = float(weight)
 
     @property
@@ -178,11 +192,19 @@ def make_frame(raw_rows, weight=1.0, *, num_classes=None):
         raise ValueError("raw rows must form a 2-D array: one row per character")
     if num_classes is not None and rows.shape[1] != num_classes:
         raise ValueError(f"rows have {rows.shape[1]} classes, expected {num_classes}")
-    if not np.isfinite(rows).all():
+    least, most = rows.min(), rows.max()
+    if not (math.isfinite(least) and math.isfinite(most)):  # NaN reaches both
         raise ValueError("raw rows contain non-finite values")
-    if rows.min() < 0:
+    if least < 0:
         raise ValueError("raw rows must be non-negative")
-    sums = rows.sum(axis=1)
+    if most > _FLOAT_MAX / (2 * rows.shape[1]):  # a row sum may overflow, rounding included
+        with np.errstate(over="ignore"):
+            sums = rows.sum(axis=1)
+        huge = ~np.isfinite(sums)  # scale these by their maximum before summing
+        rows[huge] /= rows[huge].max(axis=1, keepdims=True)
+        sums[huge] = rows[huge].sum(axis=1)
+    else:
+        sums = rows.sum(axis=1)
     if (sums <= 0).any():
         bad = int(np.argmax(sums <= 0))
         raise ValueError(f"row {bad} sums to zero; every character needs some mass")

@@ -5,12 +5,17 @@ distributions, a generalized Levenshtein distance (GLD) between row
 sequences that uses the taxicab distance for substitution and gap costs,
 and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
 ``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
-and ``combiner.align`` reads its path.
+and ``combiner.align`` reads its path.  Where a C compiler is available
+both run its compiled copy in ``_kernels.c`` instead, which performs the
+same floating-point operations in the same order and so gives the same
+costs bit for bit; ``cost_table`` stays the fallback and the reference.
 """
 
 from enum import Enum
 
 import numpy as np
+
+from . import _kernels
 
 
 class MetricKind(Enum):
@@ -107,14 +112,19 @@ def gld(x, y):
     backward table of :func:`cost_table` adds O(S*M) Python floats where a
     two-row forward pass would keep O(M): 64 rather than 48 bytes per cell
     at K+1=3 classes, no difference in the peak at K+1=37, where the
-    cost matrix dominates (tracemalloc, S=M=1000).
+    cost matrix dominates (tracemalloc, S=M=1000).  The compiled fill
+    keeps the table as 8-byte doubles.
     """
     xr = _as_rows(x)
     yr = _as_rows(y)
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    sub = pairwise_costs(xr, yr).tolist() if xr.shape[0] and yr.shape[0] else []
-    return cost_table(sub, gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
+    s, m = xr.shape[0], yr.shape[0]
+    sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
+    gaps_x, gaps_y = gap_costs(xr), gap_costs(yr)
+    if _kernels.get() is not None:
+        return _kernels.fill(sub, gaps_x, gaps_y)
+    return cost_table(sub.tolist(), gaps_x.tolist(), gaps_y.tolist())[0][0]
 
 
 def normalized(g, length_sum):
@@ -125,6 +135,8 @@ def normalized(g, length_sum):
     """
     denom = g + length_sum
     if isinstance(denom, np.ndarray):
+        if (denom > 0).all():  # the usual case: no mask, no fill
+            return 2.0 * g / denom
         return np.divide(2.0 * g, denom, out=np.zeros_like(denom), where=denom > 0)
     return 2.0 * g / denom if denom > 0 else 0.0
 

@@ -10,13 +10,27 @@ nothing shares a code path with the implementations under test.
 
 import random
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
+from framestop import _kernels
 from framestop.combiner import GAP_COMBINED, GAP_FRAME, MATCH, AlignmentStep, merge_share
 from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
+
+
+@contextmanager
+def python_kernels():
+    """Run the Python kernels inside the block, as where no C compiler exists,
+    by setting the loader's handle to None."""
+    saved = _kernels.lib
+    _kernels.lib = None
+    try:
+        yield
+    finally:
+        _kernels.lib = saved
 
 
 def char_distance_slow(a, b):

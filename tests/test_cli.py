@@ -167,6 +167,16 @@ def test_bench_defaults_to_all_methods(clips_file, tmp_path):
     assert {r["method"] for r in read_csv(out)} == {"base", "a", "b"}
 
 
+def test_simulate_accepts_scores_near_the_float_maximum(tmp_path):
+    path = tmp_path / "clips.jsonl"
+    path.write_text('{"id": "big", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1e308, 1e308]]}]}\n')
+    out = tmp_path / "sim.csv"
+    with pytest.warns(UserWarning, match="renormalizing"):
+        code = main(["simulate", "-i", str(path), "-o", str(out), "--method", "a"])
+    assert code == 0
+    assert [row["clip_id"] for row in read_csv(out)] == ["big"]
+
+
 MALFORMED_LINES = {
     "non-object": "[1, 2, 3]",
     "frames-not-a-list": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": 5}',

@@ -173,3 +173,21 @@ def test_recognition_frame_rejects_bad_rows():
         RecognitionFrame(np.array([[0.5, 0.6, 0.2]]))
     with pytest.raises(ValueError):
         RecognitionFrame(np.array([0.0, 1.0]))
+
+
+def test_make_frame_scales_scores_near_the_float_maximum():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            frame = make_frame([[1e308, 1e308], [0.25, 0.75]])
+    assert frame.rows.tolist() == [[0.0, 0.5, 0.5], [0.0, 0.25, 0.75]]
+
+
+def test_frame_clamps_tiny_negative_entries():
+    frame = RecognitionFrame([[0.0, 1.0 + 5e-10, -5e-10]])
+    assert frame.rows.tolist() == [[0.0, 1.0 + 5e-10, 0.0]]
+    assert frame.padded_rows.tolist() == [[0.0, 1.0 + 5e-10, 0.0], [1.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="entries"):
+        RecognitionFrame([[0.0, 1.0 + 2e-9, -2e-9]])

@@ -1,4 +1,5 @@
-"""Exact parity of the index-array alignment and merge with the step-object reference."""
+"""Exact parity of the index-array alignment and merge with the step-object reference,
+on the compiled kernels where they load and on the Python kernels."""
 
 import random
 
@@ -15,6 +16,7 @@ from oracles import (
     gld_reference,
     late_rows_clip,
     looped_clip,
+    python_kernels,
     random_clip,
 )
 
@@ -61,6 +63,10 @@ def test_align_matches_reference_on_ties(frame, result_rows):
 
 
 def test_align_and_absorb_match_reference_on_clips():
+    _check_clips()
+
+
+def _check_clips():
     for clip in _clips():
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:
@@ -73,6 +79,10 @@ def test_align_and_absorb_match_reference_on_clips():
 
 
 def test_gld_matches_forward_reference():
+    _check_gld()
+
+
+def _check_gld():
     worst = 0.0
     for clip in _clips():
         state = CombinerState(clip.alphabet)
@@ -81,3 +91,12 @@ def test_gld_matches_forward_reference():
             for x, y in ((state.mean_rows, frame.rows), (frame.rows, state.mean_rows)):
                 worst = max(worst, abs(gld(x, y) - gld_reference(x, y)))
     assert worst <= 1e-12
+
+
+def test_parity_with_python_kernels():
+    """The checks above, on the Python kernels (the default is the compiled ones)."""
+    with python_kernels():
+        for frame, result_rows in _tie_cases():
+            _check_alignment(frame, result_rows)
+        _check_clips()
+        _check_gld()

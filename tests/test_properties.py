@@ -11,7 +11,7 @@ from framestop.core import Alphabet, make_frame
 from framestop.metrics import MetricKind
 from framestop.stoppers import estimate_base, estimate_method_a, estimate_method_b
 
-from oracles import method_a_oracle
+from oracles import method_a_oracle, python_kernels
 
 DELTA = 0.1
 
@@ -56,9 +56,7 @@ def test_estimates_finite_bounded_and_a_matches_oracle(clip):
             assert all(abs(x - y) <= 1e-9 for x, y in zip(a.per_candidate, want_per))
 
 
-@settings(max_examples=100, deadline=None)
-@given(clips(unit_weights=True))
-def test_method_b_aggregate_is_method_a_aggregate(clip):
+def _check_b_aggregate_is_a_aggregate(clip):
     alphabet, frames = clip
     for state, _ in _states(alphabet, frames, track_history=True, track_treaps=True):
         for metric in MetricKind:
@@ -68,9 +66,7 @@ def test_method_b_aggregate_is_method_a_aggregate(clip):
             assert b.gld_aggregate == a.gld_aggregate
 
 
-@settings(max_examples=100, deadline=None)
-@given(clips(), st.integers(1, 8))
-def test_constant_clips_collapse_exactly(clip, repeats):
+def _check_constant_clip_collapses(clip, repeats):
     alphabet, frames = clip
     frame = frames[0]
     constant = [frame] * repeats
@@ -82,3 +78,29 @@ def test_constant_clips_collapse_exactly(clip, repeats):
             assert estimate_method_a(state, metric=metric, delta=DELTA).estimate == expected
             if state.track_treaps:
                 assert estimate_method_b(state, metric=metric, delta=DELTA).estimate == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(clips(unit_weights=True))
+def test_method_b_aggregate_is_method_a_aggregate(clip):
+    _check_b_aggregate_is_a_aggregate(clip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clips(unit_weights=True))
+def test_method_b_aggregate_is_method_a_aggregate_on_python_kernels(clip):
+    with python_kernels():
+        _check_b_aggregate_is_a_aggregate(clip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clips(), st.integers(1, 8))
+def test_constant_clips_collapse_exactly(clip, repeats):
+    _check_constant_clip_collapses(clip, repeats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clips(), st.integers(1, 8))
+def test_constant_clips_collapse_exactly_on_python_kernels(clip, repeats):
+    with python_kernels():
+        _check_constant_clip_collapses(clip, repeats)
