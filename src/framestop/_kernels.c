@@ -45,7 +45,8 @@ double fs_fill(const double *sub, const double *gap_rows, const double *gap_cols
    MATCH > GAP_FRAME > GAP_COMBINED, recomputing each choice as fs_fill
    made it.  Writes one (result row, frame row) pair per step, s or m
    standing for the empty row a gap step pairs with; room for s + m steps.
-   Returns the number of steps. */
+   Returns the number of steps, or -1 when a step has no choice to take,
+   which only a NaN in the costs brings about. */
 int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
                  int64_t s, int64_t m, int64_t *result_rows, int64_t *frame_rows)
 {
@@ -59,9 +60,11 @@ int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
         } else if (i < s && gap_rows[i] + table[(i + 1) * w + j] == here) {
             result_rows[k] = i++;
             frame_rows[k] = m;
-        } else {
+        } else if (j < m) {
             result_rows[k] = s;
             frame_rows[k] = j++;
+        } else {
+            return -1; /* no choice reproduces the cell: a NaN cost */
         }
         k++;
     }

@@ -5,10 +5,11 @@ built with (``sysconfig``'s ``CC``) and loads it through ``ctypes``.  The
 library is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
 ``~/.cache/framestop``, named by a hash of the source, the compiler, the
 flags and the platform, so a machine builds it once; when that directory
-cannot be written, the build goes to a private temporary directory for
-the process.  Nothing is written into the source tree.  When there is no
-compiler, or compiling or loading fails, :func:`get` returns None and the
-callers run their Python kernels, which give the same alignments.
+cannot be written, or the user has no home directory, the build goes to a
+private temporary directory for the process.  Nothing is written into the
+source tree.  When there is no compiler, or compiling or loading fails,
+:func:`get` returns None and the callers run their Python kernels, which
+give the same alignments.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
@@ -51,7 +52,13 @@ def compiler():
 
 
 def _cache_dir():
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    """The per-user cache directory; None when the user has no home directory."""
+    base = os.environ.get("XDG_CACHE_HOME")
+    if not base:
+        try:
+            base = Path.home() / ".cache"
+        except RuntimeError:  # no HOME and no passwd entry for the uid
+            return None
     return Path(base) / "framestop"
 
 
@@ -106,21 +113,23 @@ def _load():
         blob = b"\0".join(
             (SOURCE.read_bytes(), shlex.join([*argv, *FLAGS]).encode(), sysconfig.get_platform().encode())
         )
-        cached = _cache_dir() / f"kernels-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}.so"
-        if cached.is_file():
-            return _open(cached), "compiled"
-        if _writable(cached.parent):
-            _build(argv, cached)
-            return _open(cached), "compiled"
+        name = f"kernels-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}.so"
+        cache = _cache_dir()
+        if cache is not None:
+            if (cache / name).is_file():
+                return _open(cache / name), "compiled"
+            if _writable(cache):
+                _build(argv, cache / name)
+                return _open(cache / name), "compiled"
         private = Path(tempfile.mkdtemp(prefix="framestop-"))
         try:
-            _build(argv, private / cached.name)
+            _build(argv, private / name)
             # a loaded library stays mapped after its file is removed
-            return _open(private / cached.name), "compiled"
+            return _open(private / name), "compiled"
         finally:
             shutil.rmtree(private, ignore_errors=True)
-    except OSError as exc:
-        return None, str(exc)
+    except Exception as exc:  # whatever stops the build or the load, the Python kernels run
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def get():
@@ -165,6 +174,8 @@ def path(sub, gap_rows, gap_cols):
     out = (ctypes.c_int64 * (2 * steps))()
     frame_rows_at = ctypes.byref(out, steps * ctypes.sizeof(ctypes.c_int64))
     taken = lib.fs_trace(sub_at, rows_at, table, s, m, out, frame_rows_at)
+    if taken < 0:
+        raise ValueError("alignment costs hold a NaN: rows must be finite")
     return tuple(out[:taken]), tuple(out[steps : steps + taken]), cost
 
 

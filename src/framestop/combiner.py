@@ -130,7 +130,8 @@ def align(frame, result):
     costs the skipped row's distance to the empty distribution.  Ties are
     broken deterministically, scanning from the start: MATCH, then
     GAP_FRAME, then GAP_COMBINED.  A :class:`RecognitionFrame` brings its
-    own cached gap costs.
+    own cached gap costs.  Rows holding a NaN or an infinity raise
+    ValueError.
     """
     combined = _rows_of(result)
     fresh = _rows_of(frame)
@@ -147,6 +148,8 @@ def align(frame, result):
         result_rows, frame_rows, cost = _kernels.path(sub, skip, fresh_gaps)
     else:
         result_rows, frame_rows, cost = _path(sub.tolist(), skip.tolist(), fresh_gaps.tolist())
+    if not math.isfinite(cost):
+        raise ValueError(f"alignment cost is {cost}: rows must be finite")
     steps = len(result_rows)
     return Alignment(result_rows, frame_rows, cost, steps - s, steps - m)
 
@@ -172,10 +175,12 @@ def _path(sub, skip, gaps):
             result_rows.append(i)
             frame_rows.append(m)
             i += 1
-        else:  # GAP_COMBINED
+        elif j < m:  # GAP_COMBINED
             result_rows.append(s)
             frame_rows.append(j)
             j += 1
+        else:  # no choice reproduces the cell: a NaN cost
+            raise ValueError("alignment costs hold a NaN: rows must be finite")
     return tuple(result_rows), tuple(frame_rows), table[0][0]
 
 

@@ -30,9 +30,11 @@ one alignment (``combiner.align``: numpy's pairwise costs, then the GLD
 table fill and traceback) and the merge, plus the history scan.  With
 the fill, the traceback and the scan compiled (``_kernels.c``, where a C
 compiler is available) the median frame decision of ``perfbench``
-``online-fast`` went from 0.322 to 0.231 ms and of ``long-horizon`` from
-1.070 to 0.519 ms (2-vCPU Xeon); ``base``, which aligns every candidate,
-went from 0.907 to 0.555 ms on ``online-base``.
+``long-horizon`` went from 1.070 to 0.519 ms (2-vCPU Xeon, lower in 10
+of 10 alternating run pairs).  ``online-fast`` (0.322 to 0.231 ms) and
+``online-base``, where ``base`` aligns every candidate (0.907 to
+0.555 ms), read lower in 4 of 4 pairs each: an indication, too few pairs
+to establish a gain.
 """
 
 from dataclasses import dataclass

@@ -3,11 +3,13 @@
 import random
 import sysconfig
 import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from framestop import _kernels
-from framestop.combiner import CombinerState
+from framestop.combiner import CombinerState, align
 from framestop.core import make_frame
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, pairwise_costs
 from framestop.stoppers import StopperConfig, StopperMethod, run_clip, stage_traces
@@ -119,3 +121,70 @@ def test_unwritable_cache_builds_into_a_private_directory(compiled, monkeypatch,
     assert blocker.read_text() == ""
     assert list(scratch.iterdir()) == []  # the private build is removed once loaded
 
+
+def _no_home(cls):
+    raise RuntimeError("Could not determine home directory")
+
+
+def test_no_home_directory_builds_into_a_private_directory(compiled, monkeypatch, tmp_path):
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(Path, "home", classmethod(_no_home))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
+    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    assert _kernels.get() is not None
+    assert _kernels.fill(np.zeros((0, 2)), np.zeros(0), np.array([0.5, 0.25])) == 0.75
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path):
+    if _kernels.compiler() is None:
+        pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
+
+    def broken(path):
+        raise AttributeError("undefined symbol: fs_fill")
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_open", broken)
+    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
+    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    assert _kernels.get() is None
+    assert _kernels.status() == "python: AttributeError: undefined symbol: fs_fill"
+    assert align(make_frame([[0.25, 0.75]]), make_frame([[0.5, 0.5]])).cost == 0.25
+
+
+# (frame rows, result rows) holding a NaN, an infinity, or both infinities
+# meeting in one difference (inf - inf is NaN)
+NON_FINITE = [
+    ([[0.0, 1.0]], [[np.nan, 1.0]]),
+    ([[np.nan, 1.0], [1.0, 0.0]], [[0.0, 1.0]]),
+    ([[0.0, 1.0]], [[1.0, 0.0], [np.inf, 1.0]]),
+    ([[-np.inf, 1.0]], [[0.0, 1.0]]),
+    ([[np.inf, 1.0]], [[np.inf, 1.0]]),
+]
+
+
+def _check_align_refuses(frame, result):
+    # numpy warns of the inf - inf it meets on the way; the refusal is the point here
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        align(np.array(frame), np.array(result))
+
+
+@pytest.mark.parametrize("frame, result", NON_FINITE)
+def test_align_refuses_non_finite_rows_compiled(compiled, frame, result):
+    _check_align_refuses(frame, result)
+
+
+@pytest.mark.parametrize("frame, result", NON_FINITE)
+def test_align_refuses_non_finite_rows_on_python_kernels(frame, result):
+    with python_kernels():
+        _check_align_refuses(frame, result)
+
+
+def test_compiled_trace_stops_on_nan_costs(compiled):
+    # every cost NaN: no step reproduces a cell, so the trace must end, not run off
+    with pytest.raises(ValueError, match="NaN"):
+        _kernels.path(np.full((3, 2), np.nan), np.full(3, np.nan), np.full(2, np.nan))
+    # a NaN substitution the gaps route around: the cost is NaN, the path stays in bounds
+    result_rows, frame_rows, cost = _kernels.path(np.array([[np.nan]]), np.ones(1), np.ones(1))
+    assert (result_rows, frame_rows) == ((1, 0), (0, 1)) and cost != cost
