@@ -9,15 +9,7 @@ harness generates synthetic streams, sweeps stopping thresholds into
 performance profiles, and times every stage.
 """
 
-from .combiner import (
-    GAP_COMBINED,
-    GAP_FRAME,
-    MATCH,
-    Alignment,
-    AlignmentStep,
-    CombinerState,
-    align,
-)
+from .combiner import Alignment, CombinerState, align
 from .core import (
     Alphabet,
     Clip,
@@ -42,6 +34,7 @@ from .harness import (
 from .metrics import MetricKind, char_distance, gld, ngld
 from .stoppers import (
     EstimationBreakdown,
+    Stage,
     StopOutcome,
     StopperConfig,
     StopperMethod,
@@ -52,26 +45,21 @@ from .stoppers import (
     run_clip,
     should_stop,
     stage_traces,
+    stages,
 )
-from .treap import BelowQuery, MultisetIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alignment",
-    "AlignmentStep",
     "Alphabet",
-    "BelowQuery",
     "Clip",
     "CombinedResult",
     "CombinerState",
     "EstimationBreakdown",
-    "GAP_COMBINED",
-    "GAP_FRAME",
-    "MATCH",
     "MetricKind",
-    "MultisetIndex",
     "RecognitionFrame",
+    "Stage",
     "StopOutcome",
     "StopperConfig",
     "StopperMethod",
@@ -96,6 +84,7 @@ __all__ = [
     "should_stop",
     "simulate",
     "stage_traces",
+    "stages",
     "to_text",
     "write_clips",
     "write_csv",

@@ -7,7 +7,11 @@ library is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
 flags and the platform, so a machine builds it once; when that directory
 cannot be written, or the user has no home directory, the build goes to a
 private temporary directory for the process.  Nothing is written into the
-source tree.  When there is no compiler, or compiling or loading fails,
+source tree.  A change to any of those inputs builds a new
+``kernels-<key>.so`` beside the old ones, which are never removed and so
+accumulate.  The directory is safe to delete at any time: a library
+already loaded stays mapped in the processes using it, and the next
+process rebuilds.  When there is no compiler, or compiling or loading fails,
 :func:`get` returns None and the callers run their Python kernels, which
 give the same alignments.
 

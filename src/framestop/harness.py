@@ -13,19 +13,11 @@ import csv
 import json
 import math
 import random
-import time
 from dataclasses import dataclass
 
 from .core import Alphabet, Clip, make_frame
 from .metrics import MetricKind
-from .stoppers import (
-    StopperConfig,
-    StopperMethod,
-    _estimate,
-    _make_state,
-    run_clip,
-    stage_traces,
-)
+from .stoppers import StopperConfig, StopperMethod, run_clip, stage_traces, stages
 
 SIMULATE_FIELDS = ("clip_id", "stop_stage", "forced", "final_error", "estimate_at_stop")
 PROFILE_FIELDS = ("threshold", "mean_stop_stage", "mean_error", "forced_fraction")
@@ -238,7 +230,7 @@ def profile(clips, config, grid, *, seed=0):
     traces = [stage_traces(clip, config, seed=seed) for clip in clips]
     rows = []
     for point in grid:
-        stages = []
+        stops = []
         errors = []
         forced_count = 0
         for estimates, stage_errors in traces:
@@ -252,13 +244,13 @@ def profile(clips, config, grid, *, seed=0):
                 forced = stop is None
                 if forced:
                     stop = config.max_stages
-            stages.append(stop)
+            stops.append(stop)
             errors.append(stage_errors[stop - 1])
             forced_count += forced
         rows.append(
             {
                 "threshold": point,
-                "mean_stop_stage": sum(stages) / len(stages),
+                "mean_stop_stage": sum(stops) / len(stops),
                 "mean_error": sum(errors) / len(errors),
                 "forced_fraction": forced_count / len(traces),
             }
@@ -311,15 +303,7 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
 
 
 def _timed_stages(clip, config, seed):
-    state = _make_state(clip.alphabet, config.method, seed)
-    observed = []
-    for stage in range(1, config.max_stages + 1):
-        frame = clip.frames[(stage - 1) % len(clip.frames)]
-        start = time.perf_counter()
-        state.absorb(frame)
-        observed.append(frame)
-        _estimate(state, observed, config)
-        yield stage, time.perf_counter() - start
+    return ((stage.number, stage.seconds) for stage in stages(clip, config, seed=seed))
 
 
 def write_csv(path, fieldnames, rows):

@@ -35,10 +35,17 @@ of 10 alternating run pairs).  ``online-fast`` (0.322 to 0.231 ms) and
 ``online-base``, where ``base`` aligns every candidate (0.907 to
 0.555 ms), read lower in 4 of 4 pairs each: an indication, too few pairs
 to establish a gain.
+
+:func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
+and the harness's timing are folds over its records.
 """
 
+import math
+import time
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .combiner import CombinerState
 from .core import from_string
@@ -71,10 +78,10 @@ class StopperConfig:
     max_stages: int = 30
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        for name in ("delta", "threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
         if self.method is StopperMethod.FIXED_STAGE:
@@ -95,6 +102,23 @@ class EstimationBreakdown:
     estimate: float
     gld_aggregate: float
     per_candidate: tuple[float, ...] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """One stage of the stopping process, as :func:`stages` ran it.
+
+    ``rows`` is the combined result after the stage's frame (the state's
+    write-protected snapshot); ``breakdown`` the estimate, None for
+    FIXED_STAGE; ``stop`` whether the rule fires at this stage; and
+    ``seconds`` the wall time of absorb plus estimate.
+    """
+
+    number: int
+    rows: np.ndarray
+    breakdown: EstimationBreakdown | None
+    stop: bool
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -188,58 +212,60 @@ def should_stop(estimate, config):
     return estimate <= config.threshold
 
 
-def _make_state(alphabet, method, seed):
-    return CombinerState(
-        alphabet,
+def stages(clip, config, *, seed=0):
+    """Yield one :class:`Stage` per frame up to ``max_stages``, looping the clip.
+
+    Each stage absorbs the next frame, estimates the expected change the
+    following frame would make and tests the stopping rule.  Records go on
+    past the first stop, so a caller reads as far as it needs.
+    """
+    if not clip.frames:
+        raise ValueError(f"clip {clip.id} has no frames")
+    method, metric, delta = config.method, config.metric, config.delta
+    state = CombinerState(
+        clip.alphabet,
         track_history=method is StopperMethod.METHOD_A,
         track_treaps=method is StopperMethod.METHOD_B,
         seed=seed,
     )
-
-
-def _estimate(state, frames, config):
-    if config.method is StopperMethod.BASE:
-        return estimate_base(state, frames, metric=config.metric, delta=config.delta)
-    if config.method is StopperMethod.METHOD_A:
-        return estimate_method_a(state, metric=config.metric, delta=config.delta)
-    if config.method is StopperMethod.METHOD_B:
-        return estimate_method_b(state, metric=config.metric, delta=config.delta)
-    raise ValueError(f"{config.method} has no estimator")
+    observed = []
+    for number in range(1, config.max_stages + 1):
+        frame = clip.frames[(number - 1) % len(clip.frames)]
+        start = time.perf_counter()
+        state.absorb(frame)
+        observed.append(frame)
+        if method is StopperMethod.BASE:
+            breakdown = estimate_base(state, observed, metric=metric, delta=delta)
+        elif method is StopperMethod.METHOD_A:
+            breakdown = estimate_method_a(state, metric=metric, delta=delta)
+        elif method is StopperMethod.METHOD_B:
+            breakdown = estimate_method_b(state, metric=metric, delta=delta)
+        else:
+            breakdown = None
+        seconds = time.perf_counter() - start
+        if breakdown is None:
+            stop = number == config.fixed_stage
+        else:
+            stop = should_stop(breakdown.estimate, config)
+        yield Stage(number, state.mean_rows, breakdown, stop, seconds)
 
 
 def run_clip(clip, config, *, seed=0):
     """Drive one clip through combination until the stopping rule fires.
 
-    Frames are consumed in order, looping the clip until ``max_stages``;
-    running out of stages forces a stop and flags the outcome.  The final
-    error is the normalized sequence distance to the clip's ground truth.
+    Reads :func:`stages` up to the first stop; running out of stages
+    forces a stop and flags the outcome.  The final error is the
+    normalized sequence distance to the clip's ground truth.
     """
-    if not clip.frames:
-        raise ValueError(f"clip {clip.id} has no frames")
-    state = _make_state(clip.alphabet, config.method, seed)
-    observed = []
     trace = []
-    stop_stage = None
-    for stage in range(1, config.max_stages + 1):
-        frame = clip.frames[(stage - 1) % len(clip.frames)]
-        state.absorb(frame)
-        observed.append(frame)
-        if config.method is StopperMethod.FIXED_STAGE:
-            if stage == config.fixed_stage:
-                stop_stage = stage
-                break
-            continue
-        breakdown = _estimate(state, observed, config)
-        trace.append(breakdown.estimate)
-        if should_stop(breakdown.estimate, config):
-            stop_stage = stage
+    for stage in stages(clip, config, seed=seed):
+        if stage.breakdown is not None:
+            trace.append(stage.breakdown.estimate)
+        if stage.stop:
             break
-    forced = stop_stage is None
-    if forced:
-        stop_stage = config.max_stages
     truth = from_string(clip.truth, clip.alphabet)
-    error = ngld(state.mean_rows, truth.rows)
-    return StopOutcome(stop_stage, forced, error, tuple(trace))
+    error = ngld(stage.rows, truth.rows)
+    return StopOutcome(stage.number, not stage.stop, error, tuple(trace))
 
 
 def fixed_stage_baseline(clip, stage, *, max_stages=30):
@@ -261,18 +287,11 @@ def stage_traces(clip, config, *, seed=0):
     yield an empty estimate trace.  Returns (estimates, errors); errors
     has one entry per stage.
     """
-    if not clip.frames:
-        raise ValueError(f"clip {clip.id} has no frames")
-    state = _make_state(clip.alphabet, config.method, seed)
-    truth = from_string(clip.truth, clip.alphabet)
-    observed = []
+    truth = from_string(clip.truth, clip.alphabet).rows
     estimates = []
     errors = []
-    for stage in range(1, config.max_stages + 1):
-        frame = clip.frames[(stage - 1) % len(clip.frames)]
-        state.absorb(frame)
-        observed.append(frame)
-        if config.method is not StopperMethod.FIXED_STAGE:
-            estimates.append(_estimate(state, observed, config).estimate)
-        errors.append(ngld(state.mean_rows, truth.rows))
+    for stage in stages(clip, config, seed=seed):
+        if stage.breakdown is not None:
+            estimates.append(stage.breakdown.estimate)
+        errors.append(ngld(stage.rows, truth))
     return tuple(estimates), tuple(errors)

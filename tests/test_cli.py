@@ -70,6 +70,21 @@ def test_simulate_fixed_needs_stage(clips_file, tmp_path, capsys):
     assert "needs --stage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--delta", "nan"), ("--delta", "inf"), ("--threshold", "nan")]
+)
+def test_simulate_non_finite_config_exits_without_traceback(
+    clips_file, tmp_path, capsys, flag, value
+):
+    code = main(
+        ["simulate", "-i", str(clips_file), "-o", str(tmp_path / "x.csv"), flag, value]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_input_fails(tmp_path, capsys):
     code = main(
         ["simulate", "-i", str(tmp_path / "nope.jsonl"), "-o", str(tmp_path / "x.csv")]

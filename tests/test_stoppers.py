@@ -19,6 +19,7 @@ from framestop.stoppers import (
     run_clip,
     should_stop,
     stage_traces,
+    stages,
 )
 
 from oracles import base_oracle, late_rows_clip, looped_clip, method_a_oracle, random_clip
@@ -42,6 +43,11 @@ def test_config_validation():
         StopperConfig(StopperMethod.BASE, threshold=-1.0)
     with pytest.raises(ValueError):
         StopperConfig(StopperMethod.BASE, max_stages=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StopperConfig(StopperMethod.BASE, delta=bad)
+        with pytest.raises(ValueError, match="finite"):
+            StopperConfig(StopperMethod.BASE, threshold=bad)
     with pytest.raises(ValueError):
         StopperConfig(StopperMethod.FIXED_STAGE)
     StopperConfig(StopperMethod.FIXED_STAGE, fixed_stage=3)
@@ -367,6 +373,47 @@ def test_stage_traces_fixed_stage_has_no_estimates():
     estimates, errors = stage_traces(constant_clip(), config)
     assert estimates == ()
     assert errors == (0.0,) * 6
+
+
+@pytest.mark.parametrize("method", list(StopperMethod))
+def test_stages_yields_one_record_per_stage(method):
+    clip = random_clip(random.Random(41), 0, max_frames=4, max_rows=4)
+    assert len(clip.frames) < 10
+    config = StopperConfig(method, threshold=0.2, fixed_stage=3, max_stages=10)
+    records = list(stages(clip, config, seed=5))
+    assert [r.number for r in records] == list(range(1, 11))
+    assert any(r.stop for r in records[:-1])  # records go on past the first stop
+
+    state = CombinerState(
+        clip.alphabet,
+        track_history=method is StopperMethod.METHOD_A,
+        track_treaps=method is StopperMethod.METHOD_B,
+        seed=5,
+    )
+    observed = []
+    for record in records:
+        frame = clip.frames[(record.number - 1) % len(clip.frames)]
+        state.absorb(frame)
+        observed.append(frame)
+        assert np.array_equal(record.rows, state.mean_rows)
+        assert not record.rows.flags.writeable
+        assert record.seconds > 0
+        if method is StopperMethod.FIXED_STAGE:
+            assert record.breakdown is None
+            assert record.stop == (record.number == 3)
+            continue
+        if method is StopperMethod.BASE:
+            expected = estimate_base(state, observed, delta=DELTA)
+        elif method is StopperMethod.METHOD_A:
+            expected = estimate_method_a(state, delta=DELTA)
+        else:
+            expected = estimate_method_b(state, delta=DELTA)
+        assert record.breakdown == expected
+        assert record.stop == should_stop(expected.estimate, config)
+
+    empty = stages(Clip("empty", ALPHA, "A", []), config)
+    with pytest.raises(ValueError, match="no frames"):
+        next(empty)
 
 
 def test_estimation_breakdown_fields():
