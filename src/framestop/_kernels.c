@@ -4,9 +4,14 @@
    combiner.align, with the same IEEE operations in the same order, so
    their results are bit-identical to the Python loops; build without
    floating-point contraction (-ffp-contract=off) and without -ffast-math.
+   fs_gld is metrics.gld in one call: it computes the substitution and gap
+   costs as metrics.pairwise_costs and metrics.gap_costs do, summing in
+   numpy's pairwise order, and fills the table with fs_fill; the loader
+   checks its costs against numpy's bit for bit before gld uses it.
    fs_spread is CombinerState.spread; it sums in its own order. */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* Backward GLD table: table[i*(m+1)+j] is the least cost of aligning rows
@@ -39,6 +44,67 @@ double fs_fill(const double *sub, const double *gap_rows, const double *gap_cols
         below = row;
     }
     return table[0];
+}
+
+/* NAME(a, b, n) sums TERM(i) over i = 0..n-1 in the order numpy's
+   pairwise_sum adds a contiguous float64 axis (np.add.reduce): a plain
+   loop from 0 below 8 terms; up to 128 terms, 8 lanes seeded with the
+   first eight terms and combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+   tail added in order; above 128, the two parts summed apart, split at
+   n/2 rounded down to a multiple of 8. */
+#define PAIRWISE(NAME, TERM)                                                  \
+    static double NAME(const double *a, const double *b, int64_t n)          \
+    {                                                                         \
+        (void)b;                                                              \
+        if (n < 8) {                                                          \
+            double res = 0.0;                                                 \
+            for (int64_t i = 0; i < n; i++)                                   \
+                res += TERM(i);                                               \
+            return res;                                                       \
+        }                                                                     \
+        if (n <= 128) {                                                       \
+            double r[8];                                                      \
+            for (int64_t k = 0; k < 8; k++)                                   \
+                r[k] = TERM(k);                                               \
+            int64_t i = 8;                                                    \
+            for (; i < n - n % 8; i += 8)                                     \
+                for (int64_t k = 0; k < 8; k++)                               \
+                    r[k] += TERM(i + k);                                      \
+            double res = ((r[0] + r[1]) + (r[2] + r[3])) +                    \
+                         ((r[4] + r[5]) + (r[6] + r[7]));                     \
+            for (; i < n; i++)                                                \
+                res += TERM(i);                                               \
+            return res;                                                       \
+        }                                                                     \
+        int64_t half = n / 2;                                                 \
+        half -= half % 8;                                                     \
+        return NAME(a, b, half) + NAME(a + half, b ? b + half : b, n - half); \
+    }
+
+#define ABS_DIFF(i) fabs(a[i] - b[i])
+#define ABS(i) fabs(a[i])
+PAIRWISE(sum_abs_diff, ABS_DIFF)
+PAIRWISE(sum_abs, ABS)
+
+/* metrics.gld of the s rows x and the m rows y, each of width doubles,
+   row major.  work holds s*m + s + m + (s+1)*(m+1) doubles: it receives
+   the substitution costs (s*m, as metrics.pairwise_costs(x, y)), the gap
+   costs of x and of y (as metrics.gap_costs), then the table of fs_fill.
+   Returns the GLD. */
+double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
+              double *work)
+{
+    double *sub = work, *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
+    double *table = gap_cols + m;
+    /* gap_cols follows gap_rows, and y's rows follow x's in the count */
+    for (int64_t k = 0; k < s + m; k++) {
+        const double *row = k < s ? x + k * width : y + (k - s) * width;
+        gap_rows[k] = 0.5 * (sum_abs(row, NULL, width) - fabs(row[0]) + fabs(row[0] - 1.0));
+    }
+    for (int64_t i = 0; i < s; i++)
+        for (int64_t j = 0; j < m; j++)
+            sub[i * m + j] = 0.5 * sum_abs_diff(x + i * width, y + j * width, width);
+    return fs_fill(sub, gap_rows, gap_cols, s, m, table);
 }
 
 /* Path through a filled table, read from the front with the tie order

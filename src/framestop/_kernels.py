@@ -18,6 +18,12 @@ give the same alignments.
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
 change the rounding of the alignment table and could flip its ties.
+
+A fresh load also runs :func:`probe`: ``fs_gld`` computes ``metrics.gld``'s
+substitution and gap costs in numpy's pairwise summation order, which
+numpy does not promise to keep, so ``metrics.gld`` uses it only while its
+costs equal numpy's bit for bit on a fixed probe; otherwise ``gld`` takes
+numpy's costs and the compiled fill, and :func:`status` says why.
 """
 
 import ctypes
@@ -37,11 +43,17 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _UNSET = object()
 lib = _UNSET  # the loaded library, None when the Python kernels run
 reason = "not loaded yet"  # why lib is None, or "compiled"
+gld_costs = "not probed yet"  # "compiled" once fs_gld's costs pass the probe, else why not
+
+# row widths (K+1) of the load-time probe of fs_gld's costs: each side of
+# numpy's 8-term and 128-term thresholds, and the benchmark's 37
+PROBE_WIDTHS = (2, 3, 7, 8, 9, 16, 17, 37, 64, 127, 128, 129, 256, 257, 300)
 
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
     "fs_fill": (ctypes.c_double, [_PTR, _PTR, _PTR, _INT, _INT, _PTR]),
     "fs_trace": (_INT, [_PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR]),
+    "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
     "fs_spread": (None, [_PTR, _PTR, _INT, _INT, _INT, _PTR, _INT, _INT, _PTR]),
 }
 
@@ -137,16 +149,60 @@ def _load():
 
 
 def get():
-    """The compiled kernels, built and loaded on first call; None if unavailable."""
-    global lib, reason
+    """The compiled kernels, built and loaded on first call; None if unavailable.
+
+    A fresh load also probes fs_gld's costs (:func:`probe`) and sets
+    ``gld_costs``.
+    """
+    global lib, reason, gld_costs
     if lib is _UNSET:
         lib, reason = _load()
+        if lib is not None:
+            mismatch = probe()
+            gld_costs = "compiled" if mismatch is None else f"numpy: {mismatch}"
     return lib
 
 
 def status():
-    """"compiled", or "python: <why>" when the Python kernels run."""
-    return "compiled" if get() is not None else f"python: {reason}"
+    """"compiled (gld costs: <path>)", or "python: <why>" when the Python kernels run."""
+    return f"compiled (gld costs: {gld_costs})" if get() is not None else f"python: {reason}"
+
+
+def _probe_rows(rng, width):
+    """Four rows of one width: Dirichlet(1) (normalised exponentials), the
+    same with magnitudes spread over decades (the draws to the fourth
+    power), one-hot, and Dirichlet(1) scaled into the subnormal range."""
+    def dirichlet(power):
+        draws = [rng.expovariate(1.0) ** power for _ in range(width)]
+        total = sum(draws)
+        return [d / total for d in draws]
+
+    one_hot = [0.0] * width
+    one_hot[rng.randrange(width)] = 1.0
+    return [dirichlet(1), dirichlet(4), one_hot, [v * 2.0**-1060 for v in dirichlet(1)]]
+
+
+def probe():
+    """None when fs_gld's substitution and gap costs equal numpy's
+    ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit on a fixed seeded
+    probe at every width of ``PROBE_WIDTHS``; else where they first differ.
+
+    fs_gld copies numpy's summation order, which numpy does not promise to
+    keep, so ``metrics.gld`` uses fs_gld only after this passes.
+    """
+    import random
+
+    from . import metrics  # here: metrics imports this module
+
+    rng = random.Random(20200)
+    for width in PROBE_WIDTHS:
+        x = np.array(_probe_rows(rng, width))
+        y = np.array(_probe_rows(rng, width))
+        *got, _ = costs(x, y)
+        want = metrics.pairwise_costs(x, y), metrics.gap_costs(x), metrics.gap_costs(y)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+            return f"probe mismatch at K+1={width}"
+    return None
 
 
 def _costs(sub, gap_rows, gap_cols):
@@ -168,6 +224,40 @@ def fill(sub, gap_rows, gap_cols):
     return lib.fs_fill(sub.ctypes.data, gap_rows.ctypes.data, gap_cols.ctypes.data, s, m, table)
 
 
+def _rows(x, y):
+    """(S, M, width, x, y): both row sets as C-contiguous float64 of one width."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"expected 2-D row sets, got shapes {x.shape} and {y.shape}")
+    s, m = len(x), len(y)
+    width = x.shape[1] if s else y.shape[1]
+    if (s and m and x.shape[1] != y.shape[1]) or ((s or m) and not width):
+        raise ValueError(f"rows of shapes {x.shape} and {y.shape} do not fit the kernel")
+    return s, m, width, x, y
+
+
+def _work_size(s, m):
+    return s * m + s + m + (s + 1) * (m + 1)
+
+
+def gld(x, y):
+    """``metrics.gld`` of two row sets, the costs computed in C: one call."""
+    s, m, width, x, y = _rows(x, y)
+    work = (ctypes.c_double * _work_size(s, m))()
+    return lib.fs_gld(x.ctypes.data, s, y.ctypes.data, m, width, work)
+
+
+def costs(x, y):
+    """(sub, gap_rows, gap_cols, gld) as fs_gld computes them: the
+    arrays ``metrics.pairwise_costs(x, y)``, ``gap_costs(x)`` and
+    ``gap_costs(y)`` would give, and the GLD."""
+    s, m, width, x, y = _rows(x, y)
+    work = np.empty(_work_size(s, m))
+    cost = lib.fs_gld(x.ctypes.data, s, y.ctypes.data, m, width, work.ctypes.data)
+    return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
+
+
 def path(sub, gap_rows, gap_cols):
     """(result_rows, frame_rows, cost) of the alignment ``combiner.align`` reads off the table."""
     s, m, sub, gap_rows, gap_cols = _costs(sub, gap_rows, gap_cols)
@@ -183,22 +273,36 @@ def path(sub, gap_rows, gap_cols):
     return tuple(out[:taken]), tuple(out[steps : steps + taken]), cost
 
 
-def spread(blocks, frames_per_block, n, current):
-    """``CombinerState.spread`` of ``n`` frames over C-contiguous float64
-    blocks of shape (frames_per_block, row capacity, width) and ``current``
-    of shape (S, width)."""
-    current = np.ascontiguousarray(current, dtype=np.float64)
-    s, width = current.shape
-    count = len(blocks)
-    if not (count - 1) * frames_per_block < n <= count * frames_per_block:
-        raise ValueError(f"{count} blocks of {frames_per_block} frames do not hold {n} frames")
+def block_table(blocks, frames_per_block, width):
+    """The history blocks as fs_spread reads them: (addresses, row
+    capacities, frames_per_block, width).
+
+    Checks that each block is a C-contiguous float64 array of shape
+    (frames_per_block, row capacity, width).  The addresses stay valid
+    while the blocks live unchanged in shape, so a caller builds the table
+    once per opened or widened block rather than once per scan.
+    """
     for block in blocks:
         if block.dtype != np.float64 or not block.flags.c_contiguous or (
             block.shape[0] != frames_per_block or block.shape[2] != width
         ):
             raise ValueError(f"history block of shape {block.shape} does not fit the kernel")
-    addresses = (ctypes.c_void_p * count)(*[block.ctypes.data for block in blocks])
-    widths = (ctypes.c_int64 * count)(*[block.shape[1] for block in blocks])
+    addresses = (ctypes.c_void_p * len(blocks))(*[block.ctypes.data for block in blocks])
+    widths = (ctypes.c_int64 * len(blocks))(*[block.shape[1] for block in blocks])
+    return addresses, widths, frames_per_block, width
+
+
+def spread(table, n, current):
+    """``CombinerState.spread`` of ``n`` frames over the blocks of ``table``
+    (from :func:`block_table`) and ``current`` of shape (S, width)."""
+    addresses, widths, frames_per_block, width = table
+    current = np.ascontiguousarray(current, dtype=np.float64)
+    s = len(current)
+    count = len(addresses)
+    if not (count - 1) * frames_per_block < n <= count * frames_per_block:
+        raise ValueError(f"{count} blocks of {frames_per_block} frames do not hold {n} frames")
+    if current.shape[1:] != (width,):
+        raise ValueError(f"current rows of shape {current.shape} do not fit blocks of width {width}")
     out = np.empty(n)
     lib.fs_spread(
         addresses, widths, count, frames_per_block, n, current.ctypes.data, s, width,

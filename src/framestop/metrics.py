@@ -9,8 +9,13 @@ and ``combiner.align`` reads its path.  Where a C compiler is available
 both run its compiled copy in ``_kernels.c`` instead, which performs the
 same floating-point operations in the same order and so gives the same
 costs bit for bit; ``cost_table`` stays the fallback and the reference.
+``gld`` also computes its substitution and gap costs in that one C call,
+in numpy's summation order, once a load-time probe has found them equal
+to :func:`pairwise_costs` / :func:`gap_costs` bit for bit; its working
+memory is then O(S*M), not the O(S*M*K) of the numpy cost matrix.
 """
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -106,25 +111,37 @@ def gld(x, y):
 
     Substituting a row for another costs their char_distance; inserting or
     deleting a row costs its char_distance to the empty distribution.  For
-    one-hot rows this reduces to plain Levenshtein distance.
+    one-hot rows this reduces to plain Levenshtein distance.  Rows holding
+    a NaN or an infinity raise ValueError, as in ``combiner.align``.
 
-    Memory is O(S*M*K) at its peak, in the substitution cost matrix.  The
-    backward table of :func:`cost_table` adds O(S*M) Python floats where a
-    two-row forward pass would keep O(M): 64 rather than 48 bytes per cell
-    at K+1=3 classes, no difference in the peak at K+1=37, where the
-    cost matrix dominates (tracemalloc, S=M=1000).  The compiled fill
-    keeps the table as 8-byte doubles.
+    Where the compiled kernels load and their costs passed the load-time
+    probe (``_kernels.gld_costs``), one C call computes the costs and the
+    table with O(S*M) working memory: the substitution costs, the gap
+    costs and the table as 8-byte doubles, no numpy temporary.  Otherwise
+    the memory is O(S*M*K) at its peak, in the substitution cost matrix of
+    :func:`pairwise_costs`, and the backward table of :func:`cost_table`
+    adds O(S*M) Python floats where a two-row forward pass would keep
+    O(M): 64 rather than 48 bytes per cell at K+1=3 classes, no difference
+    in the peak at K+1=37, where the cost matrix dominates (tracemalloc,
+    S=M=1000).
     """
     xr = _as_rows(x)
     yr = _as_rows(y)
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    s, m = xr.shape[0], yr.shape[0]
-    sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
-    gaps_x, gaps_y = gap_costs(xr), gap_costs(yr)
-    if _kernels.get() is not None:
-        return _kernels.fill(sub, gaps_x, gaps_y)
-    return cost_table(sub.tolist(), gaps_x.tolist(), gaps_y.tolist())[0][0]
+    if _kernels.get() is not None and _kernels.gld_costs == "compiled":
+        cost = _kernels.gld(xr, yr)
+    else:
+        s, m = xr.shape[0], yr.shape[0]
+        sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
+        gaps_x, gaps_y = gap_costs(xr), gap_costs(yr)
+        if _kernels.get() is not None:
+            cost = _kernels.fill(sub, gaps_x, gaps_y)
+        else:
+            cost = cost_table(sub.tolist(), gaps_x.tolist(), gaps_y.tolist())[0][0]
+    if not math.isfinite(cost):
+        raise ValueError(f"GLD is {cost}: rows must be finite")
+    return cost
 
 
 def normalized(g, length_sum):

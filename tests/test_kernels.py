@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framestop import _kernels
+from framestop import _kernels, metrics
 from framestop.combiner import CombinerState, align
 from framestop.core import make_frame
-from framestop.metrics import MetricKind, cost_table, gap_costs, gld, pairwise_costs
+from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
 from framestop.stoppers import StopperConfig, StopperMethod, run_clip, stage_traces
 
 from oracles import late_rows_clip, looped_clip, python_kernels, random_clip
@@ -60,6 +60,66 @@ def test_compiled_gld_is_cost_table_bit_for_bit(compiled):
                 sub = pairwise_costs(x, y).tolist() if len(x) and len(y) else []
                 want = cost_table(sub, gap_costs(x).tolist(), gap_costs(y).tolist())[0][0]
                 assert gld(x, y).hex() == want.hex()
+
+
+def _rows_of_kind(rng, kind, count, width):
+    if kind == "one-hot":
+        return np.eye(width)[rng.integers(width, size=count)]
+    if kind == "mixed":  # each row of another kind
+        kinds = rng.choice(["dirichlet", "skewed", "one-hot", "subnormal"], size=count)
+        return np.array([_rows_of_kind(rng, k, 1, width)[0] for k in kinds]).reshape(count, width)
+    alpha = 0.2 if kind == "skewed" else 1.0
+    rows = rng.dirichlet(np.full(width, alpha), size=count)
+    return rows * 2.0**-1060 if kind == "subnormal" else rows
+
+
+COST_KINDS = ("dirichlet", "skewed", "one-hot", "subnormal", "mixed")
+
+
+@pytest.mark.parametrize("width", _kernels.PROBE_WIDTHS)
+def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
+    rng = np.random.default_rng(width)
+    for kind_x in COST_KINDS:
+        for kind_y in COST_KINDS:
+            for s, m in ((0, 0), (0, 3), (4, 0), (1, 1), (5, 3)):
+                x = _rows_of_kind(rng, kind_x, s, width)
+                y = _rows_of_kind(rng, kind_y, m, width)
+                sub, gaps_x, gaps_y, cost = _kernels.costs(x, y)
+                want_sub, want_x, want_y = pairwise_costs(x, y), gap_costs(x), gap_costs(y)
+                assert sub.tobytes() == want_sub.tobytes()
+                assert gaps_x.tobytes() == want_x.tobytes()
+                assert gaps_y.tobytes() == want_y.tobytes()
+                want = cost_table(want_sub.tolist(), want_x.tolist(), want_y.tolist())[0][0]
+                assert cost.hex() == _kernels.gld(x, y).hex() == want.hex()
+
+
+def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch):
+    rng = random.Random(4)
+    pairs = []
+    for i in range(10):
+        clip = random_clip(rng, i)
+        pairs += [(a.rows, b.rows) for a, b in zip(clip.frames, clip.frames[1:])]
+    before = [gld(x, y).hex() for x, y in pairs]
+
+    numpy_costs = metrics.pairwise_costs
+
+    def one_ulp_off_at_129(x, y):
+        costs = numpy_costs(x, y)
+        return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
+
+    monkeypatch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129)
+    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
+    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    monkeypatch.setattr(_kernels, "gld_costs", _kernels.gld_costs)
+    assert _kernels.get() is not None
+    monkeypatch.setattr(metrics, "pairwise_costs", numpy_costs)
+    assert _kernels.status() == "compiled (gld costs: numpy: probe mismatch at K+1=129)"
+
+    def unreachable(*args):
+        raise AssertionError("compiled costs used after a probe mismatch")
+
+    monkeypatch.setattr(_kernels, "gld", unreachable)
+    assert [gld(x, y).hex() for x, y in pairs] == before
 
 
 def _outcomes(clips):
@@ -161,6 +221,7 @@ NON_FINITE = [
     ([[0.0, 1.0]], [[1.0, 0.0], [np.inf, 1.0]]),
     ([[-np.inf, 1.0]], [[0.0, 1.0]]),
     ([[np.inf, 1.0]], [[np.inf, 1.0]]),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[0.0, np.nan, 0.0]]),
 ]
 
 
@@ -179,6 +240,32 @@ def test_align_refuses_non_finite_rows_compiled(compiled, frame, result):
 def test_align_refuses_non_finite_rows_on_python_kernels(frame, result):
     with python_kernels():
         _check_align_refuses(frame, result)
+
+
+def _check_gld_refuses(x, y):
+    # numpy warns of the inf - inf it meets on the way; the refusal is the point here
+    for fn in (gld, ngld):
+        for a, b in ((x, y), (y, x)):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+                fn(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("x, y", NON_FINITE)
+def test_gld_refuses_non_finite_rows_compiled(compiled, monkeypatch, x, y):
+    monkeypatch.setattr(_kernels, "gld_costs", "compiled")
+    _check_gld_refuses(x, y)
+
+
+@pytest.mark.parametrize("x, y", NON_FINITE)
+def test_gld_refuses_non_finite_rows_on_numpy_costs(compiled, monkeypatch, x, y):
+    monkeypatch.setattr(_kernels, "gld_costs", "numpy: set by the test")
+    _check_gld_refuses(x, y)
+
+
+@pytest.mark.parametrize("x, y", NON_FINITE)
+def test_gld_refuses_non_finite_rows_on_python_kernels(x, y):
+    with python_kernels():
+        _check_gld_refuses(x, y)
 
 
 def test_compiled_trace_stops_on_nan_costs(compiled):
