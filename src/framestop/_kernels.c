@@ -8,7 +8,8 @@
    costs as metrics.pairwise_costs and metrics.gap_costs do, summing in
    numpy's pairwise order, and fills the table with fs_fill; the loader
    checks its costs against numpy's bit for bit before gld uses it.
-   fs_spread is CombinerState.spread; it sums in its own order. */
+   fs_spread is CombinerState.spread over the rows-plus-slots history
+   store; it sums in its own order. */
 
 #include <math.h>
 #include <stddef.h>
@@ -137,46 +138,33 @@ int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
     return k;
 }
 
-/* Sum of |a[i] - b[i]| over len entries, in four independent accumulators
-   so consecutive additions do not wait on each other. */
-static double l1(const double *a, const double *b, int64_t len)
+/* Per frame f < n, the sum over row ids r < s and classes of
+   |current[r] - rows[slots[f * stride + r]]|: the distance from the
+   current rows to what the frame merged into each of them.  rows is
+   (capacity, width) with row 0 the empty distribution, where every slot
+   a frame did not write points; slots is (frames, stride) with s <= stride
+   and every entry below the capacity; current is (s, width), indexed by
+   row id. */
+void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t n,
+               const double *current, int64_t s, int64_t width, double *out)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    int64_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-        s0 += fabs(a[i] - b[i]);
-        s1 += fabs(a[i + 1] - b[i + 1]);
-        s2 += fabs(a[i + 2] - b[i + 2]);
-        s3 += fabs(a[i + 3] - b[i + 3]);
-    }
-    for (; i < len; i++)
-        s0 += fabs(a[i] - b[i]);
-    return (s0 + s1) + (s2 + s3);
-}
-
-/* Per frame, the sum over rows and classes of |current - what the frame
-   merged into the row|.  blocks[b] is a (frames_per_block, widths[b],
-   width) array of frames b*frames_per_block..; current is (s, width),
-   indexed by row id.  Row ids at or past a block's width read as the
-   empty row (1, 0, ..., 0) for its frames. */
-void fs_spread(const double *const *blocks, const int64_t *widths, int64_t nblocks,
-               int64_t frames_per_block, int64_t n, const double *current, int64_t s,
-               int64_t width, double *out)
-{
-    for (int64_t b = 0; b < nblocks; b++) {
-        const int64_t first = b * frames_per_block;
-        const int64_t count = n - first < frames_per_block ? n - first : frames_per_block;
-        const int64_t rows = widths[b] < s ? widths[b] : s;
-        double tail = 0.0;
-        for (int64_t r = rows; r < s; r++) {
-            const double *c = current + r * width;
-            tail += fabs(c[0] - 1.0);
-            for (int64_t k = 1; k < width; k++)
-                tail += fabs(c[k]);
+    for (int64_t f = 0; f < n; f++) {
+        const int64_t *slot = slots + f * stride;
+        /* four independent accumulators, so consecutive additions do not
+           wait on each other */
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t r = 0; r < s; r++) {
+            const double *a = rows + slot[r] * width, *b = current + r * width;
+            int64_t k = 0;
+            for (; k + 4 <= width; k += 4) {
+                s0 += fabs(a[k] - b[k]);
+                s1 += fabs(a[k + 1] - b[k + 1]);
+                s2 += fabs(a[k + 2] - b[k + 2]);
+                s3 += fabs(a[k + 3] - b[k + 3]);
+            }
+            for (; k < width; k++)
+                s0 += fabs(a[k] - b[k]);
         }
-        const double *block = blocks[b];
-        const int64_t stride = widths[b] * width;
-        for (int64_t f = 0; f < count; f++)
-            out[first + f] = l1(block + f * stride, current, rows * width) + tail;
+        out[f] = (s0 + s1) + (s2 + s3);
     }
 }

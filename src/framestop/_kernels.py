@@ -54,7 +54,7 @@ _SIGNATURES = {
     "fs_fill": (ctypes.c_double, [_PTR, _PTR, _PTR, _INT, _INT, _PTR]),
     "fs_trace": (_INT, [_PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR]),
     "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
-    "fs_spread": (None, [_PTR, _PTR, _INT, _INT, _INT, _PTR, _INT, _INT, _PTR]),
+    "fs_spread": (None, [_PTR, _PTR, _INT, _INT, _PTR, _INT, _INT, _PTR]),
 }
 
 
@@ -273,39 +273,35 @@ def path(sub, gap_rows, gap_cols):
     return tuple(out[:taken]), tuple(out[steps : steps + taken]), cost
 
 
-def block_table(blocks, frames_per_block, width):
-    """The history blocks as fs_spread reads them: (addresses, row
-    capacities, frames_per_block, width).
+def history(rows, slots):
+    """The history store as fs_spread reads it: (rows, slots, their addresses).
 
-    Checks that each block is a C-contiguous float64 array of shape
-    (frames_per_block, row capacity, width).  The addresses stay valid
-    while the blocks live unchanged in shape, so a caller builds the table
-    once per opened or widened block rather than once per scan.
+    Checks that ``rows`` is a C-contiguous float64 (capacity, width) array
+    and ``slots`` a C-contiguous int64 (frames, row ids) array.  fs_spread
+    trusts every slot to index a row below the capacity; the caller keeps
+    that.  The addresses stay valid while both arrays live, so a caller
+    builds this once per grown array rather than once per scan.
     """
-    for block in blocks:
-        if block.dtype != np.float64 or not block.flags.c_contiguous or (
-            block.shape[0] != frames_per_block or block.shape[2] != width
-        ):
-            raise ValueError(f"history block of shape {block.shape} does not fit the kernel")
-    addresses = (ctypes.c_void_p * len(blocks))(*[block.ctypes.data for block in blocks])
-    widths = (ctypes.c_int64 * len(blocks))(*[block.shape[1] for block in blocks])
-    return addresses, widths, frames_per_block, width
+    for array, dtype in ((rows, np.float64), (slots, np.int64)):
+        if array.dtype != dtype or array.ndim != 2 or not array.flags.c_contiguous:
+            raise ValueError(f"history array of {array.dtype} {array.shape} does not fit the kernel")
+    return rows, slots, rows.ctypes.data, slots.ctypes.data
 
 
-def spread(table, n, current):
-    """``CombinerState.spread`` of ``n`` frames over the blocks of ``table``
-    (from :func:`block_table`) and ``current`` of shape (S, width)."""
-    addresses, widths, frames_per_block, width = table
+def spread(store, n, current):
+    """``CombinerState.spread`` of the first ``n`` frames of ``store`` (from
+    :func:`history`) against ``current``, shape (S, width), indexed by row id."""
+    rows, slots, rows_at, slots_at = store
     current = np.ascontiguousarray(current, dtype=np.float64)
     s = len(current)
-    count = len(addresses)
-    if not (count - 1) * frames_per_block < n <= count * frames_per_block:
-        raise ValueError(f"{count} blocks of {frames_per_block} frames do not hold {n} frames")
-    if current.shape[1:] != (width,):
-        raise ValueError(f"current rows of shape {current.shape} do not fit blocks of width {width}")
+    if not (n <= len(slots) and s <= slots.shape[1] and current.shape[1:] == rows.shape[1:]):
+        raise ValueError(
+            f"{n} frames of current rows {current.shape} do not fit rows {rows.shape}"
+            f" and slots {slots.shape}"
+        )
     out = np.empty(n)
     lib.fs_spread(
-        addresses, widths, count, frames_per_block, n, current.ctypes.data, s, width,
+        rows_at, slots_at, slots.shape[1], n, current.ctypes.data, s, rows.shape[1],
         out.ctypes.data,
     )
     return out

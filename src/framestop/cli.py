@@ -39,7 +39,6 @@ def _add_estimation(parser):
     )
     parser.add_argument("--delta", type=float, default=0.1, help="estimate bias term")
     parser.add_argument("--max-stages", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _stopper_config(args, *, threshold=0.0, fixed_stage=None):
@@ -76,7 +75,7 @@ def _cmd_simulate(args):
             raise ValueError("--method fixed needs --stage")
         fixed_stage = args.stage
     config = _stopper_config(args, threshold=args.threshold, fixed_stage=fixed_stage)
-    rows = simulate(clips, config, seed=args.seed)
+    rows = simulate(clips, config)
     write_csv(args.output, SIMULATE_FIELDS, rows)
 
 
@@ -84,7 +83,7 @@ def _cmd_profile(args):
     clips = load_clips(args.input)
     fixed_stage = 1 if StopperMethod(args.method) is StopperMethod.FIXED_STAGE else None
     config = _stopper_config(args, fixed_stage=fixed_stage)
-    rows = profile(clips, config, parse_grid(args.thresholds), seed=args.seed)
+    rows = profile(clips, config, parse_grid(args.thresholds))
     write_csv(args.output, PROFILE_FIELDS, rows)
 
 
@@ -99,7 +98,6 @@ def _cmd_bench(args):
         delta=args.delta,
         repeats=args.repeats,
         max_stages=args.max_stages,
-        seed=args.seed,
     )
     write_csv(args.output, BENCH_FIELDS, rows)
 

@@ -16,19 +16,18 @@ followed by the empty row, and blends ``old + factor * (new - old)`` in
 place in its output; ``Alignment.steps`` builds :class:`AlignmentStep`
 objects only when read, so no step object is made on the per-stage path.
 The state optionally keeps the one history store the fast stopping
-estimators read: per frame and row id, the row the frame merged into it,
-in blocks of ``BLOCK`` frames.  Absorbing a frame writes only the rows it
-was aligned to (O(M*K)); a new block opens every ``BLOCK`` frames and
-nothing older is copied; the open block's row capacity grows
-geometrically; display order is applied only when the history is read.
-Method ``a`` scores candidates from the store's per-frame spread, an
-O(n*S*K) scan, compiled where available (numpy otherwise); method ``b``
-is ``a``'s aggregate normalised once, read from the same scan.  Over 400
-stages of the benchmark corpus (K=36) the store took absorb's own time
-from 13.5 s to 1.2 s per pass, where it had rebuilt the whole history
-every stage.  On 40 stage pairs of that corpus (S about 19, M about 15,
-2-vCPU Xeon) the compiled kernels took ``align`` from about 165 to 92 us,
-and ``spread`` from 58 to 22 us at n=25 and from 470 to 150 us at n=200.
+estimators read: every absorbed row once, in absorb order, and a
+(frame x row id) table of indices into those rows.  Absorbing a frame
+appends its M rows and points its slots at them (O(M*K)); every other
+slot holds 0, the index of the empty distribution, so a frame reads as
+empty wherever it was not aligned, rows created after it included.  Both
+arrays grow geometrically; display order is applied only when the
+history is read.  Method ``a`` scores candidates from the store's
+per-frame spread, an O(n*S*K) scan, compiled where available (numpy
+otherwise); method ``b`` is ``a``'s aggregate normalised once, read from
+the same scan.  On 40 stage pairs of the benchmark corpus (K=36, S about
+19, M about 15, 2-vCPU Xeon) the compiled kernels took ``align`` from
+about 165 to 92 us.
 """
 import math
 import random
@@ -45,8 +44,8 @@ from .treap import MultisetIndex
 # merge_share halves both weights from here on, so their sum stays finite
 _HALVE_FROM = 2.0**1023
 
-# frames per block of the history store
-BLOCK = 32
+# frames per slice of the numpy history scan, which bounds its temporary
+_SCAN_FRAMES = 32
 
 MATCH = "match"
 GAP_FRAME = "gap_frame"
@@ -214,14 +213,16 @@ def _merge(alignment, frame_padded, result_padded, factor):
 class CombinerState:
     """Running combination of a stream of recognition frames.
 
-    ``track_history`` keeps the history store: per row id, what every
-    frame merged into that row (the empty distribution wherever the frame
-    was not aligned to it, including rows created after the frame).
+    ``track_history`` keeps the history store: per frame and row id, what
+    the frame merged into that row (the empty distribution wherever the
+    frame was not aligned to it, including rows created after the frame),
+    as an index into the absorbed rows, each kept once.
     Methods ``a`` and ``b`` both read it through :meth:`spread`.
     ``track_treaps`` keeps the same store for method ``b``, requires unit
     frame weights and lets :meth:`cell` build a :class:`MultisetIndex` of
     one (row, class) history column on demand.  Both default off, so
-    plain combination carries no bookkeeping overhead.
+    plain combination carries no bookkeeping overhead.  ``seed`` seeds
+    only the treap priorities of :meth:`cell`.
 
     A state is meant to be owned by a single worker; results handed out
     are immutable snapshots.
@@ -242,12 +243,19 @@ class CombinerState:
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._seed = seed
-        # the history store: _blocks[b][j, rid] is what frame b * BLOCK + j
-        # merged into row rid.  Unwritten slots hold the empty distribution,
-        # and row ids past a block's width were created after it closed, so
-        # they read as empty too.
-        self._blocks = [] if self.track_history or self.track_treaps else None
-        self._block_table = None  # the compiled scan's view of _blocks; None when stale
+        # the history store: _rows[_slots[i, rid]] is what frame i merged
+        # into row id rid.  _rows[0] is the empty distribution and every
+        # slot starts at 0, so a frame not aligned to a row, or older than
+        # it, reads as empty with no code for it.  _record is the only
+        # writer of _slots and writes only indices below _used, which the
+        # compiled scan relies on to stay inside _rows.
+        self._rows = self._slots = None
+        if self.track_history or self.track_treaps:
+            self._rows = np.empty((64, self._width))
+            self._rows[0] = _empty_row(self._width)
+            self._slots = np.zeros((32, 8), dtype=np.int64)
+        self._used = 1  # rows of _rows in use
+        self._history = None  # the compiled scan's view of the store; None when stale
 
     @property
     def mean_rows(self):
@@ -277,9 +285,9 @@ class CombinerState:
     def absorb(self, frame):
         """Fold one frame into the combined result, updating all bookkeeping.
 
-        The history store gets one write of the frame's rows, at the row
-        ids they were aligned to; every other row already reads as empty
-        for this frame.
+        The history store appends the frame's rows and points the frame's
+        slots of the row ids they were aligned to at them; every other row
+        already reads as empty for this frame.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -291,7 +299,7 @@ class CombinerState:
 
         order = self._row_ids_after(alignment)
         self._next_id += alignment.inserted
-        if self._blocks is not None:
+        if self._rows is not None:
             # row id of each frame row, in frame order
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
@@ -319,29 +327,32 @@ class CombinerState:
         new_ids = iter(range(self._next_id, self._next_id + alignment.inserted))
         return [ids[r] if r < s else next(new_ids) for r in alignment.result_rows]
 
-    def _new_block(self, width):
-        block = np.zeros((BLOCK, width, self._width))
-        block[:, :, 0] = 1.0
-        return block
-
     def _record(self, rids, rows):
-        """Write frame n's rows at their row ids in the open block.
+        """Append frame n's rows to the store and point its slots at them.
 
-        A block opens every BLOCK frames; its width (row capacity) grows
-        geometrically, copying only that block.  Either change makes the
-        compiled scan's block table stale.
+        ``rids`` holds the row id of each of the frame's rows.  A full
+        array grows by copying: the rows x2, the frames x2, the row ids
+        to 5/4 of those in use.  Growing is the only change that makes the
+        compiled scan's view stale.
         """
-        slot = self.n % BLOCK
-        if slot == 0:
-            self._blocks.append(self._new_block(max(8, self._next_id * 5 // 4)))
-            self._block_table = None
-        block = self._blocks[-1]
-        if self._next_id > block.shape[1]:
-            wider = self._new_block(max(self._next_id, block.shape[1] * 5 // 4))
-            wider[:, : block.shape[1]] = block
-            self._blocks[-1] = block = wider
-            self._block_table = None
-        block[slot, rids] = rows
+        end = self._used + len(rows)
+        if end > len(self._rows):
+            grown = np.empty((max(2 * len(self._rows), end), self._width))
+            grown[: self._used] = self._rows[: self._used]
+            self._rows = grown
+            self._history = None
+        frames, ids = self._slots.shape
+        if self.n == frames or self._next_id > ids:
+            grown = np.zeros(
+                (2 * frames if self.n == frames else frames, max(ids, self._next_id * 5 // 4)),
+                dtype=np.int64,
+            )
+            grown[:frames, :ids] = self._slots
+            self._slots = grown
+            self._history = None
+        self._rows[self._used : end] = rows
+        self._slots[self.n, rids] = np.arange(self._used, end)
+        self._used = end
 
     def candidate_alignment(self, candidate):
         """Alignment of ``candidate`` against the current result, and its merge share.
@@ -378,49 +389,31 @@ class CombinerState:
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
-        Shape (n,).  One compiled pass over the store's blocks where
-        :mod:`framestop._kernels` loads; otherwise a numpy scan, one block
-        at a time through one block-sized scratch buffer, so no temporary
-        grows with the history.  The two sum in different orders and agree
-        to about 1e-15; both give exactly 0 for a frame equal to the
-        current rows.  The compiled pass reads the blocks through a table
-        of their addresses, checked and built only when a block has opened
-        or widened since the last scan.
+        Shape (n,).  One compiled pass over the store where
+        :mod:`framestop._kernels` loads, reading each frame's rows through
+        its slots; otherwise a numpy scan of ``_SCAN_FRAMES`` frames at a
+        time, so no temporary grows with the history.  The two sum in
+        different orders and agree to about 1e-15; both give exactly 0 for
+        a frame equal to the current rows.  The compiled pass takes the
+        store's checked addresses, rebuilt only when an array has grown
+        since the last scan.
         """
-        if self._blocks is None:
+        if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
         n = self.n
         s = len(self._order)
-        out = np.zeros(n)
         if s == 0:
-            return out
+            return np.zeros(n)
         current = np.empty((s, self._width))
         current[self._order] = self._matrix
         if _kernels.get() is not None:
-            if self._block_table is None:
-                self._block_table = _kernels.block_table(self._blocks, BLOCK, self._width)
-            return _kernels.spread(self._block_table, n, current)
-        scratch = np.empty((min(n, BLOCK), s, self._width))
-        for b, block in enumerate(self._blocks):
-            frames = slice(b * BLOCK, min(n, (b + 1) * BLOCK))
-            r = min(block.shape[1], s)
-            diff = scratch[: frames.stop - frames.start, :r]
-            np.subtract(block[: len(diff), :r], current[:r], out=diff)
-            np.abs(diff, out=diff)
-            out[frames] = diff.sum(axis=(1, 2))
-            if r < s:  # rows created after this block closed: empty for its frames
-                out[frames] += np.abs(current[r:] - _empty_row(self._width)).sum()
-        return out
-
-    def _gather(self, rids):
-        """History of the given row ids, shape (n, len(rids), K+1)."""
-        rids = np.asarray(rids, dtype=np.intp)
-        out = np.empty((self.n, len(rids), self._width))
-        out[:] = _empty_row(self._width)
-        for b, block in enumerate(self._blocks):
-            frames = out[b * BLOCK : (b + 1) * BLOCK]
-            known = rids < block.shape[1]
-            frames[:, known] = block[: len(frames), rids[known]]
+            if self._history is None:
+                self._history = _kernels.history(self._rows, self._slots)
+            return _kernels.spread(self._history, n, current)
+        out = np.empty(n)
+        for f in range(0, n, _SCAN_FRAMES):
+            frames = slice(f, min(n, f + _SCAN_FRAMES))
+            out[frames] = np.abs(self._rows[self._slots[frames, :s]] - current).sum(axis=(1, 2))
         return out
 
     def _check_row_id(self, row_id):
@@ -433,7 +426,7 @@ class CombinerState:
         row, rows in display order; a write-protected copy gathered from the store."""
         if not self.track_history:
             raise ValueError("state was built without history tracking")
-        gathered = self._gather(self._order)
+        gathered = self._rows[self._slots[: self.n, self._order]]
         gathered.setflags(write=False)
         return gathered
 
@@ -448,21 +441,21 @@ class CombinerState:
         if not 0 <= frame_index < self.n:
             raise IndexError(f"frame index {frame_index} out of range")
         self._check_row_id(row_id)
-        block = self._blocks[frame_index // BLOCK]
-        if row_id < block.shape[1]:
-            return block[frame_index % BLOCK, row_id].copy()
-        return _empty_row(self._width)
+        return self._rows[self._slots[frame_index, row_id]].copy()
 
     def cell(self, row_id, class_index):
         """Treap of the history column of (row_id, class_index), built from the store.
 
         Priorities are seeded from the state's seed and the cell, so the
-        same cell always gets the same shape.
+        same cell always gets the same shape.  ``class_index`` runs over
+        0..K, 0 being the empty class.
         """
         if not self.track_treaps:
             raise ValueError("state was built without treap bookkeeping")
         self._check_row_id(row_id)
-        column = self._gather([row_id])[:, 0, class_index]
+        if not 0 <= class_index < self._width:
+            raise IndexError(f"class index {class_index} out of range")
+        column = self._rows[self._slots[: self.n, row_id], class_index]
         values, counts = np.unique(column, return_counts=True)
         index = MultisetIndex(random.Random(f"{self._seed}:{row_id}:{class_index}"))
         for value, count in zip(values.tolist(), counts.tolist()):

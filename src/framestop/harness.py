@@ -193,7 +193,10 @@ def parse_grid(spec):
 
 
 def simulate(clips, config, *, seed=0):
-    """Run the stopping rule over every clip; one outcome row per clip."""
+    """Run the stopping rule over every clip; one outcome row per clip.
+
+    ``seed`` seeds only ``CombinerState.cell``, which no stage calls.
+    """
     if not clips:
         raise ValueError("no clips to simulate")
     rows = []
@@ -217,7 +220,8 @@ def profile(clips, config, grid, *, seed=0):
 
     One combination pass per clip supplies the whole sweep; the stop stage
     for a threshold is the first stage whose estimate is at or under it.
-    For FIXED_STAGE the grid entries are stage numbers instead.
+    For FIXED_STAGE the grid entries are stage numbers instead.  ``seed``
+    seeds only ``CombinerState.cell``, which no stage calls.
     """
     if not clips:
         raise ValueError("no clips to profile")
@@ -267,6 +271,7 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     shared machine hit all methods alike.  ``mean_seconds`` is the mean
     over clips x repeats; ``best_seconds`` takes each clip's minimum over
     the repeats, then the mean over clips.  Runs single-threaded.
+    ``seed`` seeds only ``CombinerState.cell``, which no stage calls.
     """
     if not clips:
         raise ValueError("no clips to benchmark")

@@ -217,7 +217,9 @@ def stages(clip, config, *, seed=0):
 
     Each stage absorbs the next frame, estimates the expected change the
     following frame would make and tests the stopping rule.  Records go on
-    past the first stop, so a caller reads as far as it needs.
+    past the first stop, so a caller reads as far as it needs.  ``seed``
+    seeds only the treap priorities of ``CombinerState.cell``, which no
+    stage calls.
     """
     if not clip.frames:
         raise ValueError(f"clip {clip.id} has no frames")
@@ -255,7 +257,8 @@ def run_clip(clip, config, *, seed=0):
 
     Reads :func:`stages` up to the first stop; running out of stages
     forces a stop and flags the outcome.  The final error is the
-    normalized sequence distance to the clip's ground truth.
+    normalized sequence distance to the clip's ground truth.  ``seed`` is
+    passed to :func:`stages`, where it seeds only ``CombinerState.cell``.
     """
     trace = []
     for stage in stages(clip, config, seed=seed):
@@ -285,7 +288,8 @@ def stage_traces(clip, config, *, seed=0):
     so one pass supports a whole threshold sweep: the stop stage for any
     threshold is the first estimate at or under it.  FIXED_STAGE configs
     yield an empty estimate trace.  Returns (estimates, errors); errors
-    has one entry per stage.
+    has one entry per stage.  ``seed`` is passed to :func:`stages`, where
+    it seeds only ``CombinerState.cell``.
     """
     truth = from_string(clip.truth, clip.alphabet).rows
     estimates = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from framestop import _kernels
 from framestop.combiner import GAP_COMBINED, GAP_FRAME, MATCH, AlignmentStep, merge_share
-from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
+from framestop.core import Alphabet, Clip, RecognitionFrame, from_string, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
 
@@ -287,10 +287,10 @@ def random_clip(rng, index, *, max_frames=10, max_rows=6, max_classes=5, weighte
 def looped_clip(stages=150, *, weighted=False, seed=27):
     """One clip of the criterion-7 recipe, its 30 frames looped to ``stages``.
 
-    Long enough to span several blocks of a history store; with seed 27
-    the combination still creates rows at stages 37 and 51, after the
-    first block is full.  ``weighted`` gives every frame a random weight
-    in [0.25, 3].
+    Long enough for a history store to grow its slot table's frames
+    several times; with seed 27 the combination still creates rows at
+    stages 37 and 51, after the first such growth.  ``weighted`` gives
+    every frame a random weight in [0.25, 3].
     """
     config = SyntheticConfig(
         clip_count=1, text_length=15,
@@ -311,13 +311,31 @@ def looped_clip(stages=150, *, weighted=False, seed=27):
 def late_rows_clip():
     """40 frames of "A", then frames of 12 characters.
 
-    The rows the long frames add appear after a history store's first
-    block is full, and outnumber the room that block kept for new rows.
+    The rows the long frames add appear after a history store's slot
+    table has grown its frames, and outnumber the row ids it had room for.
     """
     alphabet = Alphabet("AB")
     short = make_frame([[1.0, 0.0]])
     long = make_frame([[1.0, 0.0], [0.0, 1.0]] * 6)
     return Clip("late-rows", alphabet, "AB" * 6, [short] * 40 + [long] * 3)
+
+
+def growth_clip():
+    """A frame of 70 characters, 65 frames of its first 10, then 100
+    characters once and the first 10 again.
+
+    The first frame holds more rows than a history store starts with
+    room for (64 rows, 8 row ids), so one absorb grows both its rows and
+    its slot table; the long frame, the 67th, creates new rows after
+    frame 64, when the slot table has doubled its frames twice.
+    """
+    alphabet = Alphabet("ABCD")
+    rng = random.Random(64)
+    text = "".join(rng.choice("ABCD") for _ in range(100))
+    frames = [from_string(text[:70], alphabet)]
+    frames += [from_string(text[:10], alphabet)] * 65
+    frames += [from_string(text, alphabet), from_string(text[:10], alphabet)]
+    return Clip("growth", alphabet, text, frames)
 
 
 def random_onehot_rows(rng, length, width):

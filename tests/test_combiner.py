@@ -15,7 +15,7 @@ from framestop.core import Alphabet, empty_distribution, from_string, make_frame
 from framestop.metrics import MetricKind, char_distance, gld
 from framestop.stoppers import estimate_method_a
 
-from oracles import late_rows_clip, looped_clip, method_a_oracle, random_clip
+from oracles import growth_clip, late_rows_clip, looped_clip, method_a_oracle, random_clip
 
 ALPHA = Alphabet("AB")
 
@@ -225,6 +225,10 @@ def test_cell_requires_treaps():
     state = build("A")
     with pytest.raises(ValueError, match="treap"):
         state.cell(0, 0)
+    state = build("A", track_treaps=True)
+    for class_index in (-1, ALPHA.size + 1):
+        with pytest.raises(IndexError, match="class index"):
+            state.cell(0, class_index)
 
 
 def _history_weighted_sums(state):
@@ -255,7 +259,7 @@ def _check_against_oracle(state):
 def test_mean_consistency_invariant(weighted):
     rng = random.Random(31 + weighted)
     clips = [random_clip(rng, i, weighted=weighted) for i in range(25)]
-    clips += [looped_clip(weighted=weighted), late_rows_clip()]
+    clips += [looped_clip(weighted=weighted), late_rows_clip(), growth_clip()]
     for clip in clips:
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:

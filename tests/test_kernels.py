@@ -1,6 +1,7 @@
 """The compiled kernels against the Python ones, and the loader's fallbacks."""
 
 import random
+import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -14,13 +15,13 @@ from framestop.core import make_frame
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
 from framestop.stoppers import StopperConfig, StopperMethod, run_clip, stage_traces
 
-from oracles import late_rows_clip, looped_clip, python_kernels, random_clip
+from oracles import growth_clip, late_rows_clip, looped_clip, python_kernels, random_clip
 
 
 def _spread_clips():
     rng = random.Random(515)
     clips = [random_clip(rng, i, weighted=i % 2 == 1) for i in range(40)]
-    return clips + [looped_clip(150), late_rows_clip()]
+    return clips + [looped_clip(150), late_rows_clip(), growth_clip()]
 
 
 def _spreads(frames, alphabet):
@@ -154,6 +155,17 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch):
         assert outcome.final_error == outcome_py.final_error
         assert errors == errors_py
         assert np.allclose(estimates, estimates_py, rtol=0.0, atol=1e-12)
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    argv = _kernels.compiler()
+    if argv is None:
+        pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
+    command = [*argv, *_kernels.FLAGS, "-Wall", "-Wextra", "-Werror", str(_kernels.SOURCE)]
+    done = subprocess.run(
+        [*command, "-o", str(tmp_path / "kernels.so")], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path):
