@@ -8,8 +8,11 @@
    costs as metrics.pairwise_costs and metrics.gap_costs do, summing in
    numpy's pairwise order, and fills the table with fs_fill; the loader
    checks its costs against numpy's bit for bit before gld uses it.
-   fs_spread is CombinerState.spread over the rows-plus-slots history
-   store; it sums in its own order. */
+   fs_spread is the one history scan of methods a and b over the
+   rows-plus-slots history store: CombinerState.spread, and with its
+   epilogue CombinerState.candidate_gld, every candidate's distance and
+   their sums in one call.  It sums in its own order, and a slot holding
+   the empty row adds that row's distance, computed once per call. */
 
 #include <math.h>
 #include <stddef.h>
@@ -138,33 +141,71 @@ int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
     return k;
 }
 
-/* Per frame f < n, the sum over row ids r < s and classes of
-   |current[r] - rows[slots[f * stride + r]]|: the distance from the
-   current rows to what the frame merged into each of them.  rows is
-   (capacity, width) with row 0 the empty distribution, where every slot
-   a frame did not write points; slots is (frames, stride) with s <= stride
-   and every entry below the capacity; current is (s, width), indexed by
-   row id. */
-void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t n,
-               const double *current, int64_t s, int64_t width, double *out)
+/* Sum over k < width of |a[k] - b[k]|, in four independent accumulators
+   so consecutive additions do not wait on each other. */
+static double row_distance(const double *a, const double *b, int64_t width)
 {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t k = 0;
+    for (; k + 4 <= width; k += 4) {
+        s0 += fabs(a[k] - b[k]);
+        s1 += fabs(a[k + 1] - b[k + 1]);
+        s2 += fabs(a[k + 2] - b[k + 2]);
+        s3 += fabs(a[k + 3] - b[k + 3]);
+    }
+    for (; k < width; k++)
+        s0 += fabs(a[k] - b[k]);
+    return (s0 + s1) + (s2 + s3);
+}
+
+/* The history scan of methods a and b.  Per frame f < n, the spread: the
+   sum over row ids r < s and classes of |current[r] - rows[slots[f *
+   stride + r]]|, the distance from the current rows to what the frame
+   merged into each of them.  rows is (capacity, width) with row 0 the
+   empty distribution, where every slot a frame did not write points;
+   slots is (frames, stride) with s <= stride and every entry below the
+   capacity; current is (s, width), indexed by row id.
+
+   First, empty[r] receives each current row's distance to the empty row,
+   computed afresh on every call; a slot holding 0 then adds empty[r]
+   instead of its width terms.  Every term is added, none subtracted, so a
+   frame equal to the current rows gives exactly 0.
+
+   When sums is NULL, out[f] is the spread.  Otherwise out[f] is candidate
+   f's distance: g = spread * share_f / 2, with share_f = shares[f], or
+   share when shares is NULL, as stoppers scores method a's modelled merge;
+   then, when length >= 0, its nGLD 2g / (g + length), 0 where g + length
+   is not positive, as metrics.normalized computes it.  sums[0] receives
+   the sum of the g and sums[1] the sum of out, each added in frame order. */
+void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t n,
+               const double *current, int64_t s, int64_t width, double *empty, double *out,
+               const double *shares, double share, double length, double *sums)
+{
+    for (int64_t r = 0; r < s; r++)
+        empty[r] = row_distance(rows, current + r * width, width);
+    double g_sum = 0.0, out_sum = 0.0;
     for (int64_t f = 0; f < n; f++) {
         const int64_t *slot = slots + f * stride;
-        /* four independent accumulators, so consecutive additions do not
-           wait on each other */
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (int64_t r = 0; r < s; r++) {
-            const double *a = rows + slot[r] * width, *b = current + r * width;
-            int64_t k = 0;
-            for (; k + 4 <= width; k += 4) {
-                s0 += fabs(a[k] - b[k]);
-                s1 += fabs(a[k + 1] - b[k + 1]);
-                s2 += fabs(a[k + 2] - b[k + 2]);
-                s3 += fabs(a[k + 3] - b[k + 3]);
-            }
-            for (; k < width; k++)
-                s0 += fabs(a[k] - b[k]);
+        double spread = 0.0;
+        for (int64_t r = 0; r < s; r++)
+            spread += slot[r] ? row_distance(rows + slot[r] * width, current + r * width, width)
+                              : empty[r];
+        if (sums == NULL) {
+            out[f] = spread;
+            continue;
         }
-        out[f] = (s0 + s1) + (s2 + s3);
+        const double g = spread * (shares ? shares[f] : share) / 2.0;
+        double d = g;
+        if (length >= 0.0) {
+            const double denom = g + length;
+            d = denom > 0.0 ? 2.0 * g / denom : 0.0;
+        }
+        out[f] = d;
+        g_sum += g;
+        out_sum += d;
+    }
+    if (sums != NULL) {
+        sums[0] = g_sum;
+        sums[1] = out_sum;
     }
 }

@@ -54,7 +54,11 @@ _SIGNATURES = {
     "fs_fill": (ctypes.c_double, [_PTR, _PTR, _PTR, _INT, _INT, _PTR]),
     "fs_trace": (_INT, [_PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR]),
     "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
-    "fs_spread": (None, [_PTR, _PTR, _INT, _INT, _PTR, _INT, _INT, _PTR]),
+    "fs_spread": (
+        None,
+        [_PTR, _PTR, _INT, _INT, _PTR, _INT, _INT, _PTR, _PTR, _PTR, ctypes.c_double,
+         ctypes.c_double, _PTR],
+    ),
 }
 
 
@@ -273,35 +277,60 @@ def path(sub, gap_rows, gap_cols):
     return tuple(out[:taken]), tuple(out[steps : steps + taken]), cost
 
 
-def history(rows, slots):
-    """The history store as fs_spread reads it: (rows, slots, their addresses).
+class Scan:
+    """The history store as fs_spread reads it, with the scan's buffers.
 
     Checks that ``rows`` is a C-contiguous float64 (capacity, width) array
     and ``slots`` a C-contiguous int64 (frames, row ids) array.  fs_spread
     trusts every slot to index a row below the capacity; the caller keeps
-    that.  The addresses stay valid while both arrays live, so a caller
-    builds this once per grown array rather than once per scan.
+    that.  Beside them: ``current``, the current rows by row id, which the
+    caller fills before each :func:`spread`; ``empty``, each current row's
+    distance to the empty row, which every scan writes; ``out``, one entry
+    per frame; and ``sums``.  Their addresses stay valid while the arrays
+    live, so a caller builds a Scan once per grown array rather than once
+    per scan.
     """
-    for array, dtype in ((rows, np.float64), (slots, np.int64)):
-        if array.dtype != dtype or array.ndim != 2 or not array.flags.c_contiguous:
-            raise ValueError(f"history array of {array.dtype} {array.shape} does not fit the kernel")
-    return rows, slots, rows.ctypes.data, slots.ctypes.data
 
-
-def spread(store, n, current):
-    """``CombinerState.spread`` of the first ``n`` frames of ``store`` (from
-    :func:`history`) against ``current``, shape (S, width), indexed by row id."""
-    rows, slots, rows_at, slots_at = store
-    current = np.ascontiguousarray(current, dtype=np.float64)
-    s = len(current)
-    if not (n <= len(slots) and s <= slots.shape[1] and current.shape[1:] == rows.shape[1:]):
-        raise ValueError(
-            f"{n} frames of current rows {current.shape} do not fit rows {rows.shape}"
-            f" and slots {slots.shape}"
+    def __init__(self, rows, slots):
+        for array, dtype in ((rows, np.float64), (slots, np.int64)):
+            if array.dtype != dtype or array.ndim != 2 or not array.flags.c_contiguous:
+                raise ValueError(f"history array of {array.dtype} {array.shape} does not fit the kernel")
+        frames, ids = slots.shape
+        self.rows, self.slots = rows, slots
+        self.current = np.empty((ids, rows.shape[1]))
+        self.empty = np.empty(ids)
+        self.out = np.empty(frames)
+        self.sums = (ctypes.c_double * 2)()
+        self.at = (
+            rows.ctypes.data, slots.ctypes.data, ids, self.current.ctypes.data, rows.shape[1],
+            self.empty.ctypes.data, self.out.ctypes.data,
         )
-    out = np.empty(n)
+
+
+def spread(scan, n, s, share=None, length=None):
+    """One fs_spread call over the first ``n`` frames of ``scan``'s store
+    against its first ``s`` current rows.
+
+    Without ``share``, ``scan.out[:n]`` receives each frame's spread, as
+    ``CombinerState.spread`` returns it.  With it, ``scan.out[:n]`` receives
+    each candidate's distance and ``scan.sums`` the sum of the GLDs and of
+    the distances, as ``CombinerState.candidate_gld`` returns them:
+    ``share`` is the merge share of every candidate, a float, or an array
+    of one per frame; ``length`` is the nGLD length sum, None for GLD.
+    """
+    rows_at, slots_at, stride, current_at, width, empty_at, out_at = scan.at
+    if not (n <= len(scan.out) and s <= stride):
+        raise ValueError(f"{n} frames of {s} rows do not fit slots {scan.slots.shape}")
+    shares, sums = None, None
+    if share is None:
+        share = 0.0
+    else:
+        sums = scan.sums
+        if isinstance(share, np.ndarray):
+            if share.dtype != np.float64 or share.shape != (n,) or not share.flags.c_contiguous:
+                raise ValueError(f"shares of {share.dtype} {share.shape} do not fit {n} frames")
+            shares, share = share.ctypes.data, 0.0
     lib.fs_spread(
-        rows_at, slots_at, slots.shape[1], n, current.ctypes.data, s, rows.shape[1],
-        out.ctypes.data,
+        rows_at, slots_at, stride, n, current_at, s, width, empty_at, out_at, shares, share,
+        -1.0 if length is None else length, sums,
     )
-    return out

@@ -25,6 +25,9 @@ from .metrics import MetricKind
 from .stoppers import StopperConfig, StopperMethod
 
 DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+# cap of --max-stages: clips loop past their length, and the history store
+# of methods a and b grows by every stage's rows
+MAX_STAGES = 10_000
 ESTIMATOR_METHODS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B)
 
 
@@ -39,6 +42,13 @@ def _add_estimation(parser):
     )
     parser.add_argument("--delta", type=float, default=0.1, help="estimate bias term")
     parser.add_argument("--max-stages", type=int, default=30)
+
+
+def _load_clips(args):
+    """The input clips, read only once --max-stages is within its cap."""
+    if args.max_stages > MAX_STAGES:
+        raise ValueError(f"--max-stages {args.max_stages} is above the cap of {MAX_STAGES}")
+    return load_clips(args.input)
 
 
 def _stopper_config(args, *, threshold=0.0, fixed_stage=None):
@@ -68,7 +78,7 @@ def _cmd_gen(args):
 
 
 def _cmd_simulate(args):
-    clips = load_clips(args.input)
+    clips = _load_clips(args)
     fixed_stage = None
     if StopperMethod(args.method) is StopperMethod.FIXED_STAGE:
         if args.stage is None:
@@ -80,7 +90,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_profile(args):
-    clips = load_clips(args.input)
+    clips = _load_clips(args)
     fixed_stage = 1 if StopperMethod(args.method) is StopperMethod.FIXED_STAGE else None
     config = _stopper_config(args, fixed_stage=fixed_stage)
     rows = profile(clips, config, parse_grid(args.thresholds))
@@ -88,7 +98,7 @@ def _cmd_profile(args):
 
 
 def _cmd_bench(args):
-    clips = load_clips(args.input)
+    clips = _load_clips(args)
     names = args.method or [m.value for m in ESTIMATOR_METHODS]
     methods = [StopperMethod(name) for name in dict.fromkeys(names)]
     rows = bench(

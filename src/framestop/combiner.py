@@ -22,14 +22,18 @@ appends its M rows and points its slots at them (O(M*K)); every other
 slot holds 0, the index of the empty distribution, so a frame reads as
 empty wherever it was not aligned, rows created after it included.  Both
 arrays grow geometrically; display order is applied only when the
-history is read.  Method ``a`` scores candidates from the store's
-per-frame spread, an O(n*S*K) scan, compiled where available (numpy
-otherwise); method ``b`` is ``a``'s aggregate normalised once, read from
-the same scan.  On 40 stage pairs of the benchmark corpus (K=36, S about
-19, M about 15, 2-vCPU Xeon) the compiled kernels took ``align`` from
-about 165 to 92 us.
+history is read.  Methods ``a`` and ``b`` read the store through
+``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
+spread from the current rows, then each candidate's merge share, its
+nGLD and the sums of both, in one compiled call where available (numpy
+otherwise).  The scan computes each current row's distance to the empty
+row once per call, and a slot holding 0 adds that distance instead of
+K+1 terms; ``b`` is ``a``'s aggregate normalised once.  On 40 stage
+pairs of the benchmark corpus (K=36, S about 19, M about 15, 2-vCPU
+Xeon) the compiled kernels took ``align`` from about 165 to 92 us.
 """
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .core import CombinedResult, RecognitionFrame, _empty_row
-from .metrics import cost_table, gap_costs, pairwise_costs
+from .metrics import cost_table, gap_costs, normalized, pairwise_costs
 from .treap import MultisetIndex
 
 # merge_share halves both weights from here on, so their sum stays finite
@@ -116,6 +120,14 @@ def merge_share(weight, total):
     if isinstance(denom, np.ndarray):
         return np.divide(weight, denom, out=np.zeros_like(denom), where=denom > 0)
     return weight / denom if denom > 0 else 0.0
+
+
+def _index(value, name):
+    """``value`` as an int, through ``operator.index``.  A bool is refused:
+    numpy would read True or False as a mask, not as an index."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    return operator.index(value)
 
 
 def _rows_of(seq):
@@ -217,7 +229,7 @@ class CombinerState:
     the frame merged into that row (the empty distribution wherever the
     frame was not aligned to it, including rows created after the frame),
     as an index into the absorbed rows, each kept once.
-    Methods ``a`` and ``b`` both read it through :meth:`spread`.
+    Methods ``a`` and ``b`` both read it through :meth:`candidate_gld`.
     ``track_treaps`` keeps the same store for method ``b``, requires unit
     frame weights and lets :meth:`cell` build a :class:`MultisetIndex` of
     one (row, class) history column on demand.  Both default off, so
@@ -255,7 +267,7 @@ class CombinerState:
             self._rows[0] = _empty_row(self._width)
             self._slots = np.zeros((32, 8), dtype=np.int64)
         self._used = 1  # rows of _rows in use
-        self._history = None  # the compiled scan's view of the store; None when stale
+        self._history = None  # the compiled scan's store and buffers (_kernels.Scan); None when stale
 
     @property
     def mean_rows(self):
@@ -333,7 +345,7 @@ class CombinerState:
         ``rids`` holds the row id of each of the frame's rows.  A full
         array grows by copying: the rows x2, the frames x2, the row ids
         to 5/4 of those in use.  Growing is the only change that makes the
-        compiled scan's view stale.
+        compiled scan's buffers stale.
         """
         end = self._used + len(rows)
         if end > len(self._rows):
@@ -386,39 +398,77 @@ class CombinerState:
             raise ValueError("no frames absorbed yet")
         return CombinedResult(self._matrix, tuple(self._order))
 
+    def _scan(self, share=None, length=None):
+        """The compiled scan's buffers after one fs_spread call (:func:`_kernels.spread`).
+
+        The buffers and their addresses are rebuilt only when an array of
+        the store has grown since the last scan.
+        """
+        if self._history is None:
+            self._history = _kernels.Scan(self._rows, self._slots)
+        scan = self._history
+        scan.current[self._order] = self._matrix
+        _kernels.spread(scan, self.n, len(self._order), share, length)
+        return scan
+
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
         Shape (n,).  One compiled pass over the store where
         :mod:`framestop._kernels` loads, reading each frame's rows through
-        its slots; otherwise a numpy scan of ``_SCAN_FRAMES`` frames at a
-        time, so no temporary grows with the history.  The two sum in
-        different orders and agree to about 1e-15; both give exactly 0 for
-        a frame equal to the current rows.  The compiled pass takes the
-        store's checked addresses, rebuilt only when an array has grown
-        since the last scan.
+        its slots and adding each current row's precomputed distance to the
+        empty row for a slot that holds 0; otherwise a numpy scan of
+        ``_SCAN_FRAMES`` frames at a time, so no temporary grows with the
+        history.  The two sum in different orders and agree to about
+        1e-15; both give exactly 0 for a frame equal to the current rows.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
         n = self.n
+        if _kernels.get() is not None:
+            return self._scan().out[:n].copy()
         s = len(self._order)
         if s == 0:
             return np.zeros(n)
         current = np.empty((s, self._width))
         current[self._order] = self._matrix
-        if _kernels.get() is not None:
-            if self._history is None:
-                self._history = _kernels.history(self._rows, self._slots)
-            return _kernels.spread(self._history, n, current)
         out = np.empty(n)
         for f in range(0, n, _SCAN_FRAMES):
             frames = slice(f, min(n, f + _SCAN_FRAMES))
             out[frames] = np.abs(self._rows[self._slots[frames, :s]] - current).sum(axis=(1, 2))
         return out
 
-    def _check_row_id(self, row_id):
+    def candidate_gld(self, length=None):
+        """Method a's distance to every candidate next merge, and their sums.
+
+        Candidate i, frame i arriving again, moves every row by its merge
+        share (:meth:`candidate_shares`) of the gap between the current row
+        and what frame i merged into it, as the merge itself does, so its
+        GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns
+        (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
+        :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
+        Where :mod:`framestop._kernels` loads, the scan, the shares, the
+        normalisation and both sums are one compiled call, with the same
+        elementwise operations as the numpy path and the sums added in
+        frame order; the two agree to a few parts in 1e15.
+        """
+        if self._rows is None:
+            raise ValueError("state was built without history bookkeeping")
+        if self.n == 0:
+            raise ValueError("cannot estimate before the first frame")
+        share = self.candidate_shares()
+        if _kernels.get() is not None:
+            scan = self._scan(share, length)
+            return scan.out[: self.n].copy(), scan.sums[0], scan.sums[1]
+        g = self.spread() * share / 2.0
+        d = g if length is None else normalized(g, length)
+        return d, float(g.sum()), float(d.sum())
+
+    def _row_id(self, row_id):
+        row_id = _index(row_id, "row id")
         if row_id not in range(self._next_id):
             raise KeyError(f"unknown row id {row_id}")
+        return row_id
 
     @property
     def contributions(self):
@@ -434,13 +484,15 @@ class CombinerState:
         """Row that frame ``frame_index`` merged into ``row_id``.
 
         Frames contribute the empty distribution to rows they were not
-        aligned with, including rows created after them.
+        aligned with, including rows created after them.  Both indices are
+        integers; a bool or a float raises TypeError.
         """
         if not self.track_history:
             raise ValueError("state was built without history tracking")
+        frame_index = _index(frame_index, "frame index")
         if not 0 <= frame_index < self.n:
             raise IndexError(f"frame index {frame_index} out of range")
-        self._check_row_id(row_id)
+        row_id = self._row_id(row_id)
         return self._rows[self._slots[frame_index, row_id]].copy()
 
     def cell(self, row_id, class_index):
@@ -448,11 +500,13 @@ class CombinerState:
 
         Priorities are seeded from the state's seed and the cell, so the
         same cell always gets the same shape.  ``class_index`` runs over
-        0..K, 0 being the empty class.
+        0..K, 0 being the empty class.  Both indices are integers; a bool or
+        a float raises TypeError.
         """
         if not self.track_treaps:
             raise ValueError("state was built without treap bookkeeping")
-        self._check_row_id(row_id)
+        row_id = self._row_id(row_id)
+        class_index = _index(class_index, "class index")
         if not 0 <= class_index < self._width:
             raise IndexError(f"class index {class_index} out of range")
         column = self._rows[self._slots[: self.n, row_id], class_index]

@@ -192,16 +192,13 @@ def parse_grid(spec):
     return [lo + i * step for i in range(count + 1)]
 
 
-def simulate(clips, config, *, seed=0):
-    """Run the stopping rule over every clip; one outcome row per clip.
-
-    ``seed`` seeds only ``CombinerState.cell``, which no stage calls.
-    """
+def simulate(clips, config):
+    """Run the stopping rule over every clip; one outcome row per clip."""
     if not clips:
         raise ValueError("no clips to simulate")
     rows = []
     for clip in clips:
-        outcome = run_clip(clip, config, seed=seed)
+        outcome = run_clip(clip, config)
         trace = outcome.estimate_trace
         rows.append(
             {
@@ -215,13 +212,12 @@ def simulate(clips, config, *, seed=0):
     return rows
 
 
-def profile(clips, config, grid, *, seed=0):
+def profile(clips, config, grid):
     """Threshold sweep: mean stop stage and mean error per operating point.
 
     One combination pass per clip supplies the whole sweep; the stop stage
     for a threshold is the first stage whose estimate is at or under it.
-    For FIXED_STAGE the grid entries are stage numbers instead.  ``seed``
-    seeds only ``CombinerState.cell``, which no stage calls.
+    For FIXED_STAGE the grid entries are stage numbers instead.
     """
     if not clips:
         raise ValueError("no clips to profile")
@@ -231,7 +227,7 @@ def profile(clips, config, grid, *, seed=0):
     fixed = config.method is StopperMethod.FIXED_STAGE
     if fixed and any(point < 1 or point != int(point) for point in grid):
         raise ValueError("FIXED_STAGE grid entries must be whole stages >= 1")
-    traces = [stage_traces(clip, config, seed=seed) for clip in clips]
+    traces = [stage_traces(clip, config) for clip in clips]
     rows = []
     for point in grid:
         stops = []
@@ -262,7 +258,7 @@ def profile(clips, config, grid, *, seed=0):
     return rows
 
 
-def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_stages=30, seed=0):
+def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_stages=30):
     """Wall-clock seconds of absorb plus estimate, per method and stage.
 
     Bookkeeping and estimation shift work between the two phases
@@ -271,7 +267,6 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     shared machine hit all methods alike.  ``mean_seconds`` is the mean
     over clips x repeats; ``best_seconds`` takes each clip's minimum over
     the repeats, then the mean over clips.  Runs single-threaded.
-    ``seed`` seeds only ``CombinerState.cell``, which no stage calls.
     """
     if not clips:
         raise ValueError("no clips to benchmark")
@@ -288,7 +283,7 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     for _ in range(repeats):
         for index, clip in enumerate(clips):
             for config in configs:
-                for stage, elapsed in _timed_stages(clip, config, seed):
+                for stage, elapsed in _timed_stages(clip, config):
                     per_clip = times.setdefault((config.method.value, stage), {})
                     per_clip.setdefault(index, []).append(elapsed)
     rows = []
@@ -307,8 +302,8 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     return rows
 
 
-def _timed_stages(clip, config, seed):
-    return ((stage.number, stage.seconds) for stage in stages(clip, config, seed=seed))
+def _timed_stages(clip, config):
+    return ((stage.number, stage.seconds) for stage in stages(clip, config))
 
 
 def write_csv(path, fieldnames, rows):

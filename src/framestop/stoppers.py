@@ -14,27 +14,28 @@ Three estimators compute the same quantity at different price points:
   On the benchmark corpus that took the median frame decision from 2.65
   to 1.16 ms (``perfbench`` ``online-base``, 2-vCPU Xeon).
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
-  scores the modelled merge row-by-row, O(n * S * K): one scan of the
-  state's history store (``CombinerState.spread``), scaled by one
-  scalar merge share when every frame has the same weight.
+  scores the modelled merge row-by-row, O(n * S * K): one call of
+  ``CombinerState.candidate_gld``, which scans the state's history store
+  and scores, normalises and sums every candidate, compiled where
+  available.
 * ``estimate_method_b`` is ``a``'s aggregate normalised once instead of
-  per candidate, read from the same scan, so it costs the same
-  O(n * S * K); unweighted only.  The paper prices it at
-  O(S * K * log n), one order-statistic treap query per (row, class)
-  cell.  On the benchmark corpus (K=36, 15 characters, 2-vCPU Xeon) those
-  trees never grew deeper than 3, and a ``b`` stage cost 1.0-2.1 ms at
-  n=5-400 with treaps against 0.17-0.81 ms with the scan.
+  per candidate, from the same call, so it costs the same O(n * S * K)
+  and its aggregate equals ``a``'s exactly; unweighted only.  The paper
+  prices it at O(S * K * log n), one order-statistic treap query per
+  (row, class) cell.  On the benchmark corpus (K=36, 15 characters,
+  2-vCPU Xeon) those trees never grew deeper than 3, and a ``b`` stage
+  cost 1.0-2.1 ms at n=5-400 with Python treaps.
 
-A stage of ``a`` or ``b`` is mostly the absorb that every method pays:
-one alignment (``combiner.align``: numpy's pairwise costs, then the GLD
-table fill and traceback) and the merge, plus the history scan.  With
-the fill, the traceback and the scan compiled (``_kernels.c``, where a C
-compiler is available) the median frame decision of ``perfbench``
-``long-horizon`` went from 1.070 to 0.519 ms (2-vCPU Xeon, lower in 10
-of 10 alternating run pairs).  ``online-fast`` (0.322 to 0.231 ms) and
-``online-base``, where ``base`` aligns every candidate (0.907 to
-0.555 ms), read lower in 4 of 4 pairs each: an indication, too few pairs
-to establish a gain.
+A stage of ``a`` or ``b`` is the absorb that every method pays (one
+alignment, ``combiner.align``, and the merge) plus the estimate, which
+past the paper's 30 frames is the larger part.  With the estimate one
+compiled call, whose scan adds a precomputed distance for each slot that
+holds the empty row (35-44% of the slots it reads at n >= 25 there),
+``perfbench``
+``long-horizon`` (``a`` and ``b`` to n=400) decided 5121 stages a second
+against 4389 before, and its median frame in 0.332 against 0.400 ms
+(2-vCPU Xeon, medians of 10 alternating run pairs, higher and lower in
+10 of 10).
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.
@@ -167,29 +168,14 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
     return EstimationBreakdown(estimate, aggregate, tuple(distances))
 
 
-def _candidate_gld(state):
-    """Per-candidate GLD of method a's modelled merges, from one store scan.
-
-    Candidate i moves every row by its weight's merge share
-    (:meth:`CombinerState.candidate_shares`) of the gap between the
-    current row and what frame i merged into it, as in the merge itself.
-    """
-    if state.n == 0:
-        raise ValueError("cannot estimate before the first frame")
-    return state.spread() * state.candidate_shares() / 2.0
-
-
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Approximate modelling via the recorded per-frame row contributions."""
     if not state.track_history:
         raise ValueError("method A needs a state with track_history")
-    g = _candidate_gld(state)
-    if metric is MetricKind.NGLD:
-        distances = normalized(g, 2.0 * state.mean_rows.shape[0])
-    else:
-        distances = g
-    estimate = (delta + float(distances.sum())) / (state.n + 1)
-    return EstimationBreakdown(estimate, float(g.sum()), tuple(distances.tolist()))
+    length = 2.0 * state.mean_rows.shape[0] if metric is MetricKind.NGLD else None
+    distances, aggregate, total = state.candidate_gld(length)
+    estimate = (delta + total) / (state.n + 1)
+    return EstimationBreakdown(estimate, aggregate, tuple(distances.tolist()))
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
@@ -198,7 +184,7 @@ def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
         raise ValueError("method B needs a state with track_treaps")
     if not state.unweighted:
         raise ValueError("method B supports unweighted input only")
-    aggregate = float(_candidate_gld(state).sum())
+    _, aggregate, _ = state.candidate_gld()
     if metric is MetricKind.NGLD:
         converted = normalized(aggregate, 2.0 * state.mean_rows.shape[0])
     else:

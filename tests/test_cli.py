@@ -140,6 +140,23 @@ def test_profile_bad_grid(clips_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "profile", "bench"])
+def test_max_stages_above_the_cap_exits_before_reading_clips(tmp_path, capsys, command):
+    # the input does not exist: the cap must be checked before it is opened
+    args = [command, "-i", str(tmp_path / "absent.jsonl"), "-o", str(tmp_path / "x.csv")]
+    if command == "profile":
+        args += ["--thresholds", "0:0.1:0.05"]
+    if command != "bench":
+        args += ["--method", "a"]
+    assert main(args + ["--max-stages", "100000000"]) == 1
+    err = capsys.readouterr().err
+    assert "--max-stages 100000000 is above the cap of 10000" in err
+    assert not (tmp_path / "x.csv").exists()
+    # at the cap, the input is read and found missing
+    assert main(args + ["--max-stages", "10000"]) == 1
+    assert "absent.jsonl" in capsys.readouterr().err
+
+
 def test_profile_non_finite_grid_exits_without_traceback(clips_file, tmp_path, capsys):
     code = main(
         [

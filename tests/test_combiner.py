@@ -221,6 +221,27 @@ def test_contribution_bounds():
         state.contribution(0, 99)
 
 
+@pytest.mark.parametrize("frame_index, row_id", [(0, True), (True, 1), (False, 0), (0, 1.0), (0.0, 1)])
+def test_contribution_refuses_bool_and_float_indices(frame_index, row_id):
+    # numpy would read a bool as a mask and gather a (1, frames, K+1) block
+    state = build("AB", "AB", track_history=True)
+    with pytest.raises(TypeError):
+        state.contribution(frame_index, row_id)
+
+
+def test_contribution_takes_numpy_integers():
+    state = build("AB", "AB", track_history=True)
+    got = state.contribution(np.int64(1), np.int32(1))
+    assert got.shape == (3,) and np.array_equal(got, state.contribution(1, 1))
+
+
+@pytest.mark.parametrize("row_id, class_index", [(True, 0), (0, True), (1.0, 0), (0, 1.0)])
+def test_cell_refuses_bool_and_float_indices(row_id, class_index):
+    state = build("AB", "AB", track_treaps=True)
+    with pytest.raises(TypeError):
+        state.cell(row_id, class_index)
+
+
 def test_cell_requires_treaps():
     state = build("A")
     with pytest.raises(ValueError, match="treap"):

@@ -280,7 +280,7 @@ def test_bench_interleaves_methods_and_takes_per_clip_minima(monkeypatch):
         ("a", 0): [1.0, 3.0], ("a", 1): [5.0, 5.0],
     }
 
-    def fake_stages(clip, config, seed):
+    def fake_stages(clip, config):
         index = clips.index(clip)
         order.append((config.method.value, index))
         repeat = sum(1 for key in order if key == (config.method.value, index)) - 1

@@ -13,7 +13,14 @@ from framestop import _kernels, metrics
 from framestop.combiner import CombinerState, align
 from framestop.core import make_frame
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
-from framestop.stoppers import StopperConfig, StopperMethod, run_clip, stage_traces
+from framestop.stoppers import (
+    StopperConfig,
+    StopperMethod,
+    estimate_method_a,
+    estimate_method_b,
+    run_clip,
+    stage_traces,
+)
 
 from oracles import growth_clip, late_rows_clip, looped_clip, python_kernels, random_clip
 
@@ -48,6 +55,64 @@ def test_compiled_spread_is_zero_on_constant_clips(compiled):
         clip = random_clip(rng, i, weighted=i % 2 == 1)
         for got, _ in _spreads([clip.frames[0]] * 40, clip.alphabet):
             assert not got.any()
+
+
+def _estimates(state):
+    """Method a's breakdown and, on unweighted states, method b's, under
+    both metrics: ((metric, method) -> breakdown)."""
+    out = {}
+    for metric in MetricKind:
+        out[metric, "a"] = estimate_method_a(state, metric=metric, delta=0.1)
+        if state.unweighted:
+            out[metric, "b"] = estimate_method_b(state, metric=metric, delta=0.1)
+    return out
+
+
+def _estimate_pairs(frames, alphabet):
+    """(compiled, numpy) estimates after every absorb; method b's too where
+    every frame has unit weight."""
+    unit = all(frame.weight == 1.0 for frame in frames)
+    state = CombinerState(alphabet, track_history=True, track_treaps=unit)
+    for frame in frames:
+        state.absorb(frame)
+        compiled = _estimates(state)
+        with python_kernels():
+            reference = _estimates(state)
+        yield compiled, reference
+
+
+def test_compiled_estimates_match_numpy(compiled):
+    checked = set()
+    for clip in _spread_clips():
+        for got, want in _estimate_pairs(clip.frames, clip.alphabet):
+            assert got.keys() == want.keys()
+            checked.update(got)
+            for key, breakdown in got.items():
+                reference = want[key]
+                assert abs(breakdown.estimate - reference.estimate) <= 1e-12
+                assert abs(breakdown.gld_aggregate - reference.gld_aggregate) <= 1e-12
+                if reference.per_candidate is None:
+                    assert breakdown.per_candidate is None
+                else:
+                    assert len(breakdown.per_candidate) == len(reference.per_candidate)
+                    assert np.allclose(
+                        breakdown.per_candidate, reference.per_candidate, rtol=0.0, atol=1e-12
+                    )
+            for metric in MetricKind:
+                if (metric, "b") in got:
+                    assert got[metric, "b"].gld_aggregate == got[metric, "a"].gld_aggregate
+    assert checked == {(metric, method) for metric in MetricKind for method in "ab"}
+
+
+def test_compiled_estimates_are_exact_on_constant_clips(compiled):
+    rng = random.Random(78)
+    for i in range(20):
+        clip = random_clip(rng, i, weighted=i % 2 == 1)
+        for n, (got, _) in enumerate(_estimate_pairs([clip.frames[0]] * 40, clip.alphabet), 1):
+            for breakdown in got.values():
+                assert breakdown.estimate == 0.1 / (n + 1)
+                assert breakdown.gld_aggregate == 0.0
+                assert breakdown.per_candidate is None or not any(breakdown.per_candidate)
 
 
 def test_compiled_gld_is_cost_table_bit_for_bit(compiled):
