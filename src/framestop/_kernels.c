@@ -8,11 +8,11 @@
    costs as metrics.pairwise_costs and metrics.gap_costs do, summing in
    numpy's pairwise order, and fills the table with fs_fill; the loader
    checks its costs against numpy's bit for bit before gld uses it.
-   fs_spread is the one history scan of methods a and b over the
-   rows-plus-slots history store: CombinerState.spread, and with its
-   epilogue CombinerState.candidate_gld, every candidate's distance and
-   their sums in one call.  It sums in its own order, and a slot holding
-   the empty row adds that row's distance, computed once per call. */
+   fs_spread is CombinerState.candidate_gld, the one history scan of
+   methods a and b over the rows-plus-slots history store: every
+   candidate's distance and their sums in one call.  It sums each frame's
+   spread in its own order, and a slot holding the empty row adds that
+   row's distance, computed once per call. */
 
 #include <math.h>
 #include <stddef.h>
@@ -171,12 +171,12 @@ static double row_distance(const double *a, const double *b, int64_t width)
    instead of its width terms.  Every term is added, none subtracted, so a
    frame equal to the current rows gives exactly 0.
 
-   When sums is NULL, out[f] is the spread.  Otherwise out[f] is candidate
-   f's distance: g = spread * share_f / 2, with share_f = shares[f], or
-   share when shares is NULL, as stoppers scores method a's modelled merge;
-   then, when length >= 0, its nGLD 2g / (g + length), 0 where g + length
-   is not positive, as metrics.normalized computes it.  sums[0] receives
-   the sum of the g and sums[1] the sum of out, each added in frame order. */
+   out[f] is candidate f's distance: g = spread * share_f / 2, with
+   share_f = shares[f], or share when shares is NULL, as stoppers scores
+   method a's modelled merge; then, when length >= 0, its nGLD
+   2g / (g + length), 0 where g + length is not positive, as
+   metrics.normalized computes it.  sums[0] receives the sum of the g and
+   sums[1] the sum of out, each added in frame order. */
 void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t n,
                const double *current, int64_t s, int64_t width, double *empty, double *out,
                const double *shares, double share, double length, double *sums)
@@ -190,10 +190,6 @@ void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t
         for (int64_t r = 0; r < s; r++)
             spread += slot[r] ? row_distance(rows + slot[r] * width, current + r * width, width)
                               : empty[r];
-        if (sums == NULL) {
-            out[f] = spread;
-            continue;
-        }
         const double g = spread * (shares ? shares[f] : share) / 2.0;
         double d = g;
         if (length >= 0.0) {
@@ -204,8 +200,6 @@ void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t
         g_sum += g;
         out_sum += d;
     }
-    if (sums != NULL) {
-        sums[0] = g_sum;
-        sums[1] = out_sum;
-    }
+    sums[0] = g_sum;
+    sums[1] = out_sum;
 }

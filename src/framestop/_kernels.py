@@ -22,8 +22,8 @@ change the rounding of the alignment table and could flip its ties.
 A fresh load also runs :func:`probe`: ``fs_gld`` computes ``metrics.gld``'s
 substitution and gap costs in numpy's pairwise summation order, which
 numpy does not promise to keep, so ``metrics.gld`` uses it only while its
-costs equal numpy's bit for bit on a fixed probe; otherwise ``gld`` takes
-numpy's costs and the compiled fill, and :func:`status` says why.
+costs equal numpy's bit for bit on a fixed probe; otherwise ``gld`` runs
+its numpy costs and Python table, and :func:`status` says why.
 """
 
 import ctypes
@@ -209,25 +209,6 @@ def probe():
     return None
 
 
-def _costs(sub, gap_rows, gap_cols):
-    """(S, M, sub, gap_rows, gap_cols), the arrays C-contiguous float64 of
-    shapes (S, M), (S,) and (M,), the layout the kernels read."""
-    s, m = len(gap_rows), len(gap_cols)
-    sub = np.ascontiguousarray(sub, dtype=np.float64)
-    if sub.shape != (s, m):
-        raise ValueError(f"expected costs of shape {(s, m)}, got {sub.shape}")
-    gap_rows = np.ascontiguousarray(gap_rows, dtype=np.float64)
-    gap_cols = np.ascontiguousarray(gap_cols, dtype=np.float64)
-    return s, m, sub, gap_rows, gap_cols
-
-
-def fill(sub, gap_rows, gap_cols):
-    """GLD from the backward table over the given costs: ``metrics.cost_table(...)[0][0]``."""
-    s, m, sub, gap_rows, gap_cols = _costs(sub, gap_rows, gap_cols)
-    table = (ctypes.c_double * ((s + 1) * (m + 1)))()
-    return lib.fs_fill(sub.ctypes.data, gap_rows.ctypes.data, gap_cols.ctypes.data, s, m, table)
-
-
 def _rows(x, y):
     """(S, M, width, x, y): both row sets as C-contiguous float64 of one width."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -263,8 +244,15 @@ def costs(x, y):
 
 
 def path(sub, gap_rows, gap_cols):
-    """(result_rows, frame_rows, cost) of the alignment ``combiner.align`` reads off the table."""
-    s, m, sub, gap_rows, gap_cols = _costs(sub, gap_rows, gap_cols)
+    """(result_rows, frame_rows, cost) of the alignment ``combiner.align``
+    reads off the table over the costs: ``sub`` of shape (S, M), ``gap_rows``
+    of (S,) and ``gap_cols`` of (M,)."""
+    s, m = len(gap_rows), len(gap_cols)
+    sub = np.ascontiguousarray(sub, dtype=np.float64)
+    if sub.shape != (s, m):
+        raise ValueError(f"expected costs of shape {(s, m)}, got {sub.shape}")
+    gap_rows = np.ascontiguousarray(gap_rows, dtype=np.float64)
+    gap_cols = np.ascontiguousarray(gap_cols, dtype=np.float64)
     sub_at, rows_at = sub.ctypes.data, gap_rows.ctypes.data
     table = (ctypes.c_double * ((s + 1) * (m + 1)))()
     cost = lib.fs_fill(sub_at, rows_at, gap_cols.ctypes.data, s, m, table)
@@ -284,11 +272,11 @@ class Scan:
     and ``slots`` a C-contiguous int64 (frames, row ids) array.  fs_spread
     trusts every slot to index a row below the capacity; the caller keeps
     that.  Beside them: ``current``, the current rows by row id, which the
-    caller fills before each :func:`spread`; ``empty``, each current row's
-    distance to the empty row, which every scan writes; ``out``, one entry
-    per frame; and ``sums``.  Their addresses stay valid while the arrays
+    caller fills before each call; ``empty``, each current row's distance
+    to the empty row, which every call writes; ``out``, one entry per
+    frame; and ``sums``.  Their addresses stay valid while the arrays
     live, so a caller builds a Scan once per grown array rather than once
-    per scan.
+    per call.
     """
 
     def __init__(self, rows, slots):
@@ -306,31 +294,25 @@ class Scan:
             self.empty.ctypes.data, self.out.ctypes.data,
         )
 
+    def __call__(self, n, s, share, length):
+        """``CombinerState.candidate_gld`` from one fs_spread call over the
+        first ``n`` frames of the store against the first ``s`` current rows:
+        (d, sum of g, sum of d), d a copy of ``out[:n]``.
 
-def spread(scan, n, s, share=None, length=None):
-    """One fs_spread call over the first ``n`` frames of ``scan``'s store
-    against its first ``s`` current rows.
-
-    Without ``share``, ``scan.out[:n]`` receives each frame's spread, as
-    ``CombinerState.spread`` returns it.  With it, ``scan.out[:n]`` receives
-    each candidate's distance and ``scan.sums`` the sum of the GLDs and of
-    the distances, as ``CombinerState.candidate_gld`` returns them:
-    ``share`` is the merge share of every candidate, a float, or an array
-    of one per frame; ``length`` is the nGLD length sum, None for GLD.
-    """
-    rows_at, slots_at, stride, current_at, width, empty_at, out_at = scan.at
-    if not (n <= len(scan.out) and s <= stride):
-        raise ValueError(f"{n} frames of {s} rows do not fit slots {scan.slots.shape}")
-    shares, sums = None, None
-    if share is None:
-        share = 0.0
-    else:
-        sums = scan.sums
+        ``share`` is the merge share of every candidate, a float, or an
+        array of one per frame; ``length`` is the nGLD length sum, None for
+        GLD.
+        """
+        rows_at, slots_at, stride, current_at, width, empty_at, out_at = self.at
+        if not (n <= len(self.out) and s <= stride):
+            raise ValueError(f"{n} frames of {s} rows do not fit slots {self.slots.shape}")
+        shares = None
         if isinstance(share, np.ndarray):
             if share.dtype != np.float64 or share.shape != (n,) or not share.flags.c_contiguous:
                 raise ValueError(f"shares of {share.dtype} {share.shape} do not fit {n} frames")
             shares, share = share.ctypes.data, 0.0
-    lib.fs_spread(
-        rows_at, slots_at, stride, n, current_at, s, width, empty_at, out_at, shares, share,
-        -1.0 if length is None else length, sums,
-    )
+        lib.fs_spread(
+            rows_at, slots_at, stride, n, current_at, s, width, empty_at, out_at, shares, share,
+            -1.0 if length is None else length, self.sums,
+        )
+        return self.out[:n].copy(), self.sums[0], self.sums[1]

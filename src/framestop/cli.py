@@ -28,6 +28,10 @@ DEFAULT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 # cap of --max-stages: clips loop past their length, and the history store
 # of methods a and b grows by every stage's rows
 MAX_STAGES = 10_000
+# cap of gen's corpus, which it builds in memory before writing it: float
+# values over all frames, each of at most two rows per character (an
+# insertion adds one) and the empty row, every row alphabet size + 1 wide
+MAX_GEN_VALUES = 20_000_000
 ESTIMATOR_METHODS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B)
 
 
@@ -74,6 +78,13 @@ def _cmd_gen(args):
         confusion_mass=args.confusion,
         seed=args.seed,
     )
+    values = args.clips * args.frames * (2 * args.text_length + 1) * (len(args.alphabet) + 1)
+    if values > MAX_GEN_VALUES:
+        raise ValueError(
+            f"--clips {args.clips} x --frames {args.frames} x --text-length {args.text_length} "
+            f"over {len(args.alphabet)} symbols needs up to {values} values, "
+            f"above the cap of {MAX_GEN_VALUES}"
+        )
     write_clips(generate_synthetic(config), args.output)
 
 

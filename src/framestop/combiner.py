@@ -28,9 +28,7 @@ spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled call where available (numpy
 otherwise).  The scan computes each current row's distance to the empty
 row once per call, and a slot holding 0 adds that distance instead of
-K+1 terms; ``b`` is ``a``'s aggregate normalised once.  On 40 stage
-pairs of the benchmark corpus (K=36, S about 19, M about 15, 2-vCPU
-Xeon) the compiled kernels took ``align`` from about 165 to 92 us.
+K+1 terms; ``b`` is ``a``'s aggregate normalised once.
 """
 import math
 import operator
@@ -42,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .core import CombinedResult, RecognitionFrame, _empty_row
-from .metrics import cost_table, gap_costs, normalized, pairwise_costs
+from .metrics import _as_rows, cost_table, gap_costs, normalized, pairwise_costs
 from .treap import MultisetIndex
 
 # merge_share halves both weights from here on, so their sum stays finite
@@ -130,10 +128,6 @@ def _index(value, name):
     return operator.index(value)
 
 
-def _rows_of(seq):
-    return seq.rows if hasattr(seq, "rows") else np.asarray(seq, dtype=np.float64)
-
-
 def align(frame, result):
     """Minimal-cost row alignment of ``frame`` against ``result``.
 
@@ -141,8 +135,8 @@ def align(frame, result):
     costs the skipped row's distance to the empty distribution.  Ties are
     broken deterministically, scanning from the start: MATCH, then
     GAP_FRAME, then GAP_COMBINED.  A :class:`RecognitionFrame` brings its
-    own cached gap costs.  Rows holding a NaN or an infinity raise
-    ValueError.
+    own cached gap costs.  Rows that are not a 2-D array, or that hold a
+    NaN or an infinity, raise ValueError, as in ``metrics.gld``.
 
     The costs stay numpy's ``pairwise_costs`` / ``gap_costs`` here, while
     ``metrics.gld`` computes the same costs in C.  A fused compiled
@@ -151,8 +145,8 @@ def align(frame, result):
     suite's criterion 7 ratio (``base`` at least 10x ``a`` per stage at
     n=25) from 12.2-14.4x to 7.8-9.4x on a 2-vCPU Xeon, below its bound.
     """
-    combined = _rows_of(result)
-    fresh = _rows_of(frame)
+    combined = _as_rows(result)
+    fresh = _as_rows(frame)
     if combined.shape[0] and fresh.shape[0] and combined.shape[1] != fresh.shape[1]:
         raise ValueError(
             f"class counts differ: frame {fresh.shape[1] - 1} vs result {combined.shape[1] - 1}"
@@ -398,35 +392,18 @@ class CombinerState:
             raise ValueError("no frames absorbed yet")
         return CombinedResult(self._matrix, tuple(self._order))
 
-    def _scan(self, share=None, length=None):
-        """The compiled scan's buffers after one fs_spread call (:func:`_kernels.spread`).
-
-        The buffers and their addresses are rebuilt only when an array of
-        the store has grown since the last scan.
-        """
-        if self._history is None:
-            self._history = _kernels.Scan(self._rows, self._slots)
-        scan = self._history
-        scan.current[self._order] = self._matrix
-        _kernels.spread(scan, self.n, len(self._order), share, length)
-        return scan
-
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
-        Shape (n,).  One compiled pass over the store where
-        :mod:`framestop._kernels` loads, reading each frame's rows through
-        its slots and adding each current row's precomputed distance to the
-        empty row for a slot that holds 0; otherwise a numpy scan of
-        ``_SCAN_FRAMES`` frames at a time, so no temporary grows with the
-        history.  The two sum in different orders and agree to about
-        1e-15; both give exactly 0 for a frame equal to the current rows.
+        Shape (n,).  A numpy scan of ``_SCAN_FRAMES`` frames at a time, so
+        no temporary grows with the history: the reference of the compiled
+        scan in :meth:`candidate_gld`, which sums in another order and
+        agrees to about 1e-15.  Both give exactly 0 for a frame equal to
+        the current rows.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
         n = self.n
-        if _kernels.get() is not None:
-            return self._scan().out[:n].copy()
         s = len(self._order)
         if s == 0:
             return np.zeros(n)
@@ -448,9 +425,12 @@ class CombinerState:
         (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where :mod:`framestop._kernels` loads, the scan, the shares, the
-        normalisation and both sums are one compiled call, with the same
-        elementwise operations as the numpy path and the sums added in
-        frame order; the two agree to a few parts in 1e15.
+        normalisation and both sums are one compiled call
+        (:class:`_kernels.Scan`), with the same elementwise operations as
+        the numpy path and the sums added in frame order; the two agree to
+        a few parts in 1e15.  The scan's buffers and their addresses are
+        rebuilt only when an array of the store has grown since the last
+        call.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
@@ -458,8 +438,11 @@ class CombinerState:
             raise ValueError("cannot estimate before the first frame")
         share = self.candidate_shares()
         if _kernels.get() is not None:
-            scan = self._scan(share, length)
-            return scan.out[: self.n].copy(), scan.sums[0], scan.sums[1]
+            if self._history is None:
+                self._history = _kernels.Scan(self._rows, self._slots)
+            scan = self._history
+            scan.current[self._order] = self._matrix
+            return scan(self.n, len(self._order), share, length)
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)
         return d, float(g.sum()), float(d.sum())

@@ -90,9 +90,7 @@ class Alphabet:
 
 def empty_distribution(alphabet):
     """Distribution representing "no character": all mass on the empty class."""
-    row = np.zeros(alphabet.size + 1)
-    row[0] = 1.0
-    return row
+    return _empty_row(alphabet.size + 1)
 
 
 def _empty_row(width):

@@ -9,10 +9,10 @@ and ``combiner.align`` reads its path.  Where a C compiler is available
 both run its compiled copy in ``_kernels.c`` instead, which performs the
 same floating-point operations in the same order and so gives the same
 costs bit for bit; ``cost_table`` stays the fallback and the reference.
-``gld`` also computes its substitution and gap costs in that one C call,
-in numpy's summation order, once a load-time probe has found them equal
-to :func:`pairwise_costs` / :func:`gap_costs` bit for bit; its working
-memory is then O(S*M), not the O(S*M*K) of the numpy cost matrix.
+``gld``'s compiled call also computes its substitution and gap costs, in
+numpy's summation order, and runs only once a load-time probe has found
+them equal to :func:`pairwise_costs` / :func:`gap_costs` bit for bit;
+its working memory is O(S*M), not the O(S*M*K) of the numpy cost matrix.
 """
 
 import math
@@ -114,12 +114,13 @@ def gld(x, y):
     one-hot rows this reduces to plain Levenshtein distance.  Rows holding
     a NaN or an infinity raise ValueError, as in ``combiner.align``.
 
-    Where the compiled kernels load and their costs passed the load-time
-    probe (``_kernels.gld_costs``), one C call computes the costs and the
-    table with O(S*M) working memory: the substitution costs, the gap
-    costs and the table as 8-byte doubles, no numpy temporary.  Otherwise
-    the memory is O(S*M*K) at its peak, in the substitution cost matrix of
-    :func:`pairwise_costs`, and the backward table of :func:`cost_table`
+    Two routes give the same cost bit for bit.  Where the compiled kernels
+    load and their costs passed the load-time probe (``_kernels.gld_costs``),
+    one C call computes the costs and the table with O(S*M) working memory:
+    the substitution costs, the gap costs and the table as 8-byte doubles,
+    no numpy temporary.  Otherwise numpy computes the costs and
+    :func:`cost_table` the table: the memory is O(S*M*K) at its peak, in
+    the substitution cost matrix of :func:`pairwise_costs`, and the table
     adds O(S*M) Python floats where a two-row forward pass would keep
     O(M): 64 rather than 48 bytes per cell at K+1=3 classes, no difference
     in the peak at K+1=37, where the cost matrix dominates (tracemalloc,
@@ -134,11 +135,7 @@ def gld(x, y):
     else:
         s, m = xr.shape[0], yr.shape[0]
         sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
-        gaps_x, gaps_y = gap_costs(xr), gap_costs(yr)
-        if _kernels.get() is not None:
-            cost = _kernels.fill(sub, gaps_x, gaps_y)
-        else:
-            cost = cost_table(sub.tolist(), gaps_x.tolist(), gaps_y.tolist())[0][0]
+        cost = cost_table(sub.tolist(), gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
     if not math.isfinite(cost):
         raise ValueError(f"GLD is {cost}: rows must be finite")
     return cost

@@ -11,8 +11,6 @@ Three estimators compute the same quantity at different price points:
   scores it exactly from the one alignment that merge runs: n alignments
   per stage, O(n * S * M * K), where re-combining each candidate and
   measuring its distance with a second DP cost O(n * S * K * (S + M)).
-  On the benchmark corpus that took the median frame decision from 2.65
-  to 1.16 ms (``perfbench`` ``online-base``, 2-vCPU Xeon).
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
   scores the modelled merge row-by-row, O(n * S * K): one call of
   ``CombinerState.candidate_gld``, which scans the state's history store
@@ -22,20 +20,11 @@ Three estimators compute the same quantity at different price points:
   per candidate, from the same call, so it costs the same O(n * S * K)
   and its aggregate equals ``a``'s exactly; unweighted only.  The paper
   prices it at O(S * K * log n), one order-statistic treap query per
-  (row, class) cell.  On the benchmark corpus (K=36, 15 characters,
-  2-vCPU Xeon) those trees never grew deeper than 3, and a ``b`` stage
-  cost 1.0-2.1 ms at n=5-400 with Python treaps.
+  (row, class) cell.
 
 A stage of ``a`` or ``b`` is the absorb that every method pays (one
 alignment, ``combiner.align``, and the merge) plus the estimate, which
-past the paper's 30 frames is the larger part.  With the estimate one
-compiled call, whose scan adds a precomputed distance for each slot that
-holds the empty row (35-44% of the slots it reads at n >= 25 there),
-``perfbench``
-``long-horizon`` (``a`` and ``b`` to n=400) decided 5121 stages a second
-against 4389 before, and its median frame in 0.332 against 0.400 ms
-(2-vCPU Xeon, medians of 10 alternating run pairs, higher and lower in
-10 of 10).
+past the paper's 30 frames is the larger part.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.

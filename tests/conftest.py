@@ -16,3 +16,17 @@ def compiled():
     lib = _kernels.get()
     assert lib is not None, _kernels.status()
     return lib
+
+
+@pytest.fixture
+def fresh_load(monkeypatch):
+    """A function that forgets the loaded kernels, so the next
+    ``_kernels.get()`` builds and loads them afresh; the library, its reason
+    and the gld-costs probe's verdict are restored after the test."""
+
+    def forget():
+        monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
+        monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+        monkeypatch.setattr(_kernels, "gld_costs", _kernels.gld_costs)
+
+    return forget

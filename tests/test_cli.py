@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from framestop import cli
 from framestop.cli import main
 from framestop.harness import load_clips
 
@@ -43,6 +44,18 @@ def test_gen_is_deterministic(tmp_path):
     assert main(args + ["-o", str(p1)]) == 0
     assert main(args + ["-o", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_gen_above_the_size_cap_exits_before_generating(tmp_path, capsys, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("corpus generated above the cap")
+
+    monkeypatch.setattr(cli, "generate_synthetic", unreachable)
+    out = tmp_path / "clips.jsonl"
+    assert main(["gen", "-o", str(out), "--clips", "1000000000", "--alphabet", "AB"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"above the cap of {cli.MAX_GEN_VALUES}" in err
+    assert not out.exists()
 
 
 def test_simulate_end_to_end(clips_file, tmp_path):

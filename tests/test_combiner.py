@@ -62,6 +62,12 @@ def test_align_empty_result_is_all_gap_combined():
 def test_align_class_mismatch():
     with pytest.raises(ValueError, match="class counts"):
         align(make_frame([[1, 0, 0]]), build("A").current_result())
+    # rows that are not a 2-D array, on either side, are refused as gld refuses them
+    rows = np.array([[0.0, 1.0]])
+    for wrong in (np.array([0.0, 1.0]), rows[None]):
+        for frame, result in ((wrong, rows), (rows, wrong)):
+            with pytest.raises(ValueError, match="expected a 2-D array"):
+                align(frame, result)
 
 
 def _check_coverage(alignment, s, m):

@@ -31,32 +31,6 @@ def _spread_clips():
     return clips + [looped_clip(150), late_rows_clip(), growth_clip()]
 
 
-def _spreads(frames, alphabet):
-    """(compiled, numpy) spread after every absorb."""
-    state = CombinerState(alphabet, track_history=True)
-    for frame in frames:
-        state.absorb(frame)
-        compiled = state.spread()
-        with python_kernels():
-            reference = state.spread()
-        yield compiled, reference
-
-
-def test_compiled_spread_matches_numpy(compiled):
-    for clip in _spread_clips():
-        for got, want in _spreads(clip.frames, clip.alphabet):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max(initial=0.0) <= 1e-12
-
-
-def test_compiled_spread_is_zero_on_constant_clips(compiled):
-    rng = random.Random(77)
-    for i in range(20):
-        clip = random_clip(rng, i, weighted=i % 2 == 1)
-        for got, _ in _spreads([clip.frames[0]] * 40, clip.alphabet):
-            assert not got.any()
-
-
 def _estimates(state):
     """Method a's breakdown and, on unweighted states, method b's, under
     both metrics: ((metric, method) -> breakdown)."""
@@ -159,7 +133,7 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
                 assert cost.hex() == _kernels.gld(x, y).hex() == want.hex()
 
 
-def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch):
+def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch, fresh_load):
     rng = random.Random(4)
     pairs = []
     for i in range(10):
@@ -174,9 +148,7 @@ def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch):
         return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
 
     monkeypatch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129)
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
-    monkeypatch.setattr(_kernels, "gld_costs", _kernels.gld_costs)
+    fresh_load()
     assert _kernels.get() is not None
     monkeypatch.setattr(metrics, "pairwise_costs", numpy_costs)
     assert _kernels.status() == "compiled (gld costs: numpy: probe mismatch at K+1=129)"
@@ -198,13 +170,12 @@ def _outcomes(clips):
     return out
 
 
-def test_no_compiler_runs_the_python_kernels(monkeypatch):
+def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
     rng = random.Random(31)
     clips = [random_clip(rng, i) for i in range(12)] + [looped_clip(40)]
     before = _outcomes(clips)
 
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    fresh_load()
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "no-such-compiler-cc")
     assert _kernels.get() is None
     assert _kernels.status().startswith("python: no C compiler")
@@ -212,7 +183,7 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch):
     def unreachable(*args):
         raise AssertionError("compiled kernel called without a compiler")
 
-    for name in ("fill", "path", "spread"):
+    for name in ("gld", "path", "Scan"):
         monkeypatch.setattr(_kernels, name, unreachable)
     after = _outcomes(clips)
     for (outcome, (estimates, errors)), (outcome_py, (estimates_py, errors_py)) in zip(before, after):
@@ -233,28 +204,28 @@ def test_kernels_compile_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path):
+def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    fresh_load()
     assert _kernels.get() is not None
     built = list((tmp_path / "framestop").iterdir())
     assert len(built) == 1 and built[0].name.startswith("kernels-")
-    assert _kernels.fill(np.zeros((0, 2)), np.zeros(0), np.array([0.5, 0.25])) == 0.75
+    assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
 
 
-def test_unwritable_cache_builds_into_a_private_directory(compiled, monkeypatch, tmp_path):
+def test_unwritable_cache_builds_into_a_private_directory(
+    compiled, monkeypatch, tmp_path, fresh_load
+):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    fresh_load()
     assert _kernels.get() is not None
     frame = make_frame([[0.25, 0.75]])
-    assert _kernels.fill(np.zeros((1, 0)), frame.gap_costs, np.zeros(0)) == 1.0
+    assert _kernels.gld(frame.rows, np.zeros((0, 3))) == 1.0
     assert blocker.read_text() == ""
     assert list(scratch.iterdir()) == []  # the private build is removed once loaded
 
@@ -263,18 +234,19 @@ def _no_home(cls):
     raise RuntimeError("Could not determine home directory")
 
 
-def test_no_home_directory_builds_into_a_private_directory(compiled, monkeypatch, tmp_path):
+def test_no_home_directory_builds_into_a_private_directory(
+    compiled, monkeypatch, tmp_path, fresh_load
+):
     monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
     monkeypatch.setattr(Path, "home", classmethod(_no_home))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    fresh_load()
     assert _kernels.get() is not None
-    assert _kernels.fill(np.zeros((0, 2)), np.zeros(0), np.array([0.5, 0.25])) == 0.75
+    assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path):
+def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load):
     if _kernels.compiler() is None:
         pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
 
@@ -283,8 +255,7 @@ def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path):
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels, "_open", broken)
-    monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
-    monkeypatch.setattr(_kernels, "reason", _kernels.reason)
+    fresh_load()
     assert _kernels.get() is None
     assert _kernels.status() == "python: AttributeError: undefined symbol: fs_fill"
     assert align(make_frame([[0.25, 0.75]]), make_frame([[0.5, 0.5]])).cost == 0.25
