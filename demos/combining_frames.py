@@ -2,7 +2,8 @@
 
 Three frames of the same four-letter word arrive with different mistakes:
 a substitution, a dropped character, and honest-but-soft scores.  Watch
-the alignment pair rows up and the running average converge on the truth.
+the alignment pair rows up (``-`` where a side has no row) and the
+running average converge on the truth.
 """
 
 import numpy as np
@@ -33,8 +34,13 @@ print(f"truth: {truth}\n")
 for number, frame in enumerate(frames, start=1):
     if state.n > 0:
         pairing = align(frame, state.current_result())
-        kinds = " ".join(step.kind for step in pairing.steps)
-        print(f"frame {number} alignment (cost {pairing.cost:.3f}): {kinds}")
+        # S and M, one past the last row, stand for the empty row of a skipped side
+        s, m = state.mean_rows.shape[0], frame.num_chars
+        pairs = " ".join(
+            f"{'-' if r == s else r}/{'-' if f == m else f}"
+            for r, f in zip(pairing.result_rows, pairing.frame_rows)
+        )
+        print(f"frame {number} alignment (cost {pairing.cost:.3f}), result/frame rows: {pairs}")
     state.absorb(frame)
     result = state.current_result()
     print(f"after frame {number}: read = {to_text(result.rows, alphabet, drop_empty=True)!r}")

@@ -112,9 +112,10 @@ double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t wi
 }
 
 /* Path through a filled table, read from the front with the tie order
-   MATCH > GAP_FRAME > GAP_COMBINED, recomputing each choice as fs_fill
-   made it.  Writes one (result row, frame row) pair per step, s or m
-   standing for the empty row a gap step pairs with; room for s + m steps.
+   match, then skip the result row, then insert the frame row,
+   recomputing each choice as fs_fill made it.  Writes one (result row,
+   frame row) pair per step, s or m standing for the empty row a gap step
+   pairs with; room for s + m steps.
    Returns the number of steps, or -1 when a step has no choice to take,
    which only a NaN in the costs brings about. */
 int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,

@@ -3,17 +3,19 @@
 On first use :func:`get` compiles the C file with the compiler Python was
 built with (``sysconfig``'s ``CC``) and loads it through ``ctypes``.  The
 library is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
-``~/.cache/framestop``, named by a hash of the source, the compiler, the
-flags and the platform, so a machine builds it once; when that directory
-cannot be written, or the user has no home directory, the build goes to a
-private temporary directory for the process.  Nothing is written into the
-source tree.  A change to any of those inputs builds a new
-``kernels-<key>.so`` beside the old ones, which are never removed and so
-accumulate.  The directory is safe to delete at any time: a library
-already loaded stays mapped in the processes using it, and the next
-process rebuilds.  When there is no compiler, or compiling or loading fails,
-:func:`get` returns None and the callers run their Python kernels, which
-give the same alignments.
+``~/.cache/framestop``, as ``kernels-<env>-<source>.so``: ``<env>`` hashes
+the compiler, the flags and the platform, ``<source>`` the C file, so a
+machine builds it once; when that directory cannot be written, or the user
+has no home directory, the build goes to a private temporary directory for
+the process.  Nothing is written into the source tree.  Once a build into
+the cache loads, the builds of the same ``<env>`` with another
+``<source>`` are deleted, so a changed source replaces its old library;
+other environments' builds are left alone, so two interpreters sharing
+the cache do not evict each other.  The directory is safe to delete at
+any time: a library already loaded stays mapped in the processes using
+it, and the next process rebuilds.  When there is no compiler, or
+compiling or loading fails, :func:`get` returns None and the callers run
+their Python kernels, which give the same alignments.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
@@ -26,6 +28,7 @@ costs equal numpy's bit for bit on a fixed probe; otherwise ``gld`` runs
 its numpy costs and Python table, and :func:`status` says why.
 """
 
+import contextlib
 import ctypes
 import os
 import shlex
@@ -123,24 +126,38 @@ def _open(path):
     return handle
 
 
+def _digest(blob):
+    """16 hex digits of ``blob``: zlib rather than hashlib, whose OpenSSL
+    adds 3.6 MB of resident memory."""
+    return f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
+
+
+def _name(argv):
+    """``kernels-<env>-<source>.so``, the library's file name for the
+    compiler ``argv``."""
+    env = b"\0".join((shlex.join([*argv, *FLAGS]).encode(), sysconfig.get_platform().encode()))
+    return f"kernels-{_digest(env)}-{_digest(SOURCE.read_bytes())}.so"
+
+
 def _load():
     """(library or None, reason)."""
     argv = compiler()
     if argv is None:
         return None, f"no C compiler ({sysconfig.get_config_var('CC')!r} not found)"
     try:
-        # zlib rather than hashlib, whose OpenSSL adds 3.6 MB of resident memory
-        blob = b"\0".join(
-            (SOURCE.read_bytes(), shlex.join([*argv, *FLAGS]).encode(), sysconfig.get_platform().encode())
-        )
-        name = f"kernels-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}.so"
+        name = _name(argv)
         cache = _cache_dir()
         if cache is not None:
             if (cache / name).is_file():
                 return _open(cache / name), "compiled"
             if _writable(cache):
                 _build(argv, cache / name)
-                return _open(cache / name), "compiled"
+                handle = _open(cache / name)
+                for stale in cache.glob(name.rsplit("-", 1)[0] + "-*.so"):
+                    if stale.name != name:
+                        with contextlib.suppress(OSError):  # a stale file left is harmless
+                            stale.unlink()
+                return handle, "compiled"
         private = Path(tempfile.mkdtemp(prefix="framestop-"))
         try:
             _build(argv, private / name)

@@ -13,16 +13,14 @@ C compiler is available, and otherwise as ``metrics.cost_table`` and the
 Python traceback ``_path``, which stay the reference.  The merge gathers
 with the index lists from the frame's and the state's rows, both kept
 followed by the empty row, and blends ``old + factor * (new - old)`` in
-place in its output; ``Alignment.steps`` builds :class:`AlignmentStep`
-objects only when read, so no step object is made on the per-stage path.
-The state optionally keeps the one history store the fast stopping
-estimators read: every absorbed row once, in absorb order, and a
-(frame x row id) table of indices into those rows.  Absorbing a frame
-appends its M rows and points its slots at them (O(M*K)); every other
-slot holds 0, the index of the empty distribution, so a frame reads as
-empty wherever it was not aligned, rows created after it included.  Both
-arrays grow geometrically; display order is applied only when the
-history is read.  Methods ``a`` and ``b`` read the store through
+place in its output.  The state optionally keeps the one history store
+the fast stopping estimators read: every absorbed row once, in absorb
+order, and a (frame x row id) table of indices into those rows.
+Absorbing a frame appends its M rows and points its slots at them
+(O(M*K)); every other slot holds 0, the index of the empty distribution,
+so a frame reads as empty wherever it was not aligned, rows created after
+it included.  Both arrays grow geometrically; display order is applied
+only when the history is read, by ``CombinerState.contributions``.  Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled call where available (numpy
@@ -34,7 +32,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,36 +46,19 @@ _HALVE_FROM = 2.0**1023
 # frames per slice of the numpy history scan, which bounds its temporary
 _SCAN_FRAMES = 32
 
-MATCH = "match"
-GAP_FRAME = "gap_frame"
-GAP_COMBINED = "gap_combined"
-
-
-@dataclass(frozen=True)
-class AlignmentStep:
-    """One row pairing: kind is MATCH, GAP_FRAME or GAP_COMBINED.
-
-    ``combined_row`` / ``frame_row`` are positions in the respective row
-    sequences; a gap step leaves the missing side as None.
-    """
-
-    kind: str
-    combined_row: int | None = None
-    frame_row: int | None = None
-
-
 @dataclass(frozen=True)
 class Alignment:
     """Ordered row pairing between a frame and the combined result.
 
     Two index lists, one entry per step in output order: walking them
     while merging produces the rows of the next combined result.
-    ``result_rows`` holds the combined row, or S (one past the last) for a
-    GAP_COMBINED step, where a brand-new row is inserted; ``frame_rows``
-    holds the frame row, or M for a GAP_FRAME step.  These are the indices
-    into both row matrices padded with the empty row, which is what the
-    merge gathers with.  ``inserted`` and ``dropped`` count the
-    GAP_COMBINED and GAP_FRAME steps.
+    ``result_rows`` holds the combined row, or S (one past the last) where
+    the step inserts a brand-new row for a frame row the result lacks;
+    ``frame_rows`` holds the frame row, or M where the step skips a
+    combined row the frame lacks.  A step with neither index at its end
+    is a match.  These are the indices into both row matrices padded with
+    the empty row, which is what the merge gathers with.  ``inserted``
+    and ``dropped`` count the steps holding S and M.
     """
 
     result_rows: tuple[int, ...]
@@ -86,18 +66,6 @@ class Alignment:
     cost: float
     inserted: int
     dropped: int
-
-    @cached_property
-    def steps(self):
-        """The pairing as :class:`AlignmentStep` objects, built on first read."""
-        s = len(self.result_rows) - self.inserted
-        m = len(self.frame_rows) - self.dropped
-        return tuple(
-            AlignmentStep(GAP_COMBINED, frame_row=f) if r == s
-            else AlignmentStep(GAP_FRAME, combined_row=r) if f == m
-            else AlignmentStep(MATCH, combined_row=r, frame_row=f)
-            for r, f in zip(self.result_rows, self.frame_rows)
-        )
 
 
 def merge_share(weight, total):
@@ -125,18 +93,22 @@ def _index(value, name):
     numpy would read True or False as a mask, not as an index."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not bool")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def align(frame, result):
     """Minimal-cost row alignment of ``frame`` against ``result``.
 
-    MATCH costs the char distance between the paired rows; either gap
-    costs the skipped row's distance to the empty distribution.  Ties are
-    broken deterministically, scanning from the start: MATCH, then
-    GAP_FRAME, then GAP_COMBINED.  A :class:`RecognitionFrame` brings its
-    own cached gap costs.  Rows that are not a 2-D array, or that hold a
-    NaN or an infinity, raise ValueError, as in ``metrics.gld``.
+    A match costs the char distance between the paired rows; skipping a
+    row on either side costs its distance to the empty distribution.  Ties
+    are broken deterministically, scanning from the start: a match first,
+    then skipping the combined row, then inserting the frame row.  A
+    :class:`RecognitionFrame` brings its own cached gap costs.  Rows that
+    are not a 2-D array, or that hold a NaN or an infinity, raise
+    ValueError, as in ``metrics.gld``.
 
     The costs stay numpy's ``pairwise_costs`` / ``gap_costs`` here, while
     ``metrics.gld`` computes the same costs in C.  A fused compiled
@@ -154,7 +126,7 @@ def align(frame, result):
     s, m = combined.shape[0], fresh.shape[0]
 
     sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
-    skip = gap_costs(combined)  # cost of a GAP_FRAME step per combined row
+    skip = gap_costs(combined)  # cost of skipping each combined row
     fresh_gaps = frame.gap_costs if isinstance(frame, RecognitionFrame) else gap_costs(fresh)
     if _kernels.get() is not None:
         result_rows, frame_rows, cost = _kernels.path(sub, skip, fresh_gaps)
@@ -178,16 +150,16 @@ def _path(sub, skip, gaps):
     i = j = 0
     while i < s or j < m:
         here = table[i][j]
-        if i < s and j < m and sub[i][j] + table[i + 1][j + 1] == here:  # MATCH
+        if i < s and j < m and sub[i][j] + table[i + 1][j + 1] == here:  # match
             result_rows.append(i)
             frame_rows.append(j)
             i += 1
             j += 1
-        elif i < s and skip[i] + table[i + 1][j] == here:  # GAP_FRAME
+        elif i < s and skip[i] + table[i + 1][j] == here:  # skip the combined row
             result_rows.append(i)
             frame_rows.append(m)
             i += 1
-        elif j < m:  # GAP_COMBINED
+        elif j < m:  # insert the frame row
             result_rows.append(s)
             frame_rows.append(j)
             j += 1
@@ -275,10 +247,6 @@ class CombinerState:
     @property
     def weights(self):
         return tuple(self._weights)
-
-    @property
-    def unweighted(self):
-        return self._common_weight == 1.0
 
     def _check_frame(self, frame):
         if frame.num_classes != self.alphabet.size:
@@ -462,21 +430,6 @@ class CombinerState:
         gathered = self._rows[self._slots[: self.n, self._order]]
         gathered.setflags(write=False)
         return gathered
-
-    def contribution(self, frame_index, row_id):
-        """Row that frame ``frame_index`` merged into ``row_id``.
-
-        Frames contribute the empty distribution to rows they were not
-        aligned with, including rows created after them.  Both indices are
-        integers; a bool or a float raises TypeError.
-        """
-        if not self.track_history:
-            raise ValueError("state was built without history tracking")
-        frame_index = _index(frame_index, "frame index")
-        if not 0 <= frame_index < self.n:
-            raise IndexError(f"frame index {frame_index} out of range")
-        row_id = self._row_id(row_id)
-        return self._rows[self._slots[frame_index, row_id]].copy()
 
     def cell(self, row_id, class_index):
         """Treap of the history column of (row_id, class_index), built from the store.

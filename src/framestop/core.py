@@ -232,9 +232,10 @@ def to_text(rows, alphabet, *, drop_empty=False):
 
     The empty class never wins directly; with ``drop_empty`` rows whose
     empty-class mass dominates every symbol are skipped, which is the
-    natural way to display a combined result.
+    natural way to display a combined result.  Rows that are not a 2-D
+    array raise ValueError, as in ``metrics.gld``.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = metrics._as_rows(rows)
     if rows.size == 0:
         return ""
     chars = []

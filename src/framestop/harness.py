@@ -25,6 +25,12 @@ BENCH_FIELDS = ("method", "stage", "mean_seconds", "best_seconds", "samples")
 
 # most points a threshold grid may have; a profile runs every clip per point
 MAX_GRID_POINTS = 10_000
+# most rows per frame and symbols per alphabet a loaded clip may have.
+# Aligning the second frame against the first builds an (S, M, K+1)
+# float64 cost matrix: at both caps 128 * 128 * 129 * 8 = 16 908 288 bytes
+# (numpy holds a second one of that size while it takes the absolute value)
+MAX_FRAME_ROWS = 128
+MAX_CLASSES = 128
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,11 @@ def generate_synthetic(config):
 
 
 def load_clips(path):
-    """Read validated clips from a JSONL file; errors name the offending line."""
+    """Read validated clips from a JSONL file; errors name the offending line.
+
+    A frame of more than ``MAX_FRAME_ROWS`` rows, or an alphabet of more
+    than ``MAX_CLASSES`` symbols, is refused before ``make_frame`` reads it.
+    """
     clips = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -132,9 +142,13 @@ def _clip_from_record(record):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
     alphabet = Alphabet(record["alphabet"])
+    if alphabet.size > MAX_CLASSES:
+        raise ValueError(f"alphabet has {alphabet.size} symbols, above the cap of {MAX_CLASSES}")
     frames = []
     for frame in record["frames"]:
         rows = frame["rows"]
+        if len(rows) > MAX_FRAME_ROWS:
+            raise ValueError(f"frame has {len(rows)} rows, above the cap of {MAX_FRAME_ROWS}")
         weight = frame.get("w", 1.0)
         frames.append(make_frame(rows, weight, num_classes=alphabet.size))
     return Clip(record["id"], alphabet, record["truth"], frames)

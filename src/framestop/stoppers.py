@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .combiner import CombinerState
+from .combiner import CombinerState, _index
 from .core import from_string
 from .metrics import MetricKind, ngld, normalized
 from .metrics import gld  # noqa: F401  unused here; the traced benchmark wraps stoppers.gld
@@ -57,7 +57,8 @@ class StopperConfig:
     ``threshold`` is the observation cost the estimate is compared
     against; ``delta`` biases the estimate away from zero at small stage
     counts; ``fixed_stage`` applies to FIXED_STAGE only.  The process is
-    always cut off at ``max_stages``, looping short clips as needed.
+    always cut off at ``max_stages``, looping short clips as needed.  Both
+    stage counts are integers; a bool or a float raises TypeError.
     """
 
     method: StopperMethod
@@ -72,6 +73,9 @@ class StopperConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
+        _index(self.max_stages, "max_stages")
+        if self.fixed_stage is not None:
+            _index(self.fixed_stage, "fixed_stage")
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
         if self.method is StopperMethod.FIXED_STAGE:
@@ -168,11 +172,13 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
-    """Method a's aggregate normalised once, instead of per candidate."""
+    """Method a's aggregate normalised once, instead of per candidate.
+
+    The state keeps ``track_treaps``, whose absorb refuses any frame weight
+    but 1, so the input is unweighted.
+    """
     if not state.track_treaps:
         raise ValueError("method B needs a state with track_treaps")
-    if not state.unweighted:
-        raise ValueError("method B supports unweighted input only")
     _, aggregate, _ = state.candidate_gld()
     if metric is MetricKind.NGLD:
         converted = normalized(aggregate, 2.0 * state.mean_rows.shape[0])

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from framestop import _kernels
-from framestop.combiner import GAP_COMBINED, GAP_FRAME, MATCH, AlignmentStep, merge_share
+from framestop.combiner import merge_share
 from framestop.core import Alphabet, Clip, RecognitionFrame, from_string, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
@@ -75,14 +75,14 @@ def method_a_oracle(state, *, metric, delta):
     current = state.mean_rows
     s = current.shape[0]
     total_weight = state.weight_total
-    ids = state.row_ids
+    contributions = state.contributions
     per_candidate = []
     aggregate = 0.0
     for i in range(n):
         w = state.weights[i]
         g = 0.0
         for pos in range(s):
-            contribution = state.contribution(i, ids[pos])
+            contribution = contributions[i, pos]
             if total_weight + w > 0:
                 # weigh by the two shares rather than scaling the rows by the
                 # weights themselves, which underflow for subnormal weights
@@ -128,12 +128,13 @@ def base_oracle(state, frames, metric, delta):
 
 
 def align_reference(frame_rows, result_rows):
-    """The step-object alignment: (steps, cost), kept as the exact reference.
+    """The exact reference alignment: (result_rows, frame_rows, cost).
 
     Same costs (the library's ``pairwise_costs`` / ``gap_costs``) and the
     same backward table, written out in full, with the path read off from
-    the front as a tuple of ``AlignmentStep``.  ``combiner.align`` must
-    agree with it bit for bit.
+    the front in the tie order match, skip the result row, insert the
+    frame row.  As in the library, the two index lists hold S (M) for the
+    side a step skips.  ``combiner.align`` must agree with it bit for bit.
     """
     combined = np.asarray(result_rows, dtype=np.float64)
     fresh = np.asarray(frame_rows, dtype=np.float64)
@@ -155,32 +156,33 @@ def align_reference(frame_rows, result_rows):
             if alt < best:
                 best = alt
             cost[i][j] = best
-    steps = []
+    old_idx = []
+    new_idx = []
     i = j = 0
     while i < s or j < m:
         here = cost[i][j]
-        if i < s and j < m and sub[i][j] + cost[i + 1][j + 1] == here:
-            steps.append(AlignmentStep(MATCH, combined_row=i, frame_row=j))
+        if i < s and j < m and sub[i][j] + cost[i + 1][j + 1] == here:  # match
+            old_idx.append(i)
+            new_idx.append(j)
             i += 1
             j += 1
-        elif i < s and skip_combined[i] + cost[i + 1][j] == here:
-            steps.append(AlignmentStep(GAP_FRAME, combined_row=i))
+        elif i < s and skip_combined[i] + cost[i + 1][j] == here:  # skip the result row
+            old_idx.append(i)
+            new_idx.append(m)
             i += 1
-        else:
-            steps.append(AlignmentStep(GAP_COMBINED, frame_row=j))
+        else:  # insert the frame row
+            old_idx.append(s)
+            new_idx.append(j)
             j += 1
-    return tuple(steps), cost[0][0]
+    return tuple(old_idx), tuple(new_idx), cost[0][0]
 
 
-def merge_reference(steps, frame_rows, result_rows, factor):
-    """The step-object merge: old + factor * (new - old) per step, empty for a skipped side."""
-    s, m = len(result_rows), len(frame_rows)
-    old_idx = [s if step.combined_row is None else step.combined_row for step in steps]
-    new_idx = [m if step.frame_row is None else step.frame_row for step in steps]
+def merge_reference(old_idx, new_idx, frame_rows, result_rows, factor):
+    """The reference merge: old + factor * (new - old) per step, empty for a skipped side."""
     empty = np.zeros((1, result_rows.shape[1]))
     empty[0, 0] = 1.0
-    old = np.concatenate((result_rows, empty))[old_idx]
-    new = np.concatenate((frame_rows, empty))[new_idx]
+    old = np.concatenate((result_rows, empty))[list(old_idx)]
+    new = np.concatenate((frame_rows, empty))[list(new_idx)]
     return old + factor * (new - old)
 
 
@@ -197,19 +199,20 @@ def combine_reference(frames, width):
     total = 0.0
     history = []  # per frame: row id -> the frame row merged into it
     for frame in frames:
-        steps, _ = align_reference(frame.rows, rows)
+        old_idx, new_idx, _ = align_reference(frame.rows, rows)
+        s, m = len(rows), frame.num_chars
         merged_into = {}
         new_order = []
-        for step in steps:
-            if step.kind == GAP_COMBINED:
+        for old, new in zip(old_idx, new_idx):
+            if old == s:
                 rid = next_id
                 next_id += 1
             else:
-                rid = order[step.combined_row]
+                rid = order[old]
             new_order.append(rid)
-            if step.frame_row is not None:
-                merged_into[rid] = frame.rows[step.frame_row]
-        rows = merge_reference(steps, frame.rows, rows, merge_share(frame.weight, total))
+            if new < m:
+                merged_into[rid] = frame.rows[new]
+        rows = merge_reference(old_idx, new_idx, frame.rows, rows, merge_share(frame.weight, total))
         order = new_order
         total += frame.weight
         history.append(merged_into)

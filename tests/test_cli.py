@@ -1,10 +1,11 @@
 import csv
+import json
 
 import pytest
 
-from framestop import cli
+from framestop import cli, harness
 from framestop.cli import main
-from framestop.harness import load_clips
+from framestop.harness import MAX_CLASSES, MAX_FRAME_ROWS, load_clips
 
 
 def read_csv(path):
@@ -96,6 +97,43 @@ def test_simulate_non_finite_config_exits_without_traceback(
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert "Traceback" not in err
+
+
+def _record_over_a_cap(cap):
+    if cap == "rows":  # K = 2, one row more than the cap
+        return "AB", [[1.0, 0.0]] * (MAX_FRAME_ROWS + 1), f"rows, above the cap of {MAX_FRAME_ROWS}"
+    symbols = "".join(chr(0x100 + i) for i in range(MAX_CLASSES + 1))
+    return symbols, [[1.0] + [0.0] * MAX_CLASSES], f"symbols, above the cap of {MAX_CLASSES}"
+
+
+@pytest.mark.parametrize("cap", ["rows", "symbols"])
+def test_simulate_input_above_a_load_cap_exits_before_building_frames(
+    tmp_path, capsys, monkeypatch, cap
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("frame built above a cap")
+
+    alphabet, rows, message = _record_over_a_cap(cap)
+    path = tmp_path / "big.jsonl"
+    record = {"id": "big", "alphabet": alphabet, "truth": "", "frames": [{"rows": rows}]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "make_frame", unreachable)
+    code = main(["simulate", "-i", str(path), "-o", str(tmp_path / "x.csv"), "--method", "base"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1:") and message in err
+    assert "Traceback" not in err
+
+
+def test_input_at_the_load_caps_loads(tmp_path):
+    symbols = "".join(chr(0x100 + i) for i in range(MAX_CLASSES))
+    rows = [[1.0] + [0.0] * (MAX_CLASSES - 1)] * MAX_FRAME_ROWS
+    path = tmp_path / "at-cap.jsonl"
+    record = {"id": "at-cap", "alphabet": symbols, "truth": "", "frames": [{"rows": rows}]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (clip,) = load_clips(path)
+    assert clip.alphabet.size == MAX_CLASSES
+    assert clip.frames[0].num_chars == MAX_FRAME_ROWS
 
 
 def test_simulate_missing_input_fails(tmp_path, capsys):

@@ -3,14 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from framestop.combiner import (
-    GAP_COMBINED,
-    GAP_FRAME,
-    MATCH,
-    CombinerState,
-    align,
-    merge_share,
-)
+from framestop.combiner import CombinerState, align, merge_share
 from framestop.core import Alphabet, empty_distribution, from_string, make_frame
 from framestop.metrics import MetricKind, char_distance, gld
 from framestop.stoppers import estimate_method_a
@@ -31,7 +24,7 @@ def test_align_identical_is_all_match():
     frame = from_string("AB", ALPHA)
     state = build("AB")
     alignment = align(frame, state.current_result())
-    assert [s.kind for s in alignment.steps] == [MATCH, MATCH]
+    assert (alignment.result_rows, alignment.frame_rows) == ((0, 1), (0, 1))
     assert alignment.cost == 0.0
 
 
@@ -39,9 +32,9 @@ def test_align_shorter_frame_drops_row():
     frame = from_string("A", ALPHA)
     state = build("AB")
     alignment = align(frame, state.current_result())
-    assert [s.kind for s in alignment.steps] == [MATCH, GAP_FRAME]
-    assert alignment.steps[0].frame_row == 0
-    assert alignment.steps[1].combined_row == 1
+    # a match of frame row 0, then combined row 1 against the frame's empty row (M = 1)
+    assert (alignment.result_rows, alignment.frame_rows) == ((0, 1), (0, 1))
+    assert (alignment.inserted, alignment.dropped) == (0, 1)
     assert alignment.cost == 1.0
 
 
@@ -49,13 +42,15 @@ def test_align_empty_frame_is_all_gap_frame():
     frame = make_frame([], num_classes=2)
     state = build("AB")
     alignment = align(frame, state.current_result())
-    assert [s.kind for s in alignment.steps] == [GAP_FRAME, GAP_FRAME]
+    assert (alignment.result_rows, alignment.frame_rows) == ((0, 1), (0, 0))
+    assert (alignment.inserted, alignment.dropped) == (0, 2)
 
 
 def test_align_empty_result_is_all_gap_combined():
     frame = from_string("AB", ALPHA)
     alignment = align(frame, np.zeros((0, 3)))
-    assert [s.kind for s in alignment.steps] == [GAP_COMBINED, GAP_COMBINED]
+    assert (alignment.result_rows, alignment.frame_rows) == ((0, 0), (0, 1))
+    assert (alignment.inserted, alignment.dropped) == (2, 0)
     assert alignment.cost == 2.0
 
 
@@ -71,8 +66,8 @@ def test_align_class_mismatch():
 
 
 def _check_coverage(alignment, s, m):
-    combined = [st.combined_row for st in alignment.steps if st.combined_row is not None]
-    frame = [st.frame_row for st in alignment.steps if st.frame_row is not None]
+    combined = [r for r in alignment.result_rows if r != s]
+    frame = [f for f in alignment.frame_rows if f != m]
     assert combined == list(range(s))
     assert frame == list(range(m))
 
@@ -116,8 +111,8 @@ def test_absorb_growing_frame_inserts_row():
     assert state.mean_rows.shape == (2, 3)
     assert np.allclose(state.mean_rows, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]], atol=1e-15)
     # the first frame implicitly contributed empty to the row created later
-    new_rid = state.row_ids[1]
-    assert np.array_equal(state.contribution(0, new_rid), empty_distribution(ALPHA))
+    assert state.row_ids == (0, 1)
+    assert np.array_equal(state.contributions[0, 1], empty_distribution(ALPHA))
 
 
 def test_row_ids_stay_stable_under_insertion():
@@ -166,7 +161,6 @@ def test_weighted_absorb_mixes_by_weight():
     state.absorb(make_frame([[1, 0]], 3.0))
     state.absorb(make_frame([[0, 1]], 1.0))
     assert np.allclose(state.mean_rows, [[0.0, 0.75, 0.25]], atol=1e-15)
-    assert not state.unweighted
 
 
 def test_combine_candidate_reproduces_sole_frame():
@@ -216,29 +210,8 @@ def test_current_result_examples():
 def test_contribution_requires_history():
     state = build("A")
     with pytest.raises(ValueError, match="history"):
-        state.contribution(0, 0)
-
-
-def test_contribution_bounds():
-    state = build("A", track_history=True)
-    with pytest.raises(IndexError):
-        state.contribution(1, 0)
-    with pytest.raises(KeyError):
-        state.contribution(0, 99)
-
-
-@pytest.mark.parametrize("frame_index, row_id", [(0, True), (True, 1), (False, 0), (0, 1.0), (0.0, 1)])
-def test_contribution_refuses_bool_and_float_indices(frame_index, row_id):
-    # numpy would read a bool as a mask and gather a (1, frames, K+1) block
-    state = build("AB", "AB", track_history=True)
-    with pytest.raises(TypeError):
-        state.contribution(frame_index, row_id)
-
-
-def test_contribution_takes_numpy_integers():
-    state = build("AB", "AB", track_history=True)
-    got = state.contribution(np.int64(1), np.int32(1))
-    assert got.shape == (3,) and np.array_equal(got, state.contribution(1, 1))
+        state.contributions
+    assert build("A", track_history=True).contributions.shape == (1, 1, 3)
 
 
 @pytest.mark.parametrize("row_id, class_index", [(True, 0), (0, True), (1.0, 0), (0, 1.0)])
@@ -260,26 +233,23 @@ def test_cell_requires_treaps():
 
 def _history_weighted_sums(state):
     width = state.alphabet.size + 1
+    contributions = state.contributions
     sums = {rid: np.zeros(width) for rid in state.row_ids}
     for i in range(state.n):
         w = state.weights[i]
-        for rid in state.row_ids:
-            sums[rid] += w * state.contribution(i, rid)
+        for pos, rid in enumerate(state.row_ids):
+            sums[rid] += w * contributions[i, pos]
     return sums
 
 
 def _check_against_oracle(state):
-    """Method a equals the oracle, and the gathered history equals contribution()."""
+    """Method a equals the oracle."""
     for metric in MetricKind:
         got = estimate_method_a(state, metric=metric, delta=0.1)
         want_estimate, want_per, want_aggregate = method_a_oracle(state, metric=metric, delta=0.1)
         assert abs(got.estimate - want_estimate) <= 1e-9
         assert np.allclose(got.per_candidate, want_per, atol=1e-9)
         assert abs(got.gld_aggregate - want_aggregate) <= 1e-9
-    gathered = np.array(
-        [[state.contribution(i, rid) for rid in state.row_ids] for i in range(state.n)]
-    )
-    assert np.array_equal(state.contributions, gathered.reshape(state.contributions.shape))
 
 
 @pytest.mark.parametrize("weighted", [False, True])

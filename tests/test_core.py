@@ -132,6 +132,12 @@ def test_to_text_drop_empty():
     assert to_text(rows, alpha) == "AA"
 
 
+@pytest.mark.parametrize("rows", [np.array([0.0, 1.0, 0.0]), np.zeros((1, 2, 3))])
+def test_to_text_refuses_rows_that_are_not_2d(rows):
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        to_text(rows, Alphabet("AB"))
+
+
 @pytest.mark.filterwarnings("ignore:renormalizing")
 @given(
     st.lists(

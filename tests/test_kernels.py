@@ -32,12 +32,12 @@ def _spread_clips():
 
 
 def _estimates(state):
-    """Method a's breakdown and, on unweighted states, method b's, under
-    both metrics: ((metric, method) -> breakdown)."""
+    """Method a's breakdown and, on states that keep treaps (unit weights),
+    method b's, under both metrics: ((metric, method) -> breakdown)."""
     out = {}
     for metric in MetricKind:
         out[metric, "a"] = estimate_method_a(state, metric=metric, delta=0.1)
-        if state.unweighted:
+        if state.track_treaps:
             out[metric, "b"] = estimate_method_b(state, metric=metric, delta=0.1)
     return out
 
@@ -206,10 +206,17 @@ def test_kernels_compile_without_warnings(tmp_path):
 
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    # a build of this environment from another source, and one of another environment
+    name = _kernels._name(_kernels.compiler())
+    cache = tmp_path / "framestop"
+    cache.mkdir()
+    stale = cache / (name.rsplit("-", 1)[0] + "-0123456789abcdef.so")
+    other_env = cache / "kernels-0123456789abcdef-0123456789abcdef.so"
+    for planted in (stale, other_env):
+        planted.write_bytes(b"")
     fresh_load()
     assert _kernels.get() is not None
-    built = list((tmp_path / "framestop").iterdir())
-    assert len(built) == 1 and built[0].name.startswith("kernels-")
+    assert sorted(path.name for path in cache.iterdir()) == sorted([name, other_env.name])
     assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
 
 

@@ -1,4 +1,4 @@
-"""Exact parity of the index-array alignment and merge with the step-object reference,
+"""Exact parity of the alignment and merge with the written-out reference,
 on the compiled kernels where they load and on the Python kernels."""
 
 import random
@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from framestop.combiner import GAP_COMBINED, CombinerState, align
+from framestop.combiner import CombinerState, align
 from framestop.core import Alphabet, RecognitionFrame, from_string, make_frame
 from framestop.metrics import gld
 
@@ -34,7 +34,7 @@ def _tie_cases():
     def text(t):
         return from_string(t, AB).rows
 
-    empty_row_frame = RecognitionFrame([[1.0, 0.0, 0.0]])  # MATCH with A ties both gaps
+    empty_row_frame = RecognitionFrame([[1.0, 0.0, 0.0]])  # a match with A ties both gaps
     return [
         (from_string("A", AB), text("AA")),
         (from_string("AB", AB), text("BA")),
@@ -51,10 +51,11 @@ def _tie_cases():
 
 def _check_alignment(frame, result_rows):
     got = align(frame, result_rows)
-    steps, cost = align_reference(frame.rows, result_rows)
-    assert got.steps == steps
+    old_idx, new_idx, cost = align_reference(frame.rows, result_rows)
+    assert (got.result_rows, got.frame_rows) == (old_idx, new_idx)
     assert got.cost == cost
-    assert got.inserted == sum(step.kind == GAP_COMBINED for step in steps)
+    assert got.inserted == old_idx.count(len(result_rows))
+    assert got.dropped == new_idx.count(frame.num_chars)
 
 
 @pytest.mark.parametrize(("frame", "result_rows"), _tie_cases())

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from framestop.combiner import GAP_COMBINED, CombinerState, align
+from framestop.combiner import CombinerState, align
 from framestop.core import Alphabet, Clip, from_string, make_frame
 from framestop.metrics import MetricKind, gld
 from framestop.stoppers import (
@@ -51,6 +51,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StopperConfig(StopperMethod.FIXED_STAGE)
     StopperConfig(StopperMethod.FIXED_STAGE, fixed_stage=3)
+    # stage counts are integers: a float or a bool is refused, a numpy integer taken
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(TypeError, match="max_stages"):
+            StopperConfig(StopperMethod.BASE, max_stages=bad)
+        with pytest.raises(TypeError, match="fixed_stage"):
+            StopperConfig(StopperMethod.FIXED_STAGE, fixed_stage=bad)
+        with pytest.raises(TypeError, match="fixed_stage"):
+            fixed_stage_baseline(constant_clip(), bad)
+    StopperConfig(StopperMethod.FIXED_STAGE, fixed_stage=np.int64(3), max_stages=np.int32(5))
 
 
 def test_base_estimate_on_identical_frames():
@@ -111,7 +120,7 @@ def test_candidate_gld_is_share_times_alignment_cost():
                 alignment = align(candidate, current)
                 share = candidate.weight / (state.weight_total + candidate.weight)
                 assert abs(gld(current, merged.rows) - share * alignment.cost) <= 1e-12
-                inserted = sum(step.kind == GAP_COMBINED for step in alignment.steps)
+                inserted = alignment.result_rows.count(len(current))
                 assert len(merged) == len(current) + inserted
                 checked += 1
     assert checked > 5000
@@ -190,14 +199,6 @@ def test_method_b_rejects_weighted_state():
     state.absorb(make_frame([[1, 0]], 2.0))
     with pytest.raises(ValueError):
         estimate_method_b(state)
-    # weighted treap states cannot be built through absorb; force one to
-    # check the estimator guards on its own
-    forced = CombinerState(ALPHA, track_treaps=True)
-    forced.absorb(make_frame([[1, 0]]))
-    forced._weights[0] = 2.0
-    forced._common_weight = 2.0  # absorb tracks it; set it as absorb would have
-    with pytest.raises(ValueError, match="unweighted"):
-        estimate_method_b(forced)
 
 
 def test_weighted_method_a_matches_oracle():
@@ -230,10 +231,6 @@ def test_method_b_aggregate_matches_method_a():
             assert math.isclose(a.gld_aggregate, b.gld_aggregate, abs_tol=1e-9)
         _, _, want_aggregate = method_a_oracle(state, metric=MetricKind.GLD, delta=DELTA)
         assert math.isclose(b.gld_aggregate, want_aggregate, abs_tol=1e-9)
-        gathered = np.array(
-            [[state.contribution(i, rid) for rid in state.row_ids] for i in range(state.n)]
-        )
-        assert np.array_equal(state.contributions, gathered.reshape(state.contributions.shape))
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
