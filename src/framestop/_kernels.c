@@ -1,13 +1,18 @@
 /* Compiled kernels of framestop, loaded through ctypes by _kernels.py.
 
-   fs_fill and fs_trace are metrics.cost_table and the traceback of
-   combiner.align, with the same IEEE operations in the same order, so
-   their results are bit-identical to the Python loops; build without
-   floating-point contraction (-ffp-contract=off) and without -ffast-math.
-   fs_gld is metrics.gld in one call: it computes the substitution and gap
-   costs as metrics.pairwise_costs and metrics.gap_costs do, summing in
-   numpy's pairwise order, and fills the table with fs_fill; the loader
-   checks its costs against numpy's bit for bit before gld uses it.
+   fs_absorb is CombinerState.absorb in one call, and combiner.align when
+   it is given no merge: it computes the substitution and gap costs as
+   metrics.pairwise_costs and metrics.gap_costs do, summing in numpy's
+   pairwise order, fills the backward GLD table as metrics.cost_table
+   does, reads the path off as combiner._path does, and then merges the
+   rows along it as combiner._merge does and writes the history store as
+   CombinerState._record does.  fs_gld is metrics.gld in one call, with
+   the same costs and table.  Every result is bit-identical to the Python
+   reference, which runs the same IEEE operations in the same order; build
+   without floating-point contraction (-ffp-contract=off) and without
+   -ffast-math.  numpy does not promise its summation order, so the loader
+   checks the C costs against numpy's bit for bit before gld, align or
+   absorb use either kernel.
    fs_spread is CombinerState.candidate_gld, the one history scan of
    methods a and b over the rows-plus-slots history store: every
    candidate's distance and their sums in one call.  It sums each frame's
@@ -17,12 +22,14 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Backward GLD table: table[i*(m+1)+j] is the least cost of aligning rows
    i.. of the first sequence with rows j.. of the second.  sub is s*m, row
    major (unused when s or m is 0).  Returns table[0], the GLD. */
-double fs_fill(const double *sub, const double *gap_rows, const double *gap_cols,
-               int64_t s, int64_t m, double *table)
+static double fill(const double *sub, const double *gap_rows, const double *gap_cols, int64_t s,
+                   int64_t m, double *table)
 {
     const int64_t w = m + 1;
     double *below = table + s * w;
@@ -90,16 +97,15 @@ double fs_fill(const double *sub, const double *gap_rows, const double *gap_cols
 PAIRWISE(sum_abs_diff, ABS_DIFF)
 PAIRWISE(sum_abs, ABS)
 
-/* metrics.gld of the s rows x and the m rows y, each of width doubles,
-   row major.  work holds s*m + s + m + (s+1)*(m+1) doubles: it receives
-   the substitution costs (s*m, as metrics.pairwise_costs(x, y)), the gap
-   costs of x and of y (as metrics.gap_costs), then the table of fs_fill.
-   Returns the GLD. */
-double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
-              double *work)
+/* The costs of aligning the s rows x with the m rows y, each of width
+   doubles, row major: sub (s*m) as metrics.pairwise_costs(x, y), then
+   gap_rows (s) and gap_cols (m), which follow it, as metrics.gap_costs of
+   x and of y.  Returns the GLD table filled over them into table, of
+   (s+1)*(m+1) doubles. */
+static double costs_and_table(const double *x, int64_t s, const double *y, int64_t m,
+                              int64_t width, double *sub, double *table)
 {
-    double *sub = work, *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
-    double *table = gap_cols + m;
+    double *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
     /* gap_cols follows gap_rows, and y's rows follow x's in the count */
     for (int64_t k = 0; k < s + m; k++) {
         const double *row = k < s ? x + k * width : y + (k - s) * width;
@@ -108,18 +114,31 @@ double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t wi
     for (int64_t i = 0; i < s; i++)
         for (int64_t j = 0; j < m; j++)
             sub[i * m + j] = 0.5 * sum_abs_diff(x + i * width, y + j * width, width);
-    return fs_fill(sub, gap_rows, gap_cols, s, m, table);
+    return fill(sub, gap_rows, gap_cols, s, m, table);
 }
+
+/* metrics.gld of the s rows x and the m rows y, each of width doubles,
+   row major.  work holds s*m + s + m + (s+1)*(m+1) doubles: it receives
+   the substitution costs and the gap costs of x and of y, as
+   costs_and_table writes them, then the table.  Returns the GLD. */
+double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
+              double *work)
+{
+    return costs_and_table(x, s, y, m, width, work, work + s * m + s + m);
+}
+
+/* fs_absorb's failure codes, mirrored in _kernels.py */
+enum { FS_NO_PATH = -1, FS_GROW = -2, FS_NO_MEMORY = -3 };
 
 /* Path through a filled table, read from the front with the tie order
    match, then skip the result row, then insert the frame row,
-   recomputing each choice as fs_fill made it.  Writes one (result row,
+   recomputing each choice as fill made it.  Writes one (result row,
    frame row) pair per step, s or m standing for the empty row a gap step
    pairs with; room for s + m steps.
-   Returns the number of steps, or -1 when a step has no choice to take,
-   which only a NaN in the costs brings about. */
-int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
-                 int64_t s, int64_t m, int64_t *result_rows, int64_t *frame_rows)
+   Returns the number of steps, or FS_NO_PATH when a step has no choice to
+   take, which only a NaN in the costs brings about. */
+static int64_t trace(const double *sub, const double *gap_rows, const double *table, int64_t s,
+                     int64_t m, int64_t *result_rows, int64_t *frame_rows)
 {
     const int64_t w = m + 1;
     int64_t i = 0, j = 0, k = 0;
@@ -135,11 +154,113 @@ int64_t fs_trace(const double *sub, const double *gap_rows, const double *table,
             result_rows[k] = s;
             frame_rows[k] = j++;
         } else {
-            return -1; /* no choice reproduces the cell: a NaN cost */
+            return FS_NO_PATH; /* no choice reproduces the cell: a NaN cost */
         }
         k++;
     }
     return k;
+}
+
+/* The arguments of fs_absorb, mirrored by _kernels.AbsorbArgs; every
+   field is 8 bytes, so the two layouts agree without padding. */
+struct fs_absorb_args {
+    /* The alignment of the m frame rows against the s result rows, each
+       of width doubles, row major.  path is NULL, or room for 2 (s + m)
+       entries that receive the path: the result rows at 0, the frame rows
+       at s + m.  cost and inserted are outputs. */
+    const double *result;
+    int64_t s;
+    const double *frame;
+    int64_t m;
+    int64_t width;
+    int64_t *path;
+    double cost;
+    int64_t inserted;
+    /* The merge, skipped when merged is NULL.  result and frame are each
+       followed by the empty row (s + 1 and m + 1 rows); merged has room
+       for s + m + 1 rows and order for s + m entries, of which the first s
+       hold the result rows' ids in display order on entry. */
+    double factor;
+    double *merged;
+    int64_t *order;
+    int64_t next_id;
+    /* The history store, skipped when rows is NULL: rows is (capacity,
+       width) with used rows in use, slots (frames, stride), and current
+       (stride, width), the combined rows by row id. */
+    double *rows;
+    int64_t used;
+    int64_t capacity;
+    int64_t *slots;
+    int64_t frame_index;
+    int64_t frames;
+    int64_t stride;
+    double *current;
+};
+
+/* The merge along the path of steps result rows ri and frame rows fi, and
+   the store write; see fs_absorb.  Returns steps, or FS_GROW, with nothing
+   written, when the store cannot hold the frame. */
+static int64_t merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
+{
+    const int64_t s = a->s, m = a->m, width = a->width;
+    int64_t next_id = a->next_id + a->inserted;
+    if (a->rows && next_id > a->stride)
+        return FS_GROW;
+    /* from the back, so order[ri[k]], with ri[k] <= k, is still the old id */
+    for (int64_t k = steps - 1; k >= 0; k--)
+        a->order[k] = ri[k] < s ? a->order[ri[k]] : --next_id;
+    for (int64_t k = 0; k < steps; k++) {
+        const double *old = a->result + ri[k] * width, *fresh = a->frame + fi[k] * width;
+        double *out = a->merged + k * width;
+        for (int64_t c = 0; c < width; c++)
+            out[c] = old[c] + a->factor * (fresh[c] - old[c]);
+        if (a->rows) {
+            memcpy(a->current + a->order[k] * width, out, width * sizeof(double));
+            if (fi[k] < m)
+                a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
+        }
+    }
+    memcpy(a->merged + steps * width, a->result + s * width, width * sizeof(double));
+    if (a->rows)
+        memcpy(a->rows + a->used * width, a->frame, m * width * sizeof(double));
+    return steps;
+}
+
+/* The alignment of combiner.align and, when merged is set, the rest of
+   CombinerState.absorb (see struct fs_absorb_args): the costs and the
+   table as fs_gld computes them, the path as trace reads it, then, only
+   when the cost is finite, the merged rows old + factor * (new - old)
+   followed by the empty row, the new row-id order (rows a step inserts
+   take the next free ids, in order), and the store write: the frame's m
+   rows appended at used, and frame_index's slot of the row id each frame
+   row merged into pointed at it, and every merged row copied to current
+   by its row id.  Returns the number of steps; FS_NO_PATH (a NaN cost),
+   FS_NO_MEMORY, or FS_GROW when the store has no room for the frame, its
+   rows or its new row ids, with nothing written: grow it and call again.
+   Only the row ids depend on the path, so only they cost a second
+   alignment; the other two are checked first. */
+int64_t fs_absorb(struct fs_absorb_args *a)
+{
+    const int64_t s = a->s, m = a->m, room = s + m;
+    a->inserted = 0;
+    /* the room the path does not change is checked before any work */
+    if (a->merged && a->rows && (a->frame_index >= a->frames || a->used + m > a->capacity))
+        return FS_GROW;
+    const size_t doubles = (size_t)(s * m + room + (s + 1) * (m + 1));
+    double *work = malloc(doubles * sizeof(double) + (a->path ? 0 : 2 * room * sizeof(int64_t)));
+    if (!work)
+        return FS_NO_MEMORY;
+    double *table = work + s * m + room;
+    int64_t *ri = a->path ? a->path : (int64_t *)(work + doubles), *fi = ri + room;
+    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, work, table);
+    int64_t steps = trace(work, work + s * m, table, s, m, ri, fi);
+    if (steps >= 0) {
+        a->inserted = steps - s;
+        if (a->merged && isfinite(a->cost))
+            steps = merge(a, ri, fi, steps);
+    }
+    free(work);
+    return steps;
 }
 
 /* Sum over k < width of |a[k] - b[k]|, in four independent accumulators

@@ -11,9 +11,10 @@ the process.  Nothing is written into the source tree.  Once a build into
 the cache loads, the builds of the same ``<env>`` with another
 ``<source>`` are deleted, so a changed source replaces its old library;
 other environments' builds are left alone, so two interpreters sharing
-the cache do not evict each other.  The directory is safe to delete at
-any time: a library already loaded stays mapped in the processes using
-it, and the next process rebuilds.  When there is no compiler, or
+the cache do not evict each other; builds named by the earlier one-key
+scheme, ``kernels-<16 hex digits>.so``, are deleted too.  The directory
+is safe to delete at any time: a library already loaded stays mapped in
+the processes using it, and the next process rebuilds.  When there is no compiler, or
 compiling or loading fails, :func:`get` returns None and the callers run
 their Python kernels, which give the same alignments.
 
@@ -21,16 +22,23 @@ The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
 change the rounding of the alignment table and could flip its ties.
 
-A fresh load also runs :func:`probe`: ``fs_gld`` computes ``metrics.gld``'s
-substitution and gap costs in numpy's pairwise summation order, which
-numpy does not promise to keep, so ``metrics.gld`` uses it only while its
-costs equal numpy's bit for bit on a fixed probe; otherwise ``gld`` runs
-its numpy costs and Python table, and :func:`status` says why.
+A fresh load also runs :func:`probe`: ``fs_gld`` and ``fs_absorb``
+compute the substitution and gap costs of ``metrics.gld`` and
+``combiner.align`` in numpy's pairwise summation order, which numpy does
+not promise to keep, so they run only while their costs equal numpy's
+bit for bit on a fixed probe (:func:`compiled_costs`); otherwise ``gld``,
+``align`` and ``CombinerState.absorb`` run their Python references, numpy
+costs and Python tables, and :func:`status` says why.  Each compiled
+kernel has one route from Python: ``fs_gld`` through :func:`gld` (and
+:func:`costs`, which the probe reads), ``fs_absorb`` through
+:func:`absorb`, which :func:`align` and ``CombinerState.absorb`` call, and
+``fs_spread`` through :class:`Scan`.
 """
 
 import contextlib
 import ctypes
 import os
+import re
 import shlex
 import shutil
 import sysconfig
@@ -54,9 +62,8 @@ PROBE_WIDTHS = (2, 3, 7, 8, 9, 16, 17, 37, 64, 127, 128, 129, 256, 257, 300)
 
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
-    "fs_fill": (ctypes.c_double, [_PTR, _PTR, _PTR, _INT, _INT, _PTR]),
-    "fs_trace": (_INT, [_PTR, _PTR, _PTR, _INT, _INT, _PTR, _PTR]),
     "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
+    "fs_absorb": (_INT, [_PTR]),
     "fs_spread": (
         None,
         [_PTR, _PTR, _INT, _INT, _PTR, _INT, _INT, _PTR, _PTR, _PTR, ctypes.c_double,
@@ -132,6 +139,10 @@ def _digest(blob):
     return f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
 
 
+# a build named by the earlier one-key scheme, which a build into the cache deletes
+_LEGACY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
+
+
 def _name(argv):
     """``kernels-<env>-<source>.so``, the library's file name for the
     compiler ``argv``."""
@@ -153,8 +164,11 @@ def _load():
             if _writable(cache):
                 _build(argv, cache / name)
                 handle = _open(cache / name)
-                for stale in cache.glob(name.rsplit("-", 1)[0] + "-*.so"):
-                    if stale.name != name:
+                env = name.rsplit("-", 1)[0]
+                for stale in cache.glob("kernels-*.so"):
+                    if stale.name != name and (
+                        stale.name.startswith(env + "-") or _LEGACY_NAME.fullmatch(stale.name)
+                    ):
                         with contextlib.suppress(OSError):  # a stale file left is harmless
                             stale.unlink()
                 return handle, "compiled"
@@ -182,6 +196,12 @@ def get():
             mismatch = probe()
             gld_costs = "compiled" if mismatch is None else f"numpy: {mismatch}"
     return lib
+
+
+def compiled_costs():
+    """Whether ``gld``, ``align`` and ``absorb`` run compiled: the kernels are
+    loaded and their costs passed the probe."""
+    return get() is not None and gld_costs == "compiled"
 
 
 def status():
@@ -260,55 +280,90 @@ def costs(x, y):
     return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
 
 
-def path(sub, gap_rows, gap_cols):
-    """(result_rows, frame_rows, cost) of the alignment ``combiner.align``
-    reads off the table over the costs: ``sub`` of shape (S, M), ``gap_rows``
-    of (S,) and ``gap_cols`` of (M,)."""
-    s, m = len(gap_rows), len(gap_cols)
-    sub = np.ascontiguousarray(sub, dtype=np.float64)
-    if sub.shape != (s, m):
-        raise ValueError(f"expected costs of shape {(s, m)}, got {sub.shape}")
-    gap_rows = np.ascontiguousarray(gap_rows, dtype=np.float64)
-    gap_cols = np.ascontiguousarray(gap_cols, dtype=np.float64)
-    sub_at, rows_at = sub.ctypes.data, gap_rows.ctypes.data
-    table = (ctypes.c_double * ((s + 1) * (m + 1)))()
-    cost = lib.fs_fill(sub_at, rows_at, gap_cols.ctypes.data, s, m, table)
-    steps = s + m  # room for the longest path; the two index lists share one buffer
-    out = (ctypes.c_int64 * (2 * steps))()
-    frame_rows_at = ctypes.byref(out, steps * ctypes.sizeof(ctypes.c_int64))
-    taken = lib.fs_trace(sub_at, rows_at, table, s, m, out, frame_rows_at)
-    if taken < 0:
+# fs_absorb's failure codes (FS_* in _kernels.c)
+NO_PATH, GROW, NO_MEMORY = -1, -2, -3
+
+
+class AbsorbArgs(ctypes.Structure):
+    """The arguments of ``fs_absorb``, field for field ``struct
+    fs_absorb_args`` in ``_kernels.c``, which documents them.  Addresses are
+    ints, 0 for NULL."""
+
+    _fields_ = [
+        ("result", _PTR), ("s", _INT), ("frame", _PTR), ("m", _INT), ("width", _INT),
+        ("path", _PTR), ("cost", ctypes.c_double), ("inserted", _INT),
+        ("factor", ctypes.c_double), ("merged", _PTR), ("order", _PTR), ("next_id", _INT),
+        ("rows", _PTR), ("used", _INT), ("capacity", _INT), ("slots", _PTR),
+        ("frame_index", _INT), ("frames", _INT), ("stride", _INT), ("current", _PTR),
+    ]
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.at = ctypes.addressof(self)  # what fs_absorb takes, read once
+
+
+def absorb(args):
+    """One ``fs_absorb`` call over ``args``, an :class:`AbsorbArgs`: the
+    number of steps, or ``GROW`` when the history store has no room for the
+    frame, with nothing written.  Raises ValueError when the costs hold a
+    NaN, so no path exists, and MemoryError when the work buffer cannot be
+    allocated."""
+    steps = lib.fs_absorb(args.at)
+    if steps == NO_PATH:
         raise ValueError("alignment costs hold a NaN: rows must be finite")
-    return tuple(out[:taken]), tuple(out[steps : steps + taken]), cost
+    if steps == NO_MEMORY:
+        raise MemoryError("no memory for the alignment table")
+    return steps
+
+
+def address(array):
+    """The address of a writable array's data, through ctypes' buffer
+    interface: a third of the time ``array.ctypes.data`` takes."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+def align(x, y):
+    """(result_rows, frame_rows, cost) of the alignment ``combiner.align``
+    reads off between the result rows ``x`` and the frame rows ``y``, from
+    one :func:`absorb` call with no merge and no store; the cost may be
+    NaN or infinite."""
+    s, m, width, x, y = _rows(x, y)
+    room = s + m
+    path = (ctypes.c_int64 * (2 * room or 1))()
+    args = AbsorbArgs(x.ctypes.data, s, y.ctypes.data, m, width, ctypes.addressof(path))
+    steps = absorb(args)
+    return tuple(path[:steps]), tuple(path[room : room + steps]), args.cost
 
 
 class Scan:
     """The history store as fs_spread reads it, with the scan's buffers.
 
-    Checks that ``rows`` is a C-contiguous float64 (capacity, width) array
-    and ``slots`` a C-contiguous int64 (frames, row ids) array.  fs_spread
-    trusts every slot to index a row below the capacity; the caller keeps
-    that.  Beside them: ``current``, the current rows by row id, which the
-    caller fills before each call; ``empty``, each current row's distance
-    to the empty row, which every call writes; ``out``, one entry per
-    frame; and ``sums``.  Their addresses stay valid while the arrays
+    Checks that ``rows`` is a C-contiguous float64 (capacity, width) array,
+    ``slots`` a C-contiguous int64 (frames, row ids) array and ``current``,
+    the current rows by row id, a C-contiguous float64 (row ids, width)
+    array.  fs_spread trusts every slot to index a row below the capacity,
+    and the first ``s`` rows of ``current`` to hold the current rows; the
+    caller keeps both.  Beside them: ``empty``, each current row's
+    distance to the empty row, which every call writes; ``out``, one entry
+    per frame; and ``sums``.  Their addresses stay valid while the arrays
     live, so a caller builds a Scan once per grown array rather than once
     per call.
     """
 
-    def __init__(self, rows, slots):
-        for array, dtype in ((rows, np.float64), (slots, np.int64)):
+    def __init__(self, rows, slots, current):
+        for array, dtype in ((rows, np.float64), (slots, np.int64), (current, np.float64)):
             if array.dtype != dtype or array.ndim != 2 or not array.flags.c_contiguous:
                 raise ValueError(f"history array of {array.dtype} {array.shape} does not fit the kernel")
         frames, ids = slots.shape
-        self.rows, self.slots = rows, slots
-        self.current = np.empty((ids, rows.shape[1]))
+        if current.shape != (ids, rows.shape[1]):
+            raise ValueError(f"current rows {current.shape} do not fit slots {slots.shape}")
+        self.rows, self.slots, self.current = rows, slots, current
         self.empty = np.empty(ids)
         self.out = np.empty(frames)
         self.sums = (ctypes.c_double * 2)()
         self.at = (
-            rows.ctypes.data, slots.ctypes.data, ids, self.current.ctypes.data, rows.shape[1],
-            self.empty.ctypes.data, self.out.ctypes.data,
+            address(rows), address(slots), ids, address(current), rows.shape[1],
+            address(self.empty), address(self.out),
         )
 
     def __call__(self, n, s, share, length):

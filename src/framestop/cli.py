@@ -9,6 +9,8 @@ import sys
 
 from .harness import (
     BENCH_FIELDS,
+    MAX_CLASSES,
+    MAX_FRAME_ROWS,
     PROFILE_FIELDS,
     SIMULATE_FIELDS,
     SyntheticConfig,
@@ -84,6 +86,17 @@ def _cmd_gen(args):
             f"--clips {args.clips} x --frames {args.frames} x --text-length {args.text_length} "
             f"over {len(args.alphabet)} symbols needs up to {values} values, "
             f"above the cap of {MAX_GEN_VALUES}"
+        )
+    # clips that load_clips would refuse are refused before they are made
+    symbols = len(args.alphabet)
+    if symbols > MAX_CLASSES:
+        raise ValueError(f"--alphabet has {symbols} symbols, above the cap of {MAX_CLASSES}")
+    # a character takes two rows when an insertion precedes it
+    rows = args.text_length * (2 if args.p_ins > 0 else 1)
+    if rows > MAX_FRAME_ROWS:
+        raise ValueError(
+            f"--text-length {args.text_length}{' with --p-ins > 0' if args.p_ins > 0 else ''} "
+            f"gives frames of up to {rows} rows, above the cap of {MAX_FRAME_ROWS}"
         )
     write_clips(generate_synthetic(config), args.output)
 

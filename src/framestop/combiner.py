@@ -2,25 +2,32 @@
 
 Each new frame is aligned against the running combined result with a
 dynamic program whose costs come from the character-level distance, then
-merged as a weighted average in one numpy step.  ``align`` fills the
-backward GLD table over numpy's ``pairwise_costs`` / ``gap_costs`` and
-reads the path off as two index lists into the result and the frame,
-each padded with the empty distribution for the side a gap step skips; a
-frame's own gap costs are computed once and kept on the frame.  The fill
-and the traceback run compiled (``_kernels.c``, the same floating-point
-operations in the same order, so the same alignment bit for bit) where a
-C compiler is available, and otherwise as ``metrics.cost_table`` and the
-Python traceback ``_path``, which stay the reference.  The merge gathers
-with the index lists from the frame's and the state's rows, both kept
-followed by the empty row, and blends ``old + factor * (new - old)`` in
-place in its output.  The state optionally keeps the one history store
-the fast stopping estimators read: every absorbed row once, in absorb
-order, and a (frame x row id) table of indices into those rows.
-Absorbing a frame appends its M rows and points its slots at them
-(O(M*K)); every other slot holds 0, the index of the empty distribution,
-so a frame reads as empty wherever it was not aligned, rows created after
-it included.  Both arrays grow geometrically; display order is applied
-only when the history is read, by ``CombinerState.contributions``.  Methods ``a`` and ``b`` read the store through
+merged as a weighted average.  ``align`` computes the substitution and
+gap costs, fills the backward GLD table and reads the path off as two
+index lists into the result and the frame, each padded with the empty
+distribution for the side a gap step skips.  The merge blends
+``old + factor * (new - old)`` along those lists from the frame's and the
+state's rows, both kept followed by the empty row.  The state optionally
+keeps the one history store the fast stopping estimators read: every
+absorbed row once, in absorb order, a (frame x row id) table of indices
+into those rows, and the current rows by row id.  Absorbing a frame
+appends its M rows and points its slots at them (O(M*K)); every other
+slot holds 0, the index of the empty distribution, so a frame reads as
+empty wherever it was not aligned, rows created after it included.  The
+arrays grow geometrically; display order is applied only when the
+history is read, by ``CombinerState.contributions``.
+
+Two routes give the same alignments, rows, row ids and store bit for
+bit.  Where the compiled kernels load and their costs passed the
+load-time probe (``_kernels.compiled_costs``), ``CombinerState.absorb``
+is one ``fs_absorb`` call in ``_kernels.c``: the costs, in numpy's
+summation order, the table, the path, the merge and the store write, on
+addresses the state keeps; ``align`` is the same call without the merge
+and the store.  Otherwise numpy's ``pairwise_costs`` / ``gap_costs``,
+``metrics.cost_table``, the Python traceback ``_path``, ``_merge`` and
+``CombinerState._record`` run, the reference.
+
+Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled call where available (numpy
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import CombinedResult, RecognitionFrame, _empty_row
+from .core import CombinedResult, _empty_row
 from .metrics import _as_rows, cost_table, gap_costs, normalized, pairwise_costs
 from .treap import MultisetIndex
 
@@ -45,6 +52,9 @@ _HALVE_FROM = 2.0**1023
 
 # frames per slice of the numpy history scan, which bounds its temporary
 _SCAN_FRAMES = 32
+
+# initial capacities of the history store: rows, frames, row ids
+_STORE_CAPACITY = (64, 32, 8)
 
 @dataclass(frozen=True)
 class Alignment:
@@ -105,17 +115,21 @@ def align(frame, result):
     A match costs the char distance between the paired rows; skipping a
     row on either side costs its distance to the empty distribution.  Ties
     are broken deterministically, scanning from the start: a match first,
-    then skipping the combined row, then inserting the frame row.  A
-    :class:`RecognitionFrame` brings its own cached gap costs.  Rows that
-    are not a 2-D array, or that hold a NaN or an infinity, raise
+    then skipping the combined row, then inserting the frame row.  Rows
+    that are not a 2-D array, or that hold a NaN or an infinity, raise
     ValueError, as in ``metrics.gld``.
 
-    The costs stay numpy's ``pairwise_costs`` / ``gap_costs`` here, while
-    ``metrics.gld`` computes the same costs in C.  A fused compiled
-    ``align`` gave bit-identical alignments, but a ``base`` stage at n=25
-    is 26 alignments and an ``a`` stage one, so it cut the acceptance
-    suite's criterion 7 ratio (``base`` at least 10x ``a`` per stage at
-    n=25) from 12.2-14.4x to 7.8-9.4x on a 2-vCPU Xeon, below its bound.
+    Where ``_kernels.compiled_costs()`` holds, this is one ``fs_absorb``
+    call with no merge and no store, whose costs equal numpy's
+    ``pairwise_costs`` / ``gap_costs`` bit for bit; otherwise those and
+    :func:`_path`, the reference.  A ``base`` stage at n=25 is 26
+    alignments and an ``a`` stage one, so a compiled ``align`` alone cut
+    the acceptance suite's criterion 7 ratio (``base`` at least 10x ``a``
+    per stage at n=25) from 12.2-14.4x to 7.8-9.4x on a 2-vCPU Xeon.  With
+    ``a``'s merge, store write and row ids in the same call, its stage
+    fell with ``base``'s: 10 runs of the criterion's recipe read 15.6-19.7x
+    (``base`` 0.70-1.05 ms, ``a`` 41-58 us), against 16.7-17.6x (2.8-2.9
+    ms, 167 us) before it.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -124,14 +138,13 @@ def align(frame, result):
             f"class counts differ: frame {fresh.shape[1] - 1} vs result {combined.shape[1] - 1}"
         )
     s, m = combined.shape[0], fresh.shape[0]
-
-    sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
-    skip = gap_costs(combined)  # cost of skipping each combined row
-    fresh_gaps = frame.gap_costs if isinstance(frame, RecognitionFrame) else gap_costs(fresh)
-    if _kernels.get() is not None:
-        result_rows, frame_rows, cost = _kernels.path(sub, skip, fresh_gaps)
+    if _kernels.compiled_costs():
+        result_rows, frame_rows, cost = _kernels.align(combined, fresh)
     else:
-        result_rows, frame_rows, cost = _path(sub.tolist(), skip.tolist(), fresh_gaps.tolist())
+        sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
+        skip = gap_costs(combined)  # cost of skipping each combined row
+        gaps = gap_costs(fresh)  # cost of inserting each frame row
+        result_rows, frame_rows, cost = _path(sub.tolist(), skip.tolist(), gaps.tolist())
     if not math.isfinite(cost):
         raise ValueError(f"alignment cost is {cost}: rows must be finite")
     steps = len(result_rows)
@@ -140,7 +153,8 @@ def align(frame, result):
 
 def _path(sub, skip, gaps):
     """(result_rows, frame_rows, cost) from :func:`metrics.cost_table` over
-    nested lists: the Python kernel, and the reference of ``_kernels.path``."""
+    nested lists: the Python kernel, and the reference of the path
+    ``_kernels.align`` reads."""
     table = cost_table(sub, skip, gaps)
     s, m = len(skip), len(gaps)
     # read the path off from the front, recomputing each cell's choices in
@@ -213,10 +227,10 @@ class CombinerState:
         self.n = 0
         self.weight_total = 0.0
         self._width = alphabet.size + 1
-        self._padded = _empty_row(self._width)[None]  # the rows, then the empty row
-        self._padded.setflags(write=False)
-        self._matrix = self._padded[:0]
-        self._order = []
+        padded = _empty_row(self._width)[None]  # the rows, then the empty row
+        self._set_rows(padded, _kernels.address(padded))
+        self._ids = np.empty(8, dtype=np.int64)  # room for row ids; _order is its first S
+        self._order = self._ids[:0]
         self._next_id = 0
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
@@ -224,16 +238,31 @@ class CombinerState:
         # the history store: _rows[_slots[i, rid]] is what frame i merged
         # into row id rid.  _rows[0] is the empty distribution and every
         # slot starts at 0, so a frame not aligned to a row, or older than
-        # it, reads as empty with no code for it.  _record is the only
-        # writer of _slots and writes only indices below _used, which the
-        # compiled scan relies on to stay inside _rows.
-        self._rows = self._slots = None
+        # it, reads as empty with no code for it.  Only an absorb writes
+        # _slots, and only indices below _used, which the compiled scan
+        # relies on to stay inside _rows.  _current holds the current rows
+        # by row id, rewritten whole by every absorb, for the scans.
+        self._rows = self._slots = self._current = None
         if self.track_history or self.track_treaps:
-            self._rows = np.empty((64, self._width))
+            rows, frames, ids = _STORE_CAPACITY
+            self._rows = np.empty((rows, self._width))
             self._rows[0] = _empty_row(self._width)
-            self._slots = np.zeros((32, 8), dtype=np.int64)
+            self._slots = np.zeros((frames, ids), dtype=np.int64)
+            self._current = np.empty((ids, self._width))
         self._used = 1  # rows of _rows in use
         self._history = None  # the compiled scan's store and buffers (_kernels.Scan); None when stale
+        self._args = None  # the compiled absorb's _kernels.AbsorbArgs; None when stale
+
+    def __getstate__(self):
+        """The state without the addresses of its arrays, which the kernels
+        read; a copy or an unpickled state takes its own arrays' afresh."""
+        state = self.__dict__.copy()
+        state["_history"] = state["_args"] = state["_padded_at"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._padded_at = self._padded.ctypes.data
 
     @property
     def mean_rows(self):
@@ -242,7 +271,7 @@ class CombinerState:
 
     @property
     def row_ids(self):
-        return tuple(self._order)
+        return tuple(self._order.tolist())
 
     @property
     def weights(self):
@@ -256,12 +285,24 @@ class CombinerState:
         if self.track_treaps and frame.weight != 1.0:
             raise ValueError("treap bookkeeping supports unit frame weights only")
 
+    def _set_rows(self, padded, at):
+        """Make ``padded``, the combined rows followed by the empty row, the
+        current result, write-protected; ``at``, its address, is kept for
+        the compiled absorb."""
+        padded.setflags(write=False)
+        self._padded, self._padded_at = padded, at
+        self._matrix = padded[:-1]
+
     def absorb(self, frame):
         """Fold one frame into the combined result, updating all bookkeeping.
 
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
-        already reads as empty for this frame.
+        already reads as empty for this frame.  Where the compiled costs
+        run (:func:`_kernels.compiled_costs`), the alignment, the merge and
+        the store write are one ``fs_absorb`` call; otherwise :func:`align`,
+        :func:`_merge` and :meth:`_record`, the reference, which gives the
+        same rows, row ids and store bit for bit.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -269,20 +310,10 @@ class CombinerState:
         if not math.isfinite(new_total):
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = merge_share(w, self.weight_total)
-        alignment = align(frame, self._matrix)
-
-        order = self._row_ids_after(alignment)
-        self._next_id += alignment.inserted
-        if self._rows is not None:
-            # row id of each frame row, in frame order
-            m = frame.num_chars
-            self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
-
-        padded = _merge(alignment, frame.padded_rows, self._padded, factor)
-        padded.setflags(write=False)
-        self._padded = padded
-        self._matrix = padded[:-1]
-        self._order = order
+        if _kernels.compiled_costs():
+            self._absorb_compiled(frame, factor)
+        else:
+            self._absorb_python(frame, factor)
         self._weights.append(w)
         if self.n == 0:
             self._common_weight = w
@@ -291,12 +322,74 @@ class CombinerState:
         self.n += 1
         self.weight_total = new_total
 
+    def _absorb_python(self, frame, factor):
+        """The reference absorb: :func:`align`, :func:`_merge`, :meth:`_record`."""
+        alignment = align(frame, self._matrix)
+        order = self._row_ids_after(alignment)
+        self._next_id += alignment.inserted
+        padded = _merge(alignment, frame.padded_rows, self._padded, factor)
+        self._set_order(order)
+        if self._rows is not None:
+            # row id of each frame row, in frame order
+            m = frame.num_chars
+            self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
+            self._current[order] = padded[:-1]
+        self._set_rows(padded, _kernels.address(padded))
+
+    def _absorb_compiled(self, frame, factor):
+        """The absorb in one ``fs_absorb`` call, repeated after growing a
+        full store."""
+        s, m = len(self._order), frame.num_chars
+        if s + m > len(self._ids):
+            self._set_order(self._order, room=2 * (s + m))
+        merged = np.empty((s + m + 1, self._width))
+        merged_at = _kernels.address(merged)
+        while True:
+            args = self._args
+            if args is None:
+                args = self._args = self._absorb_args()
+            args.result, args.s, args.frame, args.m = self._padded_at, s, frame._padded_at, m
+            args.factor, args.merged = factor, merged_at
+            args.next_id, args.used, args.frame_index = self._next_id, self._used, self.n
+            steps = _kernels.absorb(args)
+            if steps != _kernels.GROW:
+                break
+            self._grow(self._used + m, self._next_id + args.inserted)
+        if not math.isfinite(args.cost):
+            raise ValueError(f"alignment cost is {args.cost}: rows must be finite")
+        merged.setflags(write=False)  # so no view of it is writable
+        self._set_rows(merged[: steps + 1], merged_at)
+        self._order = self._ids[:steps]
+        self._next_id += args.inserted
+        if self._rows is not None:
+            self._used += m
+
+    def _absorb_args(self):
+        """The compiled absorb's arguments over this state's buffers; the
+        per-frame fields are set before each call."""
+        address = _kernels.address
+        args = _kernels.AbsorbArgs(width=self._width, order=address(self._ids))
+        if self._rows is not None:
+            args.rows, args.capacity = address(self._rows), len(self._rows)
+            args.slots, (args.frames, args.stride) = address(self._slots), self._slots.shape
+            args.current = address(self._current)
+        return args
+
+    def _set_order(self, order, room=0):
+        """Make ``order`` the row ids in display order, in a buffer of room
+        for at least ``room`` ids."""
+        if max(len(order), room) > len(self._ids):
+            self._ids = np.empty(max(len(order), room), dtype=np.int64)
+            self._args = None
+        self._ids[: len(order)] = order
+        self._order = self._ids[: len(order)]
+
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
 
         Rows the merge inserts take the next free ids, in order.
         """
-        ids = self._order
+        ids = self._order.tolist()
         s = len(ids)
         new_ids = iter(range(self._next_id, self._next_id + alignment.inserted))
         return [ids[r] if r < s else next(new_ids) for r in alignment.result_rows]
@@ -304,29 +397,36 @@ class CombinerState:
     def _record(self, rids, rows):
         """Append frame n's rows to the store and point its slots at them.
 
-        ``rids`` holds the row id of each of the frame's rows.  A full
-        array grows by copying: the rows x2, the frames x2, the row ids
-        to 5/4 of those in use.  Growing is the only change that makes the
-        compiled scan's buffers stale.
+        ``rids`` holds the row id of each of the frame's rows.
         """
         end = self._used + len(rows)
+        self._grow(end, self._next_id)
+        self._rows[self._used : end] = rows
+        self._slots[self.n, rids] = np.arange(self._used, end)
+        self._used = end
+
+    def _grow(self, end, next_id):
+        """Grow each store array too small for frame n's rows up to ``end``
+        and the row ids below ``next_id``, by copying: the rows x2, the
+        frames x2, the row ids to 5/4 of those in use.  Growing is the only
+        change that makes the compiled kernels' store addresses stale.
+        """
         if end > len(self._rows):
             grown = np.empty((max(2 * len(self._rows), end), self._width))
             grown[: self._used] = self._rows[: self._used]
             self._rows = grown
-            self._history = None
+            self._history = self._args = None
         frames, ids = self._slots.shape
-        if self.n == frames or self._next_id > ids:
+        if self.n == frames or next_id > ids:
             grown = np.zeros(
-                (2 * frames if self.n == frames else frames, max(ids, self._next_id * 5 // 4)),
+                (2 * frames if self.n == frames else frames, max(ids, next_id * 5 // 4)),
                 dtype=np.int64,
             )
             grown[:frames, :ids] = self._slots
             self._slots = grown
-            self._history = None
-        self._rows[self._used : end] = rows
-        self._slots[self.n, rids] = np.arange(self._used, end)
-        self._used = end
+            if grown.shape[1] != ids:  # no copy: every absorb rewrites it whole
+                self._current = np.empty((grown.shape[1], self._width))
+            self._history = self._args = None
 
     def candidate_alignment(self, candidate):
         """Alignment of ``candidate`` against the current result, and its merge share.
@@ -358,7 +458,7 @@ class CombinerState:
         """Snapshot of the combined result after the frames absorbed so far."""
         if self.n == 0:
             raise ValueError("no frames absorbed yet")
-        return CombinedResult(self._matrix, tuple(self._order))
+        return CombinedResult(self._matrix, self.row_ids)
 
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
@@ -375,8 +475,7 @@ class CombinerState:
         s = len(self._order)
         if s == 0:
             return np.zeros(n)
-        current = np.empty((s, self._width))
-        current[self._order] = self._matrix
+        current = self._current[:s]
         out = np.empty(n)
         for f in range(0, n, _SCAN_FRAMES):
             frames = slice(f, min(n, f + _SCAN_FRAMES))
@@ -407,10 +506,8 @@ class CombinerState:
         share = self.candidate_shares()
         if _kernels.get() is not None:
             if self._history is None:
-                self._history = _kernels.Scan(self._rows, self._slots)
-            scan = self._history
-            scan.current[self._order] = self._matrix
-            return scan(self.n, len(self._order), share, length)
+                self._history = _kernels.Scan(self._rows, self._slots, self._current)
+            return self._history(self.n, len(self._order), share, length)
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)
         return d, float(g.sum()), float(d.sum())

@@ -16,11 +16,10 @@ across workers.
 
 import math
 import warnings
-from functools import cached_property
 
 import numpy as np
 
-from . import metrics
+from . import _kernels, metrics
 
 # Rows must sum to one within this bound to count as valid distributions.
 SUM_TOLERANCE = 1e-9
@@ -140,10 +139,22 @@ class RecognitionFrame:
         if least < 0:  # the tiny negatives validation lets through
             np.maximum(padded, 0.0, out=padded)
         padded[-1, 0] = 1.0
+        self._padded_at = _kernels.address(padded)  # for the compiled absorb, read while writable
         padded.setflags(write=False)
         self.padded_rows = padded
         self.rows = padded[:-1]  # a view made after the write lock, so locked too
         self.weight = float(weight)
+
+    def __getstate__(self):
+        """The frame without the address of ``padded_rows``, which the
+        kernels read; a copy or an unpickled frame takes its own afresh."""
+        state = self.__dict__.copy()
+        state["_padded_at"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._padded_at = self.padded_rows.ctypes.data
 
     @property
     def num_chars(self):
@@ -153,18 +164,6 @@ class RecognitionFrame:
     def num_classes(self):
         """Number of character classes, excluding the empty class."""
         return self.rows.shape[1] - 1
-
-    @cached_property
-    def gap_costs(self):
-        """Each row's distance to the empty distribution; write-protected.
-
-        Computed on first use and kept, so the alignments of one frame
-        against many results (every candidate of every ``base`` stage)
-        share it, and building a frame stays as cheap as before.
-        """
-        costs = metrics.gap_costs(self.rows)
-        costs.setflags(write=False)
-        return costs
 
     def __repr__(self):
         return f"RecognitionFrame(chars={self.num_chars}, classes={self.num_classes}, weight={self.weight})"

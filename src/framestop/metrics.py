@@ -130,7 +130,7 @@ def gld(x, y):
     yr = _as_rows(y)
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    if _kernels.get() is not None and _kernels.gld_costs == "compiled":
+    if _kernels.compiled_costs():
         cost = _kernels.gld(xr, yr)
     else:
         s, m = xr.shape[0], yr.shape[0]

@@ -59,6 +59,41 @@ def test_gen_above_the_size_cap_exits_before_generating(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "p_ins, longest", [("0", MAX_FRAME_ROWS), ("0.05", MAX_FRAME_ROWS // 2)], ids=["no-ins", "ins"]
+)
+def test_gen_refuses_frames_above_the_row_cap(tmp_path, capsys, monkeypatch, p_ins, longest):
+    args = ["gen", "--clips", "1", "--frames", "2", "--alphabet", "AB", "--p-ins", p_ins]
+    # the longest text accepted writes clips that simulate loads
+    accepted = tmp_path / "accepted.jsonl"
+    assert main([*args, "--text-length", str(longest), "-o", str(accepted)]) == 0
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "-i", str(accepted), "-o", str(out), "--max-stages", "2"]) == 0
+    assert len(read_csv(out)) == 1
+
+    def unreachable(config):
+        raise AssertionError("corpus generated above the row cap")
+
+    monkeypatch.setattr(cli, "generate_synthetic", unreachable)
+    refused = tmp_path / "refused.jsonl"
+    assert main([*args, "--text-length", str(longest + 1), "-o", str(refused)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"above the cap of {MAX_FRAME_ROWS}" in err
+    assert not refused.exists()
+
+
+def test_gen_refuses_an_alphabet_above_the_symbol_cap(tmp_path, capsys):
+    symbols = "".join(chr(0x100 + i) for i in range(MAX_CLASSES + 1))
+    at_cap = tmp_path / "at-cap.jsonl"
+    args = ["gen", "--clips", "1", "--frames", "1", "--text-length", "2"]
+    assert main([*args, "--alphabet", symbols[:-1], "-o", str(at_cap)]) == 0
+    assert load_clips(at_cap)[0].alphabet.size == MAX_CLASSES
+    refused = tmp_path / "refused.jsonl"
+    assert main([*args, "--alphabet", symbols, "-o", str(refused)]) == 1
+    assert f"above the cap of {MAX_CLASSES}" in capsys.readouterr().err
+    assert not refused.exists()
+
+
 def test_simulate_end_to_end(clips_file, tmp_path):
     out = tmp_path / "sim.csv"
     code = main(

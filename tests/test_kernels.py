@@ -1,5 +1,8 @@
 """The compiled kernels against the Python ones, and the loader's fallbacks."""
 
+import copy
+import gc
+import pickle
 import random
 import subprocess
 import sysconfig
@@ -9,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framestop import _kernels, metrics
+from framestop import _kernels, combiner, metrics
 from framestop.combiner import CombinerState, align
-from framestop.core import make_frame
+from framestop.core import Alphabet, Clip, make_frame
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
 from framestop.stoppers import (
     StopperConfig,
     StopperMethod,
+    estimate_base,
     estimate_method_a,
     estimate_method_b,
     run_clip,
@@ -147,6 +151,9 @@ def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch, fr
         costs = numpy_costs(x, y)
         return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
 
+    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(10)]
+    before_states = [_state_dump(clip.frames, clip.alphabet) for clip in clips]
+
     monkeypatch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129)
     fresh_load()
     assert _kernels.get() is not None
@@ -156,8 +163,10 @@ def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch, fr
     def unreachable(*args):
         raise AssertionError("compiled costs used after a probe mismatch")
 
-    monkeypatch.setattr(_kernels, "gld", unreachable)
+    for name in ("gld", "align", "absorb"):
+        monkeypatch.setattr(_kernels, name, unreachable)
     assert [gld(x, y).hex() for x, y in pairs] == before
+    assert [_state_dump(clip.frames, clip.alphabet) for clip in clips] == before_states
 
 
 def _outcomes(clips):
@@ -183,7 +192,7 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
     def unreachable(*args):
         raise AssertionError("compiled kernel called without a compiler")
 
-    for name in ("gld", "path", "Scan"):
+    for name in ("gld", "align", "absorb", "Scan"):
         monkeypatch.setattr(_kernels, name, unreachable)
     after = _outcomes(clips)
     for (outcome, (estimates, errors)), (outcome_py, (estimates_py, errors_py)) in zip(before, after):
@@ -212,7 +221,8 @@ def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_loa
     cache.mkdir()
     stale = cache / (name.rsplit("-", 1)[0] + "-0123456789abcdef.so")
     other_env = cache / "kernels-0123456789abcdef-0123456789abcdef.so"
-    for planted in (stale, other_env):
+    legacy = cache / "kernels-0a8c3c2f6c38dc0b.so"  # the earlier one-key name
+    for planted in (stale, other_env, legacy):
         planted.write_bytes(b"")
     fresh_load()
     assert _kernels.get() is not None
@@ -326,7 +336,173 @@ def test_gld_refuses_non_finite_rows_on_python_kernels(x, y):
 def test_compiled_trace_stops_on_nan_costs(compiled):
     # every cost NaN: no step reproduces a cell, so the trace must end, not run off
     with pytest.raises(ValueError, match="NaN"):
-        _kernels.path(np.full((3, 2), np.nan), np.full(3, np.nan), np.full(2, np.nan))
-    # a NaN substitution the gaps route around: the cost is NaN, the path stays in bounds
-    result_rows, frame_rows, cost = _kernels.path(np.array([[np.nan]]), np.ones(1), np.ones(1))
+        _kernels.align(np.full((3, 2), np.nan), np.full((2, 2), np.nan))
+    # a NaN substitution (inf - inf) the infinite gaps route around: the
+    # cost is NaN, the path stays in bounds
+    with np.errstate(invalid="ignore"):
+        result_rows, frame_rows, cost = _kernels.align([[0.0, np.inf]], [[0.0, np.inf]])
     assert (result_rows, frame_rows) == ((1, 0), (0, 1)) and cost != cost
+
+
+def _absorb_args(result, frame):
+    """fs_absorb's arguments merging the rows ``frame`` into ``result``,
+    both padded with the empty row here, with no history store; and the
+    merged and order buffers, filled with a marker."""
+    result, frame = (np.vstack([rows, np.eye(1, 2)]) for rows in (result, frame))
+    s, m = len(result) - 1, len(frame) - 1
+    merged = np.full((s + m + 1, 2), 7.0)
+    order = np.full(s + m, 7, dtype=np.int64)
+    order[:s] = range(s)
+    args = _kernels.AbsorbArgs(
+        result.ctypes.data, s, frame.ctypes.data, m, 2, 0, 0.0, 0, 0.5,
+        merged.ctypes.data, order.ctypes.data, s,
+    )
+    return args, (result, frame, merged, order)
+
+
+def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
+    nan_rows = np.full((2, 2), np.nan)
+    args, (_, _, merged, order) = _absorb_args(nan_rows, nan_rows)
+    with pytest.raises(ValueError, match="NaN"):
+        _kernels.absorb(args)
+    assert (merged == 7.0).all() and (order[2:] == 7).all()
+    args, (_, _, merged, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
+    with np.errstate(invalid="ignore"):
+        assert _kernels.absorb(args) == 2
+    assert args.cost != args.cost
+    assert (merged == 7.0).all() and (order[1:] == 7).all()
+
+
+def _state_dump(frames, alphabet, *, track=True):
+    """Bytes of everything an absorb leaves, after every absorb of
+    ``frames``: the alignment ``align`` gives against the result before it
+    (both index lists, cost, inserted, dropped), then the combined rows, the
+    row ids and the history."""
+    unit = all(frame.weight == 1.0 for frame in frames)
+    state = CombinerState(alphabet, track_history=track, track_treaps=track and unit)
+    out = []
+    for frame in frames:
+        out.append(repr(align(frame, state.mean_rows)).encode())
+        state.absorb(frame)
+        out += [state.mean_rows.tobytes(), repr(state.row_ids).encode()]
+        if track:
+            out.append(state.contributions.tobytes())
+    return out
+
+
+def _estimate_dump(frames, alphabet):
+    """float.hex of base's, a's and (on unit weights) b's estimates, aggregates
+    and per-candidate distances, under both metrics, after every absorb."""
+    unit = all(frame.weight == 1.0 for frame in frames)
+    state = CombinerState(alphabet, track_history=True, track_treaps=unit)
+    out = []
+    for n, frame in enumerate(frames, 1):
+        state.absorb(frame)
+        breakdowns = [estimate_base(state, frames[:n], metric=metric) for metric in MetricKind]
+        for b in breakdowns + list(_estimates(state).values()):
+            out.append((b.estimate.hex(), b.gld_aggregate.hex(),
+                        [d.hex() for d in b.per_candidate or ()]))
+    return out
+
+
+def _absorb_clips():
+    rng = random.Random(2718)
+    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(60)]
+    # zero-row frames: first into an empty state, between rows, last
+    empty = make_frame([], num_classes=3)
+    frames = [make_frame([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05]]), make_frame([[0.1, 0.1, 0.8]])]
+    clips.append(Clip("zero-rows", Alphabet("ABC"), "AB", [empty, frames[0], empty, frames[1], empty]))
+    clips.append(Clip("only-zero-rows", Alphabet("ABC"), "", [empty] * 3))
+    return clips + [looped_clip(45), late_rows_clip(), growth_clip()]
+
+
+@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+def test_compiled_absorb_is_the_python_reference_bit_for_bit(compiled, monkeypatch, capacity):
+    if capacity is not None:  # every store array full from the first frame on
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    for clip in _absorb_clips():
+        for track in (True, False):
+            got = _state_dump(clip.frames, clip.alphabet, track=track)
+            with python_kernels():
+                assert _state_dump(clip.frames, clip.alphabet, track=track) == got
+
+
+@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
+    compiled, monkeypatch, capacity
+):
+    # the reference absorb beside the same compiled scan, whose sums differ
+    # from numpy's in the last bits
+    if capacity is not None:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    for clip in _absorb_clips()[::3]:
+        got = _estimate_dump(clip.frames, clip.alphabet)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "gld_costs", "numpy: set by the test")
+            assert _estimate_dump(clip.frames, clip.alphabet) == got
+
+
+class _CountingLib:
+    """A stand-in for the loaded library that records each call's function
+    name and result."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def counted(*args):
+            result = fn(*args)
+            self.calls.append((name, result))
+            return result
+
+        return counted
+
+
+@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
+    if capacity is not None:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    counting = _CountingLib(compiled)
+    monkeypatch.setattr(_kernels, "lib", counting)
+    clip = looped_clip(40)
+    grown = 0
+    for track in (True, False):
+        state = CombinerState(clip.alphabet, track_history=track)
+        for frame in clip.frames:
+            store = (state._rows, state._slots)
+            counting.calls.clear()
+            state.absorb(frame)
+            names, results = zip(*counting.calls)
+            assert set(names) == {"fs_absorb"} and results[-1] >= 0
+            if any(a is not b for a, b in zip(store, (state._rows, state._slots))):
+                # a full store answers GROW, once for the room every frame
+                # needs and once for the new row ids, and the call is repeated
+                assert 2 <= len(results) <= 3 and set(results[:-1]) == {_kernels.GROW}
+                grown += 1
+            else:
+                assert len(results) == 1
+    assert grown >= (5 if capacity else 1)
+
+
+def test_copies_and_pickles_read_their_own_arrays(compiled):
+    clip = looped_clip(12)
+    state = CombinerState(clip.alphabet, track_history=True)
+    for frame in clip.frames[:6]:
+        state.absorb(frame)
+    estimate_method_a(state)  # the scan's addresses are now cached
+    copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+    frames = [pickle.loads(pickle.dumps(frame)) for frame in clip.frames[6:]]
+    del state
+    gc.collect()
+    want = CombinerState(clip.alphabet, track_history=True)
+    for frame in clip.frames:
+        want.absorb(frame)
+    for duplicate in copies:
+        for frame in frames:
+            duplicate.absorb(frame)
+        assert duplicate.mean_rows.tobytes() == want.mean_rows.tobytes()
+        assert duplicate.contributions.tobytes() == want.contributions.tobytes()
+        assert estimate_method_a(duplicate) == estimate_method_a(want)
