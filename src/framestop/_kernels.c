@@ -17,7 +17,11 @@
    methods a and b over the rows-plus-slots history store: every
    candidate's distance and their sums in one call.  It sums each frame's
    spread in its own order, and a slot holding the empty row adds that
-   row's distance, computed once per call. */
+   row's distance, computed once per call.
+   fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
+   describes the history store once; each CombinerState keeps one.  The
+   caller makes room in the store before a call, and both refuse a call
+   the store has no room for, as they write through its addresses. */
 
 #include <math.h>
 #include <stddef.h>
@@ -127,8 +131,8 @@ double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t wi
     return costs_and_table(x, s, y, m, width, work, work + s * m + s + m);
 }
 
-/* fs_absorb's failure codes, mirrored in _kernels.py */
-enum { FS_NO_PATH = -1, FS_GROW = -2, FS_NO_MEMORY = -3 };
+/* The failure codes of fs_absorb and fs_spread, mirrored in _kernels.py */
+enum { FS_NO_PATH = -1, FS_NO_ROOM = -2, FS_NO_MEMORY = -3 };
 
 /* Path through a filled table, read from the front with the tie order
    match, then skip the result row, then insert the frame row,
@@ -161,8 +165,9 @@ static int64_t trace(const double *sub, const double *gap_rows, const double *ta
     return k;
 }
 
-/* The arguments of fs_absorb, mirrored by _kernels.AbsorbArgs; every
-   field is 8 bytes, so the two layouts agree without padding. */
+/* The arguments of fs_absorb and fs_spread, mirrored by
+   _kernels.AbsorbArgs; every field is 8 bytes, so the two layouts agree
+   without padding. */
 struct fs_absorb_args {
     /* The alignment of the m frame rows against the s result rows, each
        of width doubles, row major.  path is NULL, or room for 2 (s + m)
@@ -184,9 +189,9 @@ struct fs_absorb_args {
     double *merged;
     int64_t *order;
     int64_t next_id;
-    /* The history store, skipped when rows is NULL: rows is (capacity,
-       width) with used rows in use, slots (frames, stride), and current
-       (stride, width), the combined rows by row id. */
+    /* The history store, skipped by fs_absorb when rows is NULL: rows is
+       (capacity, width) with used rows in use, slots (frames, stride), and
+       current (stride, width), the combined rows by row id. */
     double *rows;
     int64_t used;
     int64_t capacity;
@@ -195,17 +200,25 @@ struct fs_absorb_args {
     int64_t frames;
     int64_t stride;
     double *current;
+    /* The scan of fs_spread over the first n frames and the first s
+       current rows: shares is NULL or one merge share per frame, else
+       share is every frame's; length is the nGLD length sum, negative for
+       GLD.  out, room for n entries, and the two sums are outputs. */
+    int64_t n;
+    const double *shares;
+    double share;
+    double length;
+    double *out;
+    double g_sum;
+    double d_sum;
 };
 
 /* The merge along the path of steps result rows ri and frame rows fi, and
-   the store write; see fs_absorb.  Returns steps, or FS_GROW, with nothing
-   written, when the store cannot hold the frame. */
-static int64_t merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
+   the store write; see fs_absorb. */
+static void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
 {
     const int64_t s = a->s, m = a->m, width = a->width;
     int64_t next_id = a->next_id + a->inserted;
-    if (a->rows && next_id > a->stride)
-        return FS_GROW;
     /* from the back, so order[ri[k]], with ri[k] <= k, is still the old id */
     for (int64_t k = steps - 1; k >= 0; k--)
         a->order[k] = ri[k] < s ? a->order[ri[k]] : --next_id;
@@ -223,7 +236,6 @@ static int64_t merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t 
     memcpy(a->merged + steps * width, a->result + s * width, width * sizeof(double));
     if (a->rows)
         memcpy(a->rows + a->used * width, a->frame, m * width * sizeof(double));
-    return steps;
 }
 
 /* The alignment of combiner.align and, when merged is set, the rest of
@@ -235,17 +247,15 @@ static int64_t merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t 
    rows appended at used, and frame_index's slot of the row id each frame
    row merged into pointed at it, and every merged row copied to current
    by its row id.  Returns the number of steps; FS_NO_PATH (a NaN cost),
-   FS_NO_MEMORY, or FS_GROW when the store has no room for the frame, its
-   rows or its new row ids, with nothing written: grow it and call again.
-   Only the row ids depend on the path, so only they cost a second
-   alignment; the other two are checked first. */
+   FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when the store has
+   no room for frame frame_index, its m rows or m new row ids. */
 int64_t fs_absorb(struct fs_absorb_args *a)
 {
     const int64_t s = a->s, m = a->m, room = s + m;
     a->inserted = 0;
-    /* the room the path does not change is checked before any work */
-    if (a->merged && a->rows && (a->frame_index >= a->frames || a->used + m > a->capacity))
-        return FS_GROW;
+    if (a->merged && a->rows &&
+        !(a->frame_index < a->frames && a->used + m <= a->capacity && a->next_id + m <= a->stride))
+        return FS_NO_ROOM;
     const size_t doubles = (size_t)(s * m + room + (s + 1) * (m + 1));
     double *work = malloc(doubles * sizeof(double) + (a->path ? 0 : 2 * room * sizeof(int64_t)));
     if (!work)
@@ -257,7 +267,7 @@ int64_t fs_absorb(struct fs_absorb_args *a)
     if (steps >= 0) {
         a->inserted = steps - s;
         if (a->merged && isfinite(a->cost))
-            steps = merge(a, ri, fi, steps);
+            merge(a, ri, fi, steps);
     }
     free(work);
     return steps;
@@ -280,13 +290,13 @@ static double row_distance(const double *a, const double *b, int64_t width)
     return (s0 + s1) + (s2 + s3);
 }
 
-/* The history scan of methods a and b.  Per frame f < n, the spread: the
-   sum over row ids r < s and classes of |current[r] - rows[slots[f *
-   stride + r]]|, the distance from the current rows to what the frame
-   merged into each of them.  rows is (capacity, width) with row 0 the
-   empty distribution, where every slot a frame did not write points;
-   slots is (frames, stride) with s <= stride and every entry below the
-   capacity; current is (s, width), indexed by row id.
+/* The history scan of methods a and b (see struct fs_absorb_args).  Per
+   frame f < n, the spread: the sum over row ids r < s and classes of
+   |current[r] - rows[slots[f * stride + r]]|, the distance from the
+   current rows to what the frame merged into each of them.  rows has row
+   0 the empty distribution, where every slot a frame did not write
+   points, and every slot indexes a row below the capacity; the first s
+   rows of current hold the current rows.
 
    First, empty[r] receives each current row's distance to the empty row,
    computed afresh on every call; a slot holding 0 then adds empty[r]
@@ -297,17 +307,26 @@ static double row_distance(const double *a, const double *b, int64_t width)
    share_f = shares[f], or share when shares is NULL, as stoppers scores
    method a's modelled merge; then, when length >= 0, its nGLD
    2g / (g + length), 0 where g + length is not positive, as
-   metrics.normalized computes it.  sums[0] receives the sum of the g and
-   sums[1] the sum of out, each added in frame order. */
-void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t n,
-               const double *current, int64_t s, int64_t width, double *empty, double *out,
-               const double *shares, double share, double length, double *sums)
+   metrics.normalized computes it.  g_sum receives the sum of the g and
+   d_sum the sum of out, each added in frame order.  Returns 0;
+   FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when n is above
+   frames or s above stride. */
+int64_t fs_spread(struct fs_absorb_args *a)
 {
+    const int64_t n = a->n, s = a->s, width = a->width, stride = a->stride;
+    if (n > a->frames || s > stride)
+        return FS_NO_ROOM;
+    double *empty = malloc((size_t)s * sizeof(double));
+    if (s && !empty)
+        return FS_NO_MEMORY;
+    const double *rows = a->rows, *current = a->current, *shares = a->shares;
+    const double share = a->share, length = a->length;
+    double *out = a->out;
     for (int64_t r = 0; r < s; r++)
         empty[r] = row_distance(rows, current + r * width, width);
     double g_sum = 0.0, out_sum = 0.0;
     for (int64_t f = 0; f < n; f++) {
-        const int64_t *slot = slots + f * stride;
+        const int64_t *slot = a->slots + f * stride;
         double spread = 0.0;
         for (int64_t r = 0; r < s; r++)
             spread += slot[r] ? row_distance(rows + slot[r] * width, current + r * width, width)
@@ -322,6 +341,8 @@ void fs_spread(const double *rows, const int64_t *slots, int64_t stride, int64_t
         g_sum += g;
         out_sum += d;
     }
-    sums[0] = g_sum;
-    sums[1] = out_sum;
+    free(empty);
+    a->g_sum = g_sum;
+    a->d_sum = out_sum;
+    return 0;
 }

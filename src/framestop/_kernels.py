@@ -32,7 +32,11 @@ costs and Python tables, and :func:`status` says why.  Each compiled
 kernel has one route from Python: ``fs_gld`` through :func:`gld` (and
 :func:`costs`, which the probe reads), ``fs_absorb`` through
 :func:`absorb`, which :func:`align` and ``CombinerState.absorb`` call, and
-``fs_spread`` through :class:`Scan`.
+``fs_spread`` through :func:`spread`, which ``CombinerState.candidate_gld``
+calls.  ``fs_absorb`` and ``fs_spread`` take one pointer to the same
+struct, :class:`AbsorbArgs`, the one description of a state's history
+store; the state makes room in the store before the call, and a call the
+store has no room for is refused as an internal error.
 """
 
 import contextlib
@@ -64,11 +68,7 @@ _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
     "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
     "fs_absorb": (_INT, [_PTR]),
-    "fs_spread": (
-        None,
-        [_PTR, _PTR, _INT, _INT, _PTR, _INT, _INT, _PTR, _PTR, _PTR, ctypes.c_double,
-         ctypes.c_double, _PTR],
-    ),
+    "fs_spread": (_INT, [_PTR]),
 }
 
 
@@ -280,14 +280,14 @@ def costs(x, y):
     return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
 
 
-# fs_absorb's failure codes (FS_* in _kernels.c)
-NO_PATH, GROW, NO_MEMORY = -1, -2, -3
+# the failure codes of fs_absorb and fs_spread (FS_* in _kernels.c)
+NO_PATH, NO_ROOM, NO_MEMORY = -1, -2, -3
 
 
 class AbsorbArgs(ctypes.Structure):
-    """The arguments of ``fs_absorb``, field for field ``struct
-    fs_absorb_args`` in ``_kernels.c``, which documents them.  Addresses are
-    ints, 0 for NULL."""
+    """The arguments of ``fs_absorb`` and ``fs_spread``, field for field
+    ``struct fs_absorb_args`` in ``_kernels.c``, which documents them.
+    Addresses are ints, 0 for NULL."""
 
     _fields_ = [
         ("result", _PTR), ("s", _INT), ("frame", _PTR), ("m", _INT), ("width", _INT),
@@ -295,25 +295,48 @@ class AbsorbArgs(ctypes.Structure):
         ("factor", ctypes.c_double), ("merged", _PTR), ("order", _PTR), ("next_id", _INT),
         ("rows", _PTR), ("used", _INT), ("capacity", _INT), ("slots", _PTR),
         ("frame_index", _INT), ("frames", _INT), ("stride", _INT), ("current", _PTR),
+        ("n", _INT), ("shares", _PTR), ("share", ctypes.c_double), ("length", ctypes.c_double),
+        ("out", _PTR), ("g_sum", ctypes.c_double), ("d_sum", ctypes.c_double),
     ]
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.at = ctypes.addressof(self)  # what fs_absorb takes, read once
+        self.at = ctypes.addressof(self)  # what the kernels take, read once
+
+
+def _checked(code):
+    """``code``, a kernel's answer, unless it is a failure code: raises
+    ValueError for NO_PATH, RuntimeError for NO_ROOM and MemoryError for
+    NO_MEMORY."""
+    if code == NO_PATH:
+        raise ValueError("alignment costs hold a NaN: rows must be finite")
+    if code == NO_ROOM:
+        raise RuntimeError("internal error: the history store has no room for the call")
+    if code == NO_MEMORY:
+        raise MemoryError("no memory for the kernel's work buffer")
+    return code
 
 
 def absorb(args):
     """One ``fs_absorb`` call over ``args``, an :class:`AbsorbArgs`: the
-    number of steps, or ``GROW`` when the history store has no room for the
-    frame, with nothing written.  Raises ValueError when the costs hold a
-    NaN, so no path exists, and MemoryError when the work buffer cannot be
-    allocated."""
-    steps = lib.fs_absorb(args.at)
-    if steps == NO_PATH:
-        raise ValueError("alignment costs hold a NaN: rows must be finite")
-    if steps == NO_MEMORY:
-        raise MemoryError("no memory for the alignment table")
-    return steps
+    number of steps.  Raises ValueError when the costs hold a NaN, so no
+    path exists, RuntimeError, with nothing written, when the history store
+    has no room for the frame, and MemoryError when the work buffer cannot
+    be allocated."""
+    return _checked(lib.fs_absorb(args.at))
+
+
+def spread(args):
+    """``CombinerState.candidate_gld`` from one ``fs_spread`` call over
+    ``args``, an :class:`AbsorbArgs` whose ``n`` (at least 1), ``s``,
+    ``shares``, ``share`` and ``length`` are set: (d, sum of g, sum of d),
+    d a fresh array of ``n`` entries.  Raises RuntimeError, with nothing
+    written, when ``n`` is above the store's frames or ``s`` above its row
+    ids, and MemoryError when the scratch buffer cannot be allocated."""
+    out = np.empty(args.n)
+    args.out = address(out)
+    _checked(lib.fs_spread(args.at))
+    return out, args.g_sum, args.d_sum
 
 
 def address(array):
@@ -333,58 +356,3 @@ def align(x, y):
     args = AbsorbArgs(x.ctypes.data, s, y.ctypes.data, m, width, ctypes.addressof(path))
     steps = absorb(args)
     return tuple(path[:steps]), tuple(path[room : room + steps]), args.cost
-
-
-class Scan:
-    """The history store as fs_spread reads it, with the scan's buffers.
-
-    Checks that ``rows`` is a C-contiguous float64 (capacity, width) array,
-    ``slots`` a C-contiguous int64 (frames, row ids) array and ``current``,
-    the current rows by row id, a C-contiguous float64 (row ids, width)
-    array.  fs_spread trusts every slot to index a row below the capacity,
-    and the first ``s`` rows of ``current`` to hold the current rows; the
-    caller keeps both.  Beside them: ``empty``, each current row's
-    distance to the empty row, which every call writes; ``out``, one entry
-    per frame; and ``sums``.  Their addresses stay valid while the arrays
-    live, so a caller builds a Scan once per grown array rather than once
-    per call.
-    """
-
-    def __init__(self, rows, slots, current):
-        for array, dtype in ((rows, np.float64), (slots, np.int64), (current, np.float64)):
-            if array.dtype != dtype or array.ndim != 2 or not array.flags.c_contiguous:
-                raise ValueError(f"history array of {array.dtype} {array.shape} does not fit the kernel")
-        frames, ids = slots.shape
-        if current.shape != (ids, rows.shape[1]):
-            raise ValueError(f"current rows {current.shape} do not fit slots {slots.shape}")
-        self.rows, self.slots, self.current = rows, slots, current
-        self.empty = np.empty(ids)
-        self.out = np.empty(frames)
-        self.sums = (ctypes.c_double * 2)()
-        self.at = (
-            address(rows), address(slots), ids, address(current), rows.shape[1],
-            address(self.empty), address(self.out),
-        )
-
-    def __call__(self, n, s, share, length):
-        """``CombinerState.candidate_gld`` from one fs_spread call over the
-        first ``n`` frames of the store against the first ``s`` current rows:
-        (d, sum of g, sum of d), d a copy of ``out[:n]``.
-
-        ``share`` is the merge share of every candidate, a float, or an
-        array of one per frame; ``length`` is the nGLD length sum, None for
-        GLD.
-        """
-        rows_at, slots_at, stride, current_at, width, empty_at, out_at = self.at
-        if not (n <= len(self.out) and s <= stride):
-            raise ValueError(f"{n} frames of {s} rows do not fit slots {self.slots.shape}")
-        shares = None
-        if isinstance(share, np.ndarray):
-            if share.dtype != np.float64 or share.shape != (n,) or not share.flags.c_contiguous:
-                raise ValueError(f"shares of {share.dtype} {share.shape} do not fit {n} frames")
-            shares, share = share.ctypes.data, 0.0
-        lib.fs_spread(
-            rows_at, slots_at, stride, n, current_at, s, width, empty_at, out_at, shares, share,
-            -1.0 if length is None else length, self.sums,
-        )
-        return self.out[:n].copy(), self.sums[0], self.sums[1]

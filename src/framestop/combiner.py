@@ -13,27 +13,31 @@ absorbed row once, in absorb order, a (frame x row id) table of indices
 into those rows, and the current rows by row id.  Absorbing a frame
 appends its M rows and points its slots at them (O(M*K)); every other
 slot holds 0, the index of the empty distribution, so a frame reads as
-empty wherever it was not aligned, rows created after it included.  The
-arrays grow geometrically; display order is applied only when the
-history is read, by ``CombinerState.contributions``.
+empty wherever it was not aligned, rows created after it included.
+Before each absorb, ``CombinerState._reserve`` makes room for the frame
+in every array, each too small one doubling (or more, if the frame needs
+it), so neither route grows anything; display order is applied only when
+the history is read, by ``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels load and their costs passed the
 load-time probe (``_kernels.compiled_costs``), ``CombinerState.absorb``
 is one ``fs_absorb`` call in ``_kernels.c``: the costs, in numpy's
 summation order, the table, the path, the merge and the store write, on
-addresses the state keeps; ``align`` is the same call without the merge
-and the store.  Otherwise numpy's ``pairwise_costs`` / ``gap_costs``,
-``metrics.cost_table``, the Python traceback ``_path``, ``_merge`` and
-``CombinerState._record`` run, the reference.
+addresses the state keeps in one ``_kernels.AbsorbArgs``; ``align`` is
+the same call without the merge and the store.  Otherwise numpy's
+``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the Python
+traceback ``_path``, ``_merge`` and ``CombinerState._record`` run, the
+reference.
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, then each candidate's merge share, its
-nGLD and the sums of both, in one compiled call where available (numpy
-otherwise).  The scan computes each current row's distance to the empty
-row once per call, and a slot holding 0 adds that distance instead of
-K+1 terms; ``b`` is ``a``'s aggregate normalised once.
+nGLD and the sums of both, in one compiled ``fs_spread`` call over the
+same ``AbsorbArgs`` where available (numpy otherwise).  The scan
+computes each current row's distance to the empty row once per call, and
+a slot holding 0 adds that distance instead of K+1 terms; ``b`` is
+``a``'s aggregate normalised once.
 """
 import math
 import operator
@@ -55,6 +59,15 @@ _SCAN_FRAMES = 32
 
 # initial capacities of the history store: rows, frames, row ids
 _STORE_CAPACITY = (64, 32, 8)
+
+
+def _grown(array, needed, keep):
+    """A zeroed array of twice ``array``'s rows, or of ``needed`` if that is
+    more, holding its first ``keep`` rows."""
+    grown = np.zeros((max(2 * len(array), needed), *array.shape[1:]), dtype=array.dtype)
+    grown[:keep] = array[:keep]
+    return grown
+
 
 @dataclass(frozen=True)
 class Alignment:
@@ -229,7 +242,8 @@ class CombinerState:
         self._width = alphabet.size + 1
         padded = _empty_row(self._width)[None]  # the rows, then the empty row
         self._set_rows(padded, _kernels.address(padded))
-        self._ids = np.empty(8, dtype=np.int64)  # room for row ids; _order is its first S
+        rows, frames, ids = _STORE_CAPACITY
+        self._ids = np.empty(ids, dtype=np.int64)  # room for row ids; _order is its first S
         self._order = self._ids[:0]
         self._next_id = 0
         self._weights = []
@@ -244,20 +258,18 @@ class CombinerState:
         # by row id, rewritten whole by every absorb, for the scans.
         self._rows = self._slots = self._current = None
         if self.track_history or self.track_treaps:
-            rows, frames, ids = _STORE_CAPACITY
             self._rows = np.empty((rows, self._width))
             self._rows[0] = _empty_row(self._width)
             self._slots = np.zeros((frames, ids), dtype=np.int64)
             self._current = np.empty((ids, self._width))
         self._used = 1  # rows of _rows in use
-        self._history = None  # the compiled scan's store and buffers (_kernels.Scan); None when stale
-        self._args = None  # the compiled absorb's _kernels.AbsorbArgs; None when stale
+        self._args = None  # the kernels' _kernels.AbsorbArgs over these arrays; None when stale
 
     def __getstate__(self):
         """The state without the addresses of its arrays, which the kernels
         read; a copy or an unpickled state takes its own arrays' afresh."""
         state = self.__dict__.copy()
-        state["_history"] = state["_args"] = state["_padded_at"] = None
+        state["_args"] = state["_padded_at"] = None
         return state
 
     def __setstate__(self, state):
@@ -298,11 +310,12 @@ class CombinerState:
 
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
-        already reads as empty for this frame.  Where the compiled costs
-        run (:func:`_kernels.compiled_costs`), the alignment, the merge and
-        the store write are one ``fs_absorb`` call; otherwise :func:`align`,
-        :func:`_merge` and :meth:`_record`, the reference, which gives the
-        same rows, row ids and store bit for bit.
+        already reads as empty for this frame.  :meth:`_reserve` first makes
+        room for the frame.  Where the compiled costs run
+        (:func:`_kernels.compiled_costs`), the alignment, the merge and the
+        store write are then one ``fs_absorb`` call; otherwise
+        :func:`align`, :func:`_merge` and :meth:`_record`, the reference,
+        which gives the same rows, row ids and store bit for bit.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -310,6 +323,7 @@ class CombinerState:
         if not math.isfinite(new_total):
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = merge_share(w, self.weight_total)
+        self._reserve(frame.num_chars)
         if _kernels.compiled_costs():
             self._absorb_compiled(frame, factor)
         else:
@@ -328,7 +342,8 @@ class CombinerState:
         order = self._row_ids_after(alignment)
         self._next_id += alignment.inserted
         padded = _merge(alignment, frame.padded_rows, self._padded, factor)
-        self._set_order(order)
+        self._ids[: len(order)] = order
+        self._order = self._ids[: len(order)]
         if self._rows is not None:
             # row id of each frame row, in frame order
             m = frame.num_chars
@@ -337,24 +352,15 @@ class CombinerState:
         self._set_rows(padded, _kernels.address(padded))
 
     def _absorb_compiled(self, frame, factor):
-        """The absorb in one ``fs_absorb`` call, repeated after growing a
-        full store."""
+        """The absorb in one ``fs_absorb`` call."""
         s, m = len(self._order), frame.num_chars
-        if s + m > len(self._ids):
-            self._set_order(self._order, room=2 * (s + m))
         merged = np.empty((s + m + 1, self._width))
         merged_at = _kernels.address(merged)
-        while True:
-            args = self._args
-            if args is None:
-                args = self._args = self._absorb_args()
-            args.result, args.s, args.frame, args.m = self._padded_at, s, frame._padded_at, m
-            args.factor, args.merged = factor, merged_at
-            args.next_id, args.used, args.frame_index = self._next_id, self._used, self.n
-            steps = _kernels.absorb(args)
-            if steps != _kernels.GROW:
-                break
-            self._grow(self._used + m, self._next_id + args.inserted)
+        args = self._kernel_args()
+        args.result, args.s, args.frame, args.m = self._padded_at, s, frame._padded_at, m
+        args.factor, args.merged = factor, merged_at
+        args.next_id, args.used, args.frame_index = self._next_id, self._used, self.n
+        steps = _kernels.absorb(args)
         if not math.isfinite(args.cost):
             raise ValueError(f"alignment cost is {args.cost}: rows must be finite")
         merged.setflags(write=False)  # so no view of it is writable
@@ -364,25 +370,18 @@ class CombinerState:
         if self._rows is not None:
             self._used += m
 
-    def _absorb_args(self):
-        """The compiled absorb's arguments over this state's buffers; the
-        per-frame fields are set before each call."""
-        address = _kernels.address
-        args = _kernels.AbsorbArgs(width=self._width, order=address(self._ids))
-        if self._rows is not None:
-            args.rows, args.capacity = address(self._rows), len(self._rows)
-            args.slots, (args.frames, args.stride) = address(self._slots), self._slots.shape
-            args.current = address(self._current)
-        return args
-
-    def _set_order(self, order, room=0):
-        """Make ``order`` the row ids in display order, in a buffer of room
-        for at least ``room`` ids."""
-        if max(len(order), room) > len(self._ids):
-            self._ids = np.empty(max(len(order), room), dtype=np.int64)
-            self._args = None
-        self._ids[: len(order)] = order
-        self._order = self._ids[: len(order)]
+    def _kernel_args(self):
+        """The kernels' one view of this state's buffers, a
+        ``_kernels.AbsorbArgs`` built again after :meth:`_reserve` grows
+        one; the per-call fields are set before each call."""
+        if self._args is None:
+            address = _kernels.address
+            args = self._args = _kernels.AbsorbArgs(width=self._width, order=address(self._ids))
+            if self._rows is not None:
+                args.rows, args.capacity = address(self._rows), len(self._rows)
+                args.slots, (args.frames, args.stride) = address(self._slots), self._slots.shape
+                args.current = address(self._current)
+        return self._args
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
@@ -400,33 +399,36 @@ class CombinerState:
         ``rids`` holds the row id of each of the frame's rows.
         """
         end = self._used + len(rows)
-        self._grow(end, self._next_id)
         self._rows[self._used : end] = rows
         self._slots[self.n, rids] = np.arange(self._used, end)
         self._used = end
 
-    def _grow(self, end, next_id):
-        """Grow each store array too small for frame n's rows up to ``end``
-        and the row ids below ``next_id``, by copying: the rows x2, the
-        frames x2, the row ids to 5/4 of those in use.  Growing is the only
-        change that makes the compiled kernels' store addresses stale.
-        """
-        if end > len(self._rows):
-            grown = np.empty((max(2 * len(self._rows), end), self._width))
-            grown[: self._used] = self._rows[: self._used]
-            self._rows = grown
-            self._history = self._args = None
-        frames, ids = self._slots.shape
-        if self.n == frames or next_id > ids:
-            grown = np.zeros(
-                (2 * frames if self.n == frames else frames, max(ids, next_id * 5 // 4)),
-                dtype=np.int64,
-            )
-            grown[:frames, :ids] = self._slots
-            self._slots = grown
-            if grown.shape[1] != ids:  # no copy: every absorb rewrites it whole
-                self._current = np.empty((grown.shape[1], self._width))
-            self._history = self._args = None
+    def _reserve(self, m):
+        """Make room for frame n of ``m`` rows, whatever its alignment: s + m
+        row ids in display order and, with a history store, ``_used + m``
+        rows, n + 1 frames and ``_next_id + m`` row ids, as a frame inserts
+        at most m rows.  Each array too small grows to twice its size, or to
+        what is needed if that is more (:func:`_grown`).  Growing is the
+        only change that makes the kernels' addresses stale."""
+        s = len(self._order)
+        if s + m > len(self._ids):
+            self._ids = _grown(self._ids, s + m, s)
+            self._order = self._ids[:s]
+            self._args = None
+        if self._rows is None:
+            return
+        if self._used + m > len(self._rows):
+            self._rows = _grown(self._rows, self._used + m, self._used)
+            self._args = None
+        if self.n + 1 > len(self._slots):
+            self._slots = _grown(self._slots, self.n + 1, self.n)
+            self._args = None
+        if self._next_id + m > len(self._current):
+            self._current = _grown(self._current, self._next_id + m, self._next_id)
+            slots = np.zeros((len(self._slots), len(self._current)), dtype=np.int64)
+            slots[:, : self._slots.shape[1]] = self._slots  # a slot per current row id
+            self._slots = slots
+            self._args = None
 
     def candidate_alignment(self, candidate):
         """Alignment of ``candidate`` against the current result, and its merge share.
@@ -492,12 +494,10 @@ class CombinerState:
         (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where :mod:`framestop._kernels` loads, the scan, the shares, the
-        normalisation and both sums are one compiled call
-        (:class:`_kernels.Scan`), with the same elementwise operations as
-        the numpy path and the sums added in frame order; the two agree to
-        a few parts in 1e15.  The scan's buffers and their addresses are
-        rebuilt only when an array of the store has grown since the last
-        call.
+        normalisation and both sums are one ``fs_spread`` call
+        (:func:`_kernels.spread`) over the state's ``AbsorbArgs``, with the
+        same elementwise operations as the numpy path and the sums added in
+        frame order; the two agree to a few parts in 1e15.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
@@ -505,9 +505,14 @@ class CombinerState:
             raise ValueError("cannot estimate before the first frame")
         share = self.candidate_shares()
         if _kernels.get() is not None:
-            if self._history is None:
-                self._history = _kernels.Scan(self._rows, self._slots, self._current)
-            return self._history(self.n, len(self._order), share, length)
+            args = self._kernel_args()
+            args.n, args.s = self.n, len(self._order)
+            if isinstance(share, np.ndarray):
+                args.shares, args.share = _kernels.address(share), 0.0
+            else:
+                args.shares, args.share = None, share
+            args.length = -1.0 if length is None else length
+            return _kernels.spread(args)
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)
         return d, float(g.sum()), float(d.sum())

@@ -5,14 +5,15 @@ distributions, a generalized Levenshtein distance (GLD) between row
 sequences that uses the taxicab distance for substitution and gap costs,
 and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
 ``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
-and ``combiner.align`` reads its path.  Where a C compiler is available
-both run its compiled copy in ``_kernels.c`` instead, which performs the
-same floating-point operations in the same order and so gives the same
-costs bit for bit; ``cost_table`` stays the fallback and the reference.
-``gld``'s compiled call also computes its substitution and gap costs, in
-numpy's summation order, and runs only once a load-time probe has found
-them equal to :func:`pairwise_costs` / :func:`gap_costs` bit for bit;
-its working memory is O(S*M), not the O(S*M*K) of the numpy cost matrix.
+and ``combiner.align`` reads its path.  Both run its compiled copy in
+``_kernels.c`` instead only where the kernels load and a load-time probe
+has found their substitution and gap costs, computed in C in numpy's
+summation order, equal to :func:`pairwise_costs` / :func:`gap_costs` bit
+for bit (``_kernels.compiled_costs``); the copy performs the same
+floating-point operations in the same order, so it gives the same
+results bit for bit, in O(S*M) working memory rather than the O(S*M*K)
+of the numpy cost matrix.  Otherwise both run numpy's costs and
+``cost_table``, the reference.
 """
 
 import math

@@ -23,8 +23,10 @@ Three estimators compute the same quantity at different price points:
   (row, class) cell.
 
 A stage of ``a`` or ``b`` is the absorb that every method pays (one
-alignment, ``combiner.align``, and the merge) plus the estimate, which
-past the paper's 30 frames is the larger part.
+``fs_absorb`` call on the compiled route: the alignment, the merge and
+the store write) plus the estimate.  At the paper's horizon the two take
+about half each (n=25 on a 2-vCPU Xeon); past n of about 100 the
+estimate's scan is the larger part.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.

@@ -1,9 +1,11 @@
 """The compiled kernels against the Python ones, and the loader's fallbacks."""
 
 import copy
+import ctypes
 import gc
 import pickle
 import random
+import re
 import subprocess
 import sysconfig
 import tempfile
@@ -192,7 +194,7 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
     def unreachable(*args):
         raise AssertionError("compiled kernel called without a compiler")
 
-    for name in ("gld", "align", "absorb", "Scan"):
+    for name in ("gld", "align", "absorb", "spread"):
         monkeypatch.setattr(_kernels, name, unreachable)
     after = _outcomes(clips)
     for (outcome, (estimates, errors)), (outcome_py, (estimates_py, errors_py)) in zip(before, after):
@@ -206,11 +208,24 @@ def test_kernels_compile_without_warnings(tmp_path):
     argv = _kernels.compiler()
     if argv is None:
         pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
-    command = [*argv, *_kernels.FLAGS, "-Wall", "-Wextra", "-Werror", str(_kernels.SOURCE)]
+    # -Wpadded: the kernels' struct must have no padding for AbsorbArgs to mirror it
+    command = [
+        *argv, *_kernels.FLAGS, "-Wall", "-Wextra", "-Wpadded", "-Werror", str(_kernels.SOURCE)
+    ]
     done = subprocess.run(
         [*command, "-o", str(tmp_path / "kernels.so")], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_absorb_args_mirror_the_c_struct():
+    source = _kernels.SOURCE.read_text()
+    body = re.search(r"struct fs_absorb_args \{(.*?)\n\};", source, re.S).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    names = re.findall(r"(\w+);", body)
+    fields = _kernels.AbsorbArgs._fields_
+    assert names == [name for name, _ in fields]
+    assert ctypes.sizeof(_kernels.AbsorbArgs) == 8 * len(fields)
 
 
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
@@ -373,6 +388,44 @@ def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     assert (merged == 7.0).all() and (order[1:] == 7).all()
 
 
+def _store(args, capacity, frames, stride, marker=5):
+    """Point ``args`` at a history store of ``capacity`` rows, ``frames``
+    frames and ``stride`` row ids, every entry ``marker``; its arrays, each
+    with room to spare, so a kernel that overruns the store changes them
+    rather than other memory."""
+    rows = np.full((capacity + 8, args.width), float(marker))
+    slots = np.full((frames + 8) * (stride + 8), marker, dtype=np.int64)
+    current = np.full((stride + 8, args.width), float(marker))
+    args.rows, args.capacity, args.used = rows.ctypes.data, capacity, 1
+    args.slots, args.frames, args.stride = slots.ctypes.data, frames, stride
+    args.current = current.ctypes.data
+    return rows, slots, current
+
+
+def test_compiled_kernels_refuse_a_store_without_room(compiled):
+    # frame 0 of two rows into one result row: room for 1 + 2 rows, 1 frame, 1 + 2 row ids
+    for capacity, frames, stride in ((2, 1, 3), (3, 0, 3), (3, 1, 2)):
+        args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
+        args.next_id = 1
+        store = _store(args, capacity, frames, stride)
+        before = [array.copy() for array in (*buffers, *store)]
+        with pytest.raises(RuntimeError, match="internal error"):
+            _kernels.absorb(args)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
+    args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
+    args.next_id = 1
+    store = _store(args, 3, 1, 3)
+    assert _kernels.absorb(args) >= 2  # just enough room
+    # the scan of more frames than the store holds, or more rows than its row ids
+    for n, s in ((2, 1), (1, 4)):
+        args = _kernels.AbsorbArgs(width=2, n=n, s=s, share=0.5, length=-1.0)
+        store = _store(args, 1, 1, 3, marker=0)
+        before = [array.copy() for array in store]
+        with pytest.raises(RuntimeError, match="internal error"):
+            _kernels.spread(args)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
+
+
 def _state_dump(frames, alphabet, *, track=True):
     """Bytes of everything an absorb leaves, after every absorb of
     ``frames``: the alignment ``align`` gives against the result before it
@@ -472,19 +525,54 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
     for track in (True, False):
         state = CombinerState(clip.alphabet, track_history=track)
         for frame in clip.frames:
-            store = (state._rows, state._slots)
+            store = (state._ids, state._rows, state._slots)
             counting.calls.clear()
             state.absorb(frame)
-            names, results = zip(*counting.calls)
-            assert set(names) == {"fs_absorb"} and results[-1] >= 0
-            if any(a is not b for a, b in zip(store, (state._rows, state._slots))):
-                # a full store answers GROW, once for the room every frame
-                # needs and once for the new row ids, and the call is repeated
-                assert 2 <= len(results) <= 3 and set(results[:-1]) == {_kernels.GROW}
-                grown += 1
-            else:
-                assert len(results) == 1
+            (name, result), = counting.calls  # one call, also when the store grew
+            assert name == "fs_absorb" and result >= 0
+            grown += any(a is not b for a, b in zip(store, (state._ids, state._rows, state._slots)))
     assert grown >= (5 if capacity else 1)
+
+
+@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
+    if capacity is not None:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    counting = _CountingLib(compiled)
+    monkeypatch.setattr(_kernels, "lib", counting)
+    rng = random.Random(61)
+    for clip in [looped_clip(40), random_clip(rng, 0, weighted=True)]:
+        state = CombinerState(clip.alphabet, track_history=True)
+        for frame in clip.frames:
+            state.absorb(frame)
+            for length in (None, 3.0):
+                counting.calls.clear()
+                state.candidate_gld(length)
+                assert counting.calls == [("fs_spread", 0)]
+
+
+def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch):
+    # the room is made before the call, so the store has grown when the call fails
+    clip = looped_clip(12)
+    state = CombinerState(clip.alphabet, track_history=True)
+    for frame in clip.frames[:6]:
+        state.absorb(frame)
+    before = state.mean_rows, state.row_ids, state.contributions, estimate_method_a(state)
+    arrays = state._ids, state._rows, state._slots, state._current
+    m = max(len(array) for array in arrays)  # more rows than any array has room for
+    wide = make_frame(np.random.default_rng(6).dirichlet(np.ones(clip.alphabet.size), m))
+
+    def no_memory(args):
+        raise MemoryError("set by the test")
+
+    monkeypatch.setattr(_kernels, "absorb", no_memory)
+    with pytest.raises(MemoryError):
+        state.absorb(wide)
+    grown = state._ids, state._rows, state._slots, state._current
+    assert all(a is not b for a, b in zip(arrays, grown))
+    after = state.mean_rows, state.row_ids, state.contributions, estimate_method_a(state)
+    assert after[0].tobytes() == before[0].tobytes() and after[1] == before[1]
+    assert after[2].tobytes() == before[2].tobytes() and after[3] == before[3]
 
 
 def test_copies_and_pickles_read_their_own_arrays(compiled):
