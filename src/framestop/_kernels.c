@@ -21,13 +21,57 @@
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
    describes the history store once; each CombinerState keeps one.  The
    caller makes room in the store before a call, and both refuse a call
-   the store has no room for, as they write through its addresses. */
+   the store has no room for, as they write through its addresses.
+   The hot loops, the cost sums, the scan's row distance and the merge,
+   run on vectors of four doubles whose lanes are the scalar order's
+   accumulators, so they give the same bits on any instruction set.  On
+   x86-64 ELF with glibc, the entry points are built twice, for AVX2 and
+   for the baseline, and the dynamic loader picks one (CLONED); elsewhere
+   the baseline build alone runs the same vector code. */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* An AVX2 clone and a baseline one of each entry point, the loader
+   choosing through an ifunc, which needs an x86-64 ELF toolchain and
+   glibc; elsewhere one baseline build.  AVX2 only: a target with FMA
+   (fma, x86-64-v3) would be one flag away from fusing a multiply and an
+   add, which rounds once where the reference rounds twice. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
+
+/* Four doubles; lane k of a sum is the scalar order's accumulator k, so
+   every addition has the same operands in the same order. */
+typedef double f64x4 __attribute__((vector_size(32)));
+typedef int64_t i64x4 __attribute__((vector_size(32)));
+
+/* Functions called from an entry point are inlined into both clones.  A
+   vector never passes by value through a function: a 32-byte vector has
+   another ABI in the AVX2 clone than in the baseline one, so the vector
+   steps are macros. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* The sign bits clear, the rest set */
+static const i64x4 magnitude = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
+
+/* LOAD4(p): four doubles from any address.  ABS4(v): |v| by clearing the
+   sign bits, the bits fabs gives. */
+#define LOAD4(p)                                                              \
+    __extension__({                                                           \
+        f64x4 v_;                                                             \
+        memcpy(&v_, (p), sizeof v_);                                          \
+        v_;                                                                   \
+    })
+#define ABS4(v) ((f64x4)((i64x4)(v) & magnitude))
 
 /* Backward GLD table: table[i*(m+1)+j] is the least cost of aligning rows
    i.. of the first sequence with rows j.. of the second.  sub is s*m, row
@@ -63,12 +107,16 @@ static double fill(const double *sub, const double *gap_rows, const double *gap_
 
 /* NAME(a, b, n) sums TERM(i) over i = 0..n-1 in the order numpy's
    pairwise_sum adds a contiguous float64 axis (np.add.reduce): a plain
-   loop from 0 below 8 terms; up to 128 terms, 8 lanes seeded with the
-   first eight terms and combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
-   tail added in order; above 128, the two parts summed apart, split at
-   n/2 rounded down to a multiple of 8. */
-#define PAIRWISE(NAME, TERM)                                                  \
-    static double NAME(const double *a, const double *b, int64_t n)          \
+   loop from 0 below 8 terms; up to 128 terms, 8 accumulators seeded with
+   the first eight terms and combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
+   the tail added in order; above 128, the two parts summed apart, split
+   at n/2 rounded down to a multiple of 8.  The accumulators are the lanes
+   of two vectors, 0-3 and 4-7, which TERM4(i) advances by terms i..i+3.
+   NAME##_split, the part above 128 terms, is not inlined, as it recurses,
+   so it runs the baseline build in either clone. */
+#define PAIRWISE(NAME, TERM, TERM4)                                           \
+    static double NAME##_split(const double *a, const double *b, int64_t n); \
+    INLINE double NAME(const double *a, const double *b, int64_t n)           \
     {                                                                         \
         (void)b;                                                              \
         if (n < 8) {                                                          \
@@ -77,36 +125,40 @@ static double fill(const double *sub, const double *gap_rows, const double *gap_
                 res += TERM(i);                                               \
             return res;                                                       \
         }                                                                     \
-        if (n <= 128) {                                                       \
-            double r[8];                                                      \
-            for (int64_t k = 0; k < 8; k++)                                   \
-                r[k] = TERM(k);                                               \
-            int64_t i = 8;                                                    \
-            for (; i < n - n % 8; i += 8)                                     \
-                for (int64_t k = 0; k < 8; k++)                               \
-                    r[k] += TERM(i + k);                                      \
-            double res = ((r[0] + r[1]) + (r[2] + r[3])) +                    \
-                         ((r[4] + r[5]) + (r[6] + r[7]));                     \
-            for (; i < n; i++)                                                \
-                res += TERM(i);                                               \
-            return res;                                                       \
+        if (n > 128)                                                          \
+            return NAME##_split(a, b, n);                                     \
+        f64x4 lo = TERM4(0), hi = TERM4(4);                                   \
+        int64_t i = 8;                                                        \
+        for (; i < n - n % 8; i += 8) {                                       \
+            lo += TERM4(i);                                                   \
+            hi += TERM4(i + 4);                                               \
         }                                                                     \
+        double res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) +                    \
+                     ((hi[0] + hi[1]) + (hi[2] + hi[3]));                     \
+        for (; i < n; i++)                                                    \
+            res += TERM(i);                                                   \
+        return res;                                                           \
+    }                                                                         \
+    static double NAME##_split(const double *a, const double *b, int64_t n)  \
+    {                                                                         \
         int64_t half = n / 2;                                                 \
         half -= half % 8;                                                     \
         return NAME(a, b, half) + NAME(a + half, b ? b + half : b, n - half); \
     }
 
 #define ABS_DIFF(i) fabs(a[i] - b[i])
+#define ABS_DIFF4(i) ABS4(LOAD4(a + (i)) - LOAD4(b + (i)))
 #define ABS(i) fabs(a[i])
-PAIRWISE(sum_abs_diff, ABS_DIFF)
-PAIRWISE(sum_abs, ABS)
+#define ABS_ALONE4(i) ABS4(LOAD4(a + (i)))
+PAIRWISE(sum_abs_diff, ABS_DIFF, ABS_DIFF4)
+PAIRWISE(sum_abs, ABS, ABS_ALONE4)
 
 /* The costs of aligning the s rows x with the m rows y, each of width
    doubles, row major: sub (s*m) as metrics.pairwise_costs(x, y), then
    gap_rows (s) and gap_cols (m), which follow it, as metrics.gap_costs of
    x and of y.  Returns the GLD table filled over them into table, of
    (s+1)*(m+1) doubles. */
-static double costs_and_table(const double *x, int64_t s, const double *y, int64_t m,
+INLINE double costs_and_table(const double *x, int64_t s, const double *y, int64_t m,
                               int64_t width, double *sub, double *table)
 {
     double *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
@@ -125,7 +177,7 @@ static double costs_and_table(const double *x, int64_t s, const double *y, int64
    row major.  work holds s*m + s + m + (s+1)*(m+1) doubles: it receives
    the substitution costs and the gap costs of x and of y, as
    costs_and_table writes them, then the table.  Returns the GLD. */
-double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
+CLONED double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
               double *work)
 {
     return costs_and_table(x, s, y, m, width, work, work + s * m + s + m);
@@ -215,9 +267,10 @@ struct fs_absorb_args {
 
 /* The merge along the path of steps result rows ri and frame rows fi, and
    the store write; see fs_absorb. */
-static void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
+INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
 {
     const int64_t s = a->s, m = a->m, width = a->width;
+    const f64x4 factor = {a->factor, a->factor, a->factor, a->factor};
     int64_t next_id = a->next_id + a->inserted;
     /* from the back, so order[ri[k]], with ri[k] <= k, is still the old id */
     for (int64_t k = steps - 1; k >= 0; k--)
@@ -225,7 +278,12 @@ static void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
     for (int64_t k = 0; k < steps; k++) {
         const double *old = a->result + ri[k] * width, *fresh = a->frame + fi[k] * width;
         double *out = a->merged + k * width;
-        for (int64_t c = 0; c < width; c++)
+        int64_t c = 0;
+        for (; c + 4 <= width; c += 4) {
+            const f64x4 was = LOAD4(old + c), blend = was + factor * (LOAD4(fresh + c) - was);
+            memcpy(out + c, &blend, sizeof blend);
+        }
+        for (; c < width; c++)
             out[c] = old[c] + a->factor * (fresh[c] - old[c]);
         if (a->rows) {
             memcpy(a->current + a->order[k] * width, out, width * sizeof(double));
@@ -249,7 +307,7 @@ static void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
    by its row id.  Returns the number of steps; FS_NO_PATH (a NaN cost),
    FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when the store has
    no room for frame frame_index, its m rows or m new row ids. */
-int64_t fs_absorb(struct fs_absorb_args *a)
+CLONED int64_t fs_absorb(struct fs_absorb_args *a)
 {
     const int64_t s = a->s, m = a->m, room = s + m;
     a->inserted = 0;
@@ -273,21 +331,20 @@ int64_t fs_absorb(struct fs_absorb_args *a)
     return steps;
 }
 
-/* Sum over k < width of |a[k] - b[k]|, in four independent accumulators
-   so consecutive additions do not wait on each other. */
-static double row_distance(const double *a, const double *b, int64_t width)
+/* Sum over k < width of |a[k] - b[k]|, in four accumulators, the lanes
+   of one vector, so consecutive additions do not wait on each other:
+   lane j adds the terms k = j mod 4 of the whole groups of four, lane 0
+   then the tail in order, and the lanes combine as (0+1)+(2+3). */
+INLINE double row_distance(const double *a, const double *b, int64_t width)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    f64x4 lanes = {0.0, 0.0, 0.0, 0.0};
     int64_t k = 0;
-    for (; k + 4 <= width; k += 4) {
-        s0 += fabs(a[k] - b[k]);
-        s1 += fabs(a[k + 1] - b[k + 1]);
-        s2 += fabs(a[k + 2] - b[k + 2]);
-        s3 += fabs(a[k + 3] - b[k + 3]);
-    }
+    for (; k + 4 <= width; k += 4)
+        lanes += ABS4(LOAD4(a + k) - LOAD4(b + k));
+    double s0 = lanes[0];
     for (; k < width; k++)
         s0 += fabs(a[k] - b[k]);
-    return (s0 + s1) + (s2 + s3);
+    return (s0 + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
 /* The history scan of methods a and b (see struct fs_absorb_args).  Per
@@ -311,7 +368,7 @@ static double row_distance(const double *a, const double *b, int64_t width)
    d_sum the sum of out, each added in frame order.  Returns 0;
    FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when n is above
    frames or s above stride. */
-int64_t fs_spread(struct fs_absorb_args *a)
+CLONED int64_t fs_spread(struct fs_absorb_args *a)
 {
     const int64_t n = a->n, s = a->s, width = a->width, stride = a->stride;
     if (n > a->frames || s > stride)

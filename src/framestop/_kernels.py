@@ -20,7 +20,13 @@ their Python kernels, which give the same alignments.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
-change the rounding of the alignment table and could flip its ties.
+change the rounding of the alignment table and could flip its ties.  The
+hot loops run on vectors of four doubles whose lanes are the scalar
+order's accumulators, so they round as the scalar code does.  On x86-64
+ELF with glibc the C file builds each entry point twice, for AVX2 and for
+the baseline, and the dynamic loader picks one through an ifunc
+(``target_clones``); elsewhere it builds the baseline alone, and the
+compiled kernels still run.
 
 A fresh load also runs :func:`probe`: ``fs_gld`` and ``fs_absorb``
 compute the substitution and gap costs of ``metrics.gld`` and
@@ -53,6 +59,12 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
+# -ffp-contract=off: a fused multiply-add rounds once where the reference
+# rounds twice.  No -march=native: the cache name does not name the CPU,
+# so a home directory shared between machines could load a build the CPU
+# cannot run; the C file's avx2 clone, picked at load, is the only wider
+# target, and it carries no FMA.  No -ffast-math, which reorders sums and
+# flushes subnormals.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET = object()

@@ -140,9 +140,9 @@ def align(frame, result):
     the acceptance suite's criterion 7 ratio (``base`` at least 10x ``a``
     per stage at n=25) from 12.2-14.4x to 7.8-9.4x on a 2-vCPU Xeon.  With
     ``a``'s merge, store write and row ids in the same call, its stage
-    fell with ``base``'s: 10 runs of the criterion's recipe read 15.6-19.7x
-    (``base`` 0.70-1.05 ms, ``a`` 41-58 us), against 16.7-17.6x (2.8-2.9
-    ms, 167 us) before it.
+    falls with ``base``'s: on the AVX2 clone of the kernels, 10 runs of the
+    criterion's recipe read 20.8-23.1x (``base`` 0.59-0.85 ms, ``a``
+    27-39 us), and 18.5-21.9x on the scalar kernels before them.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)

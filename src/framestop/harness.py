@@ -280,7 +280,9 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
     drives every clip under every method in turn, so slow spells of a
     shared machine hit all methods alike.  ``mean_seconds`` is the mean
     over clips x repeats; ``best_seconds`` takes each clip's minimum over
-    the repeats, then the mean over clips.  Runs single-threaded.
+    the repeats, then the mean over clips.  Each (method, stage, clip)
+    keeps a running total, count and minimum, so memory does not grow with
+    ``repeats``.  Runs single-threaded.
     """
     if not clips:
         raise ValueError("no clips to benchmark")
@@ -293,23 +295,26 @@ def bench(clips, methods, *, metric=MetricKind.NGLD, delta=0.1, repeats=1, max_s
         StopperConfig(method, metric=metric, delta=delta, max_stages=max_stages)
         for method in methods
     ]
-    times = {}  # (method, stage) -> per clip, the seconds of every repeat
+    times = {}  # (method, stage) -> per clip, [total, count, minimum] over the repeats
     for _ in range(repeats):
         for index, clip in enumerate(clips):
             for config in configs:
                 for stage, elapsed in _timed_stages(clip, config):
                     per_clip = times.setdefault((config.method.value, stage), {})
-                    per_clip.setdefault(index, []).append(elapsed)
+                    seen = per_clip.setdefault(index, [0.0, 0, math.inf])
+                    seen[0] += elapsed
+                    seen[1] += 1
+                    seen[2] = min(seen[2], elapsed)
     rows = []
     for key in sorted(times):
         per_clip = times[key].values()
-        samples = sum(len(seconds) for seconds in per_clip)
+        samples = sum(count for _, count, _ in per_clip)
         rows.append(
             {
                 "method": key[0],
                 "stage": key[1],
-                "mean_seconds": sum(sum(seconds) for seconds in per_clip) / samples,
-                "best_seconds": sum(min(seconds) for seconds in per_clip) / len(per_clip),
+                "mean_seconds": sum(total for total, _, _ in per_clip) / samples,
+                "best_seconds": sum(best for _, _, best in per_clip) / len(per_clip),
                 "samples": samples,
             }
         )

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,31 @@ def test_bench_interleaves_methods_and_takes_per_clip_minima(monkeypatch):
     assert by_method["a"]["mean_seconds"] == 3.5
     assert by_method["a"]["best_seconds"] == 3.0  # mean of 1.0 and 5.0
     assert all(row["samples"] == 4 for row in rows)
+
+
+def test_bench_memory_does_not_grow_with_repeats(monkeypatch):
+    clips = generate_synthetic(noisy_config(clip_count=1))
+    methods = [StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B]
+    # every repeat replays one run's timings, so only bench's own bookkeeping allocates
+    recorded = {
+        method.value: list(harness._timed_stages(clips[0], StopperConfig(method, max_stages=30)))
+        for method in methods
+    }
+    monkeypatch.setattr(
+        harness, "_timed_stages", lambda clip, config: iter(recorded[config.method.value])
+    )
+
+    def peak(repeats):
+        tracemalloc.start()
+        try:
+            bench(clips, methods, repeats=repeats, max_stages=30)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations
+    # a list of every repeat's seconds would hold 90 x 50 of them: 36 KB
+    assert peak(50) < peak(1) + 8192
 
 
 def test_bench_validation():

@@ -4,11 +4,13 @@ import copy
 import ctypes
 import gc
 import pickle
+import platform
 import random
 import re
 import subprocess
 import sysconfig
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +122,11 @@ def _rows_of_kind(rng, kind, count, width):
 
 
 COST_KINDS = ("dirichlet", "skewed", "one-hot", "subnormal", "mixed")
+# the probe's widths and, with them, every tail length 0-7 after the 8 lanes
+COST_WIDTHS = sorted({*_kernels.PROBE_WIDTHS, *range(10, 16), 24, 31, 33})
 
 
-@pytest.mark.parametrize("width", _kernels.PROBE_WIDTHS)
+@pytest.mark.parametrize("width", COST_WIDTHS)
 def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
     rng = np.random.default_rng(width)
     for kind_x in COST_KINDS:
@@ -137,6 +141,143 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
                 assert gaps_y.tobytes() == want_y.tobytes()
                 want = cost_table(want_sub.tolist(), want_x.tolist(), want_y.tolist())[0][0]
                 assert cost.hex() == _kernels.gld(x, y).hex() == want.hex()
+
+
+def _row_distance_replica(a, b):
+    """fs_spread's distance between two rows in its order, on floats: lane
+    j of four adds |a[k] - b[k]| for k = j mod 4 over the whole groups of
+    four, lane 0 then the tail in order, and the lanes combine as
+    (0+1)+(2+3)."""
+    lanes = [0.0] * 4
+    whole = len(a) - len(a) % 4
+    for k in range(whole):
+        lanes[k % 4] += abs(a[k] - b[k])
+    for k in range(whole, len(a)):
+        lanes[0] += abs(a[k] - b[k])
+    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+
+
+def _scan_replica(rows, slots, current, shares, length):
+    """float.hex of the d, the sum of g and the sum of d that fs_spread
+    computes from a store's rows, the scanned (frames, row ids) slots and
+    the current rows, on floats: each frame's spread added over its row ids
+    in order, the sums in frame order."""
+    rows, current = rows.tolist(), current.tolist()
+    d, g_sum, d_sum = [], 0.0, 0.0
+    for frame_slots, share in zip(slots.tolist(), shares):
+        spread = 0.0
+        for slot, row in zip(frame_slots, current):
+            spread += _row_distance_replica(rows[slot], row)
+        g = spread * share / 2.0
+        d.append(g if length is None else (2.0 * g / (g + length) if g + length > 0.0 else 0.0))
+        g_sum += g
+        d_sum += d[-1]
+    return [x.hex() for x in d], g_sum.hex(), d_sum.hex()
+
+
+def _hex_scan(d, g_sum, d_sum):
+    return [x.hex() for x in d.tolist()], g_sum.hex(), d_sum.hex()
+
+
+# each lane count 1-3 of the tail, whole groups of four, and the widths the
+# costs split at
+SCAN_WIDTHS = (*range(1, 10), 16, 37, 128, 129)
+
+
+@pytest.mark.parametrize("width", SCAN_WIDTHS)
+def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
+    rng = np.random.default_rng(width)
+    # a store by hand: 12 rows after the empty one, 7 frames of 5 row ids,
+    # frame 0 all empty slots and the others a mix
+    rows = np.vstack([np.eye(1, width), rng.dirichlet(np.ones(width), 12)])
+    slots = rng.integers(1, 13, size=(7, 5)) * (rng.random((7, 5)) < 0.7)
+    slots[0] = 0
+    current = rng.dirichlet(np.full(width, 0.5), 5)
+    assert (slots[1:] == 0).any() and slots.any()
+    for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
+        for length in (None, 3.5):
+            args = _kernels.AbsorbArgs(width=width, n=7, s=5, length=length or -1.0)
+            args.rows, args.capacity = _kernels.address(rows), len(rows)
+            args.slots, args.frames, args.stride = _kernels.address(slots), 7, 5
+            args.current, args.shares = _kernels.address(current), _kernels.address(shares)
+            got = _hex_scan(*_kernels.spread(args))
+            assert got == _scan_replica(rows, slots, current, shares, length)
+    if width == 1:  # a state's rows have the empty class and at least one symbol
+        return
+    # a state's store through candidate_gld, unit and random weights
+    k = width - 1
+    alphabet = Alphabet([chr(0x100 + i) for i in range(k)])
+    for weighted in (False, True):
+        state = CombinerState(alphabet, track_history=True)
+        for m in (3, 0, 5, 2, 6, 0, 4, 1):
+            with warnings.catch_warnings():  # Dirichlet rows sum to 1 within rounding
+                warnings.simplefilter("ignore")
+                frame = make_frame(
+                    rng.dirichlet(np.ones(k), m), rng.uniform(0.25, 3.0) if weighted else 1.0,
+                    num_classes=k,
+                )
+            state.absorb(frame)
+            n, s = state.n, len(state.row_ids)
+            shares = np.broadcast_to(state.candidate_shares(), n).tolist()
+            store = state._rows, state._slots[:n, :s], state._current[:s]
+            for length in (None, 2.0 * s):
+                got = _hex_scan(*state.candidate_gld(length))
+                assert got == _scan_replica(*store, shares, length)
+
+
+# the dispatch attribute of _kernels.c's entry points
+CLONES = '__attribute__((target_clones("avx2", "default")))'
+
+
+def _kernel_dump(frames, alphabet):
+    """float.hex of everything fs_absorb and fs_spread give over ``frames``:
+    after every absorb, the alignment against the result before it, the
+    merged rows, the row ids and both scans' distances and sums; at the
+    end, the history store."""
+    state = CombinerState(alphabet, track_history=True)
+    out = []
+    for frame in frames:
+        alignment = align(frame, state.mean_rows)
+        out.append((alignment.result_rows, alignment.frame_rows, alignment.cost.hex()))
+        state.absorb(frame)
+        out += [[x.hex() for x in state.mean_rows.ravel().tolist()], state.row_ids]
+        out += [_hex_scan(*state.candidate_gld(length)) for length in (None, 2.0 * state.n)]
+    rows, current = state._rows[: state._used], state._current[: len(state.row_ids)]
+    out += [[x.hex() for x in array.ravel().tolist()] for array in (rows, current)]
+    return out + [state._slots[: state.n].tolist()]
+
+
+def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch, tmp_path):
+    # the loaded library runs its AVX2 clone on a machine that has AVX2
+    source = _kernels.SOURCE.read_text()
+    assert source.count(CLONES) == 1
+    loaded = Path(compiled._name)
+    if loaded.is_file() and platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+        assert b"fs_gld.avx2" in loaded.read_bytes()  # the clones were built
+    copy = tmp_path / "baseline.c"
+    copy.write_text(source.replace(CLONES, ""))
+    command = [*_kernels.compiler(), *_kernels.FLAGS, "-Wall", "-Wextra", "-Wpadded", "-Werror"]
+    target = tmp_path / "baseline.so"
+    done = subprocess.run(
+        [*command, str(copy), "-o", str(target)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert b"fs_gld.avx2" not in target.read_bytes()
+
+    def dump():
+        rng = random.Random(20200)
+        out = []
+        for width in _kernels.PROBE_WIDTHS:
+            x, y = (np.array(_kernels._probe_rows(rng, width)) for _ in range(2))
+            *arrays, cost = _kernels.costs(x, y)
+            out.append([v.hex() for a in arrays for v in a.ravel().tolist()] + [cost.hex()])
+        for clip in _spread_clips():
+            out += _kernel_dump(clip.frames, clip.alphabet)
+        return out
+
+    want = dump()
+    monkeypatch.setattr(_kernels, "lib", _kernels._open(target))
+    assert dump() == want
 
 
 def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch, fresh_load):
