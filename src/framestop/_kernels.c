@@ -1,4 +1,5 @@
-/* Compiled kernels of framestop, loaded through ctypes by _kernels.py.
+/* Compiled kernels of framestop: a CPython extension module, built and
+   loaded by _kernels.py.
 
    fs_absorb is CombinerState.absorb in one call, and combiner.align when
    it is given no merge: it computes the substitution and gap costs as
@@ -19,15 +20,30 @@
    spread in its own order, and a slot holding the empty row adds that
    row's distance, computed once per call.
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
-   describes the history store once; each CombinerState keeps one.  The
-   caller makes room in the store before a call, and both refuse a call
-   the store has no room for, as they write through its addresses.
+   describes the history store once.  Both refuse a call the store has no
+   room for, as they write through its addresses.
    The hot loops, the cost sums, the scan's row distance and the merge,
    run on vectors of four doubles whose lanes are the scalar order's
    accumulators, so they give the same bits on any instruction set.  On
-   x86-64 ELF with glibc, the entry points are built twice, for AVX2 and
-   for the baseline, and the dynamic loader picks one (CLONED); elsewhere
-   the baseline build alone runs the same vector code. */
+   x86-64 ELF with glibc, the kernels are built twice, for AVX2 and for
+   the baseline, and the dynamic loader picks one (CLONED); elsewhere the
+   baseline build alone runs the same vector code.
+
+   The module's functions, gld, align, absorb and spread, are METH_FASTCALL
+   entry points at the end of this file.  They take the numpy arrays
+   themselves through the buffer protocol, check that each is C-contiguous
+   and of 8-byte floats or ints (read-only arrays are accepted where
+   nothing is written), fill the struct from their shapes, run the kernel
+   with the GIL released, and build their Python result.  No address
+   outlives a call. */
+
+/* Python.h first, as it asks; its own structs have padding that -Wpadded
+   would report, so the warning is off for it alone. */
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpadded"
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#pragma GCC diagnostic pop
 
 #include <math.h>
 #include <stddef.h>
@@ -35,18 +51,18 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* An AVX2 clone and a baseline one of each entry point, the loader
+/* An AVX2 clone and a baseline one of each kernel, the dynamic loader
    choosing through an ifunc, which needs an x86-64 ELF toolchain and
    glibc; elsewhere one baseline build.  AVX2 only: a target with FMA
    (fma, x86-64-v3) would be one flag away from fusing a multiply and an
    add, which rounds once where the reference rounds twice. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define CLONED __attribute__((target_clones("avx2", "default")))
+#define CLONED static __attribute__((target_clones("avx2", "default")))
 #endif
 #endif
 #ifndef CLONED
-#define CLONED
+#define CLONED static
 #endif
 
 /* Four doubles; lane k of a sum is the scalar order's accumulator k, so
@@ -54,7 +70,7 @@
 typedef double f64x4 __attribute__((vector_size(32)));
 typedef int64_t i64x4 __attribute__((vector_size(32)));
 
-/* Functions called from an entry point are inlined into both clones.  A
+/* Functions called from a kernel are inlined into both clones.  A
    vector never passes by value through a function: a 32-byte vector has
    another ABI in the AVX2 clone than in the baseline one, so the vector
    steps are macros. */
@@ -183,7 +199,7 @@ CLONED double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int
     return costs_and_table(x, s, y, m, width, work, work + s * m + s + m);
 }
 
-/* The failure codes of fs_absorb and fs_spread, mirrored in _kernels.py */
+/* The failure codes of fs_absorb and fs_spread, which raise (see fail) */
 enum { FS_NO_PATH = -1, FS_NO_ROOM = -2, FS_NO_MEMORY = -3 };
 
 /* Path through a filled table, read from the front with the tie order
@@ -217,9 +233,8 @@ static int64_t trace(const double *sub, const double *gap_rows, const double *ta
     return k;
 }
 
-/* The arguments of fs_absorb and fs_spread, mirrored by
-   _kernels.AbsorbArgs; every field is 8 bytes, so the two layouts agree
-   without padding. */
+/* The arguments of fs_absorb and fs_spread, filled by the entry points
+   from the arrays they are given. */
 struct fs_absorb_args {
     /* The alignment of the m frame rows against the s result rows, each
        of width doubles, row major.  path is NULL, or room for 2 (s + m)
@@ -402,4 +417,378 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
     a->g_sum = g_sum;
     a->d_sum = out_sum;
     return 0;
+}
+
+/* The module's entry points.  Each takes its arrays through the buffer
+   protocol, checks them, sets its kernel's arguments from their shapes,
+   runs the kernel with the GIL released and builds its result; every view
+   is released before it returns, so no address outlives a call. */
+
+/* The view of obj in bufs[*held], counted in *held so the caller releases
+   it: C-contiguous, ndim dimensions of 8-byte items, floats when code is
+   'd' and ints when it is 'q', writable when asked.  NULL, with an
+   exception set and nothing held, when obj is not such an array. */
+static Py_buffer *take(Py_buffer *bufs, int *held, PyObject *obj, int ndim, char code,
+                       int writable, const char *name)
+{
+    Py_buffer *buf = bufs + *held;
+    if (PyObject_GetBuffer(obj, buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT |
+                                         (writable ? PyBUF_WRITABLE : 0)) < 0)
+        return NULL;
+    const char *format = buf->format ? buf->format + (buf->format[0] == '@') : "B";
+    const int kind = format[0] != '\0' && format[1] == '\0' &&
+                     (code == 'd' ? format[0] == 'd' : format[0] == 'q' || format[0] == 'l');
+    if (buf->ndim != ndim || buf->itemsize != 8 || !kind) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %d-D array of %s, not %d-D of format '%s'",
+                     name, ndim, code == 'd' ? "float64" : "int64", buf->ndim, format);
+        PyBuffer_Release(buf);
+        return NULL;
+    }
+    ++*held;
+    return buf;
+}
+
+/* obj as a non-negative integer in *out; -1 with an exception set if it
+   is not one. */
+static int count(PyObject *obj, int64_t *out, const char *name)
+{
+    const Py_ssize_t value = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (value < 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be non-negative, not %zd", name, value);
+        return -1;
+    }
+    *out = value;
+    return 0;
+}
+
+/* obj as a double in *out; -1 with an exception set if it is not a number. */
+static int real(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int arity(const char *fn, Py_ssize_t nargs, Py_ssize_t least, Py_ssize_t most)
+{
+    if (nargs >= least && nargs <= most)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd arguments (%zd given)", fn, least, most,
+                 nargs);
+    return -1;
+}
+
+/* 0 when ok holds; else -1 with ValueError naming what does not fit. */
+static int shaped(int ok, const char *what)
+{
+    if (ok)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "array shapes do not fit the kernel: %s", what);
+    return -1;
+}
+
+/* The width of the row sets x and y: x's, or y's when x has no rows.
+   -1 with ValueError when both have rows of different widths, or rows of
+   width 0. */
+static int64_t row_width(const Py_buffer *x, const Py_buffer *y)
+{
+    const Py_ssize_t s = x->shape[0], m = y->shape[0], width = s ? x->shape[1] : y->shape[1];
+    if ((s && m && x->shape[1] != y->shape[1]) || ((s || m) && !width)) {
+        PyErr_Format(PyExc_ValueError, "rows of shapes (%zd, %zd) and (%zd, %zd) do not fit the kernel",
+                     s, x->shape[1], m, y->shape[1]);
+        return -1;
+    }
+    return width;
+}
+
+/* The doubles of fs_gld's work for s and m rows, s*m + s + m + (s+1)*(m+1)
+   = 2 (s+1) (m+1) - 1, in *out; -1 with MemoryError when that many, and
+   fs_absorb's path beside them, would not fit in memory. */
+static int work_doubles(int64_t s, int64_t m, size_t *out)
+{
+    size_t cells;
+    if (__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) ||
+        cells > SIZE_MAX / (4 * sizeof(double))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *out = 2 * cells - 1;
+    return 0;
+}
+
+/* Raises the exception of a kernel's failure code; returns NULL. */
+static PyObject *fail(int64_t code)
+{
+    if (code == FS_NO_PATH)
+        PyErr_SetString(PyExc_ValueError, "alignment costs hold a NaN: rows must be finite");
+    else if (code == FS_NO_ROOM)
+        PyErr_SetString(PyExc_RuntimeError,
+                        "internal error: the history store has no room for the call");
+    else
+        PyErr_SetString(PyExc_MemoryError, "no memory for the kernel's work buffer");
+    return NULL;
+}
+
+/* The tuple (a, b, c), taking the three references; NULL if one is. */
+static PyObject *triple(PyObject *a, PyObject *b, PyObject *c)
+{
+    PyObject *t = a && b && c ? PyTuple_New(3) : NULL;
+    if (!t) {
+        Py_XDECREF(a);
+        Py_XDECREF(b);
+        Py_XDECREF(c);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(t, 0, a);
+    PyTuple_SET_ITEM(t, 1, b);
+    PyTuple_SET_ITEM(t, 2, c);
+    return t;
+}
+
+/* The n indices at v as a tuple of ints. */
+static PyObject *indices(const int64_t *v, int64_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (int64_t k = 0; t && k < n; k++) {
+        PyObject *i = PyLong_FromLongLong(v[k]);
+        if (!i) {
+            Py_CLEAR(t);
+            break;
+        }
+        PyTuple_SET_ITEM(t, k, i);
+    }
+    return t;
+}
+
+static void release(Py_buffer *bufs, int held)
+{
+    while (held--)
+        PyBuffer_Release(bufs + held);
+}
+
+/* gld(x, y[, work]): metrics.gld of the row sets x and y, 2-D float64
+   arrays, from fs_gld.  work, a float64 array of 2 (S+1) (M+1) - 1
+   entries, receives the costs and the table; without it they go to a
+   buffer of the call's own. */
+static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    Py_buffer bufs[3];
+    int held = 0;
+    PyObject *answer = NULL;
+    const Py_buffer *x, *y, *given = NULL;
+    int64_t width;
+    size_t doubles;
+    if (arity("gld", nargs, 2, 3) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
+        !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
+        work_doubles(x->shape[0], y->shape[0], &doubles) < 0 ||
+        (nargs == 3 && (!(given = take(bufs, &held, args[2], 1, 'd', 1, "work")) ||
+                        shaped((size_t)given->shape[0] >= doubles, "work too short") < 0)))
+        goto done;
+    double *work = given ? given->buf : malloc(doubles * sizeof(double));
+    if (!work) {
+        fail(FS_NO_MEMORY);
+        goto done;
+    }
+    double cost;
+    Py_BEGIN_ALLOW_THREADS
+    cost = fs_gld(x->buf, x->shape[0], y->buf, y->shape[0], width, work);
+    Py_END_ALLOW_THREADS
+    if (!given)
+        free(work);
+    answer = PyFloat_FromDouble(cost);
+done:
+    release(bufs, held);
+    return answer;
+}
+
+/* align(x, y): (result_rows, frame_rows, cost), the alignment
+   combiner.align reads off between the result rows x and the frame rows y,
+   2-D float64 arrays, from fs_absorb with no merge and no store: two
+   tuples of one index per step, and the cost, which may be NaN or
+   infinite. */
+static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    Py_buffer bufs[2];
+    int held = 0;
+    PyObject *answer = NULL;
+    const Py_buffer *x, *y;
+    int64_t width;
+    size_t doubles;
+    if (arity("align", nargs, 2, 2) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
+        !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
+        work_doubles(x->shape[0], y->shape[0], &doubles) < 0)
+        goto done;
+    const int64_t room = x->shape[0] + y->shape[0];
+    int64_t *path = malloc((size_t)(2 * room + 1) * sizeof(int64_t));
+    if (!path) {
+        fail(FS_NO_MEMORY);
+        goto done;
+    }
+    struct fs_absorb_args a = {
+        .result = x->buf, .s = x->shape[0], .frame = y->buf, .m = y->shape[0], .width = width,
+        .path = path,
+    };
+    int64_t steps;
+    Py_BEGIN_ALLOW_THREADS
+    steps = fs_absorb(&a);
+    Py_END_ALLOW_THREADS
+    answer = steps < 0 ? fail(steps)
+                       : triple(indices(path, steps), indices(path + room, steps),
+                                PyFloat_FromDouble(a.cost));
+    free(path);
+done:
+    release(bufs, held);
+    return answer;
+}
+
+/* absorb(result, frame, factor, merged, order, next_id, rows, used, slots,
+   frame_index, current): (steps, cost, inserted) of fs_absorb merging the
+   frame into the result with the share factor, struct fs_absorb_args
+   filled from the arrays' shapes.  result and frame, float64 (S+1, K+1)
+   and (M+1, K+1), each end with the empty row; merged, float64 with room
+   for S+M+1 rows, receives the merge; order, int64 with room for S+M ids,
+   holds the result rows' ids on entry.  rows (capacity, K+1), slots
+   (frames, stride) and current (stride or more, K+1) are the history
+   store, skipped, with used, frame_index and slots and current, when rows
+   is None. */
+static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    Py_buffer bufs[7];
+    int held = 0;
+    PyObject *answer = NULL;
+    const Py_buffer *result, *frame, *merged, *order, *rows = NULL, *slots = NULL, *current = NULL;
+    struct fs_absorb_args a = {.s = 0};
+    if (arity("absorb", nargs, 11, 11) < 0 ||
+        !(result = take(bufs, &held, args[0], 2, 'd', 0, "result")) ||
+        !(frame = take(bufs, &held, args[1], 2, 'd', 0, "frame")) || real(args[2], &a.factor) < 0 ||
+        !(merged = take(bufs, &held, args[3], 2, 'd', 1, "merged")) ||
+        !(order = take(bufs, &held, args[4], 1, 'q', 1, "order")) ||
+        count(args[5], &a.next_id, "next_id") < 0)
+        goto done;
+    if (args[6] != Py_None &&
+        (!(rows = take(bufs, &held, args[6], 2, 'd', 1, "rows")) ||
+         count(args[7], &a.used, "used") < 0 ||
+         !(slots = take(bufs, &held, args[8], 2, 'q', 1, "slots")) ||
+         count(args[9], &a.frame_index, "frame_index") < 0 ||
+         !(current = take(bufs, &held, args[10], 2, 'd', 1, "current"))))
+        goto done;
+    a.s = result->shape[0] - 1;
+    a.m = frame->shape[0] - 1;
+    a.width = result->shape[1];
+    size_t doubles;
+    if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
+        shaped(frame->shape[1] == a.width && merged->shape[1] == a.width, "row widths differ") < 0 ||
+        shaped(merged->shape[0] > a.s + a.m && order->shape[0] >= a.s + a.m,
+               "no room for the merge") < 0 ||
+        work_doubles(a.s, a.m, &doubles) < 0)
+        goto done;
+    if (rows) {
+        if (shaped(rows->shape[1] == a.width && current->shape[1] == a.width, "row widths differ") <
+                0 ||
+            shaped(current->shape[0] >= slots->shape[1], "current rows fewer than the slots") < 0)
+            goto done;
+        a.rows = rows->buf;
+        a.capacity = rows->shape[0];
+        a.slots = slots->buf;
+        a.frames = slots->shape[0];
+        a.stride = slots->shape[1];
+        a.current = current->buf;
+    }
+    a.result = result->buf;
+    a.frame = frame->buf;
+    a.merged = merged->buf;
+    a.order = order->buf;
+    int64_t steps;
+    Py_BEGIN_ALLOW_THREADS
+    steps = fs_absorb(&a);
+    Py_END_ALLOW_THREADS
+    answer = steps < 0 ? fail(steps)
+                       : triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost),
+                                PyLong_FromLongLong(a.inserted));
+done:
+    release(bufs, held);
+    return answer;
+}
+
+/* spread(out, rows, slots, current, s, share, length): (out, sum of g,
+   sum of d) of fs_spread scanning the history store rows, slots and
+   current over the first len(out) frames and the first s row ids; out,
+   float64, receives each candidate's d.  share is one merge share for
+   every frame, or a float64 array of one per frame; length is the nGLD
+   length sum, negative for GLD. */
+static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    Py_buffer bufs[5];
+    int held = 0;
+    PyObject *answer = NULL;
+    const Py_buffer *out, *rows, *slots, *current, *shares = NULL;
+    struct fs_absorb_args a = {.shares = NULL};
+    if (arity("spread", nargs, 7, 7) < 0 || !(out = take(bufs, &held, args[0], 1, 'd', 1, "out")) ||
+        !(rows = take(bufs, &held, args[1], 2, 'd', 0, "rows")) ||
+        !(slots = take(bufs, &held, args[2], 2, 'q', 0, "slots")) ||
+        !(current = take(bufs, &held, args[3], 2, 'd', 0, "current")) ||
+        count(args[4], &a.s, "s") < 0 || real(args[6], &a.length) < 0)
+        goto done;
+    a.n = out->shape[0];
+    if (PyFloat_Check(args[5]) || !PyObject_CheckBuffer(args[5])) {
+        if (real(args[5], &a.share) < 0)
+            goto done;
+    } else if (!(shares = take(bufs, &held, args[5], 1, 'd', 0, "share")) ||
+               shaped(shares->shape[0] >= a.n, "fewer shares than frames") < 0) {
+        goto done;
+    }
+    if (shaped(rows->shape[1] == current->shape[1], "row widths differ") < 0 ||
+        shaped(current->shape[0] >= slots->shape[1], "current rows fewer than the slots") < 0)
+        goto done;
+    a.width = rows->shape[1];
+    a.rows = rows->buf; /* fs_spread only reads the store */
+    a.capacity = rows->shape[0];
+    a.slots = slots->buf;
+    a.frames = slots->shape[0];
+    a.stride = slots->shape[1];
+    a.current = current->buf;
+    a.shares = shares ? shares->buf : NULL;
+    a.out = out->buf;
+    int64_t code;
+    Py_BEGIN_ALLOW_THREADS
+    code = fs_spread(&a);
+    Py_END_ALLOW_THREADS
+    if (code < 0) {
+        answer = fail(code);
+    } else {
+        Py_INCREF(args[0]);
+        answer = triple(args[0], PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
+    }
+done:
+    release(bufs, held);
+    return answer;
+}
+
+#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef methods[] = {
+    ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
+    ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
+    ENTRY(absorb, "absorb(result, frame, factor, merged, order, next_id, rows, used, slots, "
+                  "frame_index, current) -> (steps, cost, inserted)"),
+    ENTRY(spread, "spread(out, rows, slots, current, s, share, length) -> (out, g_sum, d_sum)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_compiled",
+    .m_doc = "framestop's compiled kernels; see _kernels.c and framestop._kernels.",
+    .m_size = 0,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__compiled(void)
+{
+    return PyModuleDef_Init(&module);
 }

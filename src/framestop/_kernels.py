@@ -1,30 +1,35 @@
 """Loader of the compiled kernels in ``_kernels.c``.
 
-On first use :func:`get` compiles the C file with the compiler Python was
-built with (``sysconfig``'s ``CC``) and loads it through ``ctypes``.  The
-library is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
-``~/.cache/framestop``, as ``kernels-<env>-<source>.so``: ``<env>`` hashes
-the compiler, the flags and the platform, ``<source>`` the C file, so a
-machine builds it once; when that directory cannot be written, or the user
-has no home directory, the build goes to a private temporary directory for
-the process.  Nothing is written into the source tree.  Once a build into
-the cache loads, the builds of the same ``<env>`` with another
-``<source>`` are deleted, so a changed source replaces its old library;
-other environments' builds are left alone, so two interpreters sharing
-the cache do not evict each other; builds named by the earlier one-key
+On first use :func:`get` compiles the C file, a CPython extension module,
+with the compiler Python was built with (``sysconfig``'s ``CC``) against
+the interpreter's headers (``Python.h`` in ``sysconfig``'s include
+directory), and imports it.  The build is cached per user, under
+``$XDG_CACHE_HOME/framestop`` or ``~/.cache/framestop``, as
+``kernels-<env>-<source>.so``: ``<env>`` hashes the compile command (the
+compiler, the flags and the include directories), the platform and the
+interpreter's extension suffix (``EXT_SUFFIX``, which names its ABI),
+``<source>`` the C file, so a machine builds it once per interpreter;
+when that directory cannot be written, or the user has no home
+directory, the build goes to a private temporary directory for the
+process.  Nothing is written into the source tree.  Once a build into the
+cache loads, the builds of the same ``<env>`` with another ``<source>``
+are deleted, so a changed source replaces its old build; other
+environments' builds are left alone, so two interpreters sharing the
+cache do not evict each other; builds named by the earlier one-key
 scheme, ``kernels-<16 hex digits>.so``, are deleted too.  The directory
-is safe to delete at any time: a library already loaded stays mapped in
-the processes using it, and the next process rebuilds.  When there is no compiler, or
-compiling or loading fails, :func:`get` returns None and the callers run
-their Python kernels, which give the same alignments.
+is safe to delete at any time: a module already loaded stays mapped in
+the processes using it, and the next process rebuilds.  When there is no
+compiler or no ``Python.h``, or compiling or loading fails, :func:`get`
+returns None and the callers run their Python kernels, which give the
+same alignments.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
 change the rounding of the alignment table and could flip its ties.  The
 hot loops run on vectors of four doubles whose lanes are the scalar
 order's accumulators, so they round as the scalar code does.  On x86-64
-ELF with glibc the C file builds each entry point twice, for AVX2 and for
-the baseline, and the dynamic loader picks one through an ifunc
+ELF with glibc the C file builds each kernel twice, for AVX2 and for the
+baseline, and the dynamic loader picks one through an ifunc
 (``target_clones``); elsewhere it builds the baseline alone, and the
 compiled kernels still run.
 
@@ -34,19 +39,22 @@ compute the substitution and gap costs of ``metrics.gld`` and
 not promise to keep, so they run only while their costs equal numpy's
 bit for bit on a fixed probe (:func:`compiled_costs`); otherwise ``gld``,
 ``align`` and ``CombinerState.absorb`` run their Python references, numpy
-costs and Python tables, and :func:`status` says why.  Each compiled
-kernel has one route from Python: ``fs_gld`` through :func:`gld` (and
-:func:`costs`, which the probe reads), ``fs_absorb`` through
-:func:`absorb`, which :func:`align` and ``CombinerState.absorb`` call, and
-``fs_spread`` through :func:`spread`, which ``CombinerState.candidate_gld``
-calls.  ``fs_absorb`` and ``fs_spread`` take one pointer to the same
-struct, :class:`AbsorbArgs`, the one description of a state's history
-store; the state makes room in the store before the call, and a call the
-store has no room for is refused as an internal error.
+costs and Python tables, and :func:`status` says why.
+
+Each compiled kernel has one route from Python, a function here that
+makes one call into the module: :func:`gld` (and :func:`costs`, which the
+probe reads) into ``fs_gld``, :func:`align` and :func:`absorb` into
+``fs_absorb``, which ``combiner.align`` and ``CombinerState.absorb``
+call, and :func:`spread` into ``fs_spread``, which
+``CombinerState.candidate_gld`` calls.  Each takes the numpy arrays
+themselves, through the buffer protocol: C-contiguous float64 or int64
+arrays, checked in C, read-only ones where nothing is written.  The
+module releases the GIL while a kernel runs and builds the call's Python
+result itself.  A call the history store has no room for is refused as
+an internal error; the state makes room before the call.
 """
 
 import contextlib
-import ctypes
 import os
 import re
 import shlex
@@ -59,6 +67,8 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
+# the extension module's name, which its PyInit__compiled gives
+MODULE = "framestop._compiled"
 # -ffp-contract=off: a fused multiply-add rounds once where the reference
 # rounds twice.  No -march=native: the cache name does not name the CPU,
 # so a home directory shared between machines could load a build the CPU
@@ -68,20 +78,13 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET = object()
-lib = _UNSET  # the loaded library, None when the Python kernels run
+lib = _UNSET  # the loaded module, None when the Python kernels run
 reason = "not loaded yet"  # why lib is None, or "compiled"
 gld_costs = "not probed yet"  # "compiled" once fs_gld's costs pass the probe, else why not
 
 # row widths (K+1) of the load-time probe of fs_gld's costs: each side of
 # numpy's 8-term and 128-term thresholds, and the benchmark's 37
 PROBE_WIDTHS = (2, 3, 7, 8, 9, 16, 17, 37, 64, 127, 128, 129, 256, 257, 300)
-
-_PTR, _INT = ctypes.c_void_p, ctypes.c_int64
-_SIGNATURES = {
-    "fs_gld": (ctypes.c_double, [_PTR, _INT, _PTR, _INT, _INT, _PTR]),
-    "fs_absorb": (_INT, [_PTR]),
-    "fs_spread": (_INT, [_PTR]),
-}
 
 
 def compiler():
@@ -91,6 +94,30 @@ def compiler():
     if not argv or shutil.which(argv[0]) is None:
         return None
     return argv
+
+
+def include_dirs():
+    """The interpreter's header directories, ``Python.h``'s and then
+    ``pyconfig.h``'s, without repeats."""
+    paths = (sysconfig.get_path(name) for name in ("include", "platinclude"))
+    return [path for path in dict.fromkeys(paths) if path]
+
+
+def unbuildable():
+    """Why the kernels cannot be built here, or None when they can: no C
+    compiler, or no ``Python.h``."""
+    if compiler() is None:
+        return f"no C compiler ({sysconfig.get_config_var('CC')!r} not found)"
+    include = next(iter(include_dirs()), None)
+    if include is None or not (Path(include) / "Python.h").is_file():
+        return f"no Python.h in {include}"
+    return None
+
+
+def command(argv):
+    """The compile command for the compiler ``argv``, up to the source and
+    the output: the flags and the header directories."""
+    return [*argv, *FLAGS, *(f"-I{directory}" for directory in include_dirs())]
 
 
 def _cache_dir():
@@ -122,7 +149,7 @@ def _build(argv, target):
     try:
         try:
             done = subprocess.run(
-                [*argv, *FLAGS, str(SOURCE), "-o", tmp], capture_output=True, text=True,
+                [*command(argv), str(SOURCE), "-o", tmp], capture_output=True, text=True,
                 timeout=120,
             )
         except subprocess.SubprocessError as exc:
@@ -137,12 +164,15 @@ def _build(argv, target):
 
 
 def _open(path):
-    handle = ctypes.CDLL(str(path))
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(handle, name)
-        fn.restype = restype
-        fn.argtypes = argtypes
-    return handle
+    """The extension module built at ``path``, imported without entering
+    ``sys.modules``."""
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    loader = ExtensionFileLoader(MODULE, str(path))
+    module = module_from_spec(spec_from_file_location(MODULE, str(path), loader=loader))
+    loader.exec_module(module)
+    return module
 
 
 def _digest(blob):
@@ -156,17 +186,24 @@ _LEGACY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
 def _name(argv):
-    """``kernels-<env>-<source>.so``, the library's file name for the
-    compiler ``argv``."""
-    env = b"\0".join((shlex.join([*argv, *FLAGS]).encode(), sysconfig.get_platform().encode()))
+    """``kernels-<env>-<source>.so``, the module's file name for the
+    compiler ``argv`` and this interpreter."""
+    env = b"\0".join(
+        part.encode()
+        for part in (
+            shlex.join(command(argv)), sysconfig.get_platform(),
+            sysconfig.get_config_var("EXT_SUFFIX") or "",
+        )
+    )
     return f"kernels-{_digest(env)}-{_digest(SOURCE.read_bytes())}.so"
 
 
 def _load():
-    """(library or None, reason)."""
+    """(module or None, reason)."""
+    missing = unbuildable()
+    if missing is not None:
+        return None, missing
     argv = compiler()
-    if argv is None:
-        return None, f"no C compiler ({sysconfig.get_config_var('CC')!r} not found)"
     try:
         name = _name(argv)
         cache = _cache_dir()
@@ -187,7 +224,7 @@ def _load():
         private = Path(tempfile.mkdtemp(prefix="framestop-"))
         try:
             _build(argv, private / name)
-            # a loaded library stays mapped after its file is removed
+            # a loaded module stays mapped after its file is removed
             return _open(private / name), "compiled"
         finally:
             shutil.rmtree(private, ignore_errors=True)
@@ -196,7 +233,8 @@ def _load():
 
 
 def get():
-    """The compiled kernels, built and loaded on first call; None if unavailable.
+    """The compiled kernels' module, built and loaded on first call; None
+    if unavailable.
 
     A fresh load also probes fs_gld's costs (:func:`probe`) and sets
     ``gld_costs``.
@@ -258,113 +296,55 @@ def probe():
     return None
 
 
-def _rows(x, y):
-    """(S, M, width, x, y): both row sets as C-contiguous float64 of one width."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError(f"expected 2-D row sets, got shapes {x.shape} and {y.shape}")
-    s, m = len(x), len(y)
-    width = x.shape[1] if s else y.shape[1]
-    if (s and m and x.shape[1] != y.shape[1]) or ((s or m) and not width):
-        raise ValueError(f"rows of shapes {x.shape} and {y.shape} do not fit the kernel")
-    return s, m, width, x, y
-
-
-def _work_size(s, m):
-    return s * m + s + m + (s + 1) * (m + 1)
+# The routes into the kernels.  Row sets are 2-D C-contiguous float64
+# arrays; both may be empty, and rows of either must be of one width.
 
 
 def gld(x, y):
-    """``metrics.gld`` of two row sets, the costs computed in C: one call."""
-    s, m, width, x, y = _rows(x, y)
-    work = (ctypes.c_double * _work_size(s, m))()
-    return lib.fs_gld(x.ctypes.data, s, y.ctypes.data, m, width, work)
+    """``metrics.gld`` of the row sets ``x`` and ``y``, the costs computed in
+    C: one call, whose work buffer is its own."""
+    return lib.gld(x, y)
 
 
 def costs(x, y):
     """(sub, gap_rows, gap_cols, gld) as fs_gld computes them: the
     arrays ``metrics.pairwise_costs(x, y)``, ``gap_costs(x)`` and
     ``gap_costs(y)`` would give, and the GLD."""
-    s, m, width, x, y = _rows(x, y)
-    work = np.empty(_work_size(s, m))
-    cost = lib.fs_gld(x.ctypes.data, s, y.ctypes.data, m, width, work.ctypes.data)
+    s, m = len(x), len(y)
+    work = np.empty(2 * (s + 1) * (m + 1) - 1)
+    cost = lib.gld(x, y, work)
     return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
-
-
-# the failure codes of fs_absorb and fs_spread (FS_* in _kernels.c)
-NO_PATH, NO_ROOM, NO_MEMORY = -1, -2, -3
-
-
-class AbsorbArgs(ctypes.Structure):
-    """The arguments of ``fs_absorb`` and ``fs_spread``, field for field
-    ``struct fs_absorb_args`` in ``_kernels.c``, which documents them.
-    Addresses are ints, 0 for NULL."""
-
-    _fields_ = [
-        ("result", _PTR), ("s", _INT), ("frame", _PTR), ("m", _INT), ("width", _INT),
-        ("path", _PTR), ("cost", ctypes.c_double), ("inserted", _INT),
-        ("factor", ctypes.c_double), ("merged", _PTR), ("order", _PTR), ("next_id", _INT),
-        ("rows", _PTR), ("used", _INT), ("capacity", _INT), ("slots", _PTR),
-        ("frame_index", _INT), ("frames", _INT), ("stride", _INT), ("current", _PTR),
-        ("n", _INT), ("shares", _PTR), ("share", ctypes.c_double), ("length", ctypes.c_double),
-        ("out", _PTR), ("g_sum", ctypes.c_double), ("d_sum", ctypes.c_double),
-    ]
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.at = ctypes.addressof(self)  # what the kernels take, read once
-
-
-def _checked(code):
-    """``code``, a kernel's answer, unless it is a failure code: raises
-    ValueError for NO_PATH, RuntimeError for NO_ROOM and MemoryError for
-    NO_MEMORY."""
-    if code == NO_PATH:
-        raise ValueError("alignment costs hold a NaN: rows must be finite")
-    if code == NO_ROOM:
-        raise RuntimeError("internal error: the history store has no room for the call")
-    if code == NO_MEMORY:
-        raise MemoryError("no memory for the kernel's work buffer")
-    return code
-
-
-def absorb(args):
-    """One ``fs_absorb`` call over ``args``, an :class:`AbsorbArgs`: the
-    number of steps.  Raises ValueError when the costs hold a NaN, so no
-    path exists, RuntimeError, with nothing written, when the history store
-    has no room for the frame, and MemoryError when the work buffer cannot
-    be allocated."""
-    return _checked(lib.fs_absorb(args.at))
-
-
-def spread(args):
-    """``CombinerState.candidate_gld`` from one ``fs_spread`` call over
-    ``args``, an :class:`AbsorbArgs` whose ``n`` (at least 1), ``s``,
-    ``shares``, ``share`` and ``length`` are set: (d, sum of g, sum of d),
-    d a fresh array of ``n`` entries.  Raises RuntimeError, with nothing
-    written, when ``n`` is above the store's frames or ``s`` above its row
-    ids, and MemoryError when the scratch buffer cannot be allocated."""
-    out = np.empty(args.n)
-    args.out = address(out)
-    _checked(lib.fs_spread(args.at))
-    return out, args.g_sum, args.d_sum
-
-
-def address(array):
-    """The address of a writable array's data, through ctypes' buffer
-    interface: a third of the time ``array.ctypes.data`` takes."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def align(x, y):
     """(result_rows, frame_rows, cost) of the alignment ``combiner.align``
     reads off between the result rows ``x`` and the frame rows ``y``, from
-    one :func:`absorb` call with no merge and no store; the cost may be
-    NaN or infinite."""
-    s, m, width, x, y = _rows(x, y)
-    room = s + m
-    path = (ctypes.c_int64 * (2 * room or 1))()
-    args = AbsorbArgs(x.ctypes.data, s, y.ctypes.data, m, width, ctypes.addressof(path))
-    steps = absorb(args)
-    return tuple(path[:steps]), tuple(path[room : room + steps]), args.cost
+    one ``fs_absorb`` call with no merge and no store: two tuples of one
+    index per step, and the cost, which may be NaN or infinite.  Raises
+    ValueError when the costs hold a NaN, so no path exists."""
+    return lib.align(x, y)
+
+
+def absorb(result, frame, factor, merged, order, next_id, rows, used, slots, frame_index, current):
+    """(steps, cost, inserted) of one ``fs_absorb`` call merging ``frame``
+    into ``result`` with the share ``factor``; ``_kernels.c``'s ``absorb``
+    documents the arguments, and ``rows`` None skips the history store.
+    Raises ValueError when the costs hold a NaN, so no path exists,
+    RuntimeError, with nothing written, when the history store has no room
+    for the frame, and MemoryError when the work buffer cannot be
+    allocated."""
+    return lib.absorb(
+        result, frame, factor, merged, order, next_id, rows, used, slots, frame_index, current
+    )
+
+
+def spread(rows, slots, current, n, s, share, length):
+    """``CombinerState.candidate_gld`` from one ``fs_spread`` call over the
+    history store ``rows``, ``slots`` and ``current``, for the first ``n``
+    frames (at least 1) and ``s`` row ids: (d, sum of g, sum of d), d a
+    fresh array of ``n`` entries.  ``share`` is every frame's merge share,
+    or an array of one per frame; ``length`` is the nGLD length sum,
+    negative for GLD.  Raises RuntimeError, with nothing written, when
+    ``n`` is above the store's frames or ``s`` above its row ids, and
+    MemoryError when the scratch buffer cannot be allocated."""
+    return lib.spread(np.empty(n), rows, slots, current, s, share, length)

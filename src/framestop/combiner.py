@@ -23,8 +23,8 @@ Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels load and their costs passed the
 load-time probe (``_kernels.compiled_costs``), ``CombinerState.absorb``
 is one ``fs_absorb`` call in ``_kernels.c``: the costs, in numpy's
-summation order, the table, the path, the merge and the store write, on
-addresses the state keeps in one ``_kernels.AbsorbArgs``; ``align`` is
+summation order, the table, the path, the merge and the store write,
+given the state's arrays themselves (``_kernels.absorb``); ``align`` is
 the same call without the merge and the store.  Otherwise numpy's
 ``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the Python
 traceback ``_path``, ``_merge`` and ``CombinerState._record`` run, the
@@ -34,7 +34,7 @@ Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled ``fs_spread`` call over the
-same ``AbsorbArgs`` where available (numpy otherwise).  The scan
+same arrays where available (numpy otherwise).  The scan
 computes each current row's distance to the empty row once per call, and
 a slot holding 0 adds that distance instead of K+1 terms; ``b`` is
 ``a``'s aggregate normalised once.
@@ -134,15 +134,14 @@ def align(frame, result):
 
     Where ``_kernels.compiled_costs()`` holds, this is one ``fs_absorb``
     call with no merge and no store, whose costs equal numpy's
-    ``pairwise_costs`` / ``gap_costs`` bit for bit; otherwise those and
-    :func:`_path`, the reference.  A ``base`` stage at n=25 is 26
-    alignments and an ``a`` stage one, so a compiled ``align`` alone cut
-    the acceptance suite's criterion 7 ratio (``base`` at least 10x ``a``
-    per stage at n=25) from 12.2-14.4x to 7.8-9.4x on a 2-vCPU Xeon.  With
-    ``a``'s merge, store write and row ids in the same call, its stage
-    falls with ``base``'s: on the AVX2 clone of the kernels, 10 runs of the
-    criterion's recipe read 20.8-23.1x (``base`` 0.59-0.85 ms, ``a``
-    27-39 us), and 18.5-21.9x on the scalar kernels before them.
+    ``pairwise_costs`` / ``gap_costs`` bit for bit, and which builds the
+    two index tuples itself; otherwise those and :func:`_path`, the
+    reference.  A ``base`` stage at n=25 is 26 alignments and an ``a``
+    stage one, so every microsecond off ``align`` moves the acceptance
+    suite's criterion 7 ratio (``base`` at least 10x ``a`` per stage at
+    n=25) towards its bound: on a 2-vCPU Xeon with AVX2, 10 runs of the
+    criterion's recipe read 11.9-14.7x (``base`` 0.34-0.54 ms, ``a``
+    26-40 us).
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -240,8 +239,7 @@ class CombinerState:
         self.n = 0
         self.weight_total = 0.0
         self._width = alphabet.size + 1
-        padded = _empty_row(self._width)[None]  # the rows, then the empty row
-        self._set_rows(padded, _kernels.address(padded))
+        self._set_rows(_empty_row(self._width)[None])  # the rows, then the empty row
         rows, frames, ids = _STORE_CAPACITY
         self._ids = np.empty(ids, dtype=np.int64)  # room for row ids; _order is its first S
         self._order = self._ids[:0]
@@ -263,18 +261,6 @@ class CombinerState:
             self._slots = np.zeros((frames, ids), dtype=np.int64)
             self._current = np.empty((ids, self._width))
         self._used = 1  # rows of _rows in use
-        self._args = None  # the kernels' _kernels.AbsorbArgs over these arrays; None when stale
-
-    def __getstate__(self):
-        """The state without the addresses of its arrays, which the kernels
-        read; a copy or an unpickled state takes its own arrays' afresh."""
-        state = self.__dict__.copy()
-        state["_args"] = state["_padded_at"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._padded_at = self._padded.ctypes.data
 
     @property
     def mean_rows(self):
@@ -297,12 +283,11 @@ class CombinerState:
         if self.track_treaps and frame.weight != 1.0:
             raise ValueError("treap bookkeeping supports unit frame weights only")
 
-    def _set_rows(self, padded, at):
+    def _set_rows(self, padded):
         """Make ``padded``, the combined rows followed by the empty row, the
-        current result, write-protected; ``at``, its address, is kept for
-        the compiled absorb."""
+        current result, write-protected."""
         padded.setflags(write=False)
-        self._padded, self._padded_at = padded, at
+        self._padded = padded
         self._matrix = padded[:-1]
 
     def absorb(self, frame):
@@ -349,39 +334,23 @@ class CombinerState:
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
             self._current[order] = padded[:-1]
-        self._set_rows(padded, _kernels.address(padded))
+        self._set_rows(padded)
 
     def _absorb_compiled(self, frame, factor):
         """The absorb in one ``fs_absorb`` call."""
-        s, m = len(self._order), frame.num_chars
-        merged = np.empty((s + m + 1, self._width))
-        merged_at = _kernels.address(merged)
-        args = self._kernel_args()
-        args.result, args.s, args.frame, args.m = self._padded_at, s, frame._padded_at, m
-        args.factor, args.merged = factor, merged_at
-        args.next_id, args.used, args.frame_index = self._next_id, self._used, self.n
-        steps = _kernels.absorb(args)
-        if not math.isfinite(args.cost):
-            raise ValueError(f"alignment cost is {args.cost}: rows must be finite")
+        merged = np.empty((len(self._order) + frame.num_chars + 1, self._width))
+        steps, cost, inserted = _kernels.absorb(
+            self._padded, frame.padded_rows, factor, merged, self._ids, self._next_id,
+            self._rows, self._used, self._slots, self.n, self._current,
+        )
+        if not math.isfinite(cost):
+            raise ValueError(f"alignment cost is {cost}: rows must be finite")
         merged.setflags(write=False)  # so no view of it is writable
-        self._set_rows(merged[: steps + 1], merged_at)
+        self._set_rows(merged[: steps + 1])
         self._order = self._ids[:steps]
-        self._next_id += args.inserted
+        self._next_id += inserted
         if self._rows is not None:
-            self._used += m
-
-    def _kernel_args(self):
-        """The kernels' one view of this state's buffers, a
-        ``_kernels.AbsorbArgs`` built again after :meth:`_reserve` grows
-        one; the per-call fields are set before each call."""
-        if self._args is None:
-            address = _kernels.address
-            args = self._args = _kernels.AbsorbArgs(width=self._width, order=address(self._ids))
-            if self._rows is not None:
-                args.rows, args.capacity = address(self._rows), len(self._rows)
-                args.slots, (args.frames, args.stride) = address(self._slots), self._slots.shape
-                args.current = address(self._current)
-        return self._args
+            self._used += frame.num_chars
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
@@ -408,27 +377,22 @@ class CombinerState:
         row ids in display order and, with a history store, ``_used + m``
         rows, n + 1 frames and ``_next_id + m`` row ids, as a frame inserts
         at most m rows.  Each array too small grows to twice its size, or to
-        what is needed if that is more (:func:`_grown`).  Growing is the
-        only change that makes the kernels' addresses stale."""
+        what is needed if that is more (:func:`_grown`)."""
         s = len(self._order)
         if s + m > len(self._ids):
             self._ids = _grown(self._ids, s + m, s)
             self._order = self._ids[:s]
-            self._args = None
         if self._rows is None:
             return
         if self._used + m > len(self._rows):
             self._rows = _grown(self._rows, self._used + m, self._used)
-            self._args = None
         if self.n + 1 > len(self._slots):
             self._slots = _grown(self._slots, self.n + 1, self.n)
-            self._args = None
         if self._next_id + m > len(self._current):
             self._current = _grown(self._current, self._next_id + m, self._next_id)
             slots = np.zeros((len(self._slots), len(self._current)), dtype=np.int64)
             slots[:, : self._slots.shape[1]] = self._slots  # a slot per current row id
             self._slots = slots
-            self._args = None
 
     def candidate_alignment(self, candidate):
         """Alignment of ``candidate`` against the current result, and its merge share.
@@ -495,7 +459,7 @@ class CombinerState:
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where :mod:`framestop._kernels` loads, the scan, the shares, the
         normalisation and both sums are one ``fs_spread`` call
-        (:func:`_kernels.spread`) over the state's ``AbsorbArgs``, with the
+        (:func:`_kernels.spread`) over the state's store, with the
         same elementwise operations as the numpy path and the sums added in
         frame order; the two agree to a few parts in 1e15.
         """
@@ -505,14 +469,10 @@ class CombinerState:
             raise ValueError("cannot estimate before the first frame")
         share = self.candidate_shares()
         if _kernels.get() is not None:
-            args = self._kernel_args()
-            args.n, args.s = self.n, len(self._order)
-            if isinstance(share, np.ndarray):
-                args.shares, args.share = _kernels.address(share), 0.0
-            else:
-                args.shares, args.share = None, share
-            args.length = -1.0 if length is None else length
-            return _kernels.spread(args)
+            return _kernels.spread(
+                self._rows, self._slots, self._current, self.n, len(self._order), share,
+                -1.0 if length is None else length,
+            )
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)
         return d, float(g.sum()), float(d.sum())

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import _kernels, metrics
+from . import metrics
 
 # Rows must sum to one within this bound to count as valid distributions.
 SUM_TOLERANCE = 1e-9
@@ -139,22 +139,10 @@ class RecognitionFrame:
         if least < 0:  # the tiny negatives validation lets through
             np.maximum(padded, 0.0, out=padded)
         padded[-1, 0] = 1.0
-        self._padded_at = _kernels.address(padded)  # for the compiled absorb, read while writable
         padded.setflags(write=False)
         self.padded_rows = padded
         self.rows = padded[:-1]  # a view made after the write lock, so locked too
         self.weight = float(weight)
-
-    def __getstate__(self):
-        """The frame without the address of ``padded_rows``, which the
-        kernels read; a copy or an unpickled frame takes its own afresh."""
-        state = self.__dict__.copy()
-        state["_padded_at"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._padded_at = self.padded_rows.ctypes.data
 
     @property
     def num_chars(self):

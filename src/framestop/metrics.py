@@ -32,7 +32,9 @@ class MetricKind(Enum):
 
 
 def _as_rows(seq):
-    rows = seq.rows if hasattr(seq, "rows") else np.asarray(seq, dtype=np.float64)
+    """``seq``'s rows as a 2-D C-contiguous float64 array, the form the
+    compiled kernels take; the array itself when it is one already."""
+    rows = np.ascontiguousarray(seq.rows if hasattr(seq, "rows") else seq, dtype=np.float64)
     if rows.ndim == 1 and rows.size == 0:
         return rows.reshape(0, 0)
     if rows.ndim != 2:
@@ -127,8 +129,11 @@ def gld(x, y):
     in the peak at K+1=37, where the cost matrix dominates (tracemalloc,
     S=M=1000).
     """
-    xr = _as_rows(x)
-    yr = _as_rows(y)
+    return _gld(_as_rows(x), _as_rows(y))
+
+
+def _gld(xr, yr):
+    """:func:`gld` of two row sets that :func:`_as_rows` gave."""
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
     if _kernels.compiled_costs():
@@ -167,4 +172,4 @@ def ngld(x, y):
     total = xr.shape[0] + yr.shape[0]
     if total == 0:
         return 0.0
-    return normalized(gld(xr, yr), total)
+    return normalized(_gld(xr, yr), total)

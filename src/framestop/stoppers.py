@@ -24,10 +24,11 @@ Three estimators compute the same quantity at different price points:
 
 A stage of ``a`` or ``b`` is the absorb that every method pays (one
 ``fs_absorb`` call on the compiled route: the alignment, the merge and
-the store write) plus the estimate.  At the paper's horizon the absorb
-is the larger part: at n=25 on a 2-vCPU Xeon with AVX2 it takes 18-29 us
-and the estimate 11-17 us, of which the compiled scan is 6-9 us; past
-n of about 100 the estimate's scan is the larger part.
+the store write) plus the estimate (one ``fs_spread`` call).  At the
+paper's horizon the absorb is the larger part: at n=25 on a 2-vCPU Xeon
+with AVX2 it takes 29-36 us and the estimate 9-15 us; past n of about
+100 the estimate's scan is the larger part.  Each compiled call spends
+about a microsecond outside its kernel, in the C API binding.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.

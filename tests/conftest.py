@@ -9,10 +9,10 @@ def pytest_report_header(config):
 
 @pytest.fixture
 def compiled():
-    """The compiled kernels; skips only where no C compiler exists, and a
-    compiler that fails to build or load them fails the test."""
-    if _kernels.compiler() is None:
-        pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
+    """The compiled kernels' module; skips only where no C compiler or no
+    ``Python.h`` exists, and a build or load that fails fails the test."""
+    if _kernels.unbuildable():
+        pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
     lib = _kernels.get()
     assert lib is not None, _kernels.status()
     return lib
@@ -21,7 +21,7 @@ def compiled():
 @pytest.fixture
 def fresh_load(monkeypatch):
     """A function that forgets the loaded kernels, so the next
-    ``_kernels.get()`` builds and loads them afresh; the library, its reason
+    ``_kernels.get()`` builds and loads them afresh; the module, its reason
     and the gld-costs probe's verdict are restored after the test."""
 
     def forget():

@@ -1,12 +1,10 @@
 """The compiled kernels against the Python ones, and the loader's fallbacks."""
 
 import copy
-import ctypes
 import gc
 import pickle
 import platform
 import random
-import re
 import subprocess
 import sysconfig
 import tempfile
@@ -196,11 +194,7 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     assert (slots[1:] == 0).any() and slots.any()
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
         for length in (None, 3.5):
-            args = _kernels.AbsorbArgs(width=width, n=7, s=5, length=length or -1.0)
-            args.rows, args.capacity = _kernels.address(rows), len(rows)
-            args.slots, args.frames, args.stride = _kernels.address(slots), 7, 5
-            args.current, args.shares = _kernels.address(current), _kernels.address(shares)
-            got = _hex_scan(*_kernels.spread(args))
+            got = _hex_scan(*_kernels.spread(rows, slots, current, 7, 5, shares, length or -1.0))
             assert got == _scan_replica(rows, slots, current, shares, length)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
@@ -251,12 +245,12 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     # the loaded library runs its AVX2 clone on a machine that has AVX2
     source = _kernels.SOURCE.read_text()
     assert source.count(CLONES) == 1
-    loaded = Path(compiled._name)
+    loaded = Path(compiled.__file__)
     if loaded.is_file() and platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
         assert b"fs_gld.avx2" in loaded.read_bytes()  # the clones were built
     copy = tmp_path / "baseline.c"
     copy.write_text(source.replace(CLONES, ""))
-    command = [*_kernels.compiler(), *_kernels.FLAGS, "-Wall", "-Wextra", "-Wpadded", "-Werror"]
+    command = [*_kernels.command(_kernels.compiler()), "-Wall", "-Wextra", "-Wpadded", "-Werror"]
     target = tmp_path / "baseline.so"
     done = subprocess.run(
         [*command, str(copy), "-o", str(target)], capture_output=True, text=True, timeout=120
@@ -337,7 +331,13 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
 
     for name in ("gld", "align", "absorb", "spread"):
         monkeypatch.setattr(_kernels, name, unreachable)
-    after = _outcomes(clips)
+    _check_same_outcomes(before, _outcomes(clips))
+
+
+def _check_same_outcomes(before, after):
+    """Two runs of :func:`_outcomes` stop alike with the same truth errors,
+    and their estimates agree to 1e-12, as the history scans sum in
+    different orders."""
     for (outcome, (estimates, errors)), (outcome_py, (estimates_py, errors_py)) in zip(before, after):
         assert (outcome.stop_stage, outcome.forced) == (outcome_py.stop_stage, outcome_py.forced)
         assert outcome.final_error == outcome_py.final_error
@@ -345,28 +345,69 @@ def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
         assert np.allclose(estimates, estimates_py, rtol=0.0, atol=1e-12)
 
 
+def _kernel_routes(clips):
+    """What every public entry point that reaches a kernel gives over
+    ``clips``: float.hex of gld and ngld between neighbouring frames, the
+    bytes of align and absorb (:func:`_state_dump`), and, on the clips of
+    unit weights, which method b needs, every method's stops and traces
+    (:func:`_outcomes`)."""
+    distances = [
+        (gld(a, b).hex(), ngld(a, b).hex())
+        for clip in clips for a, b in zip(clip.frames, clip.frames[1:])
+    ]
+    states = [_state_dump(clip.frames, clip.alphabet) for clip in clips]
+    unit = [clip for clip in clips if all(frame.weight == 1.0 for frame in clip.frames)]
+    return distances, states, _outcomes(unit)
+
+
+def _headers_in(monkeypatch, directory):
+    """Point sysconfig's include directories at ``directory``."""
+    get_path = sysconfig.get_path
+
+    def get(name, *args, **kwargs):
+        return str(directory) if name in ("include", "platinclude") else get_path(name, *args, **kwargs)
+
+    monkeypatch.setattr(sysconfig, "get_path", get)
+
+
+def test_no_python_headers_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load):
+    if _kernels.compiler() is None:
+        pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
+    rng = random.Random(37)
+    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(9)] + [looped_clip(30)]
+    before = _kernel_routes(clips)
+
+    empty = tmp_path / "include"
+    empty.mkdir()
+    _headers_in(monkeypatch, empty)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    fresh_load()
+    assert _kernels.get() is None
+    assert _kernels.status() == f"python: no Python.h in {empty}"
+
+    def unreachable(*args):
+        raise AssertionError("compiled kernel called without Python.h")
+
+    for name in ("gld", "align", "absorb", "spread"):
+        monkeypatch.setattr(_kernels, name, unreachable)
+    distances, states, outcomes = _kernel_routes(clips)
+    assert (distances, states) == before[:2]
+    _check_same_outcomes(before[2], outcomes)
+    assert not (tmp_path / "cache").exists()  # nothing was built
+
+
 def test_kernels_compile_without_warnings(tmp_path):
-    argv = _kernels.compiler()
-    if argv is None:
-        pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
-    # -Wpadded: the kernels' struct must have no padding for AbsorbArgs to mirror it
+    if _kernels.unbuildable():
+        pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
+    # -Wpadded checks the kernels' own structs; the C file turns it off for Python.h alone
     command = [
-        *argv, *_kernels.FLAGS, "-Wall", "-Wextra", "-Wpadded", "-Werror", str(_kernels.SOURCE)
+        *_kernels.command(_kernels.compiler()), "-Wall", "-Wextra", "-Wpadded", "-Werror",
+        str(_kernels.SOURCE),
     ]
     done = subprocess.run(
         [*command, "-o", str(tmp_path / "kernels.so")], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-
-
-def test_absorb_args_mirror_the_c_struct():
-    source = _kernels.SOURCE.read_text()
-    body = re.search(r"struct fs_absorb_args \{(.*?)\n\};", source, re.S).group(1)
-    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
-    names = re.findall(r"(\w+);", body)
-    fields = _kernels.AbsorbArgs._fields_
-    assert names == [name for name, _ in fields]
-    assert ctypes.sizeof(_kernels.AbsorbArgs) == 8 * len(fields)
 
 
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
@@ -384,6 +425,52 @@ def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_loa
     assert _kernels.get() is not None
     assert sorted(path.name for path in cache.iterdir()) == sorted([name, other_env.name])
     assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
+
+
+def _with_config_var(monkeypatch, name, value):
+    """Make sysconfig's ``name`` read ``value``."""
+    get = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda key: value if key == name else get(key))
+
+
+# the extension suffix of an interpreter that does not exist
+OTHER_ABI = ".cpython-399-x86_64-linux-gnu.so"
+
+
+def test_each_interpreter_abi_names_its_own_build(monkeypatch, tmp_path):
+    argv = ["cc"]
+    name = _kernels._name(argv)
+    with monkeypatch.context() as patch:
+        _with_config_var(patch, "EXT_SUFFIX", OTHER_ABI)
+        other_suffix = _kernels._name(argv)
+    with monkeypatch.context() as patch:
+        _headers_in(patch, tmp_path)
+        other_headers = _kernels._name(argv)
+    names = (name, other_suffix, other_headers)
+    assert len({n.rsplit("-", 1)[0] for n in names}) == 3  # three <env>s
+    assert len({n.rsplit("-", 1)[1] for n in names}) == 1  # one <source>
+    assert _kernels._name(argv) == name
+
+
+def test_a_build_deletes_only_its_own_abis_stale_sources(
+    compiled, monkeypatch, tmp_path, fresh_load
+):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    argv = _kernels.compiler()
+    name = _kernels._name(argv)
+    with monkeypatch.context() as patch:
+        _with_config_var(patch, "EXT_SUFFIX", OTHER_ABI)
+        other_abi = _kernels._name(argv)
+    env, other_env = (n.rsplit("-", 1)[0] for n in (name, other_abi))
+    cache = tmp_path / "framestop"
+    cache.mkdir()
+    stale = cache / f"{env}-0123456789abcdef.so"
+    kept = [cache / other_abi, cache / f"{other_env}-0123456789abcdef.so"]
+    for planted in (stale, *kept):
+        planted.write_bytes(b"")
+    fresh_load()
+    assert _kernels.get() is not None
+    assert sorted(path.name for path in cache.iterdir()) == sorted([name, *(p.name for p in kept)])
 
 
 def test_unwritable_cache_builds_into_a_private_directory(
@@ -420,8 +507,8 @@ def test_no_home_directory_builds_into_a_private_directory(
 
 
 def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load):
-    if _kernels.compiler() is None:
-        pytest.skip(f"compiled kernels unavailable: {_kernels.status()}")
+    if _kernels.unbuildable():
+        pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
 
     def broken(path):
         raise AttributeError("undefined symbol: fs_fill")
@@ -496,23 +583,21 @@ def test_compiled_trace_stops_on_nan_costs(compiled):
     # a NaN substitution (inf - inf) the infinite gaps route around: the
     # cost is NaN, the path stays in bounds
     with np.errstate(invalid="ignore"):
-        result_rows, frame_rows, cost = _kernels.align([[0.0, np.inf]], [[0.0, np.inf]])
+        result_rows, frame_rows, cost = _kernels.align(*[np.array([[0.0, np.inf]])] * 2)
     assert (result_rows, frame_rows) == ((1, 0), (0, 1)) and cost != cost
 
 
 def _absorb_args(result, frame):
-    """fs_absorb's arguments merging the rows ``frame`` into ``result``,
-    both padded with the empty row here, with no history store; and the
-    merged and order buffers, filled with a marker."""
+    """``_kernels.absorb``'s arguments merging the rows ``frame`` into
+    ``result``, both padded with the empty row here, with the share 0.5 and
+    no history store; and the merged and order buffers, filled with a
+    marker."""
     result, frame = (np.vstack([rows, np.eye(1, 2)]) for rows in (result, frame))
     s, m = len(result) - 1, len(frame) - 1
     merged = np.full((s + m + 1, 2), 7.0)
     order = np.full(s + m, 7, dtype=np.int64)
     order[:s] = range(s)
-    args = _kernels.AbsorbArgs(
-        result.ctypes.data, s, frame.ctypes.data, m, 2, 0, 0.0, 0, 0.5,
-        merged.ctypes.data, order.ctypes.data, s,
-    )
+    args = [result, frame, 0.5, merged, order, s, None, 0, None, 0, None]
     return args, (result, frame, merged, order)
 
 
@@ -520,50 +605,49 @@ def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     nan_rows = np.full((2, 2), np.nan)
     args, (_, _, merged, order) = _absorb_args(nan_rows, nan_rows)
     with pytest.raises(ValueError, match="NaN"):
-        _kernels.absorb(args)
+        _kernels.absorb(*args)
     assert (merged == 7.0).all() and (order[2:] == 7).all()
     args, (_, _, merged, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
     with np.errstate(invalid="ignore"):
-        assert _kernels.absorb(args) == 2
-    assert args.cost != args.cost
+        steps, cost, _ = _kernels.absorb(*args)
+    assert steps == 2
+    assert cost != cost
     assert (merged == 7.0).all() and (order[1:] == 7).all()
 
 
-def _store(args, capacity, frames, stride, marker=5):
-    """Point ``args`` at a history store of ``capacity`` rows, ``frames``
-    frames and ``stride`` row ids, every entry ``marker``; its arrays, each
-    with room to spare, so a kernel that overruns the store changes them
-    rather than other memory."""
-    rows = np.full((capacity + 8, args.width), float(marker))
+def _store(width, capacity, frames, stride, marker=5):
+    """A history store of ``capacity`` rows of ``width``, ``frames`` frames
+    and ``stride`` row ids, every entry ``marker``: (rows, slots, current),
+    each a view of the start of an array with room to spare, and those
+    arrays, so a kernel that overruns the store changes them rather than
+    other memory."""
+    rows = np.full((capacity + 8, width), float(marker))
     slots = np.full((frames + 8) * (stride + 8), marker, dtype=np.int64)
-    current = np.full((stride + 8, args.width), float(marker))
-    args.rows, args.capacity, args.used = rows.ctypes.data, capacity, 1
-    args.slots, args.frames, args.stride = slots.ctypes.data, frames, stride
-    args.current = current.ctypes.data
-    return rows, slots, current
+    current = np.full((stride + 8, width), float(marker))
+    views = rows[:capacity], slots[: frames * stride].reshape(frames, stride), current[:stride]
+    return views, (rows, slots, current)
 
 
 def test_compiled_kernels_refuse_a_store_without_room(compiled):
     # frame 0 of two rows into one result row: room for 1 + 2 rows, 1 frame, 1 + 2 row ids
     for capacity, frames, stride in ((2, 1, 3), (3, 0, 3), (3, 1, 2)):
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
-        args.next_id = 1
-        store = _store(args, capacity, frames, stride)
+        (rows, slots, current), store = _store(2, capacity, frames, stride)
+        args[6:] = rows, 1, slots, 0, current
         before = [array.copy() for array in (*buffers, *store)]
         with pytest.raises(RuntimeError, match="internal error"):
-            _kernels.absorb(args)
+            _kernels.absorb(*args)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
     args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
-    args.next_id = 1
-    store = _store(args, 3, 1, 3)
-    assert _kernels.absorb(args) >= 2  # just enough room
+    (rows, slots, current), store = _store(2, 3, 1, 3)
+    args[6:] = rows, 1, slots, 0, current
+    assert _kernels.absorb(*args)[0] >= 2  # just enough room
     # the scan of more frames than the store holds, or more rows than its row ids
     for n, s in ((2, 1), (1, 4)):
-        args = _kernels.AbsorbArgs(width=2, n=n, s=s, share=0.5, length=-1.0)
-        store = _store(args, 1, 1, 3, marker=0)
+        (rows, slots, current), store = _store(2, 1, 1, 3, marker=0)
         before = [array.copy() for array in store]
         with pytest.raises(RuntimeError, match="internal error"):
-            _kernels.spread(args)
+            _kernels.spread(rows, slots, current, n, s, 0.5, -1.0)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
 
 
@@ -637,7 +721,7 @@ def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
 
 
 class _CountingLib:
-    """A stand-in for the loaded library that records each call's function
+    """A stand-in for the loaded module that records each call's function
     name and result."""
 
     def __init__(self, lib):
@@ -669,8 +753,8 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
             store = (state._ids, state._rows, state._slots)
             counting.calls.clear()
             state.absorb(frame)
-            (name, result), = counting.calls  # one call, also when the store grew
-            assert name == "fs_absorb" and result >= 0
+            (name, (steps, _, _)), = counting.calls  # one call, also when the store grew
+            assert name == "absorb" and steps >= 0
             grown += any(a is not b for a, b in zip(store, (state._ids, state._rows, state._slots)))
     assert grown >= (5 if capacity else 1)
 
@@ -688,8 +772,8 @@ def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
             state.absorb(frame)
             for length in (None, 3.0):
                 counting.calls.clear()
-                state.candidate_gld(length)
-                assert counting.calls == [("fs_spread", 0)]
+                d, g_sum, d_sum = state.candidate_gld(length)
+                assert counting.calls == [("spread", (d, g_sum, d_sum))]
 
 
 def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch):
@@ -703,7 +787,7 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     m = max(len(array) for array in arrays)  # more rows than any array has room for
     wide = make_frame(np.random.default_rng(6).dirichlet(np.ones(clip.alphabet.size), m))
 
-    def no_memory(args):
+    def no_memory(*args):
         raise MemoryError("set by the test")
 
     monkeypatch.setattr(_kernels, "absorb", no_memory)
@@ -714,6 +798,21 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     after = state.mean_rows, state.row_ids, state.contributions, estimate_method_a(state)
     assert after[0].tobytes() == before[0].tobytes() and after[1] == before[1]
     assert after[2].tobytes() == before[2].tobytes() and after[3] == before[3]
+
+
+def test_an_array_from_candidate_gld_outlives_later_calls(compiled):
+    clip = looped_clip(40)
+    state = CombinerState(clip.alphabet, track_history=True, track_treaps=True)
+    kept = []
+    for frame in clip.frames:
+        state.absorb(frame)
+        for length in (None, 2.0 * len(state.row_ids)):
+            d = state.candidate_gld(length)[0]
+            kept.append((d, d.tobytes()))
+        estimate_method_a(state, metric=MetricKind.NGLD)
+        estimate_method_b(state)
+        gc.collect()
+    assert all(d.tobytes() == want for d, want in kept)
 
 
 def test_copies_and_pickles_read_their_own_arrays(compiled):
