@@ -18,10 +18,7 @@ environments' builds are left alone, so two interpreters sharing the
 cache do not evict each other; builds named by the earlier one-key
 scheme, ``kernels-<16 hex digits>.so``, are deleted too.  The directory
 is safe to delete at any time: a module already loaded stays mapped in
-the processes using it, and the next process rebuilds.  When there is no
-compiler or no ``Python.h``, or compiling or loading fails, :func:`get`
-returns None and the callers run their Python kernels, which give the
-same alignments.
+the processes using it, and the next process rebuilds.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
@@ -36,22 +33,27 @@ compiled kernels still run.
 A fresh load also runs :func:`probe`: ``fs_gld`` and ``fs_absorb``
 compute the substitution and gap costs of ``metrics.gld`` and
 ``combiner.align`` in numpy's pairwise summation order, which numpy does
-not promise to keep, so they run only while their costs equal numpy's
-bit for bit on a fixed probe (:func:`compiled_costs`); otherwise ``gld``,
-``align`` and ``CombinerState.absorb`` run their Python references, numpy
-costs and Python tables, and :func:`status` says why.
+not promise to keep, so the probe checks them against numpy's bit for bit.
+That is the one switch: :func:`get` returns the module only once it
+builds, imports and passes the probe, and then every kernel runs
+compiled.  Otherwise (no compiler, no ``Python.h``, a failed build or
+load, or a probe mismatch) it returns None, every kernel runs its Python
+reference (numpy costs, Python tables, the numpy scan), which gives the
+same alignments, and ``reason`` and :func:`status` say why.
 
-Each compiled kernel has one route from Python, a function here that
-makes one call into the module: :func:`gld` (and :func:`costs`, which the
-probe reads) into ``fs_gld``, :func:`align` and :func:`absorb` into
-``fs_absorb``, which ``combiner.align`` and ``CombinerState.absorb``
-call, and :func:`spread` into ``fs_spread``, which
-``CombinerState.candidate_gld`` calls.  Each takes the numpy arrays
-themselves, through the buffer protocol: C-contiguous float64 or int64
-arrays, checked in C, read-only ones where nothing is written.  The
-module releases the GIL while a kernel runs and builds the call's Python
-result itself.  A call the history store has no room for is refused as
-an internal error; the state makes room before the call.
+The callers, ``metrics.gld``, ``combiner.align``,
+``CombinerState.absorb`` and ``CombinerState.candidate_gld``, each call
+:func:`get` once and then the module's entry point itself: ``gld`` into
+``fs_gld``, ``align`` and ``absorb`` into ``fs_absorb``, ``spread`` into
+``fs_spread``.  Each takes the numpy arrays themselves, through the
+buffer protocol, and checks every argument in C: C-contiguous float64 or
+int64 arrays, read-only ones where nothing is written.  The module
+releases the GIL while a kernel runs and builds the call's Python result
+itself.  ``align`` and ``absorb`` raise ValueError when the costs hold a
+NaN, so no path exists; ``absorb`` and ``spread`` refuse a call the
+history store has no room for with RuntimeError, as an internal error,
+writing nothing (the state makes room before the call); and a work
+buffer that cannot be allocated raises MemoryError.
 """
 
 import contextlib
@@ -78,9 +80,8 @@ MODULE = "framestop._compiled"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET = object()
-lib = _UNSET  # the loaded module, None when the Python kernels run
+lib = _UNSET  # the loaded and probed module, None when the Python kernels run
 reason = "not loaded yet"  # why lib is None, or "compiled"
-gld_costs = "not probed yet"  # "compiled" once fs_gld's costs pass the probe, else why not
 
 # row widths (K+1) of the load-time probe of fs_gld's costs: each side of
 # numpy's 8-term and 128-term thresholds, and the benchmark's 37
@@ -233,30 +234,22 @@ def _load():
 
 
 def get():
-    """The compiled kernels' module, built and loaded on first call; None
-    if unavailable.
-
-    A fresh load also probes fs_gld's costs (:func:`probe`) and sets
-    ``gld_costs``.
-    """
-    global lib, reason, gld_costs
+    """The compiled kernels' module, built, loaded and probed on first call;
+    None when the Python kernels run, ``reason`` saying why: no build, no
+    load, or a probe mismatch (:func:`probe`)."""
+    global lib, reason
     if lib is _UNSET:
         lib, reason = _load()
         if lib is not None:
             mismatch = probe()
-            gld_costs = "compiled" if mismatch is None else f"numpy: {mismatch}"
+            if mismatch is not None:
+                lib, reason = None, mismatch
     return lib
 
 
-def compiled_costs():
-    """Whether ``gld``, ``align`` and ``absorb`` run compiled: the kernels are
-    loaded and their costs passed the probe."""
-    return get() is not None and gld_costs == "compiled"
-
-
 def status():
-    """"compiled (gld costs: <path>)", or "python: <why>" when the Python kernels run."""
-    return f"compiled (gld costs: {gld_costs})" if get() is not None else f"python: {reason}"
+    """"compiled", or "python: <why>" when the Python kernels run."""
+    return "compiled" if get() is not None else f"python: {reason}"
 
 
 def _probe_rows(rng, width):
@@ -278,8 +271,9 @@ def probe():
     ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit on a fixed seeded
     probe at every width of ``PROBE_WIDTHS``; else where they first differ.
 
-    fs_gld copies numpy's summation order, which numpy does not promise to
-    keep, so ``metrics.gld`` uses fs_gld only after this passes.
+    fs_gld and fs_absorb copy numpy's summation order, which numpy does not
+    promise to keep, so :func:`get` hands out the module only after this
+    passes.
     """
     import random
 
@@ -296,16 +290,6 @@ def probe():
     return None
 
 
-# The routes into the kernels.  Row sets are 2-D C-contiguous float64
-# arrays; both may be empty, and rows of either must be of one width.
-
-
-def gld(x, y):
-    """``metrics.gld`` of the row sets ``x`` and ``y``, the costs computed in
-    C: one call, whose work buffer is its own."""
-    return lib.gld(x, y)
-
-
 def costs(x, y):
     """(sub, gap_rows, gap_cols, gld) as fs_gld computes them: the
     arrays ``metrics.pairwise_costs(x, y)``, ``gap_costs(x)`` and
@@ -314,37 +298,3 @@ def costs(x, y):
     work = np.empty(2 * (s + 1) * (m + 1) - 1)
     cost = lib.gld(x, y, work)
     return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
-
-
-def align(x, y):
-    """(result_rows, frame_rows, cost) of the alignment ``combiner.align``
-    reads off between the result rows ``x`` and the frame rows ``y``, from
-    one ``fs_absorb`` call with no merge and no store: two tuples of one
-    index per step, and the cost, which may be NaN or infinite.  Raises
-    ValueError when the costs hold a NaN, so no path exists."""
-    return lib.align(x, y)
-
-
-def absorb(result, frame, factor, merged, order, next_id, rows, used, slots, frame_index, current):
-    """(steps, cost, inserted) of one ``fs_absorb`` call merging ``frame``
-    into ``result`` with the share ``factor``; ``_kernels.c``'s ``absorb``
-    documents the arguments, and ``rows`` None skips the history store.
-    Raises ValueError when the costs hold a NaN, so no path exists,
-    RuntimeError, with nothing written, when the history store has no room
-    for the frame, and MemoryError when the work buffer cannot be
-    allocated."""
-    return lib.absorb(
-        result, frame, factor, merged, order, next_id, rows, used, slots, frame_index, current
-    )
-
-
-def spread(rows, slots, current, n, s, share, length):
-    """``CombinerState.candidate_gld`` from one ``fs_spread`` call over the
-    history store ``rows``, ``slots`` and ``current``, for the first ``n``
-    frames (at least 1) and ``s`` row ids: (d, sum of g, sum of d), d a
-    fresh array of ``n`` entries.  ``share`` is every frame's merge share,
-    or an array of one per frame; ``length`` is the nGLD length sum,
-    negative for GLD.  Raises RuntimeError, with nothing written, when
-    ``n`` is above the store's frames or ``s`` above its row ids, and
-    MemoryError when the scratch buffer cannot be allocated."""
-    return lib.spread(np.empty(n), rows, slots, current, s, share, length)

@@ -34,7 +34,13 @@ MAX_STAGES = 10_000
 # values over all frames, each of at most two rows per character (an
 # insertion adds one) and the empty row, every row alphabet size + 1 wide
 MAX_GEN_VALUES = 20_000_000
+# cap of the history store that methods a and b keep for one clip: float
+# values over all stages, each stage appending at most the clip's largest
+# frame, every row alphabet size + 1 wide; 8 bytes each, and the store
+# doubles as it grows, so up to twice that may be allocated
+MAX_HISTORY_VALUES = 20_000_000
 ESTIMATOR_METHODS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B)
+HISTORY_METHODS = (StopperMethod.METHOD_A, StopperMethod.METHOD_B)
 
 
 def _add_io(parser):
@@ -50,11 +56,24 @@ def _add_estimation(parser):
     parser.add_argument("--max-stages", type=int, default=30)
 
 
-def _load_clips(args):
-    """The input clips, read only once --max-stages is within its cap."""
+def _load_clips(args, methods):
+    """The input clips, read only once --max-stages is within its cap, and
+    refused before any stage runs if one of ``methods`` keeps a history
+    store that could pass ``MAX_HISTORY_VALUES`` on one of them."""
     if args.max_stages > MAX_STAGES:
         raise ValueError(f"--max-stages {args.max_stages} is above the cap of {MAX_STAGES}")
-    return load_clips(args.input)
+    clips = load_clips(args.input)
+    if any(method in HISTORY_METHODS for method in methods):
+        for clip in clips:
+            rows = max((frame.num_chars for frame in clip.frames), default=0)
+            values = args.max_stages * rows * (clip.alphabet.size + 1)
+            if values > MAX_HISTORY_VALUES:
+                raise ValueError(
+                    f"clip {clip.id}: --max-stages {args.max_stages} x {rows} rows per frame "
+                    f"over {clip.alphabet.size} symbols keeps up to {values} history values "
+                    f"for methods a and b, above the cap of {MAX_HISTORY_VALUES}"
+                )
+    return clips
 
 
 def _stopper_config(args, *, threshold=0.0, fixed_stage=None):
@@ -102,7 +121,7 @@ def _cmd_gen(args):
 
 
 def _cmd_simulate(args):
-    clips = _load_clips(args)
+    clips = _load_clips(args, [StopperMethod(args.method)])
     fixed_stage = None
     if StopperMethod(args.method) is StopperMethod.FIXED_STAGE:
         if args.stage is None:
@@ -114,7 +133,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_profile(args):
-    clips = _load_clips(args)
+    clips = _load_clips(args, [StopperMethod(args.method)])
     fixed_stage = 1 if StopperMethod(args.method) is StopperMethod.FIXED_STAGE else None
     config = _stopper_config(args, fixed_stage=fixed_stage)
     rows = profile(clips, config, parse_grid(args.thresholds))
@@ -122,9 +141,9 @@ def _cmd_profile(args):
 
 
 def _cmd_bench(args):
-    clips = _load_clips(args)
     names = args.method or [m.value for m in ESTIMATOR_METHODS]
     methods = [StopperMethod(name) for name in dict.fromkeys(names)]
+    clips = _load_clips(args, methods)
     rows = bench(
         clips,
         methods,

@@ -20,21 +20,20 @@ it), so neither route grows anything; display order is applied only when
 the history is read, by ``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
-bit.  Where the compiled kernels load and their costs passed the
-load-time probe (``_kernels.compiled_costs``), ``CombinerState.absorb``
-is one ``fs_absorb`` call in ``_kernels.c``: the costs, in numpy's
-summation order, the table, the path, the merge and the store write,
-given the state's arrays themselves (``_kernels.absorb``); ``align`` is
-the same call without the merge and the store.  Otherwise numpy's
-``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the Python
-traceback ``_path``, ``_merge`` and ``CombinerState._record`` run, the
-reference.
+bit.  Where the compiled kernels run (``_kernels.get()`` returns their
+module), ``CombinerState.absorb`` is one ``fs_absorb`` call in
+``_kernels.c``: the costs, in numpy's summation order, the table, the
+path, the merge and the store write, given the state's arrays
+themselves; ``align`` is the same call without the merge and the store.
+Otherwise numpy's ``pairwise_costs`` / ``gap_costs``,
+``metrics.cost_table``, the Python traceback ``_path``, ``_merge`` and
+``CombinerState._record`` run, the reference.
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled ``fs_spread`` call over the
-same arrays where available (numpy otherwise).  The scan
+same arrays where the compiled kernels run (numpy otherwise).  The scan
 computes each current row's distance to the empty row once per call, and
 a slot holding 0 adds that distance instead of K+1 terms; ``b`` is
 ``a``'s aggregate normalised once.
@@ -132,16 +131,15 @@ def align(frame, result):
     that are not a 2-D array, or that hold a NaN or an infinity, raise
     ValueError, as in ``metrics.gld``.
 
-    Where ``_kernels.compiled_costs()`` holds, this is one ``fs_absorb``
-    call with no merge and no store, whose costs equal numpy's
-    ``pairwise_costs`` / ``gap_costs`` bit for bit, and which builds the
-    two index tuples itself; otherwise those and :func:`_path`, the
-    reference.  A ``base`` stage at n=25 is 26 alignments and an ``a``
-    stage one, so every microsecond off ``align`` moves the acceptance
-    suite's criterion 7 ratio (``base`` at least 10x ``a`` per stage at
-    n=25) towards its bound: on a 2-vCPU Xeon with AVX2, 10 runs of the
-    criterion's recipe read 11.9-14.7x (``base`` 0.34-0.54 ms, ``a``
-    26-40 us).
+    Where the compiled kernels run, this is one ``fs_absorb`` call with no
+    merge and no store, whose costs equal numpy's ``pairwise_costs`` /
+    ``gap_costs`` bit for bit, and which builds the two index tuples itself;
+    otherwise those and :func:`_path`, the reference.  A ``base`` stage at
+    n=25 is 26 alignments and an ``a`` stage one, so every microsecond off
+    ``align`` moves the acceptance suite's criterion 7 ratio (``base`` at
+    least 10x ``a`` per stage at n=25) towards its bound: on a 2-vCPU Xeon
+    with AVX2, 10 runs of the criterion's recipe read 11.9-14.7x (``base``
+    0.34-0.54 ms, ``a`` 26-40 us).
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -150,8 +148,9 @@ def align(frame, result):
             f"class counts differ: frame {fresh.shape[1] - 1} vs result {combined.shape[1] - 1}"
         )
     s, m = combined.shape[0], fresh.shape[0]
-    if _kernels.compiled_costs():
-        result_rows, frame_rows, cost = _kernels.align(combined, fresh)
+    lib = _kernels.get()
+    if lib is not None:
+        result_rows, frame_rows, cost = lib.align(combined, fresh)
     else:
         sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
         skip = gap_costs(combined)  # cost of skipping each combined row
@@ -165,8 +164,8 @@ def align(frame, result):
 
 def _path(sub, skip, gaps):
     """(result_rows, frame_rows, cost) from :func:`metrics.cost_table` over
-    nested lists: the Python kernel, and the reference of the path
-    ``_kernels.align`` reads."""
+    nested lists: the Python kernel, and the reference of the path the
+    compiled ``align`` reads."""
     table = cost_table(sub, skip, gaps)
     s, m = len(skip), len(gaps)
     # read the path off from the front, recomputing each cell's choices in
@@ -296,11 +295,10 @@ class CombinerState:
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
         already reads as empty for this frame.  :meth:`_reserve` first makes
-        room for the frame.  Where the compiled costs run
-        (:func:`_kernels.compiled_costs`), the alignment, the merge and the
-        store write are then one ``fs_absorb`` call; otherwise
-        :func:`align`, :func:`_merge` and :meth:`_record`, the reference,
-        which gives the same rows, row ids and store bit for bit.
+        room for the frame.  Where the compiled kernels run, the alignment,
+        the merge and the store write are then one ``fs_absorb`` call;
+        otherwise :func:`align`, :func:`_merge` and :meth:`_record`, the
+        reference, which gives the same rows, row ids and store bit for bit.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -309,8 +307,9 @@ class CombinerState:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = merge_share(w, self.weight_total)
         self._reserve(frame.num_chars)
-        if _kernels.compiled_costs():
-            self._absorb_compiled(frame, factor)
+        lib = _kernels.get()
+        if lib is not None:
+            self._absorb_compiled(lib, frame, factor)
         else:
             self._absorb_python(frame, factor)
         self._weights.append(w)
@@ -336,10 +335,10 @@ class CombinerState:
             self._current[order] = padded[:-1]
         self._set_rows(padded)
 
-    def _absorb_compiled(self, frame, factor):
-        """The absorb in one ``fs_absorb`` call."""
+    def _absorb_compiled(self, lib, frame, factor):
+        """The absorb in one ``fs_absorb`` call of the module ``lib``."""
         merged = np.empty((len(self._order) + frame.num_chars + 1, self._width))
-        steps, cost, inserted = _kernels.absorb(
+        steps, cost, inserted = lib.absorb(
             self._padded, frame.padded_rows, factor, merged, self._ids, self._next_id,
             self._rows, self._used, self._slots, self.n, self._current,
         )
@@ -457,21 +456,22 @@ class CombinerState:
         GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns
         (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
-        Where :mod:`framestop._kernels` loads, the scan, the shares, the
-        normalisation and both sums are one ``fs_spread`` call
-        (:func:`_kernels.spread`) over the state's store, with the
-        same elementwise operations as the numpy path and the sums added in
-        frame order; the two agree to a few parts in 1e15.
+        Where the compiled kernels run, the scan, the shares, the
+        normalisation and both sums are one ``fs_spread`` call over the
+        state's store, with the same elementwise operations as the numpy
+        path and the sums added in frame order; the two agree to a few
+        parts in 1e15.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
         share = self.candidate_shares()
-        if _kernels.get() is not None:
-            return _kernels.spread(
-                self._rows, self._slots, self._current, self.n, len(self._order), share,
-                -1.0 if length is None else length,
+        lib = _kernels.get()
+        if lib is not None:
+            return lib.spread(
+                np.empty(self.n), self._rows, self._slots, self._current, len(self._order),
+                share, -1.0 if length is None else length,
             )
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)

@@ -5,14 +5,14 @@ distributions, a generalized Levenshtein distance (GLD) between row
 sequences that uses the taxicab distance for substitution and gap costs,
 and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
 ``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
-and ``combiner.align`` reads its path.  Both run its compiled copy in
-``_kernels.c`` instead only where the kernels load and a load-time probe
-has found their substitution and gap costs, computed in C in numpy's
-summation order, equal to :func:`pairwise_costs` / :func:`gap_costs` bit
-for bit (``_kernels.compiled_costs``); the copy performs the same
-floating-point operations in the same order, so it gives the same
-results bit for bit, in O(S*M) working memory rather than the O(S*M*K)
-of the numpy cost matrix.  Otherwise both run numpy's costs and
+and ``combiner.align`` reads its path.  Where the compiled kernels run
+(``_kernels.get()`` returns their module), both run its compiled copy in
+``_kernels.c`` instead, whose substitution and gap costs, computed in C in
+numpy's summation order, a load-time probe has found equal to
+:func:`pairwise_costs` / :func:`gap_costs` bit for bit; the copy performs
+the same floating-point operations in the same order, so it gives the
+same results bit for bit, in O(S*M) working memory rather than the
+O(S*M*K) of the numpy cost matrix.  Otherwise both run numpy's costs and
 ``cost_table``, the reference.
 """
 
@@ -118,10 +118,9 @@ def gld(x, y):
     a NaN or an infinity raise ValueError, as in ``combiner.align``.
 
     Two routes give the same cost bit for bit.  Where the compiled kernels
-    load and their costs passed the load-time probe (``_kernels.gld_costs``),
-    one C call computes the costs and the table with O(S*M) working memory:
-    the substitution costs, the gap costs and the table as 8-byte doubles,
-    no numpy temporary.  Otherwise numpy computes the costs and
+    run (``_kernels.get()``), one C call computes the costs and the table
+    with O(S*M) working memory: the substitution costs, the gap costs and
+    the table as 8-byte doubles, no numpy temporary.  Otherwise numpy computes the costs and
     :func:`cost_table` the table: the memory is O(S*M*K) at its peak, in
     the substitution cost matrix of :func:`pairwise_costs`, and the table
     adds O(S*M) Python floats where a two-row forward pass would keep
@@ -136,8 +135,9 @@ def _gld(xr, yr):
     """:func:`gld` of two row sets that :func:`_as_rows` gave."""
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    if _kernels.compiled_costs():
-        cost = _kernels.gld(xr, yr)
+    lib = _kernels.get()
+    if lib is not None:
+        cost = lib.gld(xr, yr)
     else:
         s, m = xr.shape[0], yr.shape[0]
         sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))

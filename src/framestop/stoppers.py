@@ -26,9 +26,11 @@ A stage of ``a`` or ``b`` is the absorb that every method pays (one
 ``fs_absorb`` call on the compiled route: the alignment, the merge and
 the store write) plus the estimate (one ``fs_spread`` call).  At the
 paper's horizon the absorb is the larger part: at n=25 on a 2-vCPU Xeon
-with AVX2 it takes 29-36 us and the estimate 9-15 us; past n of about
-100 the estimate's scan is the larger part.  Each compiled call spends
-about a microsecond outside its kernel, in the C API binding.
+with AVX2, the minimum of 200 calls on the criterion-7 recipe read
+15-24 us for ``a``'s absorb and 9-15 us for its estimate over six runs;
+past n of about 100 the estimate's scan is the larger part.  Each
+compiled call spends about a microsecond outside its kernel, in the C
+API binding.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.

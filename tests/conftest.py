@@ -21,12 +21,11 @@ def compiled():
 @pytest.fixture
 def fresh_load(monkeypatch):
     """A function that forgets the loaded kernels, so the next
-    ``_kernels.get()`` builds and loads them afresh; the module, its reason
-    and the gld-costs probe's verdict are restored after the test."""
+    ``_kernels.get()`` builds, loads and probes them afresh; the module and
+    its reason are restored after the test."""
 
     def forget():
         monkeypatch.setattr(_kernels, "lib", _kernels._UNSET)
         monkeypatch.setattr(_kernels, "reason", _kernels.reason)
-        monkeypatch.setattr(_kernels, "gld_costs", _kernels.gld_costs)
 
     return forget

@@ -5,6 +5,7 @@ import pytest
 
 from framestop import cli, harness
 from framestop.cli import main
+from framestop.combiner import CombinerState
 from framestop.harness import MAX_CLASSES, MAX_FRAME_ROWS, load_clips
 
 
@@ -325,3 +326,57 @@ def test_malformed_jsonl_exits_without_traceback(tmp_path, capsys, command, case
     assert err.startswith("error:")
     assert f"{path}:2:" in err
     assert "Traceback" not in err
+
+
+def _clip_at_the_load_caps(tmp_path):
+    """One clip of two frames of ``MAX_FRAME_ROWS`` rows over ``MAX_CLASSES``
+    symbols, the largest frames the loader accepts."""
+    symbols = "".join(chr(0x100 + i) for i in range(MAX_CLASSES))
+    rows = [[1.0] + [0.0] * (MAX_CLASSES - 1)] * MAX_FRAME_ROWS
+    path = tmp_path / "at-cap.jsonl"
+    record = {"id": "at-cap", "alphabet": symbols, "truth": "", "frames": [{"rows": rows}] * 2}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+def _history_args(command, path, out):
+    args = [command, "-i", str(path), "-o", str(out)]
+    if command == "profile":
+        args += ["--thresholds", "0:0.1:0.05"]
+    return args
+
+
+@pytest.mark.parametrize("method", ["a", "b"])
+@pytest.mark.parametrize("command", ["simulate", "profile", "bench"])
+def test_a_history_above_its_cap_exits_before_any_stage(
+    tmp_path, capsys, monkeypatch, command, method
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a stage ran above the history cap")
+
+    monkeypatch.setattr(CombinerState, "absorb", unreachable)
+    out = tmp_path / "x.csv"
+    args = _history_args(command, _clip_at_the_load_caps(tmp_path), out)
+    assert main(args + ["--method", method, "--max-stages", str(cli.MAX_STAGES)]) == 1
+    err = capsys.readouterr().err
+    values = cli.MAX_STAGES * MAX_FRAME_ROWS * (MAX_CLASSES + 1)
+    assert err == (
+        f"error: clip at-cap: --max-stages {cli.MAX_STAGES} x {MAX_FRAME_ROWS} rows per frame "
+        f"over {MAX_CLASSES} symbols keeps up to {values} history values for methods a and b, "
+        f"above the cap of {cli.MAX_HISTORY_VALUES}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "profile", "bench"])
+def test_the_history_cap_is_inclusive_and_spares_the_base_method(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a cap of exactly three stages of the clip's frames, scaled down so the runs stay small
+    path = _clip_at_the_load_caps(tmp_path)
+    monkeypatch.setattr(cli, "MAX_HISTORY_VALUES", 3 * MAX_FRAME_ROWS * (MAX_CLASSES + 1))
+    args = _history_args(command, path, tmp_path / "x.csv")
+    assert main(args + ["--method", "a", "--max-stages", "3"]) == 0
+    assert main(args + ["--method", "base", "--max-stages", "4"]) == 0
+    assert main(args + ["--method", "b", "--max-stages", "4"]) == 1
+    assert "above the cap of" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The compiled kernels against the Python ones, and the loader's fallbacks."""
 
+import contextlib
 import copy
 import gc
 import pickle
@@ -10,6 +11,7 @@ import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,7 +140,7 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
                 assert gaps_x.tobytes() == want_x.tobytes()
                 assert gaps_y.tobytes() == want_y.tobytes()
                 want = cost_table(want_sub.tolist(), want_x.tolist(), want_y.tolist())[0][0]
-                assert cost.hex() == _kernels.gld(x, y).hex() == want.hex()
+                assert cost.hex() == compiled.gld(x, y).hex() == want.hex()
 
 
 def _row_distance_replica(a, b):
@@ -194,8 +196,8 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     assert (slots[1:] == 0).any() and slots.any()
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
         for length in (None, 3.5):
-            got = _hex_scan(*_kernels.spread(rows, slots, current, 7, 5, shares, length or -1.0))
-            assert got == _scan_replica(rows, slots, current, shares, length)
+            got = compiled.spread(np.empty(7), rows, slots, current, 5, shares, length or -1.0)
+            assert _hex_scan(*got) == _scan_replica(rows, slots, current, shares, length)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
     # a state's store through candidate_gld, unit and random weights
@@ -274,38 +276,6 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     assert dump() == want
 
 
-def test_a_probe_mismatch_sends_gld_to_the_numpy_costs(compiled, monkeypatch, fresh_load):
-    rng = random.Random(4)
-    pairs = []
-    for i in range(10):
-        clip = random_clip(rng, i)
-        pairs += [(a.rows, b.rows) for a, b in zip(clip.frames, clip.frames[1:])]
-    before = [gld(x, y).hex() for x, y in pairs]
-
-    numpy_costs = metrics.pairwise_costs
-
-    def one_ulp_off_at_129(x, y):
-        costs = numpy_costs(x, y)
-        return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
-
-    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(10)]
-    before_states = [_state_dump(clip.frames, clip.alphabet) for clip in clips]
-
-    monkeypatch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129)
-    fresh_load()
-    assert _kernels.get() is not None
-    monkeypatch.setattr(metrics, "pairwise_costs", numpy_costs)
-    assert _kernels.status() == "compiled (gld costs: numpy: probe mismatch at K+1=129)"
-
-    def unreachable(*args):
-        raise AssertionError("compiled costs used after a probe mismatch")
-
-    for name in ("gld", "align", "absorb"):
-        monkeypatch.setattr(_kernels, name, unreachable)
-    assert [gld(x, y).hex() for x, y in pairs] == before
-    assert [_state_dump(clip.frames, clip.alphabet) for clip in clips] == before_states
-
-
 def _outcomes(clips):
     """Stop decisions and estimate traces of every method over ``clips``."""
     out = []
@@ -316,48 +286,63 @@ def _outcomes(clips):
     return out
 
 
-def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
-    rng = random.Random(31)
-    clips = [random_clip(rng, i) for i in range(12)] + [looped_clip(40)]
-    before = _outcomes(clips)
-
-    fresh_load()
-    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "no-such-compiler-cc")
-    assert _kernels.get() is None
-    assert _kernels.status().startswith("python: no C compiler")
-
-    def unreachable(*args):
-        raise AssertionError("compiled kernel called without a compiler")
-
-    for name in ("gld", "align", "absorb", "spread"):
-        monkeypatch.setattr(_kernels, name, unreachable)
-    _check_same_outcomes(before, _outcomes(clips))
-
-
-def _check_same_outcomes(before, after):
-    """Two runs of :func:`_outcomes` stop alike with the same truth errors,
-    and their estimates agree to 1e-12, as the history scans sum in
-    different orders."""
-    for (outcome, (estimates, errors)), (outcome_py, (estimates_py, errors_py)) in zip(before, after):
-        assert (outcome.stop_stage, outcome.forced) == (outcome_py.stop_stage, outcome_py.forced)
-        assert outcome.final_error == outcome_py.final_error
-        assert errors == errors_py
-        assert np.allclose(estimates, estimates_py, rtol=0.0, atol=1e-12)
-
-
 def _kernel_routes(clips):
     """What every public entry point that reaches a kernel gives over
     ``clips``: float.hex of gld and ngld between neighbouring frames, the
-    bytes of align and absorb (:func:`_state_dump`), and, on the clips of
-    unit weights, which method b needs, every method's stops and traces
+    bytes of align and absorb (:func:`_state_dump`), the float.hex of every
+    estimate (:func:`_estimate_dump`), and, on the clips of unit weights,
+    which method b needs, every method's stops and traces
     (:func:`_outcomes`)."""
     distances = [
         (gld(a, b).hex(), ngld(a, b).hex())
         for clip in clips for a, b in zip(clip.frames, clip.frames[1:])
     ]
     states = [_state_dump(clip.frames, clip.alphabet) for clip in clips]
+    estimates = [_estimate_dump(clip.frames, clip.alphabet) for clip in clips]
     unit = [clip for clip in clips if all(frame.weight == 1.0 for frame in clip.frames)]
-    return distances, states, _outcomes(unit)
+    return distances, states, estimates, _outcomes(unit)
+
+
+def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips):
+    """Load the kernels afresh with the patches ``fault(patch)`` makes in
+    place for the load alone, and check that the Python kernels run: no
+    module, the status ``status``, and every route into a kernel over
+    ``clips`` giving what it gives under :func:`python_kernels`, bit for
+    bit."""
+    with python_kernels():
+        want = _kernel_routes(clips)
+    fresh_load()
+    with monkeypatch.context() as patch:
+        fault(patch)
+        assert _kernels.get() is None
+    assert _kernels.status() == status
+    assert _kernel_routes(clips) == want
+
+
+def test_a_probe_mismatch_runs_the_python_kernels(compiled, monkeypatch, fresh_load):
+    rng = random.Random(4)
+    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(10)]
+    numpy_costs = metrics.pairwise_costs
+
+    def one_ulp_off_at_129(x, y):
+        costs = numpy_costs(x, y)
+        return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
+
+    _check_the_python_kernels_run(
+        monkeypatch, fresh_load,
+        lambda patch: patch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129),
+        "python: probe mismatch at K+1=129", clips,
+    )
+
+
+def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):
+    rng = random.Random(31)
+    clips = [random_clip(rng, i) for i in range(12)] + [looped_clip(40)]
+    _check_the_python_kernels_run(
+        monkeypatch, fresh_load,
+        lambda patch: patch.setattr(sysconfig, "get_config_var", lambda name: "no-such-cc"),
+        "python: no C compiler ('no-such-cc' not found)", clips,
+    )
 
 
 def _headers_in(monkeypatch, directory):
@@ -375,24 +360,13 @@ def test_no_python_headers_runs_the_python_kernels(monkeypatch, tmp_path, fresh_
         pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
     rng = random.Random(37)
     clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(9)] + [looped_clip(30)]
-    before = _kernel_routes(clips)
-
     empty = tmp_path / "include"
     empty.mkdir()
-    _headers_in(monkeypatch, empty)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    fresh_load()
-    assert _kernels.get() is None
-    assert _kernels.status() == f"python: no Python.h in {empty}"
-
-    def unreachable(*args):
-        raise AssertionError("compiled kernel called without Python.h")
-
-    for name in ("gld", "align", "absorb", "spread"):
-        monkeypatch.setattr(_kernels, name, unreachable)
-    distances, states, outcomes = _kernel_routes(clips)
-    assert (distances, states) == before[:2]
-    _check_same_outcomes(before[2], outcomes)
+    _check_the_python_kernels_run(
+        monkeypatch, fresh_load, lambda patch: _headers_in(patch, empty),
+        f"python: no Python.h in {empty}", clips,
+    )
     assert not (tmp_path / "cache").exists()  # nothing was built
 
 
@@ -422,9 +396,9 @@ def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_loa
     for planted in (stale, other_env, legacy):
         planted.write_bytes(b"")
     fresh_load()
-    assert _kernels.get() is not None
+    assert _kernels.get() is not None and _kernels.status() == "compiled"
     assert sorted(path.name for path in cache.iterdir()) == sorted([name, other_env.name])
-    assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
+    assert _kernels.get().gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
 
 
 def _with_config_var(monkeypatch, name, value):
@@ -485,7 +459,7 @@ def test_unwritable_cache_builds_into_a_private_directory(
     fresh_load()
     assert _kernels.get() is not None
     frame = make_frame([[0.25, 0.75]])
-    assert _kernels.gld(frame.rows, np.zeros((0, 3))) == 1.0
+    assert _kernels.get().gld(frame.rows, np.zeros((0, 3))) == 1.0
     assert blocker.read_text() == ""
     assert list(scratch.iterdir()) == []  # the private build is removed once loaded
 
@@ -501,8 +475,7 @@ def test_no_home_directory_builds_into_a_private_directory(
     monkeypatch.setattr(Path, "home", classmethod(_no_home))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     fresh_load()
-    assert _kernels.get() is not None
-    assert _kernels.gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
+    assert _kernels.get().gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
     assert list(tmp_path.iterdir()) == []
 
 
@@ -510,14 +483,17 @@ def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load
     if _kernels.unbuildable():
         pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
 
+    # what CPython raises for a module without the C file's init function
+    message = "dynamic module does not define module export function (PyInit__compiled)"
+
     def broken(path):
-        raise AttributeError("undefined symbol: fs_fill")
+        raise ImportError(message)
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels, "_open", broken)
     fresh_load()
     assert _kernels.get() is None
-    assert _kernels.status() == "python: AttributeError: undefined symbol: fs_fill"
+    assert _kernels.status() == f"python: ImportError: {message}"
     assert align(make_frame([[0.25, 0.75]]), make_frame([[0.5, 0.5]])).cost == 0.25
 
 
@@ -559,14 +535,7 @@ def _check_gld_refuses(x, y):
 
 
 @pytest.mark.parametrize("x, y", NON_FINITE)
-def test_gld_refuses_non_finite_rows_compiled(compiled, monkeypatch, x, y):
-    monkeypatch.setattr(_kernels, "gld_costs", "compiled")
-    _check_gld_refuses(x, y)
-
-
-@pytest.mark.parametrize("x, y", NON_FINITE)
-def test_gld_refuses_non_finite_rows_on_numpy_costs(compiled, monkeypatch, x, y):
-    monkeypatch.setattr(_kernels, "gld_costs", "numpy: set by the test")
+def test_gld_refuses_non_finite_rows_compiled(compiled, x, y):
     _check_gld_refuses(x, y)
 
 
@@ -579,16 +548,16 @@ def test_gld_refuses_non_finite_rows_on_python_kernels(x, y):
 def test_compiled_trace_stops_on_nan_costs(compiled):
     # every cost NaN: no step reproduces a cell, so the trace must end, not run off
     with pytest.raises(ValueError, match="NaN"):
-        _kernels.align(np.full((3, 2), np.nan), np.full((2, 2), np.nan))
+        compiled.align(np.full((3, 2), np.nan), np.full((2, 2), np.nan))
     # a NaN substitution (inf - inf) the infinite gaps route around: the
     # cost is NaN, the path stays in bounds
     with np.errstate(invalid="ignore"):
-        result_rows, frame_rows, cost = _kernels.align(*[np.array([[0.0, np.inf]])] * 2)
+        result_rows, frame_rows, cost = compiled.align(*[np.array([[0.0, np.inf]])] * 2)
     assert (result_rows, frame_rows) == ((1, 0), (0, 1)) and cost != cost
 
 
 def _absorb_args(result, frame):
-    """``_kernels.absorb``'s arguments merging the rows ``frame`` into
+    """The module's ``absorb`` arguments merging the rows ``frame`` into
     ``result``, both padded with the empty row here, with the share 0.5 and
     no history store; and the merged and order buffers, filled with a
     marker."""
@@ -605,11 +574,11 @@ def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     nan_rows = np.full((2, 2), np.nan)
     args, (_, _, merged, order) = _absorb_args(nan_rows, nan_rows)
     with pytest.raises(ValueError, match="NaN"):
-        _kernels.absorb(*args)
+        compiled.absorb(*args)
     assert (merged == 7.0).all() and (order[2:] == 7).all()
     args, (_, _, merged, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
     with np.errstate(invalid="ignore"):
-        steps, cost, _ = _kernels.absorb(*args)
+        steps, cost, _ = compiled.absorb(*args)
     assert steps == 2
     assert cost != cost
     assert (merged == 7.0).all() and (order[1:] == 7).all()
@@ -636,18 +605,18 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
         args[6:] = rows, 1, slots, 0, current
         before = [array.copy() for array in (*buffers, *store)]
         with pytest.raises(RuntimeError, match="internal error"):
-            _kernels.absorb(*args)
+            compiled.absorb(*args)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
     args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
     (rows, slots, current), store = _store(2, 3, 1, 3)
     args[6:] = rows, 1, slots, 0, current
-    assert _kernels.absorb(*args)[0] >= 2  # just enough room
+    assert compiled.absorb(*args)[0] >= 2  # just enough room
     # the scan of more frames than the store holds, or more rows than its row ids
     for n, s in ((2, 1), (1, 4)):
         (rows, slots, current), store = _store(2, 1, 1, 3, marker=0)
         before = [array.copy() for array in store]
         with pytest.raises(RuntimeError, match="internal error"):
-            _kernels.spread(rows, slots, current, n, s, 0.5, -1.0)
+            compiled.spread(np.empty(n), rows, slots, current, s, 0.5, -1.0)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
 
 
@@ -668,14 +637,16 @@ def _state_dump(frames, alphabet, *, track=True):
     return out
 
 
-def _estimate_dump(frames, alphabet):
+def _estimate_dump(frames, alphabet, *, absorbing=contextlib.nullcontext):
     """float.hex of base's, a's and (on unit weights) b's estimates, aggregates
-    and per-candidate distances, under both metrics, after every absorb."""
+    and per-candidate distances, under both metrics, after every absorb,
+    which runs inside ``absorbing()``."""
     unit = all(frame.weight == 1.0 for frame in frames)
     state = CombinerState(alphabet, track_history=True, track_treaps=unit)
     out = []
     for n, frame in enumerate(frames, 1):
-        state.absorb(frame)
+        with absorbing():
+            state.absorb(frame)
         breakdowns = [estimate_base(state, frames[:n], metric=metric) for metric in MetricKind]
         for b in breakdowns + list(_estimates(state).values()):
             out.append((b.estimate.hex(), b.gld_aggregate.hex(),
@@ -715,9 +686,7 @@ def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
         monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
     for clip in _absorb_clips()[::3]:
         got = _estimate_dump(clip.frames, clip.alphabet)
-        with monkeypatch.context() as patch:
-            patch.setattr(_kernels, "gld_costs", "numpy: set by the test")
-            assert _estimate_dump(clip.frames, clip.alphabet) == got
+        assert _estimate_dump(clip.frames, clip.alphabet, absorbing=python_kernels) == got
 
 
 class _CountingLib:
@@ -790,7 +759,7 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     def no_memory(*args):
         raise MemoryError("set by the test")
 
-    monkeypatch.setattr(_kernels, "absorb", no_memory)
+    monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=no_memory, spread=compiled.spread))
     with pytest.raises(MemoryError):
         state.absorb(wide)
     grown = state._ids, state._rows, state._slots, state._current
