@@ -14,10 +14,11 @@ into those rows, and the current rows by row id.  Absorbing a frame
 appends its M rows and points its slots at them (O(M*K)); every other
 slot holds 0, the index of the empty distribution, so a frame reads as
 empty wherever it was not aligned, rows created after it included.
-Before each absorb, ``CombinerState._reserve`` makes room for the frame
-in every array, each too small one doubling (or more, if the frame needs
-it), so neither route grows anything; display order is applied only when
-the history is read, by ``CombinerState.contributions``.
+Before each absorb ``CombinerState._reserve`` makes room for the frame,
+sizing every array from the first frame's M rows, then doubling each too
+small one (or more, if the frame needs it), so neither route grows
+anything; display order is applied only when the history is read, by
+``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels run (``_kernels.get()`` returns their
@@ -56,14 +57,14 @@ _HALVE_FROM = 2.0**1023
 # frames per slice of the numpy history scan, which bounds its temporary
 _SCAN_FRAMES = 32
 
-# initial capacities of the history store: rows, frames, row ids
-_STORE_CAPACITY = (64, 32, 8)
+# first sizes, from the first frame's M rows: rows (in frames of M), frames, row ids (per row)
+_STORE_CAPACITY = (48, 32, 4)
 
 
 def _grown(array, needed, keep):
-    """A zeroed array of twice ``array``'s rows, or of ``needed`` if that is
-    more, holding its first ``keep`` rows."""
-    grown = np.zeros((max(2 * len(array), needed), *array.shape[1:]), dtype=array.dtype)
+    """An array of twice ``array``'s rows, or of ``needed`` if that is more,
+    holding its first ``keep`` rows; the rest is uninitialised."""
+    grown = np.empty((max(2 * len(array), needed), *array.shape[1:]), dtype=array.dtype)
     grown[:keep] = array[:keep]
     return grown
 
@@ -135,11 +136,9 @@ def align(frame, result):
     merge and no store, whose costs equal numpy's ``pairwise_costs`` /
     ``gap_costs`` bit for bit, and which builds the two index tuples itself;
     otherwise those and :func:`_path`, the reference.  A ``base`` stage at
-    n=25 is 26 alignments and an ``a`` stage one, so every microsecond off
-    ``align`` moves the acceptance suite's criterion 7 ratio (``base`` at
-    least 10x ``a`` per stage at n=25) towards its bound: on a 2-vCPU Xeon
-    with AVX2, 10 runs of the criterion's recipe read 11.9-14.7x (``base``
-    0.34-0.54 ms, ``a`` 26-40 us).
+    n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
+    narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
+    n=25): 11 runs on a 2-vCPU Xeon with AVX2 read 12.9-16.8x.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -227,6 +226,7 @@ class CombinerState:
     plain combination carries no bookkeeping overhead.  ``seed`` seeds
     only the treap priorities of :meth:`cell`.
 
+    ``n`` counts the frames absorbed and ``num_chars`` the combined rows, S.
     A state is meant to be owned by a single worker; results handed out
     are immutable snapshots.
     """
@@ -238,13 +238,11 @@ class CombinerState:
         self.n = 0
         self.weight_total = 0.0
         self._width = alphabet.size + 1
-        self._set_rows(_empty_row(self._width)[None])  # the rows, then the empty row
-        rows, frames, ids = _STORE_CAPACITY
-        self._ids = np.empty(ids, dtype=np.int64)  # room for row ids; _order is its first S
-        self._order = self._ids[:0]
-        self._next_id = 0
+        self._ids = np.empty(0, dtype=np.int64)  # row ids 0..S-1 in display order, and room
+        self._set_rows(_empty_row(self._width)[None], 0)  # the rows, then the empty row
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
+        self._share = 1.0  # the next candidate's: merge_share(_common_weight, weight_total)
         self._seed = seed
         # the history store: _rows[_slots[i, rid]] is what frame i merged
         # into row id rid.  _rows[0] is the empty distribution and every
@@ -255,11 +253,11 @@ class CombinerState:
         # by row id, rewritten whole by every absorb, for the scans.
         self._rows = self._slots = self._current = None
         if self.track_history or self.track_treaps:
-            self._rows = np.empty((rows, self._width))
-            self._rows[0] = _empty_row(self._width)
-            self._slots = np.zeros((frames, ids), dtype=np.int64)
-            self._current = np.empty((ids, self._width))
+            self._rows = _empty_row(self._width)[None]
+            self._slots = np.zeros((0, 0), dtype=np.int64)
+            self._current = np.empty((0, self._width))
         self._used = 1  # rows of _rows in use
+        self._room = -1  # the most rows frame n may have with nothing to grow
 
     @property
     def mean_rows(self):
@@ -268,26 +266,27 @@ class CombinerState:
 
     @property
     def row_ids(self):
-        return tuple(self._order.tolist())
+        return tuple(self._ids[: self.num_chars].tolist())
 
     @property
     def weights(self):
         return tuple(self._weights)
 
     def _check_frame(self, frame):
-        if frame.num_classes != self.alphabet.size:
+        if frame.padded_rows.shape[1] != self._width:
             raise ValueError(
                 f"frame has {frame.num_classes} classes, state expects {self.alphabet.size}"
             )
         if self.track_treaps and frame.weight != 1.0:
             raise ValueError("treap bookkeeping supports unit frame weights only")
 
-    def _set_rows(self, padded):
-        """Make ``padded``, the combined rows followed by the empty row, the
-        current result, write-protected."""
-        padded.setflags(write=False)
-        self._padded = padded
-        self._matrix = padded[:-1]
+    def _set_rows(self, merged, s):
+        """Make the first ``s`` rows of ``merged``, followed by the empty row,
+        the current result, write-protected."""
+        merged.setflags(write=False)  # so no view of it is writable
+        self._padded = merged[: s + 1]
+        self._matrix = merged[:s]
+        self.num_chars = s
 
     def absorb(self, frame):
         """Fold one frame into the combined result, updating all bookkeeping.
@@ -295,70 +294,73 @@ class CombinerState:
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
         already reads as empty for this frame.  :meth:`_reserve` first makes
-        room for the frame.  Where the compiled kernels run, the alignment,
-        the merge and the store write are then one ``fs_absorb`` call;
-        otherwise :func:`align`, :func:`_merge` and :meth:`_record`, the
-        reference, which gives the same rows, row ids and store bit for bit.
+        room for it, unless ``_room`` has it.  Where the compiled kernels
+        run, the alignment, the merge and the store write are then one
+        ``fs_absorb`` call; otherwise :func:`align`, :func:`_merge` and
+        :meth:`_record`, the reference, which gives the same rows, row ids
+        and store bit for bit.  A frame of the common weight merges by the
+        cached ``_share``, :func:`merge_share`'s float even for zero weights.
         """
         self._check_frame(frame)
         w = frame.weight
         new_total = self.weight_total + w
         if not math.isfinite(new_total):
             raise ValueError(f"frame weight {w} makes the weight total overflow")
-        factor = merge_share(w, self.weight_total)
-        self._reserve(frame.num_chars)
+        factor = self._share if w == self._common_weight else merge_share(w, self.weight_total)
+        m = len(frame.rows)
+        if m > self._room:
+            self._reserve(m)
         lib = _kernels.get()
         if lib is not None:
             self._absorb_compiled(lib, frame, factor)
         else:
             self._absorb_python(frame, factor)
         self._weights.append(w)
-        if self.n == 0:
+        if self.n == 0 or w == self._common_weight:
             self._common_weight = w
-        elif w != self._common_weight:
+            self._share = merge_share(w, new_total)
+        else:
             self._common_weight = None
         self.n += 1
         self.weight_total = new_total
+        self._room = len(self._ids) - self.num_chars  # _current has _ids' length
+        if self._rows is not None:
+            self._used += m
+            room = min(self._room, len(self._rows) - self._used)
+            self._room = room if self.n < len(self._slots) else -1
 
     def _absorb_python(self, frame, factor):
         """The reference absorb: :func:`align`, :func:`_merge`, :meth:`_record`."""
         alignment = align(frame, self._matrix)
         order = self._row_ids_after(alignment)
-        self._next_id += alignment.inserted
         padded = _merge(alignment, frame.padded_rows, self._padded, factor)
         self._ids[: len(order)] = order
-        self._order = self._ids[: len(order)]
         if self._rows is not None:
             # row id of each frame row, in frame order
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
             self._current[order] = padded[:-1]
-        self._set_rows(padded)
+        self._set_rows(padded, len(order))
 
     def _absorb_compiled(self, lib, frame, factor):
         """The absorb in one ``fs_absorb`` call of the module ``lib``."""
-        merged = np.empty((len(self._order) + frame.num_chars + 1, self._width))
-        steps, cost, inserted = lib.absorb(
-            self._padded, frame.padded_rows, factor, merged, self._ids, self._next_id,
+        merged = np.empty((self.num_chars + len(frame.padded_rows), self._width))
+        steps, cost, _ = lib.absorb(
+            self._padded, frame.padded_rows, factor, merged, self._ids, self.num_chars,
             self._rows, self._used, self._slots, self.n, self._current,
         )
         if not math.isfinite(cost):
             raise ValueError(f"alignment cost is {cost}: rows must be finite")
-        merged.setflags(write=False)  # so no view of it is writable
-        self._set_rows(merged[: steps + 1])
-        self._order = self._ids[:steps]
-        self._next_id += inserted
-        if self._rows is not None:
-            self._used += frame.num_chars
+        self._set_rows(merged, steps)
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
 
-        Rows the merge inserts take the next free ids, in order.
+        Rows the merge inserts take the next free ids, S on, in order.
         """
-        ids = self._order.tolist()
-        s = len(ids)
-        new_ids = iter(range(self._next_id, self._next_id + alignment.inserted))
+        s = self.num_chars
+        ids = self._ids[:s].tolist()
+        new_ids = iter(range(s, s + alignment.inserted))
         return [ids[r] if r < s else next(new_ids) for r in alignment.result_rows]
 
     def _record(self, rids, rows):
@@ -369,29 +371,31 @@ class CombinerState:
         end = self._used + len(rows)
         self._rows[self._used : end] = rows
         self._slots[self.n, rids] = np.arange(self._used, end)
-        self._used = end
 
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
-        row ids in display order and, with a history store, ``_used + m``
-        rows, n + 1 frames and ``_next_id + m`` row ids, as a frame inserts
-        at most m rows.  Each array too small grows to twice its size, or to
-        what is needed if that is more (:func:`_grown`)."""
-        s = len(self._order)
-        if s + m > len(self._ids):
-            self._ids = _grown(self._ids, s + m, s)
-            self._order = self._ids[:s]
+        row ids and, with a history store, ``_used + m`` rows and n + 1
+        frames, as a frame inserts at most m rows: sized by ``_STORE_CAPACITY``
+        at frame 0, then each array too small grows to twice its size, or
+        to what is needed if more (:func:`_grown`; slots zeroed)."""
+        s = self.num_chars
+        rows, frames, ids = self._used + m, self.n + 1, s + m
+        if self.n == 0:
+            row_frames, frames, ids_per_row = _STORE_CAPACITY
+            rows, ids = 1 + row_frames * m, ids_per_row * m
+        if ids > len(self._ids):
+            self._ids = _grown(self._ids, ids, s)
+            if self._current is not None:  # by row id too
+                self._current = _grown(self._current, ids, s)
         if self._rows is None:
             return
-        if self._used + m > len(self._rows):
-            self._rows = _grown(self._rows, self._used + m, self._used)
-        if self.n + 1 > len(self._slots):
-            self._slots = _grown(self._slots, self.n + 1, self.n)
-        if self._next_id + m > len(self._current):
-            self._current = _grown(self._current, self._next_id + m, self._next_id)
-            slots = np.zeros((len(self._slots), len(self._current)), dtype=np.int64)
-            slots[:, : self._slots.shape[1]] = self._slots  # a slot per current row id
-            self._slots = slots
+        if rows > len(self._rows):
+            self._rows = _grown(self._rows, rows, self._used)
+        old = self._slots
+        if frames > len(old) or len(self._current) > old.shape[1]:  # a slot per row id
+            height = len(old) if frames <= len(old) else max(2 * len(old), frames)
+            self._slots = np.zeros((height, len(self._current)), dtype=np.int64)
+            self._slots[: self.n, : old.shape[1]] = old[: self.n]
 
     def candidate_alignment(self, candidate):
         """Alignment of ``candidate`` against the current result, and its merge share.
@@ -409,7 +413,7 @@ class CombinerState:
         one scalar when all frames have the same weight, else shape (n,).
         """
         if self._common_weight is not None:
-            return merge_share(self._common_weight, self.weight_total)
+            return self._share
         return merge_share(np.asarray(self._weights), self.weight_total)
 
     def combine_candidate(self, candidate):
@@ -437,9 +441,7 @@ class CombinerState:
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
         n = self.n
-        s = len(self._order)
-        if s == 0:
-            return np.zeros(n)
+        s = self.num_chars
         current = self._current[:s]
         out = np.empty(n)
         for f in range(0, n, _SCAN_FRAMES):
@@ -470,7 +472,7 @@ class CombinerState:
         lib = _kernels.get()
         if lib is not None:
             return lib.spread(
-                np.empty(self.n), self._rows, self._slots, self._current, len(self._order),
+                np.empty(self.n), self._rows, self._slots, self._current, self.num_chars,
                 share, -1.0 if length is None else length,
             )
         g = self.spread() * share / 2.0
@@ -479,7 +481,7 @@ class CombinerState:
 
     def _row_id(self, row_id):
         row_id = _index(row_id, "row id")
-        if row_id not in range(self._next_id):
+        if row_id not in range(self.num_chars):
             raise KeyError(f"unknown row id {row_id}")
         return row_id
 
@@ -489,7 +491,7 @@ class CombinerState:
         row, rows in display order; a write-protected copy gathered from the store."""
         if not self.track_history:
             raise ValueError("state was built without history tracking")
-        gathered = self._rows[self._slots[: self.n, self._order]]
+        gathered = self._rows[self._slots[: self.n, self._ids[: self.num_chars]]]
         gathered.setflags(write=False)
         return gathered
 

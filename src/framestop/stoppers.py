@@ -27,7 +27,7 @@ A stage of ``a`` or ``b`` is the absorb that every method pays (one
 the store write) plus the estimate (one ``fs_spread`` call).  At the
 paper's horizon the absorb is the larger part: at n=25 on a 2-vCPU Xeon
 with AVX2, the minimum of 200 calls on the criterion-7 recipe read
-15-24 us for ``a``'s absorb and 9-15 us for its estimate over six runs;
+14-21 us for ``a``'s absorb and 8-10 us for its estimate over six runs;
 past n of about 100 the estimate's scan is the larger part.  Each
 compiled call spends about a microsecond outside its kernel, in the C
 API binding.
@@ -152,7 +152,7 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
         raise ValueError("cannot estimate before the first frame")
     if len(frames) != state.n:
         raise ValueError(f"got {len(frames)} frames for a state of {state.n}")
-    s = state.mean_rows.shape[0]
+    s = state.num_chars
     distances = []
     aggregate = 0.0
     for frame in frames:
@@ -171,7 +171,7 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Approximate modelling via the recorded per-frame row contributions."""
     if not state.track_history:
         raise ValueError("method A needs a state with track_history")
-    length = 2.0 * state.mean_rows.shape[0] if metric is MetricKind.NGLD else None
+    length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
     distances, aggregate, total = state.candidate_gld(length)
     estimate = (delta + total) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, tuple(distances.tolist()))
@@ -186,10 +186,8 @@ def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
     if not state.track_treaps:
         raise ValueError("method B needs a state with track_treaps")
     _, aggregate, _ = state.candidate_gld()
-    if metric is MetricKind.NGLD:
-        converted = normalized(aggregate, 2.0 * state.mean_rows.shape[0])
-    else:
-        converted = aggregate
+    length = 2.0 * state.num_chars
+    converted = normalized(aggregate, length) if metric is MetricKind.NGLD else aggregate
     estimate = (delta + converted) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, None)
 

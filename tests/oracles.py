@@ -24,13 +24,13 @@ from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
 @contextmanager
 def python_kernels():
     """Run the Python kernels inside the block, as where no C compiler exists,
-    by setting the loader's handle to None."""
-    saved = _kernels.lib
-    _kernels.lib = None
+    by setting the loader's handle to None and its reason to this block."""
+    saved = _kernels.lib, _kernels.reason
+    _kernels.lib, _kernels.reason = None, "set by python_kernels()"
     try:
         yield
     finally:
-        _kernels.lib = saved
+        _kernels.lib, _kernels.reason = saved
 
 
 def char_distance_slow(a, b):
@@ -327,10 +327,9 @@ def growth_clip():
     """A frame of 70 characters, 65 frames of its first 10, then 100
     characters once and the first 10 again.
 
-    The first frame holds more rows than a history store starts with
-    room for (64 rows, 8 row ids), so one absorb grows both its rows and
-    its slot table; the long frame, the 67th, creates new rows after
-    frame 64, when the slot table has doubled its frames twice.
+    The first frame sizes a history store for 70-row frames; the long
+    frame, the 67th, creates new rows after frame 64, when the slot table
+    has doubled its frames twice.
     """
     alphabet = Alphabet("ABCD")
     rng = random.Random(64)

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from framestop import _kernels, combiner, metrics
-from framestop.combiner import CombinerState, align
+from framestop.combiner import CombinerState, align, merge_share
 from framestop.core import Alphabet, Clip, make_frame
+from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
 from framestop.stoppers import (
     StopperConfig,
@@ -743,6 +744,146 @@ def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
                 counting.calls.clear()
                 d, g_sum, d_sum = state.candidate_gld(length)
                 assert counting.calls == [("spread", (d, g_sum, d_sum))]
+
+
+def test_python_kernels_names_the_python_route_in_status():
+    before = _kernels.status()
+    with python_kernels():
+        assert _kernels.get() is None
+        assert _kernels.status() == "python: set by python_kernels()"
+    assert _kernels.status() == before
+
+
+def _store_arrays(state):
+    return state._ids, state._rows, state._slots, state._current
+
+
+def _counting_grown(monkeypatch):
+    """Patch ``combiner._grown`` to count its calls; returns the count list."""
+    calls = []
+    grown = combiner._grown
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return grown(*args, **kwargs)
+
+    monkeypatch.setattr(combiner, "_grown", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["a", "b"])
+def test_a_criterion_7_clip_allocates_its_store_once(monkeypatch, method):
+    calls = _counting_grown(monkeypatch)
+    config = SyntheticConfig(
+        clip_count=4, text_length=15,
+        alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", frames_per_clip=30,
+        p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
+    )
+    estimate = estimate_method_a if method == "a" else estimate_method_b
+    for clip in generate_synthetic(config):
+        state = CombinerState(clip.alphabet, track_history=method == "a",
+                              track_treaps=method == "b")
+        state.absorb(clip.frames[0])
+        estimate(state)
+        first = _store_arrays(state)
+        calls.clear()  # the first absorb sizes the arrays through _grown
+        for frame in clip.frames[1:30]:
+            state.absorb(frame)
+            estimate(state)
+            assert all(a is b for a, b in zip(_store_arrays(state), first))
+        assert state.n == 30
+    assert calls == []
+
+
+def test_a_tiny_store_grows_from_the_second_frame(monkeypatch):
+    monkeypatch.setattr(combiner, "_STORE_CAPACITY", (1, 1, 1))
+    clip = looped_clip(2)
+    state = CombinerState(clip.alphabet, track_history=True)
+    state.absorb(clip.frames[0])
+    m = clip.frames[0].num_chars
+    ids, rows, slots, current = first = _store_arrays(state)
+    assert (len(ids), len(rows), slots.shape, len(current)) == (m, m + 1, (1, m), m)
+    state.absorb(clip.frames[1])
+    assert all(a is not b for a, b in zip(_store_arrays(state), first))
+
+
+@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+def test_a_zero_row_first_frame_sizes_a_store_that_grows_bit_for_bit(
+    compiled, monkeypatch, capacity
+):
+    if capacity is not None:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    clip = looped_clip(40)
+    frames = [make_frame([], num_classes=clip.alphabet.size), *clip.frames]
+    calls = _counting_grown(monkeypatch)
+    got = _state_dump(frames, clip.alphabet), _estimate_dump(frames, clip.alphabet)
+    assert len(calls) >= 4  # every array grows from its size for zero rows
+    with python_kernels():
+        assert _state_dump(frames, clip.alphabet) == got[0]
+    assert _estimate_dump(frames, clip.alphabet, absorbing=python_kernels) == got[1]
+
+
+# weight sequences for the merge share: a zero weight into a zero total,
+# weights at and above 2**1023 (merge_share's halving), subnormal weights
+_SHARE_WEIGHTS = {
+    "zero": [0.0, -0.0, 0.0, 2.0, 0.0, -0.0, 2.0],
+    "common-zero": [0.0, -0.0, 0.0, -0.0],
+    "at-2**1023": [2.0**1023, 1.0, 1.0, 0.0],
+    "common-2**1022": [2.0**1022] * 3,
+    "above-2**1023": [1.5 * 2.0**1023, 1e300, 1.0],
+    "subnormal": [5e-324, 5e-324, 2.0**-1070, 1e-310, 5e-324],
+    "common-subnormal": [5e-324] * 4,
+    "unit": [1.0] * 5,
+}
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+@pytest.mark.parametrize("weights", [*_SHARE_WEIGHTS, "weighted-clip"])
+def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
+    request, monkeypatch, route, weights
+):
+    if weights == "weighted-clip":
+        clip = random_clip(random.Random(90), 0, max_frames=8, weighted=True)
+    else:
+        rng = np.random.default_rng(len(weights))
+        frames = [make_frame(rng.dirichlet(np.ones(3), 2), w) for w in _SHARE_WEIGHTS[weights]]
+        clip = Clip(weights, Alphabet("AB" + "C"), "AB", frames)
+    factors = []
+    if route == "compiled":
+        lib = request.getfixturevalue("compiled")
+
+        def absorb(*args):
+            factors.append(args[2])
+            return lib.absorb(*args)
+
+        monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=absorb, spread=lib.spread))
+        routing = contextlib.nullcontext
+    else:
+        merge = combiner._merge
+
+        def recorded(alignment, frame_padded, result_padded, factor):
+            factors.append(factor)
+            return merge(alignment, frame_padded, result_padded, factor)
+
+        monkeypatch.setattr(combiner, "_merge", recorded)
+        routing = python_kernels
+    state = CombinerState(clip.alphabet, track_history=True)
+    seen = []
+    with routing():
+        for frame in clip.frames:
+            total = state.weight_total
+            state.absorb(frame)
+            seen.append(frame.weight)
+            assert factors.pop().hex() == merge_share(frame.weight, total).hex()
+            share = state.candidate_shares()
+            if isinstance(share, float):
+                assert all(share.hex() == merge_share(w, state.weight_total).hex() for w in seen)
+            else:
+                want = merge_share(np.asarray(seen), state.weight_total)
+                assert share.tobytes() == want.tobytes()
+                assert len(set(seen)) > 1
+            state.candidate_gld(2.0 * state.num_chars)
+    assert state.n == len(clip.frames) and not factors
 
 
 def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch):
