@@ -725,7 +725,9 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
             state.absorb(frame)
             (name, (steps, _, _)), = counting.calls  # one call, also when the store grew
             assert name == "absorb" and steps >= 0
-            grown += any(a is not b for a, b in zip(store, (state._ids, state._rows, state._slots)))
+            grown += state.n > 1 and any(  # the first absorb sizes the store
+                a is not b for a, b in zip(store, (state._ids, state._rows, state._slots))
+            )
     assert grown >= (5 if capacity else 1)
 
 
@@ -845,9 +847,9 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
     if weights == "weighted-clip":
         clip = random_clip(random.Random(90), 0, max_frames=8, weighted=True)
     else:
-        rng = np.random.default_rng(len(weights))
+        rng = np.random.default_rng(5)
         frames = [make_frame(rng.dirichlet(np.ones(3), 2), w) for w in _SHARE_WEIGHTS[weights]]
-        clip = Clip(weights, Alphabet("AB" + "C"), "AB", frames)
+        clip = Clip(weights, Alphabet("ABC"), "AB", frames)
     factors = []
     if route == "compiled":
         lib = request.getfixturevalue("compiled")
