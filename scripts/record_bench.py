@@ -1,18 +1,27 @@
-"""Record the benchmark of a framestop checkout into ``BENCH_<label>.json``.
+"""Record the benchmark of framestop checkouts into ``BENCH_<label>.json``.
 
     python scripts/record_bench.py --label 4753a93
     python scripts/record_bench.py --label 4753a93 --root ../parent-checkout
+    python scripts/record_bench.py --label efbd671=../parent-checkout --label 1f2e3d4
 
-Runs the checkout's own ``perfbench/run.py --trace 0`` on every workload
-that its ``BENCHMARK.json`` lists, once per seed of ``SEEDS``, for the
-``run_seconds`` that file sets, seeds in the outer loop so that a slow
-spell of the machine spreads over the workloads.  The file, written at
-the root of the checkout holding this script, keeps every run's JSON
-result, each end-to-end metric's median, quartiles and IQR per
-workload, the machine (``run.py``'s ``machine()``), the checkout's git
-HEAD and whether its tracked files differed from it, the kernels'
-``_kernels.status()`` and the seeds.  Nothing in the measured checkout
-changes.
+Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
+that the first checkout's ``BENCHMARK.json`` lists, once per seed of
+``SEEDS``, for the ``run_seconds`` that file sets, seeds in the outer loop
+so that a slow spell of the machine spreads over the workloads.  A label
+``NAME=PATH`` measures the checkout at PATH, a bare ``NAME`` the one that
+``--root`` names (this script's own by default).  Given several labels,
+one invocation alternates them run by run, every workload of every seed
+measuring each label in turn, the first label first on odd seeds and last
+on even ones, so that the files compare runs made side by side rather
+than minutes apart; it then prints each workload's per-seed change of
+``stages_per_s`` against the first label.
+
+Each file, written at the root of the checkout holding this script, keeps
+every run's JSON result, each end-to-end metric's median, quartiles and
+IQR per workload, the machine (``run.py``'s ``machine()``), the
+checkout's git HEAD and whether its tracked files differed from it, the
+kernels' ``_kernels.status()``, the seeds and the labels it was recorded
+alongside.  Nothing in the measured checkouts changes.
 """
 
 import argparse
@@ -67,17 +76,9 @@ def _summary(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
-    parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    config = json.loads((root / "BENCHMARK.json").read_text())
-    workloads = [workload["name"] for workload in config["workloads"]]
-    seconds = config["run_seconds"]
-    record = {
-        "label": args.label,
+def _record(label, root, seconds, workloads, alongside):
+    return {
+        "label": label,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_head": _git(root, "rev-parse", "HEAD"),
         "git_dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
@@ -86,24 +87,60 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "run_seconds": seconds,
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
+        "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
     }
-    for seed in SEEDS:
-        for workload in workloads:
-            result = _run(root, workload, seed, seconds)
-            record["runs"][workload].append({"seed": seed, "result": result})
-            stages = result["metrics"]["stages_per_s"]["value"]
-            print(f"{workload} seed {seed}: stages_per_s {stages:.0f}", flush=True)
-    record["summary"] = {
-        workload: {
-            metric: _summary([run["result"]["metrics"][metric]["value"] for run in runs])
-            for metric in runs[0]["result"]["metrics"]
-        }
-        for workload, runs in record["runs"].items()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, action="append",
+                        help="NAME or NAME=PATH; names the output, BENCH_<NAME>.json (repeatable)")
+    parser.add_argument("--root", type=Path, default=HERE,
+                        help="checkout of the labels given without a path")
+    args = parser.parse_args(argv)
+    checkouts = {}
+    for given in args.label:
+        label, _, path = given.partition("=")
+        if not label or label in checkouts:
+            parser.error(f"--label {given!r}: empty or repeated name")
+        checkouts[label] = (Path(path) if path else args.root).resolve()
+    labels = list(checkouts)
+    config = json.loads((checkouts[labels[0]] / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in config["workloads"]]
+    seconds = config["run_seconds"]
+    records = {
+        label: _record(label, root, seconds, workloads, [other for other in labels if other != label])
+        for label, root in checkouts.items()
     }
-    out = HERE / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}")
+    for number, seed in enumerate(SEEDS):
+        for workload in workloads:
+            for label in labels if number % 2 == 0 else labels[::-1]:
+                result = _run(checkouts[label], workload, seed, seconds)
+                records[label]["runs"][workload].append({"seed": seed, "result": result})
+                stages = result["metrics"]["stages_per_s"]["value"]
+                print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}", flush=True)
+    for record in records.values():
+        record["summary"] = {
+            workload: {
+                metric: _summary([run["result"]["metrics"][metric]["value"] for run in runs])
+                for metric in runs[0]["result"]["metrics"]
+            }
+            for workload, runs in record["runs"].items()
+        }
+        out = HERE / f"BENCH_{record['label']}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out}")
+    base = records[labels[0]]["runs"]
+    for label in labels[1:]:
+        for workload in workloads:
+            changes = [
+                run["result"]["metrics"]["stages_per_s"]["value"]
+                / ref["result"]["metrics"]["stages_per_s"]["value"] - 1.0
+                for run, ref in zip(records[label]["runs"][workload], base[workload])
+            ]
+            shown = " ".join(f"{change:+.1%}" for change in changes)
+            print(f"{workload} stages_per_s, {label} against {labels[0]} per seed: {shown}")
 
 
 if __name__ == "__main__":

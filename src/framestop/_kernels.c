@@ -22,9 +22,13 @@
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
    describes the history store once.  Both refuse a call the store has no
    room for, as they write through its addresses.
-   The hot loops, the cost sums, the scan's row distance and the merge,
-   run on vectors of four doubles whose lanes are the scalar order's
-   accumulators, so they give the same bits on any instruction set.  On
+   The hot loops run on vectors of four doubles, each lane doing what the
+   scalar code does in the same order, so they give the same bits on any
+   instruction set.  In the substitution costs a lane is one cost: the
+   frame rows are copied to lanes (transposed), and each of numpy's eight
+   accumulators is a vector holding that accumulator of four (result row,
+   frame row) pairs.  In a gap cost's sum and the scan's row distance a
+   lane is one accumulator of one row, and in the merge one column.  On
    x86-64 ELF with glibc, the kernels are built twice, for AVX2 and for
    the baseline, and the dynamic loader picks one (CLONED); elsewhere the
    baseline build alone runs the same vector code.
@@ -65,8 +69,8 @@
 #define CLONED static
 #endif
 
-/* Four doubles; lane k of a sum is the scalar order's accumulator k, so
-   every addition has the same operands in the same order. */
+/* Four doubles; every lane adds the same operands in the same order as
+   the scalar code it stands for. */
 typedef double f64x4 __attribute__((vector_size(32)));
 typedef int64_t i64x4 __attribute__((vector_size(32)));
 
@@ -88,6 +92,13 @@ static const i64x4 magnitude = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
         v_;                                                                   \
     })
 #define ABS4(v) ((f64x4)((i64x4)(v) & magnitude))
+
+/* SHUFFLE(a, b, i0, i1, i2, i3): lanes i0..i3 of a's lanes followed by b's */
+#if defined(__clang__)
+#define SHUFFLE(a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
+#else
+#define SHUFFLE(a, b, ...) __builtin_shuffle(a, b, (i64x4){__VA_ARGS__})
+#endif
 
 /* Backward GLD table: table[i*(m+1)+j] is the least cost of aligning rows
    i.. of the first sequence with rows j.. of the second.  sub is s*m, row
@@ -121,82 +132,188 @@ static double fill(const double *sub, const double *gap_rows, const double *gap_
     return table[0];
 }
 
-/* NAME(a, b, n) sums TERM(i) over i = 0..n-1 in the order numpy's
-   pairwise_sum adds a contiguous float64 axis (np.add.reduce): a plain
-   loop from 0 below 8 terms; up to 128 terms, 8 accumulators seeded with
-   the first eight terms and combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
-   the tail added in order; above 128, the two parts summed apart, split
-   at n/2 rounded down to a multiple of 8.  The accumulators are the lanes
-   of two vectors, 0-3 and 4-7, which TERM4(i) advances by terms i..i+3.
-   NAME##_split, the part above 128 terms, is not inlined, as it recurses,
-   so it runs the baseline build in either clone. */
-#define PAIRWISE(NAME, TERM, TERM4)                                           \
-    static double NAME##_split(const double *a, const double *b, int64_t n); \
-    INLINE double NAME(const double *a, const double *b, int64_t n)           \
-    {                                                                         \
-        (void)b;                                                              \
-        if (n < 8) {                                                          \
-            double res = 0.0;                                                 \
-            for (int64_t i = 0; i < n; i++)                                   \
-                res += TERM(i);                                               \
-            return res;                                                       \
-        }                                                                     \
-        if (n > 128)                                                          \
-            return NAME##_split(a, b, n);                                     \
-        f64x4 lo = TERM4(0), hi = TERM4(4);                                   \
-        int64_t i = 8;                                                        \
-        for (; i < n - n % 8; i += 8) {                                       \
-            lo += TERM4(i);                                                   \
-            hi += TERM4(i + 4);                                               \
-        }                                                                     \
-        double res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) +                    \
-                     ((hi[0] + hi[1]) + (hi[2] + hi[3]));                     \
-        for (; i < n; i++)                                                    \
-            res += TERM(i);                                                   \
-        return res;                                                           \
-    }                                                                         \
-    static double NAME##_split(const double *a, const double *b, int64_t n)  \
-    {                                                                         \
-        int64_t half = n / 2;                                                 \
-        half -= half % 8;                                                     \
-        return NAME(a, b, half) + NAME(a + half, b ? b + half : b, n - half); \
-    }
+/* Sums in the order numpy's pairwise_sum adds a contiguous float64 axis
+   (np.add.reduce): a plain loop from 0 below 8 terms; up to 128 terms, 8
+   accumulators seeded with the first eight terms and combined as
+   ((0+1)+(2+3))+((4+5)+(6+7)), then the tail added in order; above 128,
+   the two parts summed apart, split at n/2 rounded down to a multiple of
+   8.  The parts above 128 terms, lane_split and sum_abs_split, are not
+   inlined, as they recurse, so they run the baseline build in either
+   clone.
 
-#define ABS_DIFF(i) fabs(a[i] - b[i])
-#define ABS_DIFF4(i) ABS4(LOAD4(a + (i)) - LOAD4(b + (i)))
-#define ABS(i) fabs(a[i])
-#define ABS_ALONE4(i) ABS4(LOAD4(a + (i)))
-PAIRWISE(sum_abs_diff, ABS_DIFF, ABS_DIFF4)
-PAIRWISE(sum_abs, ABS, ABS_ALONE4)
+   lane_sums(x, t, stride, n, out): out[l], for each lane l < 4, receives
+   the sum over k < n of |x[k] - t[k * stride + l]|, the distance of the
+   row x to the row held in lane l of the lanes t (see to_lanes).  Each
+   accumulator is a vector whose lane l is that accumulator of the sum of
+   lane l, so every lane adds the same operands in the same order as a
+   scalar sum of its own. */
+#define TERM4(k) ABS4(x[k] - LOAD4(t + (k) * stride))
+static void lane_split(const double *x, const double *t, int64_t stride, int64_t n, double *out);
+INLINE void lane_sums(const double *x, const double *t, int64_t stride, int64_t n, double *out)
+{
+    if (n > 128) {
+        lane_split(x, t, stride, n, out);
+        return;
+    }
+    f64x4 sum = {0.0, 0.0, 0.0, 0.0};
+    int64_t k = 0;
+    if (n >= 8) {
+        f64x4 r0 = TERM4(0), r1 = TERM4(1), r2 = TERM4(2), r3 = TERM4(3);
+        f64x4 r4 = TERM4(4), r5 = TERM4(5), r6 = TERM4(6), r7 = TERM4(7);
+        for (k = 8; k < n - n % 8; k += 8) {
+            r0 += TERM4(k);
+            r1 += TERM4(k + 1);
+            r2 += TERM4(k + 2);
+            r3 += TERM4(k + 3);
+            r4 += TERM4(k + 4);
+            r5 += TERM4(k + 5);
+            r6 += TERM4(k + 6);
+            r7 += TERM4(k + 7);
+        }
+        sum = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    }
+    for (; k < n; k++)
+        sum += TERM4(k);
+    memcpy(out, &sum, sizeof sum);
+}
+static void lane_split(const double *x, const double *t, int64_t stride, int64_t n, double *out)
+{
+    int64_t half = n / 2;
+    half -= half % 8;
+    double lo[4], hi[4];
+    lane_sums(x, t, stride, half, lo);
+    lane_sums(x + half, t + half * stride, stride, n - half, hi);
+    for (int l = 0; l < 4; l++)
+        out[l] = lo[l] + hi[l];
+}
+
+/* sum_abs(a, n): the sum over k < n of |a[k]|, one row's, whose
+   accumulators are the lanes of two vectors, 0-3 and 4-7. */
+static double sum_abs_split(const double *a, int64_t n);
+INLINE double sum_abs(const double *a, int64_t n)
+{
+    if (n > 128)
+        return sum_abs_split(a, n);
+    double res = 0.0;
+    int64_t k = 0;
+    if (n >= 8) {
+        f64x4 lo = ABS4(LOAD4(a)), hi = ABS4(LOAD4(a + 4));
+        for (k = 8; k < n - n % 8; k += 8) {
+            lo += ABS4(LOAD4(a + k));
+            hi += ABS4(LOAD4(a + k + 4));
+        }
+        res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) + ((hi[0] + hi[1]) + (hi[2] + hi[3]));
+    }
+    for (; k < n; k++)
+        res += fabs(a[k]);
+    return res;
+}
+static double sum_abs_split(const double *a, int64_t n)
+{
+    int64_t half = n / 2;
+    half -= half % 8;
+    return sum_abs(a, half) + sum_abs(a + half, n - half);
+}
+
+/* n rounded up to whole groups of four lanes */
+#define LANES4(n) (((n) + 3) / 4 * 4)
+
+/* The doubles of the working memory of costs_and_table for s and m rows of
+   width doubles: the substitution costs (s*m), the gap costs (s + m) and
+   the table ((s+1)*(m+1)), 2 (s+1) (m+1) - 1 in all, then the m rows as
+   lanes, width * LANES4(m), from the next 32-byte boundary, up to 3
+   doubles on.  0 when that would overflow. */
+static size_t work_size(int64_t s, int64_t m, int64_t width)
+{
+    size_t cells, lanes;
+    if (__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) ||
+        __builtin_mul_overflow((size_t)width, LANES4((size_t)m), &lanes) ||
+        cells > SIZE_MAX / 64 || lanes > SIZE_MAX / 64)
+        return 0;
+    return 2 * cells - 1 + 3 + lanes;
+}
+
+/* Working memory for costs_and_table, and bytes more after it; NULL when
+   it cannot be allocated.  Released with free. */
+static double *work_alloc(int64_t s, int64_t m, int64_t width, size_t bytes)
+{
+    return malloc(work_size(s, m, width) * sizeof(double) + bytes);
+}
+
+/* The count rows at rows, each of width doubles, as lanes: column c of
+   row r goes to lanes[c * stride + r], and rows count.. up to the whole
+   group of four are zeros.  Four rows and four columns at a time, a 4x4
+   transpose in vectors. */
+INLINE void to_lanes(const double *rows, int64_t count, int64_t width, double *lanes,
+                     int64_t stride)
+{
+    const f64x4 zeros = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t r = 0; r < count; r += 4) {
+        const double *r0 = rows + r * width;
+        int64_t c = 0;
+        for (; c + 4 <= width; c += 4) {
+            const f64x4 v0 = LOAD4(r0 + c), v1 = r + 1 < count ? LOAD4(r0 + width + c) : zeros,
+                        v2 = r + 2 < count ? LOAD4(r0 + 2 * width + c) : zeros,
+                        v3 = r + 3 < count ? LOAD4(r0 + 3 * width + c) : zeros;
+            const f64x4 lo01 = SHUFFLE(v0, v1, 0, 4, 2, 6), hi01 = SHUFFLE(v0, v1, 1, 5, 3, 7),
+                        lo23 = SHUFFLE(v2, v3, 0, 4, 2, 6), hi23 = SHUFFLE(v2, v3, 1, 5, 3, 7);
+            const f64x4 c0 = SHUFFLE(lo01, lo23, 0, 1, 4, 5), c1 = SHUFFLE(hi01, hi23, 0, 1, 4, 5),
+                        c2 = SHUFFLE(lo01, lo23, 2, 3, 6, 7), c3 = SHUFFLE(hi01, hi23, 2, 3, 6, 7);
+            memcpy(lanes + c * stride + r, &c0, sizeof c0);
+            memcpy(lanes + (c + 1) * stride + r, &c1, sizeof c1);
+            memcpy(lanes + (c + 2) * stride + r, &c2, sizeof c2);
+            memcpy(lanes + (c + 3) * stride + r, &c3, sizeof c3);
+        }
+        for (; c < width; c++)
+            for (int64_t l = 0; l < 4; l++)
+                lanes[c * stride + r + l] = r + l < count ? r0[l * width + c] : 0.0;
+    }
+}
 
 /* The costs of aligning the s rows x with the m rows y, each of width
-   doubles, row major: sub (s*m) as metrics.pairwise_costs(x, y), then
-   gap_rows (s) and gap_cols (m), which follow it, as metrics.gap_costs of
-   x and of y.  Returns the GLD table filled over them into table, of
-   (s+1)*(m+1) doubles. */
+   doubles, row major, in work (work_size doubles): sub
+   (s*m) as metrics.pairwise_costs(x, y), then gap_rows (s) and gap_cols
+   (m), which follow it, as metrics.gap_costs of x and of y, then the GLD
+   table, of (s+1)*(m+1) doubles, filled over them.  Returns the GLD.
+   Each substitution cost is one lane of lane_sums over y's rows as lanes,
+   four frame rows per vector; a last group of fewer than four pads its
+   lanes with zero rows, whose sums are dropped. */
 INLINE double costs_and_table(const double *x, int64_t s, const double *y, int64_t m,
-                              int64_t width, double *sub, double *table)
+                              int64_t width, double *work)
 {
-    double *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
+    double *sub = work, *gap_rows = sub + s * m, *gap_cols = gap_rows + s;
+    double *table = gap_cols + m;
+    /* 32-byte aligned, so no load of a group of four lanes splits a cache line */
+    double *lanes = (double *)(((uintptr_t)(table + (s + 1) * (m + 1)) + 31) & ~(uintptr_t)31);
+    const int64_t stride = LANES4(m);
     /* gap_cols follows gap_rows, and y's rows follow x's in the count */
     for (int64_t k = 0; k < s + m; k++) {
         const double *row = k < s ? x + k * width : y + (k - s) * width;
-        gap_rows[k] = 0.5 * (sum_abs(row, NULL, width) - fabs(row[0]) + fabs(row[0] - 1.0));
+        gap_rows[k] = 0.5 * (sum_abs(row, width) - fabs(row[0]) + fabs(row[0] - 1.0));
     }
+    to_lanes(y, m, width, lanes, stride);
     for (int64_t i = 0; i < s; i++)
-        for (int64_t j = 0; j < m; j++)
-            sub[i * m + j] = 0.5 * sum_abs_diff(x + i * width, y + j * width, width);
+        for (int64_t j = 0; j < m; j += 4) {
+            double sums[4];
+            lane_sums(x + i * width, lanes + j, stride, width, sums);
+            if (j + 4 <= m) {
+                const f64x4 costs = 0.5 * LOAD4(sums);
+                memcpy(sub + i * m + j, &costs, sizeof costs);
+            } else {
+                for (int64_t l = 0; j + l < m; l++)
+                    sub[i * m + j + l] = 0.5 * sums[l];
+            }
+        }
     return fill(sub, gap_rows, gap_cols, s, m, table);
 }
 
 /* metrics.gld of the s rows x and the m rows y, each of width doubles,
-   row major.  work holds s*m + s + m + (s+1)*(m+1) doubles: it receives
-   the substitution costs and the gap costs of x and of y, as
-   costs_and_table writes them, then the table.  Returns the GLD. */
+   row major, in the working memory work (see costs_and_table).  Returns
+   the GLD. */
 CLONED double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int64_t width,
-              double *work)
+                     double *work)
 {
-    return costs_and_table(x, s, y, m, width, work, work + s * m + s + m);
+    return costs_and_table(x, s, y, m, width, work);
 }
 
 /* The failure codes of fs_absorb and fs_spread, which raise (see fail) */
@@ -329,13 +446,13 @@ CLONED int64_t fs_absorb(struct fs_absorb_args *a)
     if (a->merged && a->rows &&
         !(a->frame_index < a->frames && a->used + m <= a->capacity && a->next_id + m <= a->stride))
         return FS_NO_ROOM;
-    const size_t doubles = (size_t)(s * m + room + (s + 1) * (m + 1));
-    double *work = malloc(doubles * sizeof(double) + (a->path ? 0 : 2 * room * sizeof(int64_t)));
+    double *work = work_alloc(s, m, a->width, a->path ? 0 : 2 * room * sizeof(int64_t));
     if (!work)
         return FS_NO_MEMORY;
     double *table = work + s * m + room;
-    int64_t *ri = a->path ? a->path : (int64_t *)(work + doubles), *fi = ri + room;
-    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, work, table);
+    int64_t *ri = a->path ? a->path : (int64_t *)(work + work_size(s, m, a->width));
+    int64_t *fi = ri + room;
+    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, work);
     int64_t steps = trace(work, work + s * m, table, s, m, ri, fi);
     if (steps >= 0) {
         a->inserted = steps - s;
@@ -502,19 +619,14 @@ static int64_t row_width(const Py_buffer *x, const Py_buffer *y)
     return width;
 }
 
-/* The doubles of fs_gld's work for s and m rows, s*m + s + m + (s+1)*(m+1)
-   = 2 (s+1) (m+1) - 1, in *out; -1 with MemoryError when that many, and
-   fs_absorb's path beside them, would not fit in memory. */
-static int work_doubles(int64_t s, int64_t m, size_t *out)
+/* 0 when the working memory of s and m rows of width doubles, and
+   fs_absorb's path beside it, fit in memory; else -1 with MemoryError. */
+static int fits(int64_t s, int64_t m, int64_t width)
 {
-    size_t cells;
-    if (__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) ||
-        cells > SIZE_MAX / (4 * sizeof(double))) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    *out = 2 * cells - 1;
-    return 0;
+    if (work_size(s, m, width))
+        return 0;
+    PyErr_NoMemory();
+    return -1;
 }
 
 /* Raises the exception of a kernel's failure code; returns NULL. */
@@ -569,8 +681,7 @@ static void release(Py_buffer *bufs, int held)
 
 /* gld(x, y[, work]): metrics.gld of the row sets x and y, 2-D float64
    arrays, from fs_gld.  work, a float64 array of 2 (S+1) (M+1) - 1
-   entries, receives the costs and the table; without it they go to a
-   buffer of the call's own. */
+   entries or more, receives a copy of the costs and the table. */
 static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -578,25 +689,26 @@ static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t narg
     int held = 0;
     PyObject *answer = NULL;
     const Py_buffer *x, *y, *given = NULL;
-    int64_t width;
-    size_t doubles;
+    int64_t width, s, m;
     if (arity("gld", nargs, 2, 3) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
         !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        work_doubles(x->shape[0], y->shape[0], &doubles) < 0 ||
-        (nargs == 3 && (!(given = take(bufs, &held, args[2], 1, 'd', 1, "work")) ||
-                        shaped((size_t)given->shape[0] >= doubles, "work too short") < 0)))
+        fits(s = x->shape[0], m = y->shape[0], width) < 0 ||
+        (nargs == 3 &&
+         (!(given = take(bufs, &held, args[2], 1, 'd', 1, "work")) ||
+          shaped(given->shape[0] >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)))
         goto done;
-    double *work = given ? given->buf : malloc(doubles * sizeof(double));
+    double *work = work_alloc(s, m, width, 0);
     if (!work) {
         fail(FS_NO_MEMORY);
         goto done;
     }
     double cost;
     Py_BEGIN_ALLOW_THREADS
-    cost = fs_gld(x->buf, x->shape[0], y->buf, y->shape[0], width, work);
+    cost = fs_gld(x->buf, s, y->buf, m, width, work);
     Py_END_ALLOW_THREADS
-    if (!given)
-        free(work);
+    if (given)
+        memcpy(given->buf, work, (size_t)(2 * (s + 1) * (m + 1) - 1) * sizeof(double));
+    free(work);
     answer = PyFloat_FromDouble(cost);
 done:
     release(bufs, held);
@@ -616,10 +728,9 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
     PyObject *answer = NULL;
     const Py_buffer *x, *y;
     int64_t width;
-    size_t doubles;
     if (arity("align", nargs, 2, 2) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
         !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        work_doubles(x->shape[0], y->shape[0], &doubles) < 0)
+        fits(x->shape[0], y->shape[0], width) < 0)
         goto done;
     const int64_t room = x->shape[0] + y->shape[0];
     int64_t *path = malloc((size_t)(2 * room + 1) * sizeof(int64_t));
@@ -679,12 +790,11 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     a.s = result->shape[0] - 1;
     a.m = frame->shape[0] - 1;
     a.width = result->shape[1];
-    size_t doubles;
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
         shaped(frame->shape[1] == a.width && merged->shape[1] == a.width, "row widths differ") < 0 ||
         shaped(merged->shape[0] > a.s + a.m && order->shape[0] >= a.s + a.m,
                "no room for the merge") < 0 ||
-        work_doubles(a.s, a.m, &doubles) < 0)
+        fits(a.s, a.m, a.width) < 0)
         goto done;
     if (rows) {
         if (shaped(rows->shape[1] == a.width && current->shape[1] == a.width, "row widths differ") <

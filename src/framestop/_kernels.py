@@ -23,8 +23,10 @@ the processes using it, and the next process rebuilds.
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
 change the rounding of the alignment table and could flip its ties.  The
-hot loops run on vectors of four doubles whose lanes are the scalar
-order's accumulators, so they round as the scalar code does.  On x86-64
+hot loops run on vectors of four doubles, each lane doing what the scalar
+code does in the same order, so they round as the scalar code does: in
+the substitution costs a lane is one cost, four (result row, frame row)
+pairs per vector, each summed in numpy's order.  On x86-64
 ELF with glibc the C file builds each kernel twice, for AVX2 and for the
 baseline, and the dynamic loader picks one through an ifunc
 (``target_clones``); elsewhere it builds the baseline alone, and the
@@ -252,18 +254,31 @@ def status():
     return "compiled" if get() is not None else f"python: {reason}"
 
 
-def _probe_rows(rng, width):
-    """Four rows of one width: Dirichlet(1) (normalised exponentials), the
-    same with magnitudes spread over decades (the draws to the fourth
-    power), one-hot, and Dirichlet(1) scaled into the subnormal range."""
+# the probe's row counts per side: neither fills whole groups of four
+# lanes, so the kernels' partial groups are checked too
+PROBE_ROWS = (5, 7)
+
+
+def _probe_rows(rng, width, count):
+    """``count`` rows of one width, taking in turn: Dirichlet(1)
+    (normalised exponentials), the same with magnitudes spread over
+    decades (the draws to the fourth power), one-hot, and Dirichlet(1)
+    scaled into the subnormal range."""
     def dirichlet(power):
         draws = [rng.expovariate(1.0) ** power for _ in range(width)]
         total = sum(draws)
         return [d / total for d in draws]
 
-    one_hot = [0.0] * width
-    one_hot[rng.randrange(width)] = 1.0
-    return [dirichlet(1), dirichlet(4), one_hot, [v * 2.0**-1060 for v in dirichlet(1)]]
+    def one_hot():
+        row = [0.0] * width
+        row[rng.randrange(width)] = 1.0
+        return row
+
+    kinds = (
+        lambda: dirichlet(1), lambda: dirichlet(4), one_hot,
+        lambda: [v * 2.0**-1060 for v in dirichlet(1)],
+    )
+    return [kinds[i % len(kinds)]() for i in range(count)]
 
 
 def probe():
@@ -281,8 +296,7 @@ def probe():
 
     rng = random.Random(20200)
     for width in PROBE_WIDTHS:
-        x = np.array(_probe_rows(rng, width))
-        y = np.array(_probe_rows(rng, width))
+        x, y = (np.array(_probe_rows(rng, width, count)) for count in PROBE_ROWS)
         *got, _ = costs(x, y)
         want = metrics.pairwise_costs(x, y), metrics.gap_costs(x), metrics.gap_costs(y)
         if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):

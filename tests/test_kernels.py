@@ -125,6 +125,11 @@ def _rows_of_kind(rng, kind, count, width):
 COST_KINDS = ("dirichlet", "skewed", "one-hot", "subnormal", "mixed")
 # the probe's widths and, with them, every tail length 0-7 after the 8 lanes
 COST_WIDTHS = sorted({*_kernels.PROBE_WIDTHS, *range(10, 16), 24, 31, 33})
+# (S, M): empty and single rows, then 4-9 rows on both sides, so each side
+# fills whole groups of four lanes and leaves every remainder 0-3
+COST_SHAPES = (
+    (0, 0), (0, 3), (4, 0), (1, 1), (5, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 4),
+)
 
 
 @pytest.mark.parametrize("width", COST_WIDTHS)
@@ -132,7 +137,7 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
     rng = np.random.default_rng(width)
     for kind_x in COST_KINDS:
         for kind_y in COST_KINDS:
-            for s, m in ((0, 0), (0, 3), (4, 0), (1, 1), (5, 3)):
+            for s, m in COST_SHAPES:
                 x = _rows_of_kind(rng, kind_x, s, width)
                 y = _rows_of_kind(rng, kind_y, m, width)
                 sub, gaps_x, gaps_y, cost = _kernels.costs(x, y)
@@ -265,7 +270,7 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
         rng = random.Random(20200)
         out = []
         for width in _kernels.PROBE_WIDTHS:
-            x, y = (np.array(_kernels._probe_rows(rng, width)) for _ in range(2))
+            x, y = (np.array(_kernels._probe_rows(rng, width, n)) for n in _kernels.PROBE_ROWS)
             *arrays, cost = _kernels.costs(x, y)
             out.append([v.hex() for a in arrays for v in a.ravel().tolist()] + [cost.hex()])
         for clip in _spread_clips():
