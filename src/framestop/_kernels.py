@@ -260,25 +260,20 @@ PROBE_ROWS = (5, 7)
 
 
 def _probe_rows(rng, width, count):
-    """``count`` rows of one width, taking in turn: Dirichlet(1)
+    """``count`` rows of one width, of four kinds in turn: Dirichlet(1)
     (normalised exponentials), the same with magnitudes spread over
     decades (the draws to the fourth power), one-hot, and Dirichlet(1)
     scaled into the subnormal range."""
-    def dirichlet(power):
-        draws = [rng.expovariate(1.0) ** power for _ in range(width)]
+    def row(kind):
+        if kind == 2:
+            one_hot = [0.0] * width
+            one_hot[rng.randrange(width)] = 1.0
+            return one_hot
+        draws = [rng.expovariate(1.0) ** (4 if kind == 1 else 1) for _ in range(width)]
         total = sum(draws)
-        return [d / total for d in draws]
+        return [d / total * (2.0**-1060 if kind == 3 else 1.0) for d in draws]
 
-    def one_hot():
-        row = [0.0] * width
-        row[rng.randrange(width)] = 1.0
-        return row
-
-    kinds = (
-        lambda: dirichlet(1), lambda: dirichlet(4), one_hot,
-        lambda: [v * 2.0**-1060 for v in dirichlet(1)],
-    )
-    return [kinds[i % len(kinds)]() for i in range(count)]
+    return [row(i % 4) for i in range(count)]
 
 
 def probe():
