@@ -260,20 +260,16 @@ PROBE_ROWS = (5, 7)
 
 
 def _probe_rows(rng, width, count):
-    """``count`` rows of one width, of four kinds in turn: Dirichlet(1)
-    (normalised exponentials), the same with magnitudes spread over
-    decades (the draws to the fourth power), one-hot, and Dirichlet(1)
-    scaled into the subnormal range."""
-    def row(kind):
-        if kind == 2:
-            one_hot = [0.0] * width
-            one_hot[rng.randrange(width)] = 1.0
-            return one_hot
-        draws = [rng.expovariate(1.0) ** (4 if kind == 1 else 1) for _ in range(width)]
-        total = sum(draws)
-        return [d / total * (2.0**-1060 if kind == 3 else 1.0) for d in draws]
-
-    return [row(i % 4) for i in range(count)]
+    """``count`` rows of one width from the numpy generator ``rng``, of four
+    kinds in turn: Dirichlet(1) (normalised exponentials), the same with
+    magnitudes spread over decades (the draws to the fourth power),
+    one-hot, and Dirichlet(1) scaled into the subnormal range."""
+    draws = rng.exponential(size=(count, width))
+    draws[1::4] **= 4
+    rows = draws / draws.sum(axis=1, keepdims=True)
+    rows[2::4] = np.eye(width)[rng.integers(width, size=len(rows[2::4]))]
+    rows[3::4] *= 2.0**-1060
+    return rows
 
 
 def probe():
@@ -285,13 +281,11 @@ def probe():
     promise to keep, so :func:`get` hands out the module only after this
     passes.
     """
-    import random
-
     from . import metrics  # here: metrics imports this module
 
-    rng = random.Random(20200)
+    rng = np.random.default_rng(20200)
     for width in PROBE_WIDTHS:
-        x, y = (np.array(_probe_rows(rng, width, count)) for count in PROBE_ROWS)
+        x, y = (_probe_rows(rng, width, count) for count in PROBE_ROWS)
         *got, _ = costs(x, y)
         want = metrics.pairwise_costs(x, y), metrics.gap_costs(x), metrics.gap_costs(y)
         if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):

@@ -267,10 +267,10 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     assert b"fs_gld.avx2" not in target.read_bytes()
 
     def dump():
-        rng = random.Random(20200)
+        rng = np.random.default_rng(20200)
         out = []
         for width in _kernels.PROBE_WIDTHS:
-            x, y = (np.array(_kernels._probe_rows(rng, width, n)) for n in _kernels.PROBE_ROWS)
+            x, y = (_kernels._probe_rows(rng, width, n) for n in _kernels.PROBE_ROWS)
             *arrays, cost = _kernels.costs(x, y)
             out.append([v.hex() for a in arrays for v in a.ravel().tolist()] + [cost.hex()])
         for clip in _spread_clips():
