@@ -11,10 +11,9 @@ so that a slow spell of the machine spreads over the workloads.  A label
 ``NAME=PATH`` measures the checkout at PATH, a bare ``NAME`` the one that
 ``--root`` names (this script's own by default).  Given several labels,
 one invocation alternates them run by run, every workload of every seed
-measuring each label in turn, the first label first on odd seeds and last
-on even ones, so that the files compare runs made side by side rather
-than minutes apart; it then prints each workload's per-seed change of
-``stages_per_s`` against the first label.
+measuring each label in turn, the first label first on the first seed,
+last on the second and so on, so that the files compare runs made side
+by side rather than minutes apart.
 
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
@@ -131,16 +130,6 @@ def main(argv=None):
         out = HERE / f"BENCH_{record['label']}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {out}")
-    base = records[labels[0]]["runs"]
-    for label in labels[1:]:
-        for workload in workloads:
-            changes = [
-                run["result"]["metrics"]["stages_per_s"]["value"]
-                / ref["result"]["metrics"]["stages_per_s"]["value"] - 1.0
-                for run, ref in zip(records[label]["runs"][workload], base[workload])
-            ]
-            shown = " ".join(f"{change:+.1%}" for change in changes)
-            print(f"{workload} stages_per_s, {label} against {labels[0]} per seed: {shown}")
 
 
 if __name__ == "__main__":

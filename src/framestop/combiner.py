@@ -138,7 +138,8 @@ def align(frame, result):
     otherwise those and :func:`_path`, the reference.  A ``base`` stage at
     n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
     narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
-    n=25): 11 runs on a 2-vCPU Xeon with AVX2 read 12.9-16.8x.
+    n=25): 5 runs of its recipe on a 2-vCPU Xeon with AVX2 read
+    13.8-14.4x, as ``a``'s absorb runs the same faster costs.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)

@@ -27,7 +27,7 @@ A stage of ``a`` or ``b`` is the absorb that every method pays (one
 the store write) plus the estimate (one ``fs_spread`` call).  At the
 paper's horizon the absorb is the larger part: at n=25 on a 2-vCPU Xeon
 with AVX2, the minimum of 200 calls on the criterion-7 recipe read
-14-21 us for ``a``'s absorb and 8-10 us for its estimate over six runs;
+12-20 us for ``a``'s absorb and 8-13 us for its estimate over six runs;
 past n of about 100 the estimate's scan is the larger part.  Each
 compiled call spends about a microsecond outside its kernel, in the C
 API binding.
