@@ -35,18 +35,22 @@
 
    The module's functions, gld, align, absorb and spread, are METH_FASTCALL
    entry points at the end of this file.  They take the numpy arrays
-   themselves through the buffer protocol, check that each is C-contiguous
-   and of 8-byte floats or ints (read-only arrays are accepted where
-   nothing is written), fill the struct from their shapes, run the kernel
-   with the GIL released, and build their Python result.  No address
-   outlives a call. */
+   themselves and read them through the numpy C API, checking that each
+   is a C-contiguous ndarray of 8-byte floats or ints in the machine's
+   byte order (read-only arrays are accepted where nothing is written),
+   fill the struct from their shapes and data pointers, allocate the
+   arrays absorb and spread return, run the kernel with the GIL released,
+   and build their Python result.  No address outlives a call. */
 
-/* Python.h first, as it asks; its own structs have padding that -Wpadded
-   would report, so the warning is off for it alone. */
+/* Python.h first, as it asks, then numpy's array API; their own structs
+   have padding that -Wpadded would report, so the warning is off for them
+   alone. */
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpadded"
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 #pragma GCC diagnostic pop
 
 #include <math.h>
@@ -536,34 +540,42 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
     return 0;
 }
 
-/* The module's entry points.  Each takes its arrays through the buffer
-   protocol, checks them, sets its kernel's arguments from their shapes,
-   runs the kernel with the GIL released and builds its result; every view
-   is released before it returns, so no address outlives a call. */
+/* The module's entry points.  Each takes numpy arrays, checks them
+   through the numpy C API, sets its kernel's arguments from their shapes
+   and data pointers, runs the kernel with the GIL released and builds
+   its result; no address outlives a call. */
 
-/* The view of obj in bufs[*held], counted in *held so the caller releases
-   it: C-contiguous, ndim dimensions of 8-byte items, floats when code is
-   'd' and ints when it is 'q', writable when asked.  NULL, with an
-   exception set and nothing held, when obj is not such an array. */
-static Py_buffer *take(Py_buffer *bufs, int *held, PyObject *obj, int ndim, char code,
-                       int writable, const char *name)
+/* obj as the array a kernel reads, or writes when writable is set: a
+   numpy array of ndim dimensions of 8-byte floats when kind is 'f' and
+   ints when it is 'i', C-contiguous and in the machine's byte order.
+   NULL with TypeError naming the argument when obj is not one. */
+static PyArrayObject *take(PyObject *obj, int ndim, char kind, int writable, const char *name)
 {
-    Py_buffer *buf = bufs + *held;
-    if (PyObject_GetBuffer(obj, buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT |
-                                         (writable ? PyBUF_WRITABLE : 0)) < 0)
-        return NULL;
-    const char *format = buf->format ? buf->format + (buf->format[0] == '@') : "B";
-    const int kind = format[0] != '\0' && format[1] == '\0' &&
-                     (code == 'd' ? format[0] == 'd' : format[0] == 'q' || format[0] == 'l');
-    if (buf->ndim != ndim || buf->itemsize != 8 || !kind) {
-        PyErr_Format(PyExc_TypeError, "%s must be a %d-D array of %s, not %d-D of format '%s'",
-                     name, ndim, code == 'd' ? "float64" : "int64", buf->ndim, format);
-        PyBuffer_Release(buf);
+    const char *type = kind == 'f' ? "float64" : "int64";
+    if (!PyArray_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a numpy array of %s, not %.100s", name, type,
+                     Py_TYPE(obj)->tp_name);
         return NULL;
     }
-    ++*held;
-    return buf;
+    PyArrayObject *array = (PyArrayObject *)obj;
+    PyArray_Descr *descr = PyArray_DESCR(array);
+    const char *wrong = PyArray_NDIM(array) != ndim ? "of another dimension count"
+                        : descr->kind != kind || PyArray_ITEMSIZE(array) != 8 ? "of another dtype"
+                        : !PyArray_ISNOTSWAPPED(array)                        ? "byte-swapped"
+                        : !PyArray_IS_C_CONTIGUOUS(array)                     ? "not C-contiguous"
+                        : writable && !PyArray_ISWRITEABLE(array)             ? "read-only"
+                                                                              : NULL;
+    if (!wrong)
+        return array;
+    PyErr_Format(PyExc_TypeError,
+                 "%s must be a %s%d-D C-contiguous array of %s in native byte order, not %s "
+                 "(%d-D, %R)",
+                 name, writable ? "writable " : "", ndim, type, wrong, PyArray_NDIM(array), descr);
+    return NULL;
 }
+
+/* Dimension d of the array a */
+#define DIM(a, d) ((int64_t)PyArray_DIM(a, d))
 
 /* obj as a non-negative integer in *out; -1 with an exception set if it
    is not one. */
@@ -580,11 +592,17 @@ static int count(PyObject *obj, int64_t *out, const char *name)
     return 0;
 }
 
-/* obj as a double in *out; -1 with an exception set if it is not a number. */
-static int real(PyObject *obj, double *out)
+/* obj as a double in *out; -1 with an exception set, TypeError naming
+   the argument if it is not a number. */
+static int real(PyObject *obj, double *out, const char *name)
 {
     *out = PyFloat_AsDouble(obj);
-    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+    if (*out != -1.0 || !PyErr_Occurred())
+        return 0;
+    if (PyErr_ExceptionMatches(PyExc_TypeError)) /* replaced by the one naming obj */
+        PyErr_Format(PyExc_TypeError, "%s must be a real number, not %.100s", name,
+                     Py_TYPE(obj)->tp_name);
+    return -1;
 }
 
 static int arity(const char *fn, Py_ssize_t nargs, Py_ssize_t least, Py_ssize_t most)
@@ -608,12 +626,13 @@ static int shaped(int ok, const char *what)
 /* The width of the row sets x and y: x's, or y's when x has no rows.
    -1 with ValueError when both have rows of different widths, or rows of
    width 0. */
-static int64_t row_width(const Py_buffer *x, const Py_buffer *y)
+static int64_t row_width(PyArrayObject *x, PyArrayObject *y)
 {
-    const Py_ssize_t s = x->shape[0], m = y->shape[0], width = s ? x->shape[1] : y->shape[1];
-    if ((s && m && x->shape[1] != y->shape[1]) || ((s || m) && !width)) {
+    const Py_ssize_t s = PyArray_DIM(x, 0), m = PyArray_DIM(y, 0), wx = PyArray_DIM(x, 1),
+                     wy = PyArray_DIM(y, 1), width = s ? wx : wy;
+    if ((s && m && wx != wy) || ((s || m) && !width)) {
         PyErr_Format(PyExc_ValueError, "rows of shapes (%zd, %zd) and (%zd, %zd) do not fit the kernel",
-                     s, x->shape[1], m, y->shape[1]);
+                     s, wx, m, wy);
         return -1;
     }
     return width;
@@ -673,46 +692,32 @@ static PyObject *indices(const int64_t *v, int64_t n)
     return t;
 }
 
-static void release(Py_buffer *bufs, int held)
-{
-    while (held--)
-        PyBuffer_Release(bufs + held);
-}
-
 /* gld(x, y[, work]): metrics.gld of the row sets x and y, 2-D float64
    arrays, from fs_gld.  work, a float64 array of 2 (S+1) (M+1) - 1
    entries or more, receives a copy of the costs and the table. */
 static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    Py_buffer bufs[3];
-    int held = 0;
-    PyObject *answer = NULL;
-    const Py_buffer *x, *y, *given = NULL;
+    PyArrayObject *x, *y, *given = NULL;
     int64_t width, s, m;
-    if (arity("gld", nargs, 2, 3) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
-        !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        fits(s = x->shape[0], m = y->shape[0], width) < 0 ||
-        (nargs == 3 &&
-         (!(given = take(bufs, &held, args[2], 1, 'd', 1, "work")) ||
-          shaped(given->shape[0] >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)))
-        goto done;
+    if (arity("gld", nargs, 2, 3) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
+        !(y = take(args[1], 2, 'f', 0, "y")) || (width = row_width(x, y)) < 0 ||
+        fits(s = DIM(x, 0), m = DIM(y, 0), width) < 0 ||
+        (nargs == 3 && (!(given = take(args[2], 1, 'f', 1, "work")) ||
+                        shaped(DIM(given, 0) >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)))
+        return NULL;
     double *work = work_alloc(s, m, width, 0);
-    if (!work) {
-        fail(FS_NO_MEMORY);
-        goto done;
-    }
+    if (!work)
+        return fail(FS_NO_MEMORY);
     double cost;
+    const double *xs = PyArray_DATA(x), *ys = PyArray_DATA(y);
     Py_BEGIN_ALLOW_THREADS
-    cost = fs_gld(x->buf, s, y->buf, m, width, work);
+    cost = fs_gld(xs, s, ys, m, width, work);
     Py_END_ALLOW_THREADS
     if (given)
-        memcpy(given->buf, work, (size_t)(2 * (s + 1) * (m + 1) - 1) * sizeof(double));
+        memcpy(PyArray_DATA(given), work, (size_t)(2 * (s + 1) * (m + 1) - 1) * sizeof(double));
     free(work);
-    answer = PyFloat_FromDouble(cost);
-done:
-    release(bufs, held);
-    return answer;
+    return PyFloat_FromDouble(cost);
 }
 
 /* align(x, y): (result_rows, frame_rows, cost), the alignment
@@ -723,160 +728,143 @@ done:
 static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    Py_buffer bufs[2];
-    int held = 0;
-    PyObject *answer = NULL;
-    const Py_buffer *x, *y;
+    PyArrayObject *x, *y;
     int64_t width;
-    if (arity("align", nargs, 2, 2) < 0 || !(x = take(bufs, &held, args[0], 2, 'd', 0, "x")) ||
-        !(y = take(bufs, &held, args[1], 2, 'd', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        fits(x->shape[0], y->shape[0], width) < 0)
-        goto done;
-    const int64_t room = x->shape[0] + y->shape[0];
+    if (arity("align", nargs, 2, 2) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
+        !(y = take(args[1], 2, 'f', 0, "y")) || (width = row_width(x, y)) < 0 ||
+        fits(DIM(x, 0), DIM(y, 0), width) < 0)
+        return NULL;
+    const int64_t room = DIM(x, 0) + DIM(y, 0);
     int64_t *path = malloc((size_t)(2 * room + 1) * sizeof(int64_t));
-    if (!path) {
-        fail(FS_NO_MEMORY);
-        goto done;
-    }
+    if (!path)
+        return fail(FS_NO_MEMORY);
     struct fs_absorb_args a = {
-        .result = x->buf, .s = x->shape[0], .frame = y->buf, .m = y->shape[0], .width = width,
-        .path = path,
+        .result = PyArray_DATA(x), .s = DIM(x, 0), .frame = PyArray_DATA(y), .m = DIM(y, 0),
+        .width = width, .path = path,
     };
     int64_t steps;
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
-    answer = steps < 0 ? fail(steps)
-                       : triple(indices(path, steps), indices(path + room, steps),
-                                PyFloat_FromDouble(a.cost));
+    PyObject *answer = steps < 0 ? fail(steps)
+                                 : triple(indices(path, steps), indices(path + room, steps),
+                                          PyFloat_FromDouble(a.cost));
     free(path);
-done:
-    release(bufs, held);
     return answer;
 }
 
-/* absorb(result, frame, factor, merged, order, next_id, rows, used, slots,
-   frame_index, current): (steps, cost, inserted) of fs_absorb merging the
+/* absorb(result, frame, factor, order, next_id, rows, used, slots,
+   frame_index, current): (steps, cost, merged) of fs_absorb merging the
    frame into the result with the share factor, struct fs_absorb_args
    filled from the arrays' shapes.  result and frame, float64 (S+1, K+1)
-   and (M+1, K+1), each end with the empty row; merged, float64 with room
-   for S+M+1 rows, receives the merge; order, int64 with room for S+M ids,
-   holds the result rows' ids on entry.  rows (capacity, K+1), slots
-   (frames, stride) and current (stride or more, K+1) are the history
-   store, skipped, with used, frame_index and slots and current, when rows
-   is None. */
+   and (M+1, K+1), each end with the empty row; merged, a new float64
+   array of S+M+1 rows, holds the merge in its first steps + 1 rows;
+   order, int64 with room for S+M ids, holds the result rows' ids on
+   entry.  rows (capacity, K+1), slots (frames, stride) and current
+   (stride or more, K+1) are the history store, skipped, with used,
+   frame_index and slots and current, when rows is None. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    Py_buffer bufs[7];
-    int held = 0;
-    PyObject *answer = NULL;
-    const Py_buffer *result, *frame, *merged, *order, *rows = NULL, *slots = NULL, *current = NULL;
+    PyArrayObject *result, *frame, *order, *rows = NULL, *slots = NULL, *current = NULL;
     struct fs_absorb_args a = {.s = 0};
-    if (arity("absorb", nargs, 11, 11) < 0 ||
-        !(result = take(bufs, &held, args[0], 2, 'd', 0, "result")) ||
-        !(frame = take(bufs, &held, args[1], 2, 'd', 0, "frame")) || real(args[2], &a.factor) < 0 ||
-        !(merged = take(bufs, &held, args[3], 2, 'd', 1, "merged")) ||
-        !(order = take(bufs, &held, args[4], 1, 'q', 1, "order")) ||
-        count(args[5], &a.next_id, "next_id") < 0)
-        goto done;
-    if (args[6] != Py_None &&
-        (!(rows = take(bufs, &held, args[6], 2, 'd', 1, "rows")) ||
-         count(args[7], &a.used, "used") < 0 ||
-         !(slots = take(bufs, &held, args[8], 2, 'q', 1, "slots")) ||
-         count(args[9], &a.frame_index, "frame_index") < 0 ||
-         !(current = take(bufs, &held, args[10], 2, 'd', 1, "current"))))
-        goto done;
-    a.s = result->shape[0] - 1;
-    a.m = frame->shape[0] - 1;
-    a.width = result->shape[1];
+    if (arity("absorb", nargs, 10, 10) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
+        !(frame = take(args[1], 2, 'f', 0, "frame")) || real(args[2], &a.factor, "factor") < 0 ||
+        !(order = take(args[3], 1, 'i', 1, "order")) || count(args[4], &a.next_id, "next_id") < 0)
+        return NULL;
+    if (args[5] != Py_None &&
+        (!(rows = take(args[5], 2, 'f', 1, "rows")) || count(args[6], &a.used, "used") < 0 ||
+         !(slots = take(args[7], 2, 'i', 1, "slots")) ||
+         count(args[8], &a.frame_index, "frame_index") < 0 ||
+         !(current = take(args[9], 2, 'f', 1, "current"))))
+        return NULL;
+    a.s = DIM(result, 0) - 1;
+    a.m = DIM(frame, 0) - 1;
+    a.width = DIM(result, 1);
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
-        shaped(frame->shape[1] == a.width && merged->shape[1] == a.width, "row widths differ") < 0 ||
-        shaped(merged->shape[0] > a.s + a.m && order->shape[0] >= a.s + a.m,
-               "no room for the merge") < 0 ||
+        shaped(DIM(frame, 1) == a.width, "row widths differ") < 0 ||
+        shaped(DIM(order, 0) >= a.s + a.m, "no room for the row ids") < 0 ||
         fits(a.s, a.m, a.width) < 0)
-        goto done;
+        return NULL;
     if (rows) {
-        if (shaped(rows->shape[1] == a.width && current->shape[1] == a.width, "row widths differ") <
+        if (shaped(DIM(rows, 1) == a.width && DIM(current, 1) == a.width, "row widths differ") <
                 0 ||
-            shaped(current->shape[0] >= slots->shape[1], "current rows fewer than the slots") < 0)
-            goto done;
-        a.rows = rows->buf;
-        a.capacity = rows->shape[0];
-        a.slots = slots->buf;
-        a.frames = slots->shape[0];
-        a.stride = slots->shape[1];
-        a.current = current->buf;
+            shaped(DIM(current, 0) >= DIM(slots, 1), "current rows fewer than the slots") < 0)
+            return NULL;
+        a.rows = PyArray_DATA(rows);
+        a.capacity = DIM(rows, 0);
+        a.slots = PyArray_DATA(slots);
+        a.frames = DIM(slots, 0);
+        a.stride = DIM(slots, 1);
+        a.current = PyArray_DATA(current);
     }
-    a.result = result->buf;
-    a.frame = frame->buf;
-    a.merged = merged->buf;
-    a.order = order->buf;
+    npy_intp shape[2] = {a.s + a.m + 1, a.width};
+    PyObject *merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE);
+    if (!merged)
+        return NULL;
+    a.result = PyArray_DATA(result);
+    a.frame = PyArray_DATA(frame);
+    a.merged = PyArray_DATA((PyArrayObject *)merged);
+    a.order = PyArray_DATA(order);
     int64_t steps;
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
-    answer = steps < 0 ? fail(steps)
-                       : triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost),
-                                PyLong_FromLongLong(a.inserted));
-done:
-    release(bufs, held);
-    return answer;
+    if (steps < 0) {
+        Py_DECREF(merged);
+        return fail(steps);
+    }
+    return triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost), merged);
 }
 
-/* spread(out, rows, slots, current, s, share, length): (out, sum of g,
-   sum of d) of fs_spread scanning the history store rows, slots and
-   current over the first len(out) frames and the first s row ids; out,
-   float64, receives each candidate's d.  share is one merge share for
-   every frame, or a float64 array of one per frame; length is the nGLD
-   length sum, negative for GLD. */
+/* spread(rows, slots, current, n, s, share, length): (out, sum of g, sum
+   of d) of fs_spread scanning the history store rows, slots and current
+   over the first n frames and the first s row ids; out, a new float64
+   array of n entries, receives each candidate's d.  share is one merge
+   share for every frame, or a float64 array of one per frame; length is
+   the nGLD length sum, negative for GLD. */
 static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    Py_buffer bufs[5];
-    int held = 0;
-    PyObject *answer = NULL;
-    const Py_buffer *out, *rows, *slots, *current, *shares = NULL;
+    PyArrayObject *rows, *slots, *current, *shares = NULL;
     struct fs_absorb_args a = {.shares = NULL};
-    if (arity("spread", nargs, 7, 7) < 0 || !(out = take(bufs, &held, args[0], 1, 'd', 1, "out")) ||
-        !(rows = take(bufs, &held, args[1], 2, 'd', 0, "rows")) ||
-        !(slots = take(bufs, &held, args[2], 2, 'q', 0, "slots")) ||
-        !(current = take(bufs, &held, args[3], 2, 'd', 0, "current")) ||
-        count(args[4], &a.s, "s") < 0 || real(args[6], &a.length) < 0)
-        goto done;
-    a.n = out->shape[0];
-    if (PyFloat_Check(args[5]) || !PyObject_CheckBuffer(args[5])) {
-        if (real(args[5], &a.share) < 0)
-            goto done;
-    } else if (!(shares = take(bufs, &held, args[5], 1, 'd', 0, "share")) ||
-               shaped(shares->shape[0] >= a.n, "fewer shares than frames") < 0) {
-        goto done;
+    if (arity("spread", nargs, 7, 7) < 0 || !(rows = take(args[0], 2, 'f', 0, "rows")) ||
+        !(slots = take(args[1], 2, 'i', 0, "slots")) ||
+        !(current = take(args[2], 2, 'f', 0, "current")) || count(args[3], &a.n, "n") < 0 ||
+        count(args[4], &a.s, "s") < 0 || real(args[6], &a.length, "length") < 0)
+        return NULL;
+    if (!PyArray_Check(args[5])) {
+        if (real(args[5], &a.share, "share") < 0)
+            return NULL;
+    } else if (!(shares = take(args[5], 1, 'f', 0, "share")) ||
+               shaped(DIM(shares, 0) >= a.n, "fewer shares than frames") < 0) {
+        return NULL;
     }
-    if (shaped(rows->shape[1] == current->shape[1], "row widths differ") < 0 ||
-        shaped(current->shape[0] >= slots->shape[1], "current rows fewer than the slots") < 0)
-        goto done;
-    a.width = rows->shape[1];
-    a.rows = rows->buf; /* fs_spread only reads the store */
-    a.capacity = rows->shape[0];
-    a.slots = slots->buf;
-    a.frames = slots->shape[0];
-    a.stride = slots->shape[1];
-    a.current = current->buf;
-    a.shares = shares ? shares->buf : NULL;
-    a.out = out->buf;
+    if (shaped(DIM(rows, 1) == DIM(current, 1), "row widths differ") < 0 ||
+        shaped(DIM(current, 0) >= DIM(slots, 1), "current rows fewer than the slots") < 0)
+        return NULL;
+    a.width = DIM(rows, 1);
+    a.rows = PyArray_DATA(rows); /* fs_spread only reads the store */
+    a.capacity = DIM(rows, 0);
+    a.slots = PyArray_DATA(slots);
+    a.frames = DIM(slots, 0);
+    a.stride = DIM(slots, 1);
+    a.current = PyArray_DATA(current);
+    a.shares = shares ? PyArray_DATA(shares) : NULL;
+    npy_intp length = a.n;
+    PyObject *out = PyArray_SimpleNew(1, &length, NPY_DOUBLE);
+    if (!out)
+        return NULL;
+    a.out = PyArray_DATA((PyArrayObject *)out);
     int64_t code;
     Py_BEGIN_ALLOW_THREADS
     code = fs_spread(&a);
     Py_END_ALLOW_THREADS
     if (code < 0) {
-        answer = fail(code);
-    } else {
-        Py_INCREF(args[0]);
-        answer = triple(args[0], PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
+        Py_DECREF(out);
+        return fail(code);
     }
-done:
-    release(bufs, held);
-    return answer;
+    return triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
 }
 
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
@@ -884,9 +872,9 @@ done:
 static PyMethodDef methods[] = {
     ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
-    ENTRY(absorb, "absorb(result, frame, factor, merged, order, next_id, rows, used, slots, "
-                  "frame_index, current) -> (steps, cost, inserted)"),
-    ENTRY(spread, "spread(out, rows, slots, current, s, share, length) -> (out, g_sum, d_sum)"),
+    ENTRY(absorb, "absorb(result, frame, factor, order, next_id, rows, used, slots, "
+                  "frame_index, current) -> (steps, cost, merged)"),
+    ENTRY(spread, "spread(rows, slots, current, n, s, share, length) -> (out, g_sum, d_sum)"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -900,5 +888,6 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__compiled(void)
 {
+    import_array();
     return PyModuleDef_Init(&module);
 }

@@ -2,23 +2,20 @@
 
 On first use :func:`get` compiles the C file, a CPython extension module,
 with the compiler Python was built with (``sysconfig``'s ``CC``) against
-the interpreter's headers (``Python.h`` in ``sysconfig``'s include
-directory), and imports it.  The build is cached per user, under
-``$XDG_CACHE_HOME/framestop`` or ``~/.cache/framestop``, as
-``kernels-<env>-<source>.so``: ``<env>`` hashes the compile command (the
-compiler, the flags and the include directories), the platform and the
-interpreter's extension suffix (``EXT_SUFFIX``, which names its ABI),
-``<source>`` the C file, so a machine builds it once per interpreter;
-when that directory cannot be written, or the user has no home
-directory, the build goes to a private temporary directory for the
-process.  Nothing is written into the source tree.  Once a build into the
-cache loads, the builds of the same ``<env>`` with another ``<source>``
-are deleted, so a changed source replaces its old build; other
-environments' builds are left alone, so two interpreters sharing the
-cache do not evict each other; builds named by the earlier one-key
-scheme, ``kernels-<16 hex digits>.so``, are deleted too.  The directory
-is safe to delete at any time: a module already loaded stays mapped in
-the processes using it, and the next process rebuilds.
+``Python.h`` (``sysconfig``'s include directory) and
+``numpy/arrayobject.h`` (under ``numpy.get_include()``), and imports it.
+The build is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
+``~/.cache/framestop``, as ``kernels-<env>-<source>.so``: ``<env>``
+hashes the compile command (compiler, flags, include directories), the
+platform, the interpreter's ABI (``EXT_SUFFIX``) and numpy's version,
+``<source>`` the C file.  Where that directory cannot be written, or the
+user has no home directory, the build goes to a private temporary
+directory for the process; nothing is written into the source tree.  A
+load from the cache touches the build's mtime and deletes the builds of
+its ``<env>`` beyond the ``KEPT_SOURCES`` loaded most recently, and
+those of the earlier one-key scheme (``kernels-<16 hex digits>.so``);
+other environments' builds stay.  The directory is safe to delete at any
+time: a loaded module stays mapped, and the next process rebuilds.
 
 The flags keep the floating-point operations as written: no contraction
 into fused multiply-adds and no ``-ffast-math``, either of which would
@@ -38,8 +35,8 @@ compute the substitution and gap costs of ``metrics.gld`` and
 not promise to keep, so the probe checks them against numpy's bit for bit.
 That is the one switch: :func:`get` returns the module only once it
 builds, imports and passes the probe, and then every kernel runs
-compiled.  Otherwise (no compiler, no ``Python.h``, a failed build or
-load, or a probe mismatch) it returns None, every kernel runs its Python
+compiled.  Otherwise (no compiler or headers, a failed build or load,
+or a probe mismatch) it returns None, every kernel runs its Python
 reference (numpy costs, Python tables, the numpy scan), which gives the
 same alignments, and ``reason`` and :func:`status` say why.
 
@@ -47,11 +44,12 @@ The callers, ``metrics.gld``, ``combiner.align``,
 ``CombinerState.absorb`` and ``CombinerState.candidate_gld``, each call
 :func:`get` once and then the module's entry point itself: ``gld`` into
 ``fs_gld``, ``align`` and ``absorb`` into ``fs_absorb``, ``spread`` into
-``fs_spread``.  Each takes the numpy arrays themselves, through the
-buffer protocol, and checks every argument in C: C-contiguous float64 or
-int64 arrays, read-only ones where nothing is written.  The module
-releases the GIL while a kernel runs and builds the call's Python result
-itself.  ``align`` and ``absorb`` raise ValueError when the costs hold a
+``fs_spread``.  Each reads the numpy arrays themselves through the numpy
+C API and checks every argument in C (C-contiguous float64 or int64
+ndarrays in the machine's byte order, writable where the kernel writes;
+TypeError naming the argument otherwise), releases the GIL while its
+kernel runs and builds the call's Python result, new arrays included.
+``align`` and ``absorb`` raise ValueError when the costs hold a
 NaN, so no path exists; ``absorb`` and ``spread`` refuse a call the
 history store has no room for with RuntimeError, as an internal error,
 writing nothing (the state makes room before the call); and a work
@@ -100,20 +98,21 @@ def compiler():
 
 
 def include_dirs():
-    """The interpreter's header directories, ``Python.h``'s and then
-    ``pyconfig.h``'s, without repeats."""
-    paths = (sysconfig.get_path(name) for name in ("include", "platinclude"))
+    """The header directories of ``Python.h``, ``pyconfig.h`` and
+    ``numpy/arrayobject.h``, without repeats."""
+    paths = [*(sysconfig.get_path(name) for name in ("include", "platinclude")), np.get_include()]
     return [path for path in dict.fromkeys(paths) if path]
 
 
 def unbuildable():
     """Why the kernels cannot be built here, or None when they can: no C
-    compiler, or no ``Python.h``."""
+    compiler, no ``Python.h``, or no ``numpy/arrayobject.h``."""
     if compiler() is None:
         return f"no C compiler ({sysconfig.get_config_var('CC')!r} not found)"
-    include = next(iter(include_dirs()), None)
-    if include is None or not (Path(include) / "Python.h").is_file():
-        return f"no Python.h in {include}"
+    for header, include in (("Python.h", sysconfig.get_path("include")),
+                            ("numpy/arrayobject.h", np.get_include())):
+        if not include or not (Path(include) / header).is_file():
+            return f"no {header} in {include}"
     return None
 
 
@@ -184,21 +183,37 @@ def _digest(blob):
     return f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
 
 
-# a build named by the earlier one-key scheme, which a build into the cache deletes
+KEPT_SOURCES = 3  # builds per <env>: a few checkouts run in turn each keep theirs
+
+# a build named by the earlier one-key scheme, which a load from the cache deletes
 _LEGACY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
 def _name(argv):
     """``kernels-<env>-<source>.so``, the module's file name for the
-    compiler ``argv`` and this interpreter."""
+    compiler ``argv``, this interpreter and this numpy (its version, as its
+    include directory stays the same across upgrades)."""
     env = b"\0".join(
         part.encode()
         for part in (
             shlex.join(command(argv)), sysconfig.get_platform(),
-            sysconfig.get_config_var("EXT_SUFFIX") or "",
+            sysconfig.get_config_var("EXT_SUFFIX") or "", np.__version__,
         )
     )
     return f"kernels-{_digest(env)}-{_digest(SOURCE.read_bytes())}.so"
+
+
+def _sweep(cache, name):
+    """Touch the build ``name``, just loaded from ``cache``, and delete the
+    builds of its ``<env>`` beyond the ``KEPT_SOURCES`` loaded most
+    recently, and those of the earlier one-key scheme."""
+    env = name.rsplit("-", 1)[0]
+    with contextlib.suppress(OSError):  # a file left behind is harmless
+        os.utime(cache / name)
+        own = sorted(cache.glob(f"{env}-*.so"), key=lambda p: (p.name != name, -p.stat().st_mtime))
+        legacy = [path for path in cache.glob("kernels-*.so") if _LEGACY_NAME.fullmatch(path.name)]
+        for stale in [*own[KEPT_SOURCES:], *legacy]:
+            stale.unlink()
 
 
 def _load():
@@ -211,18 +226,12 @@ def _load():
         name = _name(argv)
         cache = _cache_dir()
         if cache is not None:
-            if (cache / name).is_file():
-                return _open(cache / name), "compiled"
-            if _writable(cache):
-                _build(argv, cache / name)
+            built = (cache / name).is_file()
+            if built or _writable(cache):
+                if not built:
+                    _build(argv, cache / name)
                 handle = _open(cache / name)
-                env = name.rsplit("-", 1)[0]
-                for stale in cache.glob("kernels-*.so"):
-                    if stale.name != name and (
-                        stale.name.startswith(env + "-") or _LEGACY_NAME.fullmatch(stale.name)
-                    ):
-                        with contextlib.suppress(OSError):  # a stale file left is harmless
-                            stale.unlink()
+                _sweep(cache, name)
                 return handle, "compiled"
         private = Path(tempfile.mkdtemp(prefix="framestop-"))
         try:

@@ -101,14 +101,15 @@ def merge_share(weight, total):
     one, whose effect on the share then rounds away either way.  The share
     is 0 where the sum is not positive.
     """
-    top = weight.max(initial=total) if isinstance(weight, np.ndarray) else max(weight, total)
-    if top >= _HALVE_FROM:
-        weight = 0.5 * weight
-        total = 0.5 * total
+    if not isinstance(weight, np.ndarray):
+        if weight >= _HALVE_FROM or total >= _HALVE_FROM:
+            weight, total = 0.5 * weight, 0.5 * total
+        denom = total + weight
+        return weight / denom if denom > 0 else 0.0
+    if weight.max(initial=total) >= _HALVE_FROM:
+        weight, total = 0.5 * weight, 0.5 * total
     denom = total + weight
-    if isinstance(denom, np.ndarray):
-        return np.divide(weight, denom, out=np.zeros_like(denom), where=denom > 0)
-    return weight / denom if denom > 0 else 0.0
+    return np.divide(weight, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def _index(value, name):
@@ -313,7 +314,13 @@ class CombinerState:
             self._reserve(m)
         lib = _kernels.get()
         if lib is not None:
-            self._absorb_compiled(lib, frame, factor)
+            steps, cost, merged = lib.absorb(
+                self._padded, frame.padded_rows, factor, self._ids, self.num_chars,
+                self._rows, self._used, self._slots, self.n, self._current,
+            )
+            if not math.isfinite(cost):
+                raise ValueError(f"alignment cost is {cost}: rows must be finite")
+            self._set_rows(merged, steps)
         else:
             self._absorb_python(frame, factor)
         self._weights.append(w)
@@ -324,11 +331,12 @@ class CombinerState:
             self._common_weight = None
         self.n += 1
         self.weight_total = new_total
-        self._room = len(self._ids) - self.num_chars  # _current has _ids' length
+        room = len(self._ids) - self.num_chars  # _current has _ids' length
         if self._rows is not None:
             self._used += m
-            room = min(self._room, len(self._rows) - self._used)
-            self._room = room if self.n < len(self._slots) else -1
+            rows_left = len(self._rows) - self._used
+            room = -1 if self.n >= len(self._slots) else rows_left if rows_left < room else room
+        self._room = room
 
     def _absorb_python(self, frame, factor):
         """The reference absorb: :func:`align`, :func:`_merge`, :meth:`_record`."""
@@ -342,17 +350,6 @@ class CombinerState:
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
             self._current[order] = padded[:-1]
         self._set_rows(padded, len(order))
-
-    def _absorb_compiled(self, lib, frame, factor):
-        """The absorb in one ``fs_absorb`` call of the module ``lib``."""
-        merged = np.empty((self.num_chars + len(frame.padded_rows), self._width))
-        steps, cost, _ = lib.absorb(
-            self._padded, frame.padded_rows, factor, merged, self._ids, self.num_chars,
-            self._rows, self._used, self._slots, self.n, self._current,
-        )
-        if not math.isfinite(cost):
-            raise ValueError(f"alignment cost is {cost}: rows must be finite")
-        self._set_rows(merged, steps)
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
@@ -473,8 +470,8 @@ class CombinerState:
         lib = _kernels.get()
         if lib is not None:
             return lib.spread(
-                np.empty(self.n), self._rows, self._slots, self._current, self.num_chars,
-                share, -1.0 if length is None else length,
+                self._rows, self._slots, self._current, self.n, self.num_chars, share,
+                -1.0 if length is None else length,
             )
         g = self.spread() * share / 2.0
         d = g if length is None else normalized(g, length)

@@ -24,13 +24,11 @@ Three estimators compute the same quantity at different price points:
 
 A stage of ``a`` or ``b`` is the absorb that every method pays (one
 ``fs_absorb`` call on the compiled route: the alignment, the merge and
-the store write) plus the estimate (one ``fs_spread`` call).  At the
-paper's horizon the absorb is the larger part: at n=25 on a 2-vCPU Xeon
-with AVX2, the minimum of 200 calls on the criterion-7 recipe read
-12-20 us for ``a``'s absorb and 8-13 us for its estimate over six runs;
-past n of about 100 the estimate's scan is the larger part.  Each
-compiled call spends about a microsecond outside its kernel, in the C
-API binding.
+the store write) plus the estimate (one ``fs_spread`` call).  At n=25 on
+the criterion-7 recipe (2-vCPU Xeon with AVX2, minimum of 3000 calls,
+three runs) ``a``'s absorb took 11-14 us and its estimate 7-9 us; past n
+of about 100 the estimate's scan is the larger part.  A compiled call on
+empty inputs takes about 0.5 us, the binding's share of every call.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.
@@ -89,7 +87,7 @@ class StopperConfig:
                 raise ValueError("FIXED_STAGE needs fixed_stage >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimationBreakdown:
     """One estimator evaluation.
 
@@ -102,6 +100,12 @@ class EstimationBreakdown:
     estimate: float
     gld_aggregate: float
     per_candidate: tuple[float, ...] | None = None
+
+    def __init__(self, estimate, gld_aggregate, per_candidate=None):
+        fields = self.__dict__  # filled directly: a frozen __setattr__ per field costs 2x
+        fields["estimate"] = estimate
+        fields["gld_aggregate"] = gld_aggregate
+        fields["per_candidate"] = per_candidate
 
 
 @dataclass(frozen=True, eq=False)

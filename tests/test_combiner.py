@@ -138,6 +138,20 @@ def test_absorb_rejects_overflowing_weight_total():
     assert np.array_equal(state.mean_rows, [[0.0, 1.0, 0.0]])
 
 
+def test_the_scalar_merge_share_is_the_array_path_bit_for_bit():
+    rng = np.random.default_rng(1023)
+    tiny = [0.0, -0.0, 5e-324, 2.0**-1070, 1e-310, 2.0**-1022]
+    huge = [2.0**1023, np.nextafter(2.0**1023, 0.0), 1.5 * 2.0**1023, 1e308, np.finfo(float).max]
+    plain = [1.0, 0.5, 3.0, 1e-300, 1e300]
+    values = [*tiny, *huge, *plain, *rng.uniform(0.0, 4.0, 20), *(10.0 ** rng.uniform(-320, 308, 40))]
+    for weight in values:
+        for total in values:
+            got = merge_share(weight, total)
+            want = merge_share(np.array([weight]), total)
+            assert isinstance(got, float)
+            assert got.hex() == float(want[0]).hex(), (weight, total)
+
+
 def test_subnormal_weights_merge_by_their_share():
     tiny = 5e-324  # the smallest subnormal; halving it rounds to 0
     assert merge_share(tiny, 0.0) == 1.0

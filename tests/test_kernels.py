@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import gc
+import os
 import pickle
 import platform
 import random
@@ -202,7 +203,7 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     assert (slots[1:] == 0).any() and slots.any()
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
         for length in (None, 3.5):
-            got = compiled.spread(np.empty(7), rows, slots, current, 5, shares, length or -1.0)
+            got = compiled.spread(rows, slots, current, 7, 5, shares, length or -1.0)
             assert _hex_scan(*got) == _scan_replica(rows, slots, current, shares, length)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
@@ -376,6 +377,21 @@ def test_no_python_headers_runs_the_python_kernels(monkeypatch, tmp_path, fresh_
     assert not (tmp_path / "cache").exists()  # nothing was built
 
 
+def test_no_numpy_headers_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load):
+    if _kernels.compiler() is None:
+        pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
+    rng = random.Random(41)
+    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(9)] + [looped_clip(30)]
+    empty = tmp_path / "numpy-include"
+    empty.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _check_the_python_kernels_run(
+        monkeypatch, fresh_load, lambda patch: patch.setattr(np, "get_include", lambda: str(empty)),
+        f"python: no numpy/arrayobject.h in {empty}", clips,
+    )
+    assert not (tmp_path / "cache").exists()  # nothing was built
+
+
 def test_kernels_compile_without_warnings(tmp_path):
     if _kernels.unbuildable():
         pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
@@ -392,18 +408,20 @@ def test_kernels_compile_without_warnings(tmp_path):
 
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    # a build of this environment from another source, and one of another environment
+    # a build of this environment from another source, one of another
+    # environment, and one named by the earlier scheme
     name = _kernels._name(_kernels.compiler())
     cache = tmp_path / "framestop"
     cache.mkdir()
-    stale = cache / (name.rsplit("-", 1)[0] + "-0123456789abcdef.so")
+    other_source = cache / (name.rsplit("-", 1)[0] + "-0123456789abcdef.so")
     other_env = cache / "kernels-0123456789abcdef-0123456789abcdef.so"
     legacy = cache / "kernels-0a8c3c2f6c38dc0b.so"  # the earlier one-key name
-    for planted in (stale, other_env, legacy):
+    for planted in (other_source, other_env, legacy):
         planted.write_bytes(b"")
     fresh_load()
     assert _kernels.get() is not None and _kernels.status() == "compiled"
-    assert sorted(path.name for path in cache.iterdir()) == sorted([name, other_env.name])
+    kept = sorted([name, other_source.name, other_env.name])
+    assert sorted(path.name for path in cache.iterdir()) == kept
     assert _kernels.get().gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
 
 
@@ -432,6 +450,29 @@ def test_each_interpreter_abi_names_its_own_build(monkeypatch, tmp_path):
     assert _kernels._name(argv) == name
 
 
+def _plant(cache, env, count, start):
+    """``count`` empty builds of ``env`` in ``cache``, loaded ``start``,
+    ``start`` + 1, ... seconds after the epoch, oldest first."""
+    planted = []
+    for k in range(count):
+        path = cache / f"{env}-{k:016x}.so"
+        path.write_bytes(b"")
+        os.utime(path, (start + k, start + k))
+        planted.append(path)
+    return planted
+
+
+def test_each_numpy_version_names_its_own_build(monkeypatch):
+    argv = ["cc"]
+    name = _kernels._name(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "__version__", "1.26.4")
+        other = _kernels._name(argv)
+    assert other.rsplit("-", 1)[0] != name.rsplit("-", 1)[0]  # two <env>s
+    assert other.rsplit("-", 1)[1] == name.rsplit("-", 1)[1]  # one <source>
+    assert _kernels._name(argv) == name
+
+
 def test_a_build_deletes_only_its_own_abis_stale_sources(
     compiled, monkeypatch, tmp_path, fresh_load
 ):
@@ -444,13 +485,40 @@ def test_a_build_deletes_only_its_own_abis_stale_sources(
     env, other_env = (n.rsplit("-", 1)[0] for n in (name, other_abi))
     cache = tmp_path / "framestop"
     cache.mkdir()
-    stale = cache / f"{env}-0123456789abcdef.so"
-    kept = [cache / other_abi, cache / f"{other_env}-0123456789abcdef.so"]
-    for planted in (stale, *kept):
-        planted.write_bytes(b"")
+    # as many builds of this <env> as the cache keeps, and more of another
+    stale, *recent = _plant(cache, env, _kernels.KEPT_SOURCES, 1000)
+    kept = [*recent, *_plant(cache, other_env, _kernels.KEPT_SOURCES + 2, 0)]
     fresh_load()
     assert _kernels.get() is not None
+    assert not stale.exists()
     assert sorted(path.name for path in cache.iterdir()) == sorted([name, *(p.name for p in kept)])
+
+
+def test_the_cache_keeps_the_most_recently_loaded_sources(
+    compiled, monkeypatch, tmp_path, fresh_load
+):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    name = _kernels._name(_kernels.compiler())
+    env = name.rsplit("-", 1)[0]
+    cache = tmp_path / "framestop"
+    cache.mkdir()
+    # five builds of this <env> from other sources, loaded at staggered times
+    planted = _plant(cache, env, 5, 1000)
+    fresh_load()
+    assert _kernels.get() is not None  # a build: it and the two latest others stay
+    kept = [name, *(path.name for path in planted[-(_kernels.KEPT_SOURCES - 1):])]
+    assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
+    # the build, loaded long ago, and newer builds of other sources: a load
+    # from the cache touches the build, which then outlives the oldest other
+    os.utime(cache / name, (500, 500))
+    newer = cache / f"{env}-{'f' * 16}.so"
+    newer.write_bytes(b"")
+    os.utime(newer, (2000, 2000))
+    fresh_load()
+    assert _kernels.get() is not None and _kernels.status() == "compiled"
+    assert (cache / name).stat().st_mtime > 2000
+    kept = [name, newer.name, planted[-1].name]
+    assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
 
 
 def test_unwritable_cache_builds_into_a_private_directory(
@@ -562,32 +630,95 @@ def test_compiled_trace_stops_on_nan_costs(compiled):
     assert (result_rows, frame_rows) == ((1, 0), (0, 1)) and cost != cost
 
 
+def _entry_calls():
+    """Each entry point's arguments on a small valid input (two result rows
+    and two frame rows of three classes, a history store of two frames),
+    by name: (args, {position: parameter name} of the array arguments,
+    the positions of those the kernel writes)."""
+    rng = np.random.default_rng(8)
+    x, y = rng.dirichlet(np.ones(3), 2), rng.dirichlet(np.ones(3), 2)
+    padded = [np.vstack([rows, np.eye(1, 3)]) for rows in (x, y)]
+    rows = np.vstack([np.eye(1, 3), rng.dirichlet(np.ones(3), 7)])
+    slots = np.zeros((2, 6), dtype=np.int64)
+    current = np.vstack([x, np.zeros((4, 3))])
+    order = np.array([0, 1, 7, 7], dtype=np.int64)
+    return {
+        "gld": ([x, y, np.empty(17)], {0: "x", 1: "y", 2: "work"}, {2}),
+        "align": ([x, y], {0: "x", 1: "y"}, set()),
+        "absorb": (
+            [*padded, 0.5, order, 2, rows, 1, slots, 0, current],
+            {0: "result", 1: "frame", 3: "order", 5: "rows", 7: "slots", 9: "current"},
+            {3, 5, 7, 9},
+        ),
+        "spread": (
+            [rows, slots, current, 2, 2, np.full(2, 0.5), -1.0],
+            {0: "rows", 1: "slots", 2: "current", 5: "share"},
+            set(),
+        ),
+    }
+
+
+def _spoiled(array, written):
+    """(what, a stand-in for ``array`` that the binding refuses): not an
+    ndarray, 4-byte and other-kind dtypes, the other byte order, strided
+    and transposed views, and a read-only copy where the kernel writes."""
+    other = np.float64 if array.dtype.kind == "i" else np.int64
+    yield "memoryview", memoryview(array)
+    yield "list", array.tolist()
+    for dtype in (np.float32, np.int32, other):
+        yield np.dtype(dtype).name, array.astype(dtype)
+    yield "byte-swapped", array.astype(array.dtype.newbyteorder())
+    yield "strided", np.repeat(array, 2, axis=0)[::2]
+    if array.ndim == 2:
+        yield "transposed", np.ascontiguousarray(array.T).T
+    if written:
+        frozen = array.copy()
+        frozen.setflags(write=False)
+        yield "read-only", frozen
+
+
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+def test_the_entry_points_refuse_arrays_the_kernels_cannot_read(compiled, entry):
+    args, names, written = _entry_calls()[entry]
+    fn = getattr(compiled, entry)
+    for position, name in names.items():
+        for what, spoiled in _spoiled(args[position], position in written):
+            fresh = _entry_calls()[entry][0]
+            fresh[position] = spoiled
+            before = [a.copy() if isinstance(a, np.ndarray) else a for a in fresh]
+            with pytest.raises(TypeError, match=f"^{name} must be a "):
+                fn(*fresh)
+            for got, want in zip(fresh, before):  # a refused call writes nothing
+                if isinstance(want, np.ndarray):
+                    assert got.tobytes() == want.tobytes(), (name, what)
+    fn(*args)  # the unspoiled arguments are taken
+
+
 def _absorb_args(result, frame):
     """The module's ``absorb`` arguments merging the rows ``frame`` into
     ``result``, both padded with the empty row here, with the share 0.5 and
-    no history store; and the merged and order buffers, filled with a
-    marker."""
+    no history store; and the arrays among them, the order buffer filled
+    with a marker past the result's ids."""
     result, frame = (np.vstack([rows, np.eye(1, 2)]) for rows in (result, frame))
     s, m = len(result) - 1, len(frame) - 1
-    merged = np.full((s + m + 1, 2), 7.0)
     order = np.full(s + m, 7, dtype=np.int64)
     order[:s] = range(s)
-    args = [result, frame, 0.5, merged, order, s, None, 0, None, 0, None]
-    return args, (result, frame, merged, order)
+    args = [result, frame, 0.5, order, s, None, 0, None, 0, None]
+    return args, (result, frame, order)
 
 
 def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     nan_rows = np.full((2, 2), np.nan)
-    args, (_, _, merged, order) = _absorb_args(nan_rows, nan_rows)
+    args, (_, _, order) = _absorb_args(nan_rows, nan_rows)
     with pytest.raises(ValueError, match="NaN"):
         compiled.absorb(*args)
-    assert (merged == 7.0).all() and (order[2:] == 7).all()
-    args, (_, _, merged, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
+    assert (order[2:] == 7).all()
+    args, (_, _, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
     with np.errstate(invalid="ignore"):
-        steps, cost, _ = compiled.absorb(*args)
-    assert steps == 2
+        steps, cost, merged = compiled.absorb(*args)
+    assert steps == 2 and merged.shape == (3, 2)
     assert cost != cost
-    assert (merged == 7.0).all() and (order[1:] == 7).all()
+    assert (order[1:] == 7).all()
 
 
 def _store(width, capacity, frames, stride, marker=5):
@@ -608,21 +739,21 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
     for capacity, frames, stride in ((2, 1, 3), (3, 0, 3), (3, 1, 2)):
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
         (rows, slots, current), store = _store(2, capacity, frames, stride)
-        args[6:] = rows, 1, slots, 0, current
+        args[5:] = rows, 1, slots, 0, current
         before = [array.copy() for array in (*buffers, *store)]
         with pytest.raises(RuntimeError, match="internal error"):
             compiled.absorb(*args)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
     args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
     (rows, slots, current), store = _store(2, 3, 1, 3)
-    args[6:] = rows, 1, slots, 0, current
+    args[5:] = rows, 1, slots, 0, current
     assert compiled.absorb(*args)[0] >= 2  # just enough room
     # the scan of more frames than the store holds, or more rows than its row ids
     for n, s in ((2, 1), (1, 4)):
         (rows, slots, current), store = _store(2, 1, 1, 3, marker=0)
         before = [array.copy() for array in store]
         with pytest.raises(RuntimeError, match="internal error"):
-            compiled.spread(np.empty(n), rows, slots, current, s, 0.5, -1.0)
+            compiled.spread(rows, slots, current, n, s, 0.5, -1.0)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -416,3 +417,23 @@ def test_stages_yields_one_record_per_stage(method):
 def test_estimation_breakdown_fields():
     got = EstimationBreakdown(0.1, 0.0, (0.0,))
     assert got.estimate == 0.1 and got.gld_aggregate == 0.0
+    assert got.per_candidate == (0.0,)
+    assert EstimationBreakdown(0.1, 0.0).per_candidate is None
+
+
+def test_an_estimation_breakdown_is_a_frozen_dataclass():
+    got = EstimationBreakdown(0.25, 1.5, (0.5, 1.0))
+    for name in ("estimate", "gld_aggregate", "per_candidate", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, 0.0)
+    assert got == EstimationBreakdown(0.25, 1.5, (0.5, 1.0))
+    assert got != EstimationBreakdown(0.25, 1.5, None)
+    assert hash(got) == hash(EstimationBreakdown(0.25, 1.5, (0.5, 1.0)))
+    assert repr(got) == "EstimationBreakdown(estimate=0.25, gld_aggregate=1.5, per_candidate=(0.5, 1.0))"
+    assert EstimationBreakdown(gld_aggregate=1.5, estimate=0.25, per_candidate=(0.5, 1.0)) == got
+    assert [f.name for f in dataclasses.fields(got)] == ["estimate", "gld_aggregate", "per_candidate"]
+    changed = dataclasses.replace(got, estimate=0.75)
+    assert changed == EstimationBreakdown(0.75, 1.5, (0.5, 1.0))
+    assert dataclasses.replace(changed, per_candidate=None).per_candidate is None
+    assert dataclasses.astuple(got) == (0.25, 1.5, (0.5, 1.0))
+    assert got.estimate == 0.25  # untouched by the copies
