@@ -26,7 +26,7 @@ A stage of ``a`` or ``b`` is the absorb that every method pays (one
 ``fs_absorb`` call on the compiled route: the alignment, the merge and
 the store write) plus the estimate (one ``fs_spread`` call).  At n=25 on
 the criterion-7 recipe (2-vCPU Xeon with AVX2, minimum of 3000 calls,
-three runs) ``a``'s absorb took 11-14 us and its estimate 7-9 us; past n
+six runs) ``a``'s absorb took 11-15 us and its estimate 7-10 us; past n
 of about 100 the estimate's scan is the larger part.  A compiled call on
 empty inputs takes about 0.5 us, the binding's share of every call.
 
