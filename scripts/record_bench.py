@@ -15,9 +15,17 @@ measuring each label in turn, the first label first on the first seed,
 last on the second and so on, so that the files compare runs made side
 by side rather than minutes apart.
 
+After each seed's workloads every label also records a per-stage table
+in a fresh interpreter on its own ``src``: ``harness.bench``'s
+``best_seconds`` (absorb plus estimate, each clip's fastest of 3 repeats,
+the mean over clips) of methods ``a`` and ``b`` at stages 5, 25, 100 and
+400, on acceptance criterion 7's recipe (4 clips of 30 frames, seed 7)
+with the clips looped to 400 stages.
+
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
-IQR per workload, the machine (``run.py``'s ``machine()``), the
+IQR per workload, every per-stage table and each entry's median,
+quartiles and IQR, the machine (``run.py``'s ``machine()``), the
 checkout's git HEAD and whether its tracked files differed from it, the
 kernels' ``_kernels.status()``, the seeds and the labels it was recorded
 alongside.  Nothing in the measured checkouts changes.
@@ -35,6 +43,23 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 # fixed, so that two labels recorded on one machine compare run for run
 SEEDS = (1, 2, 3, 4, 5)
+# the per-stage table: criterion 7's clips looped to the last of STAGES
+STAGE_METHODS = ("a", "b")
+STAGES = (5, 25, 100, 400)
+STAGE_TABLE = f"""
+import json, sys
+sys.path.insert(0, "src")
+from framestop.harness import SyntheticConfig, bench, generate_synthetic
+from framestop.stoppers import StopperMethod
+config = SyntheticConfig(
+    clip_count=4, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+    frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
+)
+methods = [StopperMethod(name) for name in {STAGE_METHODS!r}]
+rows = bench(generate_synthetic(config), methods, repeats=3, max_stages={STAGES[-1]})
+print(json.dumps({{f"{{row['method']}}.n{{row['stage']}}": row["best_seconds"]
+                  for row in rows if row["stage"] in {STAGES!r}}}))
+"""
 
 
 def _machine(root):
@@ -70,6 +95,15 @@ def _run(root, workload, seed, seconds):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _stage_table(root):
+    """``{"<method>.n<stage>": best_seconds}`` of ``STAGE_TABLE`` run in the checkout."""
+    done = subprocess.run([sys.executable, "-c", STAGE_TABLE], cwd=root, capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def _summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -88,6 +122,7 @@ def _record(label, root, seconds, workloads, alongside):
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
         "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
+        "stage_table": {"repeats": 3, "max_stages": STAGES[-1], "unit": "s", "runs": []},
     }
 
 
@@ -119,6 +154,11 @@ def main(argv=None):
                 records[label]["runs"][workload].append({"seed": seed, "result": result})
                 stages = result["metrics"]["stages_per_s"]["value"]
                 print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}", flush=True)
+        for label in labels if number % 2 == 0 else labels[::-1]:
+            table = _stage_table(checkouts[label])
+            records[label]["stage_table"]["runs"].append(table)
+            print(f"{label} per-stage table seed {seed}: a.n400 {table['a.n400'] * 1e6:.1f} us",
+                  flush=True)
     for record in records.values():
         record["summary"] = {
             workload: {
@@ -126,6 +166,10 @@ def main(argv=None):
                 for metric in runs[0]["result"]["metrics"]
             }
             for workload, runs in record["runs"].items()
+        }
+        tables = record["stage_table"]["runs"]
+        record["stage_table"]["summary"] = {
+            key: _summary([table[key] for table in tables]) for key in tables[0]
         }
         out = HERE / f"BENCH_{record['label']}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")

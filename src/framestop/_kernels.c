@@ -17,8 +17,9 @@
    fs_spread is CombinerState.candidate_gld, the one history scan of
    methods a and b over the rows-plus-slots history store: every
    candidate's distance and their sums in one call.  It sums each frame's
-   spread in its own order, and a slot holding the empty row adds that
-   row's distance, computed once per call.
+   spread in its own order, in frame-wide accumulators that run over all
+   of the frame's rows and combine once per frame, and a slot holding the
+   empty row adds that row's distance, computed once per call.
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
    describes the history store once.  Both refuse a call the store has no
    room for, as they write through its addresses.
@@ -27,20 +28,23 @@
    instruction set.  In the substitution costs a lane is one cost: the
    frame rows are copied to lanes (transposed), and each of numpy's eight
    accumulators is a vector holding that accumulator of four (result row,
-   frame row) pairs.  In a gap cost's sum and the scan's row distance a
-   lane is one accumulator of one row, and in the merge one column.  On
-   x86-64 ELF with glibc, the kernels are built twice, for AVX2 and for
-   the baseline, and the dynamic loader picks one (CLONED); elsewhere the
-   baseline build alone runs the same vector code.
+   frame row) pairs.  In a gap cost's sum and a row's distance to the
+   empty row a lane is one accumulator of one row; in the scan each of a
+   frame's four vectors holds the four accumulators of every fourth group
+   of four classes, summed over all of its rows; in the merge a lane is
+   one column.  On x86-64 ELF with glibc, the kernels are built twice, for
+   AVX2 and for the baseline, and the dynamic loader picks one (CLONED);
+   elsewhere the baseline build alone runs the same vector code.
 
    The module's functions, gld, align, absorb and spread, are METH_FASTCALL
    entry points at the end of this file.  They take the numpy arrays
    themselves and read them through the numpy C API, checking that each
-   is a C-contiguous ndarray of 8-byte floats or ints in the machine's
-   byte order (read-only arrays are accepted where nothing is written),
-   fill the struct from their shapes and data pointers, allocate the
-   arrays absorb and spread return, run the kernel with the GIL released,
-   and build their Python result.  No address outlives a call. */
+   is an aligned C-contiguous ndarray of 8-byte floats or ints in the
+   machine's byte order (read-only arrays are accepted where nothing is
+   written), fill the struct from their shapes and data pointers,
+   allocate the arrays absorb and spread return, run the kernel with the
+   GIL released, and build their Python result.  No address outlives a
+   call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -470,7 +474,8 @@ CLONED int64_t fs_absorb(struct fs_absorb_args *a)
 /* Sum over k < width of |a[k] - b[k]|, in four accumulators, the lanes
    of one vector, so consecutive additions do not wait on each other:
    lane j adds the terms k = j mod 4 of the whole groups of four, lane 0
-   then the tail in order, and the lanes combine as (0+1)+(2+3). */
+   then the tail in order, and the lanes combine as (0+1)+(2+3).  The
+   scan's distance from a current row to the empty row. */
 INLINE double row_distance(const double *a, const double *b, int64_t width)
 {
     f64x4 lanes = {0.0, 0.0, 0.0, 0.0};
@@ -483,6 +488,9 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
     return (s0 + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
+/* The terms |x[k] - y[k]| of the group of four at k, added to acc */
+#define GROUP4(acc, x, y, k) ((acc) += ABS4(LOAD4((x) + (k)) - LOAD4((y) + (k))))
+
 /* The history scan of methods a and b (see struct fs_absorb_args).  Per
    frame f < n, the spread: the sum over row ids r < s and classes of
    |current[r] - rows[slots[f * stride + r]]|, the distance from the
@@ -491,10 +499,17 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
    points, and every slot indexes a row below the capacity; the first s
    rows of current hold the current rows.
 
-   First, empty[r] receives each current row's distance to the empty row,
-   computed afresh on every call; a slot holding 0 then adds empty[r]
-   instead of its width terms.  Every term is added, none subtracted, so a
-   frame equal to the current rows gives exactly 0.
+   First, empty[r] receives each current row's distance to the empty row
+   (row_distance), computed afresh on every call.  Each frame then sums
+   its terms in frame-wide accumulators, every one running over all of
+   the frame's rows in row order: group c of four classes (k = 4c..4c+3)
+   of every row whose slot is not 0 goes to the vector acc(c mod 4), lane
+   k mod 4; the classes past the last whole group to the scalar tail, k in
+   order; and empty[r], for a slot holding 0, to the scalar gap.  They
+   combine once per frame, as v = (acc0 + acc1) + (acc2 + acc3),
+   then spread = (((v0 + v1) + (v2 + v3)) + tail) + gap.  Every term is
+   added, none subtracted, so a frame equal to the current rows gives
+   exactly 0.
 
    out[f] is candidate f's distance: g = spread * share_f / 2, with
    share_f = shares[f], or share when shares is NULL, as stoppers scores
@@ -514,16 +529,39 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
         return FS_NO_MEMORY;
     const double *rows = a->rows, *current = a->current, *shares = a->shares;
     const double share = a->share, length = a->length;
+    const int64_t whole = width - width % 4;
     double *out = a->out;
     for (int64_t r = 0; r < s; r++)
         empty[r] = row_distance(rows, current + r * width, width);
     double g_sum = 0.0, out_sum = 0.0;
     for (int64_t f = 0; f < n; f++) {
         const int64_t *slot = a->slots + f * stride;
-        double spread = 0.0;
-        for (int64_t r = 0; r < s; r++)
-            spread += slot[r] ? row_distance(rows + slot[r] * width, current + r * width, width)
-                              : empty[r];
+        f64x4 acc0 = {0.0, 0.0, 0.0, 0.0}, acc1 = acc0, acc2 = acc0, acc3 = acc0;
+        double tail = 0.0, gap = 0.0;
+        for (int64_t r = 0; r < s; r++) {
+            if (!slot[r]) {
+                gap += empty[r];
+                continue;
+            }
+            const double *x = rows + slot[r] * width, *y = current + r * width;
+            int64_t k = 0;
+            for (; k + 16 <= whole; k += 16) {
+                GROUP4(acc0, x, y, k);
+                GROUP4(acc1, x, y, k + 4);
+                GROUP4(acc2, x, y, k + 8);
+                GROUP4(acc3, x, y, k + 12);
+            }
+            if (k < whole)
+                GROUP4(acc0, x, y, k);
+            if (k + 4 < whole)
+                GROUP4(acc1, x, y, k + 4);
+            if (k + 8 < whole)
+                GROUP4(acc2, x, y, k + 8);
+            for (k = whole; k < width; k++)
+                tail += fabs(x[k] - y[k]);
+        }
+        const f64x4 v = (acc0 + acc1) + (acc2 + acc3);
+        const double spread = (((v[0] + v[1]) + (v[2] + v[3])) + tail) + gap;
         const double g = spread * (shares ? shares[f] : share) / 2.0;
         double d = g;
         if (length >= 0.0) {
@@ -547,8 +585,9 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
 
 /* obj as the array a kernel reads, or writes when writable is set: a
    numpy array of ndim dimensions of 8-byte floats when kind is 'f' and
-   ints when it is 'i', C-contiguous and in the machine's byte order.
-   NULL with TypeError naming the argument when obj is not one. */
+   ints when it is 'i', C-contiguous, aligned for its type, as the kernels
+   read it through double and int64_t pointers, and in the machine's byte
+   order.  NULL with TypeError naming the argument when obj is not one. */
 static PyArrayObject *take(PyObject *obj, int ndim, char kind, int writable, const char *name)
 {
     const char *type = kind == 'f' ? "float64" : "int64";
@@ -563,13 +602,14 @@ static PyArrayObject *take(PyObject *obj, int ndim, char kind, int writable, con
                         : descr->kind != kind || PyArray_ITEMSIZE(array) != 8 ? "of another dtype"
                         : !PyArray_ISNOTSWAPPED(array)                        ? "byte-swapped"
                         : !PyArray_IS_C_CONTIGUOUS(array)                     ? "not C-contiguous"
+                        : !PyArray_ISALIGNED(array)                           ? "unaligned"
                         : writable && !PyArray_ISWRITEABLE(array)             ? "read-only"
                                                                               : NULL;
     if (!wrong)
         return array;
     PyErr_Format(PyExc_TypeError,
-                 "%s must be a %s%d-D C-contiguous array of %s in native byte order, not %s "
-                 "(%d-D, %R)",
+                 "%s must be a %s%d-D aligned C-contiguous array of %s in native byte order, "
+                 "not %s (%d-D, %R)",
                  name, writable ? "writable " : "", ndim, type, wrong, PyArray_NDIM(array), descr);
     return NULL;
 }

@@ -36,8 +36,12 @@ spread from the current rows, then each candidate's merge share, its
 nGLD and the sums of both, in one compiled ``fs_spread`` call over the
 same arrays where the compiled kernels run (numpy otherwise).  The scan
 computes each current row's distance to the empty row once per call, and
-a slot holding 0 adds that distance instead of K+1 terms; ``b`` is
-``a``'s aggregate normalised once.
+a slot holding 0 adds that distance instead of K+1 terms.  The compiled
+scan sums each frame in frame-wide accumulators, four vectors of four
+lanes over all of the frame's rows plus a scalar sum of the classes past
+the last group of four and one of the empty-slot distances, combined once
+per frame; numpy sums in its own order, and the two agree to a few parts
+in 1e15.  ``b`` is ``a``'s aggregate normalised once.
 """
 import math
 import operator
@@ -432,9 +436,10 @@ class CombinerState:
 
         Shape (n,).  A numpy scan of ``_SCAN_FRAMES`` frames at a time, so
         no temporary grows with the history: the reference of the compiled
-        scan in :meth:`candidate_gld`, which sums in another order and
-        agrees to about 1e-15.  Both give exactly 0 for a frame equal to
-        the current rows.
+        scan in :meth:`candidate_gld`, which sums each frame in frame-wide
+        accumulators (see ``fs_spread`` in ``_kernels.c``) and agrees to
+        within 1e-14 relative up to n=400.  Both give exactly 0 for a frame
+        equal to the current rows.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")
@@ -458,9 +463,10 @@ class CombinerState:
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where the compiled kernels run, the scan, the shares, the
         normalisation and both sums are one ``fs_spread`` call over the
-        state's store, with the same elementwise operations as the numpy
-        path and the sums added in frame order; the two agree to a few
-        parts in 1e15.
+        state's store: each frame's spread summed in frame-wide vector
+        accumulators, combined once per frame, then the same elementwise
+        operations as the numpy path and the sums added in frame order;
+        the two agree to a few parts in 1e15.
         """
         if self._rows is None:
             raise ValueError("state was built without history bookkeeping")

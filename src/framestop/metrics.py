@@ -32,9 +32,13 @@ class MetricKind(Enum):
 
 
 def _as_rows(seq):
-    """``seq``'s rows as a 2-D C-contiguous float64 array, the form the
-    compiled kernels take; the array itself when it is one already."""
+    """``seq``'s rows as a 2-D aligned C-contiguous float64 array, the form
+    the compiled kernels take; the array itself when it is one already.
+    An unaligned array, such as ``np.frombuffer`` at an odd offset gives,
+    is copied."""
     rows = np.ascontiguousarray(seq.rows if hasattr(seq, "rows") else seq, dtype=np.float64)
+    if not rows.flags.aligned:
+        rows = rows.copy()
     if rows.ndim == 1 and rows.size == 0:
         return rows.reshape(0, 0)
     if rows.ndim != 2:

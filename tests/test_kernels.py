@@ -19,7 +19,7 @@ import pytest
 
 from framestop import _kernels, combiner, metrics
 from framestop.combiner import CombinerState, align, merge_share
-from framestop.core import Alphabet, Clip, make_frame
+from framestop.core import Alphabet, Clip, RecognitionFrame, make_frame
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import MetricKind, cost_table, gap_costs, gld, ngld, pairwise_costs
 from framestop.stoppers import (
@@ -88,6 +88,20 @@ def test_compiled_estimates_match_numpy(compiled):
     assert checked == {(metric, method) for metric in MetricKind for method in "ab"}
 
 
+def test_compiled_candidate_gld_is_numpys_within_1e_14_at_400_stages(compiled):
+    clip = looped_clip(400)
+    state = CombinerState(clip.alphabet, track_history=True)
+    for frame in clip.frames:
+        state.absorb(frame)
+        for length in (None, 2.0 * state.n):
+            d, g_sum, d_sum = state.candidate_gld(length)
+            with python_kernels():
+                want_d, want_g, want_sum = state.candidate_gld(length)
+            assert np.all(np.abs(d - want_d) <= 1e-14 * np.abs(want_d))
+            assert abs(g_sum - want_g) <= 1e-14 * abs(want_g)
+            assert abs(d_sum - want_sum) <= 1e-14 * abs(want_sum)
+
+
 def test_compiled_estimates_are_exact_on_constant_clips(compiled):
     rng = random.Random(78)
     for i in range(20):
@@ -151,10 +165,10 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
 
 
 def _row_distance_replica(a, b):
-    """fs_spread's distance between two rows in its order, on floats: lane
-    j of four adds |a[k] - b[k]| for k = j mod 4 over the whole groups of
-    four, lane 0 then the tail in order, and the lanes combine as
-    (0+1)+(2+3)."""
+    """fs_spread's distance from a current row to the empty row in its
+    order, on floats: lane j of four adds |a[k] - b[k]| for k = j mod 4
+    over the whole groups of four, lane 0 then the tail in order, and the
+    lanes combine as (0+1)+(2+3)."""
     lanes = [0.0] * 4
     whole = len(a) - len(a) % 4
     for k in range(whole):
@@ -164,18 +178,37 @@ def _row_distance_replica(a, b):
     return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 
 
+def _spread_replica(rows, frame_slots, current, empty):
+    """One frame's spread in fs_spread's order, on floats: over the rows in
+    order, group c of four classes of a row whose slot is not 0 adds to
+    accumulator c mod 4, lane k mod 4, the classes past the whole groups
+    to the tail, and a slot holding 0 adds the current row's distance to
+    the empty row to the gap; the accumulators combine lane by lane as
+    (0+1)+(2+3), their lanes as (0+1)+(2+3), then the tail, then the gap."""
+    acc, tail, gap = [[0.0] * 4 for _ in range(4)], 0.0, 0.0
+    for slot, row, to_empty in zip(frame_slots, current, empty):
+        if not slot:
+            gap += to_empty
+            continue
+        whole = len(row) - len(row) % 4
+        for k in range(whole):
+            acc[k // 4 % 4][k % 4] += abs(rows[slot][k] - row[k])
+        for k in range(whole, len(row)):
+            tail += abs(rows[slot][k] - row[k])
+    v = [(acc[0][lane] + acc[1][lane]) + (acc[2][lane] + acc[3][lane]) for lane in range(4)]
+    return (((v[0] + v[1]) + (v[2] + v[3])) + tail) + gap
+
+
 def _scan_replica(rows, slots, current, shares, length):
     """float.hex of the d, the sum of g and the sum of d that fs_spread
     computes from a store's rows, the scanned (frames, row ids) slots and
-    the current rows, on floats: each frame's spread added over its row ids
-    in order, the sums in frame order."""
+    the current rows, on floats: each frame's spread (_spread_replica),
+    the sums in frame order."""
     rows, current = rows.tolist(), current.tolist()
+    empty = [_row_distance_replica(rows[0], row) for row in current]
     d, g_sum, d_sum = [], 0.0, 0.0
     for frame_slots, share in zip(slots.tolist(), shares):
-        spread = 0.0
-        for slot, row in zip(frame_slots, current):
-            spread += _row_distance_replica(rows[slot], row)
-        g = spread * share / 2.0
+        g = _spread_replica(rows, frame_slots, current, empty) * share / 2.0
         d.append(g if length is None else (2.0 * g / (g + length) if g + length > 0.0 else 0.0))
         g_sum += g
         d_sum += d[-1]
@@ -692,6 +725,47 @@ def test_the_entry_points_refuse_arrays_the_kernels_cannot_read(compiled, entry)
                 if isinstance(want, np.ndarray):
                     assert got.tobytes() == want.tobytes(), (name, what)
     fn(*args)  # the unspoiled arguments are taken
+
+
+def _unaligned(array):
+    """A copy of ``array`` one byte into a buffer, so at an address no
+    8-byte value may be read from."""
+    out = np.frombuffer(bytearray(array.nbytes + 1), dtype=array.dtype, offset=1)
+    out = out.reshape(array.shape)
+    out[...] = array
+    assert not out.flags.aligned and out.flags.c_contiguous and out.flags.writeable
+    return out
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_unaligned_rows_give_their_aligned_copys_bits(compiled, route):
+    rng = np.random.default_rng(33)
+    x, y = rng.dirichlet(np.ones(5), 6), rng.dirichlet(np.ones(5), 4)
+    with python_kernels() if route == "python" else contextlib.nullcontext():
+        assert gld(_unaligned(x), _unaligned(y)).hex() == gld(x, y).hex()
+        assert ngld(_unaligned(x), y).hex() == ngld(x, y).hex()
+        assert align(_unaligned(y), _unaligned(x)) == align(y, x)
+        states = [CombinerState(Alphabet("abcd"), track_history=True) for _ in range(2)]
+        for rows in (y, x, y):
+            states[0].absorb(RecognitionFrame(_unaligned(rows)))
+            states[1].absorb(RecognitionFrame(rows))
+        got, want = (state.mean_rows.tobytes() for state in states)
+        assert got == want
+
+
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
+    args, names, _ = _entry_calls()[entry]
+    fn = getattr(compiled, entry)
+    for position, name in names.items():
+        fresh = _entry_calls()[entry][0]
+        fresh[position] = _unaligned(fresh[position])
+        before = [a.copy() if isinstance(a, np.ndarray) else a for a in fresh]
+        with pytest.raises(TypeError, match=f"^{name} must be a .* not unaligned "):
+            fn(*fresh)
+        for got, want in zip(fresh, before):  # a refused call writes nothing
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), name
 
 
 def _absorb_args(result, frame):
