@@ -46,19 +46,20 @@ SEEDS = (1, 2, 3, 4, 5)
 # the per-stage table: criterion 7's clips looped to the last of STAGES
 STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
-STAGE_TABLE = f"""
+STAGE_TABLE = """
 import json, sys
 sys.path.insert(0, "src")
 from framestop.harness import SyntheticConfig, bench, generate_synthetic
 from framestop.stoppers import StopperMethod
+names, stages = json.loads(sys.argv[1])
 config = SyntheticConfig(
     clip_count=4, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
 )
-methods = [StopperMethod(name) for name in {STAGE_METHODS!r}]
-rows = bench(generate_synthetic(config), methods, repeats=3, max_stages={STAGES[-1]})
-print(json.dumps({{f"{{row['method']}}.n{{row['stage']}}": row["best_seconds"]
-                  for row in rows if row["stage"] in {STAGES!r}}}))
+methods = [StopperMethod(name) for name in names]
+rows = bench(generate_synthetic(config), methods, repeats=3, max_stages=stages[-1])
+print(json.dumps({f"{row['method']}.n{row['stage']}": row["best_seconds"]
+                  for row in rows if row["stage"] in stages}))
 """
 
 
@@ -97,8 +98,8 @@ def _run(root, workload, seed, seconds):
 
 def _stage_table(root):
     """``{"<method>.n<stage>": best_seconds}`` of ``STAGE_TABLE`` run in the checkout."""
-    done = subprocess.run([sys.executable, "-c", STAGE_TABLE], cwd=root, capture_output=True,
-                          text=True)
+    done = subprocess.run([sys.executable, "-c", STAGE_TABLE, json.dumps([STAGE_METHODS, STAGES])],
+                          cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
