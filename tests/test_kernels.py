@@ -728,8 +728,8 @@ def test_the_entry_points_refuse_arrays_the_kernels_cannot_read(compiled, entry)
 
 
 def _unaligned(array):
-    """A copy of ``array`` one byte into a buffer, so at an address no
-    8-byte value may be read from."""
+    """A copy of ``array`` one byte into a buffer, at an address that C
+    may not read a double or an int64 from."""
     out = np.frombuffer(bytearray(array.nbytes + 1), dtype=array.dtype, offset=1)
     out = out.reshape(array.shape)
     out[...] = array
@@ -755,9 +755,8 @@ def test_unaligned_rows_give_their_aligned_copys_bits(compiled, route):
 
 @pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
 def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
-    args, names, _ = _entry_calls()[entry]
     fn = getattr(compiled, entry)
-    for position, name in names.items():
+    for position, name in _entry_calls()[entry][1].items():
         fresh = _entry_calls()[entry][0]
         fresh[position] = _unaligned(fresh[position])
         before = [a.copy() if isinstance(a, np.ndarray) else a for a in fresh]
