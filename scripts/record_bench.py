@@ -18,9 +18,12 @@ by side rather than minutes apart.
 After each seed's workloads every label also records a per-stage table
 in a fresh interpreter on its own ``src``: ``harness.bench``'s
 ``best_seconds`` (absorb plus estimate, each clip's fastest of 3 repeats,
-the mean over clips) of methods ``a`` and ``b`` at stages 5, 25, 100 and
-400, on acceptance criterion 7's recipe (4 clips of 30 frames, seed 7)
-with the clips looped to 400 stages.
+the mean over clips) of methods ``a`` and ``b`` on acceptance criterion
+7's recipe (4 clips of 30 frames, seed 7) with the clips looped to 400
+stages.  The cell ``<method>.n<stage>``, for stages 5, 25, 100 and 400,
+is the mean of those seconds over the stages within ``WINDOW`` of it,
+n - 2 to n + 2, clamped to the stages run (:func:`windowed`), as one
+stage's value over 4 clips swings by tens of percent.
 
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
@@ -46,6 +49,8 @@ SEEDS = (1, 2, 3, 4, 5)
 # the per-stage table: criterion 7's clips looped to the last of STAGES
 STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
+# each cell of the per-stage table averages the stages within this many of its own
+WINDOW = 2
 STAGE_TABLE = """
 import json, sys
 sys.path.insert(0, "src")
@@ -58,8 +63,7 @@ config = SyntheticConfig(
 )
 methods = [StopperMethod(name) for name in names]
 rows = bench(generate_synthetic(config), methods, repeats=3, max_stages=stages[-1])
-print(json.dumps({f"{row['method']}.n{row['stage']}": row["best_seconds"]
-                  for row in rows if row["stage"] in stages}))
+print(json.dumps([[row["method"], row["stage"], row["best_seconds"]] for row in rows]))
 """
 
 
@@ -96,13 +100,29 @@ def _run(root, workload, seed, seconds):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def windowed(rows, stages=STAGES, window=WINDOW):
+    """``{"<method>.n<stage>": mean}`` from ``rows`` of (method, stage,
+    seconds): for each method and each stage n of ``stages``, the mean of
+    the seconds at stages n - window to n + window, clamped to the stages
+    that ``rows`` holds for the method."""
+    by_method = {}
+    for method, stage, seconds in rows:
+        by_method.setdefault(method, {})[stage] = seconds
+    table = {}
+    for method, seconds in by_method.items():
+        for n in stages:
+            near = [seconds[k] for k in range(n - window, n + window + 1) if k in seconds]
+            table[f"{method}.n{n}"] = sum(near) / len(near)
+    return table
+
+
 def _stage_table(root):
-    """``{"<method>.n<stage>": best_seconds}`` of ``STAGE_TABLE`` run in the checkout."""
+    """:func:`windowed` of the rows of ``STAGE_TABLE`` run in the checkout."""
     done = subprocess.run([sys.executable, "-c", STAGE_TABLE, json.dumps([STAGE_METHODS, STAGES])],
                           cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return windowed(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
 def _summary(values):
@@ -123,7 +143,10 @@ def _record(label, root, seconds, workloads, alongside):
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
         "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
-        "stage_table": {"repeats": 3, "max_stages": STAGES[-1], "unit": "s", "runs": []},
+        "stage_table": {"repeats": 3, "max_stages": STAGES[-1], "window": WINDOW, "unit": "s",
+                        "cell": "mean of best_seconds over stages n - window .. n + window, "
+                                "clamped to the stages run",
+                        "runs": []},
     }
 
 

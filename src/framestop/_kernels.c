@@ -15,14 +15,18 @@
    checks the C costs against numpy's bit for bit before gld, align or
    absorb use either kernel.
    fs_spread is CombinerState.candidate_gld, the one history scan of
-   methods a and b over the rows-plus-slots history store: every
-   candidate's distance and their sums in one call.  It sums each frame's
-   spread in its own order, in frame-wide accumulators that run over all
-   of the frame's rows and combine once per frame, and a slot holding the
-   empty row adds that row's distance, computed once per call.
+   methods a and b over the blocks-plus-slots history store: every
+   candidate's distance and their sums in one call.  It reads each row
+   id's current row from the combined result, through the inverse of the
+   row-id order, and sums each frame's spread in its own order, in
+   frame-wide accumulators that run over all of the frame's rows and
+   combine once per frame; a slot holding the empty row adds that row's
+   distance, computed once per call.
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
-   describes the history store once.  Both refuse a call the store has no
-   room for, as they write through its addresses.
+   describes the history store once: its absorbed rows in blocks of equal
+   power-of-two size, which are never moved, and the slots, each a global
+   row index into them.  Both refuse a call the store has no room for, as
+   they write through its addresses.
    The hot loops run on vectors of four doubles, each lane doing what the
    scalar code does in the same order, so they give the same bits on any
    instruction set.  In the substitution costs a lane is one cost: the
@@ -41,7 +45,9 @@
    themselves and read them through the numpy C API, checking that each
    is an aligned C-contiguous ndarray of 8-byte floats or ints in the
    machine's byte order (read-only arrays are accepted where nothing is
-   written), fill the struct from their shapes and data pointers,
+   written), fill the struct from their shapes and data pointers, build
+   the table of the store's blocks (and, for spread, of each row id's
+   current row, once the row-id order is checked to be a permutation),
    allocate the arrays absorb and spread return, run the kernel with the
    GIL released, and build their Python result.  No address outlives a
    call. */
@@ -358,6 +364,13 @@ static int64_t trace(const double *sub, const double *gap_rows, const double *ta
     return k;
 }
 
+/* A row id's current row, and the scan's room for its distance to the
+   empty row */
+struct fs_row {
+    const double *current;
+    double empty;
+};
+
 /* The arguments of fs_absorb and fs_spread, filled by the entry points
    from the arrays they are given. */
 struct fs_absorb_args {
@@ -381,21 +394,25 @@ struct fs_absorb_args {
     double *merged;
     int64_t *order;
     int64_t next_id;
-    /* The history store, skipped by fs_absorb when rows is NULL: rows is
-       (capacity, width) with used rows in use, slots (frames, stride), and
-       current (stride, width), the combined rows by row id. */
-    double *rows;
+    /* The history store, skipped by fs_absorb when blocks is NULL: rows
+       in blocks of 2^shift rows of width doubles, capacity rows in all,
+       global row g being row g & (2^shift - 1) of blocks[g >> shift]
+       (store_row), of which used are in use; and slots (frames, stride),
+       each a global row index. */
+    double *const *blocks;
+    int64_t shift;
     int64_t used;
     int64_t capacity;
     int64_t *slots;
     int64_t frame_index;
     int64_t frames;
     int64_t stride;
-    double *current;
-    /* The scan of fs_spread over the first n frames and the first s
-       current rows: shares is NULL or one merge share per frame, else
-       share is every frame's; length is the nGLD length sum, negative for
-       GLD.  out, room for n entries, and the two sums are outputs. */
+    /* The scan of fs_spread over the first n frames and the s current
+       rows, row id r's at by_id[r].current: shares is NULL or one merge
+       share per frame, else share is every frame's; length is the nGLD
+       length sum, negative for GLD.  out, room for n entries, and the two
+       sums are outputs. */
+    struct fs_row *by_id;
     int64_t n;
     const double *shares;
     double share;
@@ -404,6 +421,13 @@ struct fs_absorb_args {
     double g_sum;
     double d_sum;
 };
+
+/* Global row g of the history store blocks of 2^shift rows of width
+   doubles */
+INLINE double *store_row(double *const *blocks, int64_t shift, int64_t g, int64_t width)
+{
+    return blocks[g >> shift] + (g & (((int64_t)1 << shift) - 1)) * width;
+}
 
 /* The merge along the path of steps result rows ri and frame rows fi, and
    the store write; see fs_absorb. */
@@ -425,15 +449,14 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
         }
         for (; c < width; c++)
             out[c] = old[c] + a->factor * (fresh[c] - old[c]);
-        if (a->rows) {
-            memcpy(a->current + a->order[k] * width, out, width * sizeof(double));
-            if (fi[k] < m)
-                a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
-        }
+        if (a->blocks && fi[k] < m)
+            a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
     }
     memcpy(a->merged + steps * width, a->result + s * width, width * sizeof(double));
-    if (a->rows)
-        memcpy(a->rows + a->used * width, a->frame, m * width * sizeof(double));
+    if (a->blocks)
+        for (int64_t j = 0; j < m; j++)
+            memcpy(store_row(a->blocks, a->shift, a->used + j, width), a->frame + j * width,
+                   width * sizeof(double));
 }
 
 /* The alignment of combiner.align and, when merged is set, the rest of
@@ -442,16 +465,17 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
    when the cost is finite, the merged rows old + factor * (new - old)
    followed by the empty row, the new row-id order (rows a step inserts
    take the next free ids, in order), and the store write: the frame's m
-   rows appended at used, and frame_index's slot of the row id each frame
-   row merged into pointed at it, and every merged row copied to current
-   by its row id.  Returns the number of steps; FS_NO_PATH (a NaN cost),
-   FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when the store has
-   no room for frame frame_index, its m rows or m new row ids. */
+   rows appended at global row used, on into the next blocks where they
+   reach the end of one, and frame_index's slot of the row id each frame
+   row merged into pointed at it.  Returns the number of steps;
+   FS_NO_PATH (a NaN cost), FS_NO_MEMORY, or FS_NO_ROOM, with nothing
+   written, when the store has no room for frame frame_index, its m rows
+   or m new row ids. */
 CLONED int64_t fs_absorb(struct fs_absorb_args *a)
 {
     const int64_t s = a->s, m = a->m, room = s + m;
     a->inserted = 0;
-    if (a->merged && a->rows &&
+    if (a->merged && a->blocks &&
         !(a->frame_index < a->frames && a->used + m <= a->capacity && a->next_id + m <= a->stride))
         return FS_NO_ROOM;
     double *work = work_alloc(s, m, a->width, a->path ? 0 : 2 * room * sizeof(int64_t));
@@ -493,20 +517,23 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
 
 /* The history scan of methods a and b (see struct fs_absorb_args).  Per
    frame f < n, the spread: the sum over row ids r < s and classes of
-   |current[r] - rows[slots[f * stride + r]]|, the distance from the
-   current rows to what the frame merged into each of them.  rows has row
-   0 the empty distribution, where every slot a frame did not write
-   points, and every slot indexes a row below the capacity; the first s
-   rows of current hold the current rows.
+   |by_id[r].current - store_row(slots[f * stride + r])|, the distance
+   from the current rows to what the frame merged into each of them.
+   Global row 0 is the empty distribution, where every slot a frame did
+   not write points, and every slot indexes a row below the capacity.
+   The scan keeps the block of the last row it read, and looks a block up
+   only for a row outside it: the rows a frame wrote are one run of global
+   rows, and the frames come in absorb order, so the lookups are few.
 
-   First, empty[r] receives each current row's distance to the empty row
-   (row_distance), computed afresh on every call.  Each frame then sums
-   its terms in frame-wide accumulators, every one running over all of
-   the frame's rows in row order: group c of four classes (k = 4c..4c+3)
-   of every row whose slot is not 0 goes to the vector acc(c mod 4), lane
-   k mod 4; the classes past the last whole group to the scalar tail, k in
-   order; and empty[r], for a slot holding 0, to the scalar gap.  They
-   combine once per frame, as v = (acc0 + acc1) + (acc2 + acc3),
+   First, by_id[r].empty receives each current row's distance to the
+   empty row (row_distance), computed afresh on every call.  Each frame
+   then sums its terms in frame-wide accumulators, every one running over
+   all of the frame's rows in row order: group c of four classes (k =
+   4c..4c+3) of every row whose slot is not 0 goes to the vector
+   acc(c mod 4), lane k mod 4; the classes past the last whole group to
+   the scalar tail, k in order; and by_id[r].empty, for a slot holding 0,
+   to the scalar gap.  They combine once per frame, as
+   v = (acc0 + acc1) + (acc2 + acc3),
    then spread = (((v0 + v1) + (v2 + v3)) + tail) + gap.  Every term is
    added, none subtracted, so a frame equal to the current rows gives
    exactly 0.
@@ -516,34 +543,41 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
    method a's modelled merge; then, when length >= 0, its nGLD
    2g / (g + length), 0 where g + length is not positive, as
    metrics.normalized computes it.  g_sum receives the sum of the g and
-   d_sum the sum of out, each added in frame order.  Returns 0;
-   FS_NO_MEMORY, or FS_NO_ROOM, with nothing written, when n is above
-   frames or s above stride. */
+   d_sum the sum of out, each added in frame order.  Returns 0, or
+   FS_NO_ROOM, with nothing written, when n is above frames, s above
+   stride, or s rows are scanned with no block. */
 CLONED int64_t fs_spread(struct fs_absorb_args *a)
 {
-    const int64_t n = a->n, s = a->s, width = a->width, stride = a->stride;
-    if (n > a->frames || s > stride)
+    const int64_t n = a->n, s = a->s, width = a->width, stride = a->stride, shift = a->shift;
+    if (n > a->frames || s > stride || (s && !a->capacity))
         return FS_NO_ROOM;
-    double *empty = malloc((size_t)s * sizeof(double));
-    if (s && !empty)
-        return FS_NO_MEMORY;
-    const double *rows = a->rows, *current = a->current, *shares = a->shares;
+    double *const *blocks = a->blocks;
+    struct fs_row *by_id = a->by_id;
+    const double *shares = a->shares;
     const double share = a->share, length = a->length;
-    const int64_t whole = width - width % 4;
+    const int64_t whole = width - width % 4, size = (int64_t)1 << shift;
     double *out = a->out;
     for (int64_t r = 0; r < s; r++)
-        empty[r] = row_distance(rows, current + r * width, width);
+        by_id[r].empty = row_distance(blocks[0], by_id[r].current, width);
+    /* the block last read, base, whose first global row is first; none yet */
+    const double *base = NULL;
+    int64_t first = -size;
     double g_sum = 0.0, out_sum = 0.0;
     for (int64_t f = 0; f < n; f++) {
         const int64_t *slot = a->slots + f * stride;
         f64x4 acc0 = {0.0, 0.0, 0.0, 0.0}, acc1 = acc0, acc2 = acc0, acc3 = acc0;
         double tail = 0.0, gap = 0.0;
         for (int64_t r = 0; r < s; r++) {
-            if (!slot[r]) {
-                gap += empty[r];
+            const int64_t row = slot[r];
+            if (!row) {
+                gap += by_id[r].empty;
                 continue;
             }
-            const double *x = rows + slot[r] * width, *y = current + r * width;
+            if ((uint64_t)(row - first) >= (uint64_t)size) {
+                base = blocks[row >> shift];
+                first = row >> shift << shift;
+            }
+            const double *x = base + (row - first) * width, *y = by_id[r].current;
             int64_t k = 0;
             for (; k + 16 <= whole; k += 16) {
                 GROUP4(acc0, x, y, k);
@@ -572,7 +606,6 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
         g_sum += g;
         out_sum += d;
     }
-    free(empty);
     a->g_sum = g_sum;
     a->d_sum = out_sum;
     return 0;
@@ -793,85 +826,153 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
     return answer;
 }
 
-/* absorb(result, frame, factor, order, next_id, rows, used, slots,
-   frame_index, current): (steps, cost, merged) of fs_absorb merging the
-   frame into the result with the share factor, struct fs_absorb_args
-   filled from the arrays' shapes.  result and frame, float64 (S+1, K+1)
-   and (M+1, K+1), each end with the empty row; merged, a new float64
-   array of S+M+1 rows, holds the merge in its first steps + 1 rows;
-   order, int64 with room for S+M ids, holds the result rows' ids on
-   entry.  rows (capacity, K+1), slots (frames, stride) and current
-   (stride or more, K+1) are the history store, skipped, with used,
-   frame_index and slots and current, when rows is None. */
+/* The blocks of a history store, obj, a tuple of 2-D float64 arrays of
+   the same shape, 2^shift rows each, writable when writable is set, as a
+   new table of their data pointers in a->blocks, followed by room for
+   extra pointers, which the caller frees; with a->shift, a->capacity, the
+   rows of all blocks, and *width, their row width (0 for no blocks).
+   NULL with an exception set when obj is not such a tuple, or the table
+   cannot be allocated. */
+static double **block_table(PyObject *obj, int writable, int64_t extra,
+                            struct fs_absorb_args *a, int64_t *width)
+{
+    if (!PyTuple_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "blocks must be a tuple of numpy arrays, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return NULL;
+    }
+    const Py_ssize_t blocks = PyTuple_GET_SIZE(obj);
+    double **table = malloc((size_t)(blocks + extra + 1) * sizeof *table);
+    if (!table) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    int64_t rows = 0;
+    *width = 0;
+    for (Py_ssize_t b = 0; b < blocks; b++) {
+        PyArrayObject *block = take(PyTuple_GET_ITEM(obj, b), 2, 'f', writable, "blocks");
+        if (block && !b) {
+            rows = DIM(block, 0);
+            *width = DIM(block, 1);
+        }
+        if (!block ||
+            shaped(DIM(block, 0) == rows && DIM(block, 1) == *width, "blocks differ in shape") < 0 ||
+            shaped(rows > 0 && !(rows & (rows - 1)), "blocks of a row count not a power of two") < 0) {
+            free(table);
+            return NULL;
+        }
+        table[b] = PyArray_DATA(block);
+    }
+    a->blocks = table;
+    a->shift = rows ? __builtin_ctzll((unsigned long long)rows) : 0;
+    a->capacity = blocks * rows;
+    return table;
+}
+
+/* Row id r's row of the s rows result, each of width doubles, in
+   by_id[r].current: the row at r's position among the first s entries of
+   ids, which must be a permutation of 0..s-1.  -1 with ValueError when
+   they are not one. */
+static int by_row_id(const int64_t *ids, int64_t s, const double *result, int64_t width,
+                     struct fs_row *by_id)
+{
+    for (int64_t r = 0; r < s; r++)
+        by_id[r].current = NULL;
+    for (int64_t p = 0; p < s; p++) {
+        const int64_t r = ids[p];
+        if (r < 0 || r >= s || by_id[r].current) {
+            PyErr_Format(PyExc_ValueError, "ids: the first %lld are not a permutation of 0..%lld",
+                         (long long)s, (long long)s - 1);
+            return -1;
+        }
+        by_id[r].current = result + p * width;
+    }
+    return 0;
+}
+
+/* absorb(result, frame, factor, order, next_id, blocks, used, slots,
+   frame_index): (steps, cost, merged) of fs_absorb merging the frame into
+   the result with the share factor, struct fs_absorb_args filled from the
+   arrays' shapes.  result and frame, float64 (S+1, K+1) and (M+1, K+1),
+   each end with the empty row; merged, a new float64 array of S+M+1 rows,
+   holds the merge in its first steps + 1 rows; order, int64 with room for
+   S+M ids, holds the result rows' ids on entry.  blocks, a tuple of
+   float64 (2^shift, K+1) arrays (block_table), with used rows in use,
+   and slots (frames, stride) are the history store, skipped, with used,
+   slots and frame_index, when blocks is None. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    PyArrayObject *result, *frame, *order, *rows = NULL, *slots = NULL, *current = NULL;
+    PyArrayObject *result, *frame, *order, *slots = NULL;
+    double **table = NULL;
+    int64_t block_width = 0, steps;
+    PyObject *merged;
     struct fs_absorb_args a = {.s = 0};
-    if (arity("absorb", nargs, 10, 10) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
+    if (arity("absorb", nargs, 9, 9) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
         !(frame = take(args[1], 2, 'f', 0, "frame")) || real(args[2], &a.factor, "factor") < 0 ||
         !(order = take(args[3], 1, 'i', 1, "order")) || count(args[4], &a.next_id, "next_id") < 0)
         return NULL;
     if (args[5] != Py_None &&
-        (!(rows = take(args[5], 2, 'f', 1, "rows")) || count(args[6], &a.used, "used") < 0 ||
-         !(slots = take(args[7], 2, 'i', 1, "slots")) ||
-         count(args[8], &a.frame_index, "frame_index") < 0 ||
-         !(current = take(args[9], 2, 'f', 1, "current"))))
-        return NULL;
+        (!(table = block_table(args[5], 1, 0, &a, &block_width)) ||
+         count(args[6], &a.used, "used") < 0 || !(slots = take(args[7], 2, 'i', 1, "slots")) ||
+         count(args[8], &a.frame_index, "frame_index") < 0))
+        goto refused;
     a.s = DIM(result, 0) - 1;
     a.m = DIM(frame, 0) - 1;
     a.width = DIM(result, 1);
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
         shaped(DIM(frame, 1) == a.width, "row widths differ") < 0 ||
         shaped(DIM(order, 0) >= a.s + a.m, "no room for the row ids") < 0 ||
+        shaped(!a.capacity || block_width == a.width, "blocks hold rows of another width") < 0 ||
         fits(a.s, a.m, a.width) < 0)
-        return NULL;
-    if (rows) {
-        if (shaped(DIM(rows, 1) == a.width && DIM(current, 1) == a.width, "row widths differ") <
-                0 ||
-            shaped(DIM(current, 0) >= DIM(slots, 1), "current rows fewer than the slots") < 0)
-            return NULL;
-        a.rows = PyArray_DATA(rows);
-        a.capacity = DIM(rows, 0);
+        goto refused;
+    if (slots) {
         a.slots = PyArray_DATA(slots);
         a.frames = DIM(slots, 0);
         a.stride = DIM(slots, 1);
-        a.current = PyArray_DATA(current);
     }
     npy_intp shape[2] = {a.s + a.m + 1, a.width};
-    PyObject *merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE);
-    if (!merged)
-        return NULL;
+    if (!(merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE)))
+        goto refused;
     a.result = PyArray_DATA(result);
     a.frame = PyArray_DATA(frame);
     a.merged = PyArray_DATA((PyArrayObject *)merged);
     a.order = PyArray_DATA(order);
-    int64_t steps;
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
+    free(table);
     if (steps < 0) {
         Py_DECREF(merged);
         return fail(steps);
     }
     return triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost), merged);
+refused:
+    free(table);
+    return NULL;
 }
 
-/* spread(rows, slots, current, n, s, share, length): (out, sum of g, sum
-   of d) of fs_spread scanning the history store rows, slots and current
-   over the first n frames and the first s row ids; out, a new float64
-   array of n entries, receives each candidate's d.  share is one merge
-   share for every frame, or a float64 array of one per frame; length is
-   the nGLD length sum, negative for GLD. */
+/* spread(blocks, slots, result, ids, n, share, length): (out, sum of g,
+   sum of d) of fs_spread scanning the history store, blocks (a tuple, see
+   block_table) and slots, over the first n frames against the current
+   rows result, float64 (S, K+1), row id r's at the position of r among
+   the first S entries of ids, which must be a permutation of 0..S-1
+   (by_row_id); out, a new float64 array of n entries, receives each
+   candidate's d.  share is one merge share for every frame, or a float64
+   array of one per frame; length is the nGLD length sum, negative for
+   GLD. */
 static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    PyArrayObject *rows, *slots, *current, *shares = NULL;
+    PyArrayObject *slots, *result, *ids, *shares = NULL;
+    double **table = NULL;
+    int64_t block_width, code;
+    PyObject *out = NULL, *answer = NULL;
     struct fs_absorb_args a = {.shares = NULL};
-    if (arity("spread", nargs, 7, 7) < 0 || !(rows = take(args[0], 2, 'f', 0, "rows")) ||
-        !(slots = take(args[1], 2, 'i', 0, "slots")) ||
-        !(current = take(args[2], 2, 'f', 0, "current")) || count(args[3], &a.n, "n") < 0 ||
-        count(args[4], &a.s, "s") < 0 || real(args[6], &a.length, "length") < 0)
+    if (arity("spread", nargs, 7, 7) < 0 || !(slots = take(args[1], 2, 'i', 0, "slots")) ||
+        !(result = take(args[2], 2, 'f', 0, "result")) ||
+        !(ids = take(args[3], 1, 'i', 0, "ids")) || count(args[4], &a.n, "n") < 0 ||
+        real(args[6], &a.length, "length") < 0)
         return NULL;
     if (!PyArray_Check(args[5])) {
         if (real(args[5], &a.share, "share") < 0)
@@ -880,31 +981,36 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
                shaped(DIM(shares, 0) >= a.n, "fewer shares than frames") < 0) {
         return NULL;
     }
-    if (shaped(DIM(rows, 1) == DIM(current, 1), "row widths differ") < 0 ||
-        shaped(DIM(current, 0) >= DIM(slots, 1), "current rows fewer than the slots") < 0)
+    a.s = DIM(result, 0);
+    a.width = DIM(result, 1);
+    /* the block table, then the rows by row id (two pointers each) */
+    if (shaped(DIM(ids, 0) >= a.s, "fewer ids than result rows") < 0 ||
+        !(table = block_table(args[0], 0, 2 * a.s, &a, &block_width)))
         return NULL;
-    a.width = DIM(rows, 1);
-    a.rows = PyArray_DATA(rows); /* fs_spread only reads the store */
-    a.capacity = DIM(rows, 0);
-    a.slots = PyArray_DATA(slots);
+    a.by_id = (struct fs_row *)(table + PyTuple_GET_SIZE(args[0]));
+    if (shaped(!a.capacity || block_width == a.width, "blocks hold rows of another width") < 0 ||
+        by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width, a.by_id) < 0)
+        goto done;
+    a.slots = PyArray_DATA(slots); /* fs_spread only reads the store */
     a.frames = DIM(slots, 0);
     a.stride = DIM(slots, 1);
-    a.current = PyArray_DATA(current);
     a.shares = shares ? PyArray_DATA(shares) : NULL;
     npy_intp length = a.n;
-    PyObject *out = PyArray_SimpleNew(1, &length, NPY_DOUBLE);
-    if (!out)
-        return NULL;
+    if (!(out = PyArray_SimpleNew(1, &length, NPY_DOUBLE)))
+        goto done;
     a.out = PyArray_DATA((PyArrayObject *)out);
-    int64_t code;
     Py_BEGIN_ALLOW_THREADS
     code = fs_spread(&a);
     Py_END_ALLOW_THREADS
     if (code < 0) {
         Py_DECREF(out);
-        return fail(code);
+        fail(code);
+    } else {
+        answer = triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
     }
-    return triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
+done:
+    free(table);
+    return answer;
 }
 
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
@@ -912,9 +1018,9 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
 static PyMethodDef methods[] = {
     ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
-    ENTRY(absorb, "absorb(result, frame, factor, order, next_id, rows, used, slots, "
-                  "frame_index, current) -> (steps, cost, merged)"),
-    ENTRY(spread, "spread(rows, slots, current, n, s, share, length) -> (out, g_sum, d_sum)"),
+    ENTRY(absorb, "absorb(result, frame, factor, order, next_id, blocks, used, slots, "
+                  "frame_index) -> (steps, cost, merged)"),
+    ENTRY(spread, "spread(blocks, slots, result, ids, n, share, length) -> (out, g_sum, d_sum)"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -49,11 +49,16 @@ C API and checks every argument in C (C-contiguous float64 or int64
 ndarrays in the machine's byte order, writable where the kernel writes;
 TypeError naming the argument otherwise), releases the GIL while its
 kernel runs and builds the call's Python result, new arrays included.
-``align`` and ``absorb`` raise ValueError when the costs hold a
-NaN, so no path exists; ``absorb`` and ``spread`` refuse a call the
-history store has no room for with RuntimeError, as an internal error,
-writing nothing (the state makes room before the call); and a work
-buffer that cannot be allocated raises MemoryError.
+``absorb`` and ``spread`` take the history store's blocks as a tuple of
+arrays of one shape, whose rows are a power of two, and build a table of
+their addresses for the call (ValueError for blocks of another shape);
+``spread`` reads each row id's current row from the combined result
+through the row-id order, which it first checks is a permutation
+(ValueError otherwise).  ``align`` and ``absorb`` raise ValueError when
+the costs hold a NaN, so no path exists; ``absorb`` and ``spread``
+refuse a call the history store has no room for with RuntimeError, as
+an internal error, writing nothing (the state makes room before the
+call); and a work buffer that cannot be allocated raises MemoryError.
 """
 
 import contextlib

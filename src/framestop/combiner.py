@@ -9,16 +9,18 @@ distribution for the side a gap step skips.  The merge blends
 ``old + factor * (new - old)`` along those lists from the frame's and the
 state's rows, both kept followed by the empty row.  The state optionally
 keeps the one history store the fast stopping estimators read: every
-absorbed row once, in absorb order, a (frame x row id) table of indices
-into those rows, and the current rows by row id.  Absorbing a frame
-appends its M rows and points its slots at them (O(M*K)); every other
-slot holds 0, the index of the empty distribution, so a frame reads as
-empty wherever it was not aligned, rows created after it included.
-Before each absorb ``CombinerState._reserve`` makes room for the frame,
-sizing every array from the first frame's M rows, then doubling each too
-small one (or more, if the frame needs it), so neither route grows
-anything; display order is applied only when the history is read, by
-``CombinerState.contributions``.
+absorbed row once, in absorb order, in blocks of equal size that are
+never copied, moved or resized, and a (frame x row id) table of global
+indices into those rows.  Absorbing a frame appends its M rows and
+points its slots at them (O(M*K)); every other slot holds 0, the index
+of the empty distribution, so a frame reads as empty wherever it was not
+aligned, rows created after it included.  Before each absorb
+``CombinerState._reserve`` makes room for the frame: the first absorb
+sizes the row ids and the frames from the frame's M rows and picks the
+block size; later, row ids and frames too few grow to twice their size
+(or more, if the frame needs it) and blocks are appended until the rows
+fit, so neither route grows anything; display order is applied only
+when the history is read, by ``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels run (``_kernels.get()`` returns their
@@ -32,16 +34,17 @@ Otherwise numpy's ``pairwise_costs`` / ``gap_costs``,
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
-spread from the current rows, then each candidate's merge share, its
-nGLD and the sums of both, in one compiled ``fs_spread`` call over the
-same arrays where the compiled kernels run (numpy otherwise).  The scan
-computes each current row's distance to the empty row once per call, and
-a slot holding 0 adds that distance instead of K+1 terms.  The compiled
-scan sums each frame in frame-wide accumulators, four vectors of four
-lanes over all of the frame's rows plus a scalar sum of the classes past
-the last group of four and one of the empty-slot distances, combined once
-per frame; numpy sums in its own order, and the two agree to a few parts
-in 1e15.  ``b`` is ``a``'s aggregate normalised once.
+spread from the current rows, taken by row id from the combined result,
+then each candidate's merge share, its nGLD and the sums of both, in one
+compiled ``fs_spread`` call over the same arrays where the compiled
+kernels run (numpy otherwise).  The scan computes each current row's
+distance to the empty row once per call, and a slot holding 0 adds that
+distance instead of K+1 terms.  The compiled scan sums each frame in
+frame-wide accumulators, four vectors of four lanes over all of the
+frame's rows plus a scalar sum of the classes past the last group of
+four and one of the empty-slot distances, combined once per frame; numpy
+sums in its own order, and the two agree to a few parts in 1e15.  ``b``
+is ``a``'s aggregate normalised once.
 """
 import math
 import operator
@@ -61,8 +64,12 @@ _HALVE_FROM = 2.0**1023
 # frames per slice of the numpy history scan, which bounds its temporary
 _SCAN_FRAMES = 32
 
-# first sizes, from the first frame's M rows: rows (in frames of M), frames, row ids (per row)
+# first sizes, from the first frame's M rows: rows of a block (in frames of M, and
+# the empty row), frames, row ids (per row)
 _STORE_CAPACITY = (48, 32, 4)
+
+# the fewest rows of a history block, so that a zero-row first frame gets no tiny blocks
+_MIN_BLOCK_ROWS = 64
 
 
 def _grown(array, needed, keep):
@@ -250,19 +257,22 @@ class CombinerState:
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._share = 1.0  # the next candidate's: merge_share(_common_weight, weight_total)
         self._seed = seed
-        # the history store: _rows[_slots[i, rid]] is what frame i merged
-        # into row id rid.  _rows[0] is the empty distribution and every
-        # slot starts at 0, so a frame not aligned to a row, or older than
-        # it, reads as empty with no code for it.  Only an absorb writes
-        # _slots, and only indices below _used, which the compiled scan
-        # relies on to stay inside _rows.  _current holds the current rows
-        # by row id, rewritten whole by every absorb, for the scans.
-        self._rows = self._slots = self._current = None
+        # the history store: _slots[i, rid] is the global index, in absorb
+        # order, of the row frame i merged into row id rid, and global row
+        # g is row g & (2**_shift - 1) of block g >> _shift of _blocks, a
+        # tuple of (2**_shift, K+1) arrays.  Row 0 is the empty
+        # distribution and every slot starts at 0, so a frame not aligned
+        # to a row, or older than it, reads as empty with no code for it.
+        # A block is never copied, moved or resized: when the rows outgrow
+        # the last, the next is appended.  Only an absorb writes _slots,
+        # and only indices below _used, which the compiled scan relies on
+        # to stay inside the blocks.
+        self._blocks = self._slots = None
         if self.track_history or self.track_treaps:
-            self._rows = _empty_row(self._width)[None]
+            self._blocks = ()  # the first absorb sizes them
             self._slots = np.zeros((0, 0), dtype=np.int64)
-            self._current = np.empty((0, self._width))
-        self._used = 1  # rows of _rows in use
+        self._shift = 0
+        self._used = 1  # global rows in use, the empty row included
         self._room = -1  # the most rows frame n may have with nothing to grow
 
     @property
@@ -320,7 +330,7 @@ class CombinerState:
         if lib is not None:
             steps, cost, merged = lib.absorb(
                 self._padded, frame.padded_rows, factor, self._ids, self.num_chars,
-                self._rows, self._used, self._slots, self.n, self._current,
+                self._blocks, self._used, self._slots, self.n,
             )
             if not math.isfinite(cost):
                 raise ValueError(f"alignment cost is {cost}: rows must be finite")
@@ -335,10 +345,10 @@ class CombinerState:
             self._common_weight = None
         self.n += 1
         self.weight_total = new_total
-        room = len(self._ids) - self.num_chars  # _current has _ids' length
-        if self._rows is not None:
+        room = len(self._ids) - self.num_chars
+        if self._blocks is not None:
             self._used += m
-            rows_left = len(self._rows) - self._used
+            rows_left = (len(self._blocks) << self._shift) - self._used
             room = -1 if self.n >= len(self._slots) else rows_left if rows_left < room else room
         self._room = room
 
@@ -348,11 +358,10 @@ class CombinerState:
         order = self._row_ids_after(alignment)
         padded = _merge(alignment, frame.padded_rows, self._padded, factor)
         self._ids[: len(order)] = order
-        if self._rows is not None:
+        if self._blocks is not None:
             # row id of each frame row, in frame order
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
-            self._current[order] = padded[:-1]
         self._set_rows(padded, len(order))
 
     def _row_ids_after(self, alignment):
@@ -368,35 +377,62 @@ class CombinerState:
     def _record(self, rids, rows):
         """Append frame n's rows to the store and point its slots at them.
 
-        ``rids`` holds the row id of each of the frame's rows.
+        ``rids`` holds the row id of each of the frame's rows, which may run
+        on into the next blocks.
         """
-        end = self._used + len(rows)
-        self._rows[self._used : end] = rows
-        self._slots[self.n, rids] = np.arange(self._used, end)
+        start, size = self._used, 1 << self._shift
+        done = 0
+        while done < len(rows):
+            at = start + done
+            offset = at & (size - 1)
+            step = min(size - offset, len(rows) - done)
+            self._blocks[at >> self._shift][offset : offset + step] = rows[done : done + step]
+            done += step
+        self._slots[self.n, rids] = np.arange(start, start + len(rows))
+
+    def _gather(self, index):
+        """The store rows at the global row indices ``index``, an int64 array
+        of any shape: a new array of that shape followed by K+1."""
+        if len(self._blocks) == 1:
+            return self._blocks[0][index]
+        block, offset = index >> self._shift, index & ((1 << self._shift) - 1)
+        out = np.empty((*index.shape, self._width))
+        for b, rows in enumerate(self._blocks):
+            here = block == b
+            out[here] = rows[offset[here]]
+        return out
 
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
         row ids and, with a history store, ``_used + m`` rows and n + 1
-        frames, as a frame inserts at most m rows: sized by ``_STORE_CAPACITY``
-        at frame 0, then each array too small grows to twice its size, or
-        to what is needed if more (:func:`_grown`; slots zeroed)."""
+        frames, as a frame inserts at most m rows.  At frame 0 the row ids
+        and frames are sized by ``_STORE_CAPACITY`` and the block size is
+        set: the least power of two holding 1 + 48 M rows and at least
+        ``_MIN_BLOCK_ROWS``.  Then row ids and frames too few grow to twice
+        their size, or to what is needed if more (:func:`_grown`; slots
+        zeroed), and blocks are appended until the rows fit."""
         s = self.num_chars
-        rows, frames, ids = self._used + m, self.n + 1, s + m
+        frames, ids = self.n + 1, s + m
         if self.n == 0:
             row_frames, frames, ids_per_row = _STORE_CAPACITY
-            rows, ids = 1 + row_frames * m, ids_per_row * m
+            ids = ids_per_row * m
         if ids > len(self._ids):
             self._ids = _grown(self._ids, ids, s)
-            if self._current is not None:  # by row id too
-                self._current = _grown(self._current, ids, s)
-        if self._rows is None:
+        if self._blocks is None:
             return
-        if rows > len(self._rows):
-            self._rows = _grown(self._rows, rows, self._used)
+        if self.n == 0:
+            self._shift = max(row_frames * m, _MIN_BLOCK_ROWS - 1).bit_length()
+            first = np.empty((1 << self._shift, self._width))
+            first[0] = _empty_row(self._width)
+            self._blocks = (first,)
+        size = 1 << self._shift
+        missing = self._used + m - len(self._blocks) * size
+        if missing > 0:
+            self._blocks += tuple(np.empty((size, self._width)) for _ in range(-(-missing // size)))
         old = self._slots
-        if frames > len(old) or len(self._current) > old.shape[1]:  # a slot per row id
+        if frames > len(old) or len(self._ids) > old.shape[1]:  # a slot per row id
             height = len(old) if frames <= len(old) else max(2 * len(old), frames)
-            self._slots = np.zeros((height, len(self._current)), dtype=np.int64)
+            self._slots = np.zeros((height, len(self._ids)), dtype=np.int64)
             self._slots[: self.n, : old.shape[1]] = old[: self.n]
 
     def candidate_alignment(self, candidate):
@@ -434,22 +470,26 @@ class CombinerState:
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
-        Shape (n,).  A numpy scan of ``_SCAN_FRAMES`` frames at a time, so
-        no temporary grows with the history: the reference of the compiled
+        Shape (n,).  The current rows are taken by row id from the combined
+        result, through the inverse of the row-id order.  A numpy scan of
+        ``_SCAN_FRAMES`` frames at a time, gathered across the blocks, so no
+        temporary grows with the history: the reference of the compiled
         scan in :meth:`candidate_gld`, which sums each frame in frame-wide
         accumulators (see ``fs_spread`` in ``_kernels.c``) and agrees to
         within 1e-14 relative up to n=400.  Both give exactly 0 for a frame
         equal to the current rows.
         """
-        if self._rows is None:
+        if self._blocks is None:
             raise ValueError("state was built without history bookkeeping")
         n = self.n
         s = self.num_chars
-        current = self._current[:s]
+        position = np.empty(s, dtype=np.int64)  # row id r's row in the result
+        position[self._ids[:s]] = np.arange(s)
+        current = self._matrix[position]
         out = np.empty(n)
         for f in range(0, n, _SCAN_FRAMES):
             frames = slice(f, min(n, f + _SCAN_FRAMES))
-            out[frames] = np.abs(self._rows[self._slots[frames, :s]] - current).sum(axis=(1, 2))
+            out[frames] = np.abs(self._gather(self._slots[frames, :s]) - current).sum(axis=(1, 2))
         return out
 
     def candidate_gld(self, length=None):
@@ -463,12 +503,12 @@ class CombinerState:
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where the compiled kernels run, the scan, the shares, the
         normalisation and both sums are one ``fs_spread`` call over the
-        state's store: each frame's spread summed in frame-wide vector
-        accumulators, combined once per frame, then the same elementwise
-        operations as the numpy path and the sums added in frame order;
-        the two agree to a few parts in 1e15.
+        state's blocks, slots, combined rows and row ids: each frame's
+        spread summed in frame-wide vector accumulators, combined once per
+        frame, then the same elementwise operations as the numpy path and
+        the sums added in frame order; the two agree to a few parts in 1e15.
         """
-        if self._rows is None:
+        if self._blocks is None:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
@@ -476,7 +516,7 @@ class CombinerState:
         lib = _kernels.get()
         if lib is not None:
             return lib.spread(
-                self._rows, self._slots, self._current, self.n, self.num_chars, share,
+                self._blocks, self._slots, self._matrix, self._ids, self.n, share,
                 -1.0 if length is None else length,
             )
         g = self.spread() * share / 2.0
@@ -495,7 +535,7 @@ class CombinerState:
         row, rows in display order; a write-protected copy gathered from the store."""
         if not self.track_history:
             raise ValueError("state was built without history tracking")
-        gathered = self._rows[self._slots[: self.n, self._ids[: self.num_chars]]]
+        gathered = self._gather(self._slots[: self.n, self._ids[: self.num_chars]])
         gathered.setflags(write=False)
         return gathered
 
@@ -513,7 +553,7 @@ class CombinerState:
         class_index = _index(class_index, "class index")
         if not 0 <= class_index < self._width:
             raise IndexError(f"class index {class_index} out of range")
-        column = self._rows[self._slots[: self.n, row_id], class_index]
+        column = self._gather(self._slots[: self.n, row_id])[:, class_index]
         values, counts = np.unique(column, return_counts=True)
         index = MultisetIndex(random.Random(f"{self._seed}:{row_id}:{class_index}"))
         for value, count in zip(values.tolist(), counts.tolist()):

@@ -227,16 +227,20 @@ SCAN_WIDTHS = (*range(1, 10), 16, 37, 128, 129)
 @pytest.mark.parametrize("width", SCAN_WIDTHS)
 def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     rng = np.random.default_rng(width)
-    # a store by hand: 12 rows after the empty one, 7 frames of 5 row ids,
-    # frame 0 all empty slots and the others a mix
-    rows = np.vstack([np.eye(1, width), rng.dirichlet(np.ones(width), 12)])
+    # a store by hand: 15 rows after the empty one in four blocks of four,
+    # 7 frames of 5 row ids pointing at the first 12, frame 0 all empty
+    # slots and the others a mix; the current rows handed over in the order
+    # of a permutation of the row ids
+    rows = np.vstack([np.eye(1, width), rng.dirichlet(np.ones(width), 15)])
+    blocks = tuple(rows[b : b + 4].copy() for b in range(0, 16, 4))
     slots = rng.integers(1, 13, size=(7, 5)) * (rng.random((7, 5)) < 0.7)
     slots[0] = 0
     current = rng.dirichlet(np.full(width, 0.5), 5)
+    ids = np.append(rng.permutation(5), [9, 9])  # room past the first 5
     assert (slots[1:] == 0).any() and slots.any()
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
         for length in (None, 3.5):
-            got = compiled.spread(rows, slots, current, 7, 5, shares, length or -1.0)
+            got = compiled.spread(blocks, slots, current[ids[:5]], ids, 7, shares, length or -1.0)
             assert _hex_scan(*got) == _scan_replica(rows, slots, current, shares, length)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
@@ -255,10 +259,20 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
             state.absorb(frame)
             n, s = state.n, len(state.row_ids)
             shares = np.broadcast_to(state.candidate_shares(), n).tolist()
-            store = state._rows, state._slots[:n, :s], state._current[:s]
+            store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
             for length in (None, 2.0 * s):
                 got = _hex_scan(*state.candidate_gld(length))
                 assert got == _scan_replica(*store, shares, length)
+
+
+def _flat_rows(state):
+    """The store rows a state has in use, its blocks' rows end to end."""
+    return np.concatenate(state._blocks)[: state._used]
+
+
+def _current_by_row_id(state):
+    """The current rows of a state by row id."""
+    return state.mean_rows[np.argsort(state._ids[: state.num_chars])]
 
 
 # the dispatch attribute of _kernels.c's entry points
@@ -278,8 +292,7 @@ def _kernel_dump(frames, alphabet):
         state.absorb(frame)
         out += [[x.hex() for x in state.mean_rows.ravel().tolist()], state.row_ids]
         out += [_hex_scan(*state.candidate_gld(length)) for length in (None, 2.0 * state.n)]
-    rows, current = state._rows[: state._used], state._current[: len(state.row_ids)]
-    out += [[x.hex() for x in array.ravel().tolist()] for array in (rows, current)]
+    out.append([x.hex() for x in _flat_rows(state).ravel().tolist()])
     return out + [state._slots[: state.n].tolist()]
 
 
@@ -665,30 +678,51 @@ def test_compiled_trace_stops_on_nan_costs(compiled):
 
 def _entry_calls():
     """Each entry point's arguments on a small valid input (two result rows
-    and two frame rows of three classes, a history store of two frames),
-    by name: (args, {position: parameter name} of the array arguments,
-    the positions of those the kernel writes)."""
+    and two frame rows of three classes, a history store of two frames in
+    two blocks of four rows), by name: (args, {position: parameter name}
+    of the array arguments, the positions of those the kernel writes).
+    The blocks are a tuple of arrays, named ``blocks`` (:func:`_swap`)."""
     rng = np.random.default_rng(8)
     x, y = rng.dirichlet(np.ones(3), 2), rng.dirichlet(np.ones(3), 2)
     padded = [np.vstack([rows, np.eye(1, 3)]) for rows in (x, y)]
     rows = np.vstack([np.eye(1, 3), rng.dirichlet(np.ones(3), 7)])
+    blocks = rows[:4].copy(), rows[4:].copy()
     slots = np.zeros((2, 6), dtype=np.int64)
-    current = np.vstack([x, np.zeros((4, 3))])
+    ids = np.array([1, 0, 7, 7], dtype=np.int64)
     order = np.array([0, 1, 7, 7], dtype=np.int64)
     return {
         "gld": ([x, y, np.empty(17)], {0: "x", 1: "y", 2: "work"}, {2}),
         "align": ([x, y], {0: "x", 1: "y"}, set()),
         "absorb": (
-            [*padded, 0.5, order, 2, rows, 1, slots, 0, current],
-            {0: "result", 1: "frame", 3: "order", 5: "rows", 7: "slots", 9: "current"},
-            {3, 5, 7, 9},
+            [*padded, 0.5, order, 2, blocks, 1, slots, 0],
+            {0: "result", 1: "frame", 3: "order", 5: "blocks", 7: "slots"},
+            {3, 5, 7},
         ),
         "spread": (
-            [rows, slots, current, 2, 2, np.full(2, 0.5), -1.0],
-            {0: "rows", 1: "slots", 2: "current", 5: "share"},
+            [blocks, slots, x, ids, 2, np.full(2, 0.5), -1.0],
+            {0: "blocks", 1: "slots", 2: "result", 3: "ids", 5: "share"},
             set(),
         ),
     }
+
+
+def _swap(args, position, replace):
+    """``args`` with its array at ``position`` replaced by ``replace`` of
+    it; for the tuple of blocks, its first block."""
+    args = list(args)
+    given = args[position]
+    args[position] = (replace(given[0]), *given[1:]) if isinstance(given, tuple) else replace(given)
+    return args
+
+
+def _array_bytes(args):
+    """The bytes of every array among ``args``, the blocks' included."""
+    out = []
+    for arg in args:
+        for array in arg if isinstance(arg, tuple) else (arg,):
+            if isinstance(array, np.ndarray):
+                out.append(array.tobytes())
+    return out
 
 
 def _spoiled(array, written):
@@ -715,15 +749,13 @@ def test_the_entry_points_refuse_arrays_the_kernels_cannot_read(compiled, entry)
     args, names, written = _entry_calls()[entry]
     fn = getattr(compiled, entry)
     for position, name in names.items():
-        for what, spoiled in _spoiled(args[position], position in written):
-            fresh = _entry_calls()[entry][0]
-            fresh[position] = spoiled
-            before = [a.copy() if isinstance(a, np.ndarray) else a for a in fresh]
+        given = args[position][0] if isinstance(args[position], tuple) else args[position]
+        for what, spoiled in _spoiled(given, position in written):
+            fresh = _swap(_entry_calls()[entry][0], position, lambda _: spoiled)
+            before = _array_bytes(fresh)
             with pytest.raises(TypeError, match=f"^{name} must be a "):
                 fn(*fresh)
-            for got, want in zip(fresh, before):  # a refused call writes nothing
-                if isinstance(want, np.ndarray):
-                    assert got.tobytes() == want.tobytes(), (name, what)
+            assert _array_bytes(fresh) == before, (name, what)  # a refused call writes nothing
     fn(*args)  # the unspoiled arguments are taken
 
 
@@ -757,14 +789,11 @@ def test_unaligned_rows_give_their_aligned_copys_bits(compiled, route):
 def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
     fn = getattr(compiled, entry)
     for position, name in _entry_calls()[entry][1].items():
-        fresh = _entry_calls()[entry][0]
-        fresh[position] = _unaligned(fresh[position])
-        before = [a.copy() if isinstance(a, np.ndarray) else a for a in fresh]
+        fresh = _swap(_entry_calls()[entry][0], position, _unaligned)
+        before = _array_bytes(fresh)
         with pytest.raises(TypeError, match=f"^{name} must be a .* not unaligned "):
             fn(*fresh)
-        for got, want in zip(fresh, before):  # a refused call writes nothing
-            if isinstance(want, np.ndarray):
-                assert got.tobytes() == want.tobytes(), name
+        assert _array_bytes(fresh) == before, name  # a refused call writes nothing
 
 
 def _absorb_args(result, frame):
@@ -776,7 +805,7 @@ def _absorb_args(result, frame):
     s, m = len(result) - 1, len(frame) - 1
     order = np.full(s + m, 7, dtype=np.int64)
     order[:s] = range(s)
-    args = [result, frame, 0.5, order, s, None, 0, None, 0, None]
+    args = [result, frame, 0.5, order, s, None, 0, None, 0]
     return args, (result, frame, order)
 
 
@@ -794,40 +823,79 @@ def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     assert (order[1:] == 7).all()
 
 
-def _store(width, capacity, frames, stride, marker=5):
-    """A history store of ``capacity`` rows of ``width``, ``frames`` frames
-    and ``stride`` row ids, every entry ``marker``: (rows, slots, current),
-    each a view of the start of an array with room to spare, and those
-    arrays, so a kernel that overruns the store changes them rather than
-    other memory."""
-    rows = np.full((capacity + 8, width), float(marker))
+def _store(width, blocks, block_rows, frames, stride, marker=5):
+    """A history store of ``blocks`` blocks of ``block_rows`` rows of
+    ``width``, ``frames`` frames and ``stride`` row ids, every entry
+    ``marker``: (blocks, slots), the blocks and the slots each a view of
+    the start of one array with room to spare, and those arrays, so a
+    kernel that overruns the store changes them rather than other memory."""
+    rows = np.full((blocks * block_rows + 8, width), float(marker))
     slots = np.full((frames + 8) * (stride + 8), marker, dtype=np.int64)
-    current = np.full((stride + 8, width), float(marker))
-    views = rows[:capacity], slots[: frames * stride].reshape(frames, stride), current[:stride]
-    return views, (rows, slots, current)
+    views = tuple(rows[b * block_rows : (b + 1) * block_rows] for b in range(blocks))
+    return (views, slots[: frames * stride].reshape(frames, stride)), (rows, slots)
 
 
 def test_compiled_kernels_refuse_a_store_without_room(compiled):
     # frame 0 of two rows into one result row: room for 1 + 2 rows, 1 frame, 1 + 2 row ids
-    for capacity, frames, stride in ((2, 1, 3), (3, 0, 3), (3, 1, 2)):
+    for blocks, block_rows, frames, stride in ((2, 1, 1, 3), (1, 2, 1, 3), (0, 4, 1, 3),
+                                               (3, 1, 0, 3), (3, 1, 1, 2)):
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
-        (rows, slots, current), store = _store(2, capacity, frames, stride)
-        args[5:] = rows, 1, slots, 0, current
+        (views, slots), store = _store(2, blocks, block_rows, frames, stride)
+        args[5:] = views, 1, slots, 0
         before = [array.copy() for array in (*buffers, *store)]
         with pytest.raises(RuntimeError, match="internal error"):
             compiled.absorb(*args)
         assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
-    args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
-    (rows, slots, current), store = _store(2, 3, 1, 3)
-    args[5:] = rows, 1, slots, 0, current
-    assert compiled.absorb(*args)[0] >= 2  # just enough room
-    # the scan of more frames than the store holds, or more rows than its row ids
-    for n, s in ((2, 1), (1, 4)):
-        (rows, slots, current), store = _store(2, 1, 1, 3, marker=0)
+    for blocks, block_rows in ((3, 1), (1, 4)):  # just enough room, in one block or across three
+        args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
+        (views, slots), store = _store(2, blocks, block_rows, 1, 3)
+        args[5:] = views, 1, slots, 0
+        assert compiled.absorb(*args)[0] >= 2
+        assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
+    # the scan of more frames than the store holds, of more rows than its
+    # row ids, and of rows with no block
+    result = np.full((4, 2), 0.5)
+    for n, s, blocks in ((2, 1, 1), (1, 4, 1), (1, 1, 0)):
+        (views, slots), store = _store(2, blocks, 1, 1, 3, marker=0)
         before = [array.copy() for array in store]
         with pytest.raises(RuntimeError, match="internal error"):
-            compiled.spread(rows, slots, current, n, s, 0.5, -1.0)
+            compiled.spread(views, slots, result[:s], np.arange(s), n, 0.5, -1.0)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
+
+
+def _other_blocks(blocks):
+    """(what, blocks that fit no store): a block of other rows, other
+    widths, rows not a power of two, a list instead of a tuple."""
+    first, *rest = blocks
+    yield "other rows", (first, *(np.zeros((2 * len(b), b.shape[1])) for b in rest)), ValueError
+    yield "other width", (first, *(np.zeros((len(b), b.shape[1] + 1)) for b in rest)), ValueError
+    yield "three rows", tuple(np.zeros((3, b.shape[1])) for b in blocks), ValueError
+    yield "wider than the rows", tuple(np.zeros((len(b), b.shape[1] + 1)) for b in blocks), ValueError
+    yield "a list", list(blocks), TypeError
+
+
+@pytest.mark.parametrize("entry", ["absorb", "spread"])
+def test_the_entry_points_refuse_blocks_that_fit_no_store(compiled, entry):
+    position = 5 if entry == "absorb" else 0
+    for what, blocks, error in _other_blocks(_entry_calls()[entry][0][position]):
+        fresh = _entry_calls()[entry][0]
+        fresh[position] = blocks
+        before = _array_bytes(fresh)
+        with pytest.raises(error, match="blocks"):
+            getattr(compiled, entry)(*fresh)
+        assert _array_bytes(fresh) == before, what
+
+
+def test_compiled_spread_refuses_ids_that_are_not_a_permutation(compiled):
+    args = _entry_calls()["spread"][0]
+    for ids in ([1, 1], [0, 2], [-1, 0], [2, 0], [1]):
+        fresh = list(args)
+        fresh[3] = np.array(ids, dtype=np.int64)
+        with pytest.raises(ValueError, match="permutation" if len(ids) == 2 else "fewer ids"):
+            compiled.spread(*fresh)
+    fresh = list(args)
+    fresh[3] = np.array([1, 0, 1, -5], dtype=np.int64)  # past the first S, anything goes
+    assert _hex_scan(*compiled.spread(*fresh)) == _hex_scan(*compiled.spread(*args))
 
 
 def _state_dump(frames, alphabet, *, track=True):
@@ -875,10 +943,20 @@ def _absorb_clips():
     return clips + [looped_clip(45), late_rows_clip(), growth_clip()]
 
 
+def _set_store(monkeypatch, capacity):
+    """Size the history store by ``capacity`` in place of
+    ``_STORE_CAPACITY``, with no floor on the block size: the tiny store
+    (1, 1, 1) has every array full from the first frame on, and blocks of
+    the least power of two above the first frame's rows, so that later
+    frames span blocks.  None keeps the defaults."""
+    if capacity is not None:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+        monkeypatch.setattr(combiner, "_MIN_BLOCK_ROWS", 1)
+
+
 @pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
 def test_compiled_absorb_is_the_python_reference_bit_for_bit(compiled, monkeypatch, capacity):
-    if capacity is not None:  # every store array full from the first frame on
-        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    _set_store(monkeypatch, capacity)
     for clip in _absorb_clips():
         for track in (True, False):
             got = _state_dump(clip.frames, clip.alphabet, track=track)
@@ -892,8 +970,7 @@ def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
 ):
     # the reference absorb beside the same compiled scan, whose sums differ
     # from numpy's in the last bits
-    if capacity is not None:
-        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    _set_store(monkeypatch, capacity)
     for clip in _absorb_clips()[::3]:
         got = _estimate_dump(clip.frames, clip.alphabet)
         assert _estimate_dump(clip.frames, clip.alphabet, absorbing=python_kernels) == got
@@ -920,30 +997,29 @@ class _CountingLib:
 
 @pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
 def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
-    if capacity is not None:
-        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
     monkeypatch.setattr(_kernels, "lib", counting)
     clip = looped_clip(40)
-    grown = 0
+    grown = appended = 0
     for track in (True, False):
         state = CombinerState(clip.alphabet, track_history=track)
         for frame in clip.frames:
-            store = (state._ids, state._rows, state._slots)
+            store = _store_arrays(state)
             counting.calls.clear()
             state.absorb(frame)
             (name, (steps, _, _)), = counting.calls  # one call, also when the store grew
             assert name == "absorb" and steps >= 0
-            grown += state.n > 1 and any(  # the first absorb sizes the store
-                a is not b for a, b in zip(store, (state._ids, state._rows, state._slots))
-            )
+            if state.n > 1:  # the first absorb sizes the store
+                grown += any(a is not b for a, b in zip(store, _store_arrays(state)))
+                appended += store[1] is not state._blocks
     assert grown >= (5 if capacity else 1)
+    assert appended >= (5 if capacity else 0)
 
 
 @pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
 def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
-    if capacity is not None:
-        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
     monkeypatch.setattr(_kernels, "lib", counting)
     rng = random.Random(61)
@@ -966,11 +1042,14 @@ def test_python_kernels_names_the_python_route_in_status():
 
 
 def _store_arrays(state):
-    return state._ids, state._rows, state._slots, state._current
+    """The row ids, the tuple of blocks, which is a new tuple only when a
+    block is appended, and the slots."""
+    return state._ids, state._blocks, state._slots
 
 
 def _counting_grown(monkeypatch):
-    """Patch ``combiner._grown`` to count its calls; returns the count list."""
+    """Patch ``combiner._grown``, which grows the row ids, to count its
+    calls; returns the list of the sizes each call needed."""
     calls = []
     grown = combiner._grown
 
@@ -1009,26 +1088,40 @@ def test_a_criterion_7_clip_allocates_its_store_once(monkeypatch, method):
 def test_a_tiny_store_grows_from_the_second_frame(monkeypatch):
     monkeypatch.setattr(combiner, "_STORE_CAPACITY", (1, 1, 1))
     clip = looped_clip(2)
-    state = CombinerState(clip.alphabet, track_history=True)
-    state.absorb(clip.frames[0])
-    m = clip.frames[0].num_chars
-    ids, rows, slots, current = first = _store_arrays(state)
-    assert (len(ids), len(rows), slots.shape, len(current)) == (m, m + 1, (1, m), m)
-    state.absorb(clip.frames[1])
-    assert all(a is not b for a, b in zip(_store_arrays(state), first))
+    m, width = clip.frames[0].num_chars, clip.alphabet.size + 1
+    for floor in (combiner._MIN_BLOCK_ROWS, 1):
+        monkeypatch.setattr(combiner, "_MIN_BLOCK_ROWS", floor)
+        state = CombinerState(clip.alphabet, track_history=True)
+        state.absorb(clip.frames[0])
+        size = max(floor, 1 << m.bit_length())  # the least power of two above m, or the floor
+        ids, blocks, slots = first = _store_arrays(state)
+        assert (len(ids), [block.shape for block in blocks], slots.shape) == (
+            m, [(size, width)], (1, m)
+        )
+        kept = blocks[0][: 1 + m].copy()
+        state.absorb(clip.frames[1])
+        ids, blocks, slots = _store_arrays(state)
+        assert ids is not first[0] and slots is not first[2]  # each doubles, or more
+        # the first block stays, with its rows; a second is appended only past its rows
+        assert blocks[0] is first[1][0] and blocks[0][: 1 + m].tobytes() == kept.tobytes()
+        assert len(blocks) == (1 if size >= 1 + 2 * m else 2)
 
 
 @pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
 def test_a_zero_row_first_frame_sizes_a_store_that_grows_bit_for_bit(
     compiled, monkeypatch, capacity
 ):
-    if capacity is not None:
-        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+    _set_store(monkeypatch, capacity)
     clip = looped_clip(40)
     frames = [make_frame([], num_classes=clip.alphabet.size), *clip.frames]
     calls = _counting_grown(monkeypatch)
     got = _state_dump(frames, clip.alphabet), _estimate_dump(frames, clip.alphabet)
-    assert len(calls) >= 4  # every array grows from its size for zero rows
+    assert len(calls) >= 4  # the row ids grow from their size for zero rows
+    state = CombinerState(clip.alphabet, track_history=True)
+    for frame in frames:
+        state.absorb(frame)
+    # blocks of the floor's rows, 64 or, with no floor, 1, and many of them
+    assert len(state._blocks[0]) == combiner._MIN_BLOCK_ROWS and len(state._blocks) >= 5
     with python_kernels():
         assert _state_dump(frames, clip.alphabet) == got[0]
     assert _estimate_dump(frames, clip.alphabet, absorbing=python_kernels) == got[1]
@@ -1104,8 +1197,10 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     for frame in clip.frames[:6]:
         state.absorb(frame)
     before = state.mean_rows, state.row_ids, state.contributions, estimate_method_a(state)
-    arrays = state._ids, state._rows, state._slots, state._current
-    m = max(len(array) for array in arrays)  # more rows than any array has room for
+    ids, blocks, slots = arrays = _store_arrays(state)
+    kept = [block.tobytes() for block in blocks]
+    # more rows than the row ids, the frames or the blocks have room for
+    m = max(len(ids), len(slots), len(blocks) * len(blocks[0]))
     wide = make_frame(np.random.default_rng(6).dirichlet(np.ones(clip.alphabet.size), m))
 
     def no_memory(*args):
@@ -1114,8 +1209,11 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=no_memory, spread=compiled.spread))
     with pytest.raises(MemoryError):
         state.absorb(wide)
-    grown = state._ids, state._rows, state._slots, state._current
+    grown = _store_arrays(state)
     assert all(a is not b for a, b in zip(arrays, grown))
+    # the blocks are the same, bytes and all, followed by new ones
+    assert len(grown[1]) > len(blocks) and all(a is b for a, b in zip(blocks, grown[1]))
+    assert [block.tobytes() for block in blocks] == kept
     after = state.mean_rows, state.row_ids, state.contributions, estimate_method_a(state)
     assert after[0].tobytes() == before[0].tobytes() and after[1] == before[1]
     assert after[2].tobytes() == before[2].tobytes() and after[3] == before[3]
@@ -1155,3 +1253,58 @@ def test_copies_and_pickles_read_their_own_arrays(compiled):
         assert duplicate.mean_rows.tobytes() == want.mean_rows.tobytes()
         assert duplicate.contributions.tobytes() == want.contributions.tobytes()
         assert estimate_method_a(duplicate) == estimate_method_a(want)
+
+
+def _block_cases():
+    """(name, frames, alphabet, capacity) of the history-block checks: the
+    tiny store, a zero-row first frame, a frame of more rows than a block
+    (a one-row first frame gives blocks of 64), and 400 looped stages."""
+    clip = looped_clip(40)
+    rng = np.random.default_rng(64)
+    alphabet = Alphabet("AB")
+    with warnings.catch_warnings():  # Dirichlet rows sum to 1 within rounding
+        warnings.simplefilter("ignore")
+        wide = [make_frame(rng.dirichlet(np.ones(2), m), num_classes=2)
+                for m in (1, 20, 150, 3, 70, 0, 64)]
+    yield "tiny-store", clip.frames, clip.alphabet, (1, 1, 1)
+    yield "zero-row-first-frame", [make_frame([], num_classes=clip.alphabet.size), *clip.frames], clip.alphabet, None
+    yield "frame-past-a-block", wide, alphabet, None
+    looped = looped_clip(400)
+    yield "looped-400", looped.frames, looped.alphabet, None
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+@pytest.mark.parametrize(
+    "case", ["tiny-store", "zero-row-first-frame", "frame-past-a-block", "looped-400"]
+)
+def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
+    request, monkeypatch, route, case
+):
+    (frames, alphabet, capacity), = [rest for name, *rest in _block_cases() if name == case]
+    _set_store(monkeypatch, capacity)
+    if route == "compiled":
+        request.getfixturevalue("compiled")
+    state = CombinerState(alphabet, track_history=True)
+    kept, spanned = [], 0
+    with python_kernels() if route == "python" else contextlib.nullcontext():
+        for frame in frames:
+            used = state._used
+            state.absorb(frame)
+            blocks, size = state._blocks, 1 << state._shift
+            # every block the state had is still there, at its place, its rows in use unchanged
+            assert all(blocks[b] is block for b, (block, _) in enumerate(kept))
+            assert all(block[:rows].tobytes() == data for block, (rows, data) in kept)
+            assert all(block.shape == (size, alphabet.size + 1) for block in blocks)
+            # at most the rows in use plus one block, and no block more than that needs
+            assert len(blocks) * size < state._used + size
+            assert state._used == used + frame.num_chars
+            spanned += (state._used - 1) // size > used // size  # the frame ran on into a block
+            kept = [
+                (block, (rows, block[:rows].tobytes()))
+                for b, block in enumerate(blocks)
+                for rows in [min(size, state._used - b * size)]
+            ]
+        # the rows the store gives back are the frames' own, in absorb order
+        rows = np.concatenate([frame.rows for frame in frames])
+        assert state._gather(np.arange(1, state._used)).tobytes() == rows.tobytes()
+    assert spanned >= 2
