@@ -828,13 +828,12 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
 
 /* The blocks of a history store, obj, a tuple of 2-D float64 arrays of
    the same shape, 2^shift rows each, writable when writable is set, as a
-   new table of their data pointers in a->blocks, followed by room for
-   extra pointers, which the caller frees; with a->shift, a->capacity, the
-   rows of all blocks, and *width, their row width (0 for no blocks).
-   NULL with an exception set when obj is not such a tuple, or the table
+   new table of their data pointers in a->blocks, which the caller frees;
+   with a->shift, a->capacity, the rows of all blocks, and *width, their
+   row width (0 for no blocks).  NULL with an exception set when obj is not such a tuple, or the table
    cannot be allocated. */
-static double **block_table(PyObject *obj, int writable, int64_t extra,
-                            struct fs_absorb_args *a, int64_t *width)
+static double **block_table(PyObject *obj, int writable, struct fs_absorb_args *a,
+                            int64_t *width)
 {
     if (!PyTuple_Check(obj)) {
         PyErr_Format(PyExc_TypeError, "blocks must be a tuple of numpy arrays, not %.100s",
@@ -842,7 +841,7 @@ static double **block_table(PyObject *obj, int writable, int64_t extra,
         return NULL;
     }
     const Py_ssize_t blocks = PyTuple_GET_SIZE(obj);
-    double **table = malloc((size_t)(blocks + extra + 1) * sizeof *table);
+    double **table = malloc((size_t)(blocks + 1) * sizeof *table);
     if (!table) {
         PyErr_NoMemory();
         return NULL;
@@ -913,7 +912,7 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
         !(order = take(args[3], 1, 'i', 1, "order")) || count(args[4], &a.next_id, "next_id") < 0)
         return NULL;
     if (args[5] != Py_None &&
-        (!(table = block_table(args[5], 1, 0, &a, &block_width)) ||
+        (!(table = block_table(args[5], 1, &a, &block_width)) ||
          count(args[6], &a.used, "used") < 0 || !(slots = take(args[7], 2, 'i', 1, "slots")) ||
          count(args[8], &a.frame_index, "frame_index") < 0))
         goto refused;
@@ -983,11 +982,13 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
     }
     a.s = DIM(result, 0);
     a.width = DIM(result, 1);
-    /* the block table, then the rows by row id (two pointers each) */
     if (shaped(DIM(ids, 0) >= a.s, "fewer ids than result rows") < 0 ||
-        !(table = block_table(args[0], 0, 2 * a.s, &a, &block_width)))
+        !(table = block_table(args[0], 0, &a, &block_width)))
         return NULL;
-    a.by_id = (struct fs_row *)(table + PyTuple_GET_SIZE(args[0]));
+    if (!(a.by_id = malloc((size_t)(a.s + 1) * sizeof *a.by_id))) {
+        PyErr_NoMemory();
+        goto done;
+    }
     if (shaped(!a.capacity || block_width == a.width, "blocks hold rows of another width") < 0 ||
         by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width, a.by_id) < 0)
         goto done;
@@ -1009,6 +1010,7 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
         answer = triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
     }
 done:
+    free(a.by_id);
     free(table);
     return answer;
 }

@@ -390,17 +390,21 @@ class CombinerState:
             done += step
         self._slots[self.n, rids] = np.arange(start, start + len(rows))
 
-    def _gather(self, index):
+    def _gather(self, index, classes=slice(None)):
         """The store rows at the global row indices ``index``, an int64 array
-        of any shape: a new array of that shape followed by K+1."""
-        if len(self._blocks) == 1:
-            return self._blocks[0][index]
-        block, offset = index >> self._shift, index & ((1 << self._shift) - 1)
-        out = np.empty((*index.shape, self._width))
-        for b, rows in enumerate(self._blocks):
-            here = block == b
-            out[here] = rows[offset[here]]
-        return out
+        of any shape, cut to ``classes`` (an index into K+1): a new array of
+        that shape followed by the cut's.  The rows from the least nonzero
+        index to the largest are copied out of their blocks once, after the
+        empty row, and gathered from there, so the cost follows the rows
+        spanned, however many blocks they lie in."""
+        size = 1 << self._shift
+        low = int(index.min(initial=self._used, where=index > 0))
+        high = int(index.max(initial=0)) + 1
+        pieces = [self._blocks[0][:1, classes]]
+        for start in range(low - low % size, high, size):
+            rows = self._blocks[start >> self._shift]
+            pieces.append(rows[max(low - start, 0) : min(high - start, size), classes])
+        return np.concatenate(pieces).take(np.maximum(index - (low - 1), 0), axis=0)
 
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
@@ -553,7 +557,7 @@ class CombinerState:
         class_index = _index(class_index, "class index")
         if not 0 <= class_index < self._width:
             raise IndexError(f"class index {class_index} out of range")
-        column = self._gather(self._slots[: self.n, row_id])[:, class_index]
+        column = self._gather(self._slots[: self.n, row_id], class_index)
         values, counts = np.unique(column, return_counts=True)
         index = MultisetIndex(random.Random(f"{self._seed}:{row_id}:{class_index}"))
         for value, count in zip(values.tolist(), counts.tolist()):
