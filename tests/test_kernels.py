@@ -1308,27 +1308,18 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
         rows = np.concatenate([frame.rows for frame in frames])
         assert state._gather(np.arange(1, state._used)).tobytes() == rows.tobytes()
     assert spanned >= 2
-
-
-@pytest.mark.parametrize(
-    "case", ["tiny-store", "zero-row-first-frame", "frame-past-a-block", "looped-400"]
-)
-def test_gather_reads_the_blocks_as_one_flat_store(monkeypatch, case):
-    (frames, alphabet, capacity), = [rest for name, *rest in _block_cases() if name == case]
-    _set_store(monkeypatch, capacity)
-    state = CombinerState(alphabet, track_history=True)
-    for frame in frames:
-        state.absorb(frame)
+    # _gather reads the blocks as one flat store, whole rows or one class
+    # (as cell reads them), for the indices of the scan's slices, of
+    # contributions, of no row, of nothing at all and of rows at random
     flat = np.concatenate(state._blocks)
     s, slots = state.num_chars, state._slots[: state.n]
-    rng = np.random.default_rng(7)
     indices = [
         *(slots[f : f + combiner._SCAN_FRAMES, :s] for f in range(0, state.n, combiner._SCAN_FRAMES)),
-        slots[:, state._ids[:s]],  # contributions
-        np.zeros((3, 2), dtype=np.int64), np.zeros((0, s), dtype=np.int64),
-        rng.integers(state._used, size=(5, 7)), np.array([state._used - 1, 1]),
+        slots[:, state._ids[:s]], np.zeros((3, 2), dtype=np.int64),
+        np.zeros((0, s), dtype=np.int64), np.random.default_rng(7).integers(state._used, size=(5, 7)),
     ]
     for index in indices:
         assert state._gather(index).tobytes() == flat[index].tobytes()
-        for k in (0, alphabet.size):  # cut to one class, as cell reads it
+        for k in (0, alphabet.size):
             assert state._gather(index, k).tobytes() == flat[index][..., k].tobytes()
+
