@@ -14,13 +14,13 @@ never copied, moved or resized, and a (frame x row id) table of global
 indices into those rows.  Absorbing a frame appends its M rows and
 points its slots at them (O(M*K)); every other slot holds 0, the index
 of the empty distribution, so a frame reads as empty wherever it was not
-aligned, rows created after it included.  Before each absorb
-``CombinerState._reserve`` makes room for the frame: the first absorb
-sizes the row ids and the frames from the frame's M rows and picks the
-block size; later, row ids and frames too few grow to twice their size
-(or more, if the frame needs it) and blocks are appended until the rows
-fit, so neither route grows anything; display order is applied only
-when the history is read, by ``CombinerState.contributions``.
+aligned, rows created after it included.  The state is built with the
+store's first sizes (``_STORE_CAPACITY``), whatever its frames will be;
+before an absorb that lacks room, ``CombinerState._reserve`` grows row
+ids and frames to twice their size (or more, if the frame needs it) and
+appends blocks until the rows fit, so neither route grows anything;
+display order is applied only when the history is read, by
+``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels run (``_kernels.get()`` returns their
@@ -64,12 +64,10 @@ _HALVE_FROM = 2.0**1023
 # frames per slice of the numpy history scan, which bounds its temporary
 _SCAN_FRAMES = 32
 
-# first sizes, from the first frame's M rows: rows of a block (in frames of M, and
-# the empty row), frames, row ids (per row)
-_STORE_CAPACITY = (48, 32, 4)
-
-# the fewest rows of a history block, so that a zero-row first frame gets no tiny blocks
-_MIN_BLOCK_ROWS = 64
+# first sizes of a new state: rows of a history block (a power of two), frames,
+# row ids; a 30-stage clip of acceptance criterion 7's recipe uses at most 466
+# rows and 46 row ids
+_STORE_CAPACITY = (512, 32, 64)
 
 
 def _grown(array, needed, keep):
@@ -251,7 +249,8 @@ class CombinerState:
         self.n = 0
         self.weight_total = 0.0
         self._width = alphabet.size + 1
-        self._ids = np.empty(0, dtype=np.int64)  # row ids 0..S-1 in display order, and room
+        block_rows, frames, ids = _STORE_CAPACITY
+        self._ids = np.empty(ids, dtype=np.int64)  # row ids 0..S-1 in display order, and room
         self._set_rows(_empty_row(self._width)[None], 0)  # the rows, then the empty row
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
@@ -263,17 +262,19 @@ class CombinerState:
         # tuple of (2**_shift, K+1) arrays.  Row 0 is the empty
         # distribution and every slot starts at 0, so a frame not aligned
         # to a row, or older than it, reads as empty with no code for it.
-        # A block is never copied, moved or resized: when the rows outgrow
-        # the last, the next is appended.  Only an absorb writes _slots,
-        # and only indices below _used, which the compiled scan relies on
-        # to stay inside the blocks.
+        # The store starts as one block, slots for the first frames and a
+        # slot per row id; a block is never copied, moved or resized: when
+        # the rows outgrow the last, the next is appended.  Only an absorb
+        # writes _slots, and only indices below _used, which the compiled
+        # scan relies on to stay inside the blocks.
         self._blocks = self._slots = None
         if self.track_history or self.track_treaps:
-            self._blocks = ()  # the first absorb sizes them
-            self._slots = np.zeros((0, 0), dtype=np.int64)
-        self._shift = 0
+            first = np.empty((block_rows, self._width))
+            first[0] = _empty_row(self._width)
+            self._blocks = (first,)
+            self._slots = np.zeros((frames, ids), dtype=np.int64)
+        self._shift = block_rows.bit_length() - 1
         self._used = 1  # global rows in use, the empty row included
-        self._room = -1  # the most rows frame n may have with nothing to grow
 
     @property
     def mean_rows(self):
@@ -310,7 +311,8 @@ class CombinerState:
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
         already reads as empty for this frame.  :meth:`_reserve` first makes
-        room for it, unless ``_room`` has it.  Where the compiled kernels
+        room for it if s + m row ids, ``_used`` + m rows or n + 1 frames are
+        more than the state holds.  Where the compiled kernels
         run, the alignment, the merge and the store write are then one
         ``fs_absorb`` call; otherwise :func:`align`, :func:`_merge` and
         :meth:`_record`, the reference, which gives the same rows, row ids
@@ -324,7 +326,10 @@ class CombinerState:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = self._share if w == self._common_weight else merge_share(w, self.weight_total)
         m = len(frame.rows)
-        if m > self._room:
+        blocks = self._blocks
+        if self.num_chars + m > len(self._ids) or blocks is not None and (
+            self._used + m > len(blocks) << self._shift or self.n >= len(self._slots)
+        ):
             self._reserve(m)
         lib = _kernels.get()
         if lib is not None:
@@ -345,12 +350,8 @@ class CombinerState:
             self._common_weight = None
         self.n += 1
         self.weight_total = new_total
-        room = len(self._ids) - self.num_chars
-        if self._blocks is not None:
+        if blocks is not None:
             self._used += m
-            rows_left = (len(self._blocks) << self._shift) - self._used
-            room = -1 if self.n >= len(self._slots) else rows_left if rows_left < room else room
-        self._room = room
 
     def _absorb_python(self, frame, factor):
         """The reference absorb: :func:`align`, :func:`_merge`, :meth:`_record`."""
@@ -409,26 +410,16 @@ class CombinerState:
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
         row ids and, with a history store, ``_used + m`` rows and n + 1
-        frames, as a frame inserts at most m rows.  At frame 0 the row ids
-        and frames are sized by ``_STORE_CAPACITY`` and the block size is
-        set: the least power of two holding 1 + 48 M rows and at least
-        ``_MIN_BLOCK_ROWS``.  Then row ids and frames too few grow to twice
-        their size, or to what is needed if more (:func:`_grown`; slots
-        zeroed), and blocks are appended until the rows fit."""
+        frames, as a frame inserts at most m rows.  Row ids and frames too
+        few grow to twice their size, or to what is needed if more
+        (:func:`_grown`; slots zeroed), and blocks of the state's block size
+        are appended until the rows fit."""
         s = self.num_chars
         frames, ids = self.n + 1, s + m
-        if self.n == 0:
-            row_frames, frames, ids_per_row = _STORE_CAPACITY
-            ids = ids_per_row * m
         if ids > len(self._ids):
             self._ids = _grown(self._ids, ids, s)
         if self._blocks is None:
             return
-        if self.n == 0:
-            self._shift = max(row_frames * m, _MIN_BLOCK_ROWS - 1).bit_length()
-            first = np.empty((1 << self._shift, self._width))
-            first[0] = _empty_row(self._width)
-            self._blocks = (first,)
         size = 1 << self._shift
         missing = self._used + m - len(self._blocks) * size
         if missing > 0:

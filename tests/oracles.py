@@ -315,7 +315,7 @@ def late_rows_clip():
     """40 frames of "A", then frames of 12 characters.
 
     The rows the long frames add appear after a history store's slot
-    table has grown its frames, and outnumber the row ids it had room for.
+    table has grown its frames.
     """
     alphabet = Alphabet("AB")
     short = make_frame([[1.0, 0.0]])
@@ -327,9 +327,10 @@ def growth_clip():
     """A frame of 70 characters, 65 frames of its first 10, then 100
     characters once and the first 10 again.
 
-    The first frame sizes a history store for 70-row frames; the long
-    frame, the 67th, creates new rows after frame 64, when the slot table
-    has doubled its frames twice.
+    The first frame has more rows than a new history store has row ids;
+    the long frame, the 67th, creates new rows after frame 64, when the
+    slot table has doubled its frames twice, and outnumbers the row ids
+    again.
     """
     alphabet = Alphabet("ABCD")
     rng = random.Random(64)

@@ -943,18 +943,20 @@ def _absorb_clips():
     return clips + [looped_clip(45), late_rows_clip(), growth_clip()]
 
 
+# blocks of 4 rows, fewer than a frame's, so that frames span blocks, and
+# room for one frame and one row id, so that every array grows from the
+# first frame on
+_TINY_STORE = (4, 1, 1)
+
+
 def _set_store(monkeypatch, capacity):
-    """Size the history store by ``capacity`` in place of
-    ``_STORE_CAPACITY``, with no floor on the block size: the tiny store
-    (1, 1, 1) has every array full from the first frame on, and blocks of
-    the least power of two above the first frame's rows, so that later
-    frames span blocks.  None keeps the defaults."""
+    """Build states with the history store sizes ``capacity`` in place of
+    ``_STORE_CAPACITY``; None keeps the defaults."""
     if capacity is not None:
         monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
-        monkeypatch.setattr(combiner, "_MIN_BLOCK_ROWS", 1)
 
 
-@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_compiled_absorb_is_the_python_reference_bit_for_bit(compiled, monkeypatch, capacity):
     _set_store(monkeypatch, capacity)
     for clip in _absorb_clips():
@@ -964,7 +966,7 @@ def test_compiled_absorb_is_the_python_reference_bit_for_bit(compiled, monkeypat
                 assert _state_dump(clip.frames, clip.alphabet, track=track) == got
 
 
-@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
     compiled, monkeypatch, capacity
 ):
@@ -995,7 +997,7 @@ class _CountingLib:
         return counted
 
 
-@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
     _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
@@ -1010,14 +1012,13 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
             state.absorb(frame)
             (name, (steps, _, _)), = counting.calls  # one call, also when the store grew
             assert name == "absorb" and steps >= 0
-            if state.n > 1:  # the first absorb sizes the store
-                grown += any(a is not b for a, b in zip(store, _store_arrays(state)))
-                appended += store[1] is not state._blocks
+            grown += any(a is not b for a, b in zip(store, _store_arrays(state)))
+            appended += store[1] is not state._blocks
     assert grown >= (5 if capacity else 1)
     assert appended >= (5 if capacity else 0)
 
 
-@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
     _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
@@ -1071,60 +1072,84 @@ def test_a_criterion_7_clip_allocates_its_store_once(monkeypatch, method):
     )
     estimate = estimate_method_a if method == "a" else estimate_method_b
     for clip in generate_synthetic(config):
+        calls.clear()
         state = CombinerState(clip.alphabet, track_history=method == "a",
                               track_treaps=method == "b")
-        state.absorb(clip.frames[0])
-        estimate(state)
-        first = _store_arrays(state)
-        calls.clear()  # the first absorb sizes the arrays through _grown
-        for frame in clip.frames[1:30]:
+        built = _store_arrays(state)
+        for frame in clip.frames[:30]:
             state.absorb(frame)
             estimate(state)
-            assert all(a is b for a, b in zip(_store_arrays(state), first))
-        assert state.n == 30
-    assert calls == []
+            assert all(a is b for a, b in zip(_store_arrays(state), built))
+        assert state.n == 30 and calls == []
 
 
 def test_a_tiny_store_grows_from_the_second_frame(monkeypatch):
-    monkeypatch.setattr(combiner, "_STORE_CAPACITY", (1, 1, 1))
     clip = looped_clip(2)
     m, width = clip.frames[0].num_chars, clip.alphabet.size + 1
-    for floor in (combiner._MIN_BLOCK_ROWS, 1):
-        monkeypatch.setattr(combiner, "_MIN_BLOCK_ROWS", floor)
+    more = clip.frames[1].num_chars
+    # blocks of the least power of two above m, one frame and m row ids: the
+    # first frame fills the store and grows nothing, whatever the block size
+    for size in (1 << m.bit_length(), 1 << (m + more).bit_length()):
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", (size, 1, m))
         state = CombinerState(clip.alphabet, track_history=True)
+        built = _store_arrays(state)
         state.absorb(clip.frames[0])
-        size = max(floor, 1 << m.bit_length())  # the least power of two above m, or the floor
         ids, blocks, slots = first = _store_arrays(state)
+        assert all(a is b for a, b in zip(first, built))
         assert (len(ids), [block.shape for block in blocks], slots.shape) == (
             m, [(size, width)], (1, m)
         )
-        kept = blocks[0][: 1 + m].copy()
+        kept = blocks[0][: 1 + m].copy(), slots[0].copy()
         state.absorb(clip.frames[1])
         ids, blocks, slots = _store_arrays(state)
         assert ids is not first[0] and slots is not first[2]  # each doubles, or more
+        assert slots.shape == (2, max(2 * m, m + more)) and (slots[0, :m] == kept[1]).all()
         # the first block stays, with its rows; a second is appended only past its rows
-        assert blocks[0] is first[1][0] and blocks[0][: 1 + m].tobytes() == kept.tobytes()
-        assert len(blocks) == (1 if size >= 1 + 2 * m else 2)
+        assert blocks[0] is first[1][0] and blocks[0][: 1 + m].tobytes() == kept[0].tobytes()
+        assert len(blocks) == (1 if size >= 1 + m + more else 2)
 
 
-@pytest.mark.parametrize("capacity", [None, (1, 1, 1)], ids=["default-store", "tiny-store"])
-def test_a_zero_row_first_frame_sizes_a_store_that_grows_bit_for_bit(
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
+def test_a_zero_row_first_frame_leaves_a_store_that_grows_bit_for_bit(
     compiled, monkeypatch, capacity
 ):
     _set_store(monkeypatch, capacity)
     clip = looped_clip(40)
     frames = [make_frame([], num_classes=clip.alphabet.size), *clip.frames]
-    calls = _counting_grown(monkeypatch)
     got = _state_dump(frames, clip.alphabet), _estimate_dump(frames, clip.alphabet)
-    assert len(calls) >= 4  # the row ids grow from their size for zero rows
     state = CombinerState(clip.alphabet, track_history=True)
-    for frame in frames:
+    built = _store_arrays(state)
+    state.absorb(frames[0])
+    assert all(a is b for a, b in zip(_store_arrays(state), built))  # zero rows grow nothing
+    calls = _counting_grown(monkeypatch)
+    for frame in frames[1:]:
         state.absorb(frame)
-    # blocks of the floor's rows, 64 or, with no floor, 1, and many of them
-    assert len(state._blocks[0]) == combiner._MIN_BLOCK_ROWS and len(state._blocks) >= 5
+    # the rows go into blocks of the size the state was built with, the
+    # tiny store's into many of them, and its row ids grow
+    size = combiner._STORE_CAPACITY[0]
+    assert all(block.shape == (size, clip.alphabet.size + 1) for block in state._blocks)
+    assert state._slots.shape[0] >= len(frames)
+    if capacity:
+        assert len(state._blocks) >= 5 and len(calls) >= 3
     with python_kernels():
         assert _state_dump(frames, clip.alphabet) == got[0]
     assert _estimate_dump(frames, clip.alphabet, absorbing=python_kernels) == got[1]
+
+
+def test_any_first_frame_keeps_the_block_size_a_state_is_built_with():
+    # a zero-row first frame, growth_clip's 70-row one and criterion 7's
+    # 15-row ones fill blocks of the same rows
+    clip, growth = looped_clip(30), growth_clip()
+    empty = make_frame([], num_classes=clip.alphabet.size)
+    for alphabet, frames in [(clip.alphabet, clip.frames), (clip.alphabet, [empty, *clip.frames]),
+                             (growth.alphabet, growth.frames)]:
+        state = CombinerState(alphabet, track_history=True)
+        first = state._blocks[0]
+        for frame in frames:
+            state.absorb(frame)
+        assert state._blocks[0] is first and state._shift == 9
+        assert {block.shape for block in state._blocks} == {(512, alphabet.size + 1)}
+    assert len(state._blocks) == 2  # growth_clip's 830 rows
 
 
 # weight sequences for the merge share: a zero weight into a zero total,
@@ -1257,8 +1282,8 @@ def test_copies_and_pickles_read_their_own_arrays(compiled):
 
 def _block_cases():
     """(name, frames, alphabet, capacity) of the history-block checks: the
-    tiny store, a zero-row first frame, a frame of more rows than a block
-    (a one-row first frame gives blocks of 64), and 400 looped stages."""
+    tiny store, a zero-row first frame into blocks of 16 rows, frames of
+    more rows than a block of 64, and 400 looped stages."""
     clip = looped_clip(40)
     rng = np.random.default_rng(64)
     alphabet = Alphabet("AB")
@@ -1266,9 +1291,9 @@ def _block_cases():
         warnings.simplefilter("ignore")
         wide = [make_frame(rng.dirichlet(np.ones(2), m), num_classes=2)
                 for m in (1, 20, 150, 3, 70, 0, 64)]
-    yield "tiny-store", clip.frames, clip.alphabet, (1, 1, 1)
-    yield "zero-row-first-frame", [make_frame([], num_classes=clip.alphabet.size), *clip.frames], clip.alphabet, None
-    yield "frame-past-a-block", wide, alphabet, None
+    yield "tiny-store", clip.frames, clip.alphabet, _TINY_STORE
+    yield "zero-row-first-frame", [make_frame([], num_classes=clip.alphabet.size), *clip.frames], clip.alphabet, (16, 32, 64)
+    yield "frame-past-a-block", wide, alphabet, (64, 32, 64)
     looped = looped_clip(400)
     yield "looped-400", looped.frames, looped.alphabet, None
 
