@@ -19,11 +19,12 @@ After each seed's workloads every label also records a per-stage table
 in a fresh interpreter on its own ``src``: ``harness.bench``'s
 ``best_seconds`` (absorb plus estimate, each clip's fastest of 3 repeats,
 the mean over clips) of methods ``a`` and ``b`` on acceptance criterion
-7's recipe (4 clips of 30 frames, seed 7) with the clips looped to 400
-stages.  The cell ``<method>.n<stage>``, for stages 5, 25, 100 and 400,
-is the mean of those seconds over the stages within ``WINDOW`` of it,
-n - 2 to n + 2, clamped to the stages run (:func:`windowed`), as one
-stage's value over 4 clips swings by tens of percent.
+7's recipe (``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7) with the
+clips looped to 400 stages.  The cell ``<method>.n<stage>``, for stages
+5, 25, 100 and 400, is the mean of those seconds over the stages within
+``WINDOW`` of it, n - 2 to n + 2, clamped to the stages run
+(:func:`windowed`), as one stage's value over a few clips swings by tens
+of percent.
 
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
@@ -46,7 +47,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 # fixed, so that two labels recorded on one machine compare run for run
 SEEDS = (1, 2, 3, 4, 5)
-# the per-stage table: criterion 7's clips looped to the last of STAGES
+# the per-stage table: criterion 7's clips looped to the last of STAGES; 4
+# clips let a.n100 and b.n100 swing by 14-21% between labels of one run
+STAGE_CLIPS = 8
 STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
 # each cell of the per-stage table averages the stages within this many of its own
@@ -56,9 +59,9 @@ import json, sys
 sys.path.insert(0, "src")
 from framestop.harness import SyntheticConfig, bench, generate_synthetic
 from framestop.stoppers import StopperMethod
-names, stages = json.loads(sys.argv[1])
+names, stages, clips = json.loads(sys.argv[1])
 config = SyntheticConfig(
-    clip_count=4, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+    clip_count=clips, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
 )
 methods = [StopperMethod(name) for name in names]
@@ -118,8 +121,9 @@ def windowed(rows, stages=STAGES, window=WINDOW):
 
 def _stage_table(root):
     """:func:`windowed` of the rows of ``STAGE_TABLE`` run in the checkout."""
-    done = subprocess.run([sys.executable, "-c", STAGE_TABLE, json.dumps([STAGE_METHODS, STAGES])],
-                          cwd=root, capture_output=True, text=True)
+    given = json.dumps([STAGE_METHODS, STAGES, STAGE_CLIPS])
+    done = subprocess.run([sys.executable, "-c", STAGE_TABLE, given], cwd=root, capture_output=True,
+                          text=True)
     if done.returncode != 0:
         raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
     return windowed(json.loads(done.stdout.strip().splitlines()[-1]))
@@ -143,7 +147,8 @@ def _record(label, root, seconds, workloads, alongside):
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
         "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
-        "stage_table": {"repeats": 3, "max_stages": STAGES[-1], "window": WINDOW, "unit": "s",
+        "stage_table": {"clips": STAGE_CLIPS, "repeats": 3, "max_stages": STAGES[-1],
+                        "window": WINDOW, "unit": "s",
                         "cell": "mean of best_seconds over stages n - window .. n + window, "
                                 "clamped to the stages run",
                         "runs": []},

@@ -37,9 +37,10 @@ MAX_GEN_VALUES = 20_000_000
 # cap of the history store that methods a and b keep for one clip: float
 # values over all stages, each stage appending at most the clip's largest
 # frame, every row alphabet size + 1 wide; 8 bytes each.  The store holds
-# its rows in blocks of the least power of two above 48 times the first
-# frame's rows, and allocates at most one block more than it uses: at
-# both load caps a block is 8 192 rows of 129 values, 8.5 MB
+# its rows in blocks of 512 rows and allocates at most one block more than
+# it uses: at both load caps a block is 512 rows of 129 values, 528 KB, and
+# simulate --method a on one clip of 128 rows over 128 symbols, 1 211
+# stages, peaks at 198 MB resident
 MAX_HISTORY_VALUES = 20_000_000
 ESTIMATOR_METHODS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B)
 HISTORY_METHODS = (StopperMethod.METHOD_A, StopperMethod.METHOD_B)
