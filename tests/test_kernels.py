@@ -1087,8 +1087,9 @@ def test_a_tiny_store_grows_from_the_second_frame(monkeypatch):
     clip = looped_clip(2)
     m, width = clip.frames[0].num_chars, clip.alphabet.size + 1
     more = clip.frames[1].num_chars
-    # blocks of the least power of two above m, one frame and m row ids: the
-    # first frame fills the store and grows nothing, whatever the block size
+    # one frame, m row ids and blocks of the least power of two above the
+    # first frame's rows, or above both frames': the first frame fills the
+    # store and grows nothing
     for size in (1 << m.bit_length(), 1 << (m + more).bit_length()):
         monkeypatch.setattr(combiner, "_STORE_CAPACITY", (size, 1, m))
         state = CombinerState(clip.alphabet, track_history=True)
