@@ -7,7 +7,8 @@ yields the reference trace, the two fast approximations track it:
 "direct summation" (method a) scores each candidate from the recorded row
 alignments, "normalised once" (method b) is a's aggregate normalised once
 instead of per candidate, read from the same history store.  Both cost one
-O(n*S*K) numpy scan of that store per stage.
+O(n*S*K) scan of that store per stage: one compiled ``fs_spread`` call
+where the kernels compile, a numpy scan otherwise.
 """
 
 from framestop import (

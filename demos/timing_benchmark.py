@@ -4,7 +4,8 @@ Full modelling aligns every seen frame against the current result at
 every stage and reads the distance to that re-combined candidate off the
 alignment cost, so its cost grows linearly with the stage number.  The
 two approximations write each frame's aligned rows into one history store
-during combination, then estimate with one O(n*S*K) numpy scan of it;
+during combination, then estimate with one O(n*S*K) scan of it, one
+compiled ``fs_spread`` call where the kernels compile (numpy otherwise);
 "normalised once" (method b) is method a's aggregate normalised once
 instead of per candidate.  The script prints the timings of the machine
 it runs on.  Timings cover absorb plus estimate, since the methods split

@@ -16,15 +16,21 @@ last on the second and so on, so that the files compare runs made side
 by side rather than minutes apart.
 
 After each seed's workloads every label also records a per-stage table
-in a fresh interpreter on its own ``src``: ``harness.bench``'s
-``best_seconds`` (absorb plus estimate, each clip's fastest of 3 repeats,
-the mean over clips) of methods ``a`` and ``b`` on acceptance criterion
-7's recipe (``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7) with the
-clips looped to 400 stages.  The cell ``<method>.n<stage>``, for stages
-5, 25, 100 and 400, is the mean of those seconds over the stages within
-``WINDOW`` of it, n - 2 to n + 2, clamped to the stages run
-(:func:`windowed`), as one stage's value over a few clips swings by tens
-of percent.
+of methods ``a`` and ``b`` (absorb plus estimate) on acceptance
+criterion 7's recipe (``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7)
+with the clips looped to 400 stages.  Its ``STAGE_REPEATS`` = 3 repeats
+run as three rounds that alternate the labels, so that a slow spell of
+the machine falls on every label rather than on one label's table; each
+round runs one repeat per label in a fresh interpreter on the label's
+own ``src`` (``harness.bench`` of one clip at a time, ``repeats=1``),
+after an untimed warm-up drive of the first clip.  Each stage's seconds
+are each clip's minimum over the rounds, then the mean over clips
+(:func:`best_of_rounds`), the statistic of ``harness.bench``'s
+``best_seconds`` with ``repeats=3``.  The cell ``<method>.n<stage>``,
+for stages 5, 25, 100 and 400, is the mean of those seconds over the
+stages within ``WINDOW`` of it, n - 2 to n + 2, clamped to the stages
+run (:func:`windowed`), as one stage's value over a few clips swings by
+tens of percent.
 
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
@@ -38,6 +44,7 @@ alongside.  Nothing in the measured checkouts changes.
 import argparse
 import importlib.util
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -52,6 +59,8 @@ SEEDS = (1, 2, 3, 4, 5)
 STAGE_CLIPS = 8
 STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
+# rounds per seed, each one repeat of the table per label
+STAGE_REPEATS = 3
 # each cell of the per-stage table averages the stages within this many of its own
 WINDOW = 2
 STAGE_TABLE = """
@@ -65,8 +74,14 @@ config = SyntheticConfig(
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
 )
 methods = [StopperMethod(name) for name in names]
-rows = bench(generate_synthetic(config), methods, repeats=3, max_stages=stages[-1])
-print(json.dumps([[row["method"], row["stage"], row["best_seconds"]] for row in rows]))
+clips = generate_synthetic(config)
+bench(clips[:1], methods, max_stages=stages[-1])  # the warm-up drive, not timed
+rows = [
+    [row["method"], row["stage"], index, row["best_seconds"]]
+    for index, clip in enumerate(clips)
+    for row in bench([clip], methods, max_stages=stages[-1])
+]
+print(json.dumps(rows))
 """
 
 
@@ -119,14 +134,28 @@ def windowed(rows, stages=STAGES, window=WINDOW):
     return table
 
 
-def _stage_table(root):
-    """:func:`windowed` of the rows of ``STAGE_TABLE`` run in the checkout."""
+def best_of_rounds(rounds):
+    """Rows of (method, stage, seconds) from ``rounds``, each the rows of
+    (method, stage, clip, seconds) of one repeat: per method and stage,
+    each clip's minimum over the rounds, then the mean over clips, sorted
+    by method and stage."""
+    best = {}
+    for rows in rounds:
+        for method, stage, clip, seconds in rows:
+            per_clip = best.setdefault((method, stage), {})
+            per_clip[clip] = min(per_clip.get(clip, math.inf), seconds)
+    return [[method, stage, sum(per_clip.values()) / len(per_clip)]
+            for (method, stage), per_clip in sorted(best.items())]
+
+
+def _stage_round(root):
+    """The rows of one repeat of ``STAGE_TABLE``, run in the checkout."""
     given = json.dumps([STAGE_METHODS, STAGES, STAGE_CLIPS])
     done = subprocess.run([sys.executable, "-c", STAGE_TABLE, given], cwd=root, capture_output=True,
                           text=True)
     if done.returncode != 0:
         raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
-    return windowed(json.loads(done.stdout.strip().splitlines()[-1]))
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _summary(values):
@@ -147,10 +176,14 @@ def _record(label, root, seconds, workloads, alongside):
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
         "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
-        "stage_table": {"clips": STAGE_CLIPS, "repeats": 3, "max_stages": STAGES[-1],
-                        "window": WINDOW, "unit": "s",
-                        "cell": "mean of best_seconds over stages n - window .. n + window, "
-                                "clamped to the stages run",
+        "stage_table": {"clips": STAGE_CLIPS, "repeats": STAGE_REPEATS,
+                        "max_stages": STAGES[-1], "window": WINDOW, "unit": "s",
+                        "rounds": "per seed, one round per repeat, alternating the labels; "
+                                  "each round one repeat per label in a fresh interpreter, "
+                                  "after an untimed warm-up drive of the first clip",
+                        "stage": "each clip's minimum over the rounds, the mean over clips",
+                        "cell": "mean of the stage's seconds over stages n - window .. "
+                                "n + window, clamped to the stages run",
                         "runs": []},
     }
 
@@ -183,8 +216,12 @@ def main(argv=None):
                 records[label]["runs"][workload].append({"seed": seed, "result": result})
                 stages = result["metrics"]["stages_per_s"]["value"]
                 print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}", flush=True)
-        for label in labels if number % 2 == 0 else labels[::-1]:
-            table = _stage_table(checkouts[label])
+        rounds = {label: [] for label in labels}
+        for repeat in range(STAGE_REPEATS):
+            for label in labels if (number + repeat) % 2 == 0 else labels[::-1]:
+                rounds[label].append(_stage_round(checkouts[label]))
+        for label in labels:
+            table = windowed(best_of_rounds(rounds[label]))
             records[label]["stage_table"]["runs"].append(table)
             print(f"{label} per-stage table seed {seed}: a.n400 {table['a.n400'] * 1e6:.1f} us",
                   flush=True)

@@ -25,8 +25,7 @@
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
    describes the history store once: its absorbed rows in blocks of equal
    power-of-two size, which are never moved, and the slots, each a global
-   row index into them.  Both refuse a call the store has no room for, as
-   they write through its addresses.
+   row index into them.
    The hot loops run on vectors of four doubles, each lane doing what the
    scalar code does in the same order, so they give the same bits on any
    instruction set.  In the substitution costs a lane is one cost: the
@@ -40,17 +39,21 @@
    AVX2 and for the baseline, and the dynamic loader picks one (CLONED);
    elsewhere the baseline build alone runs the same vector code.
 
-   The module's functions, gld, align, absorb and spread, are METH_FASTCALL
-   entry points at the end of this file.  They take the numpy arrays
-   themselves and read them through the numpy C API, checking that each
-   is an aligned C-contiguous ndarray of 8-byte floats or ints in the
-   machine's byte order (read-only arrays are accepted where nothing is
-   written), fill the struct from their shapes and data pointers, build
-   the table of the store's blocks (and, for spread, of each row id's
-   current row, once the row-id order is checked to be a permutation),
-   allocate the arrays absorb and spread return, run the kernel with the
-   GIL released, and build their Python result.  No address outlives a
-   call. */
+   The kernels only compute: they allocate nothing, validate no argument
+   and return only what they compute, the one failure being fs_absorb's
+   FS_NO_PATH (a NaN cost).  The module's functions, gld, align, absorb
+   and spread, are the METH_FASTCALL entry points at the end of this file,
+   and do the rest.  They take the numpy arrays themselves and read them
+   through the numpy C API, checking that each is an aligned C-contiguous
+   ndarray of 8-byte floats or ints in the machine's byte order (read-only
+   arrays are accepted where nothing is written).  They allocate the
+   kernel's working memory (work_alloc), the table of the store's blocks
+   (store, the one parser of blocks and slots) and, for spread, of each
+   row id's current row (by_row_id), and the arrays absorb and spread
+   return.  They derive every other argument from the arrays' shapes and
+   data pointers, refuse a call the history store has no room for, run
+   the kernel with the GIL released and build the Python result.  No
+   address outlives a call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -232,28 +235,6 @@ static double sum_abs_split(const double *a, int64_t n)
 /* n rounded up to whole groups of four lanes */
 #define LANES4(n) (((n) + 3) / 4 * 4)
 
-/* The doubles of the working memory of costs_and_table for s and m rows of
-   width doubles: the substitution costs (s*m), the gap costs (s + m) and
-   the table ((s+1)*(m+1)), 2 (s+1) (m+1) - 1 in all, then the m rows as
-   lanes, width * LANES4(m), from the next 32-byte boundary, up to 3
-   doubles on.  0 when that would overflow. */
-static size_t work_size(int64_t s, int64_t m, int64_t width)
-{
-    size_t cells, lanes;
-    if (__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) ||
-        __builtin_mul_overflow((size_t)width, LANES4((size_t)m), &lanes) ||
-        cells > SIZE_MAX / 64 || lanes > SIZE_MAX / 64)
-        return 0;
-    return 2 * cells - 1 + 3 + lanes;
-}
-
-/* Working memory for costs_and_table, and bytes more after it; NULL when
-   it cannot be allocated.  Released with free. */
-static double *work_alloc(int64_t s, int64_t m, int64_t width, size_t bytes)
-{
-    return malloc(work_size(s, m, width) * sizeof(double) + bytes);
-}
-
 /* The count rows at rows, each of width doubles, as lanes: column c of
    row r goes to lanes[c * stride + r], and rows count.. up to the whole
    group of four are zeros.  Four rows and four columns at a time, a 4x4
@@ -285,10 +266,11 @@ INLINE void to_lanes(const double *rows, int64_t count, int64_t width, double *l
 }
 
 /* The costs of aligning the s rows x with the m rows y, each of width
-   doubles, row major, in work (work_size doubles): sub
-   (s*m) as metrics.pairwise_costs(x, y), then gap_rows (s) and gap_cols
-   (m), which follow it, as metrics.gap_costs of x and of y, then the GLD
-   table, of (s+1)*(m+1) doubles, filled over them.  Returns the GLD.
+   doubles, row major, in work (see work_alloc): sub (s*m) as
+   metrics.pairwise_costs(x, y), then gap_rows (s) and gap_cols (m), which
+   follow it, as metrics.gap_costs of x and of y, then the GLD table, of
+   (s+1)*(m+1) doubles, filled over them, then y's rows as lanes from the
+   next 32-byte boundary.  Returns the GLD.
    Each substitution cost is one lane of lane_sums over y's rows as lanes,
    four frame rows per vector; a last group of fewer than four pads its
    lanes with zero rows, whose sums are dropped. */
@@ -330,8 +312,8 @@ CLONED double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int
     return costs_and_table(x, s, y, m, width, work);
 }
 
-/* The failure codes of fs_absorb and fs_spread, which raise (see fail) */
-enum { FS_NO_PATH = -1, FS_NO_ROOM = -2, FS_NO_MEMORY = -3 };
+/* What trace and fs_absorb return when no path exists */
+enum { FS_NO_PATH = -1 };
 
 /* Path through a filled table, read from the front with the tie order
    match, then skip the result row, then insert the frame row,
@@ -372,20 +354,21 @@ struct fs_row {
 };
 
 /* The arguments of fs_absorb and fs_spread, filled by the entry points
-   from the arrays they are given. */
+   from the arrays they are given, which have checked that every array
+   and the store hold what the kernel reads and writes. */
 struct fs_absorb_args {
     /* The alignment of the m frame rows against the s result rows, each
-       of width doubles, row major.  path is NULL, or room for 2 (s + m)
-       entries that receive the path: the result rows at 0, the frame rows
-       at s + m.  cost and inserted are outputs. */
+       of width doubles, row major, in the working memory work; path, room
+       for 2 (s + m) entries, receives the path: the result rows at 0, the
+       frame rows at s + m.  cost is an output. */
     const double *result;
     int64_t s;
     const double *frame;
     int64_t m;
     int64_t width;
+    double *work;
     int64_t *path;
     double cost;
-    int64_t inserted;
     /* The merge, skipped when merged is NULL.  result and frame are each
        followed by the empty row (s + 1 and m + 1 rows); merged has room
        for s + m + 1 rows and order for s + m entries, of which the first s
@@ -393,13 +376,12 @@ struct fs_absorb_args {
     double factor;
     double *merged;
     int64_t *order;
-    int64_t next_id;
     /* The history store, skipped by fs_absorb when blocks is NULL: rows
        in blocks of 2^shift rows of width doubles, capacity rows in all,
        global row g being row g & (2^shift - 1) of blocks[g >> shift]
        (store_row), of which used are in use; and slots (frames, stride),
        each a global row index. */
-    double *const *blocks;
+    double **blocks;
     int64_t shift;
     int64_t used;
     int64_t capacity;
@@ -435,10 +417,11 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
 {
     const int64_t s = a->s, m = a->m, width = a->width;
     const f64x4 factor = {a->factor, a->factor, a->factor, a->factor};
-    int64_t next_id = a->next_id + a->inserted;
-    /* from the back, so order[ri[k]], with ri[k] <= k, is still the old id */
+    /* the steps - s inserted rows take ids s.. in order; from the back, so
+       order[ri[k]], with ri[k] <= k, is still the old id */
+    int64_t new_id = steps;
     for (int64_t k = steps - 1; k >= 0; k--)
-        a->order[k] = ri[k] < s ? a->order[ri[k]] : --next_id;
+        a->order[k] = ri[k] < s ? a->order[ri[k]] : --new_id;
     for (int64_t k = 0; k < steps; k++) {
         const double *old = a->result + ri[k] * width, *fresh = a->frame + fi[k] * width;
         double *out = a->merged + k * width;
@@ -464,34 +447,19 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
    table as fs_gld computes them, the path as trace reads it, then, only
    when the cost is finite, the merged rows old + factor * (new - old)
    followed by the empty row, the new row-id order (rows a step inserts
-   take the next free ids, in order), and the store write: the frame's m
-   rows appended at global row used, on into the next blocks where they
-   reach the end of one, and frame_index's slot of the row id each frame
-   row merged into pointed at it.  Returns the number of steps;
-   FS_NO_PATH (a NaN cost), FS_NO_MEMORY, or FS_NO_ROOM, with nothing
-   written, when the store has no room for frame frame_index, its m rows
-   or m new row ids. */
+   take the ids s.., in order), and the store write: the frame's m rows
+   appended at global row used, on into the next blocks where they reach
+   the end of one, and frame_index's slot of the row id each frame row
+   merged into pointed at it.  Returns the number of steps, or FS_NO_PATH
+   (a NaN cost) with nothing merged. */
 CLONED int64_t fs_absorb(struct fs_absorb_args *a)
 {
-    const int64_t s = a->s, m = a->m, room = s + m;
-    a->inserted = 0;
-    if (a->merged && a->blocks &&
-        !(a->frame_index < a->frames && a->used + m <= a->capacity && a->next_id + m <= a->stride))
-        return FS_NO_ROOM;
-    double *work = work_alloc(s, m, a->width, a->path ? 0 : 2 * room * sizeof(int64_t));
-    if (!work)
-        return FS_NO_MEMORY;
-    double *table = work + s * m + room;
-    int64_t *ri = a->path ? a->path : (int64_t *)(work + work_size(s, m, a->width));
-    int64_t *fi = ri + room;
-    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, work);
-    int64_t steps = trace(work, work + s * m, table, s, m, ri, fi);
-    if (steps >= 0) {
-        a->inserted = steps - s;
-        if (a->merged && isfinite(a->cost))
-            merge(a, ri, fi, steps);
-    }
-    free(work);
+    const int64_t s = a->s, m = a->m;
+    int64_t *ri = a->path, *fi = ri + s + m;
+    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, a->work);
+    const int64_t steps = trace(a->work, a->work + s * m, a->work + s * m + s + m, s, m, ri, fi);
+    if (steps >= 0 && a->merged && isfinite(a->cost))
+        merge(a, ri, fi, steps);
     return steps;
 }
 
@@ -543,14 +511,10 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
    method a's modelled merge; then, when length >= 0, its nGLD
    2g / (g + length), 0 where g + length is not positive, as
    metrics.normalized computes it.  g_sum receives the sum of the g and
-   d_sum the sum of out, each added in frame order.  Returns 0, or
-   FS_NO_ROOM, with nothing written, when n is above frames, s above
-   stride, or s rows are scanned with no block. */
-CLONED int64_t fs_spread(struct fs_absorb_args *a)
+   d_sum the sum of out, each added in frame order. */
+CLONED void fs_spread(struct fs_absorb_args *a)
 {
     const int64_t n = a->n, s = a->s, width = a->width, stride = a->stride, shift = a->shift;
-    if (n > a->frames || s > stride || (s && !a->capacity))
-        return FS_NO_ROOM;
     double *const *blocks = a->blocks;
     struct fs_row *by_id = a->by_id;
     const double *shares = a->shares;
@@ -608,13 +572,13 @@ CLONED int64_t fs_spread(struct fs_absorb_args *a)
     }
     a->g_sum = g_sum;
     a->d_sum = out_sum;
-    return 0;
 }
 
-/* The module's entry points.  Each takes numpy arrays, checks them
-   through the numpy C API, sets its kernel's arguments from their shapes
-   and data pointers, runs the kernel with the GIL released and builds
-   its result; no address outlives a call. */
+/* The module's entry points.  Each checks its arguments through the numpy
+   C API, allocates its kernel's memory and the arrays it returns, derives
+   every other argument of the kernel from their shapes and data pointers,
+   runs the kernel with the GIL released and builds its result; no address
+   outlives a call. */
 
 /* obj as the array a kernel reads, or writes when writable is set: a
    numpy array of ndim dimensions of 8-byte floats when kind is 'f' and
@@ -678,12 +642,17 @@ static int real(PyObject *obj, double *out, const char *name)
     return -1;
 }
 
+/* 0 when fn() takes nargs arguments, least to most; else -1 with
+   TypeError naming fn. */
 static int arity(const char *fn, Py_ssize_t nargs, Py_ssize_t least, Py_ssize_t most)
 {
     if (nargs >= least && nargs <= most)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd arguments (%zd given)", fn, least, most,
-                 nargs);
+    if (least == most)
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", fn, least, nargs);
+    else
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd arguments (%zd given)", fn, least,
+                     most, nargs);
     return -1;
 }
 
@@ -693,6 +662,17 @@ static int shaped(int ok, const char *what)
     if (ok)
         return 0;
     PyErr_Format(PyExc_ValueError, "array shapes do not fit the kernel: %s", what);
+    return -1;
+}
+
+/* 0 when ok, the history store's room for the call, holds; else -1 with
+   RuntimeError, an internal error, as the state makes room first. */
+static int room(int ok)
+{
+    if (ok)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError,
+                    "internal error: the history store has no room for the call");
     return -1;
 }
 
@@ -711,26 +691,81 @@ static int64_t row_width(PyArrayObject *x, PyArrayObject *y)
     return width;
 }
 
-/* 0 when the working memory of s and m rows of width doubles, and
-   fs_absorb's path beside it, fit in memory; else -1 with MemoryError. */
-static int fits(int64_t s, int64_t m, int64_t width)
+/* The working memory of a kernel for s and m rows of width doubles: the
+   substitution costs (s*m), the gap costs (s + m) and the table
+   ((s+1)*(m+1)), 2 (s+1) (m+1) - 1 doubles in all, then the m rows as
+   lanes, width * LANES4(m), from the next 32-byte boundary, up to 3
+   doubles on (see costs_and_table), then fs_absorb's path, room for
+   2 (s + m) int64s, at *path unless path is NULL.  NULL with MemoryError
+   when its size overflows or it cannot be allocated.  Released with
+   free. */
+static double *work_alloc(int64_t s, int64_t m, int64_t width, int64_t **path)
 {
-    if (work_size(s, m, width))
-        return 0;
-    PyErr_NoMemory();
-    return -1;
+    size_t cells, lanes, doubles = 0;
+    if (!__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) &&
+        !__builtin_mul_overflow((size_t)width, LANES4((size_t)m), &lanes) &&
+        cells <= SIZE_MAX / 64 && lanes <= SIZE_MAX / 64)
+        doubles = 2 * cells - 1 + 3 + lanes;
+    double *work = doubles ? malloc((doubles + 2 * (size_t)(s + m)) * sizeof(double)) : NULL;
+    if (!work)
+        PyErr_NoMemory();
+    else if (path)
+        *path = (int64_t *)(work + doubles);
+    return work;
 }
 
-/* Raises the exception of a kernel's failure code; returns NULL. */
-static PyObject *fail(int64_t code)
+/* The history store into a, whose width is set: blocks, a tuple of 2-D
+   float64 arrays of rows of that width, the same power-of-two count of
+   them each, and slots, a 2-D int64 array (frames, stride), all writable
+   when writable is set.  a->blocks receives a new table of the blocks'
+   data pointers, which the caller frees; a->shift, a->capacity (the rows
+   of all blocks), a->slots, a->frames and a->stride the rest.  -1 with an
+   exception set when they are not such arrays (TypeError naming the
+   argument, ValueError for blocks of another shape), or when the table
+   cannot be allocated. */
+static int store(PyObject *blocks, PyObject *slots, int writable, struct fs_absorb_args *a)
 {
-    if (code == FS_NO_PATH)
-        PyErr_SetString(PyExc_ValueError, "alignment costs hold a NaN: rows must be finite");
-    else if (code == FS_NO_ROOM)
-        PyErr_SetString(PyExc_RuntimeError,
-                        "internal error: the history store has no room for the call");
-    else
-        PyErr_SetString(PyExc_MemoryError, "no memory for the kernel's work buffer");
+    PyArrayObject *slot_array = take(slots, 2, 'i', writable, "slots");
+    if (!slot_array)
+        return -1;
+    if (!PyTuple_Check(blocks)) {
+        PyErr_Format(PyExc_TypeError, "blocks must be a tuple of numpy arrays, not %.100s",
+                     Py_TYPE(blocks)->tp_name);
+        return -1;
+    }
+    const Py_ssize_t size = PyTuple_GET_SIZE(blocks);
+    double **table = malloc((size_t)(size + 1) * sizeof *table);
+    if (!table) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int64_t rows = 0;
+    for (Py_ssize_t b = 0; b < size; b++) {
+        PyArrayObject *block = take(PyTuple_GET_ITEM(blocks, b), 2, 'f', writable, "blocks");
+        if (block && !b)
+            rows = DIM(block, 0);
+        if (!block ||
+            shaped(DIM(block, 0) == rows && DIM(block, 1) == a->width,
+                   "blocks differ in shape or hold rows of another width") < 0 ||
+            shaped(rows > 0 && !(rows & (rows - 1)), "blocks of a row count not a power of two") < 0) {
+            free(table);
+            return -1;
+        }
+        table[b] = PyArray_DATA(block);
+    }
+    a->blocks = table;
+    a->shift = rows ? __builtin_ctzll((unsigned long long)rows) : 0;
+    a->capacity = size * rows;
+    a->slots = PyArray_DATA(slot_array);
+    a->frames = DIM(slot_array, 0);
+    a->stride = DIM(slot_array, 1);
+    return 0;
+}
+
+/* Raises the ValueError of fs_absorb's FS_NO_PATH; returns NULL. */
+static PyObject *no_path(void)
+{
+    PyErr_SetString(PyExc_ValueError, "alignment costs hold a NaN: rows must be finite");
     return NULL;
 }
 
@@ -773,16 +808,16 @@ static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t narg
     (void)module;
     PyArrayObject *x, *y, *given = NULL;
     int64_t width, s, m;
+    double *work, cost;
     if (arity("gld", nargs, 2, 3) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
         !(y = take(args[1], 2, 'f', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        fits(s = DIM(x, 0), m = DIM(y, 0), width) < 0 ||
-        (nargs == 3 && (!(given = take(args[2], 1, 'f', 1, "work")) ||
-                        shaped(DIM(given, 0) >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)))
+        !(work = work_alloc(s = DIM(x, 0), m = DIM(y, 0), width, NULL)))
         return NULL;
-    double *work = work_alloc(s, m, width, 0);
-    if (!work)
-        return fail(FS_NO_MEMORY);
-    double cost;
+    if (nargs == 3 && (!(given = take(args[2], 1, 'f', 1, "work")) ||
+                       shaped(DIM(given, 0) >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)) {
+        free(work);
+        return NULL;
+    }
     const double *xs = PyArray_DATA(x), *ys = PyArray_DATA(y);
     Py_BEGIN_ALLOW_THREADS
     cost = fs_gld(xs, s, ys, m, width, work);
@@ -802,137 +837,89 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
 {
     (void)module;
     PyArrayObject *x, *y;
-    int64_t width;
-    if (arity("align", nargs, 2, 2) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
-        !(y = take(args[1], 2, 'f', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        fits(DIM(x, 0), DIM(y, 0), width) < 0)
-        return NULL;
-    const int64_t room = DIM(x, 0) + DIM(y, 0);
-    int64_t *path = malloc((size_t)(2 * room + 1) * sizeof(int64_t));
-    if (!path)
-        return fail(FS_NO_MEMORY);
-    struct fs_absorb_args a = {
-        .result = PyArray_DATA(x), .s = DIM(x, 0), .frame = PyArray_DATA(y), .m = DIM(y, 0),
-        .width = width, .path = path,
-    };
     int64_t steps;
+    struct fs_absorb_args a = {.merged = NULL};
+    if (arity("align", nargs, 2, 2) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
+        !(y = take(args[1], 2, 'f', 0, "y")) || (a.width = row_width(x, y)) < 0 ||
+        !(a.work = work_alloc(a.s = DIM(x, 0), a.m = DIM(y, 0), a.width, &a.path)))
+        return NULL;
+    a.result = PyArray_DATA(x);
+    a.frame = PyArray_DATA(y);
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
-    PyObject *answer = steps < 0 ? fail(steps)
-                                 : triple(indices(path, steps), indices(path + room, steps),
+    PyObject *answer = steps < 0 ? no_path()
+                                 : triple(indices(a.path, steps), indices(a.path + a.s + a.m, steps),
                                           PyFloat_FromDouble(a.cost));
-    free(path);
+    free(a.work);
     return answer;
 }
 
-/* The blocks of a history store, obj, a tuple of 2-D float64 arrays of
-   the same shape, 2^shift rows each, writable when writable is set, as a
-   new table of their data pointers in a->blocks, which the caller frees;
-   with a->shift, a->capacity, the rows of all blocks, and *width, their
-   row width (0 for no blocks).  NULL with an exception set when obj is not such a tuple, or the table
-   cannot be allocated. */
-static double **block_table(PyObject *obj, int writable, struct fs_absorb_args *a,
-                            int64_t *width)
+/* Row id r's row of the s rows result, each of width doubles, as
+   by_id[r].current in a new table of s + 1 entries, which the caller
+   frees: the row at r's position among the first s entries of ids, which
+   must be a permutation of 0..s-1.  NULL with ValueError when they are
+   not one, or MemoryError. */
+static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *result,
+                                int64_t width)
 {
-    if (!PyTuple_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "blocks must be a tuple of numpy arrays, not %.100s",
-                     Py_TYPE(obj)->tp_name);
-        return NULL;
-    }
-    const Py_ssize_t blocks = PyTuple_GET_SIZE(obj);
-    double **table = malloc((size_t)(blocks + 1) * sizeof *table);
-    if (!table) {
+    struct fs_row *by_id = calloc((size_t)s + 1, sizeof *by_id);
+    if (!by_id) {
         PyErr_NoMemory();
         return NULL;
     }
-    int64_t rows = 0;
-    *width = 0;
-    for (Py_ssize_t b = 0; b < blocks; b++) {
-        PyArrayObject *block = take(PyTuple_GET_ITEM(obj, b), 2, 'f', writable, "blocks");
-        if (block && !b) {
-            rows = DIM(block, 0);
-            *width = DIM(block, 1);
-        }
-        if (!block ||
-            shaped(DIM(block, 0) == rows && DIM(block, 1) == *width, "blocks differ in shape") < 0 ||
-            shaped(rows > 0 && !(rows & (rows - 1)), "blocks of a row count not a power of two") < 0) {
-            free(table);
-            return NULL;
-        }
-        table[b] = PyArray_DATA(block);
-    }
-    a->blocks = table;
-    a->shift = rows ? __builtin_ctzll((unsigned long long)rows) : 0;
-    a->capacity = blocks * rows;
-    return table;
-}
-
-/* Row id r's row of the s rows result, each of width doubles, in
-   by_id[r].current: the row at r's position among the first s entries of
-   ids, which must be a permutation of 0..s-1.  -1 with ValueError when
-   they are not one. */
-static int by_row_id(const int64_t *ids, int64_t s, const double *result, int64_t width,
-                     struct fs_row *by_id)
-{
-    for (int64_t r = 0; r < s; r++)
-        by_id[r].current = NULL;
     for (int64_t p = 0; p < s; p++) {
         const int64_t r = ids[p];
         if (r < 0 || r >= s || by_id[r].current) {
             PyErr_Format(PyExc_ValueError, "ids: the first %lld are not a permutation of 0..%lld",
                          (long long)s, (long long)s - 1);
-            return -1;
+            free(by_id);
+            return NULL;
         }
         by_id[r].current = result + p * width;
     }
-    return 0;
+    return by_id;
 }
 
-/* absorb(result, frame, factor, order, next_id, blocks, used, slots,
-   frame_index): (steps, cost, merged) of fs_absorb merging the frame into
-   the result with the share factor, struct fs_absorb_args filled from the
-   arrays' shapes.  result and frame, float64 (S+1, K+1) and (M+1, K+1),
-   each end with the empty row; merged, a new float64 array of S+M+1 rows,
-   holds the merge in its first steps + 1 rows; order, int64 with room for
-   S+M ids, holds the result rows' ids on entry.  blocks, a tuple of
-   float64 (2^shift, K+1) arrays (block_table), with used rows in use,
-   and slots (frames, stride) are the history store, skipped, with used,
-   slots and frame_index, when blocks is None. */
+/* absorb(result, frame, factor, order, blocks, used, slots, frame_index):
+   (steps, cost, merged) of fs_absorb merging the frame into the result
+   with the share factor, the rows it inserts taking the ids S.., struct
+   fs_absorb_args filled from the arrays' shapes.  result and frame,
+   float64 (S+1, K+1) and (M+1, K+1), each end with the empty row; merged,
+   a new float64 array of S+M+1 rows, holds the merge in its first
+   steps + 1 rows; order, int64 with room for S+M ids, holds the result
+   rows' ids on entry.  blocks, a tuple of float64 (2^shift, K+1) arrays
+   with used rows in use, and slots (frames, stride) are the history store
+   (see store), skipped, with used, slots and frame_index, when blocks is
+   None; it must have room for frame frame_index, its M rows and S+M row
+   ids. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    PyArrayObject *result, *frame, *order, *slots = NULL;
-    double **table = NULL;
-    int64_t block_width = 0, steps;
-    PyObject *merged;
-    struct fs_absorb_args a = {.s = 0};
-    if (arity("absorb", nargs, 9, 9) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
+    PyArrayObject *result, *frame, *order;
+    PyObject *merged = NULL, *answer = NULL;
+    int64_t steps;
+    struct fs_absorb_args a = {.blocks = NULL};
+    if (arity("absorb", nargs, 8, 8) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
         !(frame = take(args[1], 2, 'f', 0, "frame")) || real(args[2], &a.factor, "factor") < 0 ||
-        !(order = take(args[3], 1, 'i', 1, "order")) || count(args[4], &a.next_id, "next_id") < 0)
+        !(order = take(args[3], 1, 'i', 1, "order")))
         return NULL;
-    if (args[5] != Py_None &&
-        (!(table = block_table(args[5], 1, &a, &block_width)) ||
-         count(args[6], &a.used, "used") < 0 || !(slots = take(args[7], 2, 'i', 1, "slots")) ||
-         count(args[8], &a.frame_index, "frame_index") < 0))
-        goto refused;
     a.s = DIM(result, 0) - 1;
     a.m = DIM(frame, 0) - 1;
     a.width = DIM(result, 1);
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
         shaped(DIM(frame, 1) == a.width, "row widths differ") < 0 ||
         shaped(DIM(order, 0) >= a.s + a.m, "no room for the row ids") < 0 ||
-        shaped(!a.capacity || block_width == a.width, "blocks hold rows of another width") < 0 ||
-        fits(a.s, a.m, a.width) < 0)
-        goto refused;
-    if (slots) {
-        a.slots = PyArray_DATA(slots);
-        a.frames = DIM(slots, 0);
-        a.stride = DIM(slots, 1);
-    }
+        (args[4] != Py_None &&
+         (count(args[5], &a.used, "used") < 0 || store(args[4], args[6], 1, &a) < 0 ||
+          count(args[7], &a.frame_index, "frame_index") < 0 ||
+          room(a.frame_index < a.frames && a.used + a.m <= a.capacity &&
+               a.s + a.m <= a.stride) < 0)))
+        goto done;
     npy_intp shape[2] = {a.s + a.m + 1, a.width};
-    if (!(merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE)))
-        goto refused;
+    if (!(a.work = work_alloc(a.s, a.m, a.width, &a.path)) ||
+        !(merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE)))
+        goto done;
     a.result = PyArray_DATA(result);
     a.frame = PyArray_DATA(frame);
     a.merged = PyArray_DATA((PyArrayObject *)merged);
@@ -940,36 +927,32 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
-    free(table);
-    if (steps < 0) {
-        Py_DECREF(merged);
-        return fail(steps);
-    }
-    return triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost), merged);
-refused:
-    free(table);
-    return NULL;
+    answer = steps < 0 ? no_path()
+                       : triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost),
+                                Py_NewRef(merged));
+done:
+    Py_XDECREF(merged);
+    free(a.work);
+    free(a.blocks);
+    return answer;
 }
 
 /* spread(blocks, slots, result, ids, n, share, length): (out, sum of g,
-   sum of d) of fs_spread scanning the history store, blocks (a tuple, see
-   block_table) and slots, over the first n frames against the current
-   rows result, float64 (S, K+1), row id r's at the position of r among
-   the first S entries of ids, which must be a permutation of 0..S-1
-   (by_row_id); out, a new float64 array of n entries, receives each
-   candidate's d.  share is one merge share for every frame, or a float64
-   array of one per frame; length is the nGLD length sum, negative for
-   GLD. */
+   sum of d) of fs_spread scanning the history store, blocks and slots
+   (see store), over the first n frames against the current rows result,
+   float64 (S, K+1), row id r's at the position of r among the first S
+   entries of ids, which must be a permutation of 0..S-1 (by_row_id); out,
+   a new float64 array of n entries, receives each candidate's d.  share
+   is one merge share for every frame, or a float64 array of one per
+   frame; length is the nGLD length sum, negative for GLD.  The store
+   must hold n frames and S row ids, and a block when S is not 0. */
 static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    PyArrayObject *slots, *result, *ids, *shares = NULL;
-    double **table = NULL;
-    int64_t block_width, code;
+    PyArrayObject *result, *ids, *shares = NULL;
     PyObject *out = NULL, *answer = NULL;
-    struct fs_absorb_args a = {.shares = NULL};
-    if (arity("spread", nargs, 7, 7) < 0 || !(slots = take(args[1], 2, 'i', 0, "slots")) ||
-        !(result = take(args[2], 2, 'f', 0, "result")) ||
+    struct fs_absorb_args a = {.blocks = NULL};
+    if (arity("spread", nargs, 7, 7) < 0 || !(result = take(args[2], 2, 'f', 0, "result")) ||
         !(ids = take(args[3], 1, 'i', 0, "ids")) || count(args[4], &a.n, "n") < 0 ||
         real(args[6], &a.length, "length") < 0)
         return NULL;
@@ -983,35 +966,22 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
     a.s = DIM(result, 0);
     a.width = DIM(result, 1);
     if (shaped(DIM(ids, 0) >= a.s, "fewer ids than result rows") < 0 ||
-        !(table = block_table(args[0], 0, &a, &block_width)))
-        return NULL;
-    if (!(a.by_id = malloc((size_t)(a.s + 1) * sizeof *a.by_id))) {
-        PyErr_NoMemory();
+        store(args[0], args[1], 0, &a) < 0 || /* fs_spread only reads the store */
+        room(a.n <= a.frames && a.s <= a.stride && (!a.s || a.capacity)) < 0 ||
+        !(a.by_id = by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width)))
         goto done;
-    }
-    if (shaped(!a.capacity || block_width == a.width, "blocks hold rows of another width") < 0 ||
-        by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width, a.by_id) < 0)
-        goto done;
-    a.slots = PyArray_DATA(slots); /* fs_spread only reads the store */
-    a.frames = DIM(slots, 0);
-    a.stride = DIM(slots, 1);
     a.shares = shares ? PyArray_DATA(shares) : NULL;
     npy_intp length = a.n;
     if (!(out = PyArray_SimpleNew(1, &length, NPY_DOUBLE)))
         goto done;
     a.out = PyArray_DATA((PyArrayObject *)out);
     Py_BEGIN_ALLOW_THREADS
-    code = fs_spread(&a);
+    fs_spread(&a);
     Py_END_ALLOW_THREADS
-    if (code < 0) {
-        Py_DECREF(out);
-        fail(code);
-    } else {
-        answer = triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
-    }
+    answer = triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
 done:
     free(a.by_id);
-    free(table);
+    free(a.blocks);
     return answer;
 }
 
@@ -1020,8 +990,8 @@ done:
 static PyMethodDef methods[] = {
     ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
-    ENTRY(absorb, "absorb(result, frame, factor, order, next_id, blocks, used, slots, "
-                  "frame_index) -> (steps, cost, merged)"),
+    ENTRY(absorb, "absorb(result, frame, factor, order, blocks, used, slots, frame_index) -> "
+                  "(steps, cost, merged)"),
     ENTRY(spread, "spread(blocks, slots, result, ids, n, share, length) -> (out, g_sum, d_sum)"),
     {NULL, NULL, 0, NULL},
 };

@@ -44,21 +44,25 @@ The callers, ``metrics.gld``, ``combiner.align``,
 ``CombinerState.absorb`` and ``CombinerState.candidate_gld``, each call
 :func:`get` once and then the module's entry point itself: ``gld`` into
 ``fs_gld``, ``align`` and ``absorb`` into ``fs_absorb``, ``spread`` into
-``fs_spread``.  Each reads the numpy arrays themselves through the numpy
-C API and checks every argument in C (C-contiguous float64 or int64
-ndarrays in the machine's byte order, writable where the kernel writes;
-TypeError naming the argument otherwise), releases the GIL while its
-kernel runs and builds the call's Python result, new arrays included.
-``absorb`` and ``spread`` take the history store's blocks as a tuple of
-arrays of one shape, whose rows are a power of two, and build a table of
-their addresses for the call (ValueError for blocks of another shape);
-``spread`` reads each row id's current row from the combined result
-through the row-id order, which it first checks is a permutation
-(ValueError otherwise).  ``align`` and ``absorb`` raise ValueError when
-the costs hold a NaN, so no path exists; ``absorb`` and ``spread``
-refuse a call the history store has no room for with RuntimeError, as
-an internal error, writing nothing (the state makes room before the
-call); and a work buffer that cannot be allocated raises MemoryError.
+``fs_spread``.  The C kernels only compute; each entry point does the
+rest, in C.  It checks every argument: C-contiguous aligned float64 or
+int64 ndarrays in the machine's byte order, writable where the kernel
+writes, and the right count of arguments (TypeError naming the argument
+or the function otherwise).  It allocates the kernel's memory, a work
+block that also holds the path (MemoryError when its size overflows or
+it cannot be allocated), and the arrays it returns.  It derives every
+other argument from the arrays' shapes: ``absorb`` numbers the rows it
+inserts from S, the result's row count.  It releases the GIL while the
+kernel runs and builds the Python result.  ``absorb`` and ``spread``
+read the history store through one parser of its blocks, a tuple of
+arrays of one shape whose rows are a power of two and of the result's
+width (ValueError otherwise), and its slots; ``spread`` reads each row
+id's current row from the combined result through the row-id order,
+which it first checks is a permutation (ValueError otherwise).
+``align`` and ``absorb`` raise ValueError when the costs hold a NaN, so
+no path exists; ``absorb`` and ``spread`` refuse a call the history
+store has no room for with RuntimeError, as an internal error, writing
+nothing (the state makes room before the call).
 """
 
 import contextlib

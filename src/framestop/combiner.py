@@ -148,8 +148,9 @@ def align(frame, result):
     otherwise those and :func:`_path`, the reference.  A ``base`` stage at
     n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
     narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
-    n=25): 5 runs of its recipe on a 2-vCPU Xeon with AVX2 read
-    13.8-14.4x, as ``a``'s absorb runs the same faster costs.
+    n=25), as ``a``'s absorb runs the same faster costs: 10
+    alternated runs of its recipe on a 2-vCPU Xeon with AVX2 read
+    15.5-17.2x at 9a2c489 (CHANGES.md).
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -334,8 +335,8 @@ class CombinerState:
         lib = _kernels.get()
         if lib is not None:
             steps, cost, merged = lib.absorb(
-                self._padded, frame.padded_rows, factor, self._ids, self.num_chars,
-                self._blocks, self._used, self._slots, self.n,
+                self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
+                self._slots, self.n,
             )
             if not math.isfinite(cost):
                 raise ValueError(f"alignment cost is {cost}: rows must be finite")

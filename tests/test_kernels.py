@@ -8,6 +8,7 @@ import pickle
 import platform
 import random
 import subprocess
+import sys
 import sysconfig
 import tempfile
 import warnings
@@ -327,6 +328,87 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     want = dump()
     monkeypatch.setattr(_kernels, "lib", _kernels._open(target))
     assert dump() == want
+
+
+# the sanitizers of the sanitized build; a report aborts the process
+SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+# run in a process that preloads the address sanitizer's runtime, with the
+# sanitized build at argv[1] and the directories of framestop and of these
+# tests at argv[2:4]: the entry points' refusal cases, then a clip of
+# acceptance criterion 7's recipe and looped_clip(150) through all four
+# entry points
+SANITIZED_RUN = """
+import sys
+sys.path[:0] = sys.argv[2:4]
+from framestop import _kernels
+_kernels.lib, _kernels.reason = _kernels._open(sys.argv[1]), "compiled"
+import test_kernels as t
+from framestop.combiner import CombinerState, align
+from framestop.harness import SyntheticConfig, generate_synthetic
+from framestop.metrics import gld, ngld
+from oracles import looped_clip
+lib = _kernels.lib
+assert _kernels.probe() is None
+for entry in ("gld", "align", "absorb", "spread"):
+    t.test_the_entry_points_refuse_arrays_the_kernels_cannot_read(lib, entry)
+    t.test_the_entry_points_refuse_unaligned_arrays(lib, entry)
+    t.test_the_entry_points_refuse_too_few_or_too_many_arguments(lib, entry)
+for entry in ("absorb", "spread"):
+    t.test_the_entry_points_refuse_blocks_that_fit_no_store(lib, entry)
+t.test_compiled_trace_stops_on_nan_costs(lib)
+t.test_compiled_absorb_writes_nothing_on_non_finite_costs(lib)
+t.test_compiled_kernels_refuse_a_store_without_room(lib)
+t.test_compiled_spread_refuses_ids_that_are_not_a_permutation(lib)
+config = SyntheticConfig(
+    clip_count=1, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+    frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
+)
+for clip in [*generate_synthetic(config), looped_clip(150)]:
+    state = CombinerState(clip.alphabet, track_history=True)
+    for frame in clip.frames:
+        gld(frame.rows, state.mean_rows), ngld(state.mean_rows, frame.rows)
+        align(frame, state.mean_rows)
+        state.absorb(frame)
+        state.candidate_gld(None), state.candidate_gld(2.0 * state.num_chars)
+    assert state.n == len(clip.frames)
+print("ran clean")
+"""
+
+
+def _runtime(argv, name):
+    """The path of the compiler ``argv``'s runtime library ``name``; None
+    when it has none."""
+    done = subprocess.run([*argv, f"-print-file-name={name}"], capture_output=True, text=True,
+                          timeout=60)
+    path = Path(done.stdout.strip())
+    return path if done.returncode == 0 and path.is_absolute() and path.is_file() else None
+
+
+def test_the_entry_points_run_clean_under_the_address_and_undefined_sanitizers(
+    compiled, tmp_path
+):
+    argv = _kernels.compiler()
+    runtime = _runtime(argv, "libasan.so")
+    if runtime is None or _runtime(argv, "libubsan.so") is None:
+        pytest.skip(f"{argv[0]} has no libasan.so or libubsan.so")
+    copy = tmp_path / "sanitized.c"
+    copy.write_text(_kernels.SOURCE.read_text().replace(CLONES, ""))
+    target = tmp_path / "sanitized.so"
+    built = subprocess.run(
+        [*_kernels.command(argv), *SANITIZE, str(copy), "-o", str(target)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert built.returncode == 0, built.stderr
+    assert b"__asan_report" in target.read_bytes()
+    # the runtime must be loaded first, before the interpreter's own libraries
+    env = {**os.environ, "LD_PRELOAD": str(runtime), "ASAN_OPTIONS": "detect_leaks=0"}
+    paths = [str(_kernels.SOURCE.parent.parent), str(Path(__file__).parent)]
+    done = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(target), *paths], env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0 and done.stdout.split() == ["ran", "clean"], done.stderr[-4000:]
 
 
 def _outcomes(clips):
@@ -694,9 +776,9 @@ def _entry_calls():
         "gld": ([x, y, np.empty(17)], {0: "x", 1: "y", 2: "work"}, {2}),
         "align": ([x, y], {0: "x", 1: "y"}, set()),
         "absorb": (
-            [*padded, 0.5, order, 2, blocks, 1, slots, 0],
-            {0: "result", 1: "frame", 3: "order", 5: "blocks", 7: "slots"},
-            {3, 5, 7},
+            [*padded, 0.5, order, blocks, 1, slots, 0],
+            {0: "result", 1: "frame", 3: "order", 4: "blocks", 6: "slots"},
+            {3, 4, 6},
         ),
         "spread": (
             [blocks, slots, x, ids, 2, np.full(2, 0.5), -1.0],
@@ -796,6 +878,21 @@ def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
         assert _array_bytes(fresh) == before, name  # a refused call writes nothing
 
 
+# each entry point's count of arguments, or its least and most: the
+# arguments of _entry_calls are the most it takes
+ARITY = {"gld": "2 to 3", "align": "2", "absorb": "8", "spread": "7"}
+
+
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+def test_the_entry_points_refuse_too_few_or_too_many_arguments(compiled, entry):
+    args = _entry_calls()[entry][0]
+    least = int(ARITY[entry].split()[0])
+    for given in ([], args[: least - 1], [*args, None]):
+        with pytest.raises(TypeError) as refused:
+            getattr(compiled, entry)(*given)
+        assert str(refused.value) == f"{entry}() takes {ARITY[entry]} arguments ({len(given)} given)"
+
+
 def _absorb_args(result, frame):
     """The module's ``absorb`` arguments merging the rows ``frame`` into
     ``result``, both padded with the empty row here, with the share 0.5 and
@@ -805,7 +902,7 @@ def _absorb_args(result, frame):
     s, m = len(result) - 1, len(frame) - 1
     order = np.full(s + m, 7, dtype=np.int64)
     order[:s] = range(s)
-    args = [result, frame, 0.5, order, s, None, 0, None, 0]
+    args = [result, frame, 0.5, order, None, 0, None, 0]
     return args, (result, frame, order)
 
 
@@ -841,7 +938,7 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
                                                (3, 1, 0, 3), (3, 1, 1, 2)):
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
         (views, slots), store = _store(2, blocks, block_rows, frames, stride)
-        args[5:] = views, 1, slots, 0
+        args[4:] = views, 1, slots, 0
         before = [array.copy() for array in (*buffers, *store)]
         with pytest.raises(RuntimeError, match="internal error"):
             compiled.absorb(*args)
@@ -849,7 +946,7 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
     for blocks, block_rows in ((3, 1), (1, 4)):  # just enough room, in one block or across three
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
         (views, slots), store = _store(2, blocks, block_rows, 1, 3)
-        args[5:] = views, 1, slots, 0
+        args[4:] = views, 1, slots, 0
         assert compiled.absorb(*args)[0] >= 2
         assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
     # the scan of more frames than the store holds, of more rows than its
@@ -876,7 +973,7 @@ def _other_blocks(blocks):
 
 @pytest.mark.parametrize("entry", ["absorb", "spread"])
 def test_the_entry_points_refuse_blocks_that_fit_no_store(compiled, entry):
-    position = 5 if entry == "absorb" else 0
+    position = 4 if entry == "absorb" else 0
     for what, blocks, error in _other_blocks(_entry_calls()[entry][0][position]):
         fresh = _entry_calls()[entry][0]
         fresh[position] = blocks

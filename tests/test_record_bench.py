@@ -1,4 +1,4 @@
-"""The per-stage table of scripts/record_bench.py."""
+"""The per-stage table of scripts/record_bench.py: its rounds and its windows."""
 
 import importlib.util
 from pathlib import Path
@@ -35,3 +35,16 @@ def test_the_recorded_window_is_two_stages_each_side(record_bench):
     rows = [["a", k, float(k == 25)] for k in range(1, 401)]  # one stage's spike
     table = record_bench.windowed(rows)
     assert table["a.n25"] == 0.2 and table["a.n5"] == table["a.n400"] == 0.0
+
+
+def test_a_stage_is_each_clips_best_round_then_the_mean_over_clips(record_bench):
+    # three rounds of one repeat each: clip 0 of a is fastest in round 1,
+    # clip 1 in round 0; b's stage 2 ran one clip
+    rounds = [
+        [["a", 1, 0, 3.0], ["a", 1, 1, 5.0], ["b", 2, 0, 2.0]],
+        [["a", 1, 0, 1.0], ["a", 1, 1, 6.0], ["b", 2, 0, 4.0]],
+        [["a", 1, 0, 2.0], ["a", 1, 1, 9.0], ["b", 2, 0, 3.0]],
+    ]
+    assert record_bench.best_of_rounds(rounds) == [["a", 1, 3.0], ["b", 2, 2.0]]
+    assert record_bench.best_of_rounds(rounds[::-1]) == record_bench.best_of_rounds(rounds)
+    assert record_bench.best_of_rounds(rounds[:1]) == [["a", 1, 4.0], ["b", 2, 2.0]]
