@@ -330,7 +330,8 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     assert dump() == want
 
 
-# the sanitizers of the sanitized build; a report aborts the process
+# the flags of the sanitized build: line numbers in its reports, and an
+# abort on the first report of either sanitizer
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 # run in a process that preloads the address sanitizer's runtime, with the
