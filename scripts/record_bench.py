@@ -32,13 +32,35 @@ stages within ``WINDOW`` of it, n - 2 to n + 2, clamped to the stages
 run (:func:`windowed`), as one stage's value over a few clips swings by
 tens of percent.
 
+After the per-stage table every label also records a Python-share table
+of ``a`` and ``b`` at stages ``SHARE_STAGES`` (5 and 25) of the same
+recipe, not looped: each cell's whole stage, the bare compiled calls
+``lib.absorb`` and ``lib.spread`` it makes, and their difference, the
+stage's Python share (:func:`python_share`).  Its ``SHARE_ROUNDS`` = 3
+rounds alternate the labels as the per-stage table's do, each round one
+fresh interpreter per label running ``PYTHON_SHARE``: an untimed warm-up
+drive, then ``SHARE_REPEATS`` drives of every clip timing the whole
+stages (``Stage.seconds``), then as many with ``_kernels.lib`` swapped for
+a wrapper that times each bare call, in a separate pass so that the
+wrapper's own cost stays out of the whole stage.
+
+For each label after the first, ``versus`` holds, per seed, the ratio of
+each end-to-end value (each run's, for the metrics ``BENCHMARK.json``
+lists as end to end) and each cell of both tables to the first label's
+on that seed, and over the seeds the median ratio and the count of seeds
+on which the label is better (:func:`per_seed_ratios`).  The machine's
+speed drifts between seeds by more than two labels differ, while the
+alternated runs keep one seed's pair together, so a per-seed ratio
+compares what was measured side by side.
+
 Each file, written at the root of the checkout holding this script, keeps
 every run's JSON result, each end-to-end metric's median, quartiles and
-IQR per workload, every per-stage table and each entry's median,
-quartiles and IQR, the machine (``run.py``'s ``machine()``), the
-checkout's git HEAD and whether its tracked files differed from it, the
-kernels' ``_kernels.status()``, the seeds and the labels it was recorded
-alongside.  Nothing in the measured checkouts changes.
+IQR per workload, every per-stage and Python-share table and each entry's
+median, quartiles and IQR, the per-seed ratios (``versus``), the machine
+(``run.py``'s ``machine()``), the checkout's git HEAD and whether its
+tracked files differed from it, the kernels' ``_kernels.status()``, the
+seeds and the labels it was recorded alongside.  Nothing in the measured
+checkouts changes.
 """
 
 import argparse
@@ -63,6 +85,11 @@ STAGES = (5, 25, 100, 400)
 STAGE_REPEATS = 3
 # each cell of the per-stage table averages the stages within this many of its own
 WINDOW = 2
+# the Python-share table: stages of criterion 7's recipe, rounds per seed
+# (each one interpreter per label) and drives of each pass per round
+SHARE_STAGES = (5, 25)
+SHARE_ROUNDS = 3
+SHARE_REPEATS = 3
 STAGE_TABLE = """
 import json, sys
 sys.path.insert(0, "src")
@@ -82,6 +109,56 @@ rows = [
     for row in bench([clip], methods, max_stages=stages[-1])
 ]
 print(json.dumps(rows))
+"""
+PYTHON_SHARE = """
+import json, sys, time
+sys.path.insert(0, "src")
+from framestop import _kernels
+from framestop.harness import SyntheticConfig, generate_synthetic
+from framestop.stoppers import StopperConfig, StopperMethod, stages
+names, last, clips, repeats = json.loads(sys.argv[1])
+config = SyntheticConfig(
+    clip_count=clips, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+    frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
+)
+clips = generate_synthetic(config)
+configs = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
+lib = _kernels.get()
+if lib is None:
+    raise SystemExit(f"no compiled kernels: {_kernels.status()}")
+bare = {"absorb": 0.0, "spread": 0.0}  # seconds inside each call, this stage
+
+def timed(name):
+    call, clock = getattr(lib, name), time.perf_counter
+    def run(*args):
+        start = clock()
+        out = call(*args)
+        bare[name] += clock() - start
+        return out
+    return staticmethod(run)
+
+wrapper = type("Timed", (), {name: timed(name) for name in bare})()
+best = {}  # (method, stage, clip) -> least [whole stage, bare absorb, bare spread]
+
+def drive(column):
+    for _ in range(repeats):
+        for index, clip in enumerate(clips):
+            for config in configs:
+                for stage in stages(clip, config):
+                    seconds = [stage.seconds] if column == 0 else [bare["absorb"], bare["spread"]]
+                    bare.update(absorb=0.0, spread=0.0)
+                    key = (config.method.value, stage.number, index)
+                    kept = best.setdefault(key, [float("inf")] * 3)
+                    for offset, value in enumerate(seconds):
+                        kept[column + offset] = min(kept[column + offset], value)
+
+for config in configs:  # the warm-up drive, not timed
+    for stage in stages(clips[0], config):
+        pass
+drive(0)
+_kernels.lib = wrapper
+drive(1)
+print(json.dumps([[*key, *seconds] for key, seconds in sorted(best.items())]))
 """
 
 
@@ -148,14 +225,79 @@ def best_of_rounds(rounds):
             for (method, stage), per_clip in sorted(best.items())]
 
 
+def python_share(rounds, stages=SHARE_STAGES):
+    """The Python-share table from ``rounds``, each the rows of (method,
+    stage, clip, whole stage, bare absorb, bare spread) of one round: per
+    column each clip's minimum over the rounds, the mean over clips, then
+    the window around each of ``stages`` (:func:`windowed`).  Cells
+    ``<method>.n<stage>.<part>`` for the parts ``stage``, ``absorb``,
+    ``spread`` and ``python``, the stage less both bare calls."""
+    parts = {}
+    for column, part in enumerate(("stage", "absorb", "spread"), 3):
+        best = best_of_rounds([[row[:3] + [row[column]] for row in rows] for rows in rounds])
+        parts[part] = windowed(best, stages)
+    table = {}
+    for cell, whole in parts["stage"].items():
+        absorb, spread = parts["absorb"][cell], parts["spread"][cell]
+        table.update({f"{cell}.stage": whole, f"{cell}.absorb": absorb,
+                      f"{cell}.spread": spread, f"{cell}.python": whole - absorb - spread})
+    return table
+
+
+def per_seed_ratios(first, other, better):
+    """``other``'s value over ``first``'s, seed by seed, both lists in seed
+    order, summarised: the ratios, their median and on how many seeds
+    ``other`` is better, ``better`` being "lower" or "higher"."""
+    ratios = [b / a for a, b in zip(first, other)]
+    wins = sum(ratio < 1.0 if better == "lower" else ratio > 1.0 for ratio in ratios)
+    return {"ratios": ratios, "median": statistics.median(ratios), "better": wins,
+            "seeds": len(ratios)}
+
+
+def versus(first, record, directions):
+    """Per-seed ratios of ``record`` to the ``first`` record: every
+    end-to-end value named in ``directions`` ({metric: "lower" or
+    "higher"}) per workload, and every cell of the per-stage and
+    Python-share tables, lower being better."""
+    def values(record, workload, metric):
+        return [run["result"]["metrics"][metric]["value"] for run in record["runs"][workload]]
+
+    def cells(first_runs, runs):
+        return {cell: per_seed_ratios([table[cell] for table in first_runs],
+                                      [table[cell] for table in runs], "lower")
+                for cell in first_runs[0]}
+
+    return {
+        "label": first["label"],
+        "end_to_end": {
+            workload: {metric: per_seed_ratios(values(first, workload, metric),
+                                               values(record, workload, metric), better)
+                       for metric, better in directions.items()}
+            for workload in first["runs"]
+        },
+        "stage_table": cells(first["stage_table"]["runs"], record["stage_table"]["runs"]),
+        "python_share": cells(first["python_share"]["runs"], record["python_share"]["runs"]),
+    }
+
+
+def _in_checkout(root, script, given, what):
+    """The JSON on the last line of ``script`` run with ``given`` in the checkout."""
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(given)], cwd=root,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"record_bench: the {what} failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def _stage_round(root):
     """The rows of one repeat of ``STAGE_TABLE``, run in the checkout."""
-    given = json.dumps([STAGE_METHODS, STAGES, STAGE_CLIPS])
-    done = subprocess.run([sys.executable, "-c", STAGE_TABLE, given], cwd=root, capture_output=True,
-                          text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"record_bench: the per-stage table failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return _in_checkout(root, STAGE_TABLE, [STAGE_METHODS, STAGES, STAGE_CLIPS], "per-stage table")
+
+
+def _share_round(root):
+    """The rows of one round of ``PYTHON_SHARE``, run in the checkout."""
+    given = [STAGE_METHODS, SHARE_STAGES[-1] + WINDOW, STAGE_CLIPS, SHARE_REPEATS]
+    return _in_checkout(root, PYTHON_SHARE, given, "Python-share table")
 
 
 def _summary(values):
@@ -185,6 +327,17 @@ def _record(label, root, seconds, workloads, alongside):
                         "cell": "mean of the stage's seconds over stages n - window .. "
                                 "n + window, clamped to the stages run",
                         "runs": []},
+        "python_share": {"clips": STAGE_CLIPS, "stages": list(SHARE_STAGES),
+                         "rounds": SHARE_ROUNDS, "repeats": SHARE_REPEATS, "window": WINDOW,
+                         "unit": "s",
+                         "parts": "stage: Stage.seconds, absorb plus estimate; absorb, spread: "
+                                  "the bare lib.absorb and lib.spread calls of the stage, timed "
+                                  "through a wrapper of _kernels.lib in a separate pass; python: "
+                                  "stage - absorb - spread",
+                         "cell": "each part's per-clip minimum over rounds and repeats, the "
+                                 "mean over clips, then the mean over stages n - window .. "
+                                 "n + window",
+                         "runs": []},
     }
 
 
@@ -204,6 +357,7 @@ def main(argv=None):
     labels = list(checkouts)
     config = json.loads((checkouts[labels[0]] / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in config["workloads"]]
+    directions = {metric["name"]: metric["better"] for metric in config["end_to_end"]}
     seconds = config["run_seconds"]
     records = {
         label: _record(label, root, seconds, workloads, [other for other in labels if other != label])
@@ -225,6 +379,18 @@ def main(argv=None):
             records[label]["stage_table"]["runs"].append(table)
             print(f"{label} per-stage table seed {seed}: a.n400 {table['a.n400'] * 1e6:.1f} us",
                   flush=True)
+        shares = {label: [] for label in labels}
+        for repeat in range(SHARE_ROUNDS):
+            for label in labels if (number + repeat) % 2 == 0 else labels[::-1]:
+                shares[label].append(_share_round(checkouts[label]))
+        for label in labels:
+            table = python_share(shares[label])
+            records[label]["python_share"]["runs"].append(table)
+            print(f"{label} Python-share table seed {seed}: a.n25 python "
+                  f"{table['a.n25.python'] * 1e6:.2f} of {table['a.n25.stage'] * 1e6:.2f} us",
+                  flush=True)
+    for label in labels[1:]:
+        records[label]["versus"] = versus(records[labels[0]], records[label], directions)
     for record in records.values():
         record["summary"] = {
             workload: {
@@ -233,10 +399,11 @@ def main(argv=None):
             }
             for workload, runs in record["runs"].items()
         }
-        tables = record["stage_table"]["runs"]
-        record["stage_table"]["summary"] = {
-            key: _summary([table[key] for table in tables]) for key in tables[0]
-        }
+        for name in ("stage_table", "python_share"):
+            tables = record[name]["runs"]
+            record[name]["summary"] = {
+                key: _summary([table[key] for table in tables]) for key in tables[0]
+            }
         out = HERE / f"BENCH_{record['label']}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {out}")

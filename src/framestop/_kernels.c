@@ -52,8 +52,11 @@
    row id's current row (by_row_id), and the arrays absorb and spread
    return.  They derive every other argument from the arrays' shapes and
    data pointers, refuse a call the history store has no room for, run
-   the kernel with the GIL released and build the Python result.  No
-   address outlives a call. */
+   the kernel with the GIL released and build the Python result: absorb
+   refuses a non-finite cost, as CombinerState.absorb's Python route does,
+   and hands back the merged rows cut to the result's S + 1 rows and
+   write-protected (cut), the array the state keeps.  No address outlives
+   a call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -769,6 +772,37 @@ static PyObject *no_path(void)
     return NULL;
 }
 
+/* Raises the ValueError of combiner.align for the non-finite cost;
+   returns NULL. */
+static PyObject *no_finite_cost(double cost)
+{
+    PyObject *value = PyFloat_FromDouble(cost);
+    if (value) {
+        PyErr_Format(PyExc_ValueError, "alignment cost is %R: rows must be finite", value);
+        Py_DECREF(value);
+    }
+    return NULL;
+}
+
+/* Cuts array, a new 2-D array that owns its data and that nothing else
+   references, to its first rows rows and write-protects it, so no view
+   of it is writable.  numpy reallocates the data, which the allocator
+   shrinks without a copy where it can: on the bare absorb at n = 25 this
+   cost less than allocating an array of the exact rows and copying the
+   merge into it.  -1 with an exception set when the data cannot be
+   reallocated. */
+static int cut(PyArrayObject *array, int64_t rows)
+{
+    npy_intp shape[2] = {rows, PyArray_DIM(array, 1)};
+    PyArray_Dims dims = {shape, 2};
+    PyObject *none = PyArray_Resize(array, &dims, 0, NPY_CORDER);
+    if (!none)
+        return -1;
+    Py_DECREF(none);
+    PyArray_CLEARFLAGS(array, NPY_ARRAY_WRITEABLE);
+    return 0;
+}
+
 /* The tuple (a, b, c), taking the three references; NULL if one is. */
 static PyObject *triple(PyObject *a, PyObject *b, PyObject *c)
 {
@@ -886,13 +920,15 @@ static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *res
    with the share factor, the rows it inserts taking the ids S.., struct
    fs_absorb_args filled from the arrays' shapes.  result and frame,
    float64 (S+1, K+1) and (M+1, K+1), each end with the empty row; merged,
-   a new float64 array of S+M+1 rows, holds the merge in its first
-   steps + 1 rows; order, int64 with room for S+M ids, holds the result
-   rows' ids on entry.  blocks, a tuple of float64 (2^shift, K+1) arrays
-   with used rows in use, and slots (frames, stride) are the history store
-   (see store), skipped, with used, slots and frame_index, when blocks is
-   None; it must have room for frame frame_index, its M rows and S+M row
-   ids. */
+   a new write-protected float64 array of steps + 1 rows, is the merge
+   followed by the empty row, allocated for S+M+1 rows and cut (cut);
+   order, int64 with room for S+M ids, holds the result rows' ids on
+   entry.  A cost that is not finite raises ValueError, as does a NaN
+   one, with nothing written.  blocks, a tuple of float64 (2^shift, K+1)
+   arrays with used rows in use, and slots (frames, stride) are the
+   history store (see store), skipped, with used, slots and frame_index,
+   when blocks is None; it must have room for frame frame_index, its M
+   rows and S+M row ids. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -927,9 +963,12 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
     Py_END_ALLOW_THREADS
-    answer = steps < 0 ? no_path()
-                       : triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost),
-                                Py_NewRef(merged));
+    if (steps < 0)
+        no_path();
+    else if (!isfinite(a.cost))
+        no_finite_cost(a.cost);
+    else if (cut((PyArrayObject *)merged, steps + 1) == 0)
+        answer = triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost), Py_NewRef(merged));
 done:
     Py_XDECREF(merged);
     free(a.work);

@@ -60,9 +60,15 @@ width (ValueError otherwise), and its slots; ``spread`` reads each row
 id's current row from the combined result through the row-id order,
 which it first checks is a permutation (ValueError otherwise).
 ``align`` and ``absorb`` raise ValueError when the costs hold a NaN, so
-no path exists; ``absorb`` and ``spread`` refuse a call the history
-store has no room for with RuntimeError, as an internal error, writing
-nothing (the state makes room before the call).
+no path exists, and ``absorb`` also when the path's cost is not finite,
+with ``combiner.align``'s message, writing nothing.  ``absorb`` returns
+``(steps, cost, merged)``: ``merged`` holds the merged rows followed by
+the empty row, cut in place to those steps + 1 rows (``PyArray_Resize``,
+which moves no data where the allocator shrinks the block in place) and
+write-protected, so ``CombinerState`` keeps it as its result as it is.
+``absorb`` and ``spread`` refuse a call the history store has no room for
+with RuntimeError, as an internal error, writing nothing (the state makes
+room before the call).
 """
 
 import contextlib

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import CombinedResult, _empty_row
+from .core import _FLOAT_MAX, CombinedResult, _empty_row
 from .metrics import _as_rows, cost_table, gap_costs, normalized, pairwise_costs
 from .treap import MultisetIndex
 
@@ -111,14 +111,21 @@ def merge_share(weight, total):
     is 0 where the sum is not positive.
     """
     if not isinstance(weight, np.ndarray):
-        if weight >= _HALVE_FROM or total >= _HALVE_FROM:
-            weight, total = 0.5 * weight, 0.5 * total
-        denom = total + weight
-        return weight / denom if denom > 0 else 0.0
+        return _scalar_share(weight, total)
     if weight.max(initial=total) >= _HALVE_FROM:
         weight, total = 0.5 * weight, 0.5 * total
     denom = total + weight
     return np.divide(weight, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def _scalar_share(weight, total):
+    """:func:`merge_share` of a float ``weight``, without its type test:
+    the share a state caches for its next candidate, and each candidate's
+    share of ``estimate_base``."""
+    if weight >= _HALVE_FROM or total >= _HALVE_FROM:
+        weight, total = 0.5 * weight, 0.5 * total
+    denom = total + weight
+    return weight / denom if denom > 0 else 0.0
 
 
 def _index(value, name):
@@ -252,7 +259,9 @@ class CombinerState:
         self._width = alphabet.size + 1
         block_rows, frames, ids = _STORE_CAPACITY
         self._ids = np.empty(ids, dtype=np.int64)  # row ids 0..S-1 in display order, and room
-        self._set_rows(_empty_row(self._width)[None], 0)  # the rows, then the empty row
+        empty = _empty_row(self._width)[None].copy()  # owns its data, as every result does
+        empty.setflags(write=False)
+        self._set_rows(empty, 0)  # the rows, then the empty row
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._share = 1.0  # the next candidate's: merge_share(_common_weight, weight_total)
@@ -298,12 +307,13 @@ class CombinerState:
         if self.track_treaps and frame.weight != 1.0:
             raise ValueError("treap bookkeeping supports unit frame weights only")
 
-    def _set_rows(self, merged, s):
-        """Make the first ``s`` rows of ``merged``, followed by the empty row,
-        the current result, write-protected."""
-        merged.setflags(write=False)  # so no view of it is writable
-        self._padded = merged[: s + 1]
-        self._matrix = merged[:s]
+    def _set_rows(self, padded, s):
+        """Make ``padded``, ``s`` rows followed by the empty row, the current
+        result.  ``padded`` is write-protected and owns its data, so no view
+        of it is writable: ``lib.absorb`` returns it so, and the Python route
+        write-protects the rows of :func:`_merge` before this call."""
+        self._padded = padded
+        self._matrix = padded[:s]
         self.num_chars = s
 
     def absorb(self, frame):
@@ -317,15 +327,26 @@ class CombinerState:
         run, the alignment, the merge and the store write are then one
         ``fs_absorb`` call; otherwise :func:`align`, :func:`_merge` and
         :meth:`_record`, the reference, which gives the same rows, row ids
-        and store bit for bit.  A frame of the common weight merges by the
-        cached ``_share``, :func:`merge_share`'s float even for zero weights.
+        and store bit for bit.  ``fs_absorb`` refuses a non-finite alignment
+        cost as :func:`align` does, writing nothing, and hands back the
+        merged rows, followed by the empty row, cut and write-protected: the
+        array the state keeps.  A frame of the common weight merges by the
+        cached ``_share``, :func:`merge_share`'s float even for zero weights,
+        and its check is one comparison, of its row width: a state that
+        keeps treaps has a common weight of 1 from the start, so only a frame
+        of another weight needs the rest of :meth:`_check_frame`.
         """
-        self._check_frame(frame)
+        if frame.padded_rows.shape[1] != self._width:
+            self._check_frame(frame)
         w = frame.weight
+        if w == self._common_weight:
+            factor = self._share
+        else:
+            self._check_frame(frame)
+            factor = _scalar_share(w, self.weight_total)
         new_total = self.weight_total + w
-        if not math.isfinite(new_total):
+        if new_total > _FLOAT_MAX:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
-        factor = self._share if w == self._common_weight else merge_share(w, self.weight_total)
         m = len(frame.rows)
         blocks = self._blocks
         if self.num_chars + m > len(self._ids) or blocks is not None and (
@@ -334,19 +355,17 @@ class CombinerState:
             self._reserve(m)
         lib = _kernels.get()
         if lib is not None:
-            steps, cost, merged = lib.absorb(
+            steps, _, merged = lib.absorb(
                 self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
                 self._slots, self.n,
             )
-            if not math.isfinite(cost):
-                raise ValueError(f"alignment cost is {cost}: rows must be finite")
             self._set_rows(merged, steps)
         else:
             self._absorb_python(frame, factor)
         self._weights.append(w)
         if self.n == 0 or w == self._common_weight:
             self._common_weight = w
-            self._share = merge_share(w, new_total)
+            self._share = _scalar_share(w, new_total)
         else:
             self._common_weight = None
         self.n += 1
@@ -364,6 +383,7 @@ class CombinerState:
             # row id of each frame row, in frame order
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
+        padded.setflags(write=False)
         self._set_rows(padded, len(order))
 
     def _row_ids_after(self, alignment):
@@ -438,7 +458,7 @@ class CombinerState:
         weight total so far; the state is untouched.
         """
         self._check_frame(candidate)
-        return align(candidate, self._matrix), merge_share(candidate.weight, self.weight_total)
+        return align(candidate, self._matrix), _scalar_share(candidate.weight, self.weight_total)
 
     def candidate_shares(self):
         """Merge share of every absorbed frame as the next candidate.
@@ -508,7 +528,7 @@ class CombinerState:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
-        share = self.candidate_shares()
+        share = self._share if self._common_weight is not None else self.candidate_shares()
         lib = _kernels.get()
         if lib is not None:
             return lib.spread(

@@ -25,10 +25,12 @@ Three estimators compute the same quantity at different price points:
 A stage of ``a`` or ``b`` is the absorb that every method pays (one
 ``fs_absorb`` call on the compiled route: the alignment, the merge and
 the store write) plus the estimate (one ``fs_spread`` call).  At n=25 on
-the criterion-7 recipe (2-vCPU Xeon with AVX2, minimum of 3000 calls,
-six runs) ``a``'s absorb took 11-15 us and its estimate 7-10 us; past n
-of about 100 the estimate's scan is the larger part.  A compiled call on
-empty inputs takes about 0.5 us, the binding's share of every call.
+the criterion-7 recipe (``looped_clip`` of the tests; 2-vCPU Xeon with
+AVX2, minimum of 3000 calls, six runs) ``a``'s absorb took 9.6-13.8 us,
+7.7-9.4 of them in the bare ``fs_absorb`` call, and its estimate
+6.7-8.6 us, 4.9-5.9 in the bare ``fs_spread`` call; past n of about 100
+the estimate's scan is the larger part.  A compiled call on empty inputs
+takes about 0.5 us, the binding's share of every call.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.
@@ -87,25 +89,36 @@ class StopperConfig:
                 raise ValueError("FIXED_STAGE needs fixed_stage >= 1")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EstimationBreakdown:
     """One estimator evaluation.
 
     ``estimate`` is the expected distance to the next combined result;
     ``gld_aggregate`` the un-normalized distance sum behind it;
     ``per_candidate`` the individual candidate distances where the
-    estimator computes them (base and method A).
+    estimator computes them (base and method A).  The estimators build
+    theirs with :func:`_breakdown`.
     """
 
     estimate: float
     gld_aggregate: float
     per_candidate: tuple[float, ...] | None = None
 
-    def __init__(self, estimate, gld_aggregate, per_candidate=None):
-        fields = self.__dict__  # filled directly: a frozen __setattr__ per field costs 2x
-        fields["estimate"] = estimate
-        fields["gld_aggregate"] = gld_aggregate
-        fields["per_candidate"] = per_candidate
+
+_new = object.__new__
+
+
+def _breakdown(estimate, gld_aggregate, per_candidate):
+    """``EstimationBreakdown(estimate, gld_aggregate, per_candidate)``,
+    without the class call and the frozen ``__setattr__`` of its
+    ``__init__``: the object, then its fields written to its dict, about
+    half the cost."""
+    breakdown = _new(EstimationBreakdown)
+    fields = breakdown.__dict__
+    fields["estimate"] = estimate
+    fields["gld_aggregate"] = gld_aggregate
+    fields["per_candidate"] = per_candidate
+    return breakdown
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +181,7 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
         else:
             distances.append(normalized(g, 2 * s + alignment.inserted))
     estimate = (delta + sum(distances)) / (state.n + 1)
-    return EstimationBreakdown(estimate, aggregate, tuple(distances))
+    return _breakdown(estimate, aggregate, tuple(distances))
 
 
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
@@ -178,7 +191,7 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
     distances, aggregate, total = state.candidate_gld(length)
     estimate = (delta + total) / (state.n + 1)
-    return EstimationBreakdown(estimate, aggregate, tuple(distances.tolist()))
+    return _breakdown(estimate, aggregate, tuple(distances.tolist()))
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
@@ -193,7 +206,7 @@ def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
     length = 2.0 * state.num_chars
     converted = normalized(aggregate, length) if metric is MetricKind.NGLD else aggregate
     estimate = (delta + converted) / (state.n + 1)
-    return EstimationBreakdown(estimate, aggregate, None)
+    return _breakdown(estimate, aggregate, None)
 
 
 def should_stop(estimate, config):

@@ -31,6 +31,7 @@ from framestop.stoppers import (
     estimate_method_b,
     run_clip,
     stage_traces,
+    stages,
 )
 
 from oracles import growth_clip, late_rows_clip, looped_clip, python_kernels, random_clip
@@ -336,9 +337,9 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 # run in a process that preloads the address sanitizer's runtime, with the
 # sanitized build at argv[1] and the directories of framestop and of these
-# tests at argv[2:4]: the entry points' refusal cases, then a clip of
-# acceptance criterion 7's recipe and looped_clip(150) through all four
-# entry points
+# tests at argv[2:4]: the entry points' refusal cases, the result absorb
+# cuts and write-protects, then a clip of acceptance criterion 7's recipe
+# and looped_clip(150) through all four entry points
 SANITIZED_RUN = """
 import sys
 sys.path[:0] = sys.argv[2:4]
@@ -359,6 +360,7 @@ for entry in ("absorb", "spread"):
     t.test_the_entry_points_refuse_blocks_that_fit_no_store(lib, entry)
 t.test_compiled_trace_stops_on_nan_costs(lib)
 t.test_compiled_absorb_writes_nothing_on_non_finite_costs(lib)
+t.test_the_compiled_absorb_hands_back_the_result_the_state_keeps(lib)
 t.test_compiled_kernels_refuse_a_store_without_room(lib)
 t.test_compiled_spread_refuses_ids_that_are_not_a_permutation(lib)
 config = SyntheticConfig(
@@ -912,17 +914,68 @@ def _absorb_args(result, frame):
 
 
 def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
-    nan_rows = np.full((2, 2), np.nan)
-    args, (_, _, order) = _absorb_args(nan_rows, nan_rows)
-    with pytest.raises(ValueError, match="NaN"):
-        compiled.absorb(*args)
-    assert (order[2:] == 7).all()
-    args, (_, _, order) = _absorb_args([[0.0, np.inf]], [[0.0, np.inf]])
-    with np.errstate(invalid="ignore"):
-        steps, cost, merged = compiled.absorb(*args)
-    assert steps == 2 and merged.shape == (3, 2)
-    assert cost != cost
-    assert (order[1:] == 7).all()
+    # NaN costs, which leave no path; infinite rows on both sides, whose
+    # path costs NaN; an infinite row against a finite one, whose path
+    # costs inf.  Each raises align's ValueError, writing neither the row
+    # ids nor the history store.
+    nan_rows, inf_row = np.full((2, 2), np.nan), [[0.0, np.inf]]
+    for result, frame, message in (
+        (nan_rows, nan_rows, "alignment costs hold a NaN: rows must be finite"),
+        (inf_row, inf_row, "alignment cost is nan: rows must be finite"),
+        (inf_row, [[0.5, 0.5]], "alignment cost is inf: rows must be finite"),
+    ):
+        args, buffers = _absorb_args(result, frame)
+        (views, slots), store = _store(2, 1, 4, 1, 4)
+        args[4:] = views, 1, slots, 0
+        before = [array.copy() for array in (*buffers, *store)]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as refused:
+            compiled.absorb(*args)
+        assert str(refused.value) == message
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
+
+
+def _kept_result_clips():
+    """Two clips of acceptance criterion 7's recipe and ``looped_clip(60)``."""
+    config = SyntheticConfig(
+        clip_count=2, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+        frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
+    )
+    return [*generate_synthetic(config), looped_clip(60)]
+
+
+def _check_the_result_a_state_keeps():
+    """After every absorb: the padded result is the S rows followed by the
+    empty row, nothing more; ``mean_rows`` and the array it views are
+    read-only; and a stage's rows are byte-identical 10 stages later."""
+    for clip in _kept_result_clips():
+        width = clip.alphabet.size + 1
+        empty = np.eye(1, width)
+        state = CombinerState(clip.alphabet, track_history=True)
+        kept = []
+        config = StopperConfig(StopperMethod.METHOD_A, max_stages=len(clip.frames))
+        for frame, stage in zip(clip.frames, stages(clip, config)):
+            state.absorb(frame)
+            padded, rows = state._padded, state.mean_rows
+            assert padded.shape == (state.num_chars + 1, width)
+            assert padded[-1].tobytes() == empty.tobytes()
+            assert rows.base is padded
+            assert not rows.flags.writeable and not padded.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows.base[0, 0] = 0.5
+            kept.append((stage.rows, stage.rows.tobytes()))
+            if len(kept) > 10:
+                earlier, saved = kept[-11]
+                assert earlier.tobytes() == saved
+        assert stage.rows.tobytes() == state.mean_rows.tobytes()
+
+
+def test_the_compiled_absorb_hands_back_the_result_the_state_keeps(compiled):
+    _check_the_result_a_state_keeps()
+
+
+def test_the_python_absorb_keeps_its_result_as_the_compiled_one_does():
+    with python_kernels():
+        _check_the_result_a_state_keeps()
 
 
 def _store(width, blocks, block_rows, frames, stride, marker=5):

@@ -1,4 +1,5 @@
-"""The per-stage table of scripts/record_bench.py: its rounds and its windows."""
+"""scripts/record_bench.py: the per-stage table's rounds and windows, the Python-share
+table and the per-seed ratios."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,48 @@ def test_a_stage_is_each_clips_best_round_then_the_mean_over_clips(record_bench)
     assert record_bench.best_of_rounds(rounds) == [["a", 1, 3.0], ["b", 2, 2.0]]
     assert record_bench.best_of_rounds(rounds[::-1]) == record_bench.best_of_rounds(rounds)
     assert record_bench.best_of_rounds(rounds[:1]) == [["a", 1, 4.0], ["b", 2, 2.0]]
+
+
+def test_per_seed_ratios_count_the_seeds_a_label_is_better_on(record_bench):
+    got = record_bench.per_seed_ratios([2.0, 4.0, 5.0], [1.0, 5.0, 4.0], "lower")
+    assert got == {"ratios": [0.5, 1.25, 0.8], "median": 0.8, "better": 2, "seeds": 3}
+    got = record_bench.per_seed_ratios([2.0, 4.0, 5.0], [1.0, 5.0, 5.0], "higher")
+    assert got["better"] == 1 and got["median"] == 1.0  # a tie is not better
+
+
+def _record(label, scale, stages_per_s):
+    """A record of two seeds whose timings are the parent's times ``scale``."""
+    runs = [{"seed": seed, "result": {"metrics": {
+        "stages_per_s": {"value": value}, "stage_ms_p50": {"value": scale * seed},
+        "setup_s": {"value": 9.0}}}} for seed, value in zip((1, 2), stages_per_s)]
+    return {
+        "label": label,
+        "runs": {"online-fast": runs},
+        "stage_table": {"runs": [{"a.n5": scale * 1.0}, {"a.n5": scale * 3.0}]},
+        "python_share": {"runs": [{"a.n5.python": scale * 2.0}, {"a.n5.python": 2.0}]},
+    }
+
+
+def test_versus_pairs_each_seed_with_the_first_labels_run_of_it(record_bench):
+    first = _record("parent", 1.0, (100.0, 200.0))
+    other = _record("change", 0.5, (110.0, 180.0))
+    got = record_bench.versus(first, other, {"stages_per_s": "higher", "stage_ms_p50": "lower"})
+    assert got["label"] == "parent"
+    fast = got["end_to_end"]["online-fast"]
+    assert set(fast) == {"stages_per_s", "stage_ms_p50"}  # setup_s is not named
+    assert fast["stages_per_s"]["ratios"] == [1.1, 0.9] and fast["stages_per_s"]["better"] == 1
+    assert fast["stage_ms_p50"] == {"ratios": [0.5, 0.5], "median": 0.5, "better": 2, "seeds": 2}
+    assert got["stage_table"]["a.n5"]["ratios"] == [0.5, 0.5]
+    assert got["python_share"]["a.n5.python"] == {"ratios": [0.5, 1.0], "median": 0.75,
+                                                  "better": 1, "seeds": 2}
+
+
+def test_the_python_share_is_the_stage_less_its_two_bare_calls(record_bench):
+    # rows of (method, stage, clip, whole stage, bare absorb, bare spread);
+    # two rounds, each part's minimum taken on its own, then the mean over clips
+    rounds = [
+        [["a", 5, 0, 10.0, 4.0, 2.0], ["a", 5, 1, 12.0, 5.0, 3.0]],
+        [["a", 5, 0, 11.0, 3.0, 2.5], ["a", 5, 1, 14.0, 6.0, 1.0]],
+    ]
+    got = record_bench.python_share(rounds, stages=(5,))
+    assert got == {"a.n5.stage": 11.0, "a.n5.absorb": 4.0, "a.n5.spread": 1.5, "a.n5.python": 5.5}
