@@ -39,10 +39,12 @@ recipe, not looped: each cell's whole stage, the bare compiled calls
 stage's Python share (:func:`python_share`).  Its ``SHARE_ROUNDS`` = 3
 rounds alternate the labels as the per-stage table's do, each round one
 fresh interpreter per label running ``PYTHON_SHARE``: an untimed warm-up
-drive, then ``SHARE_REPEATS`` drives of every clip timing the whole
-stages (``Stage.seconds``), then as many with ``_kernels.lib`` swapped for
-a wrapper that times each bare call, in a separate pass so that the
-wrapper's own cost stays out of the whole stage.
+drive, then ``SHARE_REPEATS`` repeats, each a pass over every clip timing
+the whole stages (``Stage.seconds``) and then one with ``_kernels.lib``
+swapped for a wrapper that times each bare call.  The bare calls are timed
+in passes of their own, so that the wrapper's cost stays out of the whole
+stage, and the two kinds of pass alternate, so that a slow spell of the
+machine falls on both rather than on one part of the difference.
 
 For each label after the first, ``versus`` holds, per seed, the ratio of
 each end-to-end value (each run's, for the metrics ``BENCHMARK.json``
@@ -141,23 +143,23 @@ wrapper = type("Timed", (), {name: timed(name) for name in bare})()
 best = {}  # (method, stage, clip) -> least [whole stage, bare absorb, bare spread]
 
 def drive(column):
-    for _ in range(repeats):
-        for index, clip in enumerate(clips):
-            for config in configs:
-                for stage in stages(clip, config):
-                    seconds = [stage.seconds] if column == 0 else [bare["absorb"], bare["spread"]]
-                    bare.update(absorb=0.0, spread=0.0)
-                    key = (config.method.value, stage.number, index)
-                    kept = best.setdefault(key, [float("inf")] * 3)
-                    for offset, value in enumerate(seconds):
-                        kept[column + offset] = min(kept[column + offset], value)
+    for index, clip in enumerate(clips):
+        for config in configs:
+            for stage in stages(clip, config):
+                seconds = [stage.seconds] if column == 0 else [bare["absorb"], bare["spread"]]
+                bare.update(absorb=0.0, spread=0.0)
+                key = (config.method.value, stage.number, index)
+                kept = best.setdefault(key, [float("inf")] * 3)
+                for offset, value in enumerate(seconds):
+                    kept[column + offset] = min(kept[column + offset], value)
 
 for config in configs:  # the warm-up drive, not timed
     for stage in stages(clips[0], config):
         pass
-drive(0)
-_kernels.lib = wrapper
-drive(1)
+for _ in range(repeats):
+    for column, kernels in ((0, lib), (1, wrapper)):
+        _kernels.lib = kernels
+        drive(column)
 print(json.dumps([[*key, *seconds] for key, seconds in sorted(best.items())]))
 """
 
@@ -332,7 +334,8 @@ def _record(label, root, seconds, workloads, alongside):
                          "unit": "s",
                          "parts": "stage: Stage.seconds, absorb plus estimate; absorb, spread: "
                                   "the bare lib.absorb and lib.spread calls of the stage, timed "
-                                  "through a wrapper of _kernels.lib in a separate pass; python: "
+                                  "through a wrapper of _kernels.lib in passes of their own, "
+                                  "alternating with the whole-stage passes; python: "
                                   "stage - absorb - spread",
                          "cell": "each part's per-clip minimum over rounds and repeats, the "
                                  "mean over clips, then the mean over stages n - window .. "
