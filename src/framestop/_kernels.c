@@ -790,7 +790,8 @@ static PyObject *no_finite_cost(double cost)
    shrinks without a copy where it can: on the bare absorb at n = 25 this
    cost less than allocating an array of the exact rows and copying the
    merge into it.  -1 with an exception set when the data cannot be
-   reallocated. */
+   reallocated, which comes after fs_absorb has written the row ids and
+   the store: unlike a refused call, a failed cut leaves them written. */
 static int cut(PyArrayObject *array, int64_t rows)
 {
     npy_intp shape[2] = {rows, PyArray_DIM(array, 1)};
@@ -924,7 +925,8 @@ static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *res
    followed by the empty row, allocated for S+M+1 rows and cut (cut);
    order, int64 with room for S+M ids, holds the result rows' ids on
    entry.  A cost that is not finite raises ValueError, as does a NaN
-   one, with nothing written.  blocks, a tuple of float64 (2^shift, K+1)
+   one, with nothing written; a MemoryError from cut, or from building
+   the tuple, comes after order and the store are written.  blocks, a tuple of float64 (2^shift, K+1)
    arrays with used rows in use, and slots (frames, stride) are the
    history store (see store), skipped, with used, slots and frame_index,
    when blocks is None; it must have room for frame frame_index, its M

@@ -330,23 +330,16 @@ class CombinerState:
         and store bit for bit.  ``fs_absorb`` refuses a non-finite alignment
         cost as :func:`align` does, writing nothing, and hands back the
         merged rows, followed by the empty row, cut and write-protected: the
-        array the state keeps.  A frame of the common weight merges by the
-        cached ``_share``, :func:`merge_share`'s float even for zero weights,
-        and its check is one comparison, of its row width: a state that
-        keeps treaps has a common weight of 1 from the start, so only a frame
-        of another weight needs the rest of :meth:`_check_frame`.
+        array the state keeps.  Only a MemoryError in that cut, after the
+        row ids and the store are written, leaves the state inconsistent.  A frame of the common weight merges by the
+        cached ``_share``, :func:`merge_share`'s float even for zero weights.
         """
-        if frame.padded_rows.shape[1] != self._width:
-            self._check_frame(frame)
+        self._check_frame(frame)
         w = frame.weight
-        if w == self._common_weight:
-            factor = self._share
-        else:
-            self._check_frame(frame)
-            factor = _scalar_share(w, self.weight_total)
         new_total = self.weight_total + w
         if new_total > _FLOAT_MAX:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
+        factor = self._share if w == self._common_weight else _scalar_share(w, self.weight_total)
         m = len(frame.rows)
         blocks = self._blocks
         if self.num_chars + m > len(self._ids) or blocks is not None and (
@@ -528,7 +521,7 @@ class CombinerState:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
-        share = self._share if self._common_weight is not None else self.candidate_shares()
+        share = self.candidate_shares()
         lib = _kernels.get()
         if lib is not None:
             return lib.spread(

@@ -89,36 +89,25 @@ class StopperConfig:
                 raise ValueError("FIXED_STAGE needs fixed_stage >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimationBreakdown:
     """One estimator evaluation.
 
     ``estimate`` is the expected distance to the next combined result;
     ``gld_aggregate`` the un-normalized distance sum behind it;
     ``per_candidate`` the individual candidate distances where the
-    estimator computes them (base and method A).  The estimators build
-    theirs with :func:`_breakdown`.
+    estimator computes them (base and method A).
     """
 
     estimate: float
     gld_aggregate: float
     per_candidate: tuple[float, ...] | None = None
 
-
-_new = object.__new__
-
-
-def _breakdown(estimate, gld_aggregate, per_candidate):
-    """``EstimationBreakdown(estimate, gld_aggregate, per_candidate)``,
-    without the class call and the frozen ``__setattr__`` of its
-    ``__init__``: the object, then its fields written to its dict, about
-    half the cost."""
-    breakdown = _new(EstimationBreakdown)
-    fields = breakdown.__dict__
-    fields["estimate"] = estimate
-    fields["gld_aggregate"] = gld_aggregate
-    fields["per_candidate"] = per_candidate
-    return breakdown
+    def __init__(self, estimate, gld_aggregate, per_candidate=None):
+        fields = self.__dict__  # filled directly: a frozen __setattr__ per field costs 2x
+        fields["estimate"] = estimate
+        fields["gld_aggregate"] = gld_aggregate
+        fields["per_candidate"] = per_candidate
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +170,7 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
         else:
             distances.append(normalized(g, 2 * s + alignment.inserted))
     estimate = (delta + sum(distances)) / (state.n + 1)
-    return _breakdown(estimate, aggregate, tuple(distances))
+    return EstimationBreakdown(estimate, aggregate, tuple(distances))
 
 
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
@@ -191,7 +180,7 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
     distances, aggregate, total = state.candidate_gld(length)
     estimate = (delta + total) / (state.n + 1)
-    return _breakdown(estimate, aggregate, tuple(distances.tolist()))
+    return EstimationBreakdown(estimate, aggregate, tuple(distances.tolist()))
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
@@ -206,7 +195,7 @@ def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
     length = 2.0 * state.num_chars
     converted = normalized(aggregate, length) if metric is MetricKind.NGLD else aggregate
     estimate = (delta + converted) / (state.n + 1)
-    return _breakdown(estimate, aggregate, None)
+    return EstimationBreakdown(estimate, aggregate, None)
 
 
 def should_stop(estimate, config):

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from framestop import stoppers
 from framestop.combiner import CombinerState, align
 from framestop.core import Alphabet, Clip, from_string, make_frame
 from framestop.metrics import MetricKind, gld
@@ -438,15 +437,3 @@ def test_an_estimation_breakdown_is_a_frozen_dataclass():
     assert dataclasses.replace(changed, per_candidate=None).per_candidate is None
     assert dataclasses.astuple(got) == (0.25, 1.5, (0.5, 1.0))
     assert got.estimate == 0.25  # untouched by the copies
-
-
-def test_the_estimators_breakdown_is_the_class_built_one():
-    built = stoppers._breakdown(0.25, 1.5, (0.5, 1.0))
-    want = EstimationBreakdown(0.25, 1.5, (0.5, 1.0))
-    assert type(built) is EstimationBreakdown
-    assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
-    assert vars(built) == vars(want)
-    for name in ("estimate", "gld_aggregate", "per_candidate", "other"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(built, name, 0.0)
-    assert dataclasses.replace(built, estimate=0.75) == EstimationBreakdown(0.75, 1.5, (0.5, 1.0))
