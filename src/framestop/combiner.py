@@ -331,8 +331,9 @@ class CombinerState:
         cost as :func:`align` does, writing nothing, and hands back the
         merged rows, followed by the empty row, cut and write-protected: the
         array the state keeps.  Only a MemoryError in that cut, after the
-        row ids and the store are written, leaves the state inconsistent.  A frame of the common weight merges by the
-        cached ``_share``, :func:`merge_share`'s float even for zero weights.
+        row ids and the store are written, leaves the state inconsistent.
+        A frame of the common weight merges by the cached ``_share``,
+        :func:`merge_share`'s float even for zero weights.
         """
         self._check_frame(frame)
         w = frame.weight
