@@ -926,11 +926,11 @@ static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *res
    order, int64 with room for S+M ids, holds the result rows' ids on
    entry.  A cost that is not finite raises ValueError, as does a NaN
    one, with nothing written; a MemoryError from cut, or from building
-   the tuple, comes after order and the store are written.  blocks, a tuple of float64 (2^shift, K+1)
-   arrays with used rows in use, and slots (frames, stride) are the
-   history store (see store), skipped, with used, slots and frame_index,
-   when blocks is None; it must have room for frame frame_index, its M
-   rows and S+M row ids. */
+   the tuple, comes after order and the store are written.  blocks, a
+   tuple of float64 (2^shift, K+1) arrays with used rows in use, and
+   slots (frames, stride) are the history store (see store), skipped,
+   with used, slots and frame_index, when blocks is None; it must have
+   room for frame frame_index, its M rows and S+M row ids. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
