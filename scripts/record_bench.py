@@ -10,65 +10,59 @@ that the first checkout's ``BENCHMARK.json`` lists, once per seed of
 so that a slow spell of the machine spreads over the workloads.  A label
 ``NAME=PATH`` measures the checkout at PATH, a bare ``NAME`` the one that
 ``--root`` names (this script's own by default).  Given several labels,
-one invocation alternates them run by run, every workload of every seed
-measuring each label in turn, the first label first on the first seed,
-last on the second and so on, so that the files compare runs made side
-by side rather than minutes apart.
+one invocation alternates them run by run, the first label first on the
+first seed, last on the second and so on, so that the files compare runs
+made side by side.  Beside each run's result go the CPU steal during the
+run, from ``/proc/stat`` (:func:`steal_seconds`; None without that file),
+and perfbench's gauge speed (:func:`gauge_speed`), so that a slow spell is
+named by data.
 
-After each seed's workloads every label also records a per-stage table
-of methods ``a`` and ``b`` (absorb plus estimate) on acceptance
-criterion 7's recipe (``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7)
-with the clips looped to 400 stages.  Its ``STAGE_REPEATS`` = 3 repeats
-run as three rounds that alternate the labels, so that a slow spell of
-the machine falls on every label rather than on one label's table; each
-round runs one repeat per label in a fresh interpreter on the label's
-own ``src`` (``harness.bench`` of one clip at a time, ``repeats=1``),
-after an untimed warm-up drive of the first clip.  Each stage's seconds
-are each clip's minimum over the rounds, then the mean over clips
-(:func:`best_of_rounds`), the statistic of ``harness.bench``'s
-``best_seconds`` with ``repeats=3``.  The cell ``<method>.n<stage>``,
-for stages 5, 25, 100 and 400, is the mean of those seconds over the
-stages within ``WINDOW`` of it, n - 2 to n + 2, clamped to the stages
-run (:func:`windowed`), as one stage's value over a few clips swings by
-tens of percent.
+After each seed's workloads, ``ROUNDS`` = 3 rounds alternating the labels
+time methods ``a`` and ``b`` on acceptance criterion 7's recipe
+(``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7), each round one fresh
+interpreter per label running ``DRIVE`` on the label's own ``src``: an
+untimed warm-up drive of the first clip, then ``REPEATS`` = 3 repeats of
+two passes over every clip.  The whole-stage pass times each stage's
+absorb plus estimate (``Stage.seconds``) with the clips looped to 400
+stages, the last of ``STAGES``.  The bare-call pass, to stage
+``SHARE_STAGES[-1] + WINDOW``, swaps ``_kernels.lib`` for a wrapper that
+times each bare ``lib.absorb`` and ``lib.spread`` call, in a pass of its
+own so that the wrapper's cost stays out of the whole stage.
 
-After the per-stage table every label also records a Python-share table
-of ``a`` and ``b`` at stages ``SHARE_STAGES`` (5 and 25) of the same
-recipe, not looped: each cell's whole stage, the bare compiled calls
-``lib.absorb`` and ``lib.spread`` it makes, and their difference, the
-stage's Python share (:func:`python_share`).  Its ``SHARE_ROUNDS`` = 3
-rounds alternate the labels as the per-stage table's do, each round one
-fresh interpreter per label running ``PYTHON_SHARE``: an untimed warm-up
-drive, then ``SHARE_REPEATS`` repeats, each a pass over every clip timing
-the whole stages (``Stage.seconds``) and then one with ``_kernels.lib``
-swapped for a wrapper that times each bare call.  The bare calls are timed
-in passes of their own, so that the wrapper's cost stays out of the whole
-stage, and the two kinds of pass alternate, so that a slow spell of the
-machine falls on both rather than on one part of the difference.
+The rows of one seed's rounds feed both tables (:func:`tables`): per
+column, each clip's minimum over rounds and repeats, the mean over clips
+(:func:`best_of_rounds`), then the mean over the stages within ``WINDOW``
+of the cell's n, clamped to the stages run (:func:`windowed`), as one
+stage's value over a few clips swings by tens of percent.  The per-stage
+table's cells ``<method>.n<stage>``, at ``STAGES``, come from the
+whole-stage column.  The Python-share table's cells at ``SHARE_STAGES``
+hold the whole stage, the two bare calls and the stage's Python share,
+their difference (:func:`python_share`); its ``<method>.n<stage>.stage``
+cells are the per-stage table's cells.
 
 For each label after the first, ``versus`` holds, per seed, the ratio of
-each end-to-end value (each run's, for the metrics ``BENCHMARK.json``
-lists as end to end) and each cell of both tables to the first label's
-on that seed, and over the seeds the median ratio and the count of seeds
-on which the label is better (:func:`per_seed_ratios`).  The machine's
-speed drifts between seeds by more than two labels differ, while the
-alternated runs keep one seed's pair together, so a per-seed ratio
-compares what was measured side by side.
+each end-to-end value (the metrics ``BENCHMARK.json`` lists as end to
+end) and each cell of both tables to the first label's on that seed, and
+over the seeds the median ratio and the count of seeds on which the label
+is better (:func:`per_seed_ratios`).  The machine's speed drifts between
+seeds by more than two labels differ, so a per-seed ratio compares what
+was measured side by side.
 
 Each file, written at the root of the checkout holding this script, keeps
-every run's JSON result, each end-to-end metric's median, quartiles and
-IQR per workload, every per-stage and Python-share table and each entry's
-median, quartiles and IQR, the per-seed ratios (``versus``), the machine
-(``run.py``'s ``machine()``), the checkout's git HEAD and whether its
-tracked files differed from it, the kernels' ``_kernels.status()``, the
-seeds and the labels it was recorded alongside.  Nothing in the measured
-checkouts changes.
+every run's result, steal and gauge speed, each end-to-end metric's and
+each table entry's median, quartiles and IQR, both tables per seed, the
+per-seed ratios (``versus``), the machine (``run.py``'s ``machine()``),
+the checkout's git HEAD and whether its tracked files differed from it,
+the kernels' ``_kernels.status()``, the seeds and the labels it was
+recorded alongside.  Nothing in the measured checkouts changes.
 """
 
 import argparse
 import importlib.util
 import json
 import math
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -78,53 +72,32 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 # fixed, so that two labels recorded on one machine compare run for run
 SEEDS = (1, 2, 3, 4, 5)
-# the per-stage table: criterion 7's clips looped to the last of STAGES; 4
-# clips let a.n100 and b.n100 swing by 14-21% between labels of one run
+# the tables: criterion 7's clips looped to the last of STAGES; 4 clips let
+# a.n100 and b.n100 swing by 14-21% between labels of one run
 STAGE_CLIPS = 8
 STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
-# rounds per seed, each one repeat of the table per label
-STAGE_REPEATS = 3
-# each cell of the per-stage table averages the stages within this many of its own
+# each cell of either table averages the stages within this many of its own
 WINDOW = 2
-# the Python-share table: stages of criterion 7's recipe, rounds per seed
-# (each one interpreter per label) and drives of each pass per round
+# the stages of the Python-share table; its bare-call passes stop past the last one's window
 SHARE_STAGES = (5, 25)
-SHARE_ROUNDS = 3
-SHARE_REPEATS = 3
-STAGE_TABLE = """
-import json, sys
-sys.path.insert(0, "src")
-from framestop.harness import SyntheticConfig, bench, generate_synthetic
-from framestop.stoppers import StopperMethod
-names, stages, clips = json.loads(sys.argv[1])
-config = SyntheticConfig(
-    clip_count=clips, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
-    frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
-)
-methods = [StopperMethod(name) for name in names]
-clips = generate_synthetic(config)
-bench(clips[:1], methods, max_stages=stages[-1])  # the warm-up drive, not timed
-rows = [
-    [row["method"], row["stage"], index, row["best_seconds"]]
-    for index, clip in enumerate(clips)
-    for row in bench([clip], methods, max_stages=stages[-1])
-]
-print(json.dumps(rows))
-"""
-PYTHON_SHARE = """
-import json, sys, time
+# rounds per seed, each one interpreter per label, and repeats of both passes per round
+ROUNDS = 3
+REPEATS = 3
+DRIVE = """
+import json, math, sys, time
 sys.path.insert(0, "src")
 from framestop import _kernels
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.stoppers import StopperConfig, StopperMethod, stages
-names, last, clips, repeats = json.loads(sys.argv[1])
+names, last, bare_last, clips, repeats = json.loads(sys.argv[1])
 config = SyntheticConfig(
     clip_count=clips, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
 )
 clips = generate_synthetic(config)
-configs = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
+whole = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
+short = [StopperConfig(StopperMethod(name), max_stages=bare_last) for name in names]
 lib = _kernels.get()
 if lib is None:
     raise SystemExit(f"no compiled kernels: {_kernels.status()}")
@@ -142,25 +115,27 @@ def timed(name):
 wrapper = type("Timed", (), {name: timed(name) for name in bare})()
 best = {}  # (method, stage, clip) -> least [whole stage, bare absorb, bare spread]
 
-def drive(column):
+def drive(column, configs):
     for index, clip in enumerate(clips):
         for config in configs:
             for stage in stages(clip, config):
                 seconds = [stage.seconds] if column == 0 else [bare["absorb"], bare["spread"]]
                 bare.update(absorb=0.0, spread=0.0)
                 key = (config.method.value, stage.number, index)
-                kept = best.setdefault(key, [float("inf")] * 3)
-                for offset, value in enumerate(seconds):
-                    kept[column + offset] = min(kept[column + offset], value)
+                kept = best.setdefault(key, [math.inf] * 3)
+                for offset, value in enumerate(seconds, column):
+                    kept[offset] = min(kept[offset], value)
 
-for config in configs:  # the warm-up drive, not timed
+for config in whole:  # the warm-up drive, not timed
     for stage in stages(clips[0], config):
         pass
 for _ in range(repeats):
-    for column, kernels in ((0, lib), (1, wrapper)):
+    for column, kernels, configs in ((0, lib, whole), (1, wrapper, short)):
         _kernels.lib = kernels
-        drive(column)
-print(json.dumps([[*key, *seconds] for key, seconds in sorted(best.items())]))
+        drive(column, configs)
+# a bare call not timed, past the bare-call passes' last stage, is null
+print(json.dumps([[*key, *(value if value < math.inf else None for value in seconds)]
+                  for key, seconds in sorted(best.items())]))
 """
 
 
@@ -185,16 +160,43 @@ def _status(root):
     return done.stdout.strip()
 
 
+def steal_seconds(stat, hz):
+    """Seconds of CPU steal that ``stat``, the text of ``/proc/stat``,
+    counts: the eighth number of its ``cpu`` line, in ticks of 1/``hz`` s."""
+    cpu = next(line for line in stat.splitlines() if line.startswith("cpu "))
+    return int(cpu.split()[8]) / hz
+
+
+def _steal():
+    """The machine's CPU steal so far, in seconds; None without ``/proc/stat``."""
+    try:
+        stat = Path("/proc/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return steal_seconds(stat, os.sysconf("SC_CLK_TCK"))
+
+
+def gauge_speed(stdout):
+    """perfbench's gauge speed, from the ``machine speed:`` line of a
+    ``run.py`` run's ``stdout``."""
+    return float(re.search(r"^machine speed: ([0-9.]+) x", stdout, re.MULTILINE).group(1))
+
+
 def _run(root, workload, seed, seconds):
-    """The JSON object on the last line of one ``run.py`` run."""
+    """One ``run.py`` run: the JSON object on its last line, the CPU steal
+    during it and its gauge speed."""
+    before = _steal()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
+    after = _steal()
     if done.returncode != 0:
         raise SystemExit(f"record_bench: {workload} seed {seed} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "steal_s": None if before is None else round(after - before, 3),
+            "gauge_speed": gauge_speed(done.stdout),
+            "result": json.loads(done.stdout.strip().splitlines()[-1])}
 
 
 def windowed(rows, stages=STAGES, window=WINDOW):
@@ -215,7 +217,7 @@ def windowed(rows, stages=STAGES, window=WINDOW):
 
 def best_of_rounds(rounds):
     """Rows of (method, stage, seconds) from ``rounds``, each the rows of
-    (method, stage, clip, seconds) of one repeat: per method and stage,
+    (method, stage, clip, seconds) of one round: per method and stage,
     each clip's minimum over the rounds, then the mean over clips, sorted
     by method and stage."""
     best = {}
@@ -229,14 +231,16 @@ def best_of_rounds(rounds):
 
 def python_share(rounds, stages=SHARE_STAGES):
     """The Python-share table from ``rounds``, each the rows of (method,
-    stage, clip, whole stage, bare absorb, bare spread) of one round: per
-    column each clip's minimum over the rounds, the mean over clips, then
-    the window around each of ``stages`` (:func:`windowed`).  Cells
-    ``<method>.n<stage>.<part>`` for the parts ``stage``, ``absorb``,
-    ``spread`` and ``python``, the stage less both bare calls."""
+    stage, clip, whole stage, bare absorb, bare spread) of one round, a
+    bare call None where it was not timed: per column each clip's minimum
+    over the rounds, the mean over clips, then the window around each of
+    ``stages`` (:func:`windowed`).  Cells ``<method>.n<stage>.<part>`` for
+    the parts ``stage``, ``absorb``, ``spread`` and ``python``, the stage
+    less both bare calls."""
     parts = {}
     for column, part in enumerate(("stage", "absorb", "spread"), 3):
-        best = best_of_rounds([[row[:3] + [row[column]] for row in rows] for rows in rounds])
+        best = best_of_rounds([[row[:3] + [row[column]] for row in rows if row[column] is not None]
+                               for rows in rounds])
         parts[part] = windowed(best, stages)
     table = {}
     for cell, whole in parts["stage"].items():
@@ -244,6 +248,15 @@ def python_share(rounds, stages=SHARE_STAGES):
         table.update({f"{cell}.stage": whole, f"{cell}.absorb": absorb,
                       f"{cell}.spread": spread, f"{cell}.python": whole - absorb - spread})
     return table
+
+
+def tables(rounds, stages=STAGES, share_stages=SHARE_STAGES):
+    """The per-stage table and the Python-share table of ``rounds``, each
+    the rows of one round of ``DRIVE``: the first from the whole-stage
+    column alone, the second from all three (:func:`python_share`), so
+    that its ``<method>.n<stage>.stage`` cells are the first's cells."""
+    whole = best_of_rounds([[row[:4] for row in rows] for rows in rounds])
+    return windowed(whole, stages), python_share(rounds, share_stages)
 
 
 def per_seed_ratios(first, other, better):
@@ -291,15 +304,10 @@ def _in_checkout(root, script, given, what):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _stage_round(root):
-    """The rows of one repeat of ``STAGE_TABLE``, run in the checkout."""
-    return _in_checkout(root, STAGE_TABLE, [STAGE_METHODS, STAGES, STAGE_CLIPS], "per-stage table")
-
-
-def _share_round(root):
-    """The rows of one round of ``PYTHON_SHARE``, run in the checkout."""
-    given = [STAGE_METHODS, SHARE_STAGES[-1] + WINDOW, STAGE_CLIPS, SHARE_REPEATS]
-    return _in_checkout(root, PYTHON_SHARE, given, "Python-share table")
+def _round(root):
+    """The rows of one round of ``DRIVE``, run in the checkout."""
+    given = [STAGE_METHODS, STAGES[-1], SHARE_STAGES[-1] + WINDOW, STAGE_CLIPS, REPEATS]
+    return _in_checkout(root, DRIVE, given, "timing drive")
 
 
 def _summary(values):
@@ -308,6 +316,15 @@ def _summary(values):
 
 
 def _record(label, root, seconds, workloads, alongside):
+    timing = {
+        "clips": STAGE_CLIPS, "rounds": ROUNDS, "repeats": REPEATS, "window": WINDOW, "unit": "s",
+        "drive": "per seed, rounds alternating the labels, each one fresh interpreter per label: "
+                 "an untimed warm-up drive of the first clip, then per repeat a whole-stage pass "
+                 f"over every clip, looped to stage {STAGES[-1]}, and a bare-call pass to stage "
+                 f"{SHARE_STAGES[-1] + WINDOW}",
+        "cell": "each column's per-clip minimum over rounds and repeats, the mean over clips, "
+                "then the mean over stages n - window .. n + window, clamped to the stages run",
+    }
     return {
         "label": label,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -320,27 +337,14 @@ def _record(label, root, seconds, workloads, alongside):
         "command": "perfbench/run.py --workload <name> --seed <seed> --seconds <s> --trace 0",
         "alongside": alongside,
         "runs": {workload: [] for workload in workloads},
-        "stage_table": {"clips": STAGE_CLIPS, "repeats": STAGE_REPEATS,
-                        "max_stages": STAGES[-1], "window": WINDOW, "unit": "s",
-                        "rounds": "per seed, one round per repeat, alternating the labels; "
-                                  "each round one repeat per label in a fresh interpreter, "
-                                  "after an untimed warm-up drive of the first clip",
-                        "stage": "each clip's minimum over the rounds, the mean over clips",
-                        "cell": "mean of the stage's seconds over stages n - window .. "
-                                "n + window, clamped to the stages run",
-                        "runs": []},
-        "python_share": {"clips": STAGE_CLIPS, "stages": list(SHARE_STAGES),
-                         "rounds": SHARE_ROUNDS, "repeats": SHARE_REPEATS, "window": WINDOW,
-                         "unit": "s",
-                         "parts": "stage: Stage.seconds, absorb plus estimate; absorb, spread: "
-                                  "the bare lib.absorb and lib.spread calls of the stage, timed "
-                                  "through a wrapper of _kernels.lib in passes of their own, "
-                                  "alternating with the whole-stage passes; python: "
-                                  "stage - absorb - spread",
-                         "cell": "each part's per-clip minimum over rounds and repeats, the "
-                                 "mean over clips, then the mean over stages n - window .. "
-                                 "n + window",
-                         "runs": []},
+        "stage_table": {**timing, "max_stages": STAGES[-1],
+                        "column": "Stage.seconds of the whole-stage passes, absorb plus "
+                                  "estimate", "runs": []},
+        "python_share": {**timing, "stages": list(SHARE_STAGES),
+                         "parts": "stage: the per-stage table's column; absorb, spread: the "
+                                  "bare lib.absorb and lib.spread calls of the stage, timed "
+                                  "through a wrapper of _kernels.lib in the bare-call passes; "
+                                  "python: stage - absorb - spread", "runs": []},
     }
 
 
@@ -369,29 +373,22 @@ def main(argv=None):
     for number, seed in enumerate(SEEDS):
         for workload in workloads:
             for label in labels if number % 2 == 0 else labels[::-1]:
-                result = _run(checkouts[label], workload, seed, seconds)
-                records[label]["runs"][workload].append({"seed": seed, "result": result})
-                stages = result["metrics"]["stages_per_s"]["value"]
-                print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}", flush=True)
+                run = _run(checkouts[label], workload, seed, seconds)
+                records[label]["runs"][workload].append(run)
+                stages = run["result"]["metrics"]["stages_per_s"]["value"]
+                print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}, "
+                      f"steal {run['steal_s']} s, gauge {run['gauge_speed']}", flush=True)
         rounds = {label: [] for label in labels}
-        for repeat in range(STAGE_REPEATS):
+        for repeat in range(ROUNDS):
             for label in labels if (number + repeat) % 2 == 0 else labels[::-1]:
-                rounds[label].append(_stage_round(checkouts[label]))
+                rounds[label].append(_round(checkouts[label]))
         for label in labels:
-            table = windowed(best_of_rounds(rounds[label]))
-            records[label]["stage_table"]["runs"].append(table)
-            print(f"{label} per-stage table seed {seed}: a.n400 {table['a.n400'] * 1e6:.1f} us",
-                  flush=True)
-        shares = {label: [] for label in labels}
-        for repeat in range(SHARE_ROUNDS):
-            for label in labels if (number + repeat) % 2 == 0 else labels[::-1]:
-                shares[label].append(_share_round(checkouts[label]))
-        for label in labels:
-            table = python_share(shares[label])
-            records[label]["python_share"]["runs"].append(table)
-            print(f"{label} Python-share table seed {seed}: a.n25 python "
-                  f"{table['a.n25.python'] * 1e6:.2f} of {table['a.n25.stage'] * 1e6:.2f} us",
-                  flush=True)
+            stage_table, share = tables(rounds[label])
+            records[label]["stage_table"]["runs"].append(stage_table)
+            records[label]["python_share"]["runs"].append(share)
+            print(f"{label} tables seed {seed}: a.n25 {stage_table['a.n25'] * 1e6:.2f} us, "
+                  f"{share['a.n25.python'] * 1e6:.2f} us of it Python; "
+                  f"a.n400 {stage_table['a.n400'] * 1e6:.1f} us", flush=True)
     for label in labels[1:]:
         records[label]["versus"] = versus(records[labels[0]], records[label], directions)
     for record in records.values():
@@ -403,9 +400,9 @@ def main(argv=None):
             for workload, runs in record["runs"].items()
         }
         for name in ("stage_table", "python_share"):
-            tables = record[name]["runs"]
+            runs = record[name]["runs"]
             record[name]["summary"] = {
-                key: _summary([table[key] for table in tables]) for key in tables[0]
+                key: _summary([table[key] for table in runs]) for key in runs[0]
             }
         out = HERE / f"BENCH_{record['label']}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")

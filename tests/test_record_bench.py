@@ -1,12 +1,13 @@
-"""scripts/record_bench.py: the per-stage table's rounds and windows, the Python-share
-table and the per-seed ratios."""
+"""scripts/record_bench.py: the rounds and windows of its two tables, which one drive
+feeds, the per-seed ratios, and the steal and gauge speed kept beside each run."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "record_bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "record_bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +95,71 @@ def test_the_python_share_is_the_stage_less_its_two_bare_calls(record_bench):
     ]
     got = record_bench.python_share(rounds, stages=(5,))
     assert got == {"a.n5.stage": 11.0, "a.n5.absorb": 4.0, "a.n5.spread": 1.5, "a.n5.python": 5.5}
+
+
+def test_a_bare_call_not_timed_is_left_out_of_its_part(record_bench):
+    # stage 6 ran only in the whole-stage pass; its whole stage still counts
+    rows = [["a", 5, 0, 10.0, 4.0, 2.0], ["a", 6, 0, 20.0, None, None]]
+    got = record_bench.python_share([rows], stages=(5,))
+    assert got == {"a.n5.stage": 15.0, "a.n5.absorb": 4.0, "a.n5.spread": 2.0, "a.n5.python": 9.0}
+
+
+def _cells_agree(stage_table, share):
+    shared = [cell for cell in stage_table if f"{cell}.stage" in share]
+    assert shared
+    for cell in shared:
+        assert stage_table[cell] == share[f"{cell}.stage"], cell
+
+
+def test_both_tables_take_the_whole_stage_from_the_same_rows(record_bench):
+    # two rounds of the recorded drive's shape: whole stages to 400, bare calls to 27
+    rounds = [
+        [[method, k, clip, (k + clip + 1) * scale * (1 + 0.3 * turn),
+          *((k * 0.25 * scale, 0.125 * scale) if k <= 27 else (None, None))]
+         for method, scale in (("a", 1.0), ("b", 3.0)) for k in range(1, 401) for clip in (0, 1)]
+        for turn in (1, 0)
+    ]
+    stage_table, share = record_bench.tables(rounds)
+    assert set(stage_table) == {f"{m}.n{n}" for m in "ab" for n in (5, 25, 100, 400)}
+    assert set(share) == {f"{m}.n{n}.{part}" for m in "ab" for n in (5, 25)
+                          for part in ("stage", "absorb", "spread", "python")}
+    _cells_agree(stage_table, share)
+    assert stage_table["a.n5"] == pytest.approx(6.5)  # stages 3-7 of clips taking 1 + k, 2 + k
+    assert stage_table["b.n400"] == pytest.approx(3 * 400.5)  # stages 398-400, clamped
+    assert share["a.n25.absorb"] == pytest.approx(25 * 0.25)
+
+
+def test_the_drive_runs_in_a_checkout_and_feeds_both_tables(record_bench, compiled):
+    # a tiny drive: one clip, 30 stages, bare calls to stage 27, one repeat
+    rows = record_bench._in_checkout(ROOT, record_bench.DRIVE, [["a", "b"], 30, 27, 1, 1],
+                                     "timing drive")
+    assert [row[:3] for row in rows] == [[method, k, 0] for method in "ab" for k in range(1, 31)]
+    for method, stage, _, whole, absorb, spread in rows:
+        assert whole > 0
+        if stage <= 27:
+            assert absorb > 0 and spread > 0
+        else:
+            assert absorb is None and spread is None
+    stage_table, share = record_bench.tables([rows], stages=(5, 25))
+    assert set(stage_table) == {"a.n5", "a.n25", "b.n5", "b.n25"}
+    _cells_agree(stage_table, share)
+
+
+STAT = """cpu  2786560 65932 1144112 26686584 12260 0 35750 187 0 0
+cpu0 1393280 32966 572056 13343292 6130 0 17875 90 0 0
+intr 114930548 113199788 3 0 5 263 0 0 0
+ctxt 1990473
+"""
+
+
+def test_the_steal_is_the_eighth_count_of_the_cpu_line(record_bench):
+    assert record_bench.steal_seconds(STAT, hz=100) == 1.87  # not cpu0's 90 ticks
+
+
+def test_the_gauge_speed_is_read_from_the_machine_speed_line(record_bench):
+    stdout = ("workload=online-fast seed=1 trace=0 python=3.11.7\n"
+              "stages_per_s                            71234.000000 1/s\n"
+              "machine speed: 0.873 x the gauge's reference (timings are scaled by it)\n"
+              "operations: 12 attempted, 0 failed\n"
+              '{"correct": true, "attempted": 12, "failed": 0, "metrics": {}}\n')
+    assert record_bench.gauge_speed(stdout) == 0.873
