@@ -97,13 +97,6 @@ def test_the_python_share_is_the_stage_less_its_two_bare_calls(record_bench):
     assert got == {"a.n5.stage": 11.0, "a.n5.absorb": 4.0, "a.n5.spread": 1.5, "a.n5.python": 5.5}
 
 
-def test_a_bare_call_not_timed_is_left_out_of_its_part(record_bench):
-    # stage 6 ran only in the whole-stage pass; its whole stage still counts
-    rows = [["a", 5, 0, 10.0, 4.0, 2.0], ["a", 6, 0, 20.0, None, None]]
-    got = record_bench.python_share([rows], stages=(5,))
-    assert got == {"a.n5.stage": 15.0, "a.n5.absorb": 4.0, "a.n5.spread": 2.0, "a.n5.python": 9.0}
-
-
 def _cells_agree(stage_table, share):
     shared = [cell for cell in stage_table if f"{cell}.stage" in share]
     assert shared
