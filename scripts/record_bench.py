@@ -22,12 +22,13 @@ time methods ``a`` and ``b`` on acceptance criterion 7's recipe
 (``STAGE_CLIPS`` = 8 clips of 30 frames, seed 7), each round one fresh
 interpreter per label running ``DRIVE`` on the label's own ``src``: an
 untimed warm-up drive of the first clip, then ``REPEATS`` = 3 repeats of
-two passes over every clip.  The whole-stage pass times each stage's
-absorb plus estimate (``Stage.seconds``) with the clips looped to 400
-stages, the last of ``STAGES``.  The bare-call pass, to stage
-``SHARE_STAGES[-1] + WINDOW``, swaps ``_kernels.lib`` for a wrapper that
-times each bare ``lib.absorb`` and ``lib.spread`` call, in a pass of its
-own so that the wrapper's cost stays out of the whole stage.
+two passes over every clip, each with the clips looped to 400 stages, the
+last of ``STAGES``.  The whole-stage pass times each stage's absorb plus
+estimate (``Stage.seconds``).  The bare-call pass swaps ``_kernels.lib``
+for a wrapper that times the stage's compiled calls, ``lib.absorb`` and
+``lib.spread``, as one sum (one ``lib.absorb`` call where the absorb
+keeps the scan the estimate reads), in a pass of its own so that the
+wrapper's cost stays out of the whole stage.
 
 The rows of one seed's rounds feed both tables (:func:`tables`): per
 column, each clip's minimum over rounds and repeats, the mean over clips
@@ -36,9 +37,9 @@ of the cell's n, clamped to the stages run (:func:`windowed`), as one
 stage's value over a few clips swings by tens of percent.  The per-stage
 table's cells ``<method>.n<stage>``, at ``STAGES``, come from the
 whole-stage column.  The Python-share table's cells at ``SHARE_STAGES``
-hold the whole stage, the two bare calls and the stage's Python share,
-their difference (:func:`python_share`); its ``<method>.n<stage>.stage``
-cells are the per-stage table's cells.
+hold the whole stage, the bare call and the stage's Python share, their
+difference (:func:`python_share`); its ``<method>.n<stage>.stage`` cells
+are the per-stage table's cells.
 
 For each label after the first, ``versus`` holds, per seed, the ratio of
 each end-to-end value (the metrics ``BENCHMARK.json`` lists as end to
@@ -79,7 +80,7 @@ STAGE_METHODS = ("a", "b")
 STAGES = (5, 25, 100, 400)
 # each cell of either table averages the stages within this many of its own
 WINDOW = 2
-# the stages of the Python-share table; its bare-call passes stop past the last one's window
+# the stages of the Python-share table
 SHARE_STAGES = (5, 25)
 # rounds per seed, each one interpreter per label, and repeats of both passes per round
 ROUNDS = 3
@@ -90,52 +91,47 @@ sys.path.insert(0, "src")
 from framestop import _kernels
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.stoppers import StopperConfig, StopperMethod, stages
-names, last, bare_last, clips, repeats = json.loads(sys.argv[1])
+names, last, clips, repeats = json.loads(sys.argv[1])
 config = SyntheticConfig(
     clip_count=clips, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
 )
 clips = generate_synthetic(config)
-whole = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
-short = [StopperConfig(StopperMethod(name), max_stages=bare_last) for name in names]
+configs = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
 lib = _kernels.get()
 if lib is None:
     raise SystemExit(f"no compiled kernels: {_kernels.status()}")
-bare = {"absorb": 0.0, "spread": 0.0}  # seconds inside each call, this stage
+bare = [0.0]  # seconds inside the compiled calls, this stage
 
 def timed(name):
     call, clock = getattr(lib, name), time.perf_counter
     def run(*args):
         start = clock()
         out = call(*args)
-        bare[name] += clock() - start
+        bare[0] += clock() - start
         return out
     return staticmethod(run)
 
-wrapper = type("Timed", (), {name: timed(name) for name in bare})()
-best = {}  # (method, stage, clip) -> least [whole stage, bare absorb, bare spread]
+wrapper = type("Timed", (), {name: timed(name) for name in ("absorb", "spread")})()
+best = {}  # (method, stage, clip) -> least [whole stage, bare call]
 
-def drive(column, configs):
+def drive(column):
     for index, clip in enumerate(clips):
         for config in configs:
             for stage in stages(clip, config):
-                seconds = [stage.seconds] if column == 0 else [bare["absorb"], bare["spread"]]
-                bare.update(absorb=0.0, spread=0.0)
-                key = (config.method.value, stage.number, index)
-                kept = best.setdefault(key, [math.inf] * 3)
-                for offset, value in enumerate(seconds, column):
-                    kept[offset] = min(kept[offset], value)
+                seconds = stage.seconds if column == 0 else bare[0]
+                bare[0] = 0.0
+                kept = best.setdefault((config.method.value, stage.number, index), [math.inf] * 2)
+                kept[column] = min(kept[column], seconds)
 
-for config in whole:  # the warm-up drive, not timed
+for config in configs:  # the warm-up drive, not timed
     for stage in stages(clips[0], config):
         pass
 for _ in range(repeats):
-    for column, kernels, configs in ((0, lib, whole), (1, wrapper, short)):
+    for column, kernels in enumerate((lib, wrapper)):
         _kernels.lib = kernels
-        drive(column, configs)
-# a bare call not timed, past the bare-call passes' last stage, is null
-print(json.dumps([[*key, *(value if value < math.inf else None for value in seconds)]
-                  for key, seconds in sorted(best.items())]))
+        drive(column)
+print(json.dumps([[*key, *seconds] for key, seconds in sorted(best.items())]))
 """
 
 
@@ -231,29 +227,26 @@ def best_of_rounds(rounds):
 
 def python_share(rounds, stages=SHARE_STAGES):
     """The Python-share table from ``rounds``, each the rows of (method,
-    stage, clip, whole stage, bare absorb, bare spread) of one round, a
-    bare call None where it was not timed: per column each clip's minimum
-    over the rounds, the mean over clips, then the window around each of
-    ``stages`` (:func:`windowed`).  Cells ``<method>.n<stage>.<part>`` for
-    the parts ``stage``, ``absorb``, ``spread`` and ``python``, the stage
-    less both bare calls."""
+    stage, clip, whole stage, bare call) of one round: per column each
+    clip's minimum over the rounds, the mean over clips, then the window
+    around each of ``stages`` (:func:`windowed`).  Cells
+    ``<method>.n<stage>.<part>`` for the parts ``stage``, ``call`` and
+    ``python``, the stage less its bare call."""
     parts = {}
-    for column, part in enumerate(("stage", "absorb", "spread"), 3):
-        best = best_of_rounds([[row[:3] + [row[column]] for row in rows if row[column] is not None]
-                               for rows in rounds])
+    for column, part in enumerate(("stage", "call"), 3):
+        best = best_of_rounds([[row[:3] + [row[column]] for row in rows] for rows in rounds])
         parts[part] = windowed(best, stages)
     table = {}
     for cell, whole in parts["stage"].items():
-        absorb, spread = parts["absorb"][cell], parts["spread"][cell]
-        table.update({f"{cell}.stage": whole, f"{cell}.absorb": absorb,
-                      f"{cell}.spread": spread, f"{cell}.python": whole - absorb - spread})
+        call = parts["call"][cell]
+        table.update({f"{cell}.stage": whole, f"{cell}.call": call, f"{cell}.python": whole - call})
     return table
 
 
 def tables(rounds, stages=STAGES, share_stages=SHARE_STAGES):
     """The per-stage table and the Python-share table of ``rounds``, each
     the rows of one round of ``DRIVE``: the first from the whole-stage
-    column alone, the second from all three (:func:`python_share`), so
+    column alone, the second from both (:func:`python_share`), so
     that its ``<method>.n<stage>.stage`` cells are the first's cells."""
     whole = best_of_rounds([[row[:4] for row in rows] for rows in rounds])
     return windowed(whole, stages), python_share(rounds, share_stages)
@@ -306,7 +299,7 @@ def _in_checkout(root, script, given, what):
 
 def _round(root):
     """The rows of one round of ``DRIVE``, run in the checkout."""
-    given = [STAGE_METHODS, STAGES[-1], SHARE_STAGES[-1] + WINDOW, STAGE_CLIPS, REPEATS]
+    given = [STAGE_METHODS, STAGES[-1], STAGE_CLIPS, REPEATS]
     return _in_checkout(root, DRIVE, given, "timing drive")
 
 
@@ -320,8 +313,7 @@ def _record(label, root, seconds, workloads, alongside):
         "clips": STAGE_CLIPS, "rounds": ROUNDS, "repeats": REPEATS, "window": WINDOW, "unit": "s",
         "drive": "per seed, rounds alternating the labels, each one fresh interpreter per label: "
                  "an untimed warm-up drive of the first clip, then per repeat a whole-stage pass "
-                 f"over every clip, looped to stage {STAGES[-1]}, and a bare-call pass to stage "
-                 f"{SHARE_STAGES[-1] + WINDOW}",
+                 f"and a bare-call pass over every clip, each looped to stage {STAGES[-1]}",
         "cell": "each column's per-clip minimum over rounds and repeats, the mean over clips, "
                 "then the mean over stages n - window .. n + window, clamped to the stages run",
     }
@@ -341,10 +333,10 @@ def _record(label, root, seconds, workloads, alongside):
                         "column": "Stage.seconds of the whole-stage passes, absorb plus "
                                   "estimate", "runs": []},
         "python_share": {**timing, "stages": list(SHARE_STAGES),
-                         "parts": "stage: the per-stage table's column; absorb, spread: the "
-                                  "bare lib.absorb and lib.spread calls of the stage, timed "
-                                  "through a wrapper of _kernels.lib in the bare-call passes; "
-                                  "python: stage - absorb - spread", "runs": []},
+                         "parts": "stage: the per-stage table's column; call: the stage's "
+                                  "bare compiled calls, lib.absorb and lib.spread, summed, "
+                                  "timed through a wrapper of _kernels.lib in the bare-call "
+                                  "passes; python: stage - call", "runs": []},
     }
 
 

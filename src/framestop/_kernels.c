@@ -1,12 +1,13 @@
 /* Compiled kernels of framestop: a CPython extension module, built and
    loaded by _kernels.py.
 
-   fs_absorb is CombinerState.absorb in one call, and combiner.align when
-   it is given no merge: it computes the substitution and gap costs as
-   metrics.pairwise_costs and metrics.gap_costs do, summing in numpy's
-   pairwise order, fills the backward GLD table as metrics.cost_table
-   does, reads the path off as combiner._path does, and then merges the
-   rows along it as combiner._merge does and writes the history store as
+   fs_absorb is the alignment, merge and store write of
+   CombinerState.absorb, and combiner.align when it is given no merge: it
+   computes the substitution and gap costs as metrics.pairwise_costs and
+   metrics.gap_costs do, summing in numpy's pairwise order, fills the
+   backward GLD table as metrics.cost_table does, reads the path off as
+   combiner._path does, and then merges the rows along it as
+   combiner._merge does and writes the history store as
    CombinerState._record does.  fs_gld is metrics.gld in one call, with
    the same costs and table.  Every result is bit-identical to the Python
    reference, which runs the same IEEE operations in the same order; build
@@ -16,9 +17,11 @@
    absorb use either kernel.
    fs_spread is CombinerState.candidate_gld, the one history scan of
    methods a and b over the blocks-plus-slots history store: every
-   candidate's distance and their sums in one call.  It reads each row
-   id's current row from the combined result, through the inverse of the
-   row-id order, and sums each frame's spread in its own order, in
+   candidate's distance and their sums in one call.  The absorb entry
+   point runs it right after fs_absorb, on the rows just merged, so an a
+   or b stage is one call; the spread entry point runs it alone.  It
+   reads each row id's current row from the combined result, through the
+   inverse of the row-id order, and sums each frame's spread in its own order, in
    frame-wide accumulators that run over all of the frame's rows and
    combine once per frame; a slot holding the empty row adds that row's
    distance, computed once per call.
@@ -47,16 +50,20 @@
    through the numpy C API, checking that each is an aligned C-contiguous
    ndarray of 8-byte floats or ints in the machine's byte order (read-only
    arrays are accepted where nothing is written).  They allocate the
-   kernel's working memory (work_alloc), the table of the store's blocks
-   (store, the one parser of blocks and slots) and, for spread, of each
-   row id's current row (by_row_id), and the arrays absorb and spread
-   return.  They derive every other argument from the arrays' shapes and
-   data pointers, refuse a call the history store has no room for, run
-   the kernel with the GIL released and build the Python result: absorb
-   refuses a non-finite cost, as CombinerState.absorb's Python route does,
-   and hands back the merged rows cut to the result's S + 1 rows and
-   write-protected (cut), the array the state keeps.  No address outlives
-   a call. */
+   kernels' working memory (work_alloc, which for absorb's scan also
+   holds each row id's current row, which the merge points at), the table
+   of the store's blocks (store, the one parser of blocks and slots), for
+   spread the table of each row id's current row (by_row_id), and the
+   arrays absorb and spread return.  They derive every other argument from
+   the arrays' shapes and data pointers, run the kernels with the GIL
+   released and build the Python result.  absorb alone tests the room of
+   the row-id order and the history store, answering None, with nothing
+   written, where it lacks (the state then makes room and calls again);
+   it refuses a non-finite cost, as CombinerState.absorb's Python route
+   does, and hands back the merged rows cut to the result's S + 1 rows and
+   write-protected (cut), the array the state keeps, and the scan that
+   CombinerState.candidate_gld serves until the next absorb.  spread
+   refuses a scan the store does not hold.  No address outlives a call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -395,14 +402,18 @@ struct fs_absorb_args {
     /* The scan of fs_spread over the first n frames and the s current
        rows, row id r's at by_id[r].current: shares is NULL or one merge
        share per frame, else share is every frame's; length is the nGLD
-       length sum, negative for GLD.  out, room for n entries, and the two
-       sums are outputs. */
+       length sum, negative for GLD.  out, room for n entries, each
+       candidate's d, and the two sums are outputs, and so is out_g, room
+       for n entries of each candidate's g, unless it is NULL.  When by_id
+       is set, fs_absorb's merge points by_id[r].current at the merged row
+       of row id r, for fs_spread to scan after it. */
     struct fs_row *by_id;
     int64_t n;
     const double *shares;
     double share;
     double length;
     double *out;
+    double *out_g;
     double g_sum;
     double d_sum;
 };
@@ -435,6 +446,8 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
         }
         for (; c < width; c++)
             out[c] = old[c] + a->factor * (fresh[c] - old[c]);
+        if (a->by_id)
+            a->by_id[a->order[k]].current = out;
         if (a->blocks && fi[k] < m)
             a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
     }
@@ -453,8 +466,9 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
    take the ids s.., in order), and the store write: the frame's m rows
    appended at global row used, on into the next blocks where they reach
    the end of one, and frame_index's slot of the row id each frame row
-   merged into pointed at it.  Returns the number of steps, or FS_NO_PATH
-   (a NaN cost) with nothing merged. */
+   merged into pointed at it; with by_id set, by_id[r].current points at
+   the merged row of row id r, for fs_spread.  Returns the number of
+   steps, or FS_NO_PATH (a NaN cost) with nothing merged. */
 CLONED int64_t fs_absorb(struct fs_absorb_args *a)
 {
     const int64_t s = a->s, m = a->m;
@@ -570,6 +584,8 @@ CLONED void fs_spread(struct fs_absorb_args *a)
             d = denom > 0.0 ? 2.0 * g / denom : 0.0;
         }
         out[f] = d;
+        if (a->out_g)
+            a->out_g[f] = g;
         g_sum += g;
         out_sum += d;
     }
@@ -668,8 +684,9 @@ static int shaped(int ok, const char *what)
     return -1;
 }
 
-/* 0 when ok, the history store's room for the call, holds; else -1 with
-   RuntimeError, an internal error, as the state makes room first. */
+/* 0 when ok, the history store holding the scan spread is asked for,
+   holds; else -1 with RuntimeError, an internal error, as a state only
+   asks for what it holds. */
 static int room(int ok)
 {
     if (ok)
@@ -699,21 +716,31 @@ static int64_t row_width(PyArrayObject *x, PyArrayObject *y)
    ((s+1)*(m+1)), 2 (s+1) (m+1) - 1 doubles in all, then the m rows as
    lanes, width * LANES4(m), from the next 32-byte boundary, up to 3
    doubles on (see costs_and_table), then fs_absorb's path, room for
-   2 (s + m) int64s, at *path unless path is NULL.  NULL with MemoryError
+   2 (s + m) int64s, at *path unless path is NULL, then room for s + m
+   struct fs_row at *by_id unless by_id is NULL.  NULL with MemoryError
    when its size overflows or it cannot be allocated.  Released with
    free. */
-static double *work_alloc(int64_t s, int64_t m, int64_t width, int64_t **path)
+static double *work_alloc(int64_t s, int64_t m, int64_t width, int64_t **path,
+                          struct fs_row **by_id)
 {
     size_t cells, lanes, doubles = 0;
     if (!__builtin_mul_overflow((size_t)s + 1, (size_t)m + 1, &cells) &&
         !__builtin_mul_overflow((size_t)width, LANES4((size_t)m), &lanes) &&
         cells <= SIZE_MAX / 64 && lanes <= SIZE_MAX / 64)
         doubles = 2 * cells - 1 + 3 + lanes;
-    double *work = doubles ? malloc((doubles + 2 * (size_t)(s + m)) * sizeof(double)) : NULL;
-    if (!work)
+    /* s + m < (s+1) (m+1), so neither part overflows */
+    const size_t steps = (size_t)(s + m), path_bytes = path ? 2 * steps * sizeof(int64_t) : 0;
+    double *work = doubles ? malloc(doubles * sizeof(double) + path_bytes +
+                                    (by_id ? steps * sizeof(struct fs_row) : 0))
+                           : NULL;
+    if (!work) {
         PyErr_NoMemory();
-    else if (path)
+        return NULL;
+    }
+    if (path)
         *path = (int64_t *)(work + doubles);
+    if (by_id)
+        *by_id = (struct fs_row *)((char *)(work + doubles) + path_bytes);
     return work;
 }
 
@@ -846,7 +873,7 @@ static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t narg
     double *work, cost;
     if (arity("gld", nargs, 2, 3) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
         !(y = take(args[1], 2, 'f', 0, "y")) || (width = row_width(x, y)) < 0 ||
-        !(work = work_alloc(s = DIM(x, 0), m = DIM(y, 0), width, NULL)))
+        !(work = work_alloc(s = DIM(x, 0), m = DIM(y, 0), width, NULL, NULL)))
         return NULL;
     if (nargs == 3 && (!(given = take(args[2], 1, 'f', 1, "work")) ||
                        shaped(DIM(given, 0) >= 2 * (s + 1) * (m + 1) - 1, "work too short") < 0)) {
@@ -876,7 +903,7 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
     struct fs_absorb_args a = {.merged = NULL};
     if (arity("align", nargs, 2, 2) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
         !(y = take(args[1], 2, 'f', 0, "y")) || (a.width = row_width(x, y)) < 0 ||
-        !(a.work = work_alloc(a.s = DIM(x, 0), a.m = DIM(y, 0), a.width, &a.path)))
+        !(a.work = work_alloc(a.s = DIM(x, 0), a.m = DIM(y, 0), a.width, &a.path, NULL)))
         return NULL;
     a.result = PyArray_DATA(x);
     a.frame = PyArray_DATA(y);
@@ -916,29 +943,83 @@ static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *res
     return by_id;
 }
 
-/* absorb(result, frame, factor, order, blocks, used, slots, frame_index):
-   (steps, cost, merged) of fs_absorb merging the frame into the result
-   with the share factor, the rows it inserts taking the ids S.., struct
-   fs_absorb_args filled from the arrays' shapes.  result and frame,
-   float64 (S+1, K+1) and (M+1, K+1), each end with the empty row; merged,
-   a new write-protected float64 array of steps + 1 rows, is the merge
-   followed by the empty row, allocated for S+M+1 rows and cut (cut);
-   order, int64 with room for S+M ids, holds the result rows' ids on
-   entry.  A cost that is not finite raises ValueError, as does a NaN
-   one, with nothing written; a MemoryError from cut, or from building
-   the tuple, comes after order and the store are written.  blocks, a
-   tuple of float64 (2^shift, K+1) arrays with used rows in use, and
-   slots (frames, stride) are the history store (see store), skipped,
-   with used, slots and frame_index, when blocks is None; it must have
-   room for frame frame_index, its M rows and S+M row ids. */
+/* obj as the merge shares of n frames into a: a float64 array of n
+   entries or more, one per frame, into a->shares, or a number, every
+   frame's, into a->share.  -1 with an exception set when it is neither
+   (TypeError naming share, ValueError for too few entries). */
+static int shares(PyObject *obj, int64_t n, struct fs_absorb_args *a)
+{
+    if (!PyArray_Check(obj))
+        return real(obj, &a->share, "share");
+    PyArrayObject *array = take(obj, 1, 'f', 0, "share");
+    if (!array || shaped(DIM(array, 0) >= n, "fewer shares than frames") < 0)
+        return -1;
+    a->shares = PyArray_DATA(array);
+    return 0;
+}
+
+/* The answer of absorb, (steps, cost, merged, (d, g_sum, d_sum),
+   (g, g_sum, g_sum)), the last two None when d is NULL; taking no
+   reference.  NULL if it cannot be built. */
+static PyObject *absorbed(int64_t steps, double cost, PyObject *merged, PyObject *d, PyObject *g,
+                          double g_sum, double d_sum)
+{
+    PyObject *ngld = NULL, *gld = NULL, *answer = NULL;
+    if (d) {
+        PyObject *gs = PyFloat_FromDouble(g_sum), *ds = PyFloat_FromDouble(d_sum);
+        if (gs && ds) {
+            ngld = PyTuple_Pack(3, d, gs, ds);
+            gld = PyTuple_Pack(3, g, gs, gs);
+        }
+        Py_XDECREF(gs);
+        Py_XDECREF(ds);
+    } else {
+        ngld = Py_NewRef(Py_None);
+        gld = Py_NewRef(Py_None);
+    }
+    PyObject *count = PyLong_FromLongLong(steps), *value = PyFloat_FromDouble(cost);
+    if (ngld && gld && count && value)
+        answer = PyTuple_Pack(5, count, value, merged, ngld, gld);
+    Py_XDECREF(ngld);
+    Py_XDECREF(gld);
+    Py_XDECREF(count);
+    Py_XDECREF(value);
+    return answer;
+}
+
+/* absorb(result, frame, factor, order, blocks, used, slots, frame_index,
+   share): CombinerState.absorb in one call, fs_absorb merging the frame
+   into the result with the share factor, the rows it inserts taking the
+   ids S.., then, with a history store, fs_spread scanning the store
+   against the merged rows, struct fs_absorb_args filled from the arrays'
+   shapes.  result and frame, float64 (S+1, K+1) and (M+1, K+1), each end
+   with the empty row; order, int64, holds the result rows' ids on entry.
+   blocks, a tuple of float64 (2^shift, K+1) arrays with used rows in use,
+   and slots (frames, stride) are the history store (see store), skipped,
+   with used, slots, frame_index and share, when blocks is None.
+   None, with nothing written, when there is no room for the call: order
+   needs S+M entries, and the store frame frame_index, M more rows and
+   S+M row ids.  Else (steps, cost, merged, ngld, gld): merged, a new
+   write-protected float64 array of steps + 1 rows, is the merge followed
+   by the empty row, allocated for S+M+1 rows and cut (cut); ngld and gld
+   are None without a store, and otherwise the scan of frames 0 to
+   frame_index against the merged rows, the row ids read from the order
+   the merge just wrote (so no permutation check): ngld is (d, sum of g,
+   sum of d) with the nGLD length 2 steps, gld (g, sum of g, sum of g),
+   d and g new write-protected float64 arrays of one candidate per frame.
+   share is the merge share of those frames after this one, one number or
+   a float64 array of one per frame (see shares).  A cost that is not
+   finite raises ValueError, as does a NaN one, with nothing written; a
+   MemoryError from cut, or from building the answer, comes after order
+   and the store are written. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     PyArrayObject *result, *frame, *order;
-    PyObject *merged = NULL, *answer = NULL;
+    PyObject *merged = NULL, *d = NULL, *g = NULL, *answer = NULL;
     int64_t steps;
     struct fs_absorb_args a = {.blocks = NULL};
-    if (arity("absorb", nargs, 8, 8) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
+    if (arity("absorb", nargs, 9, 9) < 0 || !(result = take(args[0], 2, 'f', 0, "result")) ||
         !(frame = take(args[1], 2, 'f', 0, "frame")) || real(args[2], &a.factor, "factor") < 0 ||
         !(order = take(args[3], 1, 'i', 1, "order")))
         return NULL;
@@ -947,32 +1028,55 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     a.width = DIM(result, 1);
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
         shaped(DIM(frame, 1) == a.width, "row widths differ") < 0 ||
-        shaped(DIM(order, 0) >= a.s + a.m, "no room for the row ids") < 0 ||
         (args[4] != Py_None &&
          (count(args[5], &a.used, "used") < 0 || store(args[4], args[6], 1, &a) < 0 ||
-          count(args[7], &a.frame_index, "frame_index") < 0 ||
-          room(a.frame_index < a.frames && a.used + a.m <= a.capacity &&
-               a.s + a.m <= a.stride) < 0)))
+          count(args[7], &a.frame_index, "frame_index") < 0)))
         goto done;
-    npy_intp shape[2] = {a.s + a.m + 1, a.width};
-    if (!(a.work = work_alloc(a.s, a.m, a.width, &a.path)) ||
+    if (DIM(order, 0) < a.s + a.m ||
+        (a.blocks && !(a.frame_index < a.frames && a.used + a.m <= a.capacity && a.capacity &&
+                       a.s + a.m <= a.stride))) {
+        answer = Py_NewRef(Py_None);
+        goto done;
+    }
+    npy_intp shape[2] = {a.s + a.m + 1, a.width}, frames = a.n = a.frame_index + 1;
+    if ((a.blocks && (shares(args[8], a.n, &a) < 0 ||
+                      !(d = PyArray_SimpleNew(1, &frames, NPY_DOUBLE)) ||
+                      !(g = PyArray_SimpleNew(1, &frames, NPY_DOUBLE)))) ||
+        !(a.work = work_alloc(a.s, a.m, a.width, &a.path, a.blocks ? &a.by_id : NULL)) ||
         !(merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE)))
         goto done;
     a.result = PyArray_DATA(result);
     a.frame = PyArray_DATA(frame);
     a.merged = PyArray_DATA((PyArrayObject *)merged);
     a.order = PyArray_DATA(order);
+    if (d) {
+        a.out = PyArray_DATA((PyArrayObject *)d);
+        a.out_g = PyArray_DATA((PyArrayObject *)g);
+    }
     Py_BEGIN_ALLOW_THREADS
     steps = fs_absorb(&a);
+    if (a.by_id && steps >= 0 && isfinite(a.cost)) {
+        /* the merged rows, before cut moves them */
+        a.s = steps;
+        a.length = 2.0 * (double)steps;
+        fs_spread(&a);
+    }
     Py_END_ALLOW_THREADS
     if (steps < 0)
         no_path();
     else if (!isfinite(a.cost))
         no_finite_cost(a.cost);
-    else if (cut((PyArrayObject *)merged, steps + 1) == 0)
-        answer = triple(PyLong_FromLongLong(steps), PyFloat_FromDouble(a.cost), Py_NewRef(merged));
+    else if (cut((PyArrayObject *)merged, steps + 1) == 0) {
+        if (d) {
+            PyArray_CLEARFLAGS((PyArrayObject *)d, NPY_ARRAY_WRITEABLE);
+            PyArray_CLEARFLAGS((PyArrayObject *)g, NPY_ARRAY_WRITEABLE);
+        }
+        answer = absorbed(steps, a.cost, merged, d, g, a.g_sum, a.d_sum);
+    }
 done:
     Py_XDECREF(merged);
+    Py_XDECREF(d);
+    Py_XDECREF(g);
     free(a.work);
     free(a.blocks);
     return answer;
@@ -985,25 +1089,19 @@ done:
    entries of ids, which must be a permutation of 0..S-1 (by_row_id); out,
    a new float64 array of n entries, receives each candidate's d.  share
    is one merge share for every frame, or a float64 array of one per
-   frame; length is the nGLD length sum, negative for GLD.  The store
-   must hold n frames and S row ids, and a block when S is not 0. */
+   frame (see shares); length is the nGLD length sum, negative for GLD.
+   The store must hold n frames and S row ids, and a block when S is not
+   0, or RuntimeError, an internal error, is raised. */
 static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    PyArrayObject *result, *ids, *shares = NULL;
+    PyArrayObject *result, *ids;
     PyObject *out = NULL, *answer = NULL;
     struct fs_absorb_args a = {.blocks = NULL};
     if (arity("spread", nargs, 7, 7) < 0 || !(result = take(args[2], 2, 'f', 0, "result")) ||
         !(ids = take(args[3], 1, 'i', 0, "ids")) || count(args[4], &a.n, "n") < 0 ||
-        real(args[6], &a.length, "length") < 0)
+        real(args[6], &a.length, "length") < 0 || shares(args[5], a.n, &a) < 0)
         return NULL;
-    if (!PyArray_Check(args[5])) {
-        if (real(args[5], &a.share, "share") < 0)
-            return NULL;
-    } else if (!(shares = take(args[5], 1, 'f', 0, "share")) ||
-               shaped(DIM(shares, 0) >= a.n, "fewer shares than frames") < 0) {
-        return NULL;
-    }
     a.s = DIM(result, 0);
     a.width = DIM(result, 1);
     if (shaped(DIM(ids, 0) >= a.s, "fewer ids than result rows") < 0 ||
@@ -1011,7 +1109,6 @@ static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t n
         room(a.n <= a.frames && a.s <= a.stride && (!a.s || a.capacity)) < 0 ||
         !(a.by_id = by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width)))
         goto done;
-    a.shares = shares ? PyArray_DATA(shares) : NULL;
     npy_intp length = a.n;
     if (!(out = PyArray_SimpleNew(1, &length, NPY_DOUBLE)))
         goto done;
@@ -1031,8 +1128,8 @@ done:
 static PyMethodDef methods[] = {
     ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
-    ENTRY(absorb, "absorb(result, frame, factor, order, blocks, used, slots, frame_index) -> "
-                  "(steps, cost, merged)"),
+    ENTRY(absorb, "absorb(result, frame, factor, order, blocks, used, slots, frame_index, share) "
+                  "-> (steps, cost, merged, ngld, gld), or None without room"),
     ENTRY(spread, "spread(blocks, slots, result, ids, n, share, length) -> (out, g_sum, d_sum)"),
     {NULL, NULL, 0, NULL},
 };

@@ -16,35 +16,37 @@ points its slots at them (O(M*K)); every other slot holds 0, the index
 of the empty distribution, so a frame reads as empty wherever it was not
 aligned, rows created after it included.  The state is built with the
 store's first sizes (``_STORE_CAPACITY``), whatever its frames will be;
-before an absorb that lacks room, ``CombinerState._reserve`` grows row
-ids and frames to twice their size (or more, if the frame needs it) and
-appends blocks until the rows fit, so neither route grows anything;
-display order is applied only when the history is read, by
-``CombinerState.contributions``.
+when an absorb lacks room, ``CombinerState._reserve`` grows row ids and
+frames to twice their size (or more, if the frame needs it) and appends
+blocks until the rows fit, so no kernel grows anything; display order is
+applied only when the history is read, by ``CombinerState.contributions``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels run (``_kernels.get()`` returns their
-module), ``CombinerState.absorb`` is one ``fs_absorb`` call in
-``_kernels.c``: the costs, in numpy's summation order, the table, the
-path, the merge and the store write, given the state's arrays
-themselves; ``align`` is the same call without the merge and the store.
-Otherwise numpy's ``pairwise_costs`` / ``gap_costs``,
-``metrics.cost_table``, the Python traceback ``_path``, ``_merge`` and
-``CombinerState._record`` run, the reference.
+module), ``CombinerState.absorb`` is one ``absorb`` call of the module,
+given the state's arrays themselves: ``fs_absorb`` in ``_kernels.c``
+(the costs, in numpy's summation order, the table, the path, the merge
+and the store write), then, with a history store, ``fs_spread``, the
+scan below, over the merged rows; that call alone tests the room.
+``align`` is ``fs_absorb`` without the merge and the store.  Otherwise
+numpy's ``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the
+Python traceback ``_path``, ``_merge`` and ``CombinerState._record``
+run, the reference.
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
 spread from the current rows, taken by row id from the combined result,
-then each candidate's merge share, its nGLD and the sums of both, in one
-compiled ``fs_spread`` call over the same arrays where the compiled
-kernels run (numpy otherwise).  The scan computes each current row's
-distance to the empty row once per call, and a slot holding 0 adds that
-distance instead of K+1 terms.  The compiled scan sums each frame in
-frame-wide accumulators, four vectors of four lanes over all of the
-frame's rows plus a scalar sum of the classes past the last group of
-four and one of the empty-slot distances, combined once per frame; numpy
-sums in its own order, and the two agree to a few parts in 1e15.  ``b``
-is ``a``'s aggregate normalised once.
+then each candidate's merge share, its nGLD and the sums of both.  Where
+the compiled kernels run this is the ``fs_spread`` that the absorb ran,
+at the nGLD length 2 S and for GLD, and one ``spread`` call of the
+module over the same arrays for any other length; numpy otherwise.  The
+scan computes each current row's distance to the empty row once per
+call, and a slot holding 0 adds that distance instead of K+1 terms.  The
+compiled scan sums each frame in frame-wide accumulators, four vectors
+of four lanes over all of the frame's rows plus a scalar sum of the
+classes past the last group of four and one of the empty-slot distances,
+combined once per frame; numpy sums in its own order, and the two agree
+to a few parts in 1e15.  ``b`` is ``a``'s aggregate normalised once.
 """
 import math
 import operator
@@ -261,7 +263,16 @@ class CombinerState:
         self._ids = np.empty(ids, dtype=np.int64)  # row ids 0..S-1 in display order, and room
         empty = _empty_row(self._width)[None].copy()  # owns its data, as every result does
         empty.setflags(write=False)
-        self._set_rows(empty, 0)  # the rows, then the empty row
+        # the one result array, the S rows followed by the empty row, and
+        # S; it is write-protected and owns its data, so no view of it is
+        # writable: lib.absorb returns it so, and _absorb_python
+        # write-protects _merge's rows itself
+        self._padded = empty
+        self.num_chars = 0
+        self._matrix = None  # mean_rows: _padded[:S], sliced on its first read
+        # the compiled absorb's scan of this result (candidate_gld's answer at
+        # the nGLD length 2 S, and for GLD); None after a Python-route absorb
+        self._ngld = self._gld = None
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._share = 1.0  # the next candidate's: merge_share(_common_weight, weight_total)
@@ -288,8 +299,13 @@ class CombinerState:
 
     @property
     def mean_rows(self):
-        """Current combined rows, shape (S, K+1); a write-protected snapshot."""
-        return self._matrix
+        """Current combined rows, shape (S, K+1); a write-protected snapshot:
+        the view of the result without its empty row, made on the first
+        read after an absorb and kept until the next."""
+        rows = self._matrix
+        if rows is None:
+            rows = self._matrix = self._padded[: self.num_chars]
+        return rows
 
     @property
     def row_ids(self):
@@ -307,33 +323,27 @@ class CombinerState:
         if self.track_treaps and frame.weight != 1.0:
             raise ValueError("treap bookkeeping supports unit frame weights only")
 
-    def _set_rows(self, padded, s):
-        """Make ``padded``, ``s`` rows followed by the empty row, the current
-        result.  ``padded`` is write-protected and owns its data, so no view
-        of it is writable: ``lib.absorb`` returns it so, and the Python route
-        write-protects the rows of :func:`_merge` before this call."""
-        self._padded = padded
-        self._matrix = padded[:s]
-        self.num_chars = s
-
     def absorb(self, frame):
         """Fold one frame into the combined result, updating all bookkeeping.
 
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
-        already reads as empty for this frame.  :meth:`_reserve` first makes
-        room for it if s + m row ids, ``_used`` + m rows or n + 1 frames are
-        more than the state holds.  Where the compiled kernels
-        run, the alignment, the merge and the store write are then one
-        ``fs_absorb`` call; otherwise :func:`align`, :func:`_merge` and
-        :meth:`_record`, the reference, which gives the same rows, row ids
-        and store bit for bit.  ``fs_absorb`` refuses a non-finite alignment
-        cost as :func:`align` does, writing nothing, and hands back the
-        merged rows, followed by the empty row, cut and write-protected: the
-        array the state keeps.  Only a MemoryError in that cut, after the
-        row ids and the store are written, leaves the state inconsistent.
-        A frame of the common weight merges by the cached ``_share``,
-        :func:`merge_share`'s float even for zero weights.
+        already reads as empty for this frame.  Where the compiled kernels
+        run, this is one ``absorb`` call of the module: the alignment, the
+        merge, the store write and, with a store, the scan that
+        :meth:`candidate_gld` serves until the next absorb, given the next
+        candidates' shares.  That call is the only test of the room: when
+        s + m row ids, ``_used`` + m rows or n + 1 frames are more than the
+        state holds it answers None, writing nothing, and :meth:`_reserve`
+        makes the room before the call is made again.  Otherwise
+        :meth:`_absorb_python` runs, the reference, which gives the same
+        rows, row ids and store bit for bit.  ``absorb`` refuses a
+        non-finite alignment cost as :func:`align` does, writing nothing,
+        and hands back the merged rows, followed by the empty row, cut and
+        write-protected: the array the state keeps.  Only a MemoryError in
+        that cut, after the row ids and the store are written, leaves the
+        state inconsistent.  A frame of the common weight merges by the
+        cached ``_share``, :func:`merge_share`'s float even for zero weights.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -341,35 +351,46 @@ class CombinerState:
         if new_total > _FLOAT_MAX:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = self._share if w == self._common_weight else _scalar_share(w, self.weight_total)
-        m = len(frame.rows)
-        blocks = self._blocks
-        if self.num_chars + m > len(self._ids) or blocks is not None and (
-            self._used + m > len(blocks) << self._shift or self.n >= len(self._slots)
-        ):
-            self._reserve(m)
+        common = self.n == 0 or w == self._common_weight
+        # the next candidates' share, which the compiled absorb's scan takes
+        if common:
+            share = _scalar_share(w, new_total)
+        elif self._blocks is not None:
+            share = merge_share(np.asarray([*self._weights, w]), new_total)
+        else:
+            share = None
         lib = _kernels.get()
         if lib is not None:
-            steps, _, merged = lib.absorb(
+            answer = lib.absorb(
                 self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
-                self._slots, self.n,
+                self._slots, self.n, share,
             )
-            self._set_rows(merged, steps)
+            if answer is None:  # no room, nothing written
+                self._reserve(len(frame.rows))
+                answer = lib.absorb(
+                    self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
+                    self._slots, self.n, share,
+                )
+            self.num_chars, _, self._padded, self._ngld, self._gld = answer
         else:
             self._absorb_python(frame, factor)
+        self._matrix = None
         self._weights.append(w)
-        if self.n == 0 or w == self._common_weight:
+        if common:
             self._common_weight = w
-            self._share = _scalar_share(w, new_total)
+            self._share = share
         else:
             self._common_weight = None
         self.n += 1
         self.weight_total = new_total
-        if blocks is not None:
-            self._used += m
+        if self._blocks is not None:
+            self._used += len(frame.rows)
 
     def _absorb_python(self, frame, factor):
-        """The reference absorb: :func:`align`, :func:`_merge`, :meth:`_record`."""
-        alignment = align(frame, self._matrix)
+        """The reference absorb: :meth:`_reserve`, :func:`align`,
+        :func:`_merge`, :meth:`_record`."""
+        self._reserve(len(frame.rows))
+        alignment = align(frame, self.mean_rows)
         order = self._row_ids_after(alignment)
         padded = _merge(alignment, frame.padded_rows, self._padded, factor)
         self._ids[: len(order)] = order
@@ -378,7 +399,8 @@ class CombinerState:
             m = frame.num_chars
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
         padded.setflags(write=False)
-        self._set_rows(padded, len(order))
+        self._padded, self.num_chars = padded, len(order)
+        self._ngld = self._gld = None
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
@@ -425,10 +447,11 @@ class CombinerState:
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
         row ids and, with a history store, ``_used + m`` rows and n + 1
-        frames, as a frame inserts at most m rows.  Row ids and frames too
-        few grow to twice their size, or to what is needed if more
-        (:func:`_grown`; slots zeroed), and blocks of the state's block size
-        are appended until the rows fit."""
+        frames, as a frame inserts at most m rows; nothing grows where the
+        room is there.  Row ids and frames too few grow to twice their
+        size, or to what is needed if more (:func:`_grown`; slots zeroed),
+        and blocks of the state's block size are appended until the rows
+        fit."""
         s = self.num_chars
         frames, ids = self.n + 1, s + m
         if ids > len(self._ids):
@@ -452,7 +475,7 @@ class CombinerState:
         weight total so far; the state is untouched.
         """
         self._check_frame(candidate)
-        return align(candidate, self._matrix), _scalar_share(candidate.weight, self.weight_total)
+        return align(candidate, self.mean_rows), _scalar_share(candidate.weight, self.weight_total)
 
     def candidate_shares(self):
         """Merge share of every absorbed frame as the next candidate.
@@ -475,7 +498,7 @@ class CombinerState:
         """Snapshot of the combined result after the frames absorbed so far."""
         if self.n == 0:
             raise ValueError("no frames absorbed yet")
-        return CombinedResult(self._matrix, self.row_ids)
+        return CombinedResult(self.mean_rows, self.row_ids)
 
     def spread(self):
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
@@ -495,7 +518,7 @@ class CombinerState:
         s = self.num_chars
         position = np.empty(s, dtype=np.int64)  # row id r's row in the result
         position[self._ids[:s]] = np.arange(s)
-        current = self._matrix[position]
+        current = self.mean_rows[position]
         out = np.empty(n)
         for f in range(0, n, _SCAN_FRAMES):
             frames = slice(f, min(n, f + _SCAN_FRAMES))
@@ -512,24 +535,33 @@ class CombinerState:
         (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
         :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
         Where the compiled kernels run, the scan, the shares, the
-        normalisation and both sums are one ``fs_spread`` call over the
-        state's blocks, slots, combined rows and row ids: each frame's
-        spread summed in frame-wide vector accumulators, combined once per
-        frame, then the same elementwise operations as the numpy path and
-        the sums added in frame order; the two agree to a few parts in 1e15.
+        normalisation and both sums are one ``fs_spread`` over the state's
+        blocks, slots, combined rows and row ids: each frame's spread
+        summed in frame-wide vector accumulators, combined once per frame,
+        then the same elementwise operations as the numpy path and the sums
+        added in frame order; the two agree to a few parts in 1e15.  The
+        compiled absorb has run that scan already, so for ``length`` None
+        or 2 S (methods b and a) this hands back its answer, write-protected
+        arrays that stay the same until the next absorb; any other length
+        is a ``spread`` call of the module.  The numpy route always scans.
         """
         if self._blocks is None:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
-        share = self.candidate_shares()
         lib = _kernels.get()
         if lib is not None:
+            if length is None:
+                kept = self._gld
+            else:
+                kept = self._ngld if length == 2.0 * self.num_chars else None
+            if kept is not None:
+                return kept
             return lib.spread(
-                self._blocks, self._slots, self._matrix, self._ids, self.n, share,
-                -1.0 if length is None else length,
+                self._blocks, self._slots, self.mean_rows, self._ids, self.n,
+                self.candidate_shares(), -1.0 if length is None else length,
             )
-        g = self.spread() * share / 2.0
+        g = self.spread() * self.candidate_shares() / 2.0
         d = g if length is None else normalized(g, length)
         return d, float(g.sum()), float(d.sum())
 

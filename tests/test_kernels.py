@@ -338,7 +338,8 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # run in a process that preloads the address sanitizer's runtime, with the
 # sanitized build at argv[1] and the directories of framestop and of these
 # tests at argv[2:4]: the entry points' refusal cases, the result absorb
-# cuts and write-protects, then a clip of acceptance criterion 7's recipe
+# cuts and write-protects, the scan it keeps (in the tiny store too, where
+# it answers for more room), then a clip of acceptance criterion 7's recipe
 # and looped_clip(150) through all four entry points
 SANITIZED_RUN = """
 import sys
@@ -349,7 +350,7 @@ import test_kernels as t
 from framestop.combiner import CombinerState, align
 from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import gld, ngld
-from oracles import looped_clip
+from oracles import late_rows_clip, looped_clip
 lib = _kernels.lib
 assert _kernels.probe() is None
 for entry in ("gld", "align", "absorb", "spread"):
@@ -363,6 +364,10 @@ t.test_compiled_absorb_writes_nothing_on_non_finite_costs(lib)
 t.test_the_compiled_absorb_hands_back_the_result_the_state_keeps(lib)
 t.test_compiled_kernels_refuse_a_store_without_room(lib)
 t.test_compiled_spread_refuses_ids_that_are_not_a_permutation(lib)
+from framestop import combiner
+for capacity in (t._TINY_STORE, combiner._STORE_CAPACITY):  # the tiny store, then the default
+    combiner._STORE_CAPACITY = capacity
+    t._check_the_kept_scan(lib, [looped_clip(150), late_rows_clip(), *t._kept_scan_clips()[2:12]])
 config = SyntheticConfig(
     clip_count=1, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
@@ -783,8 +788,8 @@ def _entry_calls():
         "gld": ([x, y, np.empty(17)], {0: "x", 1: "y", 2: "work"}, {2}),
         "align": ([x, y], {0: "x", 1: "y"}, set()),
         "absorb": (
-            [*padded, 0.5, order, blocks, 1, slots, 0],
-            {0: "result", 1: "frame", 3: "order", 4: "blocks", 6: "slots"},
+            [*padded, 0.5, order, blocks, 1, slots, 0, np.full(2, 0.5)],
+            {0: "result", 1: "frame", 3: "order", 4: "blocks", 6: "slots", 8: "share"},
             {3, 4, 6},
         ),
         "spread": (
@@ -887,7 +892,7 @@ def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
 
 # each entry point's count of arguments, or its least and most: the
 # arguments of _entry_calls are the most it takes
-ARITY = {"gld": "2 to 3", "align": "2", "absorb": "8", "spread": "7"}
+ARITY = {"gld": "2 to 3", "align": "2", "absorb": "9", "spread": "7"}
 
 
 @pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
@@ -900,16 +905,17 @@ def test_the_entry_points_refuse_too_few_or_too_many_arguments(compiled, entry):
         assert str(refused.value) == f"{entry}() takes {ARITY[entry]} arguments ({len(given)} given)"
 
 
-def _absorb_args(result, frame):
+def _absorb_args(result, frame, spare=0):
     """The module's ``absorb`` arguments merging the rows ``frame`` into
     ``result``, both padded with the empty row here, with the share 0.5 and
-    no history store; and the arrays among them, the order buffer filled
-    with a marker past the result's ids."""
+    no history store (the scan's share 0.25, used with one); and the arrays
+    among them, the order buffer filled with a marker past the result's
+    ids and ``spare`` entries long."""
     result, frame = (np.vstack([rows, np.eye(1, 2)]) for rows in (result, frame))
     s, m = len(result) - 1, len(frame) - 1
-    order = np.full(s + m, 7, dtype=np.int64)
+    order = np.full(s + m + spare, 7, dtype=np.int64)
     order[:s] = range(s)
-    args = [result, frame, 0.5, order, None, 0, None, 0]
+    args = [result, frame, 0.5, order, None, 0, None, 0, 0.25]
     return args, (result, frame, order)
 
 
@@ -926,7 +932,7 @@ def test_compiled_absorb_writes_nothing_on_non_finite_costs(compiled):
     ):
         args, buffers = _absorb_args(result, frame)
         (views, slots), store = _store(2, 1, 4, 1, 4)
-        args[4:] = views, 1, slots, 0
+        args[4:8] = views, 1, slots, 0
         before = [array.copy() for array in (*buffers, *store)]
         with np.errstate(invalid="ignore"), pytest.raises(ValueError) as refused:
             compiled.absorb(*args)
@@ -991,21 +997,29 @@ def _store(width, blocks, block_rows, frames, stride, marker=5):
 
 
 def test_compiled_kernels_refuse_a_store_without_room(compiled):
-    # frame 0 of two rows into one result row: room for 1 + 2 rows, 1 frame, 1 + 2 row ids
-    for blocks, block_rows, frames, stride in ((2, 1, 1, 3), (1, 2, 1, 3), (0, 4, 1, 3),
-                                               (3, 1, 0, 3), (3, 1, 1, 2)):
-        args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
-        (views, slots), store = _store(2, blocks, block_rows, frames, stride)
-        args[4:] = views, 1, slots, 0
+    # frame 0 of two rows into one result row: room for 1 + 2 rows, 1 frame
+    # and 1 + 2 row ids, in the slots and in the order.  Without it the
+    # answer is None, the call for more room, with nothing written.
+    cases = ((2, 1, 1, 3, 0), (1, 2, 1, 3, 0), (0, 4, 1, 3, 0), (3, 1, 0, 3, 0), (3, 1, 1, 2, 0),
+             (3, 1, 1, 3, -1), (None,) * 5)
+    for blocks, block_rows, frames, stride, spare in cases:
+        if spare is None:  # no store, and an order one entry short
+            args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]], -1)
+            store = ()
+        else:
+            args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]], spare)
+            (views, slots), store = _store(2, blocks, block_rows, frames, stride)
+            args[4:8] = views, 1, slots, 0
         before = [array.copy() for array in (*buffers, *store)]
-        with pytest.raises(RuntimeError, match="internal error"):
-            compiled.absorb(*args)
+        assert compiled.absorb(*args) is None
         assert all(a.tobytes() == b.tobytes() for a, b in zip((*buffers, *store), before))
     for blocks, block_rows in ((3, 1), (1, 4)):  # just enough room, in one block or across three
         args, buffers = _absorb_args([[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]])
         (views, slots), store = _store(2, blocks, block_rows, 1, 3)
-        args[4:] = views, 1, slots, 0
-        assert compiled.absorb(*args)[0] >= 2
+        slots[...] = 0  # the slots in use, which the scan reads; the spare room keeps the marker
+        args[4:8] = views, 1, slots, 0
+        steps, _, _, (d, g_sum, d_sum), (g, *_) = compiled.absorb(*args)
+        assert steps >= 2 and g.tolist() == [g_sum] and d.tolist() == [d_sum] and d_sum > 0.0
         assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
     # the scan of more frames than the store holds, of more rows than its
     # row ids, and of rows with no block
@@ -1165,28 +1179,99 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
             store = _store_arrays(state)
             counting.calls.clear()
             state.absorb(frame)
-            (name, (steps, _, _)), = counting.calls  # one call, also when the store grew
+            # one call, after the no-room answer where the store grew
+            *refused, (name, (steps, *_)) = counting.calls
             assert name == "absorb" and steps >= 0
-            grown += any(a is not b for a, b in zip(store, _store_arrays(state)))
+            grew = any(a is not b for a, b in zip(store, _store_arrays(state)))
+            assert refused == [("absorb", None)] * grew
+            grown += grew
             appended += store[1] is not state._blocks
     assert grown >= (5 if capacity else 1)
     assert appended >= (5 if capacity else 0)
 
 
 @pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
-def test_a_compiled_candidate_gld_is_one_call(compiled, monkeypatch, capacity):
+def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
+    # absorb and estimate, under both metrics: the estimates read the scan
+    # the absorb kept, and a length other than 2 S is one spread call
     _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
     monkeypatch.setattr(_kernels, "lib", counting)
     rng = random.Random(61)
+    grown = 0
     for clip in [looped_clip(40), random_clip(rng, 0, weighted=True)]:
+        unit = all(frame.weight == 1.0 for frame in clip.frames)
+        for method in "ab" if unit else "a":
+            state = CombinerState(clip.alphabet, track_history=method == "a",
+                                  track_treaps=method == "b")
+            estimate = estimate_method_a if method == "a" else estimate_method_b
+            for frame in clip.frames:
+                counting.calls.clear()
+                state.absorb(frame)
+                for metric in MetricKind:
+                    estimate(state, metric=metric)
+                *refused, (name, answer) = counting.calls
+                assert name == "absorb" and answer is not None
+                assert refused == [("absorb", None)] * len(refused) and len(refused) <= 1
+                grown += len(refused)
+                counting.calls.clear()
+                d, g_sum, d_sum = state.candidate_gld(3.0)
+                assert counting.calls == [("spread", (d, g_sum, d_sum))]
+    assert grown >= (5 if capacity else 1)  # looped_clip(40) outgrows the default's 32 frames
+
+
+def _check_the_kept_scan(lib, clips):
+    """After every absorb of each of ``clips``, into an ``a`` state and, on
+    unit weights, a ``b`` one: what :meth:`CombinerState.candidate_gld`
+    serves for nGLD at 2 S and for GLD is the scan the absorb kept,
+    write-protected, and in hex a fresh ``spread`` call over the same
+    store, current rows and shares."""
+    for clip in clips:
+        unit = all(frame.weight == 1.0 for frame in clip.frames)
+        for treaps in (False, True) if unit else (False,):
+            state = CombinerState(clip.alphabet, track_history=not treaps, track_treaps=treaps)
+            for frame in clip.frames:
+                state.absorb(frame)
+                for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
+                    got = state.candidate_gld(length)
+                    assert got is kept and not got[0].flags.writeable
+                    want = lib.spread(state._blocks, state._slots, state.mean_rows, state._ids,
+                                      state.n, state.candidate_shares(), length or -1.0)
+                    assert _hex_scan(*got) == _hex_scan(*want)
+
+
+def _kept_scan_clips():
+    """``looped_clip(400)``, ``late_rows_clip`` and 40 of ``random_clip``,
+    every second one weighted."""
+    rng = random.Random(4141)
+    return [looped_clip(400), late_rows_clip(),
+            *(random_clip(rng, i, weighted=i % 2 == 1) for i in range(40))]
+
+
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
+def test_the_kept_scan_is_a_fresh_spread_in_hex(compiled, monkeypatch, capacity):
+    _set_store(monkeypatch, capacity)
+    _check_the_kept_scan(compiled, _kept_scan_clips())
+
+
+def test_the_python_route_never_serves_the_compiled_scan(compiled):
+    # a state absorbed on the compiled route keeps its scan; inside
+    # python_kernels() candidate_gld scans afresh with numpy, so the route
+    # comparisons compare two routes
+    rng = random.Random(8)
+    for clip in [looped_clip(30), random_clip(rng, 0, weighted=True)]:
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:
             state.absorb(frame)
-            for length in (None, 3.0):
-                counting.calls.clear()
-                d, g_sum, d_sum = state.candidate_gld(length)
-                assert counting.calls == [("spread", (d, g_sum, d_sum))]
+            share = state.candidate_shares()
+            for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
+                with python_kernels():
+                    d, g_sum, d_sum = state.candidate_gld(length)
+                assert d is not kept[0] and d.flags.writeable
+                g = state.spread() * share / 2.0
+                want = g if length is None else metrics.normalized(g, length)
+                assert d.tobytes() == want.tobytes()
+                assert (g_sum, d_sum) == (float(g.sum()), float(want.sum()))
 
 
 def test_python_kernels_names_the_python_route_in_status():
@@ -1372,7 +1457,8 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
 
 
 def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch):
-    # the room is made before the call, so the store has grown when the call fails
+    # the store grows after the call's no-room answer, so it has grown when
+    # the call made again fails
     clip = looped_clip(12)
     state = CombinerState(clip.alphabet, track_history=True)
     for frame in clip.frames[:6]:
@@ -1383,13 +1469,18 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
     # more rows than the row ids, the frames or the blocks have room for
     m = max(len(ids), len(slots), len(blocks) * len(blocks[0]))
     wide = make_frame(np.random.default_rng(6).dirichlet(np.ones(clip.alphabet.size), m))
+    answers = []
 
     def no_memory(*args):
-        raise MemoryError("set by the test")
+        if answers:
+            raise MemoryError("set by the test")
+        answers.append(compiled.absorb(*args))
+        return answers[-1]
 
     monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=no_memory, spread=compiled.spread))
     with pytest.raises(MemoryError):
         state.absorb(wide)
+    assert answers == [None]
     grown = _store_arrays(state)
     assert all(a is not b for a, b in zip(arrays, grown))
     # the blocks are the same, bytes and all, followed by new ones

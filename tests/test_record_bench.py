@@ -86,15 +86,15 @@ def test_versus_pairs_each_seed_with_the_first_labels_run_of_it(record_bench):
                                                   "better": 1, "seeds": 2}
 
 
-def test_the_python_share_is_the_stage_less_its_two_bare_calls(record_bench):
-    # rows of (method, stage, clip, whole stage, bare absorb, bare spread);
-    # two rounds, each part's minimum taken on its own, then the mean over clips
+def test_the_python_share_is_the_stage_less_its_bare_call(record_bench):
+    # rows of (method, stage, clip, whole stage, bare call); two rounds,
+    # each part's minimum taken on its own, then the mean over clips
     rounds = [
-        [["a", 5, 0, 10.0, 4.0, 2.0], ["a", 5, 1, 12.0, 5.0, 3.0]],
-        [["a", 5, 0, 11.0, 3.0, 2.5], ["a", 5, 1, 14.0, 6.0, 1.0]],
+        [["a", 5, 0, 10.0, 4.0], ["a", 5, 1, 12.0, 5.0]],
+        [["a", 5, 0, 11.0, 3.0], ["a", 5, 1, 14.0, 6.0]],
     ]
     got = record_bench.python_share(rounds, stages=(5,))
-    assert got == {"a.n5.stage": 11.0, "a.n5.absorb": 4.0, "a.n5.spread": 1.5, "a.n5.python": 5.5}
+    assert got == {"a.n5.stage": 11.0, "a.n5.call": 4.0, "a.n5.python": 7.0}
 
 
 def _cells_agree(stage_table, share):
@@ -105,34 +105,29 @@ def _cells_agree(stage_table, share):
 
 
 def test_both_tables_take_the_whole_stage_from_the_same_rows(record_bench):
-    # two rounds of the recorded drive's shape: whole stages to 400, bare calls to 27
+    # two rounds of the recorded drive's shape: both passes to stage 400
     rounds = [
-        [[method, k, clip, (k + clip + 1) * scale * (1 + 0.3 * turn),
-          *((k * 0.25 * scale, 0.125 * scale) if k <= 27 else (None, None))]
+        [[method, k, clip, (k + clip + 1) * scale * (1 + 0.3 * turn), k * 0.25 * scale]
          for method, scale in (("a", 1.0), ("b", 3.0)) for k in range(1, 401) for clip in (0, 1)]
         for turn in (1, 0)
     ]
     stage_table, share = record_bench.tables(rounds)
     assert set(stage_table) == {f"{m}.n{n}" for m in "ab" for n in (5, 25, 100, 400)}
     assert set(share) == {f"{m}.n{n}.{part}" for m in "ab" for n in (5, 25)
-                          for part in ("stage", "absorb", "spread", "python")}
+                          for part in ("stage", "call", "python")}
     _cells_agree(stage_table, share)
     assert stage_table["a.n5"] == pytest.approx(6.5)  # stages 3-7 of clips taking 1 + k, 2 + k
     assert stage_table["b.n400"] == pytest.approx(3 * 400.5)  # stages 398-400, clamped
-    assert share["a.n25.absorb"] == pytest.approx(25 * 0.25)
+    assert share["a.n25.call"] == pytest.approx(25 * 0.25)
 
 
 def test_the_drive_runs_in_a_checkout_and_feeds_both_tables(record_bench, compiled):
-    # a tiny drive: one clip, 30 stages, bare calls to stage 27, one repeat
-    rows = record_bench._in_checkout(ROOT, record_bench.DRIVE, [["a", "b"], 30, 27, 1, 1],
+    # a tiny drive: one clip, both passes to stage 30, one repeat
+    rows = record_bench._in_checkout(ROOT, record_bench.DRIVE, [["a", "b"], 30, 1, 1],
                                      "timing drive")
     assert [row[:3] for row in rows] == [[method, k, 0] for method in "ab" for k in range(1, 31)]
-    for method, stage, _, whole, absorb, spread in rows:
-        assert whole > 0
-        if stage <= 27:
-            assert absorb > 0 and spread > 0
-        else:
-            assert absorb is None and spread is None
+    for method, stage, _, whole, call in rows:
+        assert whole > 0 and call > 0
     stage_table, share = record_bench.tables([rows], stages=(5, 25))
     assert set(stage_table) == {"a.n5", "a.n25", "b.n5", "b.n25"}
     _cells_agree(stage_table, share)
