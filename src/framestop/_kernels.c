@@ -21,10 +21,10 @@
    point runs it right after fs_absorb, on the rows just merged, so an a
    or b stage is one call; the spread entry point runs it alone.  It
    reads each row id's current row from the combined result, through the
-   inverse of the row-id order, and sums each frame's spread in its own order, in
-   frame-wide accumulators that run over all of the frame's rows and
-   combine once per frame; a slot holding the empty row adds that row's
-   distance, computed once per call.
+   inverse of the row-id order, and sums each frame's spread in its own
+   order, in frame-wide accumulators that run over all of the frame's
+   rows and combine once per frame; a slot holding the empty row adds
+   that row's distance, computed once per call.
    fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
    describes the history store once: its absorbed rows in blocks of equal
    power-of-two size, which are never moved, and the slots, each a global

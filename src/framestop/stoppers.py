@@ -22,15 +22,16 @@ Three estimators compute the same quantity at different price points:
   prices it at O(S * K * log n), one order-statistic treap query per
   (row, class) cell.
 
-A stage of ``a`` or ``b`` is the absorb that every method pays (one
-``fs_absorb`` call on the compiled route: the alignment, the merge and
-the store write) plus the estimate (one ``fs_spread`` call).  At n=25 on
-the criterion-7 recipe (``looped_clip`` of the tests; 2-vCPU Xeon with
-AVX2, minimum of 3000 calls, six runs) ``a``'s absorb took 9.6-13.8 us,
-7.7-9.4 of them in the bare ``fs_absorb`` call, and its estimate
-6.7-8.6 us, 4.9-5.9 in the bare ``fs_spread`` call; past n of about 100
-the estimate's scan is the larger part.  A compiled call on empty inputs
-takes about 0.5 us, the binding's share of every call.
+A stage of ``a`` or ``b`` is one compiled call on the compiled route:
+the absorb that every method pays (``fs_absorb``: the alignment, the
+merge and the store write) runs the history scan (``fs_spread``) over
+the merged rows in the same call, and the estimate reads the scan the
+state kept.  At n=25 on the criterion-7 recipe (``scripts/record_bench.py``,
+``BENCH_70efeff.json``, median of 5 seeds; 2-vCPU Xeon with AVX2) an
+``a`` stage took 12.3 us, 9.3 of them in the bare call, and at n=5
+8.9 us, 6.0 in the call; past n of about 100 the scan is most of the
+stage.  A compiled call on empty inputs takes about 0.5 us, the
+binding's share of every call.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.
