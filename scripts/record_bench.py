@@ -15,7 +15,9 @@ first seed, last on the second and so on, so that the files compare runs
 made side by side.  Beside each run's result go the CPU steal during the
 run, from ``/proc/stat`` (:func:`steal_seconds`; None without that file),
 and perfbench's gauge speed (:func:`gauge_speed`), so that a slow spell is
-named by data.
+named by data, and the minor page faults of the run's processes
+(``ru_minflt`` of ``RUSAGE_CHILDREN``, :func:`minor_faults`), so that a
+change to what the process allocates shows as data too.
 
 After each seed's workloads, ``ROUNDS`` = 3 rounds alternating the labels
 time methods ``a`` and ``b`` on acceptance criterion 7's recipe
@@ -50,7 +52,7 @@ seeds by more than two labels differ, so a per-seed ratio compares what
 was measured side by side.
 
 Each file, written at the root of the checkout holding this script, keeps
-every run's result, steal and gauge speed, each end-to-end metric's and
+every run's result, steal, gauge speed and minor faults, each end-to-end metric's and
 each table entry's median, quartiles and IQR, both tables per seed, the
 per-seed ratios (``versus``), the machine (``run.py``'s ``machine()``),
 the checkout's git HEAD and whether its tracked files differed from it,
@@ -64,6 +66,7 @@ import json
 import math
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -178,20 +181,26 @@ def gauge_speed(stdout):
     return float(re.search(r"^machine speed: ([0-9.]+) x", stdout, re.MULTILINE).group(1))
 
 
+def minor_faults():
+    """Minor page faults of this process's children that have been waited
+    for, and of their own such children, so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def _run(root, workload, seed, seconds):
     """One ``run.py`` run: the JSON object on its last line, the CPU steal
-    during it and its gauge speed."""
-    before = _steal()
+    during it, its gauge speed and its processes' minor page faults."""
+    before, faults = _steal(), minor_faults()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
-    after = _steal()
+    after, faults = _steal(), minor_faults() - faults
     if done.returncode != 0:
         raise SystemExit(f"record_bench: {workload} seed {seed} failed:\n{done.stderr}")
     return {"seed": seed, "steal_s": None if before is None else round(after - before, 3),
-            "gauge_speed": gauge_speed(done.stdout),
+            "gauge_speed": gauge_speed(done.stdout), "minor_faults": faults,
             "result": json.loads(done.stdout.strip().splitlines()[-1])}
 
 
@@ -369,7 +378,8 @@ def main(argv=None):
                 records[label]["runs"][workload].append(run)
                 stages = run["result"]["metrics"]["stages_per_s"]["value"]
                 print(f"{label} {workload} seed {seed}: stages_per_s {stages:.0f}, "
-                      f"steal {run['steal_s']} s, gauge {run['gauge_speed']}", flush=True)
+                      f"steal {run['steal_s']} s, gauge {run['gauge_speed']}, "
+                      f"minor faults {run['minor_faults']}", flush=True)
         rounds = {label: [] for label in labels}
         for repeat in range(ROUNDS):
             for label in labels if (number + repeat) % 2 == 0 else labels[::-1]:

@@ -20,6 +20,17 @@ when an absorb lacks room, ``CombinerState._reserve`` grows row ids and
 frames to twice their size (or more, if the frame needs it) and appends
 blocks until the rows fit, so no kernel grows anything; display order is
 applied only when the history is read, by ``CombinerState.contributions``.
+A freed state hands its blocks to the spare blocks (``_SPARE``, at most
+``_SPARE_BYTES``, by block shape), and a new state's first block and
+appended blocks come from there before ``np.empty``: glibc gives a freed
+block's pages back to the system, so a new block would fault them in
+afresh, some 7 000 minor faults per pass of perfbench's ``long-horizon``
+workload, where a steady pass with the spare blocks takes none.  A block
+goes back only when the state holds its last reference: one that a
+shallow copy of the state or a view still holds stays where it is.  A
+reused block's rows are another state's, as a new block's are garbage:
+``__init__`` writes the empty row 0 again, and no other row is read before
+an absorb writes it, as slots index only rows below ``_used``.
 
 Two routes give the same alignments, rows, row ids and store bit for
 bit.  Where the compiled kernels run (``_kernels.get()`` returns their
@@ -51,6 +62,8 @@ to a few parts in 1e15.  ``b`` is ``a``'s aggregate normalised once.
 import math
 import operator
 import random
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +84,10 @@ _SCAN_FRAMES = 32
 # rows and 46 row ids
 _STORE_CAPACITY = (512, 32, 64)
 
+# the most bytes of history blocks that freed states leave for the next ones;
+# two 400-stage states at K+1 = 37 hold 24 blocks, 3.6 MB
+_SPARE_BYTES = 8 << 20
+
 
 def _grown(array, needed, keep):
     """An array of twice ``array``'s rows, or of ``needed`` if that is more,
@@ -78,6 +95,46 @@ def _grown(array, needed, keep):
     grown = np.empty((max(2 * len(array), needed), *array.shape[1:]), dtype=array.dtype)
     grown[:keep] = array[:keep]
     return grown
+
+
+class _SpareBlocks:
+    """History blocks that freed states left, by shape, for the next states
+    to take before they allocate (see the module docstring): at most
+    ``cap`` bytes of them, and blocks of two shapes never mix.  States of
+    several threads share them, so both ends hold a lock."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.held = 0  # bytes of the blocks kept
+        self.blocks = {}  # shape -> blocks, the last kept taken first
+        self._lock = threading.Lock()
+
+    def take(self, shape):
+        """A block of ``shape`` whose rows are not initialised: a kept one
+        if there is one, else a new array."""
+        with self._lock:
+            kept = self.blocks.get(shape)
+            if kept:
+                block = kept.pop()
+                self.held -= block.nbytes
+                return block
+        return np.empty(shape)
+
+    def keep(self, block):
+        """Keep ``block`` if it fits under the cap.  A finalizer calls this,
+        maybe while its own thread holds the lock in :meth:`take` or here,
+        so a busy lock drops the block rather than wait."""
+        if not self._lock.acquire(blocking=False):
+            return
+        try:
+            if self.held + block.nbytes <= self.cap:
+                self.blocks.setdefault(block.shape, []).append(block)
+                self.held += block.nbytes
+        finally:
+            self._lock.release()
+
+
+_SPARE = _SpareBlocks(_SPARE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -290,12 +347,29 @@ class CombinerState:
         # scan relies on to stay inside the blocks.
         self._blocks = self._slots = None
         if self.track_history or self.track_treaps:
-            first = np.empty((block_rows, self._width))
-            first[0] = _empty_row(self._width)
+            first = _SPARE.take((block_rows, self._width))
+            first[0] = _empty_row(self._width)  # a kept block's row 0 is another state's
             self._blocks = (first,)
             self._slots = np.zeros((frames, ids), dtype=np.int64)
         self._shift = block_rows.bit_length() - 1
         self._used = 1  # global rows in use, the empty row included
+
+    def __del__(self, _refs=sys.getrefcount, _spare=_SPARE):
+        """Give the spare blocks each history block that only this state
+        holds: not a block that a shallow copy of the state shares, nor one
+        that a view keeps.  Both names are bound as defaults, as a state
+        freed at exit may outlive the module's globals."""
+        # None without a store, or when __init__ raised before it
+        blocks = self.__dict__.pop("_blocks", None)
+        # the count of an object that one local name holds, as blocks is here, so
+        # that the tests below compare like with like whatever a call adds to it
+        lone = object()
+        alone = _refs(lone)
+        if blocks is None or _refs(blocks) > alone:  # a shallow copy holds the tuple too
+            return
+        for block in blocks:
+            if _refs(block) == alone + 1:  # held by the tuple and this loop alone
+                _spare.keep(block)
 
     @property
     def mean_rows(self):
@@ -461,7 +535,8 @@ class CombinerState:
         size = 1 << self._shift
         missing = self._used + m - len(self._blocks) * size
         if missing > 0:
-            self._blocks += tuple(np.empty((size, self._width)) for _ in range(-(-missing // size)))
+            shape = (size, self._width)
+            self._blocks += tuple(_SPARE.take(shape) for _ in range(-(-missing // size)))
         old = self._slots
         if frames > len(old) or len(self._ids) > old.shape[1]:  # a slot per row id
             height = len(old) if frames <= len(old) else max(2 * len(old), frames)

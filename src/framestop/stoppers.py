@@ -92,6 +92,19 @@ class StopperConfig:
                 raise ValueError("FIXED_STAGE needs fixed_stage >= 1")
 
 
+class _TupleOnFirstRead:
+    """``EstimationBreakdown.per_candidate`` of a breakdown given an array:
+    ``tuple(array.tolist())``, built on the first read and kept in the
+    instance, where later reads find it before this descriptor."""
+
+    def __get__(self, breakdown, owner=None):
+        if breakdown is None:
+            return None  # the field's default, which the dataclass reads off the class
+        fields = breakdown.__dict__
+        built = fields["per_candidate"] = tuple(fields["_distances"].tolist())
+        return built
+
+
 @dataclass(frozen=True, init=False)
 class EstimationBreakdown:
     """One estimator evaluation.
@@ -99,18 +112,29 @@ class EstimationBreakdown:
     ``estimate`` is the expected distance to the next combined result;
     ``gld_aggregate`` the un-normalized distance sum behind it;
     ``per_candidate`` the individual candidate distances where the
-    estimator computes them (base and method A).
+    estimator computes them (base and method A), a tuple of floats.  Given
+    a numpy array, as method A gives its read-only distances, the breakdown
+    builds that tuple on the first read of ``per_candidate`` and keeps it,
+    so a stage whose caller never reads it does not pay for n floats; the
+    floats, ``==``, ``hash``, ``repr``, copies and pickles are those of the
+    tuple given directly.
     """
 
     estimate: float
     gld_aggregate: float
-    per_candidate: tuple[float, ...] | None = None
+    per_candidate: tuple[float, ...] | None = _TupleOnFirstRead()
 
     def __init__(self, estimate, gld_aggregate, per_candidate=None):
         fields = self.__dict__  # filled directly: a frozen __setattr__ per field costs 2x
         fields["estimate"] = estimate
         fields["gld_aggregate"] = gld_aggregate
-        fields["per_candidate"] = per_candidate
+        if isinstance(per_candidate, np.ndarray):
+            fields["_distances"] = per_candidate
+        else:
+            fields["per_candidate"] = per_candidate
+
+    def __reduce__(self):  # a copy or a pickle holds the tuple, as a tuple-built one does
+        return EstimationBreakdown, (self.estimate, self.gld_aggregate, self.per_candidate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +201,17 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
 
 
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
-    """Approximate modelling via the recorded per-frame row contributions."""
+    """Approximate modelling via the recorded per-frame row contributions.
+
+    The breakdown holds :meth:`CombinerState.candidate_gld`'s distance
+    array and builds ``per_candidate`` from it on its first read.
+    """
     if not state.track_history:
         raise ValueError("method A needs a state with track_history")
     length = 2.0 * state.num_chars if metric is _NGLD else None
     distances, aggregate, total = state.candidate_gld(length)
     estimate = (delta + total) / (state.n + 1)
-    return EstimationBreakdown(estimate, aggregate, tuple(distances.tolist()))
+    return EstimationBreakdown(estimate, aggregate, distances)
 
 
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):

@@ -11,7 +11,9 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1595,3 +1597,194 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
         for k in (0, alphabet.size):
             assert state._gather(index, k).tobytes() == flat[index][..., k].tobytes()
 
+
+
+@pytest.fixture
+def spare(monkeypatch):
+    """The spare history blocks that freed states leave, empty for the test
+    and restored after it."""
+    monkeypatch.setattr(combiner._SPARE, "blocks", {})
+    monkeypatch.setattr(combiner._SPARE, "held", 0)
+    return combiner._SPARE
+
+
+def _on_route(request, route):
+    """The block to run ``route``'s kernels in; the compiled route needs them built."""
+    if route == "python":
+        return python_kernels()
+    request.getfixturevalue("compiled")
+    return contextlib.nullcontext()
+
+
+def _absorbed(frames, alphabet):
+    state = CombinerState(alphabet, track_history=True)
+    for frame in frames:
+        state.absorb(frame)
+    return state
+
+
+def _kept(spare):
+    return [block for blocks in spare.blocks.values() for block in blocks]
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_a_state_built_after_another_is_freed_takes_its_blocks(request, spare, route):
+    clip = looped_clip(400)
+    with _on_route(request, route):
+        state = _absorbed(clip.frames, clip.alphabet)
+        freed = [weakref.ref(block) for block in state._blocks]
+        assert len(freed) > 1
+        del state
+        assert [block is ref() for block, ref in zip(_kept(spare), freed)] == [True] * len(freed)
+        assert spare.held == sum(ref().nbytes for ref in freed)
+        state = _absorbed(clip.frames, clip.alphabet)
+        assert sorted(map(id, state._blocks)) == sorted(id(ref()) for ref in freed)
+        assert _kept(spare) == [] and spare.held == 0
+
+
+def _poison(spare):
+    """Fill every spare block with NaN, which no row a store reads may hold."""
+    for block in _kept(spare):
+        block.fill(np.nan)
+
+
+@pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_reused_blocks_give_the_bits_of_new_ones(request, monkeypatch, spare, route, capacity):
+    _set_store(monkeypatch, capacity)
+    clips = _absorb_clips()[::3]
+
+    def dumps(clip):
+        return _state_dump(clip.frames, clip.alphabet), _estimate_dump(clip.frames, clip.alphabet)
+
+    with _on_route(request, route):
+        monkeypatch.setattr(spare, "cap", 0)  # no block kept: every state's blocks are new
+        want = [dumps(clip) for clip in clips]
+        assert _kept(spare) == []
+        monkeypatch.setattr(spare, "cap", combiner._SPARE_BYTES)
+        reused = 0
+        for clip, expected in zip(clips, want):
+            _poison(spare)
+            reused += bool(_kept(spare))
+            assert dumps(clip) == expected, clip.id
+        assert reused == len(clips) - 1  # each clip after the first reuses blocks
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_a_shallow_copy_or_a_held_view_keeps_its_blocks_from_other_states(request, spare, route):
+    clip = looped_clip(120)
+    half = clip.frames[:60]  # two blocks' rows
+    with _on_route(request, route):
+        want = _absorbed(clip.frames, clip.alphabet)
+        state = _absorbed(half, clip.alphabet)
+        twin = copy.copy(state)  # shares the state's tuple of blocks
+        del state
+        assert _kept(spare) == []
+        viewed = _absorbed(half, clip.alphabet)
+        assert len(viewed._blocks) == 2
+        view, free = viewed._blocks[1][3:7], weakref.ref(viewed._blocks[0])
+        held = view.copy()
+        del viewed
+        assert [block is free() for block in _kept(spare)] == [True]  # not the viewed block
+        other = _absorbed(clip.frames, clip.alphabet)  # takes the free block and writes it
+        assert other._blocks[0] is free()
+        for frame in clip.frames[60:]:
+            twin.absorb(frame)
+        for got in (twin, other):
+            assert got.mean_rows.tobytes() == want.mean_rows.tobytes()
+            assert got.contributions.tobytes() == want.contributions.tobytes()
+            for metric in MetricKind:
+                got_a, want_a = (estimate_method_a(x, metric=metric) for x in (got, want))
+                assert got_a == want_a
+        assert view.tobytes() == held.tobytes()
+
+
+def test_the_spare_blocks_never_hold_more_than_their_cap(monkeypatch, spare):
+    # blocks of 2**16 rows of K+1 = 4 classes, 2 MiB, of which only row 0 is written
+    big = (1 << 16, 32, 64)
+    cap, alphabet = combiner._SPARE_BYTES, Alphabet("ABC")
+    frame = make_frame([[0.2, 0.5, 0.3]])
+    states = []
+    for capacity in (big, _TINY_STORE) * 6:
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", capacity)
+        states.append(_absorbed([frame], alphabet))
+    assert sum(block.nbytes for state in states for block in state._blocks) > cap
+    while states:
+        states.pop()
+        assert spare.held == sum(block.nbytes for block in _kept(spare)) <= cap
+        for shape, blocks in spare.blocks.items():
+            assert all(block.shape == shape for block in blocks)
+    assert set(spare.blocks) == {(1 << 16, 4), (_TINY_STORE[0], 4)}
+    assert spare.held > cap - (1 << 21)  # full up to the last block that fits
+    for _ in range(3):  # taking a block frees its bytes
+        before = spare.held
+        monkeypatch.setattr(combiner, "_STORE_CAPACITY", big)
+        states.append(_absorbed([frame], alphabet))
+        assert spare.held == before - (1 << 21) == sum(block.nbytes for block in _kept(spare))
+
+
+def test_threads_never_hand_one_spare_block_to_two_states(monkeypatch, spare):
+    # blocks of 4 rows: every state takes and gives back over a hundred of them
+    monkeypatch.setattr(combiner, "_STORE_CAPACITY", _TINY_STORE)
+    clip = looped_clip(40)
+    want = _absorbed(clip.frames, clip.alphabet).contributions.tobytes()
+    failures = []
+
+    def work():
+        try:
+            for _ in range(20):
+                if _absorbed(clip.frames, clip.alphabet).contributions.tobytes() != want:
+                    failures.append("a state's history was overwritten")
+        except Exception as error:  # reported from the test's own thread below
+            failures.append(repr(error))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]  # more than the cores here
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert spare.held == sum(block.nbytes for block in _kept(spare)) <= spare.cap
+
+
+def test_a_failed_init_leaves_nothing_for_del_to_raise(monkeypatch):
+    raised = []
+    monkeypatch.setattr(sys, "unraisablehook", raised.append)
+    with pytest.raises(AttributeError):
+        CombinerState(None, track_history=True)  # before any array
+    monkeypatch.setattr(combiner, "_STORE_CAPACITY", (4, -1, 1))
+    with pytest.raises(ValueError, match="negative"):
+        CombinerState(Alphabet("AB"), track_history=True)  # after the first block, at the slots
+    gc.collect()
+    assert raised == []
+
+
+EXIT_RUN = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from framestop.combiner import CombinerState
+from oracles import looped_clip
+clip = looped_clip(60)
+kept = []  # states alive at exit: a module global's, a list's and a cycle's
+for track in (True, False, True):
+    state = CombinerState(clip.alphabet, track_history=track)
+    for frame in clip.frames:
+        state.absorb(frame)
+    kept.append(state)
+state.itself = state
+print("absorbed")
+"""
+
+
+def test_states_alive_at_interpreter_exit_raise_nothing_from_del():
+    paths = [str(combiner.__file__.rsplit("/framestop/", 1)[0]), str(Path(__file__).parent)]
+    done = subprocess.run([sys.executable, "-c", EXIT_RUN, *paths], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stdout.split() == ["absorbed"], done.stderr
+    assert done.stderr == ""

@@ -1,7 +1,9 @@
 """scripts/record_bench.py: the rounds and windows of its two tables, which one drive
-feeds, the per-seed ratios, and the steal and gauge speed kept beside each run."""
+feeds, the per-seed ratios, and the steal, gauge speed and minor faults kept beside
+each run."""
 
 import importlib.util
+import mmap
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,32 @@ def test_the_gauge_speed_is_read_from_the_machine_speed_line(record_bench):
               "operations: 12 attempted, 0 failed\n"
               '{"correct": true, "attempted": 12, "failed": 0, "metrics": {}}\n')
     assert record_bench.gauge_speed(stdout) == 0.873
+
+
+# a stand-in for a checkout's perfbench/run.py: it writes one byte in each
+# page of as many MiB as its --seconds, in small pages whatever the machine's
+# huge-page mode, then prints the lines record_bench reads
+FAKE_RUN = """import json, mmap, sys
+size = int(sys.argv[sys.argv.index("--seconds") + 1]) << 20
+if size:
+    pages = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    for at in range(0, size, mmap.PAGESIZE):
+        pages[at] = 1
+print("machine speed: 0.5 x the gauge's reference")
+print(json.dumps({"correct": True, "metrics": {}}))
+"""
+
+
+def test_a_runs_minor_faults_are_its_own_processes(record_bench, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    faults = {mib: record_bench._run(tmp_path, "online-fast", 1, mib)["minor_faults"]
+              for mib in (0, 32)}
+    pages = (32 << 20) // mmap.PAGESIZE
+    assert 0 < faults[0] < pages  # the interpreter's own start
+    assert faults[32] - faults[0] >= 0.9 * pages
+    run = record_bench._run(tmp_path, "online-fast", 1, 0)
+    assert set(run) == {"seed", "steal_s", "gauge_speed", "minor_faults", "result"}
+    assert run["gauge_speed"] == 0.5 and run["result"]["correct"]

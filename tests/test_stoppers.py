@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import warnings
 
@@ -23,7 +26,14 @@ from framestop.stoppers import (
     stages,
 )
 
-from oracles import base_oracle, late_rows_clip, looped_clip, method_a_oracle, random_clip
+from oracles import (
+    base_oracle,
+    late_rows_clip,
+    looped_clip,
+    method_a_oracle,
+    python_kernels,
+    random_clip,
+)
 
 ALPHA = Alphabet("AB")
 DELTA = 0.1
@@ -437,3 +447,70 @@ def test_an_estimation_breakdown_is_a_frozen_dataclass():
     assert dataclasses.replace(changed, per_candidate=None).per_candidate is None
     assert dataclasses.astuple(got) == (0.25, 1.5, (0.5, 1.0))
     assert got.estimate == 0.25  # untouched by the copies
+
+
+def _lazy_clips():
+    rng = random.Random(29)
+    return [looped_clip(400)] + [random_clip(rng, i, weighted=True) for i in range(20)]
+
+
+def _route(request, route):
+    """The block to run ``route``'s kernels in; the compiled route needs them built."""
+    if route == "python":
+        return python_kernels()
+    request.getfixturevalue("compiled")
+    return contextlib.nullcontext()
+
+
+def _eager(state, metric):
+    """Method a's per-candidate tuple as it was built before it was lazy."""
+    length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
+    return tuple(state.candidate_gld(length)[0].tolist())
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_method_as_per_candidate_is_the_eager_tuple_built_on_first_read(request, route):
+    # each breakdown is first read 10 absorbs after it was made: a snapshot
+    later = 10
+    with _route(request, route):
+        for clip in _lazy_clips():
+            state = CombinerState(clip.alphabet, track_history=True)
+            pending = []
+            for frame in clip.frames + clip.frames[:later]:
+                state.absorb(frame)
+                for metric in MetricKind:
+                    got = estimate_method_a(state, metric=metric, delta=DELTA)
+                    assert "per_candidate" not in vars(got)  # nothing built yet
+                    pending.append((state.n + later, got, _eager(state, metric)))
+                while pending and pending[0][0] == state.n:
+                    _, got, want = pending.pop(0)
+                    first = got.per_candidate
+                    assert type(first) is tuple and first == want
+                    assert [d.hex() for d in first] == [d.hex() for d in want]
+                    assert got.per_candidate is first and got.per_candidate is first
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_a_lazy_breakdown_behaves_as_its_tuple_built_twin(request, route):
+    with _route(request, route):
+        for clip in _lazy_clips()[:8]:
+            state = CombinerState(clip.alphabet, track_history=True)
+            for frame in clip.frames[:40]:
+                state.absorb(frame)
+            for metric in MetricKind:
+                def lazy():  # a breakdown whose per_candidate no one has read
+                    return estimate_method_a(state, metric=metric, delta=DELTA)
+
+                made = lazy()
+                twin = EstimationBreakdown(made.estimate, made.gld_aggregate, _eager(state, metric))
+                assert lazy() == twin and twin == lazy() and not lazy() != twin
+                assert hash(lazy()) == hash(twin)
+                assert repr(lazy()) == repr(twin)
+                replaced = dataclasses.replace(lazy(), estimate=0.5)
+                assert replaced == dataclasses.replace(twin, estimate=0.5)
+                assert dataclasses.astuple(lazy()) == dataclasses.astuple(twin)
+                assert pickle.dumps(lazy()) == pickle.dumps(twin)
+                assert pickle.loads(pickle.dumps(lazy())) == twin
+                for copied in (copy.copy(lazy()), copy.deepcopy(lazy())):
+                    assert copied == twin and type(copied.per_candidate) is tuple
+                assert made.per_candidate == twin.per_candidate  # read after the copies
