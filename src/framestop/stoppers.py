@@ -26,12 +26,13 @@ A stage of ``a`` or ``b`` is one compiled call on the compiled route:
 the absorb that every method pays (``fs_absorb``: the alignment, the
 merge and the store write) runs the history scan (``fs_spread``) over
 the merged rows in the same call, and the estimate reads the scan the
-state kept.  At n=25 on the criterion-7 recipe (``scripts/record_bench.py``,
-``BENCH_70efeff.json``, median of 5 seeds; 2-vCPU Xeon with AVX2) an
-``a`` stage took 12.3 us, 9.3 of them in the bare call, and at n=5
-8.9 us, 6.0 in the call; past n of about 100 the scan is most of the
-stage.  A compiled call on empty inputs takes about 0.5 us, the
-binding's share of every call.
+state kept; ``a``'s breakdown makes Python floats of its n distances only
+when ``per_candidate`` is read.  At n=25 on the criterion-7 recipe
+(``scripts/record_bench.py``, ``BENCH_2ce9d42.json``, median of 5 seeds;
+2-vCPU Xeon with AVX2) an ``a`` stage took 12.2 us, 9.7 of them in the
+bare call, and at n=5 8.8 us, 6.0 in the call; past n of about 100 the
+scan is most of the stage.  A compiled call on empty inputs takes about
+0.5 us, the binding's share of every call.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.

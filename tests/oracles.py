@@ -10,7 +10,7 @@ nothing shares a code path with the implementations under test.
 
 import random
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -31,6 +31,16 @@ def python_kernels():
         yield
     finally:
         _kernels.lib, _kernels.reason = saved
+
+
+def kernel_route(request, route):
+    """The block to run ``route``'s kernels in, "compiled" or "python", for a
+    test given pytest's ``request``; the compiled route needs the kernels
+    built, as the ``compiled`` fixture does."""
+    if route == "python":
+        return python_kernels()
+    request.getfixturevalue("compiled")
+    return nullcontext()
 
 
 def char_distance_slow(a, b):

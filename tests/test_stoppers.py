@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import dataclasses
 import math
@@ -28,10 +27,10 @@ from framestop.stoppers import (
 
 from oracles import (
     base_oracle,
+    kernel_route,
     late_rows_clip,
     looped_clip,
     method_a_oracle,
-    python_kernels,
     random_clip,
 )
 
@@ -454,14 +453,6 @@ def _lazy_clips():
     return [looped_clip(400)] + [random_clip(rng, i, weighted=True) for i in range(20)]
 
 
-def _route(request, route):
-    """The block to run ``route``'s kernels in; the compiled route needs them built."""
-    if route == "python":
-        return python_kernels()
-    request.getfixturevalue("compiled")
-    return contextlib.nullcontext()
-
-
 def _eager(state, metric):
     """Method a's per-candidate tuple as it was built before it was lazy."""
     length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
@@ -472,7 +463,7 @@ def _eager(state, metric):
 def test_method_as_per_candidate_is_the_eager_tuple_built_on_first_read(request, route):
     # each breakdown is first read 10 absorbs after it was made: a snapshot
     later = 10
-    with _route(request, route):
+    with kernel_route(request, route):
         for clip in _lazy_clips():
             state = CombinerState(clip.alphabet, track_history=True)
             pending = []
@@ -492,7 +483,7 @@ def test_method_as_per_candidate_is_the_eager_tuple_built_on_first_read(request,
 
 @pytest.mark.parametrize("route", ["compiled", "python"])
 def test_a_lazy_breakdown_behaves_as_its_tuple_built_twin(request, route):
-    with _route(request, route):
+    with kernel_route(request, route):
         for clip in _lazy_clips()[:8]:
             state = CombinerState(clip.alphabet, track_history=True)
             for frame in clip.frames[:40]:
