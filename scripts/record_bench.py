@@ -27,10 +27,11 @@ untimed warm-up drive of the first clip, then ``REPEATS`` = 3 repeats of
 two passes over every clip, each with the clips looped to 400 stages, the
 last of ``STAGES``.  The whole-stage pass times each stage's absorb plus
 estimate (``Stage.seconds``).  The bare-call pass swaps ``_kernels.lib``
-for a wrapper that times the stage's compiled calls, ``lib.absorb`` and
-``lib.spread``, as one sum (one ``lib.absorb`` call where the absorb
-keeps the scan the estimate reads), in a pass of its own so that the
-wrapper's cost stays out of the whole stage.
+for a wrapper that times the stage's compiled calls as one sum, in a
+pass of its own so that the wrapper's cost stays out of the whole stage:
+``lib.absorb``, and ``lib.spread`` where the label's module has it, as
+checkouts before the absorb kept the scan did; a stage of this checkout
+is one ``lib.absorb`` call.
 
 The rows of one seed's rounds feed both tables (:func:`tables`): per
 column, each clip's minimum over rounds and repeats, the mean over clips
@@ -115,7 +116,8 @@ def timed(name):
         return out
     return staticmethod(run)
 
-wrapper = type("Timed", (), {name: timed(name) for name in ("absorb", "spread")})()
+timed_calls = [name for name in ("absorb", "spread") if hasattr(lib, name)]
+wrapper = type("Timed", (), {name: timed(name) for name in timed_calls})()
 best = {}  # (method, stage, clip) -> least [whole stage, bare call]
 
 def drive(column):
@@ -343,7 +345,8 @@ def _record(label, root, seconds, workloads, alongside):
                                   "estimate", "runs": []},
         "python_share": {**timing, "stages": list(SHARE_STAGES),
                          "parts": "stage: the per-stage table's column; call: the stage's "
-                                  "bare compiled calls, lib.absorb and lib.spread, summed, "
+                                  "bare compiled calls, lib.absorb and lib.spread where "
+                                  "the module has it, summed, "
                                   "timed through a wrapper of _kernels.lib in the bare-call "
                                   "passes; python: stage - call", "runs": []},
     }

@@ -15,13 +15,13 @@
    -ffast-math.  numpy does not promise its summation order, so the loader
    checks the C costs against numpy's bit for bit before gld, align or
    absorb use either kernel.
-   fs_spread is CombinerState.candidate_gld, the one history scan of
-   methods a and b over the blocks-plus-slots history store: every
-   candidate's distance and their sums in one call.  The absorb entry
-   point runs it right after fs_absorb, on the rows just merged, so an a
-   or b stage is one call; the spread entry point runs it alone.  It
-   reads each row id's current row from the combined result, through the
-   inverse of the row-id order, and sums each frame's spread in its own
+   fs_spread is the one history scan of methods a and b over the
+   blocks-plus-slots history store: every candidate's distance and their
+   sums, at the nGLD length 2 S and for GLD, in one pass.  The absorb
+   entry point runs it right after fs_absorb, on the rows just merged, so
+   an a or b stage is one call, and the state keeps what it gives for
+   CombinerState.candidate_gld to read.  It reads each row id's merged
+   row where the merge put it, and sums each frame's spread in its own
    order, in frame-wide accumulators that run over all of the frame's
    rows and combine once per frame; a slot holding the empty row adds
    that row's distance, computed once per call.
@@ -44,26 +44,25 @@
 
    The kernels only compute: they allocate nothing, validate no argument
    and return only what they compute, the one failure being fs_absorb's
-   FS_NO_PATH (a NaN cost).  The module's functions, gld, align, absorb
-   and spread, are the METH_FASTCALL entry points at the end of this file,
-   and do the rest.  They take the numpy arrays themselves and read them
+   FS_NO_PATH (a NaN cost).  The module's functions, gld, align and
+   absorb, are the METH_FASTCALL entry points at the end of this file, and
+   do the rest.  They take the numpy arrays themselves and read them
    through the numpy C API, checking that each is an aligned C-contiguous
    ndarray of 8-byte floats or ints in the machine's byte order (read-only
    arrays are accepted where nothing is written).  They allocate the
    kernels' working memory (work_alloc, which for absorb's scan also
-   holds each row id's current row, which the merge points at), the table
-   of the store's blocks (store, the one parser of blocks and slots), for
-   spread the table of each row id's current row (by_row_id), and the
-   arrays absorb and spread return.  They derive every other argument from
-   the arrays' shapes and data pointers, run the kernels with the GIL
-   released and build the Python result.  absorb alone tests the room of
-   the row-id order and the history store, answering None, with nothing
-   written, where it lacks (the state then makes room and calls again);
-   it refuses a non-finite cost, as CombinerState.absorb's Python route
-   does, and hands back the merged rows cut to the result's S + 1 rows and
-   write-protected (cut), the array the state keeps, and the scan that
-   CombinerState.candidate_gld serves until the next absorb.  spread
-   refuses a scan the store does not hold.  No address outlives a call. */
+   holds each row id's current row, which the merge points at), absorb's
+   table of the store's blocks (store) and the arrays they return.  They
+   derive every other argument from the arrays' shapes and data pointers,
+   run the kernels with the GIL released and build the Python result.
+   absorb tests the room of the row-id order and the history store,
+   answering None, with nothing written, where it lacks (the state then
+   makes room and calls again); it refuses a non-finite cost, as
+   CombinerState.absorb's Python route does, and hands back the merged
+   rows cut to the result's S + 1 rows and write-protected (cut), the
+   array the state keeps, and the scan, which the state keeps for
+   CombinerState.candidate_gld until the next absorb.  No address
+   outlives a call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -365,7 +364,8 @@ struct fs_row {
 
 /* The arguments of fs_absorb and fs_spread, filled by the entry points
    from the arrays they are given, which have checked that every array
-   and the store hold what the kernel reads and writes. */
+   and the store hold what the kernel reads and writes; fs_spread runs
+   only after fs_absorb's merge, in the absorb entry point. */
 struct fs_absorb_args {
     /* The alignment of the m frame rows against the s result rows, each
        of width doubles, row major, in the working memory work; path, room
@@ -400,18 +400,15 @@ struct fs_absorb_args {
     int64_t frames;
     int64_t stride;
     /* The scan of fs_spread over the first n frames and the s current
-       rows, row id r's at by_id[r].current: shares is NULL or one merge
-       share per frame, else share is every frame's; length is the nGLD
-       length sum, negative for GLD.  out, room for n entries, each
-       candidate's d, and the two sums are outputs, and so is out_g, room
-       for n entries of each candidate's g, unless it is NULL.  When by_id
-       is set, fs_absorb's merge points by_id[r].current at the merged row
-       of row id r, for fs_spread to scan after it. */
+       rows, row id r's at by_id[r].current, which fs_absorb's merge
+       points at the merged row of row id r when by_id is set: shares is
+       NULL or one merge share per frame, else share is every frame's.
+       out and out_g, room for n entries each, each candidate's d (the
+       nGLD at the length 2 s) and g, and the two sums are outputs. */
     struct fs_row *by_id;
     int64_t n;
     const double *shares;
     double share;
-    double length;
     double *out;
     double *out_g;
     double g_sum;
@@ -523,10 +520,10 @@ INLINE double row_distance(const double *a, const double *b, int64_t width)
    added, none subtracted, so a frame equal to the current rows gives
    exactly 0.
 
-   out[f] is candidate f's distance: g = spread * share_f / 2, with
-   share_f = shares[f], or share when shares is NULL, as stoppers scores
-   method a's modelled merge; then, when length >= 0, its nGLD
-   2g / (g + length), 0 where g + length is not positive, as
+   out_g[f] is candidate f's GLD g = spread * share_f / 2, with share_f =
+   shares[f], or share when shares is NULL, as stoppers scores method a's
+   modelled merge, and out[f] its nGLD at the length 2 s,
+   2g / (g + 2 s), 0 where g + 2 s is not positive, as
    metrics.normalized computes it.  g_sum receives the sum of the g and
    d_sum the sum of out, each added in frame order. */
 CLONED void fs_spread(struct fs_absorb_args *a)
@@ -535,7 +532,7 @@ CLONED void fs_spread(struct fs_absorb_args *a)
     double *const *blocks = a->blocks;
     struct fs_row *by_id = a->by_id;
     const double *shares = a->shares;
-    const double share = a->share, length = a->length;
+    const double share = a->share, length = 2.0 * (double)s;
     const int64_t whole = width - width % 4, size = (int64_t)1 << shift;
     double *out = a->out;
     for (int64_t r = 0; r < s; r++)
@@ -578,14 +575,10 @@ CLONED void fs_spread(struct fs_absorb_args *a)
         const f64x4 v = (acc0 + acc1) + (acc2 + acc3);
         const double spread = (((v[0] + v[1]) + (v[2] + v[3])) + tail) + gap;
         const double g = spread * (shares ? shares[f] : share) / 2.0;
-        double d = g;
-        if (length >= 0.0) {
-            const double denom = g + length;
-            d = denom > 0.0 ? 2.0 * g / denom : 0.0;
-        }
+        const double denom = g + length;
+        const double d = denom > 0.0 ? 2.0 * g / denom : 0.0;
         out[f] = d;
-        if (a->out_g)
-            a->out_g[f] = g;
+        a->out_g[f] = g;
         g_sum += g;
         out_sum += d;
     }
@@ -684,18 +677,6 @@ static int shaped(int ok, const char *what)
     return -1;
 }
 
-/* 0 when ok, the history store holding the scan spread is asked for,
-   holds; else -1 with RuntimeError, an internal error, as a state only
-   asks for what it holds. */
-static int room(int ok)
-{
-    if (ok)
-        return 0;
-    PyErr_SetString(PyExc_RuntimeError,
-                    "internal error: the history store has no room for the call");
-    return -1;
-}
-
 /* The width of the row sets x and y: x's, or y's when x has no rows.
    -1 with ValueError when both have rows of different widths, or rows of
    width 0. */
@@ -746,16 +727,16 @@ static double *work_alloc(int64_t s, int64_t m, int64_t width, int64_t **path,
 
 /* The history store into a, whose width is set: blocks, a tuple of 2-D
    float64 arrays of rows of that width, the same power-of-two count of
-   them each, and slots, a 2-D int64 array (frames, stride), all writable
-   when writable is set.  a->blocks receives a new table of the blocks'
+   them each, and slots, a 2-D int64 array (frames, stride), all writable.
+   a->blocks receives a new table of the blocks'
    data pointers, which the caller frees; a->shift, a->capacity (the rows
    of all blocks), a->slots, a->frames and a->stride the rest.  -1 with an
    exception set when they are not such arrays (TypeError naming the
    argument, ValueError for blocks of another shape), or when the table
    cannot be allocated. */
-static int store(PyObject *blocks, PyObject *slots, int writable, struct fs_absorb_args *a)
+static int store(PyObject *blocks, PyObject *slots, struct fs_absorb_args *a)
 {
-    PyArrayObject *slot_array = take(slots, 2, 'i', writable, "slots");
+    PyArrayObject *slot_array = take(slots, 2, 'i', 1, "slots");
     if (!slot_array)
         return -1;
     if (!PyTuple_Check(blocks)) {
@@ -771,7 +752,7 @@ static int store(PyObject *blocks, PyObject *slots, int writable, struct fs_abso
     }
     int64_t rows = 0;
     for (Py_ssize_t b = 0; b < size; b++) {
-        PyArrayObject *block = take(PyTuple_GET_ITEM(blocks, b), 2, 'f', writable, "blocks");
+        PyArrayObject *block = take(PyTuple_GET_ITEM(blocks, b), 2, 'f', 1, "blocks");
         if (block && !b)
             rows = DIM(block, 0);
         if (!block ||
@@ -917,32 +898,6 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
     return answer;
 }
 
-/* Row id r's row of the s rows result, each of width doubles, as
-   by_id[r].current in a new table of s + 1 entries, which the caller
-   frees: the row at r's position among the first s entries of ids, which
-   must be a permutation of 0..s-1.  NULL with ValueError when they are
-   not one, or MemoryError. */
-static struct fs_row *by_row_id(const int64_t *ids, int64_t s, const double *result,
-                                int64_t width)
-{
-    struct fs_row *by_id = calloc((size_t)s + 1, sizeof *by_id);
-    if (!by_id) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (int64_t p = 0; p < s; p++) {
-        const int64_t r = ids[p];
-        if (r < 0 || r >= s || by_id[r].current) {
-            PyErr_Format(PyExc_ValueError, "ids: the first %lld are not a permutation of 0..%lld",
-                         (long long)s, (long long)s - 1);
-            free(by_id);
-            return NULL;
-        }
-        by_id[r].current = result + p * width;
-    }
-    return by_id;
-}
-
 /* obj as the merge shares of n frames into a: a float64 array of n
    entries or more, one per frame, into a->shares, or a number, every
    frame's, into a->share.  -1 with an exception set when it is neither
@@ -1003,10 +958,10 @@ static PyObject *absorbed(int64_t steps, double cost, PyObject *merged, PyObject
    write-protected float64 array of steps + 1 rows, is the merge followed
    by the empty row, allocated for S+M+1 rows and cut (cut); ngld and gld
    are None without a store, and otherwise the scan of frames 0 to
-   frame_index against the merged rows, the row ids read from the order
-   the merge just wrote (so no permutation check): ngld is (d, sum of g,
-   sum of d) with the nGLD length 2 steps, gld (g, sum of g, sum of g),
-   d and g new write-protected float64 arrays of one candidate per frame.
+   frame_index against the merged rows, each row id's where the merge
+   just wrote it: ngld is (d, sum of g, sum of d) with the nGLD length
+   2 steps, gld (g, sum of g, sum of g), d and g new write-protected
+   float64 arrays of one candidate per frame.
    share is the merge share of those frames after this one, one number or
    a float64 array of one per frame (see shares).  A cost that is not
    finite raises ValueError, as does a NaN one, with nothing written; a
@@ -1029,7 +984,7 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     if (shaped(a.s >= 0 && a.m >= 0 && a.width > 0, "result and frame need the empty row") < 0 ||
         shaped(DIM(frame, 1) == a.width, "row widths differ") < 0 ||
         (args[4] != Py_None &&
-         (count(args[5], &a.used, "used") < 0 || store(args[4], args[6], 1, &a) < 0 ||
+         (count(args[5], &a.used, "used") < 0 || store(args[4], args[6], &a) < 0 ||
           count(args[7], &a.frame_index, "frame_index") < 0)))
         goto done;
     if (DIM(order, 0) < a.s + a.m ||
@@ -1058,7 +1013,6 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
     if (a.by_id && steps >= 0 && isfinite(a.cost)) {
         /* the merged rows, before cut moves them */
         a.s = steps;
-        a.length = 2.0 * (double)steps;
         fs_spread(&a);
     }
     Py_END_ALLOW_THREADS
@@ -1082,47 +1036,6 @@ done:
     return answer;
 }
 
-/* spread(blocks, slots, result, ids, n, share, length): (out, sum of g,
-   sum of d) of fs_spread scanning the history store, blocks and slots
-   (see store), over the first n frames against the current rows result,
-   float64 (S, K+1), row id r's at the position of r among the first S
-   entries of ids, which must be a permutation of 0..S-1 (by_row_id); out,
-   a new float64 array of n entries, receives each candidate's d.  share
-   is one merge share for every frame, or a float64 array of one per
-   frame (see shares); length is the nGLD length sum, negative for GLD.
-   The store must hold n frames and S row ids, and a block when S is not
-   0, or RuntimeError, an internal error, is raised. */
-static PyObject *py_spread(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    PyArrayObject *result, *ids;
-    PyObject *out = NULL, *answer = NULL;
-    struct fs_absorb_args a = {.blocks = NULL};
-    if (arity("spread", nargs, 7, 7) < 0 || !(result = take(args[2], 2, 'f', 0, "result")) ||
-        !(ids = take(args[3], 1, 'i', 0, "ids")) || count(args[4], &a.n, "n") < 0 ||
-        real(args[6], &a.length, "length") < 0 || shares(args[5], a.n, &a) < 0)
-        return NULL;
-    a.s = DIM(result, 0);
-    a.width = DIM(result, 1);
-    if (shaped(DIM(ids, 0) >= a.s, "fewer ids than result rows") < 0 ||
-        store(args[0], args[1], 0, &a) < 0 || /* fs_spread only reads the store */
-        room(a.n <= a.frames && a.s <= a.stride && (!a.s || a.capacity)) < 0 ||
-        !(a.by_id = by_row_id(PyArray_DATA(ids), a.s, PyArray_DATA(result), a.width)))
-        goto done;
-    npy_intp length = a.n;
-    if (!(out = PyArray_SimpleNew(1, &length, NPY_DOUBLE)))
-        goto done;
-    a.out = PyArray_DATA((PyArrayObject *)out);
-    Py_BEGIN_ALLOW_THREADS
-    fs_spread(&a);
-    Py_END_ALLOW_THREADS
-    answer = triple(out, PyFloat_FromDouble(a.g_sum), PyFloat_FromDouble(a.d_sum));
-done:
-    free(a.by_id);
-    free(a.blocks);
-    return answer;
-}
-
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
@@ -1130,7 +1043,6 @@ static PyMethodDef methods[] = {
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
     ENTRY(absorb, "absorb(result, frame, factor, order, blocks, used, slots, frame_index, share) "
                   "-> (steps, cost, merged, ngld, gld), or None without room"),
-    ENTRY(spread, "spread(blocks, slots, result, ids, n, share, length) -> (out, g_sum, d_sum)"),
     {NULL, NULL, 0, NULL},
 };
 

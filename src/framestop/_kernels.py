@@ -40,46 +40,40 @@ or a probe mismatch) it returns None, every kernel runs its Python
 reference (numpy costs, Python tables, the numpy scan), which gives the
 same alignments, and ``reason`` and :func:`status` say why.
 
-The callers, ``metrics.gld``, ``combiner.align``,
-``CombinerState.absorb`` and ``CombinerState.candidate_gld``, each call
-:func:`get` once and then the module's entry point itself: ``gld`` into
-``fs_gld``, ``align`` into ``fs_absorb``, ``absorb`` into ``fs_absorb``
-and then, with a history store, ``fs_spread`` (the scan that methods
-``a`` and ``b`` read), and ``spread`` into ``fs_spread``.  An ``a`` or
-``b`` stage is one ``absorb`` call: ``candidate_gld`` serves the scan
-``absorb`` returned and calls ``spread`` only for an nGLD length other
-than 2 S.  The C kernels only compute; each entry point does the rest,
-in C.  It checks every argument: C-contiguous aligned float64 or int64
-ndarrays in the machine's byte order, writable where the kernel writes,
-and the right count of arguments (TypeError naming the argument or the
-function otherwise).  It allocates the kernel's memory, a work block
-that also holds the path and, for ``absorb``'s scan, each row id's
-current row (MemoryError when its size overflows or it cannot be
-allocated), and the arrays it returns.  It derives every other argument
-from the arrays' shapes: ``absorb`` numbers the rows it inserts from S,
-the result's row count.  It releases the GIL while the kernels run and
-builds the Python result.  ``absorb`` and ``spread`` read the history
-store through one parser of its blocks, a tuple of arrays of one shape
-whose rows are a power of two and of the result's width (ValueError
-otherwise), and its slots; ``spread`` reads each row id's current row
-from the combined result through the row-id order, which it first checks
-is a permutation (ValueError otherwise), while ``absorb``'s scan reads
-the order its merge has just written.  ``align`` and ``absorb`` raise
-ValueError when the costs hold a NaN, so no path exists, and ``absorb``
-also when the path's cost is not finite, with ``combiner.align``'s
-message, writing nothing.  ``absorb`` returns ``(steps, cost, merged,
-ngld, gld)``: ``merged`` holds the merged rows followed by the empty
-row, cut in place to those steps + 1 rows (``PyArray_Resize``, which
-moves no data where the allocator shrinks the block in place) and
-write-protected, so ``CombinerState`` keeps it as its result as it is;
-with a history store, ``ngld`` is the scan's ``(d, sum of g, sum of d)``
-at the nGLD length 2 steps and ``gld`` its ``(g, sum of g, sum of g)``,
-``d`` and ``g`` write-protected, the answers of ``candidate_gld`` until
-the next absorb (None without a store).  ``absorb`` is the only test of
-the room: where the row-id order or the history store has no room for
-the call it returns None, writing nothing, and the state makes the room
-and calls again.  ``spread`` refuses a scan the store does not hold with
-RuntimeError, as an internal error, writing nothing.
+The callers, ``metrics.gld``, ``combiner.align`` and
+``CombinerState.absorb``, each call :func:`get` once and then the
+module's entry point itself: ``gld`` into ``fs_gld``, ``align`` into
+``fs_absorb``, and ``absorb`` into ``fs_absorb`` and then, with a
+history store, ``fs_spread``, the one scan that methods ``a`` and ``b``
+read: an ``a`` or ``b`` stage is one ``absorb`` call, and
+``CombinerState.candidate_gld`` only reads what the state kept.  The C
+kernels only compute; each entry point does the rest, in C.  It checks
+every argument: C-contiguous aligned float64 or int64 ndarrays in the
+machine's byte order, writable where the kernel writes, and the right
+count of arguments (TypeError naming the argument or the function
+otherwise).  It allocates the kernel's memory, a work block that also
+holds the path and, for ``absorb``'s scan, each row id's current row
+(MemoryError when its size overflows or it cannot be allocated), and the
+arrays it returns.  It derives every other argument from the arrays'
+shapes: ``absorb`` numbers the rows it inserts from S, the result's row
+count, and reads the history store's blocks, a tuple of arrays of one
+shape whose rows are a power of two and of the result's width
+(ValueError otherwise), and its slots.  It releases the GIL while the
+kernels run and builds the Python result.  ``align`` and ``absorb``
+raise ValueError when the costs hold a NaN, so no path exists, and
+``absorb`` also when the path's cost is not finite, with
+``combiner.align``'s message, writing nothing.  ``absorb`` returns
+``(steps, cost, merged, ngld, gld)``: ``merged`` holds the merged rows
+followed by the empty row, cut in place to those steps + 1 rows
+(``PyArray_Resize``, which moves no data where the allocator shrinks the
+block in place) and write-protected, so ``CombinerState`` keeps it as
+its result as it is; with a history store, ``ngld`` is the scan's
+``(d, sum of g, sum of d)`` at the nGLD length 2 steps and ``gld`` its
+``(g, sum of g, sum of g)``, ``d`` and ``g`` write-protected, which the
+state keeps until the next absorb (None without a store).  ``absorb`` is
+the only test of the room: where the row-id order or the history store
+has no room for the call it returns None, writing nothing, and the state
+makes the room and calls again.
 """
 
 import contextlib

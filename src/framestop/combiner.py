@@ -41,23 +41,21 @@ and the store write), then, with a history store, ``fs_spread``, the
 scan below, over the merged rows; that call alone tests the room.
 ``align`` is ``fs_absorb`` without the merge and the store.  Otherwise
 numpy's ``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the
-Python traceback ``_path``, ``_merge`` and ``CombinerState._record``
-run, the reference.
+Python traceback ``_path``, ``_merge``, ``CombinerState._record`` and
+the numpy scan run, the reference.
 
 Methods ``a`` and ``b`` read the store through
-``CombinerState.candidate_gld``: an O(n*S*K) scan of each frame's
-spread from the current rows, taken by row id from the combined result,
-then each candidate's merge share, its nGLD and the sums of both.  Where
-the compiled kernels run this is the ``fs_spread`` that the absorb ran,
-at the nGLD length 2 S and for GLD, and one ``spread`` call of the
-module over the same arrays for any other length; numpy otherwise.  The
-scan computes each current row's distance to the empty row once per
-call, and a slot holding 0 adds that distance instead of K+1 terms.  The
-compiled scan sums each frame in frame-wide accumulators, four vectors
-of four lanes over all of the frame's rows plus a scalar sum of the
-classes past the last group of four and one of the empty-slot distances,
-combined once per frame; numpy sums in its own order, and the two agree
-to a few parts in 1e15.  ``b`` is ``a``'s aggregate normalised once.
+``CombinerState.candidate_gld``, which only reads what the absorb kept:
+an O(n*S*K) scan of each frame's spread from the current rows, taken by
+row id from the combined result, then each candidate's merge share, its
+nGLD at 2 S and the sums of both, run once per absorb on either route.
+A slot holding 0 adds the current row's distance to the empty row
+instead of K+1 terms.  The compiled scan sums each frame in frame-wide
+accumulators, four vectors of four lanes over all of the frame's rows
+plus a scalar sum of the classes past the last group of four and one of
+the empty-slot distances, combined once per frame; numpy sums in its own
+order, and the two agree to a few parts in 1e15.  ``b`` is ``a``'s
+aggregate normalised once.
 """
 import math
 import operator
@@ -327,8 +325,8 @@ class CombinerState:
         self._padded = empty
         self.num_chars = 0
         self._matrix = None  # mean_rows: _padded[:S], sliced on its first read
-        # the compiled absorb's scan of this result (candidate_gld's answer at
-        # the nGLD length 2 S, and for GLD); None after a Python-route absorb
+        # the absorb's scan of this result, candidate_gld's answer at the
+        # nGLD length 2 S and for GLD; None without a store
         self._ngld = self._gld = None
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
@@ -402,16 +400,18 @@ class CombinerState:
 
         The history store appends the frame's rows and points the frame's
         slots of the row ids they were aligned to at them; every other row
-        already reads as empty for this frame.  Where the compiled kernels
-        run, this is one ``absorb`` call of the module: the alignment, the
-        merge, the store write and, with a store, the scan that
-        :meth:`candidate_gld` serves until the next absorb, given the next
-        candidates' shares.  That call is the only test of the room: when
+        already reads as empty for this frame.  With a store, the state
+        then keeps the scan that :meth:`candidate_gld` reads until the next
+        absorb, write-protected.  Where the compiled kernels run, this is
+        one ``absorb`` call of the module: the alignment, the merge, the
+        store write and the scan, given the next candidates' shares.  That
+        call is the only test of the room: when
         s + m row ids, ``_used`` + m rows or n + 1 frames are more than the
         state holds it answers None, writing nothing, and :meth:`_reserve`
         makes the room before the call is made again.  Otherwise
         :meth:`_absorb_python` runs, the reference, which gives the same
-        rows, row ids and store bit for bit.  ``absorb`` refuses a
+        rows, row ids and store bit for bit, and then the numpy scan
+        (:meth:`spread`).  ``absorb`` refuses a
         non-finite alignment cost as :func:`align` does, writing nothing,
         and hands back the merged rows, followed by the empty row, cut and
         write-protected: the array the state keeps.  Only a MemoryError in
@@ -459,6 +459,13 @@ class CombinerState:
         self.weight_total = new_total
         if self._blocks is not None:
             self._used += len(frame.rows)
+            if lib is None:
+                g = self.spread() * self.candidate_shares() / 2.0
+                d = normalized(g, 2.0 * self.num_chars)
+                g.setflags(write=False)
+                d.setflags(write=False)
+                g_sum = float(g.sum())
+                self._ngld, self._gld = (d, g_sum, float(d.sum())), (g, g_sum, g_sum)
 
     def _absorb_python(self, frame, factor):
         """The reference absorb: :meth:`_reserve`, :func:`align`,
@@ -474,7 +481,6 @@ class CombinerState:
             self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
         padded.setflags(write=False)
         self._padded, self.num_chars = padded, len(order)
-        self._ngld = self._gld = None
 
     def _row_ids_after(self, alignment):
         """Row ids in display order after a merge along ``alignment``.
@@ -581,9 +587,8 @@ class CombinerState:
         Shape (n,).  The current rows are taken by row id from the combined
         result, through the inverse of the row-id order.  A numpy scan of
         ``_SCAN_FRAMES`` frames at a time, gathered across the blocks, so no
-        temporary grows with the history: the reference of the compiled
-        scan in :meth:`candidate_gld`, which sums each frame in frame-wide
-        accumulators (see ``fs_spread`` in ``_kernels.c``) and agrees to
+        temporary grows with the history: the Python route's scan, which
+        the compiled ``fs_spread`` (see ``_kernels.c``) agrees with to
         within 1e-14 relative up to n=400.  Both give exactly 0 for a frame
         equal to the current rows.
         """
@@ -608,37 +613,27 @@ class CombinerState:
         and what frame i merged into it, as the merge itself does, so its
         GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns
         (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
-        :func:`metrics.normalized` (g, ``length``) when ``length`` is given.
-        Where the compiled kernels run, the scan, the shares, the
-        normalisation and both sums are one ``fs_spread`` over the state's
-        blocks, slots, combined rows and row ids: each frame's spread
-        summed in frame-wide vector accumulators, combined once per frame,
-        then the same elementwise operations as the numpy path and the sums
-        added in frame order; the two agree to a few parts in 1e15.  The
-        compiled absorb has run that scan already, so for ``length`` None
-        or 2 S (methods b and a) this hands back its answer, write-protected
-        arrays that stay the same until the next absorb; any other length
-        is a ``spread`` call of the module.  The numpy route always scans.
+        :func:`metrics.normalized` (g, ``length``) when ``length`` is given,
+        a non-negative finite number (ValueError otherwise).  This only
+        reads the scan the last absorb kept (see the module docstring):
+        for ``length`` None or 2 S (methods b and a) its answers, the same
+        write-protected arrays until the next absorb, on either route; for
+        any other length the kept g normalised anew, with the kept sum of
+        g and numpy's sum of d.
         """
         if self._blocks is None:
             raise ValueError("state was built without history bookkeeping")
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
-        lib = _kernels.get()
-        if lib is not None:
-            if length is None:
-                kept = self._gld
-            else:
-                kept = self._ngld if length == 2.0 * self.num_chars else None
-            if kept is not None:
-                return kept
-            return lib.spread(
-                self._blocks, self._slots, self.mean_rows, self._ids, self.n,
-                self.candidate_shares(), -1.0 if length is None else length,
-            )
-        g = self.spread() * self.candidate_shares() / 2.0
-        d = g if length is None else normalized(g, length)
-        return d, float(g.sum()), float(d.sum())
+        if length is None:
+            return self._gld
+        if not (math.isfinite(length) and length >= 0.0):
+            raise ValueError(f"length must be a non-negative finite number, not {length!r}")
+        if length == 2.0 * self.num_chars:
+            return self._ngld
+        g, g_sum, _ = self._gld
+        d = normalized(g, length)
+        return d, g_sum, float(d.sum())
 
     def _row_id(self, row_id):
         row_id = _index(row_id, "row id")

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import gc
+import math
 import os
 import pickle
 import platform
@@ -64,16 +65,17 @@ def _estimates(state):
 
 
 def _estimate_pairs(frames, alphabet):
-    """(compiled, numpy) estimates after every absorb; method b's too where
-    every frame has unit weight."""
+    """(compiled, numpy) estimates after every absorb, of two states that
+    absorb ``frames`` on the compiled route and on the Python one, each
+    keeping its own scan; method b's too where every frame has unit
+    weight."""
     unit = all(frame.weight == 1.0 for frame in frames)
-    state = CombinerState(alphabet, track_history=True, track_treaps=unit)
+    states = [CombinerState(alphabet, track_history=True, track_treaps=unit) for _ in range(2)]
     for frame in frames:
-        state.absorb(frame)
-        compiled = _estimates(state)
+        states[0].absorb(frame)
         with python_kernels():
-            reference = _estimates(state)
-        yield compiled, reference
+            states[1].absorb(frame)
+        yield _estimates(states[0]), _estimates(states[1])
 
 
 def test_compiled_estimates_match_numpy(compiled):
@@ -101,13 +103,14 @@ def test_compiled_estimates_match_numpy(compiled):
 
 def test_compiled_candidate_gld_is_numpys_within_1e_14_at_400_stages(compiled):
     clip = looped_clip(400)
-    state = CombinerState(clip.alphabet, track_history=True)
+    state, reference = (CombinerState(clip.alphabet, track_history=True) for _ in range(2))
     for frame in clip.frames:
         state.absorb(frame)
-        for length in (None, 2.0 * state.n):
+        with python_kernels():
+            reference.absorb(frame)
+        for length in (None, 2.0 * state.num_chars):
             d, g_sum, d_sum = state.candidate_gld(length)
-            with python_kernels():
-                want_d, want_g, want_sum = state.candidate_gld(length)
+            want_d, want_g, want_sum = reference.candidate_gld(length)
             assert np.all(np.abs(d - want_d) <= 1e-14 * np.abs(want_d))
             assert abs(g_sum - want_g) <= 1e-14 * abs(want_g)
             assert abs(d_sum - want_sum) <= 1e-14 * abs(want_sum)
@@ -238,21 +241,26 @@ SCAN_WIDTHS = (*range(1, 10), 16, 37, 128, 129)
 @pytest.mark.parametrize("width", SCAN_WIDTHS)
 def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     rng = np.random.default_rng(width)
-    # a store by hand: 15 rows after the empty one in four blocks of four,
-    # 7 frames of 5 row ids pointing at the first 12, frame 0 all empty
-    # slots and the others a mix; the current rows handed over in the order
-    # of a permutation of the row ids
-    rows = np.vstack([np.eye(1, width), rng.dirichlet(np.ones(width), 15)])
-    blocks = tuple(rows[b : b + 4].copy() for b in range(0, 16, 4))
-    slots = rng.integers(1, 13, size=(7, 5)) * (rng.random((7, 5)) < 0.7)
-    slots[0] = 0
-    current = rng.dirichlet(np.full(width, 0.5), 5)
-    ids = np.append(rng.permutation(5), [9, 9])  # room past the first 5
-    assert (slots[1:] == 0).any() and slots.any()
+    # a store by hand: 15 rows after the empty one in blocks of four and a
+    # fifth block for the two rows of the frame the absorb appends; 6
+    # frames of 5 row ids pointing at the first 12 rows, frame 0 all empty
+    # slots and the others a mix, with room for frame 6 and 7 row ids.  The
+    # absorb merges frame 6 into 5 result rows whose ids are a permutation,
+    # then scans the 7 frames against the merged rows
+    rows = np.vstack([np.eye(1, width), rng.dirichlet(np.ones(width), 15), np.zeros((4, width))])
+    slots = np.zeros((7, 7), dtype=np.int64)
+    slots[1:6, :5] = rng.integers(1, 13, size=(5, 5)) * (rng.random((5, 5)) < 0.7)
+    assert (slots[1:6, :5] == 0).any() and slots.any()
+    result, frame = (np.vstack([rng.dirichlet(np.ones(width), m), np.eye(1, width)]) for m in (5, 2))
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
-        for length in (None, 3.5):
-            got = compiled.spread(blocks, slots, current[ids[:5]], ids, 7, shares, length or -1.0)
-            assert _hex_scan(*got) == _scan_replica(rows, slots, current, shares, length)
+        blocks, written = tuple(rows[b : b + 4].copy() for b in range(0, 20, 4)), slots.copy()
+        order = np.append(rng.permutation(5), [9, 9])
+        steps, _, merged, ngld_, gld_ = compiled.absorb(
+            result, frame, 0.5, order, blocks, 16, written, 6, shares
+        )
+        store = np.concatenate(blocks), written[:, :steps], merged[np.argsort(order[:steps])]
+        assert _hex_scan(*ngld_) == _scan_replica(*store, shares, 2.0 * steps)
+        assert _hex_scan(*gld_) == _scan_replica(*store, shares, None)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
     # a state's store through candidate_gld, unit and random weights
@@ -293,8 +301,8 @@ CLONES = '__attribute__((target_clones("avx2", "default")))'
 def _kernel_dump(frames, alphabet):
     """float.hex of everything fs_absorb and fs_spread give over ``frames``:
     after every absorb, the alignment against the result before it, the
-    merged rows, the row ids and both scans' distances and sums; at the
-    end, the history store."""
+    merged rows, the row ids and the kept scan's distances and sums, nGLD
+    and GLD; at the end, the history store."""
     state = CombinerState(alphabet, track_history=True)
     out = []
     for frame in frames:
@@ -302,7 +310,7 @@ def _kernel_dump(frames, alphabet):
         out.append((alignment.result_rows, alignment.frame_rows, alignment.cost.hex()))
         state.absorb(frame)
         out += [[x.hex() for x in state.mean_rows.ravel().tolist()], state.row_ids]
-        out += [_hex_scan(*state.candidate_gld(length)) for length in (None, 2.0 * state.n)]
+        out += [_hex_scan(*state.candidate_gld(length)) for length in (None, 2.0 * state.num_chars)]
     out.append([x.hex() for x in _flat_rows(state).ravel().tolist()])
     return out + [state._slots[: state.n].tolist()]
 
@@ -349,7 +357,7 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # tests at argv[2:4]: the entry points' refusal cases, the result absorb
 # cuts and write-protects, the scan it keeps (in the tiny store too, where
 # it answers for more room), then a clip of acceptance criterion 7's recipe
-# and looped_clip(150) through all four entry points
+# and looped_clip(150) through all three entry points
 SANITIZED_RUN = """
 import sys
 sys.path[:0] = sys.argv[2:4]
@@ -362,21 +370,19 @@ from framestop.metrics import gld, ngld
 from oracles import late_rows_clip, looped_clip
 lib = _kernels.lib
 assert _kernels.probe() is None
-for entry in ("gld", "align", "absorb", "spread"):
+for entry in ("gld", "align", "absorb"):
     t.test_the_entry_points_refuse_arrays_the_kernels_cannot_read(lib, entry)
     t.test_the_entry_points_refuse_unaligned_arrays(lib, entry)
     t.test_the_entry_points_refuse_too_few_or_too_many_arguments(lib, entry)
-for entry in ("absorb", "spread"):
-    t.test_the_entry_points_refuse_blocks_that_fit_no_store(lib, entry)
+t.test_the_entry_points_refuse_blocks_that_fit_no_store(lib, "absorb")
 t.test_compiled_trace_stops_on_nan_costs(lib)
 t.test_compiled_absorb_writes_nothing_on_non_finite_costs(lib)
 t.test_the_compiled_absorb_hands_back_the_result_the_state_keeps(lib)
 t.test_compiled_kernels_refuse_a_store_without_room(lib)
-t.test_compiled_spread_refuses_ids_that_are_not_a_permutation(lib)
 from framestop import combiner
 for capacity in (t._TINY_STORE, combiner._STORE_CAPACITY):  # the tiny store, then the default
     combiner._STORE_CAPACITY = capacity
-    t._check_the_kept_scan(lib, [looped_clip(150), late_rows_clip(), *t._kept_scan_clips()[2:12]])
+    t._check_the_kept_scan([looped_clip(150), late_rows_clip(), *t._kept_scan_clips()[2:12]])
 config = SyntheticConfig(
     clip_count=1, text_length=15, alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
     frames_per_clip=30, p_sub=0.15, p_del=0.05, p_ins=0.05, confusion_mass=0.2, seed=7,
@@ -791,7 +797,6 @@ def _entry_calls():
     rows = np.vstack([np.eye(1, 3), rng.dirichlet(np.ones(3), 7)])
     blocks = rows[:4].copy(), rows[4:].copy()
     slots = np.zeros((2, 6), dtype=np.int64)
-    ids = np.array([1, 0, 7, 7], dtype=np.int64)
     order = np.array([0, 1, 7, 7], dtype=np.int64)
     return {
         "gld": ([x, y, np.empty(17)], {0: "x", 1: "y", 2: "work"}, {2}),
@@ -800,11 +805,6 @@ def _entry_calls():
             [*padded, 0.5, order, blocks, 1, slots, 0, np.full(2, 0.5)],
             {0: "result", 1: "frame", 3: "order", 4: "blocks", 6: "slots", 8: "share"},
             {3, 4, 6},
-        ),
-        "spread": (
-            [blocks, slots, x, ids, 2, np.full(2, 0.5), -1.0],
-            {0: "blocks", 1: "slots", 2: "result", 3: "ids", 5: "share"},
-            set(),
         ),
     }
 
@@ -847,7 +847,7 @@ def _spoiled(array, written):
         yield "read-only", frozen
 
 
-@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb"])
 def test_the_entry_points_refuse_arrays_the_kernels_cannot_read(compiled, entry):
     args, names, written = _entry_calls()[entry]
     fn = getattr(compiled, entry)
@@ -888,7 +888,7 @@ def test_unaligned_rows_give_their_aligned_copys_bits(compiled, route):
         assert got == want
 
 
-@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb"])
 def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
     fn = getattr(compiled, entry)
     for position, name in _entry_calls()[entry][1].items():
@@ -901,10 +901,10 @@ def test_the_entry_points_refuse_unaligned_arrays(compiled, entry):
 
 # each entry point's count of arguments, or its least and most: the
 # arguments of _entry_calls are the most it takes
-ARITY = {"gld": "2 to 3", "align": "2", "absorb": "9", "spread": "7"}
+ARITY = {"gld": "2 to 3", "align": "2", "absorb": "9"}
 
 
-@pytest.mark.parametrize("entry", ["gld", "align", "absorb", "spread"])
+@pytest.mark.parametrize("entry", ["gld", "align", "absorb"])
 def test_the_entry_points_refuse_too_few_or_too_many_arguments(compiled, entry):
     args = _entry_calls()[entry][0]
     least = int(ARITY[entry].split()[0])
@@ -993,14 +993,14 @@ def test_the_python_absorb_keeps_its_result_as_the_compiled_one_does():
         _check_the_result_a_state_keeps()
 
 
-def _store(width, blocks, block_rows, frames, stride, marker=5):
+def _store(width, blocks, block_rows, frames, stride):
     """A history store of ``blocks`` blocks of ``block_rows`` rows of
-    ``width``, ``frames`` frames and ``stride`` row ids, every entry
-    ``marker``: (blocks, slots), the blocks and the slots each a view of
-    the start of one array with room to spare, and those arrays, so a
-    kernel that overruns the store changes them rather than other memory."""
-    rows = np.full((blocks * block_rows + 8, width), float(marker))
-    slots = np.full((frames + 8) * (stride + 8), marker, dtype=np.int64)
+    ``width``, ``frames`` frames and ``stride`` row ids, every entry 5:
+    (blocks, slots), the blocks and the slots each a view of the start of
+    one array with room to spare, and those arrays, so a kernel that
+    overruns the store changes them rather than other memory."""
+    rows = np.full((blocks * block_rows + 8, width), 5.0)
+    slots = np.full((frames + 8) * (stride + 8), 5, dtype=np.int64)
     views = tuple(rows[b * block_rows : (b + 1) * block_rows] for b in range(blocks))
     return (views, slots[: frames * stride].reshape(frames, stride)), (rows, slots)
 
@@ -1030,15 +1030,6 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
         steps, _, _, (d, g_sum, d_sum), (g, *_) = compiled.absorb(*args)
         assert steps >= 2 and g.tolist() == [g_sum] and d.tolist() == [d_sum] and d_sum > 0.0
         assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
-    # the scan of more frames than the store holds, of more rows than its
-    # row ids, and of rows with no block
-    result = np.full((4, 2), 0.5)
-    for n, s, blocks in ((2, 1, 1), (1, 4, 1), (1, 1, 0)):
-        (views, slots), store = _store(2, blocks, 1, 1, 3, marker=0)
-        before = [array.copy() for array in store]
-        with pytest.raises(RuntimeError, match="internal error"):
-            compiled.spread(views, slots, result[:s], np.arange(s), n, 0.5, -1.0)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(store, before))
 
 
 def _other_blocks(blocks):
@@ -1052,9 +1043,9 @@ def _other_blocks(blocks):
     yield "a list", list(blocks), TypeError
 
 
-@pytest.mark.parametrize("entry", ["absorb", "spread"])
+@pytest.mark.parametrize("entry", ["absorb"])
 def test_the_entry_points_refuse_blocks_that_fit_no_store(compiled, entry):
-    position = 4 if entry == "absorb" else 0
+    position = 4
     for what, blocks, error in _other_blocks(_entry_calls()[entry][0][position]):
         fresh = _entry_calls()[entry][0]
         fresh[position] = blocks
@@ -1062,18 +1053,6 @@ def test_the_entry_points_refuse_blocks_that_fit_no_store(compiled, entry):
         with pytest.raises(error, match="blocks"):
             getattr(compiled, entry)(*fresh)
         assert _array_bytes(fresh) == before, what
-
-
-def test_compiled_spread_refuses_ids_that_are_not_a_permutation(compiled):
-    args = _entry_calls()["spread"][0]
-    for ids in ([1, 1], [0, 2], [-1, 0], [2, 0], [1]):
-        fresh = list(args)
-        fresh[3] = np.array(ids, dtype=np.int64)
-        with pytest.raises(ValueError, match="permutation" if len(ids) == 2 else "fewer ids"):
-            compiled.spread(*fresh)
-    fresh = list(args)
-    fresh[3] = np.array([1, 0, 1, -5], dtype=np.int64)  # past the first S, anything goes
-    assert _hex_scan(*compiled.spread(*fresh)) == _hex_scan(*compiled.spread(*args))
 
 
 def _state_dump(frames, alphabet, *, track=True):
@@ -1093,16 +1072,14 @@ def _state_dump(frames, alphabet, *, track=True):
     return out
 
 
-def _estimate_dump(frames, alphabet, *, absorbing=contextlib.nullcontext):
+def _estimate_dump(frames, alphabet):
     """float.hex of base's, a's and (on unit weights) b's estimates, aggregates
-    and per-candidate distances, under both metrics, after every absorb,
-    which runs inside ``absorbing()``."""
+    and per-candidate distances, under both metrics, after every absorb."""
     unit = all(frame.weight == 1.0 for frame in frames)
     state = CombinerState(alphabet, track_history=True, track_treaps=unit)
     out = []
     for n, frame in enumerate(frames, 1):
-        with absorbing():
-            state.absorb(frame)
+        state.absorb(frame)
         breakdowns = [estimate_base(state, frames[:n], metric=metric) for metric in MetricKind]
         for b in breakdowns + list(_estimates(state).values()):
             out.append((b.estimate.hex(), b.gld_aggregate.hex(),
@@ -1148,12 +1125,12 @@ def test_compiled_absorb_is_the_python_reference_bit_for_bit(compiled, monkeypat
 def test_compiled_absorb_gives_the_reference_estimates_bit_for_bit(
     compiled, monkeypatch, capacity
 ):
-    # the reference absorb beside the same compiled scan, whose sums differ
-    # from numpy's in the last bits
+    # the compiled absorb's kept scan is its replica's in hex, over the
+    # store and rows that the reference absorb gives bit for bit
+    # (test_compiled_absorb_is_the_python_reference_bit_for_bit), and the
+    # estimates only read it
     _set_store(monkeypatch, capacity)
-    for clip in _absorb_clips()[::3]:
-        got = _estimate_dump(clip.frames, clip.alphabet)
-        assert _estimate_dump(clip.frames, clip.alphabet, absorbing=python_kernels) == got
+    _check_the_kept_scan(_absorb_clips()[::3])
 
 
 class _CountingLib:
@@ -1202,7 +1179,7 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
 @pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
     # absorb and estimate, under both metrics: the estimates read the scan
-    # the absorb kept, and a length other than 2 S is one spread call
+    # the absorb kept, and a length other than 2 S calls nothing
     _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
     monkeypatch.setattr(_kernels, "lib", counting)
@@ -1224,29 +1201,39 @@ def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
                 assert refused == [("absorb", None)] * len(refused) and len(refused) <= 1
                 grown += len(refused)
                 counting.calls.clear()
-                d, g_sum, d_sum = state.candidate_gld(3.0)
-                assert counting.calls == [("spread", (d, g_sum, d_sum))]
+                state.candidate_gld(3.0)
+                assert counting.calls == []
     assert grown >= (5 if capacity else 1)  # looped_clip(40) outgrows the default's 32 frames
 
 
-def _check_the_kept_scan(lib, clips):
+def _replicated(n):
+    """Whether the kept-scan checks replicate stage ``n``: each of the first
+    40, then every 40th, so that the Python replica of a 400-stage clip
+    costs under a twentieth of what it would at every stage."""
+    return n <= 40 or n % 40 == 0
+
+
+def _check_the_kept_scan(clips):
     """After every absorb of each of ``clips``, into an ``a`` state and, on
     unit weights, a ``b`` one: what :meth:`CombinerState.candidate_gld`
     serves for nGLD at 2 S and for GLD is the scan the absorb kept,
-    write-protected, and in hex a fresh ``spread`` call over the same
-    store, current rows and shares."""
+    write-protected, and in hex (at the stages :func:`_replicated` names)
+    a fresh spread of the same store, current rows and shares in the
+    kernel's summation order (:func:`_scan_replica`)."""
     for clip in clips:
         unit = all(frame.weight == 1.0 for frame in clip.frames)
         for treaps in (False, True) if unit else (False,):
             state = CombinerState(clip.alphabet, track_history=not treaps, track_treaps=treaps)
             for frame in clip.frames:
                 state.absorb(frame)
-                for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
+                n, s = state.n, state.num_chars
+                store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
+                shares = np.broadcast_to(state.candidate_shares(), n).tolist()
+                for length, kept in ((2.0 * s, state._ngld), (None, state._gld)):
                     got = state.candidate_gld(length)
                     assert got is kept and not got[0].flags.writeable
-                    want = lib.spread(state._blocks, state._slots, state.mean_rows, state._ids,
-                                      state.n, state.candidate_shares(), length or -1.0)
-                    assert _hex_scan(*got) == _hex_scan(*want)
+                    if _replicated(n):
+                        assert _hex_scan(*got) == _scan_replica(*store, shares, length)
 
 
 def _kept_scan_clips():
@@ -1260,27 +1247,59 @@ def _kept_scan_clips():
 @pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_the_kept_scan_is_a_fresh_spread_in_hex(compiled, monkeypatch, capacity):
     _set_store(monkeypatch, capacity)
-    _check_the_kept_scan(compiled, _kept_scan_clips())
+    _check_the_kept_scan(_kept_scan_clips())
 
 
-def test_the_python_route_never_serves_the_compiled_scan(compiled):
-    # a state absorbed on the compiled route keeps its scan; inside
-    # python_kernels() candidate_gld scans afresh with numpy, so the route
-    # comparisons compare two routes
+def test_the_python_absorb_keeps_the_numpy_scan():
+    # the Python route keeps its scan as the compiled one does: the same
+    # write-protected arrays until the next absorb, with a fresh numpy
+    # scan's bits
     rng = random.Random(8)
-    for clip in [looped_clip(30), random_clip(rng, 0, weighted=True)]:
+    with python_kernels():
+        for clip in [looped_clip(30), random_clip(rng, 0, weighted=True)]:
+            state = CombinerState(clip.alphabet, track_history=True)
+            for frame in clip.frames:
+                state.absorb(frame)
+                g = state.spread() * state.candidate_shares() / 2.0
+                for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
+                    got = d, g_sum, d_sum = state.candidate_gld(length)
+                    assert got is kept and not d.flags.writeable
+                    want = g if length is None else metrics.normalized(g, length)
+                    assert d.tobytes() == want.tobytes()
+                    assert (g_sum, d_sum) == (float(g.sum()), float(want.sum()))
+
+
+# lengths that are never 2 S, so that candidate_gld normalises the kept g anew
+_OTHER_LENGTHS = (0.0, 0.5, 3.5, 1e300)
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_another_length_normalises_the_kept_g(request, route):
+    rng = random.Random(12)
+    with kernel_route(request, route):
+        for clip in [looped_clip(30), random_clip(rng, 0, weighted=True)]:
+            state = CombinerState(clip.alphabet, track_history=True)
+            for frame in clip.frames:
+                state.absorb(frame)
+                g, kept_sum, _ = state._gld
+                for length in _OTHER_LENGTHS:
+                    d, g_sum, d_sum = state.candidate_gld(length)
+                    want = metrics.normalized(g, length)
+                    assert d.tobytes() == want.tobytes()
+                    assert g_sum.hex() == kept_sum.hex() and d_sum.hex() == float(want.sum()).hex()
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_candidate_gld_refuses_a_negative_or_non_finite_length(request, route):
+    clip = looped_clip(6)
+    with kernel_route(request, route):
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:
             state.absorb(frame)
-            share = state.candidate_shares()
-            for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
-                with python_kernels():
-                    d, g_sum, d_sum = state.candidate_gld(length)
-                assert d is not kept[0] and d.flags.writeable
-                g = state.spread() * share / 2.0
-                want = g if length is None else metrics.normalized(g, length)
-                assert d.tobytes() == want.tobytes()
-                assert (g_sum, d_sum) == (float(g.sum()), float(want.sum()))
+            for length in (-1.0, -1e-300, -math.inf, math.inf, math.nan):
+                with pytest.raises(ValueError, match="non-negative finite number"):
+                    state.candidate_gld(length)
+            assert state.candidate_gld(-0.0)[0].tobytes() == state.candidate_gld(0.0)[0].tobytes()
 
 
 def test_python_kernels_names_the_python_route_in_status():
@@ -1366,7 +1385,7 @@ def test_a_zero_row_first_frame_leaves_a_store_that_grows_bit_for_bit(
     _set_store(monkeypatch, capacity)
     clip = looped_clip(40)
     frames = [make_frame([], num_classes=clip.alphabet.size), *clip.frames]
-    got = _state_dump(frames, clip.alphabet), _estimate_dump(frames, clip.alphabet)
+    got = _state_dump(frames, clip.alphabet)
     state = CombinerState(clip.alphabet, track_history=True)
     built = _store_arrays(state)
     state.absorb(frames[0])
@@ -1382,8 +1401,8 @@ def test_a_zero_row_first_frame_leaves_a_store_that_grows_bit_for_bit(
     if capacity:
         assert len(state._blocks) >= 5 and len(calls) >= 3
     with python_kernels():
-        assert _state_dump(frames, clip.alphabet) == got[0]
-    assert _estimate_dump(frames, clip.alphabet, absorbing=python_kernels) == got[1]
+        assert _state_dump(frames, clip.alphabet) == got
+    _check_the_kept_scan([Clip("zero-row-first", clip.alphabet, clip.truth, frames)])
 
 
 def test_any_first_frame_keeps_the_block_size_a_state_is_built_with():
@@ -1435,7 +1454,7 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
             factors.append(args[2])
             return lib.absorb(*args)
 
-        monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=absorb, spread=lib.spread))
+        monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=absorb))
         routing = contextlib.nullcontext
     else:
         merge = combiner._merge
@@ -1486,7 +1505,7 @@ def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch)
         answers.append(compiled.absorb(*args))
         return answers[-1]
 
-    monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=no_memory, spread=compiled.spread))
+    monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=no_memory))
     with pytest.raises(MemoryError):
         state.absorb(wide)
     assert answers == [None]
