@@ -405,14 +405,13 @@ class CombinerState:
         absorb, write-protected.  Where the compiled kernels run, this is
         one ``absorb`` call of the module: the alignment, the merge, the
         store write and the scan, given the next candidates' shares.  That
-        call is the only test of the room: when
-        s + m row ids, ``_used`` + m rows or n + 1 frames are more than the
-        state holds it answers None, writing nothing, and :meth:`_reserve`
-        makes the room before the call is made again.  Otherwise
-        :meth:`_absorb_python` runs, the reference, which gives the same
-        rows, row ids and store bit for bit, and then the numpy scan
-        (:meth:`spread`).  ``absorb`` refuses a
-        non-finite alignment cost as :func:`align` does, writing nothing,
+        call is the only test of the room: when s + m row ids, ``_used`` +
+        m rows or n + 1 frames are more than the state holds it answers
+        None, writing nothing, and :meth:`_reserve` makes the room before
+        the call is made again.  Otherwise :meth:`_absorb_python` runs, the
+        reference, which gives the same rows, row ids and store bit for
+        bit, and then the numpy scan (:meth:`spread`).  ``absorb`` refuses
+        a non-finite alignment cost as :func:`align` does, writing nothing,
         and hands back the merged rows, followed by the empty row, cut and
         write-protected: the array the state keeps.  Only a MemoryError in
         that cut, after the row ids and the store are written, leaves the

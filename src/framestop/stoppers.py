@@ -26,9 +26,9 @@ A stage of ``a`` or ``b`` is one compiled call on the compiled route:
 the absorb that every method pays (``fs_absorb``: the alignment, the
 merge and the store write) runs the history scan (``fs_spread``) over
 the merged rows in the same call.  On either route the absorb keeps the
-scan, write-protected, and the estimate only reads it; ``a``'s breakdown
-makes Python floats of its n distances only when ``per_candidate`` is
-read.  At n=25 on the criterion-7 recipe
+scan, write-protected, and the estimate only reads it; ``a``'s
+breakdown makes Python floats of its n distances only when
+``per_candidate`` is read.  At n=25 on the criterion-7 recipe
 (``scripts/record_bench.py``, ``BENCH_2ce9d42.json``, median of 5 seeds;
 2-vCPU Xeon with AVX2) an ``a`` stage took 12.2 us, 9.7 of them in the
 bare call, and at n=5 8.8 us, 6.0 in the call; past n of about 100 the

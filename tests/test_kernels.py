@@ -266,22 +266,17 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     # a state's store through candidate_gld, unit and random weights
     k = width - 1
     alphabet = Alphabet([chr(0x100 + i) for i in range(k)])
+    clips = []
     for weighted in (False, True):
-        state = CombinerState(alphabet, track_history=True)
-        for m in (3, 0, 5, 2, 6, 0, 4, 1):
-            with warnings.catch_warnings():  # Dirichlet rows sum to 1 within rounding
-                warnings.simplefilter("ignore")
-                frame = make_frame(
-                    rng.dirichlet(np.ones(k), m), rng.uniform(0.25, 3.0) if weighted else 1.0,
-                    num_classes=k,
-                )
-            state.absorb(frame)
-            n, s = state.n, len(state.row_ids)
-            shares = np.broadcast_to(state.candidate_shares(), n).tolist()
-            store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
-            for length in (None, 2.0 * s):
-                got = _hex_scan(*state.candidate_gld(length))
-                assert got == _scan_replica(*store, shares, length)
+        with warnings.catch_warnings():  # Dirichlet rows sum to 1 within rounding
+            warnings.simplefilter("ignore")
+            frames = [
+                make_frame(rng.dirichlet(np.ones(k), m), rng.uniform(0.25, 3.0) if weighted else 1.0,
+                           num_classes=k)
+                for m in (3, 0, 5, 2, 6, 0, 4, 1)
+            ]
+        clips.append(Clip(f"weighted-{weighted}", alphabet, "", frames))
+    _check_the_kept_scan(clips)
 
 
 def _flat_rows(state):
@@ -1227,13 +1222,16 @@ def _check_the_kept_scan(clips):
             for frame in clip.frames:
                 state.absorb(frame)
                 n, s = state.n, state.num_chars
+                kept = (2.0 * s, state._ngld), (None, state._gld)
+                for length, scan in kept:
+                    got = state.candidate_gld(length)
+                    assert got is scan and not got[0].flags.writeable
+                if not _replicated(n):
+                    continue
                 store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
                 shares = np.broadcast_to(state.candidate_shares(), n).tolist()
-                for length, kept in ((2.0 * s, state._ngld), (None, state._gld)):
-                    got = state.candidate_gld(length)
-                    assert got is kept and not got[0].flags.writeable
-                    if _replicated(n):
-                        assert _hex_scan(*got) == _scan_replica(*store, shares, length)
+                for length, scan in kept:
+                    assert _hex_scan(*scan) == _scan_replica(*store, shares, length)
 
 
 def _kept_scan_clips():
