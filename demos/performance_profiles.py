@@ -6,8 +6,8 @@ fixed-stage baseline: less error for the same average number of frames.
 The corpus mixes easy and hard clips, which is exactly where adaptive
 stopping pays off.  "normalised once" is method b: method a's aggregate
 distance, normalised once instead of per candidate, read from the same
-history store in the same O(n*S*K) scan, one compiled ``fs_spread`` call
-where the kernels compile (numpy otherwise).
+history store in the same O(n*S*K) scan, which the absorb runs in its one
+compiled call where the kernels compile (numpy otherwise).
 """
 
 from framestop import (

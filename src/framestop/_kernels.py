@@ -12,9 +12,8 @@ platform, the interpreter's ABI (``EXT_SUFFIX``) and numpy's version,
 user has no home directory, the build goes to a private temporary
 directory for the process; nothing is written into the source tree.  A
 load from the cache touches the build's mtime and deletes the builds of
-its ``<env>`` beyond the ``KEPT_SOURCES`` loaded most recently, and
-those of the earlier one-key scheme (``kernels-<16 hex digits>.so``);
-other environments' builds stay.  The directory is safe to delete at any
+its ``<env>`` beyond the ``KEPT_SOURCES`` loaded most recently; other
+environments' builds stay.  The directory is safe to delete at any
 time: a loaded module stays mapped, and the next process rebuilds.
 
 The flags keep the floating-point operations as written: no contraction
@@ -78,7 +77,6 @@ makes the room and calls again.
 
 import contextlib
 import os
-import re
 import shlex
 import shutil
 import sysconfig
@@ -205,9 +203,6 @@ def _digest(blob):
 
 KEPT_SOURCES = 3  # builds per <env>: a few checkouts run in turn each keep theirs
 
-# a build named by the earlier one-key scheme, which a load from the cache deletes
-_LEGACY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
-
 
 def _name(argv):
     """``kernels-<env>-<source>.so``, the module's file name for the
@@ -226,13 +221,12 @@ def _name(argv):
 def _sweep(cache, name):
     """Touch the build ``name``, just loaded from ``cache``, and delete the
     builds of its ``<env>`` beyond the ``KEPT_SOURCES`` loaded most
-    recently, and those of the earlier one-key scheme."""
+    recently."""
     env = name.rsplit("-", 1)[0]
     with contextlib.suppress(OSError):  # a file left behind is harmless
         os.utime(cache / name)
         own = sorted(cache.glob(f"{env}-*.so"), key=lambda p: (p.name != name, -p.stat().st_mtime))
-        legacy = [path for path in cache.glob("kernels-*.so") if _LEGACY_NAME.fullmatch(path.name)]
-        for stale in [*own[KEPT_SOURCES:], *legacy]:
+        for stale in own[KEPT_SOURCES:]:
             stale.unlink()
 
 

@@ -38,9 +38,9 @@ MAX_GEN_VALUES = 20_000_000
 # values over all stages, each stage appending at most the clip's largest
 # frame, every row alphabet size + 1 wide; 8 bytes each.  The store holds
 # its rows in blocks of 512 rows and allocates at most one block more than
-# it uses: at both load caps a block is 512 rows of 129 values, 528 KB, and
-# simulate --method a on one clip of 128 rows over 128 symbols, 1 211
-# stages, peaks at 198 MB resident
+# it uses: at both load caps a block is 512 rows of 129 values, 528 KB, so
+# one clip's store stays under 160 MB and one block (ROADMAP.md's Baseline,
+# Memory, gives the measured resident peak of a clip at the caps)
 MAX_HISTORY_VALUES = 20_000_000
 ESTIMATOR_METHODS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B)
 HISTORY_METHODS = (StopperMethod.METHOD_A, StopperMethod.METHOD_B)

@@ -24,8 +24,8 @@ A freed state hands its blocks to the spare blocks (``_SPARE``, at most
 ``_SPARE_BYTES``, by block shape), and a new state's first block and
 appended blocks come from there before ``np.empty``: glibc gives a freed
 block's pages back to the system, so a new block would fault them in
-afresh, some 7 000 minor faults per pass of perfbench's ``long-horizon``
-workload, where a steady pass with the spare blocks takes none.  A block
+afresh, once per state, where a steady run of states that reuse the spare
+blocks faults in none (CHANGES.md, 2ce9d42).  A block
 goes back only when the state holds its last reference: one that a
 shallow copy of the state or a view still holds stays where it is.  A
 reused block's rows are another state's, as a new block's are garbage:
@@ -48,7 +48,10 @@ Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``, which only reads what the absorb kept:
 an O(n*S*K) scan of each frame's spread from the current rows, taken by
 row id from the combined result, then each candidate's merge share, its
-nGLD at 2 S and the sums of both, run once per absorb on either route.
+nGLD at 2 S and the sums of both.  A store means that the absorb scans:
+every absorb into a state with a store runs the scan once, on either
+route, whether or not it is read, so a caller that reads only
+``contributions`` pays for it too.
 A slot holding 0 adds the current row's distance to the empty row
 instead of K+1 terms.  The compiled scan sums each frame in frame-wide
 accumulators, four vectors of four lanes over all of the frame's rows
@@ -212,9 +215,8 @@ def align(frame, result):
     otherwise those and :func:`_path`, the reference.  A ``base`` stage at
     n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
     narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
-    n=25), as ``a``'s absorb runs the same faster costs: 10
-    alternated runs of its recipe on a 2-vCPU Xeon with AVX2 read
-    15.5-17.2x at 9a2c489 (CHANGES.md).
+    n=25), as ``a``'s absorb runs the same faster costs; CHANGES.md gives
+    the measured ratio at each change to it.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -294,13 +296,14 @@ class CombinerState:
     ``track_history`` keeps the history store: per frame and row id, what
     the frame merged into that row (the empty distribution wherever the
     frame was not aligned to it, including rows created after the frame),
-    as an index into the absorbed rows, each kept once.
-    Methods ``a`` and ``b`` both read it through :meth:`candidate_gld`.
-    ``track_treaps`` keeps the same store for method ``b``, requires unit
-    frame weights and lets :meth:`cell` build a :class:`MultisetIndex` of
-    one (row, class) history column on demand.  Both default off, so
-    plain combination carries no bookkeeping overhead.  ``seed`` seeds
-    only the treap priorities of :meth:`cell`.
+    as an index into the absorbed rows, each kept once.  ``track_treaps``
+    is another name for the same switch: a state keeps the store if
+    either is true, and each attribute records what its keyword was
+    given.  A state with a store serves methods ``a`` and ``b``
+    (:meth:`candidate_gld`), :attr:`contributions` and :meth:`cell`,
+    whatever its frames' weights; a state without one refuses all four.
+    Both default off, so plain combination carries no bookkeeping
+    overhead.  ``seed`` seeds only the treap priorities of :meth:`cell`.
 
     ``n`` counts the frames absorbed and ``num_chars`` the combined rows, S.
     A state is meant to be owned by a single worker; results handed out
@@ -344,7 +347,7 @@ class CombinerState:
         # writes _slots, and only indices below _used, which the compiled
         # scan relies on to stay inside the blocks.
         self._blocks = self._slots = None
-        if self.track_history or self.track_treaps:
+        if track_history or track_treaps:
             first = _SPARE.take((block_rows, self._width))
             first[0] = _empty_row(self._width)  # a kept block's row 0 is another state's
             self._blocks = (first,)
@@ -392,8 +395,6 @@ class CombinerState:
             raise ValueError(
                 f"frame has {frame.num_classes} classes, state expects {self.alphabet.size}"
             )
-        if self.track_treaps and frame.weight != 1.0:
-            raise ValueError("treap bookkeeping supports unit frame weights only")
 
     def absorb(self, frame):
         """Fold one frame into the combined result, updating all bookkeeping.
@@ -591,8 +592,7 @@ class CombinerState:
         within 1e-14 relative up to n=400.  Both give exactly 0 for a frame
         equal to the current rows.
         """
-        if self._blocks is None:
-            raise ValueError("state was built without history bookkeeping")
+        self._check_store()
         n = self.n
         s = self.num_chars
         position = np.empty(s, dtype=np.int64)  # row id r's row in the result
@@ -620,8 +620,7 @@ class CombinerState:
         any other length the kept g normalised anew, with the kept sum of
         g and numpy's sum of d.
         """
-        if self._blocks is None:
-            raise ValueError("state was built without history bookkeeping")
+        self._check_store()
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
         if length is None:
@@ -634,6 +633,13 @@ class CombinerState:
         d = normalized(g, length)
         return d, g_sum, float(d.sum())
 
+    def _check_store(self):
+        """Refuse a state that keeps no history store, the one test of every
+        reader of the store."""
+        if self._blocks is None:
+            raise ValueError("state was built without a history store: pass track_history "
+                             "(or its alias track_treaps)")
+
     def _row_id(self, row_id):
         row_id = _index(row_id, "row id")
         if row_id not in range(self.num_chars):
@@ -644,8 +650,7 @@ class CombinerState:
     def contributions(self):
         """History tensor, shape (n, S, K+1): what each frame merged into each
         row, rows in display order; a write-protected copy gathered from the store."""
-        if not self.track_history:
-            raise ValueError("state was built without history tracking")
+        self._check_store()
         gathered = self._gather(self._slots[: self.n, self._ids[: self.num_chars]])
         gathered.setflags(write=False)
         return gathered
@@ -653,13 +658,12 @@ class CombinerState:
     def cell(self, row_id, class_index):
         """Treap of the history column of (row_id, class_index), built from the store.
 
-        Priorities are seeded from the state's seed and the cell, so the
-        same cell always gets the same shape.  ``class_index`` runs over
-        0..K, 0 being the empty class.  Both indices are integers; a bool or
-        a float raises TypeError.
+        Each frame counts once, whatever its weight.  Priorities are seeded
+        from the state's seed and the cell, so the same cell always gets the
+        same shape.  ``class_index`` runs over 0..K, 0 being the empty class.
+        Both indices are integers; a bool or a float raises TypeError.
         """
-        if not self.track_treaps:
-            raise ValueError("state was built without treap bookkeeping")
+        self._check_store()
         row_id = self._row_id(row_id)
         class_index = _index(class_index, "class index")
         if not 0 <= class_index < self._width:

@@ -18,22 +18,21 @@ Three estimators compute the same quantity at different price points:
   available.
 * ``estimate_method_b`` is ``a``'s aggregate normalised once instead of
   per candidate, from the same call, so it costs the same O(n * S * K)
-  and its aggregate equals ``a``'s exactly; unweighted only.  The paper
-  prices it at O(S * K * log n), one order-statistic treap query per
-  (row, class) cell.
+  and its aggregate equals ``a``'s exactly, weighted or not: the scan's
+  sum carries each frame's merge share.  The paper prices it at
+  O(S * K * log n), one order-statistic treap query per (row, class)
+  cell, which holds for unit weights alone.
 
 A stage of ``a`` or ``b`` is one compiled call on the compiled route:
 the absorb that every method pays (``fs_absorb``: the alignment, the
 merge and the store write) runs the history scan (``fs_spread``) over
 the merged rows in the same call.  On either route the absorb keeps the
-scan, write-protected, and the estimate only reads it; ``a``'s
+scan, write-protected, and the estimate only reads it, in O(1); ``a``'s
 breakdown makes Python floats of its n distances only when
-``per_candidate`` is read.  At n=25 on the criterion-7 recipe
-(``scripts/record_bench.py``, ``BENCH_2ce9d42.json``, median of 5 seeds;
-2-vCPU Xeon with AVX2) an ``a`` stage took 12.2 us, 9.7 of them in the
-bare call, and at n=5 8.8 us, 6.0 in the call; past n of about 100 the
-scan is most of the stage.  A compiled call on empty inputs takes about
-0.5 us, the binding's share of every call.
+``per_candidate`` is read.  The stage is the absorb's O(S * M * K)
+alignment and merge plus the scan's O(n * S * K), which is most of it at
+large n; ``scripts/record_bench.py`` measures it, and the committed
+``BENCH_*.json`` files hold the figures.
 
 :func:`stages` is the one per-stage loop; ``run_clip``, ``stage_traces``
 and the harness's timing are folds over its records.
@@ -51,7 +50,7 @@ from .core import from_string
 from .metrics import MetricKind, ngld, normalized
 from .metrics import gld  # noqa: F401  unused here; the traced benchmark wraps stoppers.gld
 
-_NGLD = MetricKind.NGLD  # a global: Python 3.11 reads a member through its class in ~0.13 us
+_NGLD = MetricKind.NGLD  # a global, as a member read through its class is a slow lookup
 
 
 class StopperMethod(Enum):
@@ -188,16 +187,17 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
     if len(frames) != state.n:
         raise ValueError(f"got {len(frames)} frames for a state of {state.n}")
     s = state.num_chars
+    as_ngld = metric is _NGLD
     distances = []
     aggregate = 0.0
     for frame in frames:
         alignment, share = state.candidate_alignment(frame)
         g = share * alignment.cost
         aggregate += g
-        if metric is MetricKind.GLD:
-            distances.append(g)
-        else:
+        if as_ngld:
             distances.append(normalized(g, 2 * s + alignment.inserted))
+        else:
+            distances.append(g)
     estimate = (delta + sum(distances)) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, tuple(distances))
 
@@ -208,8 +208,6 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     The breakdown holds :meth:`CombinerState.candidate_gld`'s distance
     array and builds ``per_candidate`` from it on its first read.
     """
-    if not state.track_history:
-        raise ValueError("method A needs a state with track_history")
     length = 2.0 * state.num_chars if metric is _NGLD else None
     distances, aggregate, total = state.candidate_gld(length)
     estimate = (delta + total) / (state.n + 1)
@@ -219,11 +217,9 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Method a's aggregate normalised once, instead of per candidate.
 
-    The state keeps ``track_treaps``, whose absorb refuses any frame weight
-    but 1, so the input is unweighted.
+    Reads the same kept scan as method a, so any state with a history
+    store serves it, weighted or not.
     """
-    if not state.track_treaps:
-        raise ValueError("method B needs a state with track_treaps")
     _, aggregate, _ = state.candidate_gld()
     length = 2.0 * state.num_chars
     converted = normalized(aggregate, length) if metric is _NGLD else aggregate
@@ -250,8 +246,7 @@ def stages(clip, config, *, seed=0):
     method, metric, delta = config.method, config.metric, config.delta
     state = CombinerState(
         clip.alphabet,
-        track_history=method is StopperMethod.METHOD_A,
-        track_treaps=method is StopperMethod.METHOD_B,
+        track_history=method in (StopperMethod.METHOD_A, StopperMethod.METHOD_B),
         seed=seed,
     )
     observed = []

@@ -111,10 +111,8 @@ def test_criterion_1_method_a_oracle_equivalence(oracle_corpus):
 def test_criterion_2_method_b_is_exact_reformulation(oracle_corpus):
     with criterion(2, "method B aggregate equals method A aggregate at every stage"):
         worst = 0.0
-        for clip, weighted in oracle_corpus:
-            if weighted:
-                continue
-            state = CombinerState(clip.alphabet, track_history=True, track_treaps=True)
+        for clip, _ in oracle_corpus:
+            state = CombinerState(clip.alphabet, track_treaps=True)
             for frame in clip.frames:
                 state.absorb(frame)
                 a = estimate_method_a(state, metric=MetricKind.GLD, delta=DELTA)

@@ -118,6 +118,12 @@ def test_simulate_fixed_needs_stage(clips_file, tmp_path, capsys):
     )
     assert code == 1
     assert "needs --stage" in capsys.readouterr().err
+    out = tmp_path / "fixed.csv"
+    code = main(
+        ["simulate", "-i", str(clips_file), "-o", str(out), "--method", "fixed", "--stage", "2"]
+    )
+    assert code == 0
+    assert [row["stop_stage"] for row in read_csv(out)] == ["2"] * 3
 
 
 @pytest.mark.parametrize(

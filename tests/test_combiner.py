@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ import pytest
 from framestop.combiner import CombinerState, align, merge_share
 from framestop.core import Alphabet, empty_distribution, from_string, make_frame
 from framestop.metrics import MetricKind, char_distance, gld
-from framestop.stoppers import estimate_method_a
+from framestop.stoppers import estimate_method_a, estimate_method_b
 
-from oracles import growth_clip, late_rows_clip, looped_clip, method_a_oracle, random_clip
+from oracles import (
+    growth_clip,
+    late_rows_clip,
+    looped_clip,
+    method_a_oracle,
+    python_kernels,
+    random_clip,
+)
 
 ALPHA = Alphabet("AB")
 
@@ -164,10 +172,29 @@ def test_subnormal_weights_merge_by_their_share():
     assert np.array_equal(state.mean_rows, [[0.0, 0.5, 0.5]])
 
 
-def test_absorb_weighted_frame_in_treap_mode_rejected():
-    state = CombinerState(ALPHA, track_treaps=True)
-    with pytest.raises(ValueError, match="unit frame weights"):
-        state.absorb(make_frame([[1, 0]], 2.0))
+def _kept_bits(state):
+    """Bytes of the rows, row ids, store and kept scan of ``state``."""
+    out = [state.mean_rows.tobytes(), repr(state.row_ids).encode(), state.contributions.tobytes()]
+    for d, g_sum, d_sum in (state._ngld, state._gld):
+        out += [d.tobytes(), g_sum.hex().encode(), d_sum.hex().encode()]
+    return out
+
+
+def test_a_treaps_state_absorbs_weighted_frames_as_a_history_state():
+    # track_treaps is another name for track_history's store
+    rng = random.Random(404)
+    clips = [random_clip(rng, i, weighted=True) for i in range(12)] + [looped_clip(45, weighted=True)]
+    for route in (nullcontext, python_kernels):
+        with route():
+            for clip in clips:
+                treaps = CombinerState(clip.alphabet, track_treaps=True)
+                history = CombinerState(clip.alphabet, track_history=True)
+                assert (treaps.track_history, treaps.track_treaps) == (False, True)
+                assert (history.track_history, history.track_treaps) == (True, False)
+                for frame in clip.frames:
+                    treaps.absorb(frame)
+                    history.absorb(frame)
+                    assert _kept_bits(treaps) == _kept_bits(history)
 
 
 def test_weighted_absorb_mixes_by_weight():
@@ -222,10 +249,19 @@ def test_current_result_examples():
 
 
 def test_contribution_requires_history():
+    # every reader of the store refuses a state without one by the one
+    # ValueError, which names both keywords
     state = build("A")
-    with pytest.raises(ValueError, match="history"):
-        state.contributions
-    assert build("A", track_history=True).contributions.shape == (1, 1, 3)
+    readers = [
+        lambda: state.contributions, state.spread, state.candidate_gld,
+        lambda: state.cell(0, 0), lambda: estimate_method_a(state),
+        lambda: estimate_method_b(state),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="track_history.*track_treaps"):
+            read()
+    for keyword in ("track_history", "track_treaps"):
+        assert build("A", **{keyword: True}).contributions.shape == (1, 1, 3)
 
 
 @pytest.mark.parametrize("row_id, class_index", [(True, 0), (0, True), (1.0, 0), (0, 1.0)])
@@ -243,6 +279,16 @@ def test_cell_requires_treaps():
     for class_index in (-1, ALPHA.size + 1):
         with pytest.raises(IndexError, match="class index"):
             state.cell(0, class_index)
+    for row_id in (-1, 1):
+        with pytest.raises(KeyError, match="unknown row id"):
+            state.cell(row_id, 0)
+    # either keyword, any weights: each frame counts once in a cell
+    for keyword in ("track_history", "track_treaps"):
+        state = CombinerState(ALPHA, **{keyword: True})
+        state.absorb(make_frame([[1, 0]], 3.0))
+        state.absorb(make_frame([[0, 1]], 0.5))
+        assert state.cell(0, 1).totals() == (2, 1.0)
+        assert estimate_method_b(state).gld_aggregate == estimate_method_a(state).gld_aggregate
 
 
 def _history_weighted_sums(state):

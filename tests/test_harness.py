@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import framestop.harness as harness
-from framestop.core import Alphabet, Clip, from_string
+from framestop.core import Alphabet, Clip, RecognitionFrame, from_string
 from framestop.harness import (
     BENCH_FIELDS,
     MAX_GRID_POINTS,
@@ -90,7 +90,13 @@ def test_generate_is_deterministic():
 def test_roundtrip_write_then_load_is_identical(tmp_path):
     path = tmp_path / "clips.jsonl"
     originals = generate_synthetic(noisy_config())
+    # the first clip's frames weighted, zero and fractional weights among them
+    first = originals[0]
+    weights = [0.0, 0.3, 2.5, 1.0]
+    weighted = [RecognitionFrame(f.rows, weights[i % 4]) for i, f in enumerate(first.frames)]
+    originals[0] = Clip(first.id, first.alphabet, first.truth, weighted)
     write_clips(originals, path)
+    assert '"w": 0.3' in path.read_text()
     loaded = load_clips(path)
     assert len(loaded) == len(originals)
     for original, back in zip(originals, loaded):

@@ -54,23 +54,20 @@ def _spread_clips():
 
 
 def _estimates(state):
-    """Method a's breakdown and, on states that keep treaps (unit weights),
-    method b's, under both metrics: ((metric, method) -> breakdown)."""
+    """Method a's and method b's breakdowns under both metrics:
+    ((metric, method) -> breakdown)."""
     out = {}
     for metric in MetricKind:
         out[metric, "a"] = estimate_method_a(state, metric=metric, delta=0.1)
-        if state.track_treaps:
-            out[metric, "b"] = estimate_method_b(state, metric=metric, delta=0.1)
+        out[metric, "b"] = estimate_method_b(state, metric=metric, delta=0.1)
     return out
 
 
 def _estimate_pairs(frames, alphabet):
     """(compiled, numpy) estimates after every absorb, of two states that
     absorb ``frames`` on the compiled route and on the Python one, each
-    keeping its own scan; method b's too where every frame has unit
-    weight."""
-    unit = all(frame.weight == 1.0 for frame in frames)
-    states = [CombinerState(alphabet, track_history=True, track_treaps=unit) for _ in range(2)]
+    keeping its own scan."""
+    states = [CombinerState(alphabet, track_history=True) for _ in range(2)]
     for frame in frames:
         states[0].absorb(frame)
         with python_kernels():
@@ -96,8 +93,7 @@ def test_compiled_estimates_match_numpy(compiled):
                         breakdown.per_candidate, reference.per_candidate, rtol=0.0, atol=1e-12
                     )
             for metric in MetricKind:
-                if (metric, "b") in got:
-                    assert got[metric, "b"].gld_aggregate == got[metric, "a"].gld_aggregate
+                assert got[metric, "b"].gld_aggregate == got[metric, "a"].gld_aggregate
     assert checked == {(metric, method) for metric in MetricKind for method in "ab"}
 
 
@@ -447,8 +443,7 @@ def _kernel_routes(clips):
     """What every public entry point that reaches a kernel gives over
     ``clips``: float.hex of gld and ngld between neighbouring frames, the
     bytes of align and absorb (:func:`_state_dump`), the float.hex of every
-    estimate (:func:`_estimate_dump`), and, on the clips of unit weights,
-    which method b needs, every method's stops and traces
+    estimate (:func:`_estimate_dump`), and every method's stops and traces
     (:func:`_outcomes`)."""
     distances = [
         (gld(a, b).hex(), ngld(a, b).hex())
@@ -456,8 +451,7 @@ def _kernel_routes(clips):
     ]
     states = [_state_dump(clip.frames, clip.alphabet) for clip in clips]
     estimates = [_estimate_dump(clip.frames, clip.alphabet) for clip in clips]
-    unit = [clip for clip in clips if all(frame.weight == 1.0 for frame in clip.frames)]
-    return distances, states, estimates, _outcomes(unit)
+    return distances, states, estimates, _outcomes(clips)
 
 
 def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips):
@@ -559,18 +553,19 @@ def test_kernels_compile_without_warnings(tmp_path):
 def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_load):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     # a build of this environment from another source, one of another
-    # environment, and one named by the earlier scheme
+    # environment, and a name of no environment: all three stay, the first
+    # within the KEPT_SOURCES of its environment, the others in none
     name = _kernels._name(_kernels.compiler())
     cache = tmp_path / "framestop"
     cache.mkdir()
     other_source = cache / (name.rsplit("-", 1)[0] + "-0123456789abcdef.so")
     other_env = cache / "kernels-0123456789abcdef-0123456789abcdef.so"
-    legacy = cache / "kernels-0a8c3c2f6c38dc0b.so"  # the earlier one-key name
+    legacy = cache / "kernels-0a8c3c2f6c38dc0b.so"  # a one-key name
     for planted in (other_source, other_env, legacy):
         planted.write_bytes(b"")
     fresh_load()
     assert _kernels.get() is not None and _kernels.status() == "compiled"
-    kept = sorted([name, other_source.name, other_env.name])
+    kept = sorted([name, other_source.name, other_env.name, legacy.name])
     assert sorted(path.name for path in cache.iterdir()) == kept
     assert _kernels.get().gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
 
@@ -1055,8 +1050,7 @@ def _state_dump(frames, alphabet, *, track=True):
     ``frames``: the alignment ``align`` gives against the result before it
     (both index lists, cost, inserted, dropped), then the combined rows, the
     row ids and the history."""
-    unit = all(frame.weight == 1.0 for frame in frames)
-    state = CombinerState(alphabet, track_history=track, track_treaps=track and unit)
+    state = CombinerState(alphabet, track_history=track)
     out = []
     for frame in frames:
         out.append(repr(align(frame, state.mean_rows)).encode())
@@ -1068,10 +1062,9 @@ def _state_dump(frames, alphabet, *, track=True):
 
 
 def _estimate_dump(frames, alphabet):
-    """float.hex of base's, a's and (on unit weights) b's estimates, aggregates
-    and per-candidate distances, under both metrics, after every absorb."""
-    unit = all(frame.weight == 1.0 for frame in frames)
-    state = CombinerState(alphabet, track_history=True, track_treaps=unit)
+    """float.hex of base's, a's and b's estimates, aggregates and
+    per-candidate distances, under both metrics, after every absorb."""
+    state = CombinerState(alphabet, track_history=True)
     out = []
     for n, frame in enumerate(frames, 1):
         state.absorb(frame)
@@ -1181,8 +1174,7 @@ def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
     rng = random.Random(61)
     grown = 0
     for clip in [looped_clip(40), random_clip(rng, 0, weighted=True)]:
-        unit = all(frame.weight == 1.0 for frame in clip.frames)
-        for method in "ab" if unit else "a":
+        for method in "ab":
             state = CombinerState(clip.alphabet, track_history=method == "a",
                                   track_treaps=method == "b")
             estimate = estimate_method_a if method == "a" else estimate_method_b
@@ -1209,29 +1201,27 @@ def _replicated(n):
 
 
 def _check_the_kept_scan(clips):
-    """After every absorb of each of ``clips``, into an ``a`` state and, on
-    unit weights, a ``b`` one: what :meth:`CombinerState.candidate_gld`
+    """After every absorb of each of ``clips`` into a state with a store,
+    weighted or not: what :meth:`CombinerState.candidate_gld`
     serves for nGLD at 2 S and for GLD is the scan the absorb kept,
     write-protected, and in hex (at the stages :func:`_replicated` names)
     a fresh spread of the same store, current rows and shares in the
     kernel's summation order (:func:`_scan_replica`)."""
     for clip in clips:
-        unit = all(frame.weight == 1.0 for frame in clip.frames)
-        for treaps in (False, True) if unit else (False,):
-            state = CombinerState(clip.alphabet, track_history=not treaps, track_treaps=treaps)
-            for frame in clip.frames:
-                state.absorb(frame)
-                n, s = state.n, state.num_chars
-                kept = (2.0 * s, state._ngld), (None, state._gld)
-                for length, scan in kept:
-                    got = state.candidate_gld(length)
-                    assert got is scan and not got[0].flags.writeable
-                if not _replicated(n):
-                    continue
-                store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
-                shares = np.broadcast_to(state.candidate_shares(), n).tolist()
-                for length, scan in kept:
-                    assert _hex_scan(*scan) == _scan_replica(*store, shares, length)
+        state = CombinerState(clip.alphabet, track_history=True)
+        for frame in clip.frames:
+            state.absorb(frame)
+            n, s = state.n, state.num_chars
+            kept = (2.0 * s, state._ngld), (None, state._gld)
+            for length, scan in kept:
+                got = state.candidate_gld(length)
+                assert got is scan and not got[0].flags.writeable
+            if not _replicated(n):
+                continue
+            store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
+            shares = np.broadcast_to(state.candidate_shares(), n).tolist()
+            for length, scan in kept:
+                assert _hex_scan(*scan) == _scan_replica(*store, shares, length)
 
 
 def _kept_scan_clips():

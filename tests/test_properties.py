@@ -17,11 +17,11 @@ DELTA = 0.1
 
 
 @st.composite
-def clips(draw, *, unit_weights=False):
+def clips(draw):
     """(alphabet, frames): 1-6 frames of 0-5 rows over 1-4 classes, random weights."""
     k = draw(st.integers(1, 4))
     scores = st.floats(0.001, 1.0)
-    weights = st.just(1.0) if unit_weights else st.floats(0.0, 4.0)
+    weights = st.floats(0.0, 4.0)
     frames = []
     for _ in range(draw(st.integers(1, 6))):
         rows = draw(st.lists(st.lists(scores, min_size=k, max_size=k), max_size=5))
@@ -58,7 +58,7 @@ def test_estimates_finite_bounded_and_a_matches_oracle(clip):
 
 def _check_b_aggregate_is_a_aggregate(clip):
     alphabet, frames = clip
-    for state, _ in _states(alphabet, frames, track_history=True, track_treaps=True):
+    for state, _ in _states(alphabet, frames, track_treaps=True):
         for metric in MetricKind:
             a = estimate_method_a(state, metric=metric, delta=DELTA)
             b = estimate_method_b(state, metric=metric, delta=DELTA)
@@ -70,24 +70,22 @@ def _check_constant_clip_collapses(clip, repeats):
     alphabet, frames = clip
     frame = frames[0]
     constant = [frame] * repeats
-    tracking = {"track_history": True, "track_treaps": frame.weight == 1.0}
-    for state, seen in _states(alphabet, constant, **tracking):
+    for state, seen in _states(alphabet, constant, track_history=True):
         expected = DELTA / (state.n + 1)
         for metric in MetricKind:
             assert estimate_base(state, seen, metric=metric, delta=DELTA).estimate == expected
             assert estimate_method_a(state, metric=metric, delta=DELTA).estimate == expected
-            if state.track_treaps:
-                assert estimate_method_b(state, metric=metric, delta=DELTA).estimate == expected
+            assert estimate_method_b(state, metric=metric, delta=DELTA).estimate == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(clips(unit_weights=True))
+@given(clips())
 def test_method_b_aggregate_is_method_a_aggregate(clip):
     _check_b_aggregate_is_a_aggregate(clip)
 
 
 @settings(max_examples=100, deadline=None)
-@given(clips(unit_weights=True))
+@given(clips())
 def test_method_b_aggregate_is_method_a_aggregate_on_python_kernels(clip):
     with python_kernels():
         _check_b_aggregate_is_a_aggregate(clip)

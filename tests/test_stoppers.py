@@ -204,11 +204,21 @@ def test_estimator_preconditions():
         estimate_base(state_frames_mismatch, frames[:1])
 
 
-def test_method_b_rejects_weighted_state():
-    state = CombinerState(ALPHA, track_history=True)
-    state.absorb(make_frame([[1, 0]], 2.0))
-    with pytest.raises(ValueError):
-        estimate_method_b(state)
+def test_method_b_takes_a_weighted_state():
+    # b reads a's kept scan, whose sum carries each frame's share: weights
+    # 2 and 1 give shares 2/5 and 1/4 of the match costs 1/3 and 2/3
+    for keyword in ("track_history", "track_treaps"):
+        state = CombinerState(ALPHA, **{keyword: True})
+        state.absorb(make_frame([[1, 0]], 2.0))
+        state.absorb(make_frame([[0, 1]], 1.0))
+        for metric in MetricKind:
+            a = estimate_method_a(state, metric=metric, delta=DELTA)
+            b = estimate_method_b(state, metric=metric, delta=DELTA)
+            assert b.gld_aggregate == a.gld_aggregate
+            assert math.isclose(b.gld_aggregate, 2 / 15 + 1 / 6, abs_tol=1e-12)
+        g = b.gld_aggregate
+        b = estimate_method_b(state, metric=MetricKind.NGLD, delta=DELTA)
+        assert math.isclose(b.estimate, (DELTA + 2 * g / (g + 2)) / 3, abs_tol=1e-12)
 
 
 def test_weighted_method_a_matches_oracle():
