@@ -31,7 +31,9 @@ for a wrapper that times the stage's compiled calls as one sum, in a
 pass of its own so that the wrapper's cost stays out of the whole stage:
 ``lib.absorb``, and ``lib.spread`` where the label's module has it, as
 checkouts before the absorb kept the scan did; a stage of this checkout
-is one ``lib.absorb`` call.
+is one ``lib.absorb`` call.  Where ``_kernels.status()`` is not
+"compiled" the drive exits with it, and the script with the drive's
+error: the bare-call pass would time the Python kernels.
 
 The rows of one seed's rounds feed both tables (:func:`tables`): per
 column, each clip's minimum over rounds and repeats, the mean over clips
@@ -102,9 +104,9 @@ config = SyntheticConfig(
 )
 clips = generate_synthetic(config)
 configs = [StopperConfig(StopperMethod(name), max_stages=last) for name in names]
-lib = _kernels.get()
-if lib is None:
+if _kernels.status() != "compiled":
     raise SystemExit(f"no compiled kernels: {_kernels.status()}")
+lib = _kernels.get()
 bare = [0.0]  # seconds inside the compiled calls, this stage
 
 def timed(name):

@@ -8,7 +8,7 @@
    backward GLD table as metrics.cost_table does, reads the path off as
    combiner._path does, and then merges the rows along it as
    combiner._merge does and writes the history store as
-   CombinerState._record does.  fs_gld is metrics.gld in one call, with
+   combiner._absorb does.  fs_gld is metrics.gld in one call, with
    the same costs and table.  Every result is bit-identical to the Python
    reference, which runs the same IEEE operations in the same order; build
    without floating-point contraction (-ffp-contract=off) and without
@@ -55,12 +55,12 @@
    table of the store's blocks (store) and the arrays they return.  They
    derive every other argument from the arrays' shapes and data pointers,
    run the kernels with the GIL released and build the Python result.
-   absorb tests the room of the row-id order and the history store,
-   answering None, with nothing written, where it lacks (the state then
-   makes room and calls again); it refuses a non-finite cost, as
-   CombinerState.absorb's Python route does, and hands back the merged
-   rows cut to the result's S + 1 rows and write-protected (cut), the
-   array the state keeps, and the scan, which the state keeps for
+   absorb, as combiner._absorb, the Python kernel of the same arguments
+   and answers, does, tests the room of the row-id order and the history
+   store, answering None, with nothing written, where it lacks (the state
+   then makes room and calls again); it refuses a non-finite cost and
+   hands back the merged rows cut to the result's S + 1 rows and
+   write-protected (cut), the array the state keeps, and the scan, which the state keeps for
    CombinerState.candidate_gld until the next absorb.  No address
    outlives a call. */
 

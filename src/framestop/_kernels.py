@@ -32,24 +32,28 @@ A fresh load also runs :func:`probe`: ``fs_gld`` and ``fs_absorb``
 compute the substitution and gap costs of ``metrics.gld`` and
 ``combiner.align`` in numpy's pairwise summation order, which numpy does
 not promise to keep, so the probe checks them against numpy's bit for bit.
-That is the one switch: :func:`get` returns the module only once it
-builds, imports and passes the probe, and then every kernel runs
-compiled.  Otherwise (no compiler or headers, a failed build or load,
-or a probe mismatch) it returns None, every kernel runs its Python
-reference (numpy costs, Python tables, the numpy scan), which gives the
-same alignments, and ``reason`` and :func:`status` say why.
+That is the one switch: :func:`get` returns the compiled module once it
+builds, imports and passes the probe.  Otherwise (no compiler or headers,
+a failed build or load, or a probe mismatch) it returns the Python
+kernels (:func:`reference`), which give the same answers, and ``reason``
+and :func:`status` say why.
 
-The callers, ``metrics.gld``, ``combiner.align`` and
-``CombinerState.absorb``, each call :func:`get` once and then the
-module's entry point itself: ``gld`` into ``fs_gld``, ``align`` into
-``fs_absorb``, and ``absorb`` into ``fs_absorb`` and then, with a
-history store, ``fs_spread``, the one scan that methods ``a`` and ``b``
-read: an ``a`` or ``b`` stage is one ``absorb`` call, and
-``CombinerState.candidate_gld`` only reads what the state kept.  The C
-kernels only compute; each entry point does the rest, in C.  It checks
-every argument: C-contiguous aligned float64 or int64 ndarrays in the
-machine's byte order, writable where the kernel writes, and the right
-count of arguments (TypeError naming the argument or the function
+Either way :func:`get` returns a kernel module of three entry points with
+one interface, and each caller makes one call of it: ``metrics.gld``
+calls ``gld(x, y)``, ``combiner.align`` ``align(x, y)``, and
+``CombinerState.absorb`` and ``combine_candidate`` ``absorb(result,
+frame, factor, order, blocks, used, slots, frame_index, share)``.  The
+Python kernels are ``metrics._cost`` (numpy's costs and
+``metrics.cost_table``), ``combiner._align`` (the same and the traceback
+``combiner._path``) and ``combiner._absorb`` (the room test, ``_align``,
+``combiner._merge``, the store write and the numpy scan).  An ``a`` or
+``b`` stage is one ``absorb`` call, and ``CombinerState.candidate_gld``
+only reads what the state kept.
+
+The compiled kernels only compute; each entry point does the rest, in C.
+It checks every argument: C-contiguous aligned float64 or int64 ndarrays
+in the machine's byte order, writable where the kernel writes, and the
+right count of arguments (TypeError naming the argument or the function
 otherwise).  It allocates the kernel's memory, a work block that also
 holds the path and, for ``absorb``'s scan, each row id's current row
 (MemoryError when its size overflows or it cannot be allocated), and the
@@ -58,21 +62,22 @@ shapes: ``absorb`` numbers the rows it inserts from S, the result's row
 count, and reads the history store's blocks, a tuple of arrays of one
 shape whose rows are a power of two and of the result's width
 (ValueError otherwise), and its slots.  It releases the GIL while the
-kernels run and builds the Python result.  ``align`` and ``absorb``
+kernels run and builds the Python result.  The Python kernels check
+nothing beyond what numpy does.  On both routes ``align`` and ``absorb``
 raise ValueError when the costs hold a NaN, so no path exists, and
 ``absorb`` also when the path's cost is not finite, with
 ``combiner.align``'s message, writing nothing.  ``absorb`` returns
 ``(steps, cost, merged, ngld, gld)``: ``merged`` holds the merged rows
-followed by the empty row, cut in place to those steps + 1 rows
-(``PyArray_Resize``, which moves no data where the allocator shrinks the
-block in place) and write-protected, so ``CombinerState`` keeps it as
-its result as it is; with a history store, ``ngld`` is the scan's
-``(d, sum of g, sum of d)`` at the nGLD length 2 steps and ``gld`` its
-``(g, sum of g, sum of g)``, ``d`` and ``g`` write-protected, which the
-state keeps until the next absorb (None without a store).  ``absorb`` is
-the only test of the room: where the row-id order or the history store
-has no room for the call it returns None, writing nothing, and the state
-makes the room and calls again.
+followed by the empty row, write-protected (the compiled entry point cuts
+its array in place to those steps + 1 rows, with ``PyArray_Resize``,
+which moves no data where the allocator shrinks the block in place), so
+``CombinerState`` keeps it as its result as it is; with a history store,
+``ngld`` is the scan's ``(d, sum of g, sum of d)`` at the nGLD length 2
+steps and ``gld`` its ``(g, sum of g, sum of g)``, ``d`` and ``g``
+write-protected, which the state keeps until the next absorb (None
+without a store).  ``absorb`` is the only test of the room: where the
+row-id order or the history store has no room for the call it returns
+None, writing nothing, and the state makes the room and calls again.
 """
 
 import contextlib
@@ -83,6 +88,7 @@ import sysconfig
 import tempfile
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,8 +104,8 @@ MODULE = "framestop._compiled"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET = object()
-lib = _UNSET  # the loaded and probed module, None when the Python kernels run
-reason = "not loaded yet"  # why lib is None, or "compiled"
+lib = _UNSET  # the compiled module, loaded and probed, or the Python kernels
+reason = "not loaded yet"  # "compiled", or why the Python kernels run
 
 # row widths (K+1) of the load-time probe of fs_gld's costs: each side of
 # numpy's 8-term and 128-term thresholds, and the benchmark's 37
@@ -258,23 +264,33 @@ def _load():
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def reference():
+    """The Python kernels: a namespace of the compiled module's entry
+    points, each the Python reference that the compiled one matches, with
+    its arguments and answers."""
+    from . import combiner, metrics  # here: both import this module
+
+    return SimpleNamespace(gld=metrics._cost, align=combiner._align, absorb=combiner._absorb)
+
+
 def get():
-    """The compiled kernels' module, built, loaded and probed on first call;
-    None when the Python kernels run, ``reason`` saying why: no build, no
-    load, or a probe mismatch (:func:`probe`)."""
+    """The kernels, chosen on first call: the compiled module, built, loaded
+    and probed, or else the Python kernels (:func:`reference`), ``reason``
+    saying why: no build, no load, or a probe mismatch (:func:`probe`)."""
     global lib, reason
     if lib is _UNSET:
         lib, reason = _load()
-        if lib is not None:
-            mismatch = probe()
-            if mismatch is not None:
-                lib, reason = None, mismatch
+        if lib is not None and (mismatch := probe()) is not None:
+            reason = mismatch
+        if reason != "compiled":
+            lib = reference()
     return lib
 
 
 def status():
     """"compiled", or "python: <why>" when the Python kernels run."""
-    return "compiled" if get() is not None else f"python: {reason}"
+    get()
+    return reason if reason == "compiled" else f"python: {reason}"
 
 
 # the probe's row counts per side: neither fills whole groups of four

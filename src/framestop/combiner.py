@@ -16,10 +16,11 @@ points its slots at them (O(M*K)); every other slot holds 0, the index
 of the empty distribution, so a frame reads as empty wherever it was not
 aligned, rows created after it included.  The state is built with the
 store's first sizes (``_STORE_CAPACITY``), whatever its frames will be;
-when an absorb lacks room, ``CombinerState._reserve`` grows row ids and
-frames to twice their size (or more, if the frame needs it) and appends
-blocks until the rows fit, so no kernel grows anything; display order is
-applied only when the history is read, by ``CombinerState.contributions``.
+when the kernels' absorb answers that it lacks room,
+``CombinerState._reserve`` grows row ids and frames to twice their size
+(or more, if the frame needs it) and appends blocks until the rows fit,
+so no kernel grows anything; display order is applied only when the
+history is read, by ``CombinerState.contributions``.
 A freed state hands its blocks to the spare blocks (``_SPARE``, at most
 ``_SPARE_BYTES``, by block shape), and a new state's first block and
 appended blocks come from there before ``np.empty``: glibc gives a freed
@@ -32,25 +33,27 @@ reused block's rows are another state's, as a new block's are garbage:
 ``__init__`` writes the empty row 0 again, and no other row is read before
 an absorb writes it, as slots index only rows below ``_used``.
 
-Two routes give the same alignments, rows, row ids and store bit for
-bit.  Where the compiled kernels run (``_kernels.get()`` returns their
-module), ``CombinerState.absorb`` is one ``absorb`` call of the module,
-given the state's arrays themselves: ``fs_absorb`` in ``_kernels.c``
-(the costs, in numpy's summation order, the table, the path, the merge
-and the store write), then, with a history store, ``fs_spread``, the
-scan below, over the merged rows; that call alone tests the room.
-``align`` is ``fs_absorb`` without the merge and the store.  Otherwise
-numpy's ``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the
-Python traceback ``_path``, ``_merge``, ``CombinerState._record`` and
-the numpy scan run, the reference.
+Two kernels give the same alignments, rows, row ids and store bit for
+bit, and each caller makes one call of the one that ``_kernels.get()``
+returns, given the state's arrays themselves: ``CombinerState.absorb``
+and ``combine_candidate`` call its ``absorb`` (the costs, in numpy's
+summation order, the table, the path, the merge, the row ids and, with a
+history store, the store write and the scan below over the merged rows;
+that call alone tests the room), and ``align`` its ``align`` (the same
+without the merge and the store).  The compiled kernels are ``fs_absorb``
+and ``fs_spread`` in ``_kernels.c``; the Python ones, the reference, are
+:func:`_absorb` and :func:`_align` here, which run numpy's
+``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the
+traceback :func:`_path`, :func:`_merge` and the numpy scan
+(:func:`_spread`).
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``, which only reads what the absorb kept:
 an O(n*S*K) scan of each frame's spread from the current rows, taken by
 row id from the combined result, then each candidate's merge share, its
 nGLD at 2 S and the sums of both.  A store means that the absorb scans:
-every absorb into a state with a store runs the scan once, on either
-route, whether or not it is read, so a caller that reads only
+every absorb into a state with a store runs the scan once, in either
+kernel, whether or not it is read, so a caller that reads only
 ``contributions`` pays for it too.
 A slot holding 0 adds the current row's distance to the empty row
 instead of K+1 terms.  The compiled scan sums each frame in frame-wide
@@ -209,10 +212,10 @@ def align(frame, result):
     that are not a 2-D array, or that hold a NaN or an infinity, raise
     ValueError, as in ``metrics.gld``.
 
-    Where the compiled kernels run, this is one ``fs_absorb`` call with no
-    merge and no store, whose costs equal numpy's ``pairwise_costs`` /
-    ``gap_costs`` bit for bit, and which builds the two index tuples itself;
-    otherwise those and :func:`_path`, the reference.  A ``base`` stage at
+    This is one ``align`` call of the kernels (see the module docstring):
+    ``fs_absorb`` with no merge and no store, whose costs equal numpy's
+    ``pairwise_costs`` / ``gap_costs`` bit for bit, or :func:`_align`, the
+    reference.  A ``base`` stage at
     n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
     narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
     n=25), as ``a``'s absorb runs the same faster costs; CHANGES.md gives
@@ -224,25 +227,26 @@ def align(frame, result):
         raise ValueError(
             f"class counts differ: frame {fresh.shape[1] - 1} vs result {combined.shape[1] - 1}"
         )
-    s, m = combined.shape[0], fresh.shape[0]
-    lib = _kernels.get()
-    if lib is not None:
-        result_rows, frame_rows, cost = lib.align(combined, fresh)
-    else:
-        sub = pairwise_costs(combined, fresh) if s and m else np.zeros((s, m))
-        skip = gap_costs(combined)  # cost of skipping each combined row
-        gaps = gap_costs(fresh)  # cost of inserting each frame row
-        result_rows, frame_rows, cost = _path(sub.tolist(), skip.tolist(), gaps.tolist())
+    result_rows, frame_rows, cost = _kernels.get().align(combined, fresh)
     if not math.isfinite(cost):
         raise ValueError(f"alignment cost is {cost}: rows must be finite")
-    steps = len(result_rows)
+    steps, s, m = len(result_rows), combined.shape[0], fresh.shape[0]
     return Alignment(result_rows, frame_rows, cost, steps - s, steps - m)
+
+
+def _align(result, frame):
+    """The Python kernel ``align``: (result_rows, frame_rows, cost) of the
+    rows ``frame`` against the rows ``result``, 2-D arrays of one width,
+    from numpy's costs and :func:`_path`; the cost finite or not."""
+    s, m = len(result), len(frame)
+    sub = pairwise_costs(result, frame) if s and m else np.zeros((s, m))
+    # the cost of skipping each result row, and of inserting each frame row
+    return _path(sub.tolist(), gap_costs(result).tolist(), gap_costs(frame).tolist())
 
 
 def _path(sub, skip, gaps):
     """(result_rows, frame_rows, cost) from :func:`metrics.cost_table` over
-    nested lists: the Python kernel, and the reference of the path the
-    compiled ``align`` reads."""
+    nested lists: the reference of the path the compiled ``align`` reads."""
     table = cost_table(sub, skip, gaps)
     s, m = len(skip), len(gaps)
     # read the path off from the front, recomputing each cell's choices in
@@ -270,24 +274,106 @@ def _path(sub, skip, gaps):
     return tuple(result_rows), tuple(frame_rows), table[0][0]
 
 
-def _merge(alignment, frame_padded, result_padded, factor):
-    """Rows of the merge along ``alignment``, followed by the empty row;
-    factor = new weight / total weight.
+def _merge(result_rows, frame_rows, frame_padded, result_padded, factor):
+    """Rows of the merge along the path ``result_rows``, ``frame_rows``
+    (see :class:`Alignment`), followed by the empty row; factor = new
+    weight / total weight.
 
     Both inputs end with the empty row, which a gap step gathers for the
     side it skips.  Each step gives ``old + factor * (new - old)``,
     computed in place in the output.
     """
-    steps = len(alignment.result_rows)
+    steps = len(result_rows)
     merged = np.empty((steps + 1, result_padded.shape[1]))
     rows = merged[:steps]
-    frame_padded.take(alignment.frame_rows, axis=0, out=rows)
-    old = result_padded.take(alignment.result_rows, axis=0)
+    frame_padded.take(frame_rows, axis=0, out=rows)
+    old = result_padded.take(result_rows, axis=0)
     rows -= old
     rows *= factor
     rows += old
     merged[steps] = result_padded[-1]
     return merged
+
+
+def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, share):
+    """The Python kernel ``absorb``, with the compiled entry point's
+    arguments and answer (see ``_kernels``): the frame rows ``frame`` merged
+    into the result rows ``result``, each followed by the empty row, with
+    the share ``factor``, along :func:`_align`'s path (:func:`_merge`); the
+    row ids of the merged rows written to ``order``, which holds the
+    result's on entry, the rows the merge inserts taking the ids S.., in
+    order.  With a history store (``blocks`` not None) the frame's rows are
+    appended at global row ``used``, on into the next blocks where they
+    reach the end of one, frame ``frame_index``'s slot of the row id each
+    frame row merged into is pointed at it, and the numpy scan
+    (:func:`_spread`) runs over the merged rows, with the next candidates'
+    ``share``.  None, writing nothing, where ``order`` lacks S + M entries
+    or the store the frame, M rows or S + M row ids; ValueError, writing
+    nothing, where the alignment cost is not finite."""
+    s, m = len(result) - 1, len(frame) - 1
+    if len(order) < s + m or blocks is not None and not (
+        frame_index < len(slots) and s + m <= slots.shape[1]
+        and used + m <= len(blocks) * len(blocks[0])
+    ):
+        return None
+    result_rows, frame_rows, cost = _align(result[:s], frame[:m])
+    if not math.isfinite(cost):
+        raise ValueError(f"alignment cost is {cost}: rows must be finite")
+    merged = _merge(result_rows, frame_rows, frame, result, factor)
+    merged.setflags(write=False)
+    steps = len(result_rows)
+    ids, new_ids = order[:s].tolist(), iter(range(s, steps))
+    order[:steps] = [ids[r] if r < s else next(new_ids) for r in result_rows]
+    if blocks is None:
+        return steps, cost, merged, None, None
+    size = len(blocks[0])
+    for start in range(used - used % size, used + m, size):
+        low, high = max(used, start), min(used + m, start + size)
+        blocks[start // size][low - start : high - start] = frame[low - used : high - used]
+    # the row id of each frame row, in frame order
+    rids = [rid for rid, j in zip(order[:steps].tolist(), frame_rows) if j < m]
+    slots[frame_index, rids] = range(used, used + m)
+    g = _spread(blocks, slots[: frame_index + 1], order[:steps], merged[:steps]) * share / 2.0
+    d = normalized(g, 2.0 * steps)
+    g.setflags(write=False)
+    d.setflags(write=False)
+    g_sum = float(g.sum())
+    return steps, cost, merged, (d, g_sum, float(d.sum())), (g, g_sum, g_sum)
+
+
+def _gather(blocks, index, classes=slice(None)):
+    """The rows of the history store ``blocks`` at the global row indices
+    ``index``, an int64 array of any shape, cut to ``classes`` (an index
+    into K+1): a new array of that shape followed by the cut's.  The rows
+    from the least nonzero index to the largest are copied out of their
+    blocks once, after the empty row, and gathered from there, so the cost
+    follows the rows spanned, however many blocks they lie in."""
+    size = len(blocks[0])
+    high = int(index.max(initial=0)) + 1
+    low = int(index.min(initial=high, where=index > 0))
+    pieces = [blocks[0][:1, classes]]
+    for start in range(low - low % size, high, size):
+        rows = blocks[start // size]
+        pieces.append(rows[max(low - start, 0) : min(high - start, size), classes])
+    return np.concatenate(pieces).take(np.maximum(index - (low - 1), 0), axis=0)
+
+
+def _spread(blocks, slots, order, rows):
+    """Per frame of ``slots``, the sum over rows and classes of |current -
+    contribution|, shape (n,): the numpy scan of the history store
+    ``blocks``, the current rows taken by row id from ``rows`` through the
+    inverse of the row-id ``order``.  ``_SCAN_FRAMES`` frames at a time,
+    gathered across the blocks, so no temporary grows with the history."""
+    s = len(order)
+    position = np.empty(s, dtype=np.int64)  # row id r's row in rows
+    position[order] = np.arange(s)
+    current = rows[position]
+    n = len(slots)
+    out = np.empty(n)
+    for f in range(0, n, _SCAN_FRAMES):
+        frames = slice(f, min(n, f + _SCAN_FRAMES))
+        out[frames] = np.abs(_gather(blocks, slots[frames, :s]) - current).sum(axis=(1, 2))
+    return out
 
 
 class CombinerState:
@@ -323,8 +409,7 @@ class CombinerState:
         empty.setflags(write=False)
         # the one result array, the S rows followed by the empty row, and
         # S; it is write-protected and owns its data, so no view of it is
-        # writable: lib.absorb returns it so, and _absorb_python
-        # write-protects _merge's rows itself
+        # writable: both kernels' absorb return it so
         self._padded = empty
         self.num_chars = 0
         self._matrix = None  # mean_rows: _padded[:S], sliced on its first read
@@ -403,21 +488,19 @@ class CombinerState:
         slots of the row ids they were aligned to at them; every other row
         already reads as empty for this frame.  With a store, the state
         then keeps the scan that :meth:`candidate_gld` reads until the next
-        absorb, write-protected.  Where the compiled kernels run, this is
-        one ``absorb`` call of the module: the alignment, the merge, the
-        store write and the scan, given the next candidates' shares.  That
-        call is the only test of the room: when s + m row ids, ``_used`` +
-        m rows or n + 1 frames are more than the state holds it answers
-        None, writing nothing, and :meth:`_reserve` makes the room before
-        the call is made again.  Otherwise :meth:`_absorb_python` runs, the
-        reference, which gives the same rows, row ids and store bit for
-        bit, and then the numpy scan (:meth:`spread`).  ``absorb`` refuses
-        a non-finite alignment cost as :func:`align` does, writing nothing,
-        and hands back the merged rows, followed by the empty row, cut and
-        write-protected: the array the state keeps.  Only a MemoryError in
-        that cut, after the row ids and the store are written, leaves the
-        state inconsistent.  A frame of the common weight merges by the
-        cached ``_share``, :func:`merge_share`'s float even for zero weights.
+        absorb, write-protected.  This is one ``absorb`` call of the kernels
+        (see the module docstring): the alignment, the merge, the store
+        write and the scan, given the next candidates' shares.  That call is
+        the only test of the room: when s + m row ids, ``_used`` + m rows or
+        n + 1 frames are more than the state holds it answers None, writing
+        nothing, and :meth:`_reserve` makes the room before the call is made
+        again.  ``absorb`` refuses a non-finite alignment cost as
+        :func:`align` does, writing nothing, and hands back the merged rows,
+        followed by the empty row, write-protected: the array the state
+        keeps.  Only a MemoryError in the compiled entry point's cut, after
+        the row ids and the store are written, leaves the state
+        inconsistent.  A frame of the common weight merges by the cached
+        ``_share``, :func:`merge_share`'s float even for zero weights.
         """
         self._check_frame(frame)
         w = frame.weight
@@ -426,28 +509,20 @@ class CombinerState:
             raise ValueError(f"frame weight {w} makes the weight total overflow")
         factor = self._share if w == self._common_weight else _scalar_share(w, self.weight_total)
         common = self.n == 0 or w == self._common_weight
-        # the next candidates' share, which the compiled absorb's scan takes
+        # the next candidates' share, which the absorb's scan takes
         if common:
             share = _scalar_share(w, new_total)
         elif self._blocks is not None:
             share = merge_share(np.asarray([*self._weights, w]), new_total)
         else:
             share = None
-        lib = _kernels.get()
-        if lib is not None:
-            answer = lib.absorb(
-                self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
-                self._slots, self.n, share,
-            )
-            if answer is None:  # no room, nothing written
-                self._reserve(len(frame.rows))
-                answer = lib.absorb(
-                    self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
-                    self._slots, self.n, share,
-                )
-            self.num_chars, _, self._padded, self._ngld, self._gld = answer
-        else:
-            self._absorb_python(frame, factor)
+        kernels = _kernels.get()
+        while (answer := kernels.absorb(
+            self._padded, frame.padded_rows, factor, self._ids, self._blocks, self._used,
+            self._slots, self.n, share,
+        )) is None:  # no room, nothing written
+            self._reserve(len(frame.rows))
+        self.num_chars, _, self._padded, self._ngld, self._gld = answer
         self._matrix = None
         self._weights.append(w)
         if common:
@@ -459,70 +534,6 @@ class CombinerState:
         self.weight_total = new_total
         if self._blocks is not None:
             self._used += len(frame.rows)
-            if lib is None:
-                g = self.spread() * self.candidate_shares() / 2.0
-                d = normalized(g, 2.0 * self.num_chars)
-                g.setflags(write=False)
-                d.setflags(write=False)
-                g_sum = float(g.sum())
-                self._ngld, self._gld = (d, g_sum, float(d.sum())), (g, g_sum, g_sum)
-
-    def _absorb_python(self, frame, factor):
-        """The reference absorb: :meth:`_reserve`, :func:`align`,
-        :func:`_merge`, :meth:`_record`."""
-        self._reserve(len(frame.rows))
-        alignment = align(frame, self.mean_rows)
-        order = self._row_ids_after(alignment)
-        padded = _merge(alignment, frame.padded_rows, self._padded, factor)
-        self._ids[: len(order)] = order
-        if self._blocks is not None:
-            # row id of each frame row, in frame order
-            m = frame.num_chars
-            self._record([rid for rid, j in zip(order, alignment.frame_rows) if j < m], frame.rows)
-        padded.setflags(write=False)
-        self._padded, self.num_chars = padded, len(order)
-
-    def _row_ids_after(self, alignment):
-        """Row ids in display order after a merge along ``alignment``.
-
-        Rows the merge inserts take the next free ids, S on, in order.
-        """
-        s = self.num_chars
-        ids = self._ids[:s].tolist()
-        new_ids = iter(range(s, s + alignment.inserted))
-        return [ids[r] if r < s else next(new_ids) for r in alignment.result_rows]
-
-    def _record(self, rids, rows):
-        """Append frame n's rows to the store and point its slots at them.
-
-        ``rids`` holds the row id of each of the frame's rows, which may run
-        on into the next blocks.
-        """
-        start, size = self._used, 1 << self._shift
-        done = 0
-        while done < len(rows):
-            at = start + done
-            offset = at & (size - 1)
-            step = min(size - offset, len(rows) - done)
-            self._blocks[at >> self._shift][offset : offset + step] = rows[done : done + step]
-            done += step
-        self._slots[self.n, rids] = np.arange(start, start + len(rows))
-
-    def _gather(self, index, classes=slice(None)):
-        """The store rows at the global row indices ``index``, an int64 array
-        of any shape, cut to ``classes`` (an index into K+1): a new array of
-        that shape followed by the cut's.  The rows from the least nonzero
-        index to the largest are copied out of their blocks once, after the
-        empty row, and gathered from there, so the cost follows the rows
-        spanned, however many blocks they lie in."""
-        size = 1 << self._shift
-        low = int(index.min(initial=self._used, where=index > 0))
-        high = int(index.max(initial=0)) + 1
-        pieces = [self._blocks[0][:1, classes]]
-        for start in range(low - low % size, high, size):
-            rows = self._blocks[start >> self._shift]
-            pieces.append(rows[max(low - start, 0) : min(high - start, size), classes])
-        return np.concatenate(pieces).take(np.maximum(index - (low - 1), 0), axis=0)
 
     def _reserve(self, m):
         """Make room for frame n of ``m`` rows, whatever its alignment: s + m
@@ -569,11 +580,18 @@ class CombinerState:
         return merge_share(np.asarray(self._weights), self.weight_total)
 
     def combine_candidate(self, candidate):
-        """Combined result if ``candidate`` arrived next; the state is untouched."""
-        alignment, share = self.candidate_alignment(candidate)
-        ids = self._row_ids_after(alignment)
-        merged = _merge(alignment, candidate.padded_rows, self._padded, share)
-        return CombinedResult(merged[:-1], ids)
+        """Combined result if ``candidate`` arrived next, merged with its
+        :func:`merge_share`; the state is untouched: one ``absorb`` call of
+        the kernels with no history store, on a copy of the row-id order."""
+        self._check_frame(candidate)
+        s = self.num_chars
+        order = np.empty(s + candidate.num_chars, dtype=np.int64)
+        order[:s] = self._ids[:s]
+        share = _scalar_share(candidate.weight, self.weight_total)
+        steps, _, merged, _, _ = _kernels.get().absorb(
+            self._padded, candidate.padded_rows, share, order, None, 0, None, 0, None
+        )
+        return CombinedResult(merged[:-1], order[:steps].tolist())
 
     def current_result(self):
         """Snapshot of the combined result after the frames absorbed so far."""
@@ -585,24 +603,15 @@ class CombinerState:
         """Per frame i, the sum over rows and classes of |current - contribution_i|.
 
         Shape (n,).  The current rows are taken by row id from the combined
-        result, through the inverse of the row-id order.  A numpy scan of
-        ``_SCAN_FRAMES`` frames at a time, gathered across the blocks, so no
-        temporary grows with the history: the Python route's scan, which
-        the compiled ``fs_spread`` (see ``_kernels.c``) agrees with to
-        within 1e-14 relative up to n=400.  Both give exactly 0 for a frame
-        equal to the current rows.
+        result, through the inverse of the row-id order: the numpy scan
+        (:func:`_spread`) of the Python kernels, which the compiled
+        ``fs_spread`` (see ``_kernels.c``) agrees with to within 1e-14
+        relative up to n=400.  Both give exactly 0 for a frame equal to the
+        current rows.
         """
         self._check_store()
-        n = self.n
         s = self.num_chars
-        position = np.empty(s, dtype=np.int64)  # row id r's row in the result
-        position[self._ids[:s]] = np.arange(s)
-        current = self.mean_rows[position]
-        out = np.empty(n)
-        for f in range(0, n, _SCAN_FRAMES):
-            frames = slice(f, min(n, f + _SCAN_FRAMES))
-            out[frames] = np.abs(self._gather(self._slots[frames, :s]) - current).sum(axis=(1, 2))
-        return out
+        return _spread(self._blocks, self._slots[: self.n], self._ids[:s], self.mean_rows)
 
     def candidate_gld(self, length=None):
         """Method a's distance to every candidate next merge, and their sums.
@@ -651,7 +660,7 @@ class CombinerState:
         """History tensor, shape (n, S, K+1): what each frame merged into each
         row, rows in display order; a write-protected copy gathered from the store."""
         self._check_store()
-        gathered = self._gather(self._slots[: self.n, self._ids[: self.num_chars]])
+        gathered = _gather(self._blocks, self._slots[: self.n, self._ids[: self.num_chars]])
         gathered.setflags(write=False)
         return gathered
 
@@ -668,7 +677,7 @@ class CombinerState:
         class_index = _index(class_index, "class index")
         if not 0 <= class_index < self._width:
             raise IndexError(f"class index {class_index} out of range")
-        column = self._gather(self._slots[: self.n, row_id], class_index)
+        column = _gather(self._blocks, self._slots[: self.n, row_id], class_index)
         values, counts = np.unique(column, return_counts=True)
         index = MultisetIndex(random.Random(f"{self._seed}:{row_id}:{class_index}"))
         for value, count in zip(values.tolist(), counts.tolist()):

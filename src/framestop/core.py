@@ -220,9 +220,13 @@ def to_text(rows, alphabet, *, drop_empty=False):
     The empty class never wins directly; with ``drop_empty`` rows whose
     empty-class mass dominates every symbol are skipped, which is the
     natural way to display a combined result.  Rows that are not a 2-D
-    array raise ValueError, as in ``metrics.gld``.
+    array raise ValueError, as in ``metrics.gld``, and so do rows of any
+    width but the alphabet's size + 1.
     """
     rows = metrics._as_rows(rows)
+    if rows.shape[0] and rows.shape[1] != alphabet.size + 1:
+        raise ValueError(f"rows are {rows.shape[1]} wide, expected {alphabet.size + 1}: "
+                         f"the empty class and {alphabet.size} symbols")
     if rows.size == 0:
         return ""
     chars = []

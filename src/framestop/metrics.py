@@ -5,15 +5,16 @@ distributions, a generalized Levenshtein distance (GLD) between row
 sequences that uses the taxicab distance for substitution and gap costs,
 and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
 ``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
-and ``combiner.align`` reads its path.  Where the compiled kernels run
-(``_kernels.get()`` returns their module), both run its compiled copy in
-``_kernels.c`` instead, whose substitution and gap costs, computed in C in
-numpy's summation order, a load-time probe has found equal to
-:func:`pairwise_costs` / :func:`gap_costs` bit for bit; the copy performs
-the same floating-point operations in the same order, so it gives the
-same results bit for bit, in O(S*M) working memory rather than the
-O(S*M*K) of the numpy cost matrix.  Otherwise both run numpy's costs and
-``cost_table``, the reference.
+and ``combiner.align`` reads its path.  Both make one call of the kernel
+module ``_kernels.get()`` returns.  Where the compiled kernels run, that
+is their copy in ``_kernels.c``, whose substitution and gap costs,
+computed in C in numpy's summation order, a load-time probe has found
+equal to :func:`pairwise_costs` / :func:`gap_costs` bit for bit; the copy
+performs the same floating-point operations in the same order, so it
+gives the same results bit for bit, in O(S*M) working memory rather than
+the O(S*M*K) of the numpy cost matrix.  Otherwise it is the Python
+kernels, numpy's costs and ``cost_table`` (:func:`_cost` here), the
+reference.
 """
 
 import math
@@ -121,16 +122,15 @@ def gld(x, y):
     one-hot rows this reduces to plain Levenshtein distance.  Rows holding
     a NaN or an infinity raise ValueError, as in ``combiner.align``.
 
-    Two routes give the same cost bit for bit.  Where the compiled kernels
-    run (``_kernels.get()``), one C call computes the costs and the table
-    with O(S*M) working memory: the substitution costs, the gap costs and
-    the table as 8-byte doubles, no numpy temporary.  Otherwise numpy computes the costs and
-    :func:`cost_table` the table: the memory is O(S*M*K) at its peak, in
-    the substitution cost matrix of :func:`pairwise_costs`, and the table
-    adds O(S*M) Python floats where a two-row forward pass would keep
-    O(M): 64 rather than 48 bytes per cell at K+1=3 classes, no difference
-    in the peak at K+1=37, where the cost matrix dominates (tracemalloc,
-    S=M=1000).
+    Two kernels give the same cost bit for bit.  The compiled one
+    computes the costs and the table in one C call with O(S*M) working
+    memory: the substitution costs, the gap costs and the table as 8-byte
+    doubles, no numpy temporary.  The Python one, :func:`_cost`, has a
+    peak of O(S*M*K), in the substitution cost matrix of
+    :func:`pairwise_costs`, and the table adds O(S*M) Python floats where
+    a two-row forward pass would keep O(M): 64 rather than 48 bytes per
+    cell at K+1=3 classes, no difference in the peak at K+1=37, where the
+    cost matrix dominates (tracemalloc, S=M=1000).
     """
     return _gld(_as_rows(x), _as_rows(y))
 
@@ -139,16 +139,19 @@ def _gld(xr, yr):
     """:func:`gld` of two row sets that :func:`_as_rows` gave."""
     if xr.shape[1] and yr.shape[1] and xr.shape[1] != yr.shape[1]:
         raise ValueError(f"class counts differ: {xr.shape[1] - 1} vs {yr.shape[1] - 1}")
-    lib = _kernels.get()
-    if lib is not None:
-        cost = lib.gld(xr, yr)
-    else:
-        s, m = xr.shape[0], yr.shape[0]
-        sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
-        cost = cost_table(sub.tolist(), gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
+    cost = _kernels.get().gld(xr, yr)
     if not math.isfinite(cost):
         raise ValueError(f"GLD is {cost}: rows must be finite")
     return cost
+
+
+def _cost(xr, yr):
+    """The Python kernel ``gld``: the GLD of two row sets of one width that
+    :func:`_as_rows` gave, from numpy's costs and :func:`cost_table`;
+    finite or not."""
+    s, m = xr.shape[0], yr.shape[0]
+    sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
+    return cost_table(sub.tolist(), gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
 
 
 def normalized(g, length_sum):

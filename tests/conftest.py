@@ -13,9 +13,8 @@ def compiled():
     ``Python.h`` exists, and a build or load that fails fails the test."""
     if _kernels.unbuildable():
         pytest.skip(f"compiled kernels unavailable: {_kernels.unbuildable()}")
-    lib = _kernels.get()
-    assert lib is not None, _kernels.status()
-    return lib
+    assert _kernels.status() == "compiled", _kernels.status()
+    return _kernels.get()
 
 
 @pytest.fixture

@@ -24,9 +24,9 @@ from framestop.metrics import MetricKind, gap_costs, gld, pairwise_costs
 @contextmanager
 def python_kernels():
     """Run the Python kernels inside the block, as where no C compiler exists,
-    by setting the loader's handle to None and its reason to this block."""
+    by installing them as the loader's kernels and this block as its reason."""
     saved = _kernels.lib, _kernels.reason
-    _kernels.lib, _kernels.reason = None, "set by python_kernels()"
+    _kernels.lib, _kernels.reason = _kernels.reference(), "set by python_kernels()"
     try:
         yield
     finally:

@@ -132,10 +132,20 @@ def test_to_text_drop_empty():
     assert to_text(rows, alpha) == "AA"
 
 
-@pytest.mark.parametrize("rows", [np.array([0.0, 1.0, 0.0]), np.zeros((1, 2, 3))])
-def test_to_text_refuses_rows_that_are_not_2d(rows):
-    with pytest.raises(ValueError, match="expected a 2-D array"):
-        to_text(rows, Alphabet("AB"))
+@pytest.mark.parametrize(
+    "rows, symbols, message",
+    [
+        (np.array([0.0, 1.0, 0.0]), "AB", "expected a 2-D array"),
+        (np.zeros((1, 2, 3)), "AB", "expected a 2-D array"),
+        # rows of another width than the alphabet's K+1: wider, or narrower
+        (np.eye(2, 5), "AB", "rows are 5 wide, expected 3"),
+        (np.eye(2, 2), "ABC", "rows are 2 wide, expected 4"),
+    ],
+    ids=["rows0", "rows1", "wider", "narrower"],
+)
+def test_to_text_refuses_rows_that_are_not_2d(rows, symbols, message):
+    with pytest.raises(ValueError, match=message):
+        to_text(rows, Alphabet(symbols))
 
 
 @pytest.mark.filterwarnings("ignore:renormalizing")

@@ -456,8 +456,8 @@ def _kernel_routes(clips):
 
 def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips):
     """Load the kernels afresh with the patches ``fault(patch)`` makes in
-    place for the load alone, and check that the Python kernels run: no
-    module, the status ``status``, and every route into a kernel over
+    place for the load alone, and check that the Python kernels run: the
+    Python kernels installed, the status ``status``, and every route into a kernel over
     ``clips`` giving what it gives under :func:`python_kernels`, bit for
     bit."""
     with python_kernels():
@@ -465,7 +465,7 @@ def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips)
     fresh_load()
     with monkeypatch.context() as patch:
         fault(patch)
-        assert _kernels.get() is None
+        assert vars(_kernels.get()) == vars(_kernels.reference())
     assert _kernels.status() == status
     assert _kernel_routes(clips) == want
 
@@ -564,7 +564,7 @@ def test_build_goes_to_the_user_cache(compiled, monkeypatch, tmp_path, fresh_loa
     for planted in (other_source, other_env, legacy):
         planted.write_bytes(b"")
     fresh_load()
-    assert _kernels.get() is not None and _kernels.status() == "compiled"
+    assert _kernels.status() == "compiled"
     kept = sorted([name, other_source.name, other_env.name, legacy.name])
     assert sorted(path.name for path in cache.iterdir()) == kept
     assert _kernels.get().gld(np.zeros((0, 2)), np.array([[0.5, 0.5], [0.75, 0.25]])) == 0.75
@@ -634,7 +634,7 @@ def test_a_build_deletes_only_its_own_abis_stale_sources(
     stale, *recent = _plant(cache, env, _kernels.KEPT_SOURCES, 1000)
     kept = [*recent, *_plant(cache, other_env, _kernels.KEPT_SOURCES + 2, 0)]
     fresh_load()
-    assert _kernels.get() is not None
+    assert _kernels.status() == "compiled"
     assert not stale.exists()
     assert sorted(path.name for path in cache.iterdir()) == sorted([name, *(p.name for p in kept)])
 
@@ -650,7 +650,7 @@ def test_the_cache_keeps_the_most_recently_loaded_sources(
     # five builds of this <env> from other sources, loaded at staggered times
     planted = _plant(cache, env, 5, 1000)
     fresh_load()
-    assert _kernels.get() is not None  # a build: it and the two latest others stay
+    assert _kernels.status() == "compiled"  # a build: it and the two latest others stay
     kept = [name, *(path.name for path in planted[-(_kernels.KEPT_SOURCES - 1):])]
     assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
     # the build, loaded long ago, and newer builds of other sources: a load
@@ -660,7 +660,7 @@ def test_the_cache_keeps_the_most_recently_loaded_sources(
     newer.write_bytes(b"")
     os.utime(newer, (2000, 2000))
     fresh_load()
-    assert _kernels.get() is not None and _kernels.status() == "compiled"
+    assert _kernels.status() == "compiled"
     assert (cache / name).stat().st_mtime > 2000
     kept = [name, newer.name, planted[-1].name]
     assert sorted(path.name for path in cache.iterdir()) == sorted(kept)
@@ -676,7 +676,7 @@ def test_unwritable_cache_builds_into_a_private_directory(
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     fresh_load()
-    assert _kernels.get() is not None
+    assert _kernels.status() == "compiled"
     frame = make_frame([[0.25, 0.75]])
     assert _kernels.get().gld(frame.rows, np.zeros((0, 3))) == 1.0
     assert blocker.read_text() == ""
@@ -711,7 +711,7 @@ def test_a_failed_load_runs_the_python_kernels(monkeypatch, tmp_path, fresh_load
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels, "_open", broken)
     fresh_load()
-    assert _kernels.get() is None
+    assert vars(_kernels.get()) == vars(_kernels.reference())
     assert _kernels.status() == f"python: ImportError: {message}"
     assert align(make_frame([[0.25, 0.75]]), make_frame([[0.5, 0.5]])).cost == 0.25
 
@@ -1022,6 +1022,60 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
         assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
 
 
+# the room an absorb of _absorb_call needs, just enough of each
+_ROOM = {"order": 4, "frames": 2, "blocks": 5, "block_rows": 1, "stride": 4}
+
+
+def _absorb_call(order, frames, blocks, block_rows, stride, share=0.5):
+    """The ``absorb`` arguments of frame 1, two rows of three classes,
+    merged into a result of two rows (row ids 1 and 0, in display order)
+    over a history store holding frame 0's two rows (row ids 0 and 1 at
+    global rows 1 and 2): an order of ``order`` entries, ``blocks`` blocks
+    of ``block_rows`` rows and ``frames`` x ``stride`` slots, the unused
+    order entries and rows a marker and the other slots 0, as a state's
+    are.  The call needs the room of ``_ROOM``."""
+    rng = np.random.default_rng(12)
+    result, frame = (np.vstack([rng.dirichlet(np.ones(3), 2), np.eye(1, 3)]) for _ in range(2))
+    flat = np.full((blocks * block_rows, 3), 5.0)
+    flat[:3] = np.vstack([np.eye(1, 3), rng.dirichlet(np.ones(3), 2)])[: len(flat)]
+    store = tuple(flat[b * block_rows : (b + 1) * block_rows].copy() for b in range(blocks))
+    slots = np.zeros((frames, stride), dtype=np.int64)
+    slots[0, :2] = 1, 2
+    ids = np.full(order, 7, dtype=np.int64)
+    ids[:2] = 1, 0
+    return [result, frame, 0.25, ids, store, 3, slots, 1, share]
+
+
+def test_both_kernels_answer_an_absorb_call_alike(compiled):
+    python = _kernels.reference()
+    # the order, the frames, the rows and the slot stride each one short of
+    # the room: both answer None, writing nothing
+    for short in ("order", "frames", "blocks", "stride"):
+        for kernels in (compiled, python):
+            args = _absorb_call(**{**_ROOM, short: _ROOM[short] - 1})
+            before = _array_bytes(args)
+            assert kernels.absorb(*args) is None, short
+            assert _array_bytes(args) == before, short
+    # with room, in blocks of one row or across two of four, with one share
+    # or one per frame: the same steps, cost, merged rows, order, blocks
+    # and slots bit for bit, and the kept scans within 1e-14
+    for changes in ({}, {"blocks": 2, "block_rows": 4}, {"share": np.array([0.75, 0.5])}):
+        (args, answer), (python_args, python_answer) = (
+            (args, kernels.absorb(*args))
+            for kernels in (compiled, python) for args in [_absorb_call(**{**_ROOM, **changes})]
+        )
+        steps, cost, merged, *scans = answer
+        assert steps == python_answer[0] and cost.hex() == python_answer[1].hex()
+        assert merged.tobytes() == python_answer[2].tobytes()
+        assert not merged.flags.writeable and not python_answer[2].flags.writeable
+        assert _array_bytes(args) == _array_bytes(python_args)
+        assert sorted(args[3][:steps]) == list(range(steps)) and sorted(args[6][1]) == [0, 0, 3, 4]
+        for (d, *sums), (want_d, *want_sums) in zip(scans, python_answer[3:]):
+            assert not d.flags.writeable and not want_d.flags.writeable
+            assert np.all(np.abs(d - want_d) <= 1e-14 * np.abs(want_d))
+            assert all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(sums, want_sums))
+
+
 def _other_blocks(blocks):
     """(what, blocks that fit no store): a block of other rows, other
     widths, rows not a power of two, a list instead of a tuple."""
@@ -1293,7 +1347,7 @@ def test_candidate_gld_refuses_a_negative_or_non_finite_length(request, route):
 def test_python_kernels_names_the_python_route_in_status():
     before = _kernels.status()
     with python_kernels():
-        assert _kernels.get() is None
+        assert vars(_kernels.get()) == vars(_kernels.reference())
         assert _kernels.status() == "python: set by python_kernels()"
     assert _kernels.status() == before
 
@@ -1447,9 +1501,9 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
     else:
         merge = combiner._merge
 
-        def recorded(alignment, frame_padded, result_padded, factor):
-            factors.append(factor)
-            return merge(alignment, frame_padded, result_padded, factor)
+        def recorded(*args):
+            factors.append(args[-1])
+            return merge(*args)
 
         monkeypatch.setattr(combiner, "_merge", recorded)
         routing = python_kernels
@@ -1594,7 +1648,7 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
             ]
         # the rows the store gives back are the frames' own, in absorb order
         rows = np.concatenate([frame.rows for frame in frames])
-        assert state._gather(np.arange(1, state._used)).tobytes() == rows.tobytes()
+        assert combiner._gather(state._blocks, np.arange(1, state._used)).tobytes() == rows.tobytes()
     assert spanned >= 2
     # _gather reads the blocks as one flat store, whole rows or one class
     # (as cell reads them), for the indices of the scan's slices, of
@@ -1607,9 +1661,9 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
         np.zeros((0, s), dtype=np.int64), np.random.default_rng(7).integers(state._used, size=(5, 7)),
     ]
     for index in indices:
-        assert state._gather(index).tobytes() == flat[index].tobytes()
+        assert combiner._gather(state._blocks, index).tobytes() == flat[index].tobytes()
         for k in (0, alphabet.size):
-            assert state._gather(index, k).tobytes() == flat[index][..., k].tobytes()
+            assert combiner._gather(state._blocks, index, k).tobytes() == flat[index][..., k].tobytes()
 
 
 @pytest.fixture

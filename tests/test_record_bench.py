@@ -4,6 +4,10 @@ each run."""
 
 import importlib.util
 import mmap
+import shlex
+import shutil
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -133,6 +137,18 @@ def test_the_drive_runs_in_a_checkout_and_feeds_both_tables(record_bench, compil
     stage_table, share = record_bench.tables([rows], stages=(5, 25))
     assert set(stage_table) == {"a.n5", "a.n25", "b.n5", "b.n25"}
     _cells_agree(stage_table, share)
+
+
+def test_the_drive_refuses_to_time_the_python_kernels(record_bench, monkeypatch):
+    # PATH holds the interpreter's own bin directory alone, as in CI's
+    # no-compiler job, so the drive's interpreter finds no C compiler
+    bin_dir = str(Path(sys.executable).parent)
+    cc = sysconfig.get_config_var("CC")
+    if cc and shutil.which(shlex.split(cc)[0], path=bin_dir):
+        pytest.skip(f"the interpreter's bin directory holds the compiler {cc!r}")
+    monkeypatch.setenv("PATH", bin_dir)
+    with pytest.raises(SystemExit, match="no compiled kernels: python: no C compiler"):
+        record_bench._in_checkout(ROOT, record_bench.DRIVE, [["a"], 2, 1, 1], "timing drive")
 
 
 STAT = """cpu  2786560 65932 1144112 26686584 12260 0 35750 187 0 0
