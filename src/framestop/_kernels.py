@@ -280,7 +280,7 @@ def get():
     global lib, reason
     if lib is _UNSET:
         lib, reason = _load()
-        if lib is not None and (mismatch := probe()) is not None:
+        if reason == "compiled" and (mismatch := probe()) is not None:
             reason = mismatch
         if reason != "compiled":
             lib = reference()

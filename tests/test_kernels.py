@@ -456,8 +456,8 @@ def _kernel_routes(clips):
 
 def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips):
     """Load the kernels afresh with the patches ``fault(patch)`` makes in
-    place for the load alone, and check that the Python kernels run: the
-    Python kernels installed, the status ``status``, and every route into a kernel over
+    place for the load alone, and check that the Python kernels run: them
+    installed, the status ``status``, and every route into a kernel over
     ``clips`` giving what it gives under :func:`python_kernels`, bit for
     bit."""
     with python_kernels():
@@ -1648,12 +1648,14 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
             ]
         # the rows the store gives back are the frames' own, in absorb order
         rows = np.concatenate([frame.rows for frame in frames])
-        assert combiner._gather(state._blocks, np.arange(1, state._used)).tobytes() == rows.tobytes()
+        stored = combiner._gather(state._blocks, np.arange(1, state._used))
+        assert stored.tobytes() == rows.tobytes()
     assert spanned >= 2
     # _gather reads the blocks as one flat store, whole rows or one class
     # (as cell reads them), for the indices of the scan's slices, of
     # contributions, of no row, of nothing at all and of rows at random
-    flat = np.concatenate(state._blocks)
+    blocks = state._blocks
+    flat = np.concatenate(blocks)
     s, slots = state.num_chars, state._slots[: state.n]
     indices = [
         *(slots[f : f + combiner._SCAN_FRAMES, :s] for f in range(0, state.n, combiner._SCAN_FRAMES)),
@@ -1661,9 +1663,9 @@ def test_history_blocks_stay_put_and_hold_at_most_one_spare_block(
         np.zeros((0, s), dtype=np.int64), np.random.default_rng(7).integers(state._used, size=(5, 7)),
     ]
     for index in indices:
-        assert combiner._gather(state._blocks, index).tobytes() == flat[index].tobytes()
+        assert combiner._gather(blocks, index).tobytes() == flat[index].tobytes()
         for k in (0, alphabet.size):
-            assert combiner._gather(state._blocks, index, k).tobytes() == flat[index][..., k].tobytes()
+            assert combiner._gather(blocks, index, k).tobytes() == flat[index][..., k].tobytes()
 
 
 @pytest.fixture
