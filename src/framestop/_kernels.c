@@ -16,11 +16,11 @@
    checks the C costs against numpy's bit for bit before gld, align or
    absorb use either kernel.
    fs_spread is the one history scan of methods a and b over the
-   blocks-plus-slots history store: every candidate's distance and their
-   sums, at the nGLD length 2 S and for GLD, in one pass.  The absorb
-   entry point runs it right after fs_absorb, on the rows just merged, so
-   an a or b stage is one call, and the state keeps what it gives for
-   CombinerState.candidate_gld to read.  It reads each row id's merged
+   blocks-plus-slots history store: every candidate's GLD and its nGLD at
+   the length 2 S, and the sums of both, in one pass.  The absorb entry
+   point runs it right after fs_absorb, on the rows just merged, so an a
+   or b stage is one call, and the state keeps what it gives, one record,
+   as CombinerState.candidate_gld's answer.  It reads each row id's merged
    row where the merge put it, and sums each frame's spread in its own
    order, in frame-wide accumulators that run over all of the frame's
    rows and combine once per frame; a slot holding the empty row adds
@@ -59,10 +59,10 @@
    and answers, does, tests the room of the row-id order and the history
    store, answering None, with nothing written, where it lacks (the state
    then makes room and calls again); it refuses a non-finite cost and
-   hands back the merged rows cut to the result's S + 1 rows and
-   write-protected (cut), the array the state keeps, and the scan, which the state keeps for
-   CombinerState.candidate_gld until the next absorb.  No address
-   outlives a call. */
+   hands back the cost, the merged rows cut to the result's S + 1 rows and
+   write-protected (cut), the array the state keeps, and the scan's
+   record, which the state keeps as CombinerState.candidate_gld's answer
+   until the next absorb.  No address outlives a call. */
 
 /* Python.h first, as it asks, then numpy's array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -913,32 +913,24 @@ static int shares(PyObject *obj, int64_t n, struct fs_absorb_args *a)
     return 0;
 }
 
-/* The answer of absorb, (steps, cost, merged, (d, g_sum, d_sum),
-   (g, g_sum, g_sum)), the last two None when d is NULL; taking no
-   reference.  NULL if it cannot be built. */
-static PyObject *absorbed(int64_t steps, double cost, PyObject *merged, PyObject *d, PyObject *g,
-                          double g_sum, double d_sum)
+/* The answer of absorb, (cost, merged, (d, g, g_sum, d_sum)), the scan
+   None when d is NULL; taking no reference.  NULL if it cannot be built.
+   PyTuple_Pack, as Py_BuildValue's format parse cost 0.1 us more per
+   call (2-vCPU Xeon). */
+static PyObject *absorbed(double cost, PyObject *merged, PyObject *d, PyObject *g, double g_sum,
+                          double d_sum)
 {
-    PyObject *ngld = NULL, *gld = NULL, *answer = NULL;
-    if (d) {
-        PyObject *gs = PyFloat_FromDouble(g_sum), *ds = PyFloat_FromDouble(d_sum);
-        if (gs && ds) {
-            ngld = PyTuple_Pack(3, d, gs, ds);
-            gld = PyTuple_Pack(3, g, gs, gs);
-        }
-        Py_XDECREF(gs);
-        Py_XDECREF(ds);
-    } else {
-        ngld = Py_NewRef(Py_None);
-        gld = Py_NewRef(Py_None);
-    }
-    PyObject *count = PyLong_FromLongLong(steps), *value = PyFloat_FromDouble(cost);
-    if (ngld && gld && count && value)
-        answer = PyTuple_Pack(5, count, value, merged, ngld, gld);
-    Py_XDECREF(ngld);
-    Py_XDECREF(gld);
-    Py_XDECREF(count);
+    PyObject *value = PyFloat_FromDouble(cost), *gs = NULL, *ds = NULL, *scan = NULL, *answer = NULL;
+    if (!d)
+        scan = Py_NewRef(Py_None);
+    else if ((gs = PyFloat_FromDouble(g_sum)) && (ds = PyFloat_FromDouble(d_sum)))
+        scan = PyTuple_Pack(4, d, g, gs, ds);
+    if (value && scan)
+        answer = PyTuple_Pack(3, value, merged, scan);
     Py_XDECREF(value);
+    Py_XDECREF(gs);
+    Py_XDECREF(ds);
+    Py_XDECREF(scan);
     return answer;
 }
 
@@ -954,14 +946,14 @@ static PyObject *absorbed(int64_t steps, double cost, PyObject *merged, PyObject
    with used, slots, frame_index and share, when blocks is None.
    None, with nothing written, when there is no room for the call: order
    needs S+M entries, and the store frame frame_index, M more rows and
-   S+M row ids.  Else (steps, cost, merged, ngld, gld): merged, a new
-   write-protected float64 array of steps + 1 rows, is the merge followed
-   by the empty row, allocated for S+M+1 rows and cut (cut); ngld and gld
-   are None without a store, and otherwise the scan of frames 0 to
-   frame_index against the merged rows, each row id's where the merge
-   just wrote it: ngld is (d, sum of g, sum of d) with the nGLD length
-   2 steps, gld (g, sum of g, sum of g), d and g new write-protected
-   float64 arrays of one candidate per frame.
+   S+M row ids.  Else (cost, merged, scan): merged, a new write-protected
+   float64 array of steps + 1 rows, is the merge followed by the empty
+   row, allocated for S+M+1 rows and cut (cut); scan is None without a
+   store, and otherwise the record (d, g, sum of g, sum of d) of the scan
+   of frames 0 to frame_index against the merged rows, each row id's where
+   the merge just wrote it: g each candidate's GLD and d its nGLD at the
+   length 2 steps, new write-protected float64 arrays of one candidate per
+   frame.
    share is the merge share of those frames after this one, one number or
    a float64 array of one per frame (see shares).  A cost that is not
    finite raises ValueError, as does a NaN one, with nothing written; a
@@ -1025,7 +1017,7 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
             PyArray_CLEARFLAGS((PyArrayObject *)d, NPY_ARRAY_WRITEABLE);
             PyArray_CLEARFLAGS((PyArrayObject *)g, NPY_ARRAY_WRITEABLE);
         }
-        answer = absorbed(steps, a.cost, merged, d, g, a.g_sum, a.d_sum);
+        answer = absorbed(a.cost, merged, d, g, a.g_sum, a.d_sum);
     }
 done:
     Py_XDECREF(merged);
@@ -1042,7 +1034,7 @@ static PyMethodDef methods[] = {
     ENTRY(gld, "gld(x, y[, work]) -> the GLD of two row sets"),
     ENTRY(align, "align(x, y) -> (result_rows, frame_rows, cost)"),
     ENTRY(absorb, "absorb(result, frame, factor, order, blocks, used, slots, frame_index, share) "
-                  "-> (steps, cost, merged, ngld, gld), or None without room"),
+                  "-> (cost, merged, (d, g, g_sum, d_sum) or None), or None without room"),
     {NULL, NULL, 0, NULL},
 };
 

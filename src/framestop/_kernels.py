@@ -4,8 +4,9 @@ On first use :func:`get` compiles the C file, a CPython extension module,
 with the compiler Python was built with (``sysconfig``'s ``CC``) against
 ``Python.h`` (``sysconfig``'s include directory) and
 ``numpy/arrayobject.h`` (under ``numpy.get_include()``), and imports it.
-The build is cached per user, under ``$XDG_CACHE_HOME/framestop`` or
-``~/.cache/framestop``, as ``kernels-<env>-<source>.so``: ``<env>``
+The build is cached per user, under ``$XDG_CACHE_HOME/framestop``, or
+``~/.cache/framestop`` where that variable is unset, empty or relative
+(the XDG spec's rule), as ``kernels-<env>-<source>.so``: ``<env>``
 hashes the compile command (compiler, flags, include directories), the
 platform, the interpreter's ABI (``EXT_SUFFIX``) and numpy's version,
 ``<source>`` the C file.  Where that directory cannot be written, or the
@@ -67,17 +68,18 @@ nothing beyond what numpy does.  On both routes ``align`` and ``absorb``
 raise ValueError when the costs hold a NaN, so no path exists, and
 ``absorb`` also when the path's cost is not finite, with
 ``combiner.align``'s message, writing nothing.  ``absorb`` returns
-``(steps, cost, merged, ngld, gld)``: ``merged`` holds the merged rows
-followed by the empty row, write-protected (the compiled entry point cuts
-its array in place to those steps + 1 rows, with ``PyArray_Resize``,
-which moves no data where the allocator shrinks the block in place), so
-``CombinerState`` keeps it as its result as it is; with a history store,
-``ngld`` is the scan's ``(d, sum of g, sum of d)`` at the nGLD length 2
-steps and ``gld`` its ``(g, sum of g, sum of g)``, ``d`` and ``g``
-write-protected, which the state keeps until the next absorb (None
-without a store).  ``absorb`` is the only test of the room: where the
-row-id order or the history store has no room for the call it returns
-None, writing nothing, and the state makes the room and calls again.
+``(cost, merged, scan)``: ``merged`` holds the merged rows, one per
+step, followed by the empty row, write-protected (the compiled entry
+point cuts its array in place to those steps + 1 rows, with
+``PyArray_Resize``, which moves no data where the allocator shrinks the
+block in place), so ``CombinerState`` keeps it as its result as it is;
+with a history store, ``scan`` is the one record ``(d, g, sum of g, sum
+of d)``, each candidate's GLD ``g`` and its nGLD ``d`` at the length 2
+steps, both write-protected, which the state keeps until the next absorb
+as ``candidate_gld``'s answer (None without a store).  ``absorb`` is
+the only test of the room: where the row-id order or the history store
+has no room for the call it returns None, writing nothing, and the state
+makes the room and calls again.
 """
 
 import contextlib
@@ -147,9 +149,11 @@ def command(argv):
 
 
 def _cache_dir():
-    """The per-user cache directory; None when the user has no home directory."""
+    """The per-user cache directory; None when the user has no home directory.
+    A relative ``XDG_CACHE_HOME`` is ignored, as the XDG spec says, so no
+    build goes under the working directory."""
     base = os.environ.get("XDG_CACHE_HOME")
-    if not base:
+    if not base or not os.path.isabs(base):
         try:
             base = Path.home() / ".cache"
         except RuntimeError:  # no HOME and no passwd entry for the uid
@@ -280,7 +284,7 @@ def get():
     global lib, reason
     if lib is _UNSET:
         lib, reason = _load()
-        if reason == "compiled" and (mismatch := probe()) is not None:
+        if reason == "compiled" and (mismatch := probe(lib)) is not None:
             reason = mismatch
         if reason != "compiled":
             lib = reference()
@@ -311,10 +315,11 @@ def _probe_rows(rng, width, count):
     return rows
 
 
-def probe():
-    """None when fs_gld's substitution and gap costs equal numpy's
-    ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit on a fixed seeded
-    probe at every width of ``PROBE_WIDTHS``; else where they first differ.
+def probe(module):
+    """None when the compiled ``module``'s fs_gld substitution and gap costs
+    equal numpy's ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit on
+    a fixed seeded probe at every width of ``PROBE_WIDTHS``; else where
+    they first differ.
 
     fs_gld and fs_absorb copy numpy's summation order, which numpy does not
     promise to keep, so :func:`get` hands out the module only after this
@@ -325,18 +330,18 @@ def probe():
     rng = np.random.default_rng(20200)
     for width in PROBE_WIDTHS:
         x, y = (_probe_rows(rng, width, count) for count in PROBE_ROWS)
-        *got, _ = costs(x, y)
+        *got, _ = costs(module, x, y)
         want = metrics.pairwise_costs(x, y), metrics.gap_costs(x), metrics.gap_costs(y)
         if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
             return f"probe mismatch at K+1={width}"
     return None
 
 
-def costs(x, y):
-    """(sub, gap_rows, gap_cols, gld) as fs_gld computes them: the
-    arrays ``metrics.pairwise_costs(x, y)``, ``gap_costs(x)`` and
-    ``gap_costs(y)`` would give, and the GLD."""
+def costs(module, x, y):
+    """(sub, gap_rows, gap_cols, gld) as the compiled ``module``'s fs_gld
+    computes them: the arrays ``metrics.pairwise_costs(x, y)``,
+    ``gap_costs(x)`` and ``gap_costs(y)`` would give, and the GLD."""
     s, m = len(x), len(y)
     work = np.empty(2 * (s + 1) * (m + 1) - 1)
-    cost = lib.gld(x, y, work)
+    cost = module.gld(x, y, work)
     return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost

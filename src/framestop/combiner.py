@@ -48,13 +48,14 @@ traceback :func:`_path`, :func:`_merge` and the numpy scan
 (:func:`_spread`).
 
 Methods ``a`` and ``b`` read the store through
-``CombinerState.candidate_gld``, which only reads what the absorb kept:
-an O(n*S*K) scan of each frame's spread from the current rows, taken by
-row id from the combined result, then each candidate's merge share, its
-nGLD at 2 S and the sums of both.  A store means that the absorb scans:
-every absorb into a state with a store runs the scan once, in either
-kernel, whether or not it is read, so a caller that reads only
-``contributions`` pays for it too.
+``CombinerState.candidate_gld``, which returns the one record the absorb
+kept: an O(n*S*K) scan of each frame's spread from the current rows,
+taken by row id from the combined result, then each candidate's GLD g
+(the spread times its merge share, halved), its nGLD d at 2 S and the
+sums of both, as ``(d, g, sum of g, sum of d)``.  A store means that
+the absorb scans: every absorb into a state with a store runs the scan
+once, in either kernel, whether or not it is read, so a caller that
+reads only ``contributions`` pays for it too.
 A slot holding 0 adds the current row's distance to the empty row
 instead of K+1 terms.  The compiled scan sums each frame in frame-wide
 accumulators, four vectors of four lanes over all of the frame's rows
@@ -307,7 +308,9 @@ def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, shar
     reach the end of one, frame ``frame_index``'s slot of the row id each
     frame row merged into is pointed at it, and the numpy scan
     (:func:`_spread`) runs over the merged rows, with the next candidates'
-    ``share``.  None, writing nothing, where ``order`` lacks S + M entries
+    ``share``.  Answers ``(cost, merged, scan)``, ``scan`` the kept record
+    ``(d, g, sum of g, sum of d)``, d the nGLD of g at 2 S, or None without
+    a store.  None, writing nothing, where ``order`` lacks S + M entries
     or the store the frame, M rows or S + M row ids; ValueError, writing
     nothing, where the alignment cost is not finite."""
     s, m = len(result) - 1, len(frame) - 1
@@ -325,7 +328,7 @@ def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, shar
     ids, new_ids = order[:s].tolist(), iter(range(s, steps))
     order[:steps] = [ids[r] if r < s else next(new_ids) for r in result_rows]
     if blocks is None:
-        return steps, cost, merged, None, None
+        return cost, merged, None
     size = len(blocks[0])
     for start in range(used - used % size, used + m, size):
         low, high = max(used, start), min(used + m, start + size)
@@ -337,8 +340,7 @@ def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, shar
     d = normalized(g, 2.0 * steps)
     g.setflags(write=False)
     d.setflags(write=False)
-    g_sum = float(g.sum())
-    return steps, cost, merged, (d, g_sum, float(d.sum())), (g, g_sum, g_sum)
+    return cost, merged, (d, g, float(g.sum()), float(d.sum()))
 
 
 def _gather(blocks, index, classes=slice(None)):
@@ -413,9 +415,9 @@ class CombinerState:
         self._padded = empty
         self.num_chars = 0
         self._matrix = None  # mean_rows: _padded[:S], sliced on its first read
-        # the absorb's scan of this result, candidate_gld's answer at the
-        # nGLD length 2 S and for GLD; None without a store
-        self._ngld = self._gld = None
+        # the absorb's scan of this result, (d, g, sum of g, sum of d), which
+        # candidate_gld returns; None without a store
+        self._scan = None
         self._weights = []
         self._common_weight = 1.0  # the weight of every frame so far; None once two differ
         self._share = 1.0  # the next candidate's: merge_share(_common_weight, weight_total)
@@ -522,7 +524,8 @@ class CombinerState:
             self._slots, self.n, share,
         )) is None:  # no room, nothing written
             self._reserve(len(frame.rows))
-        self.num_chars, _, self._padded, self._ngld, self._gld = answer
+        _, self._padded, self._scan = answer
+        self.num_chars = len(self._padded) - 1
         self._matrix = None
         self._weights.append(w)
         if common:
@@ -588,10 +591,10 @@ class CombinerState:
         order = np.empty(s + candidate.num_chars, dtype=np.int64)
         order[:s] = self._ids[:s]
         share = _scalar_share(candidate.weight, self.weight_total)
-        steps, _, merged, _, _ = _kernels.get().absorb(
+        _, merged, _ = _kernels.get().absorb(
             self._padded, candidate.padded_rows, share, order, None, 0, None, 0, None
         )
-        return CombinedResult(merged[:-1], order[:steps].tolist())
+        return CombinedResult(merged[:-1], order[: len(merged) - 1].tolist())
 
     def current_result(self):
         """Snapshot of the combined result after the frames absorbed so far."""
@@ -613,34 +616,22 @@ class CombinerState:
         s = self.num_chars
         return _spread(self._blocks, self._slots[: self.n], self._ids[:s], self.mean_rows)
 
-    def candidate_gld(self, length=None):
+    def candidate_gld(self):
         """Method a's distance to every candidate next merge, and their sums.
 
         Candidate i, frame i arriving again, moves every row by its merge
         share (:meth:`candidate_shares`) of the gap between the current row
         and what frame i merged into it, as the merge itself does, so its
-        GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns
-        (d, sum of g, sum of d), d of shape (n,): g itself, or its nGLD
-        :func:`metrics.normalized` (g, ``length``) when ``length`` is given,
-        a non-negative finite number (ValueError otherwise).  This only
-        reads the scan the last absorb kept (see the module docstring):
-        for ``length`` None or 2 S (methods b and a) its answers, the same
-        write-protected arrays until the next absorb, on either route; for
-        any other length the kept g normalised anew, with the kept sum of
-        g and numpy's sum of d.
+        GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns the
+        scan the last absorb kept (see the module docstring),
+        (d, g, sum of g, sum of d): g and its nGLD d at the length 2 S
+        (:func:`metrics.normalized`), write-protected arrays of shape (n,),
+        the same tuple until the next absorb, on either route.
         """
         self._check_store()
         if self.n == 0:
             raise ValueError("cannot estimate before the first frame")
-        if length is None:
-            return self._gld
-        if not (math.isfinite(length) and length >= 0.0):
-            raise ValueError(f"length must be a non-negative finite number, not {length!r}")
-        if length == 2.0 * self.num_chars:
-            return self._ngld
-        g, g_sum, _ = self._gld
-        d = normalized(g, length)
-        return d, g_sum, float(d.sum())
+        return self._scan
 
     def _check_store(self):
         """Refuse a state that keeps no history store, the one test of every

@@ -12,12 +12,12 @@ Three estimators compute the same quantity at different price points:
   per stage, O(n * S * M * K), where re-combining each candidate and
   measuring its distance with a second DP cost O(n * S * K * (S + M)).
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
-  scores the modelled merge row-by-row, O(n * S * K): one call of
-  ``CombinerState.candidate_gld``, which scans the state's history store
-  and scores, normalises and sums every candidate, compiled where
-  available.
+  scores the modelled merge row-by-row, O(n * S * K): it reads
+  ``CombinerState.candidate_gld``, the record of the scan of the state's
+  history store that the absorb kept, every candidate scored, normalised
+  and summed, compiled where available.
 * ``estimate_method_b`` is ``a``'s aggregate normalised once instead of
-  per candidate, from the same call, so it costs the same O(n * S * K)
+  per candidate, from the same record, so it costs the same O(n * S * K)
   and its aggregate equals ``a``'s exactly, weighted or not: the scan's
   sum carries each frame's merge share.  The paper prices it at
   O(S * K * log n), one order-statistic treap query per (row, class)
@@ -205,11 +205,12 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
 def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Approximate modelling via the recorded per-frame row contributions.
 
-    The breakdown holds :meth:`CombinerState.candidate_gld`'s distance
-    array and builds ``per_candidate`` from it on its first read.
+    The breakdown holds the distance array of the record
+    :meth:`CombinerState.candidate_gld` returns, d for nGLD and g for GLD,
+    and builds ``per_candidate`` from it on its first read.
     """
-    length = 2.0 * state.num_chars if metric is _NGLD else None
-    distances, aggregate, total = state.candidate_gld(length)
+    d, g, aggregate, d_sum = state.candidate_gld()
+    distances, total = (d, d_sum) if metric is _NGLD else (g, aggregate)
     estimate = (delta + total) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, distances)
 
@@ -217,10 +218,10 @@ def estimate_method_a(state, *, metric=MetricKind.NGLD, delta=0.1):
 def estimate_method_b(state, *, metric=MetricKind.NGLD, delta=0.1):
     """Method a's aggregate normalised once, instead of per candidate.
 
-    Reads the same kept scan as method a, so any state with a history
-    store serves it, weighted or not.
+    Reads the sum of g of the same kept scan as method a, so any state
+    with a history store serves it, weighted or not.
     """
-    _, aggregate, _ = state.candidate_gld()
+    aggregate = state.candidate_gld()[2]
     length = 2.0 * state.num_chars
     converted = normalized(aggregate, length) if metric is _NGLD else aggregate
     estimate = (delta + converted) / (state.n + 1)

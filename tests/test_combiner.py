@@ -175,9 +175,8 @@ def test_subnormal_weights_merge_by_their_share():
 def _kept_bits(state):
     """Bytes of the rows, row ids, store and kept scan of ``state``."""
     out = [state.mean_rows.tobytes(), repr(state.row_ids).encode(), state.contributions.tobytes()]
-    for d, g_sum, d_sum in (state._ngld, state._gld):
-        out += [d.tobytes(), g_sum.hex().encode(), d_sum.hex().encode()]
-    return out
+    d, g, g_sum, d_sum = state._scan
+    return out + [d.tobytes(), g.tobytes(), g_sum.hex().encode(), d_sum.hex().encode()]
 
 
 def test_a_treaps_state_absorbs_weighted_frames_as_a_history_state():

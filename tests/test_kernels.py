@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import gc
-import math
 import os
 import pickle
 import platform
@@ -104,12 +103,9 @@ def test_compiled_candidate_gld_is_numpys_within_1e_14_at_400_stages(compiled):
         state.absorb(frame)
         with python_kernels():
             reference.absorb(frame)
-        for length in (None, 2.0 * state.num_chars):
-            d, g_sum, d_sum = state.candidate_gld(length)
-            want_d, want_g, want_sum = reference.candidate_gld(length)
-            assert np.all(np.abs(d - want_d) <= 1e-14 * np.abs(want_d))
-            assert abs(g_sum - want_g) <= 1e-14 * abs(want_g)
-            assert abs(d_sum - want_sum) <= 1e-14 * abs(want_sum)
+        # d, g, the sum of g and the sum of d
+        for got, want in zip(state.candidate_gld(), reference.candidate_gld()):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_compiled_estimates_are_exact_on_constant_clips(compiled):
@@ -157,6 +153,19 @@ COST_SHAPES = (
 )
 
 
+def test_costs_and_probe_read_the_module_they_are_given(compiled):
+    # not the kernels in use: with the Python kernels installed, the
+    # compiled module's costs are the same bytes and its probe passes
+    rng = np.random.default_rng(21)
+    x, y = (_kernels._probe_rows(rng, 37, count) for count in _kernels.PROBE_ROWS)
+    *want, want_cost = _kernels.costs(compiled, x, y)
+    with python_kernels():
+        *got, cost = _kernels.costs(compiled, x, y)
+        assert _kernels.probe(compiled) is None
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert cost.hex() == want_cost.hex()
+
+
 @pytest.mark.parametrize("width", COST_WIDTHS)
 def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
     rng = np.random.default_rng(width)
@@ -165,7 +174,7 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
             for s, m in COST_SHAPES:
                 x = _rows_of_kind(rng, kind_x, s, width)
                 y = _rows_of_kind(rng, kind_y, m, width)
-                sub, gaps_x, gaps_y, cost = _kernels.costs(x, y)
+                sub, gaps_x, gaps_y, cost = _kernels.costs(compiled, x, y)
                 want_sub, want_x, want_y = pairwise_costs(x, y), gap_costs(x), gap_costs(y)
                 assert sub.tobytes() == want_sub.tobytes()
                 assert gaps_x.tobytes() == want_x.tobytes()
@@ -225,8 +234,21 @@ def _scan_replica(rows, slots, current, shares, length):
     return [x.hex() for x in d], g_sum.hex(), d_sum.hex()
 
 
-def _hex_scan(d, g_sum, d_sum):
-    return [x.hex() for x in d.tolist()], g_sum.hex(), d_sum.hex()
+def _hex_scan(d, g, g_sum, d_sum):
+    """float.hex of a kept scan record as :func:`_scan_replica` gives it,
+    at the nGLD length 2 S and for GLD: (d, sum of g, sum of d) and
+    (g, sum of g, sum of g)."""
+    return (
+        ([x.hex() for x in d.tolist()], g_sum.hex(), d_sum.hex()),
+        ([x.hex() for x in g.tolist()], g_sum.hex(), g_sum.hex()),
+    )
+
+
+def _replicas(rows, slots, current, shares):
+    """:func:`_scan_replica` at the nGLD length 2 S and for GLD, S the
+    scanned row ids."""
+    return tuple(_scan_replica(rows, slots, current, shares, length)
+                 for length in (2.0 * slots.shape[1], None))
 
 
 # each lane count 1-3 of the tail, whole groups of four, and the widths the
@@ -251,12 +273,10 @@ def test_compiled_scan_is_its_summation_order_in_hex(compiled, width):
     for shares in (np.full(7, 0.125), rng.uniform(0.05, 0.9, 7)):
         blocks, written = tuple(rows[b : b + 4].copy() for b in range(0, 20, 4)), slots.copy()
         order = np.append(rng.permutation(5), [9, 9])
-        steps, _, merged, ngld_, gld_ = compiled.absorb(
-            result, frame, 0.5, order, blocks, 16, written, 6, shares
-        )
+        _, merged, scan = compiled.absorb(result, frame, 0.5, order, blocks, 16, written, 6, shares)
+        steps = len(merged) - 1
         store = np.concatenate(blocks), written[:, :steps], merged[np.argsort(order[:steps])]
-        assert _hex_scan(*ngld_) == _scan_replica(*store, shares, 2.0 * steps)
-        assert _hex_scan(*gld_) == _scan_replica(*store, shares, None)
+        assert _hex_scan(*scan) == _replicas(*store, shares)
     if width == 1:  # a state's rows have the empty class and at least one symbol
         return
     # a state's store through candidate_gld, unit and random weights
@@ -301,7 +321,7 @@ def _kernel_dump(frames, alphabet):
         out.append((alignment.result_rows, alignment.frame_rows, alignment.cost.hex()))
         state.absorb(frame)
         out += [[x.hex() for x in state.mean_rows.ravel().tolist()], state.row_ids]
-        out += [_hex_scan(*state.candidate_gld(length)) for length in (None, 2.0 * state.num_chars)]
+        out.append(_hex_scan(*state.candidate_gld()))
     out.append([x.hex() for x in _flat_rows(state).ravel().tolist()])
     return out + [state._slots[: state.n].tolist()]
 
@@ -323,20 +343,20 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     assert done.returncode == 0, done.stderr
     assert b"fs_gld.avx2" not in target.read_bytes()
 
-    def dump():
+    def dump(lib):
         rng = np.random.default_rng(20200)
         out = []
         for width in _kernels.PROBE_WIDTHS:
             x, y = (_kernels._probe_rows(rng, width, n) for n in _kernels.PROBE_ROWS)
-            *arrays, cost = _kernels.costs(x, y)
+            *arrays, cost = _kernels.costs(lib, x, y)
             out.append([v.hex() for a in arrays for v in a.ravel().tolist()] + [cost.hex()])
         for clip in _spread_clips():
             out += _kernel_dump(clip.frames, clip.alphabet)
         return out
 
-    want = dump()
+    want = dump(compiled)
     monkeypatch.setattr(_kernels, "lib", _kernels._open(target))
-    assert dump() == want
+    assert dump(_kernels.lib) == want
 
 
 # the flags of the sanitized build: line numbers in its reports, and an
@@ -360,7 +380,7 @@ from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import gld, ngld
 from oracles import late_rows_clip, looped_clip
 lib = _kernels.lib
-assert _kernels.probe() is None
+assert _kernels.probe(lib) is None
 for entry in ("gld", "align", "absorb"):
     t.test_the_entry_points_refuse_arrays_the_kernels_cannot_read(lib, entry)
     t.test_the_entry_points_refuse_unaligned_arrays(lib, entry)
@@ -384,7 +404,7 @@ for clip in [*generate_synthetic(config), looped_clip(150)]:
         gld(frame.rows, state.mean_rows), ngld(state.mean_rows, frame.rows)
         align(frame, state.mean_rows)
         state.absorb(frame)
-        state.candidate_gld(None), state.candidate_gld(2.0 * state.num_chars)
+        state.candidate_gld()
     assert state.n == len(clip.frames)
 print("ran clean")
 """
@@ -685,6 +705,18 @@ def test_unwritable_cache_builds_into_a_private_directory(
 
 def _no_home(cls):
     raise RuntimeError("Could not determine home directory")
+
+
+@pytest.mark.parametrize("xdg", ["relcache", "./relcache", ""])
+def test_a_relative_or_empty_xdg_cache_home_means_the_home_cache(monkeypatch, tmp_path, xdg):
+    # the XDG spec: a relative path is invalid and is ignored, so no build
+    # goes under the working directory
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    monkeypatch.chdir(tmp_path)
+    assert _kernels._cache_dir() == tmp_path / "home" / ".cache" / "framestop"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _kernels._cache_dir() == tmp_path / "cache" / "framestop"
 
 
 def test_no_home_directory_builds_into_a_private_directory(
@@ -1017,8 +1049,8 @@ def test_compiled_kernels_refuse_a_store_without_room(compiled):
         (views, slots), store = _store(2, blocks, block_rows, 1, 3)
         slots[...] = 0  # the slots in use, which the scan reads; the spare room keeps the marker
         args[4:8] = views, 1, slots, 0
-        steps, _, _, (d, g_sum, d_sum), (g, *_) = compiled.absorb(*args)
-        assert steps >= 2 and g.tolist() == [g_sum] and d.tolist() == [d_sum] and d_sum > 0.0
+        _, merged, (d, g, g_sum, d_sum) = compiled.absorb(*args)
+        assert len(merged) >= 3 and g.tolist() == [g_sum] and d.tolist() == [d_sum] and d_sum > 0.0
         assert (store[0][3:] == 5).all() and (store[1][3:] == 5).all()
 
 
@@ -1057,23 +1089,24 @@ def test_both_kernels_answer_an_absorb_call_alike(compiled):
             assert kernels.absorb(*args) is None, short
             assert _array_bytes(args) == before, short
     # with room, in blocks of one row or across two of four, with one share
-    # or one per frame: the same steps, cost, merged rows, order, blocks
-    # and slots bit for bit, and the kept scans within 1e-14
+    # or one per frame: the same cost, merged rows, order, blocks and slots
+    # bit for bit, and the kept scan records within 1e-14
     for changes in ({}, {"blocks": 2, "block_rows": 4}, {"share": np.array([0.75, 0.5])}):
         (args, answer), (python_args, python_answer) = (
             (args, kernels.absorb(*args))
             for kernels in (compiled, python) for args in [_absorb_call(**{**_ROOM, **changes})]
         )
-        steps, cost, merged, *scans = answer
-        assert steps == python_answer[0] and cost.hex() == python_answer[1].hex()
-        assert merged.tobytes() == python_answer[2].tobytes()
-        assert not merged.flags.writeable and not python_answer[2].flags.writeable
+        cost, merged, scan = answer
+        assert cost.hex() == python_answer[0].hex()
+        assert merged.tobytes() == python_answer[1].tobytes()
+        assert not merged.flags.writeable and not python_answer[1].flags.writeable
         assert _array_bytes(args) == _array_bytes(python_args)
+        steps = len(merged) - 1
         assert sorted(args[3][:steps]) == list(range(steps)) and sorted(args[6][1]) == [0, 0, 3, 4]
-        for (d, *sums), (want_d, *want_sums) in zip(scans, python_answer[3:]):
-            assert not d.flags.writeable and not want_d.flags.writeable
-            assert np.all(np.abs(d - want_d) <= 1e-14 * np.abs(want_d))
-            assert all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(sums, want_sums))
+        # d, g, the sum of g and the sum of d
+        assert not any(a.flags.writeable for a in (*scan[:2], *python_answer[2][:2]))
+        for got, want in zip(scan, python_answer[2]):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def _other_blocks(blocks):
@@ -1208,8 +1241,8 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
             counting.calls.clear()
             state.absorb(frame)
             # one call, after the no-room answer where the store grew
-            *refused, (name, (steps, *_)) = counting.calls
-            assert name == "absorb" and steps >= 0
+            *refused, (name, (_, merged, _)) = counting.calls
+            assert name == "absorb" and merged is state._padded
             grew = any(a is not b for a, b in zip(store, _store_arrays(state)))
             assert refused == [("absorb", None)] * grew
             grown += grew
@@ -1221,7 +1254,7 @@ def test_a_compiled_absorb_is_one_call(compiled, monkeypatch, capacity):
 @pytest.mark.parametrize("capacity", [None, _TINY_STORE], ids=["default-store", "tiny-store"])
 def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
     # absorb and estimate, under both metrics: the estimates read the scan
-    # the absorb kept, and a length other than 2 S calls nothing
+    # the absorb kept and make no call of their own
     _set_store(monkeypatch, capacity)
     counting = _CountingLib(compiled)
     monkeypatch.setattr(_kernels, "lib", counting)
@@ -1241,9 +1274,6 @@ def test_an_a_or_b_stage_is_one_compiled_call(compiled, monkeypatch, capacity):
                 assert name == "absorb" and answer is not None
                 assert refused == [("absorb", None)] * len(refused) and len(refused) <= 1
                 grown += len(refused)
-                counting.calls.clear()
-                state.candidate_gld(3.0)
-                assert counting.calls == []
     assert grown >= (5 if capacity else 1)  # looped_clip(40) outgrows the default's 32 frames
 
 
@@ -1256,26 +1286,24 @@ def _replicated(n):
 
 def _check_the_kept_scan(clips):
     """After every absorb of each of ``clips`` into a state with a store,
-    weighted or not: what :meth:`CombinerState.candidate_gld`
-    serves for nGLD at 2 S and for GLD is the scan the absorb kept,
-    write-protected, and in hex (at the stages :func:`_replicated` names)
-    a fresh spread of the same store, current rows and shares in the
-    kernel's summation order (:func:`_scan_replica`)."""
+    weighted or not: what :meth:`CombinerState.candidate_gld` returns is
+    the record the absorb kept, its arrays write-protected, and in hex (at
+    the stages :func:`_replicated` names) a fresh spread of the same
+    store, current rows and shares in the kernel's summation order, at
+    the nGLD length 2 S and for GLD (:func:`_replicas`)."""
     for clip in clips:
         state = CombinerState(clip.alphabet, track_history=True)
         for frame in clip.frames:
             state.absorb(frame)
             n, s = state.n, state.num_chars
-            kept = (2.0 * s, state._ngld), (None, state._gld)
-            for length, scan in kept:
-                got = state.candidate_gld(length)
-                assert got is scan and not got[0].flags.writeable
+            scan = state.candidate_gld()
+            assert scan is state._scan and state.candidate_gld() is scan
+            assert not scan[0].flags.writeable and not scan[1].flags.writeable
             if not _replicated(n):
                 continue
             store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
             shares = np.broadcast_to(state.candidate_shares(), n).tolist()
-            for length, scan in kept:
-                assert _hex_scan(*scan) == _scan_replica(*store, shares, length)
+            assert _hex_scan(*scan) == _replicas(*store, shares)
 
 
 def _kept_scan_clips():
@@ -1303,45 +1331,12 @@ def test_the_python_absorb_keeps_the_numpy_scan():
             for frame in clip.frames:
                 state.absorb(frame)
                 g = state.spread() * state.candidate_shares() / 2.0
-                for length, kept in ((2.0 * state.num_chars, state._ngld), (None, state._gld)):
-                    got = d, g_sum, d_sum = state.candidate_gld(length)
-                    assert got is kept and not d.flags.writeable
-                    want = g if length is None else metrics.normalized(g, length)
-                    assert d.tobytes() == want.tobytes()
-                    assert (g_sum, d_sum) == (float(g.sum()), float(want.sum()))
-
-
-# lengths that are never 2 S, so that candidate_gld normalises the kept g anew
-_OTHER_LENGTHS = (0.0, 0.5, 3.5, 1e300)
-
-
-@pytest.mark.parametrize("route", ["compiled", "python"])
-def test_another_length_normalises_the_kept_g(request, route):
-    rng = random.Random(12)
-    with kernel_route(request, route):
-        for clip in [looped_clip(30), random_clip(rng, 0, weighted=True)]:
-            state = CombinerState(clip.alphabet, track_history=True)
-            for frame in clip.frames:
-                state.absorb(frame)
-                g, kept_sum, _ = state._gld
-                for length in _OTHER_LENGTHS:
-                    d, g_sum, d_sum = state.candidate_gld(length)
-                    want = metrics.normalized(g, length)
-                    assert d.tobytes() == want.tobytes()
-                    assert g_sum.hex() == kept_sum.hex() and d_sum.hex() == float(want.sum()).hex()
-
-
-@pytest.mark.parametrize("route", ["compiled", "python"])
-def test_candidate_gld_refuses_a_negative_or_non_finite_length(request, route):
-    clip = looped_clip(6)
-    with kernel_route(request, route):
-        state = CombinerState(clip.alphabet, track_history=True)
-        for frame in clip.frames:
-            state.absorb(frame)
-            for length in (-1.0, -1e-300, -math.inf, math.inf, math.nan):
-                with pytest.raises(ValueError, match="non-negative finite number"):
-                    state.candidate_gld(length)
-            assert state.candidate_gld(-0.0)[0].tobytes() == state.candidate_gld(0.0)[0].tobytes()
+                d = metrics.normalized(g, 2.0 * state.num_chars)
+                got = state.candidate_gld()
+                assert got is state._scan and state.candidate_gld() is got
+                assert not got[0].flags.writeable and not got[1].flags.writeable
+                assert got[0].tobytes() == d.tobytes() and got[1].tobytes() == g.tobytes()
+                assert got[2:] == (float(g.sum()), float(d.sum()))
 
 
 def test_python_kernels_names_the_python_route_in_status():
@@ -1522,7 +1517,7 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
                 want = merge_share(np.asarray(seen), state.weight_total)
                 assert share.tobytes() == want.tobytes()
                 assert len(set(seen)) > 1
-            state.candidate_gld(2.0 * state.num_chars)
+            state.candidate_gld()
     assert state.n == len(clip.frames) and not factors
 
 
@@ -1567,13 +1562,12 @@ def test_an_array_from_candidate_gld_outlives_later_calls(compiled):
     kept = []
     for frame in clip.frames:
         state.absorb(frame)
-        for length in (None, 2.0 * len(state.row_ids)):
-            d = state.candidate_gld(length)[0]
-            kept.append((d, d.tobytes()))
+        for array in state.candidate_gld()[:2]:  # d and g
+            kept.append((array, array.tobytes()))
         estimate_method_a(state, metric=MetricKind.NGLD)
         estimate_method_b(state)
         gc.collect()
-    assert all(d.tobytes() == want for d, want in kept)
+    assert all(array.tobytes() == want for array, want in kept)
 
 
 def test_copies_and_pickles_read_their_own_arrays(compiled):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from framestop.combiner import CombinerState, align
-from framestop.core import Alphabet, Clip, from_string, make_frame
+from framestop.core import Alphabet, Clip, RecognitionFrame, from_string, make_frame
 from framestop.metrics import MetricKind, gld
 from framestop.stoppers import (
     EstimationBreakdown,
@@ -219,6 +219,45 @@ def test_method_b_takes_a_weighted_state():
         g = b.gld_aggregate
         b = estimate_method_b(state, metric=MetricKind.NGLD, delta=DELTA)
         assert math.isclose(b.estimate, (DELTA + 2 * g / (g + 2)) / 3, abs_tol=1e-12)
+
+
+def _constant_weights():
+    """Per-frame weights of 30 stages: uniform draws, a zero first weight,
+    and alternations of a tiny or a huge weight with an ordinary one."""
+    rng = random.Random(30)
+    return {
+        "uniform": [rng.uniform(0.25, 3.0) for _ in range(30)],
+        "zero-first": [0.0] + [rng.uniform(0.25, 3.0) for _ in range(29)],
+        "1e-300-and-2": [1e-300, 2.0] * 15,
+        "1e300-and-1": [1e300, 1.0] * 15,
+    }
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+@pytest.mark.parametrize("weights", _constant_weights())
+def test_weighted_constant_clips_give_exactly_delta_over_n_plus_1(request, route, weights):
+    # acceptance criterion 4 with per-frame weights: base, a and b agree on
+    # what a weight means where every candidate leaves the result as it is
+    alphabet = Alphabet("ABC")
+    kinds = (
+        from_string("ABCA", alphabet).rows,
+        make_frame([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]]).rows,
+        np.zeros((0, 4)),
+    )
+    with kernel_route(request, route):
+        for rows in kinds:
+            state = CombinerState(alphabet, track_history=True)
+            frames = []
+            for n, weight in enumerate(_constant_weights()[weights], 1):
+                frames.append(RecognitionFrame(rows, weight))
+                state.absorb(frames[-1])
+                for metric in MetricKind:
+                    for breakdown in (
+                        estimate_base(state, frames, metric=metric, delta=DELTA),
+                        estimate_method_a(state, metric=metric, delta=DELTA),
+                        estimate_method_b(state, metric=metric, delta=DELTA),
+                    ):
+                        assert breakdown.estimate == DELTA / (n + 1), (len(rows), n, metric)
 
 
 def test_weighted_method_a_matches_oracle():
@@ -465,8 +504,8 @@ def _lazy_clips():
 
 def _eager(state, metric):
     """Method a's per-candidate tuple as it was built before it was lazy."""
-    length = 2.0 * state.num_chars if metric is MetricKind.NGLD else None
-    return tuple(state.candidate_gld(length)[0].tolist())
+    d, g, _, _ = state.candidate_gld()
+    return tuple((d if metric is MetricKind.NGLD else g).tolist())
 
 
 @pytest.mark.parametrize("route", ["compiled", "python"])
