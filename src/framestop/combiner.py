@@ -572,16 +572,6 @@ class CombinerState:
         self._check_frame(candidate)
         return align(candidate, self.mean_rows), _scalar_share(candidate.weight, self.weight_total)
 
-    def candidate_shares(self):
-        """Merge share of every absorbed frame as the next candidate.
-
-        :func:`merge_share` of each frame's weight into the weight total;
-        one scalar when all frames have the same weight, else shape (n,).
-        """
-        if self._common_weight is not None:
-            return self._share
-        return merge_share(np.asarray(self._weights), self.weight_total)
-
     def combine_candidate(self, candidate):
         """Combined result if ``candidate`` arrived next, merged with its
         :func:`merge_share`; the state is untouched: one ``absorb`` call of
@@ -602,27 +592,15 @@ class CombinerState:
             raise ValueError("no frames absorbed yet")
         return CombinedResult(self.mean_rows, self.row_ids)
 
-    def spread(self):
-        """Per frame i, the sum over rows and classes of |current - contribution_i|.
-
-        Shape (n,).  The current rows are taken by row id from the combined
-        result, through the inverse of the row-id order: the numpy scan
-        (:func:`_spread`) of the Python kernels, which the compiled
-        ``fs_spread`` (see ``_kernels.c``) agrees with to within 1e-14
-        relative up to n=400.  Both give exactly 0 for a frame equal to the
-        current rows.
-        """
-        self._check_store()
-        s = self.num_chars
-        return _spread(self._blocks, self._slots[: self.n], self._ids[:s], self.mean_rows)
-
     def candidate_gld(self):
         """Method a's distance to every candidate next merge, and their sums.
 
         Candidate i, frame i arriving again, moves every row by its merge
-        share (:meth:`candidate_shares`) of the gap between the current row
-        and what frame i merged into it, as the merge itself does, so its
-        GLD is g_i = spread_i * share_i / 2 (:meth:`spread`).  Returns the
+        share, :func:`merge_share` of frame i's weight into the weight
+        total, of the gap between the current row and what frame i merged
+        into it, as the merge itself does.  So its GLD g_i is half that
+        share times frame i's spread, the sum over rows and classes of
+        |current - what frame i merged| (:func:`_spread`).  Returns the
         scan the last absorb kept (see the module docstring),
         (d, g, sum of g, sum of d): g and its nGLD d at the length 2 S
         (:func:`metrics.normalized`), write-protected arrays of shape (n,),

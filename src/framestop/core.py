@@ -132,6 +132,8 @@ class RecognitionFrame:
     def __init__(self, rows, weight=1.0):
         rows = np.asarray(rows, dtype=np.float64)
         least = _check_distribution_rows(rows, "frame")
+        if isinstance(weight, (bool, np.bool_)):  # a number to numpy, but not a weight
+            raise TypeError("frame weight must be a number, not bool")
         if not np.isfinite(weight) or weight < 0:
             raise ValueError("frame weight must be a non-negative number")
         padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
@@ -163,11 +165,11 @@ def make_frame(raw_rows, weight=1.0, *, num_classes=None):
     ``raw_rows`` lists one score per alphabet class (no empty-class
     column).  Rows are renormalized to sum to one and the empty-class
     column is prepended with value 0.  Pass ``num_classes`` to pin the
-    expected row width; it is required when ``raw_rows`` is empty, since
+    expected row width; it is required when ``raw_rows`` has no rows, since
     the width cannot be inferred from nothing.
     """
     rows = np.array(raw_rows, dtype=np.float64)
-    if rows.size == 0:
+    if rows.shape[:1] == (0,):  # no rows; a row of no scores meets the width checks
         if num_classes is None:
             raise ValueError("num_classes is required for a zero-length frame")
         if num_classes < 1:
@@ -177,6 +179,8 @@ def make_frame(raw_rows, weight=1.0, *, num_classes=None):
         raise ValueError("raw rows must form a 2-D array: one row per character")
     if num_classes is not None and rows.shape[1] != num_classes:
         raise ValueError(f"rows have {rows.shape[1]} classes, expected {num_classes}")
+    if rows.shape[1] == 0:
+        raise ValueError("rows need at least one class")
     least, most = rows.min(), rows.max()
     if not (math.isfinite(least) and math.isfinite(most)):  # NaN reaches both
         raise ValueError("raw rows contain non-finite values")
@@ -278,6 +282,8 @@ class Clip:
     """A unit of evaluation: frames of one text object plus its true value."""
 
     def __init__(self, clip_id, alphabet, truth, frames):
+        if not isinstance(truth, str):  # a list of symbols would iterate as one
+            raise TypeError(f"truth must be a string, not {type(truth).__name__}")
         frames = tuple(frames)
         for ch in truth:
             if ch not in alphabet:
@@ -289,7 +295,7 @@ class Clip:
                 )
         self.id = str(clip_id)
         self.alphabet = alphabet
-        self.truth = str(truth)
+        self.truth = truth
         self.frames = frames
 
     def __repr__(self):

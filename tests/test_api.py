@@ -17,7 +17,6 @@ def test_public_surface():
         "write_csv",
     ]
     assert sorted(name for name in vars(CombinerState) if not name.startswith("_")) == [
-        "absorb", "candidate_alignment", "candidate_gld", "candidate_shares", "cell",
-        "combine_candidate", "contributions", "current_result", "mean_rows", "row_ids",
-        "spread", "weights",
+        "absorb", "candidate_alignment", "candidate_gld", "cell", "combine_candidate",
+        "contributions", "current_result", "mean_rows", "row_ids", "weights",
     ]

@@ -308,6 +308,9 @@ MALFORMED_LINES = {
     "ragged-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1, 0], [1]]}]}',
     "string-entries": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [["a", "b"]]}]}',
     "nan-weight": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"w": NaN, "rows": [[1, 0]]}]}',
+    "bool-weight": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"w": false, "rows": [[1, 0]]}]}',
+    "empty-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[], []]}]}',
+    "list-truth": '{"id": "x", "alphabet": "AB", "truth": ["A"], "frames": [{"rows": [[1, 0]]}]}',
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "huge-integer": (
         '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1%s, 0]]}]}' % ("0" * 400)

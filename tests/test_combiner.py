@@ -252,7 +252,7 @@ def test_contribution_requires_history():
     # ValueError, which names both keywords
     state = build("A")
     readers = [
-        lambda: state.contributions, state.spread, state.candidate_gld,
+        lambda: state.contributions, state.candidate_gld,
         lambda: state.cell(0, 0), lambda: estimate_method_a(state),
         lambda: estimate_method_b(state),
     ]

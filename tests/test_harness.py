@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framestop.harness as harness
 from framestop.core import Alphabet, Clip, RecognitionFrame, from_string
@@ -140,6 +143,35 @@ def test_load_clips_rejects_bad_records(tmp_path, mutate, message):
     with pytest.raises(ValueError, match=message) as err:
         load_clips(path)
     assert ":1:" in str(err.value)
+
+
+# frame records over the alphabet "AB": rows of 0 to 3 scores, so empty,
+# ragged and too wide rows, and a weight that is absent, a number or a bool
+_frame_records = st.fixed_dictionaries(
+    {"rows": st.lists(st.lists(st.floats(0.0, 1e3), max_size=3), max_size=3)},
+    optional={"w": st.floats(0.0, 1e3) | st.booleans()},
+)
+
+
+@pytest.mark.filterwarnings("ignore:renormalizing rows")
+@settings(max_examples=150, deadline=None)
+@given(
+    truth=st.text("ABC", max_size=3) | st.lists(st.sampled_from("AB"), max_size=3),
+    frames=st.lists(_frame_records, max_size=3),
+)
+def test_load_clips_loads_each_record_as_listed_or_names_its_line(truth, frames):
+    record = {"id": "x", "alphabet": "AB", "truth": truth, "frames": frames}
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "clips.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        try:
+            [clip] = load_clips(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:1: ")
+            return
+    assert type(clip.truth) is str and clip.truth == truth
+    assert [len(frame.rows) for frame in clip.frames] == [len(f["rows"]) for f in frames]
+    assert not any(isinstance(f.get("w"), bool) for f in frames)
 
 
 def test_load_clips_names_json_error_line(tmp_path):

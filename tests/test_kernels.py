@@ -1302,7 +1302,7 @@ def _check_the_kept_scan(clips):
             if not _replicated(n):
                 continue
             store = _flat_rows(state), state._slots[:n, :s], _current_by_row_id(state)
-            shares = np.broadcast_to(state.candidate_shares(), n).tolist()
+            shares = merge_share(np.asarray(state.weights), state.weight_total).tolist()
             assert _hex_scan(*scan) == _replicas(*store, shares)
 
 
@@ -1330,8 +1330,11 @@ def test_the_python_absorb_keeps_the_numpy_scan():
             state = CombinerState(clip.alphabet, track_history=True)
             for frame in clip.frames:
                 state.absorb(frame)
-                g = state.spread() * state.candidate_shares() / 2.0
-                d = metrics.normalized(g, 2.0 * state.num_chars)
+                s = state.num_chars
+                spread = combiner._spread(state._blocks, state._slots[: state.n], state._ids[:s],
+                                          state.mean_rows)
+                g = spread * merge_share(np.asarray(state.weights), state.weight_total) / 2.0
+                d = metrics.normalized(g, 2.0 * s)
                 got = state.candidate_gld()
                 assert got is state._scan and state.candidate_gld() is got
                 assert not got[0].flags.writeable and not got[1].flags.writeable
@@ -1483,24 +1486,20 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
         rng = np.random.default_rng(5)
         frames = [make_frame(rng.dirichlet(np.ones(3), 2), w) for w in _SHARE_WEIGHTS[weights]]
         clip = Clip(weights, Alphabet("ABC"), "AB", frames)
-    factors = []
+    calls = []  # what each kernel absorb was given: the factor and the share
+
+    def recording(kernel):
+        def absorb(*args):
+            calls.append((args[2], args[8]))
+            return kernel(*args)
+        return absorb
+
     if route == "compiled":
         lib = request.getfixturevalue("compiled")
-
-        def absorb(*args):
-            factors.append(args[2])
-            return lib.absorb(*args)
-
-        monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=absorb))
+        monkeypatch.setattr(_kernels, "lib", SimpleNamespace(absorb=recording(lib.absorb)))
         routing = contextlib.nullcontext
-    else:
-        merge = combiner._merge
-
-        def recorded(*args):
-            factors.append(args[-1])
-            return merge(*args)
-
-        monkeypatch.setattr(combiner, "_merge", recorded)
+    else:  # python_kernels() reads combiner._absorb as it starts
+        monkeypatch.setattr(combiner, "_absorb", recording(combiner._absorb))
         routing = python_kernels
     state = CombinerState(clip.alphabet, track_history=True)
     seen = []
@@ -1509,8 +1508,8 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
             total = state.weight_total
             state.absorb(frame)
             seen.append(frame.weight)
-            assert factors.pop().hex() == merge_share(frame.weight, total).hex()
-            share = state.candidate_shares()
+            factor, share = calls.pop()
+            assert factor.hex() == merge_share(frame.weight, total).hex()
             if isinstance(share, float):
                 assert all(share.hex() == merge_share(w, state.weight_total).hex() for w in seen)
             else:
@@ -1518,7 +1517,7 @@ def test_the_absorb_factor_and_the_candidate_share_are_merge_share(
                 assert share.tobytes() == want.tobytes()
                 assert len(set(seen)) > 1
             state.candidate_gld()
-    assert state.n == len(clip.frames) and not factors
+    assert state.n == len(clip.frames) and not calls
 
 
 def test_a_failed_absorb_leaves_the_grown_state_as_it_was(compiled, monkeypatch):
