@@ -4,17 +4,15 @@
    fs_absorb is the alignment, merge and store write of
    CombinerState.absorb, and combiner.align when it is given no merge: it
    computes the substitution and gap costs as metrics.pairwise_costs and
-   metrics.gap_costs do, summing in numpy's pairwise order, fills the
-   backward GLD table as metrics.cost_table does, reads the path off as
-   combiner._path does, and then merges the rows along it as
+   metrics.gap_costs do, summing in framestop's order (lane_sums), fills
+   the backward GLD table as metrics.cost_table does, reads the path off
+   as combiner._path does, and then merges the rows along it as
    combiner._merge does and writes the history store as
    combiner._absorb does.  fs_gld is metrics.gld in one call, with
    the same costs and table.  Every result is bit-identical to the Python
    reference, which runs the same IEEE operations in the same order; build
    without floating-point contraction (-ffp-contract=off) and without
-   -ffast-math.  numpy does not promise its summation order, so the loader
-   checks the C costs against numpy's bit for bit before gld, align or
-   absorb use either kernel.
+   -ffast-math.
    fs_spread is the one history scan of methods a and b over the
    blocks-plus-slots history store: every candidate's GLD and its nGLD at
    the length 2 S, and the sums of both, in one pass.  The absorb entry
@@ -32,15 +30,16 @@
    The hot loops run on vectors of four doubles, each lane doing what the
    scalar code does in the same order, so they give the same bits on any
    instruction set.  In the substitution costs a lane is one cost: the
-   frame rows are copied to lanes (transposed), and each of numpy's eight
-   accumulators is a vector holding that accumulator of four (result row,
-   frame row) pairs.  In a gap cost's sum and a row's distance to the
-   empty row a lane is one accumulator of one row; in the scan each of a
-   frame's four vectors holds the four accumulators of every fourth group
-   of four classes, summed over all of its rows; in the merge a lane is
-   one column.  On x86-64 ELF with glibc, the kernels are built twice, for
-   AVX2 and for the baseline, and the dynamic loader picks one (CLONED);
-   elsewhere the baseline build alone runs the same vector code.
+   frame rows are copied to lanes (transposed), and each of the eight
+   accumulators of the summation order is a vector holding that
+   accumulator of four (result row, frame row) pairs.  In a gap cost's sum
+   and a row's distance to the empty row a lane is one accumulator of one
+   row; in the scan each of a frame's four vectors holds the four
+   accumulators of every fourth group of four classes, summed over all of
+   its rows; in the merge a lane is one column.  On x86-64 ELF with glibc,
+   the kernels are built twice, for AVX2 and for the baseline, and the
+   dynamic loader picks one (CLONED); elsewhere the baseline build alone
+   runs the same vector code.
 
    The kernels only compute: they allocate nothing, validate no argument
    and return only what they compute, the one failure being fs_absorb's
@@ -64,7 +63,7 @@
    record, which the state keeps as CombinerState.candidate_gld's answer
    until the next absorb.  No address outlives a call. */
 
-/* Python.h first, as it asks, then numpy's array API; their own structs
+/* Python.h first, as it asks, then the numpy array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
    alone. */
 #pragma GCC diagnostic push
@@ -158,14 +157,11 @@ static double fill(const double *sub, const double *gap_rows, const double *gap_
     return table[0];
 }
 
-/* Sums in the order numpy's pairwise_sum adds a contiguous float64 axis
-   (np.add.reduce): a plain loop from 0 below 8 terms; up to 128 terms, 8
-   accumulators seeded with the first eight terms and combined as
-   ((0+1)+(2+3))+((4+5)+(6+7)), then the tail added in order; above 128,
-   the two parts summed apart, split at n/2 rounded down to a multiple of
-   8.  The parts above 128 terms, lane_split and sum_abs_split, are not
-   inlined, as they recurse, so they run the baseline build in either
-   clone.
+/* Sums in framestop's order, the one metrics._lane_sum writes in numpy:
+   eight accumulators, starting at 0.0, over the whole groups of eight
+   terms, accumulator l adding the terms k = l mod 8 in order, combined as
+   ((0+1)+(2+3))+((4+5)+(6+7)), then the terms past the last whole group
+   added in order.
 
    lane_sums(x, t, stride, n, out): out[l], for each lane l < 4, receives
    the sum over k < n of |x[k] - t[k * stride + l]|, the distance of the
@@ -174,71 +170,40 @@ static double fill(const double *sub, const double *gap_rows, const double *gap_
    lane l, so every lane adds the same operands in the same order as a
    scalar sum of its own. */
 #define TERM4(k) ABS4(x[k] - LOAD4(t + (k) * stride))
-static void lane_split(const double *x, const double *t, int64_t stride, int64_t n, double *out);
 INLINE void lane_sums(const double *x, const double *t, int64_t stride, int64_t n, double *out)
 {
-    if (n > 128) {
-        lane_split(x, t, stride, n, out);
-        return;
-    }
-    f64x4 sum = {0.0, 0.0, 0.0, 0.0};
+    f64x4 r0 = {0.0, 0.0, 0.0, 0.0}, r1 = r0, r2 = r0, r3 = r0, r4 = r0, r5 = r0, r6 = r0, r7 = r0;
     int64_t k = 0;
-    if (n >= 8) {
-        f64x4 r0 = TERM4(0), r1 = TERM4(1), r2 = TERM4(2), r3 = TERM4(3);
-        f64x4 r4 = TERM4(4), r5 = TERM4(5), r6 = TERM4(6), r7 = TERM4(7);
-        for (k = 8; k < n - n % 8; k += 8) {
-            r0 += TERM4(k);
-            r1 += TERM4(k + 1);
-            r2 += TERM4(k + 2);
-            r3 += TERM4(k + 3);
-            r4 += TERM4(k + 4);
-            r5 += TERM4(k + 5);
-            r6 += TERM4(k + 6);
-            r7 += TERM4(k + 7);
-        }
-        sum = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    for (; k < n - n % 8; k += 8) {
+        r0 += TERM4(k);
+        r1 += TERM4(k + 1);
+        r2 += TERM4(k + 2);
+        r3 += TERM4(k + 3);
+        r4 += TERM4(k + 4);
+        r5 += TERM4(k + 5);
+        r6 += TERM4(k + 6);
+        r7 += TERM4(k + 7);
     }
+    f64x4 sum = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
     for (; k < n; k++)
         sum += TERM4(k);
     memcpy(out, &sum, sizeof sum);
 }
-static void lane_split(const double *x, const double *t, int64_t stride, int64_t n, double *out)
-{
-    int64_t half = n / 2;
-    half -= half % 8;
-    double lo[4], hi[4];
-    lane_sums(x, t, stride, half, lo);
-    lane_sums(x + half, t + half * stride, stride, n - half, hi);
-    for (int l = 0; l < 4; l++)
-        out[l] = lo[l] + hi[l];
-}
 
 /* sum_abs(a, n): the sum over k < n of |a[k]|, one row's, whose
    accumulators are the lanes of two vectors, 0-3 and 4-7. */
-static double sum_abs_split(const double *a, int64_t n);
 INLINE double sum_abs(const double *a, int64_t n)
 {
-    if (n > 128)
-        return sum_abs_split(a, n);
-    double res = 0.0;
+    f64x4 lo = {0.0, 0.0, 0.0, 0.0}, hi = lo;
     int64_t k = 0;
-    if (n >= 8) {
-        f64x4 lo = ABS4(LOAD4(a)), hi = ABS4(LOAD4(a + 4));
-        for (k = 8; k < n - n % 8; k += 8) {
-            lo += ABS4(LOAD4(a + k));
-            hi += ABS4(LOAD4(a + k + 4));
-        }
-        res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) + ((hi[0] + hi[1]) + (hi[2] + hi[3]));
+    for (; k < n - n % 8; k += 8) {
+        lo += ABS4(LOAD4(a + k));
+        hi += ABS4(LOAD4(a + k + 4));
     }
+    double res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) + ((hi[0] + hi[1]) + (hi[2] + hi[3]));
     for (; k < n; k++)
         res += fabs(a[k]);
     return res;
-}
-static double sum_abs_split(const double *a, int64_t n)
-{
-    int64_t half = n / 2;
-    half -= half % 8;
-    return sum_abs(a, half) + sum_abs(a + half, n - half);
 }
 
 /* n rounded up to whole groups of four lanes */

@@ -23,33 +23,29 @@ change the rounding of the alignment table and could flip its ties.  The
 hot loops run on vectors of four doubles, each lane doing what the scalar
 code does in the same order, so they round as the scalar code does: in
 the substitution costs a lane is one cost, four (result row, frame row)
-pairs per vector, each summed in numpy's order.  On x86-64
-ELF with glibc the C file builds each kernel twice, for AVX2 and for the
-baseline, and the dynamic loader picks one through an ifunc
+pairs per vector, each summed in framestop's order, which
+``metrics._lane_sum`` writes in numpy from element-wise additions.  On
+x86-64 ELF with glibc the C file builds each kernel twice, for AVX2 and
+for the baseline, and the dynamic loader picks one through an ifunc
 (``target_clones``); elsewhere it builds the baseline alone, and the
 compiled kernels still run.
 
-A fresh load also runs :func:`probe`: ``fs_gld`` and ``fs_absorb``
-compute the substitution and gap costs of ``metrics.gld`` and
-``combiner.align`` in numpy's pairwise summation order, which numpy does
-not promise to keep, so the probe checks them against numpy's bit for bit.
-That is the one switch: :func:`get` returns the compiled module once it
-builds, imports and passes the probe.  Otherwise (no compiler or headers,
-a failed build or load, or a probe mismatch) it returns the Python
-kernels (:func:`reference`), which give the same answers, and ``reason``
-and :func:`status` say why.
+:func:`get` returns the compiled module once it builds and imports.
+Otherwise (no compiler or headers, or a failed build or load) it returns
+the Python kernels (:func:`reference`), which give the same answers, and
+``reason`` and :func:`status` say why.
 
 Either way :func:`get` returns a kernel module of three entry points with
 one interface, and each caller makes one call of it: ``metrics.gld``
 calls ``gld(x, y)``, ``combiner.align`` ``align(x, y)``, and
 ``CombinerState.absorb`` and ``combine_candidate`` ``absorb(result,
 frame, factor, order, blocks, used, slots, frame_index, share)``.  The
-Python kernels are ``metrics._cost`` (numpy's costs and
-``metrics.cost_table``), ``combiner._align`` (the same and the traceback
-``combiner._path``) and ``combiner._absorb`` (the room test, ``_align``,
-``combiner._merge``, the store write and the numpy scan).  An ``a`` or
-``b`` stage is one ``absorb`` call, and ``CombinerState.candidate_gld``
-only reads what the state kept.
+Python kernels are ``metrics._cost`` (``metrics.pairwise_costs``,
+``gap_costs`` and ``cost_table``), ``combiner._align`` (the same and the
+traceback ``combiner._path``) and ``combiner._absorb`` (the room test,
+``_align``, ``combiner._merge``, the store write and the numpy scan).  An
+``a`` or ``b`` stage is one ``absorb`` call, and
+``CombinerState.candidate_gld`` only reads what the state kept.
 
 The compiled kernels only compute; each entry point does the rest, in C.
 It checks every argument: C-contiguous aligned float64 or int64 ndarrays
@@ -106,12 +102,8 @@ MODULE = "framestop._compiled"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET = object()
-lib = _UNSET  # the compiled module, loaded and probed, or the Python kernels
+lib = _UNSET  # the compiled module, loaded, or the Python kernels
 reason = "not loaded yet"  # "compiled", or why the Python kernels run
-
-# row widths (K+1) of the load-time probe of fs_gld's costs: each side of
-# numpy's 8-term and 128-term thresholds, and the benchmark's 37
-PROBE_WIDTHS = (2, 3, 7, 8, 9, 16, 17, 37, 64, 127, 128, 129, 256, 257, 300)
 
 
 def compiler():
@@ -278,15 +270,13 @@ def reference():
 
 
 def get():
-    """The kernels, chosen on first call: the compiled module, built, loaded
-    and probed, or else the Python kernels (:func:`reference`), ``reason``
-    saying why: no build, no load, or a probe mismatch (:func:`probe`)."""
+    """The kernels, chosen on first call: the compiled module, built and
+    loaded, or else the Python kernels (:func:`reference`), ``reason``
+    saying why there is no build or no load."""
     global lib, reason
     if lib is _UNSET:
         lib, reason = _load()
-        if reason == "compiled" and (mismatch := probe(lib)) is not None:
-            reason = mismatch
-        if reason != "compiled":
+        if lib is None:
             lib = reference()
     return lib
 
@@ -295,53 +285,3 @@ def status():
     """"compiled", or "python: <why>" when the Python kernels run."""
     get()
     return reason if reason == "compiled" else f"python: {reason}"
-
-
-# the probe's row counts per side: neither fills whole groups of four
-# lanes, so the kernels' partial groups are checked too
-PROBE_ROWS = (5, 7)
-
-
-def _probe_rows(rng, width, count):
-    """``count`` rows of one width from the numpy generator ``rng``, of four
-    kinds in turn: Dirichlet(1) (normalised exponentials), the same with
-    magnitudes spread over decades (the draws to the fourth power),
-    one-hot, and Dirichlet(1) scaled into the subnormal range."""
-    draws = rng.exponential(size=(count, width))
-    draws[1::4] **= 4
-    rows = draws / draws.sum(axis=1, keepdims=True)
-    rows[2::4] = np.eye(width)[rng.integers(width, size=len(rows[2::4]))]
-    rows[3::4] *= 2.0**-1060
-    return rows
-
-
-def probe(module):
-    """None when the compiled ``module``'s fs_gld substitution and gap costs
-    equal numpy's ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit on
-    a fixed seeded probe at every width of ``PROBE_WIDTHS``; else where
-    they first differ.
-
-    fs_gld and fs_absorb copy numpy's summation order, which numpy does not
-    promise to keep, so :func:`get` hands out the module only after this
-    passes.
-    """
-    from . import metrics  # here: metrics imports this module
-
-    rng = np.random.default_rng(20200)
-    for width in PROBE_WIDTHS:
-        x, y = (_probe_rows(rng, width, count) for count in PROBE_ROWS)
-        *got, _ = costs(module, x, y)
-        want = metrics.pairwise_costs(x, y), metrics.gap_costs(x), metrics.gap_costs(y)
-        if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-            return f"probe mismatch at K+1={width}"
-    return None
-
-
-def costs(module, x, y):
-    """(sub, gap_rows, gap_cols, gld) as the compiled ``module``'s fs_gld
-    computes them: the arrays ``metrics.pairwise_costs(x, y)``,
-    ``gap_costs(x)`` and ``gap_costs(y)`` would give, and the GLD."""
-    s, m = len(x), len(y)
-    work = np.empty(2 * (s + 1) * (m + 1) - 1)
-    cost = module.gld(x, y, work)
-    return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost

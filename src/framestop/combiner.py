@@ -36,15 +36,15 @@ an absorb writes it, as slots index only rows below ``_used``.
 Two kernels give the same alignments, rows, row ids and store bit for
 bit, and each caller makes one call of the one that ``_kernels.get()``
 returns, given the state's arrays themselves: ``CombinerState.absorb``
-and ``combine_candidate`` call its ``absorb`` (the costs, in numpy's
-summation order, the table, the path, the merge, the row ids and, with a
-history store, the store write and the scan below over the merged rows;
-that call alone tests the room), and ``align`` its ``align`` (the same
-without the merge and the store).  The compiled kernels are ``fs_absorb``
-and ``fs_spread`` in ``_kernels.c``; the Python ones, the reference, are
-:func:`_absorb` and :func:`_align` here, which run numpy's
-``pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``, the
-traceback :func:`_path`, :func:`_merge` and the numpy scan
+and ``combine_candidate`` call its ``absorb`` (the costs, summed in
+framestop's order, ``metrics._lane_sum``, the table, the path, the merge,
+the row ids and, with a history store, the store write and the scan below
+over the merged rows; that call alone tests the room), and ``align`` its
+``align`` (the same without the merge and the store).  The compiled
+kernels are ``fs_absorb`` and ``fs_spread`` in ``_kernels.c``; the Python
+ones, the reference, are :func:`_absorb` and :func:`_align` here, which
+run ``metrics.pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``,
+the traceback :func:`_path`, :func:`_merge` and the numpy scan
 (:func:`_spread`).
 
 Methods ``a`` and ``b`` read the store through
@@ -214,13 +214,13 @@ def align(frame, result):
     ValueError, as in ``metrics.gld``.
 
     This is one ``align`` call of the kernels (see the module docstring):
-    ``fs_absorb`` with no merge and no store, whose costs equal numpy's
-    ``pairwise_costs`` / ``gap_costs`` bit for bit, or :func:`_align`, the
-    reference.  A ``base`` stage at
-    n=25 is 26 alignments and an ``a`` stage one, so a faster ``align``
-    narrows criterion 7's ratio (``base`` at least 10x ``a`` per stage at
-    n=25), as ``a``'s absorb runs the same faster costs; CHANGES.md gives
-    the measured ratio at each change to it.
+    ``fs_absorb`` with no merge and no store, whose costs equal
+    ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit, or
+    :func:`_align`, the reference.  A ``base`` stage at n=25 is 26
+    alignments and an ``a`` stage one, so a faster ``align`` narrows
+    criterion 7's ratio (``base`` at least 10x ``a`` per stage at n=25),
+    as ``a``'s absorb runs the same faster costs; CHANGES.md gives the
+    measured ratio at each change to it.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -238,7 +238,8 @@ def align(frame, result):
 def _align(result, frame):
     """The Python kernel ``align``: (result_rows, frame_rows, cost) of the
     rows ``frame`` against the rows ``result``, 2-D arrays of one width,
-    from numpy's costs and :func:`_path`; the cost finite or not."""
+    from ``metrics.pairwise_costs`` / ``gap_costs`` and :func:`_path`; the
+    cost finite or not."""
     s, m = len(result), len(frame)
     sub = pairwise_costs(result, frame) if s and m else np.zeros((s, m))
     # the cost of skipping each result row, and of inserting each frame row

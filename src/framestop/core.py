@@ -166,9 +166,16 @@ def make_frame(raw_rows, weight=1.0, *, num_classes=None):
     column).  Rows are renormalized to sum to one and the empty-class
     column is prepended with value 0.  Pass ``num_classes`` to pin the
     expected row width; it is required when ``raw_rows`` has no rows, since
-    the width cannot be inferred from nothing.
+    the width cannot be inferred from nothing.  Scores must be real
+    numbers: rows that numpy reads as bools, complex numbers or strings
+    raise TypeError, while a row that mixes bools with numbers reads as
+    numbers.
     """
-    rows = np.array(raw_rows, dtype=np.float64)
+    rows = np.array(raw_rows)
+    if rows.dtype.kind in "bcSU":  # numpy would read True as 1 and "0.3" as 0.3
+        raise TypeError(f"rows must hold real numbers, not {rows.dtype}")
+    if rows.dtype != np.float64:
+        rows = rows.astype(np.float64)
     if rows.shape[:1] == (0,):  # no rows; a row of no scores meets the width checks
         if num_classes is None:
             raise ValueError("num_classes is required for a zero-length frame")

@@ -141,6 +141,8 @@ def _clip_from_record(record):
     for key in ("id", "alphabet", "truth", "frames"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
+    if not isinstance(record["id"], str):  # Clip would store its str(), ["a"] as "['a']"
+        raise TypeError(f"id must be a string, not {type(record['id']).__name__}")
     alphabet = Alphabet(record["alphabet"])
     if alphabet.size > MAX_CLASSES:
         raise ValueError(f"alphabet has {alphabet.size} symbols, above the cap of {MAX_CLASSES}")

@@ -7,14 +7,17 @@ and a normalized GLD (nGLD) valued in [0, 1].  All three are metrics.
 ``cost_table`` is the one GLD dynamic program: ``gld`` reads its cost,
 and ``combiner.align`` reads its path.  Both make one call of the kernel
 module ``_kernels.get()`` returns.  Where the compiled kernels run, that
-is their copy in ``_kernels.c``, whose substitution and gap costs,
-computed in C in numpy's summation order, a load-time probe has found
-equal to :func:`pairwise_costs` / :func:`gap_costs` bit for bit; the copy
-performs the same floating-point operations in the same order, so it
-gives the same results bit for bit, in O(S*M) working memory rather than
-the O(S*M*K) of the numpy cost matrix.  Otherwise it is the Python
-kernels, numpy's costs and ``cost_table`` (:func:`_cost` here), the
-reference.
+is their copy in ``_kernels.c``; otherwise it is the Python kernels,
+:func:`pairwise_costs`, :func:`gap_costs` and ``cost_table``
+(:func:`_cost` here), the reference.
+
+The row distances (:func:`char_distance`, :func:`pairwise_costs`,
+:func:`gap_costs`) sum their terms in framestop's own order,
+:func:`_lane_sum`, written here from element-wise IEEE additions and in
+``_kernels.c`` in C, not in numpy's ``sum``, whose order numpy does not
+promise.  The C copy performs the same floating-point operations in the
+same order, so it gives the same results bit for bit, in O(S*M) working
+memory rather than the O(S*M*K) of the numpy cost matrix.
 """
 
 import math
@@ -47,17 +50,40 @@ def _as_rows(seq):
     return rows
 
 
+def _lane_sum(terms):
+    """The sums of ``terms`` over its last axis in framestop's order: eight
+    accumulators, starting at 0.0, over the whole groups of eight terms,
+    accumulator l adding the terms k = l mod 8 in order, combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the terms past the last whole group
+    added in order.  Up to 128 terms this is the order of numpy's
+    ``add.reduce`` on a contiguous axis; above that numpy splits the sum
+    and this does not."""
+    n = terms.shape[-1]
+    whole = n - n % 8
+    lanes = np.zeros(terms.shape[:-1] + (8,))
+    for k in range(0, whole, 8):
+        lanes += terms[..., k : k + 8]
+    pairs = lanes[..., 0::2] + lanes[..., 1::2]
+    halves = pairs[..., 0::2] + pairs[..., 1::2]
+    total = halves[..., 0] + halves[..., 1]
+    for k in range(whole, n):
+        total += terms[..., k]
+    return total
+
+
 def char_distance(a, b):
     """Scaled taxicab distance between two distribution rows.
 
     Half the L1 distance, so two disjoint one-hot rows are at distance 1
-    and the value always lies in [0, 1] for valid distributions.
+    and the value always lies in [0, 1] for valid distributions.  Summed
+    as :func:`pairwise_costs` sums, so it is that matrix's entry bit for
+    bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"row lengths differ: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum())
+    return 0.5 * float(_lane_sum(np.abs(a - b)))
 
 
 def gap_costs(rows):
@@ -65,7 +91,7 @@ def gap_costs(rows):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[0] == 0:
         return np.zeros(0)
-    deltas = np.abs(rows).sum(axis=1) - np.abs(rows[:, 0]) + np.abs(rows[:, 0] - 1.0)
+    deltas = _lane_sum(np.abs(rows)) - np.abs(rows[:, 0]) + np.abs(rows[:, 0] - 1.0)
     return 0.5 * deltas
 
 
@@ -73,7 +99,7 @@ def pairwise_costs(x_rows, y_rows):
     """Matrix of char_distance values between all row pairs of two sequences."""
     x_rows = np.asarray(x_rows, dtype=np.float64)
     y_rows = np.asarray(y_rows, dtype=np.float64)
-    return 0.5 * np.abs(x_rows[:, None, :] - y_rows[None, :, :]).sum(axis=2)
+    return 0.5 * _lane_sum(np.abs(x_rows[:, None, :] - y_rows[None, :, :]))
 
 
 def cost_table(sub, gap_rows, gap_cols):
@@ -147,8 +173,8 @@ def _gld(xr, yr):
 
 def _cost(xr, yr):
     """The Python kernel ``gld``: the GLD of two row sets of one width that
-    :func:`_as_rows` gave, from numpy's costs and :func:`cost_table`;
-    finite or not."""
+    :func:`_as_rows` gave, from :func:`pairwise_costs`, :func:`gap_costs`
+    and :func:`cost_table`; finite or not."""
     s, m = xr.shape[0], yr.shape[0]
     sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
     return cost_table(sub.tolist(), gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]

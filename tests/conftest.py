@@ -20,7 +20,7 @@ def compiled():
 @pytest.fixture
 def fresh_load(monkeypatch):
     """A function that forgets the loaded kernels, so the next
-    ``_kernels.get()`` builds, loads and probes them afresh; the module and
+    ``_kernels.get()`` builds and loads them afresh; the module and
     its reason are restored after the test."""
 
     def forget():

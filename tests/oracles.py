@@ -43,6 +43,17 @@ def kernel_route(request, route):
     return nullcontext()
 
 
+def costs(module, x, y):
+    """(sub, gap_rows, gap_cols, gld) as the compiled ``module``'s fs_gld
+    computes them, read from the working memory its ``gld(x, y, work)``
+    fills: the arrays ``metrics.pairwise_costs(x, y)``, ``gap_costs(x)``
+    and ``gap_costs(y)`` would give, and the GLD."""
+    s, m = len(x), len(y)
+    work = np.empty(2 * (s + 1) * (m + 1) - 1)
+    cost = module.gld(x, y, work)
+    return work[: s * m].reshape(s, m), work[s * m : s * m + s], work[s * m + s : s * m + s + m], cost
+
+
 def char_distance_slow(a, b):
     return 0.5 * sum(abs(x - y) for x, y in zip(a, b))
 

@@ -311,6 +311,9 @@ MALFORMED_LINES = {
     "bool-weight": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"w": false, "rows": [[1, 0]]}]}',
     "empty-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[], []]}]}',
     "list-truth": '{"id": "x", "alphabet": "AB", "truth": ["A"], "frames": [{"rows": [[1, 0]]}]}',
+    "list-id": '{"id": ["x"], "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1, 0]]}]}',
+    "bool-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[true, false]]}]}',
+    "string-rows": '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [["0.3", "0.7"]]}]}',
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "huge-integer": (
         '{"id": "x", "alphabet": "AB", "truth": "A", "frames": [{"rows": [[1%s, 0]]}]}' % ("0" * 400)

@@ -37,6 +37,7 @@ from framestop.stoppers import (
 )
 
 from oracles import (
+    costs,
     growth_clip,
     kernel_route,
     late_rows_clip,
@@ -144,8 +145,12 @@ def _rows_of_kind(rng, kind, count, width):
 
 
 COST_KINDS = ("dirichlet", "skewed", "one-hot", "subnormal", "mixed")
-# the probe's widths and, with them, every tail length 0-7 after the 8 lanes
-COST_WIDTHS = sorted({*_kernels.PROBE_WIDTHS, *range(10, 16), 24, 31, 33})
+# each side of the first whole group of eight terms, every tail length 0-7
+# after the groups, the benchmark's 37, and past 128 terms, where numpy's
+# own sum splits and framestop's order does not
+COST_WIDTHS = (
+    2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 31, 33, 37, 64, 127, 128, 129, 256, 257, 300,
+)
 # (S, M): empty and single rows, then 4-9 rows on both sides, so each side
 # fills whole groups of four lanes and leaves every remainder 0-3
 COST_SHAPES = (
@@ -153,15 +158,19 @@ COST_SHAPES = (
 )
 
 
-def test_costs_and_probe_read_the_module_they_are_given(compiled):
+# row counts of the costs' dumps: neither fills whole groups of four
+# lanes, so the kernels' partial groups are read too
+DUMP_ROWS = (5, 7)
+
+
+def test_costs_read_the_module_they_are_given(compiled):
     # not the kernels in use: with the Python kernels installed, the
-    # compiled module's costs are the same bytes and its probe passes
+    # compiled module's costs are the same bytes
     rng = np.random.default_rng(21)
-    x, y = (_kernels._probe_rows(rng, 37, count) for count in _kernels.PROBE_ROWS)
-    *want, want_cost = _kernels.costs(compiled, x, y)
+    x, y = (_rows_of_kind(rng, "mixed", count, 37) for count in DUMP_ROWS)
+    *want, want_cost = costs(compiled, x, y)
     with python_kernels():
-        *got, cost = _kernels.costs(compiled, x, y)
-        assert _kernels.probe(compiled) is None
+        *got, cost = costs(compiled, x, y)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     assert cost.hex() == want_cost.hex()
 
@@ -174,13 +183,16 @@ def test_compiled_gld_costs_are_numpy_bit_for_bit(compiled, width):
             for s, m in COST_SHAPES:
                 x = _rows_of_kind(rng, kind_x, s, width)
                 y = _rows_of_kind(rng, kind_y, m, width)
-                sub, gaps_x, gaps_y, cost = _kernels.costs(compiled, x, y)
+                sub, gaps_x, gaps_y, cost = costs(compiled, x, y)
                 want_sub, want_x, want_y = pairwise_costs(x, y), gap_costs(x), gap_costs(y)
                 assert sub.tobytes() == want_sub.tobytes()
                 assert gaps_x.tobytes() == want_x.tobytes()
                 assert gaps_y.tobytes() == want_y.tobytes()
                 want = cost_table(want_sub.tolist(), want_x.tolist(), want_y.tolist())[0][0]
                 assert cost.hex() == compiled.gld(x, y).hex() == want.hex()
+                *path, cost = compiled.align(x, y)
+                *want_path, want = combiner._align(x, y)
+                assert path == want_path and cost.hex() == want.hex()
 
 
 def _row_distance_replica(a, b):
@@ -251,8 +263,8 @@ def _replicas(rows, slots, current, shares):
                  for length in (2.0 * slots.shape[1], None))
 
 
-# each lane count 1-3 of the tail, whole groups of four, and the widths the
-# costs split at
+# each lane count 1-3 of the tail, whole groups of four, and each side of
+# 128 classes, where numpy's own sum would split
 SCAN_WIDTHS = (*range(1, 10), 16, 37, 128, 129)
 
 
@@ -346,9 +358,9 @@ def test_the_baseline_build_gives_the_loaded_librarys_bits(compiled, monkeypatch
     def dump(lib):
         rng = np.random.default_rng(20200)
         out = []
-        for width in _kernels.PROBE_WIDTHS:
-            x, y = (_kernels._probe_rows(rng, width, n) for n in _kernels.PROBE_ROWS)
-            *arrays, cost = _kernels.costs(lib, x, y)
+        for width in COST_WIDTHS:
+            x, y = (_rows_of_kind(rng, "mixed", n, width) for n in DUMP_ROWS)
+            *arrays, cost = costs(lib, x, y)
             out.append([v.hex() for a in arrays for v in a.ravel().tolist()] + [cost.hex()])
         for clip in _spread_clips():
             out += _kernel_dump(clip.frames, clip.alphabet)
@@ -365,7 +377,8 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 # run in a process that preloads the address sanitizer's runtime, with the
 # sanitized build at argv[1] and the directories of framestop and of these
-# tests at argv[2:4]: the entry points' refusal cases, the result absorb
+# tests at argv[2:4]: the costs at every width of COST_WIDTHS against the
+# Python reference, the entry points' refusal cases, the result absorb
 # cuts and write-protects, the scan it keeps (in the tiny store too, where
 # it answers for more room), then a clip of acceptance criterion 7's recipe
 # and looped_clip(150) through all three entry points
@@ -380,7 +393,8 @@ from framestop.harness import SyntheticConfig, generate_synthetic
 from framestop.metrics import gld, ngld
 from oracles import late_rows_clip, looped_clip
 lib = _kernels.lib
-assert _kernels.probe(lib) is None
+for width in t.COST_WIDTHS:
+    t.test_compiled_gld_costs_are_numpy_bit_for_bit(lib, width)
 for entry in ("gld", "align", "absorb"):
     t.test_the_entry_points_refuse_arrays_the_kernels_cannot_read(lib, entry)
     t.test_the_entry_points_refuse_unaligned_arrays(lib, entry)
@@ -488,22 +502,6 @@ def _check_the_python_kernels_run(monkeypatch, fresh_load, fault, status, clips)
         assert vars(_kernels.get()) == vars(_kernels.reference())
     assert _kernels.status() == status
     assert _kernel_routes(clips) == want
-
-
-def test_a_probe_mismatch_runs_the_python_kernels(compiled, monkeypatch, fresh_load):
-    rng = random.Random(4)
-    clips = [random_clip(rng, i, weighted=i % 3 == 1) for i in range(10)]
-    numpy_costs = metrics.pairwise_costs
-
-    def one_ulp_off_at_129(x, y):
-        costs = numpy_costs(x, y)
-        return np.nextafter(costs, np.inf) if x.shape[1] == 129 else costs
-
-    _check_the_python_kernels_run(
-        monkeypatch, fresh_load,
-        lambda patch: patch.setattr(metrics, "pairwise_costs", one_ulp_off_at_129),
-        "python: probe mismatch at K+1=129", clips,
-    )
 
 
 def test_no_compiler_runs_the_python_kernels(monkeypatch, fresh_load):

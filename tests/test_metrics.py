@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framestop.core import Alphabet, from_string
-from framestop.metrics import char_distance, gap_costs, gld, ngld, normalized
+from framestop.metrics import (
+    _lane_sum,
+    char_distance,
+    gap_costs,
+    gld,
+    ngld,
+    normalized,
+    pairwise_costs,
+)
 
 from oracles import gld_recursive, random_distribution, random_onehot_rows
 
@@ -47,6 +55,55 @@ def test_gap_costs_matches_char_distance():
     empty = np.array([1.0, 0.0, 0.0])
     expected = [char_distance(row, empty) for row in rows]
     assert np.allclose(gap_costs(rows), expected, atol=1e-15)
+
+
+def _lane_sum_replica(terms):
+    """framestop's summation order on floats, one addition at a time:
+    accumulator l of eight adds the terms k = l mod 8 of the whole groups
+    of eight in order, the accumulators combine as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the terms past the last whole group
+    are added in order."""
+    lanes = [0.0] * 8
+    whole = len(terms) - len(terms) % 8
+    for k in range(whole):
+        lanes[k % 8] += terms[k]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for k in range(whole, len(terms)):
+        total += terms[k]
+    return total
+
+
+def _lane_terms(rng, width):
+    """Four rows of ``width`` non-negative terms: exponentials with zeros
+    mixed in, subnormals, magnitudes spread over 600 decades, and each
+    term of one of those kinds at random."""
+    zeros = rng.exponential(size=width) * (rng.random(width) < 0.5)
+    subnormal = rng.exponential(size=width) * 2.0**-1060
+    decades = 10.0 ** rng.uniform(-300.0, 300.0, width)
+    mixed = np.choose(rng.integers(3, size=width), [zeros, subnormal, decades])
+    return np.array([zeros, subnormal, decades, mixed])
+
+
+def test_lane_sum_is_its_stated_order_in_hex():
+    rng = np.random.default_rng(808)
+    for width in range(1, 301):
+        terms = _lane_terms(rng, width)
+        want = [_lane_sum_replica(row).hex() for row in terms.tolist()]
+        assert [x.hex() for x in _lane_sum(terms).tolist()] == want
+        # over the last axis of any array, as pairwise_costs sums
+        assert [x.hex() for x in _lane_sum(terms.reshape(2, 2, width)).ravel().tolist()] == want
+        assert _lane_sum(terms[3]).hex() == want[3]
+
+
+@pytest.mark.parametrize("width", [37, 129, 300])
+def test_char_distance_is_the_pairwise_costs_entry_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    x, y = rng.dirichlet(np.full(width, 0.2), 5), rng.dirichlet(np.ones(width), 6)
+    matrix = pairwise_costs(x, y)
+    got = [[char_distance(a, b).hex() for b in y] for a in x]
+    assert got == [[v.hex() for v in row] for row in matrix.tolist()]
 
 
 def test_gld_identity():
