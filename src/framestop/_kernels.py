@@ -36,8 +36,9 @@ the Python kernels (:func:`reference`), which give the same answers, and
 ``reason`` and :func:`status` say why.
 
 Either way :func:`get` returns a kernel module of three entry points with
-one interface, and each caller makes one call of it: ``metrics.gld``
-calls ``gld(x, y)``, ``combiner.align`` ``align(x, y)``, and
+one interface, and each caller makes one call of it per answer:
+``metrics.gld`` calls ``gld(x, y)``, ``combiner.align`` and
+``stoppers.estimate_base``, once per candidate, ``align(x, y)``, and
 ``CombinerState.absorb`` and ``combine_candidate`` ``absorb(result,
 frame, factor, order, blocks, used, slots, frame_index, share)``.  The
 Python kernels are ``metrics._cost`` (``metrics.pairwise_costs``,

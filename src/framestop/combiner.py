@@ -34,18 +34,19 @@ reused block's rows are another state's, as a new block's are garbage:
 an absorb writes it, as slots index only rows below ``_used``.
 
 Two kernels give the same alignments, rows, row ids and store bit for
-bit, and each caller makes one call of the one that ``_kernels.get()``
-returns, given the state's arrays themselves: ``CombinerState.absorb``
-and ``combine_candidate`` call its ``absorb`` (the costs, summed in
-framestop's order, ``metrics._lane_sum``, the table, the path, the merge,
-the row ids and, with a history store, the store write and the scan below
-over the merged rows; that call alone tests the room), and ``align`` its
-``align`` (the same without the merge and the store).  The compiled
-kernels are ``fs_absorb`` and ``fs_spread`` in ``_kernels.c``; the Python
-ones, the reference, are :func:`_absorb` and :func:`_align` here, which
-run ``metrics.pairwise_costs`` / ``gap_costs``, ``metrics.cost_table``,
-the traceback :func:`_path`, :func:`_merge` and the numpy scan
-(:func:`_spread`).
+bit, and each caller makes one call per alignment of the one that
+``_kernels.get()`` returns, given the state's arrays themselves:
+``CombinerState.absorb`` and ``combine_candidate`` call its ``absorb``
+(the costs, summed in framestop's order, ``metrics._lane_sum``, the
+table, the path, the merge, the row ids and, with a history store, the
+store write and the scan below over the merged rows; that call alone
+tests the room), and ``align`` and ``stoppers.estimate_base``, once per
+candidate, its ``align`` (the same without the merge and the store).
+The compiled kernels are ``fs_absorb`` and ``fs_spread`` in
+``_kernels.c``; the Python ones, the reference, are :func:`_absorb` and
+:func:`_align` here, which run ``metrics.pairwise_costs`` /
+``gap_costs``, ``metrics.cost_table``, the traceback :func:`_path`,
+:func:`_merge` and the numpy scan (:func:`_spread`).
 
 Methods ``a`` and ``b`` read the store through
 ``CombinerState.candidate_gld``, which returns the one record the absorb
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import _kernels
 from .core import _FLOAT_MAX, CombinedResult, _empty_row
-from .metrics import _as_rows, cost_table, gap_costs, normalized, pairwise_costs
+from .metrics import _as_rows, _stacked, cost_table, gap_costs, normalized, pairwise_costs
 from .treap import MultisetIndex
 
 # merge_share halves both weights from here on, so their sum stays finite
@@ -216,11 +217,14 @@ def align(frame, result):
     This is one ``align`` call of the kernels (see the module docstring):
     ``fs_absorb`` with no merge and no store, whose costs equal
     ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit, or
-    :func:`_align`, the reference.  A ``base`` stage at n=25 is 26
-    alignments and an ``a`` stage one, so a faster ``align`` narrows
-    criterion 7's ratio (``base`` at least 10x ``a`` per stage at n=25),
-    as ``a``'s absorb runs the same faster costs; CHANGES.md gives the
-    measured ratio at each change to it.
+    :func:`_align`, the reference.  ``stoppers.estimate_base`` calls the
+    kernels' ``align`` itself, once per candidate, reading the cost and
+    the step count, so it builds no :class:`Alignment`.  A ``base`` stage
+    at n=25 is 26 kernel alignments, the absorb's and 25 candidates', and
+    an ``a`` stage one, so a faster kernel alignment narrows criterion 7's
+    ratio (``base`` at least 10x ``a`` per stage at n=25), as ``a``'s
+    absorb runs the same faster costs; CHANGES.md gives the measured ratio
+    at each change to it.
     """
     combined = _as_rows(result)
     fresh = _as_rows(frame)
@@ -229,10 +233,17 @@ def align(frame, result):
             f"class counts differ: frame {fresh.shape[1] - 1} vs result {combined.shape[1] - 1}"
         )
     result_rows, frame_rows, cost = _kernels.get().align(combined, fresh)
+    steps, s, m = len(result_rows), combined.shape[0], fresh.shape[0]
+    return Alignment(result_rows, frame_rows, _finite(cost), steps - s, steps - m)
+
+
+def _finite(cost):
+    """``cost``, an alignment cost of the kernels, refused with ValueError
+    where it is not finite: the one rule of :func:`align`, the Python
+    ``absorb`` and ``stoppers.estimate_base``."""
     if not math.isfinite(cost):
         raise ValueError(f"alignment cost is {cost}: rows must be finite")
-    steps, s, m = len(result_rows), combined.shape[0], fresh.shape[0]
-    return Alignment(result_rows, frame_rows, cost, steps - s, steps - m)
+    return cost
 
 
 def _align(result, frame):
@@ -242,8 +253,9 @@ def _align(result, frame):
     cost finite or not."""
     s, m = len(result), len(frame)
     sub = pairwise_costs(result, frame) if s and m else np.zeros((s, m))
-    # the cost of skipping each result row, and of inserting each frame row
-    return _path(sub.tolist(), gap_costs(result).tolist(), gap_costs(frame).tolist())
+    # the cost of skipping each result row, then of inserting each frame row
+    gaps = gap_costs(_stacked(result, frame)).tolist()
+    return _path(sub.tolist(), gaps[:s], gaps[s:])
 
 
 def _path(sub, skip, gaps):
@@ -321,8 +333,7 @@ def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, shar
     ):
         return None
     result_rows, frame_rows, cost = _align(result[:s], frame[:m])
-    if not math.isfinite(cost):
-        raise ValueError(f"alignment cost is {cost}: rows must be finite")
+    _finite(cost)
     merged = _merge(result_rows, frame_rows, frame, result, factor)
     merged.setflags(write=False)
     steps = len(result_rows)

@@ -95,6 +95,16 @@ def gap_costs(rows):
     return 0.5 * deltas
 
 
+def _stacked(x_rows, y_rows):
+    """The rows of ``x_rows`` then ``y_rows``, two row sets of one width or
+    one of them empty, as one array: one :func:`gap_costs` call over both,
+    split at ``len(x_rows)``, gives each side's costs bit for bit, as each
+    row's cost is its own."""
+    if not len(x_rows):
+        return y_rows
+    return np.concatenate((x_rows, y_rows)) if len(y_rows) else x_rows
+
+
 def pairwise_costs(x_rows, y_rows):
     """Matrix of char_distance values between all row pairs of two sequences."""
     x_rows = np.asarray(x_rows, dtype=np.float64)
@@ -177,7 +187,8 @@ def _cost(xr, yr):
     and :func:`cost_table`; finite or not."""
     s, m = xr.shape[0], yr.shape[0]
     sub = pairwise_costs(xr, yr) if s and m else np.zeros((s, m))
-    return cost_table(sub.tolist(), gap_costs(xr).tolist(), gap_costs(yr).tolist())[0][0]
+    gaps = gap_costs(_stacked(xr, yr)).tolist()
+    return cost_table(sub.tolist(), gaps[:s], gaps[s:])[0][0]
 
 
 def normalized(g, length_sum):

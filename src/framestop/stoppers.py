@@ -11,6 +11,8 @@ Three estimators compute the same quantity at different price points:
   scores it exactly from the one alignment that merge runs: n alignments
   per stage, O(n * S * M * K), where re-combining each candidate and
   measuring its distance with a second DP cost O(n * S * K * (S + M)).
+  Each is one call of the kernels' ``align``, of whose answer it reads
+  the cost and the step count; it builds no ``combiner.Alignment``.
 * ``estimate_method_a`` reuses each frame's recorded row alignment and
   scores the modelled merge row-by-row, O(n * S * K): it reads
   ``CombinerState.candidate_gld``, the record of the scan of the state's
@@ -45,7 +47,8 @@ from enum import Enum
 
 import numpy as np
 
-from .combiner import CombinerState, _index
+from . import _kernels
+from .combiner import CombinerState, _finite, _index, _scalar_share
 from .core import from_string
 from .metrics import MetricKind, ngld, normalized
 from .metrics import gld  # noqa: F401  unused here; the traced benchmark wraps stoppers.gld
@@ -181,23 +184,32 @@ def estimate_base(state, frames, *, metric=MetricKind.NGLD, delta=0.1):
     has S + (inserted rows) rows.  One alignment per candidate replaces
     the merge and the second GLD dynamic program; over 35k candidates of
     random and benchmark-recipe clips the two agree to 9e-16.
+
+    Each candidate passes the state's frame check, then is one call of the
+    kernels' ``align`` (``_kernels.get()``) on the current rows, read once
+    per stage, and the frame's rows.  Of its answer the estimate reads the
+    cost, refused where it is not finite as :func:`combiner.align` refuses
+    it, and the step count: C has S + steps = 2 S + inserted rows.  No
+    ``Alignment`` is built and no rows are converted again, so every
+    distance is the one ``CombinerState.candidate_alignment`` gives, bit
+    for bit.
     """
     if state.n == 0:
         raise ValueError("cannot estimate before the first frame")
     if len(frames) != state.n:
         raise ValueError(f"got {len(frames)} frames for a state of {state.n}")
-    s = state.num_chars
+    rows, total, s = state.mean_rows, state.weight_total, state.num_chars
+    align = _kernels.get().align
     as_ngld = metric is _NGLD
     distances = []
     aggregate = 0.0
     for frame in frames:
-        alignment, share = state.candidate_alignment(frame)
-        g = share * alignment.cost
+        state._check_frame(frame)
+        path, _, cost = align(rows, frame.rows)
+        g = _scalar_share(frame.weight, total) * _finite(cost)
         aggregate += g
-        if as_ngld:
-            distances.append(normalized(g, 2 * s + alignment.inserted))
-        else:
-            distances.append(g)
+        # S + steps = 2 S + inserted, the lengths of R and C
+        distances.append(normalized(g, s + len(path)) if as_ngld else g)
     estimate = (delta + sum(distances)) / (state.n + 1)
     return EstimationBreakdown(estimate, aggregate, tuple(distances))
 

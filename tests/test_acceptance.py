@@ -41,12 +41,15 @@ ESTIMATORS = (StopperMethod.BASE, StopperMethod.METHOD_A, StopperMethod.METHOD_B
 
 @contextmanager
 def criterion(number, description):
+    """Print the criterion's PASS or FAIL line, followed by what the block
+    adds to the list it is given: the figures it measured."""
+    measured = []
     try:
-        yield
+        yield measured
     except BaseException:
-        print(f"\nCRITERION {number}: FAIL - {description}")
+        print(f"\nCRITERION {number}: FAIL - {description}{''.join(measured)}")
         raise
-    print(f"\nCRITERION {number}: PASS - {description}")
+    print(f"\nCRITERION {number}: PASS - {description}{''.join(measured)}")
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +243,8 @@ def test_criterion_6_treap_suite():
 
 
 def test_criterion_7_timing_shape():
-    with criterion(7, "per-stage cost: base >= 10x method A at n=25; method A stays flat"):
+    description = "per-stage cost: base >= 10x method A at n=25; method A stays flat"
+    with criterion(7, description) as measured:
         start = time.perf_counter()
         config = SyntheticConfig(
             clip_count=4, text_length=15,
@@ -255,6 +259,7 @@ def test_criterion_7_timing_shape():
         base_25 = times[("base", 25)]
         a_25 = times[("a", 25)]
         a_5 = times[("a", 5)]
+        measured.append(f" (base/A {base_25 / a_25:.1f}x at n=25, A grew {a_25 / a_5:.2f}x)")
         assert base_25 >= 10.0 * a_25, f"base/A ratio at n=25 is {base_25 / a_25:.1f}"
         assert a_25 <= 2.0 * a_5, f"method A grew {a_25 / a_5:.2f}x from n=5 to n=25"
         assert elapsed < 300.0, f"took {elapsed:.1f}s, budget is 300s"

@@ -10,7 +10,7 @@ import pytest
 
 from framestop.combiner import CombinerState, align
 from framestop.core import Alphabet, Clip, RecognitionFrame, from_string, make_frame
-from framestop.metrics import MetricKind, gld
+from framestop.metrics import MetricKind, gld, normalized
 from framestop.stoppers import (
     EstimationBreakdown,
     StopperConfig,
@@ -134,6 +134,59 @@ def test_candidate_gld_is_share_times_alignment_cost():
                 assert len(merged) == len(current) + inserted
                 checked += 1
     assert checked > 5000
+
+
+def _from_candidate_alignments(state, frames, metric):
+    """(estimate, aggregate, per-candidate distances) of ``estimate_base``
+    from the public ``candidate_alignment`` of each frame: share times
+    cost, normalised at 2 S + inserted."""
+    s = state.num_chars
+    distances = []
+    aggregate = 0.0
+    for frame in frames:
+        alignment, share = state.candidate_alignment(frame)
+        g = share * alignment.cost
+        aggregate += g
+        length = 2 * s + alignment.inserted
+        distances.append(g if metric is MetricKind.GLD else normalized(g, length))
+    return (DELTA + sum(distances)) / (len(frames) + 1), aggregate, tuple(distances)
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+def test_base_equals_each_candidates_public_alignment_exactly(request, route):
+    # estimate_base calls the kernels' align itself, and reads only the cost
+    # and the step count; what it gives is still the public alignment's
+    rng = random.Random(36)
+    clips = [random_clip(rng, i, weighted=i % 2 == 1) for i in range(60)]
+    empty, row = make_frame([], num_classes=2), make_frame([[0.7, 0.3]], 2.0)
+    clips.append(Clip("zero-rows", ALPHA, "A", [empty, empty, row, empty]))
+    seen = set()
+    with kernel_route(request, route):
+        for clip in clips:
+            state = CombinerState(clip.alphabet)
+            frames = []
+            for frame in clip.frames:
+                state.absorb(frame)
+                frames.append(frame)
+                seen.update({("state", state.num_chars == 0), ("frame", frame.num_chars == 0)})
+                for metric in MetricKind:
+                    got = estimate_base(state, frames, metric=metric, delta=DELTA)
+                    want = _from_candidate_alignments(state, frames, metric)
+                    assert (got.estimate, got.gld_aggregate, got.per_candidate) == want
+        assert {("state", True), ("frame", True)} <= seen
+
+        state, _ = state_for(["AB"])
+        with pytest.raises(ValueError, match="frame has 3 classes, state expects 2"):
+            estimate_base(state, [make_frame([[1, 0, 0]])])
+        # rows past validation: an infinite row costs inf, refused as align refuses it
+        frame = from_string("B", ALPHA)
+        frame.rows = np.array([[0.0, 0.0, np.inf]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as refused:
+                align(frame, state.mean_rows)
+            with pytest.raises(ValueError) as got:
+                estimate_base(state, [frame])
+        assert str(got.value) == str(refused.value) == "alignment cost is inf: rows must be finite"
 
 
 def test_estimates_with_weights_near_the_float_limit():
