@@ -1,32 +1,32 @@
 /* Compiled kernels of framestop: a CPython extension module, built and
    loaded by _kernels.py.
 
-   fs_absorb is the alignment, merge and store write of
-   CombinerState.absorb, and combiner.align when it is given no merge: it
-   computes the substitution and gap costs as metrics.pairwise_costs and
-   metrics.gap_costs do, summing in framestop's order (lane_sums), fills
-   the backward GLD table as metrics.cost_table does, reads the path off
-   as combiner._path does, and then merges the rows along it as
-   combiner._merge does and writes the history store as
-   combiner._absorb does.  fs_gld is metrics.gld in one call, with
-   the same costs and table.  Every result is bit-identical to the Python
-   reference, which runs the same IEEE operations in the same order; build
-   without floating-point contraction (-ffp-contract=off) and without
-   -ffast-math.
+   fs_align is the alignment of combiner.align and of
+   CombinerState.absorb: it computes the substitution and gap costs as
+   metrics.pairwise_costs and metrics.gap_costs do, summing in
+   framestop's order (lane_sums), fills the backward GLD table as
+   metrics.cost_table does and reads the path off as combiner._path does.
+   fs_merge is the rest of the absorb's combination: it merges the rows
+   along that path as combiner._merge does and writes the row ids and the
+   history store as combiner._absorb does.  fs_gld is metrics.gld in one
+   call, with the same costs and table.  Every result is bit-identical to
+   the Python reference, which runs the same IEEE operations in the same
+   order; build without floating-point contraction (-ffp-contract=off)
+   and without -ffast-math.
    fs_spread is the one history scan of methods a and b over the
    blocks-plus-slots history store: every candidate's GLD and its nGLD at
    the length 2 S, and the sums of both, in one pass.  The absorb entry
-   point runs it right after fs_absorb, on the rows just merged, so an a
+   point runs it right after fs_merge, on the rows just merged, so an a
    or b stage is one call, and the state keeps what it gives, one record,
    as CombinerState.candidate_gld's answer.  It reads each row id's merged
    row where the merge put it, and sums each frame's spread in its own
    order, in frame-wide accumulators that run over all of the frame's
    rows and combine once per frame; a slot holding the empty row adds
    that row's distance, computed once per call.
-   fs_absorb and fs_spread take one struct, struct fs_absorb_args, which
-   describes the history store once: its absorbed rows in blocks of equal
-   power-of-two size, which are never moved, and the slots, each a global
-   row index into them.
+   fs_align, fs_merge and fs_spread take one struct, struct
+   fs_absorb_args, which describes the history store once: its absorbed
+   rows in blocks of equal power-of-two size, which are never moved, and
+   the slots, each a global row index into them.
    The hot loops run on vectors of four doubles, each lane doing what the
    scalar code does in the same order, so they give the same bits on any
    instruction set.  In the substitution costs a lane is one cost: the
@@ -42,7 +42,7 @@
    runs the same vector code.
 
    The kernels only compute: they allocate nothing, validate no argument
-   and return only what they compute, the one failure being fs_absorb's
+   and return only what they compute, the one failure being fs_align's
    FS_NO_PATH (a NaN cost).  The module's functions, gld, align and
    absorb, are the METH_FASTCALL entry points at the end of this file, and
    do the rest.  They take the numpy arrays themselves and read them
@@ -54,14 +54,11 @@
    table of the store's blocks (store) and the arrays they return.  They
    derive every other argument from the arrays' shapes and data pointers,
    run the kernels with the GIL released and build the Python result.
-   absorb, as combiner._absorb, the Python kernel of the same arguments
-   and answers, does, tests the room of the row-id order and the history
-   store, answering None, with nothing written, where it lacks (the state
-   then makes room and calls again); it refuses a non-finite cost and
-   hands back the cost, the merged rows cut to the result's S + 1 rows and
-   write-protected (cut), the array the state keeps, and the scan's
-   record, which the state keeps as CombinerState.candidate_gld's answer
-   until the next absorb.  No address outlives a call. */
+   absorb runs one phase per kernel, as combiner._absorb, the Python
+   kernel of the same arguments and answers, does: it aligns, allocates
+   the merged rows at exactly the result's size, then merges, writes the
+   row ids and the store and scans; py_absorb states the phases and what
+   each failure leaves written.  No address outlives a call. */
 
 /* Python.h first, as it asks, then the numpy array API; their own structs
    have padding that -Wpadded would report, so the warning is off for them
@@ -286,7 +283,7 @@ CLONED double fs_gld(const double *x, int64_t s, const double *y, int64_t m, int
     return costs_and_table(x, s, y, m, width, work);
 }
 
-/* What trace and fs_absorb return when no path exists */
+/* What trace and fs_align return when no path exists */
 enum { FS_NO_PATH = -1 };
 
 /* Path through a filled table, read from the front with the tie order
@@ -327,15 +324,16 @@ struct fs_row {
     double empty;
 };
 
-/* The arguments of fs_absorb and fs_spread, filled by the entry points
-   from the arrays they are given, which have checked that every array
-   and the store hold what the kernel reads and writes; fs_spread runs
-   only after fs_absorb's merge, in the absorb entry point. */
+/* The arguments of fs_align, fs_merge and fs_spread, filled by the entry
+   points from the arrays they are given, which have checked that every
+   array and the store hold what the kernel reads and writes; fs_merge
+   runs only after fs_align, and fs_spread only after fs_merge, in the
+   absorb entry point. */
 struct fs_absorb_args {
-    /* The alignment of the m frame rows against the s result rows, each
-       of width doubles, row major, in the working memory work; path, room
-       for 2 (s + m) entries, receives the path: the result rows at 0, the
-       frame rows at s + m.  cost is an output. */
+    /* fs_align's alignment of the m frame rows against the s result rows,
+       each of width doubles, row major, in the working memory work; path,
+       room for 2 (s + m) entries, receives the path: the result rows at 0,
+       the frame rows at s + m.  cost is an output. */
     const double *result;
     int64_t s;
     const double *frame;
@@ -344,18 +342,18 @@ struct fs_absorb_args {
     double *work;
     int64_t *path;
     double cost;
-    /* The merge, skipped when merged is NULL.  result and frame are each
-       followed by the empty row (s + 1 and m + 1 rows); merged has room
-       for s + m + 1 rows and order for s + m entries, of which the first s
-       hold the result rows' ids in display order on entry. */
+    /* fs_merge's merge along the path of steps steps.  result and frame
+       are each followed by the empty row (s + 1 and m + 1 rows); merged
+       holds steps + 1 rows and order room for s + m entries, of which the
+       first s hold the result rows' ids in display order on entry. */
     double factor;
     double *merged;
     int64_t *order;
-    /* The history store, skipped by fs_absorb when blocks is NULL: rows
-       in blocks of 2^shift rows of width doubles, capacity rows in all,
-       global row g being row g & (2^shift - 1) of blocks[g >> shift]
-       (store_row), of which used are in use; and slots (frames, stride),
-       each a global row index. */
+    /* The history store, none when blocks is NULL: rows in blocks of
+       2^shift rows of width doubles, capacity rows in all, global row g
+       being row g & (2^shift - 1) of blocks[g >> shift] (store_row), of
+       which used are in use; and slots (frames, stride), each a global row
+       index. */
     double **blocks;
     int64_t shift;
     int64_t used;
@@ -365,9 +363,9 @@ struct fs_absorb_args {
     int64_t frames;
     int64_t stride;
     /* The scan of fs_spread over the first n frames and the s current
-       rows, row id r's at by_id[r].current, which fs_absorb's merge
-       points at the merged row of row id r when by_id is set: shares is
-       NULL or one merge share per frame, else share is every frame's.
+       rows, row id r's at by_id[r].current, which fs_merge points at the
+       merged row of row id r (by_id is set exactly when blocks is): shares
+       is NULL or one merge share per frame, else share is every frame's.
        out and out_g, room for n entries each, each candidate's d (the
        nGLD at the length 2 s) and g, and the two sums are outputs. */
     struct fs_row *by_id;
@@ -387,11 +385,30 @@ INLINE double *store_row(double *const *blocks, int64_t shift, int64_t g, int64_
     return blocks[g >> shift] + (g & (((int64_t)1 << shift) - 1)) * width;
 }
 
-/* The merge along the path of steps result rows ri and frame rows fi, and
-   the store write; see fs_absorb. */
-INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi, int64_t steps)
+/* The alignment of combiner.align and of CombinerState.absorb (see struct
+   fs_absorb_args): the costs and the table as fs_gld computes them, then
+   the path as trace reads it.  Returns the number of steps, or
+   FS_NO_PATH (a NaN cost). */
+CLONED int64_t fs_align(struct fs_absorb_args *a)
+{
+    const int64_t s = a->s, m = a->m;
+    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, a->work);
+    return trace(a->work, a->work + s * m, a->work + s * m + s + m, s, m, a->path,
+                 a->path + s + m);
+}
+
+/* The rest of CombinerState.absorb along fs_align's path of steps steps
+   (see struct fs_absorb_args): the merged rows old + factor * (new - old)
+   followed by the empty row, and the new row-id order (rows a step
+   inserts take the ids s.., in order); with a history store, the store
+   write, the frame's m rows appended at global row used, on into the next
+   blocks where they reach the end of one, and frame_index's slot of the
+   row id each frame row merged into pointed at it, and by_id[r].current
+   pointed at the merged row of row id r, for fs_spread. */
+CLONED void fs_merge(struct fs_absorb_args *a, int64_t steps)
 {
     const int64_t s = a->s, m = a->m, width = a->width;
+    const int64_t *ri = a->path, *fi = ri + s + m;
     const f64x4 factor = {a->factor, a->factor, a->factor, a->factor};
     /* the steps - s inserted rows take ids s.. in order; from the back, so
        order[ri[k]], with ri[k] <= k, is still the old id */
@@ -408,38 +425,17 @@ INLINE void merge(struct fs_absorb_args *a, const int64_t *ri, const int64_t *fi
         }
         for (; c < width; c++)
             out[c] = old[c] + a->factor * (fresh[c] - old[c]);
-        if (a->by_id)
+        if (a->blocks) {
             a->by_id[a->order[k]].current = out;
-        if (a->blocks && fi[k] < m)
-            a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
+            if (fi[k] < m)
+                a->slots[a->frame_index * a->stride + a->order[k]] = a->used + fi[k];
+        }
     }
     memcpy(a->merged + steps * width, a->result + s * width, width * sizeof(double));
     if (a->blocks)
         for (int64_t j = 0; j < m; j++)
             memcpy(store_row(a->blocks, a->shift, a->used + j, width), a->frame + j * width,
                    width * sizeof(double));
-}
-
-/* The alignment of combiner.align and, when merged is set, the rest of
-   CombinerState.absorb (see struct fs_absorb_args): the costs and the
-   table as fs_gld computes them, the path as trace reads it, then, only
-   when the cost is finite, the merged rows old + factor * (new - old)
-   followed by the empty row, the new row-id order (rows a step inserts
-   take the ids s.., in order), and the store write: the frame's m rows
-   appended at global row used, on into the next blocks where they reach
-   the end of one, and frame_index's slot of the row id each frame row
-   merged into pointed at it; with by_id set, by_id[r].current points at
-   the merged row of row id r, for fs_spread.  Returns the number of
-   steps, or FS_NO_PATH (a NaN cost) with nothing merged. */
-CLONED int64_t fs_absorb(struct fs_absorb_args *a)
-{
-    const int64_t s = a->s, m = a->m;
-    int64_t *ri = a->path, *fi = ri + s + m;
-    a->cost = costs_and_table(a->result, s, a->frame, m, a->width, a->work);
-    const int64_t steps = trace(a->work, a->work + s * m, a->work + s * m + s + m, s, m, ri, fi);
-    if (steps >= 0 && a->merged && isfinite(a->cost))
-        merge(a, ri, fi, steps);
-    return steps;
 }
 
 /* Sum over k < width of |a[k] - b[k]|, in four accumulators, the lanes
@@ -661,7 +657,7 @@ static int64_t row_width(PyArrayObject *x, PyArrayObject *y)
    substitution costs (s*m), the gap costs (s + m) and the table
    ((s+1)*(m+1)), 2 (s+1) (m+1) - 1 doubles in all, then the m rows as
    lanes, width * LANES4(m), from the next 32-byte boundary, up to 3
-   doubles on (see costs_and_table), then fs_absorb's path, room for
+   doubles on (see costs_and_table), then fs_align's path, room for
    2 (s + m) int64s, at *path unless path is NULL, then room for s + m
    struct fs_row at *by_id unless by_id is NULL.  NULL with MemoryError
    when its size overflows or it cannot be allocated.  Released with
@@ -738,7 +734,7 @@ static int store(PyObject *blocks, PyObject *slots, struct fs_absorb_args *a)
     return 0;
 }
 
-/* Raises the ValueError of fs_absorb's FS_NO_PATH; returns NULL. */
+/* Raises the ValueError of fs_align's FS_NO_PATH; returns NULL. */
 static PyObject *no_path(void)
 {
     PyErr_SetString(PyExc_ValueError, "alignment costs hold a NaN: rows must be finite");
@@ -755,26 +751,6 @@ static PyObject *no_finite_cost(double cost)
         Py_DECREF(value);
     }
     return NULL;
-}
-
-/* Cuts array, a new 2-D array that owns its data and that nothing else
-   references, to its first rows rows and write-protects it, so no view
-   of it is writable.  numpy reallocates the data, which the allocator
-   shrinks without a copy where it can: on the bare absorb at n = 25 this
-   cost less than allocating an array of the exact rows and copying the
-   merge into it.  -1 with an exception set when the data cannot be
-   reallocated, which comes after fs_absorb has written the row ids and
-   the store: unlike a refused call, a failed cut leaves them written. */
-static int cut(PyArrayObject *array, int64_t rows)
-{
-    npy_intp shape[2] = {rows, PyArray_DIM(array, 1)};
-    PyArray_Dims dims = {shape, 2};
-    PyObject *none = PyArray_Resize(array, &dims, 0, NPY_CORDER);
-    if (!none)
-        return -1;
-    Py_DECREF(none);
-    PyArray_CLEARFLAGS(array, NPY_ARRAY_WRITEABLE);
-    return 0;
 }
 
 /* The tuple (a, b, c), taking the three references; NULL if one is. */
@@ -838,15 +814,14 @@ static PyObject *py_gld(PyObject *module, PyObject *const *args, Py_ssize_t narg
 
 /* align(x, y): (result_rows, frame_rows, cost), the alignment
    combiner.align reads off between the result rows x and the frame rows y,
-   2-D float64 arrays, from fs_absorb with no merge and no store: two
-   tuples of one index per step, and the cost, which may be NaN or
-   infinite. */
+   2-D float64 arrays, from fs_align: two tuples of one index per step,
+   and the cost, which may be NaN or infinite. */
 static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     PyArrayObject *x, *y;
     int64_t steps;
-    struct fs_absorb_args a = {.merged = NULL};
+    struct fs_absorb_args a;
     if (arity("align", nargs, 2, 2) < 0 || !(x = take(args[0], 2, 'f', 0, "x")) ||
         !(y = take(args[1], 2, 'f', 0, "y")) || (a.width = row_width(x, y)) < 0 ||
         !(a.work = work_alloc(a.s = DIM(x, 0), a.m = DIM(y, 0), a.width, &a.path, NULL)))
@@ -854,7 +829,7 @@ static PyObject *py_align(PyObject *module, PyObject *const *args, Py_ssize_t na
     a.result = PyArray_DATA(x);
     a.frame = PyArray_DATA(y);
     Py_BEGIN_ALLOW_THREADS
-    steps = fs_absorb(&a);
+    steps = fs_align(&a);
     Py_END_ALLOW_THREADS
     PyObject *answer = steps < 0 ? no_path()
                                  : triple(indices(a.path, steps), indices(a.path + a.s + a.m, steps),
@@ -879,17 +854,21 @@ static int shares(PyObject *obj, int64_t n, struct fs_absorb_args *a)
 }
 
 /* The answer of absorb, (cost, merged, (d, g, g_sum, d_sum)), the scan
-   None when d is NULL; taking no reference.  NULL if it cannot be built.
-   PyTuple_Pack, as Py_BuildValue's format parse cost 0.1 us more per
-   call (2-vCPU Xeon). */
+   None when d is NULL, its arrays write-protected; taking no reference.
+   NULL if it cannot be built.  PyTuple_Pack, as Py_BuildValue's format
+   parse cost 0.1 us more per call (2-vCPU Xeon). */
 static PyObject *absorbed(double cost, PyObject *merged, PyObject *d, PyObject *g, double g_sum,
                           double d_sum)
 {
     PyObject *value = PyFloat_FromDouble(cost), *gs = NULL, *ds = NULL, *scan = NULL, *answer = NULL;
+    PyArray_CLEARFLAGS((PyArrayObject *)merged, NPY_ARRAY_WRITEABLE);
     if (!d)
         scan = Py_NewRef(Py_None);
-    else if ((gs = PyFloat_FromDouble(g_sum)) && (ds = PyFloat_FromDouble(d_sum)))
+    else if ((gs = PyFloat_FromDouble(g_sum)) && (ds = PyFloat_FromDouble(d_sum))) {
+        PyArray_CLEARFLAGS((PyArrayObject *)d, NPY_ARRAY_WRITEABLE);
+        PyArray_CLEARFLAGS((PyArrayObject *)g, NPY_ARRAY_WRITEABLE);
         scan = PyTuple_Pack(4, d, g, gs, ds);
+    }
     if (value && scan)
         answer = PyTuple_Pack(3, value, merged, scan);
     Py_XDECREF(value);
@@ -900,29 +879,34 @@ static PyObject *absorbed(double cost, PyObject *merged, PyObject *d, PyObject *
 }
 
 /* absorb(result, frame, factor, order, blocks, used, slots, frame_index,
-   share): CombinerState.absorb in one call, fs_absorb merging the frame
-   into the result with the share factor, the rows it inserts taking the
-   ids S.., then, with a history store, fs_spread scanning the store
-   against the merged rows, struct fs_absorb_args filled from the arrays'
-   shapes.  result and frame, float64 (S+1, K+1) and (M+1, K+1), each end
-   with the empty row; order, int64, holds the result rows' ids on entry.
-   blocks, a tuple of float64 (2^shift, K+1) arrays with used rows in use,
-   and slots (frames, stride) are the history store (see store), skipped,
-   with used, slots, frame_index and share, when blocks is None.
+   share): CombinerState.absorb in one call, struct fs_absorb_args filled
+   from the arrays' shapes.  result and frame, float64 (S+1, K+1) and
+   (M+1, K+1), each end with the empty row; order, int64, holds the result
+   rows' ids on entry.  blocks, a tuple of float64 (2^shift, K+1) arrays
+   with used rows in use, and slots (frames, stride) are the history store
+   (see store), skipped, with used, slots, frame_index and share, when
+   blocks is None; share is the merge share of the frames after this one,
+   one number or a float64 array of one per frame (see shares).
    None, with nothing written, when there is no room for the call: order
    needs S+M entries, and the store frame frame_index, M more rows and
-   S+M row ids.  Else (cost, merged, scan): merged, a new write-protected
-   float64 array of steps + 1 rows, is the merge followed by the empty
-   row, allocated for S+M+1 rows and cut (cut); scan is None without a
-   store, and otherwise the record (d, g, sum of g, sum of d) of the scan
-   of frames 0 to frame_index against the merged rows, each row id's where
-   the merge just wrote it: g each candidate's GLD and d its nGLD at the
-   length 2 steps, new write-protected float64 arrays of one candidate per
-   frame.
-   share is the merge share of those frames after this one, one number or
-   a float64 array of one per frame (see shares).  A cost that is not
-   finite raises ValueError, as does a NaN one, with nothing written; a
-   MemoryError from cut, or from building the answer, comes after order
+   S+M row ids.  Else the call runs in three phases, in this order:
+   1. fs_align, with the GIL released: the costs, the table and the path
+      of steps steps.  A NaN cost, which leaves no path, or a path cost
+      that is not finite raises ValueError, with nothing written.
+   2. merged, a new float64 array of exactly steps + 1 rows, is
+      allocated; a MemoryError here, as in the allocations before the
+      alignment, also leaves nothing written.
+   3. fs_merge, with the GIL released again: the merge with the share
+      factor, followed by the empty row, into merged; the row ids in
+      order, the rows the merge inserts taking the ids S..; with a store,
+      the store write, then fs_spread, the scan of frames 0 to
+      frame_index against the merged rows, each row id's where the merge
+      just wrote it.
+   The answer is (cost, merged, scan), merged write-protected, and scan
+   None without a store, and otherwise the record (d, g, sum of g, sum of
+   d): g each candidate's GLD and d its nGLD at the length 2 steps, new
+   write-protected float64 arrays of one candidate per frame.  Building
+   that answer is the one step that can fail (MemoryError) after order
    and the store are written. */
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -950,38 +934,36 @@ static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t n
         answer = Py_NewRef(Py_None);
         goto done;
     }
-    npy_intp shape[2] = {a.s + a.m + 1, a.width}, frames = a.n = a.frame_index + 1;
+    npy_intp frames = a.n = a.frame_index + 1;
     if ((a.blocks && (shares(args[8], a.n, &a) < 0 ||
                       !(d = PyArray_SimpleNew(1, &frames, NPY_DOUBLE)) ||
                       !(g = PyArray_SimpleNew(1, &frames, NPY_DOUBLE)))) ||
-        !(a.work = work_alloc(a.s, a.m, a.width, &a.path, a.blocks ? &a.by_id : NULL)) ||
-        !(merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE)))
+        !(a.work = work_alloc(a.s, a.m, a.width, &a.path, a.blocks ? &a.by_id : NULL)))
         goto done;
     a.result = PyArray_DATA(result);
     a.frame = PyArray_DATA(frame);
-    a.merged = PyArray_DATA((PyArrayObject *)merged);
     a.order = PyArray_DATA(order);
     if (d) {
         a.out = PyArray_DATA((PyArrayObject *)d);
         a.out_g = PyArray_DATA((PyArrayObject *)g);
     }
     Py_BEGIN_ALLOW_THREADS
-    steps = fs_absorb(&a);
-    if (a.by_id && steps >= 0 && isfinite(a.cost)) {
-        /* the merged rows, before cut moves them */
-        a.s = steps;
-        fs_spread(&a);
-    }
+    steps = fs_align(&a);
     Py_END_ALLOW_THREADS
+    npy_intp shape[2] = {steps + 1, a.width};
     if (steps < 0)
         no_path();
     else if (!isfinite(a.cost))
         no_finite_cost(a.cost);
-    else if (cut((PyArrayObject *)merged, steps + 1) == 0) {
-        if (d) {
-            PyArray_CLEARFLAGS((PyArrayObject *)d, NPY_ARRAY_WRITEABLE);
-            PyArray_CLEARFLAGS((PyArrayObject *)g, NPY_ARRAY_WRITEABLE);
+    else if ((merged = PyArray_SimpleNew(2, shape, NPY_DOUBLE))) {
+        a.merged = PyArray_DATA((PyArrayObject *)merged);
+        Py_BEGIN_ALLOW_THREADS
+        fs_merge(&a, steps);
+        if (a.blocks) {
+            a.s = steps; /* the scan's current rows are the merged ones */
+            fs_spread(&a);
         }
+        Py_END_ALLOW_THREADS
         answer = absorbed(a.cost, merged, d, g, a.g_sum, a.d_sum);
     }
 done:

@@ -66,17 +66,23 @@ raise ValueError when the costs hold a NaN, so no path exists, and
 ``absorb`` also when the path's cost is not finite, with
 ``combiner.align``'s message, writing nothing.  ``absorb`` returns
 ``(cost, merged, scan)``: ``merged`` holds the merged rows, one per
-step, followed by the empty row, write-protected (the compiled entry
-point cuts its array in place to those steps + 1 rows, with
-``PyArray_Resize``, which moves no data where the allocator shrinks the
-block in place), so ``CombinerState`` keeps it as its result as it is;
-with a history store, ``scan`` is the one record ``(d, g, sum of g, sum
-of d)``, each candidate's GLD ``g`` and its nGLD ``d`` at the length 2
-steps, both write-protected, which the state keeps until the next absorb
-as ``candidate_gld``'s answer (None without a store).  ``absorb`` is
-the only test of the room: where the row-id order or the history store
-has no room for the call it returns None, writing nothing, and the state
-makes the room and calls again.
+step, followed by the empty row, write-protected, so ``CombinerState``
+keeps it as its result as it is; with a history store, ``scan`` is the
+one record ``(d, g, sum of g, sum of d)``, each candidate's GLD ``g``
+and its nGLD ``d`` at the length 2 steps, both write-protected, which
+the state keeps until the next absorb as ``candidate_gld``'s answer
+(None without a store).  ``absorb`` is the only test of the room: where
+the row-id order or the history store has no room for the call it
+returns None, writing nothing, and the state makes the room and calls
+again.
+
+Both ``absorb`` kernels run the same phases in the same order, one
+compiled kernel each (``py_absorb`` in the C file states them): align
+(``fs_align``); refuse a NaN or non-finite cost; allocate ``merged`` at
+exactly steps + 1 rows; then merge, write the row ids and the store and
+scan (``fs_merge``, ``fs_spread``).  So a refusal or a MemoryError for
+the result leaves nothing written, and building the answer is the one
+step that can fail after the row ids and the store are written.
 """
 
 import contextlib

@@ -42,9 +42,9 @@ table, the path, the merge, the row ids and, with a history store, the
 store write and the scan below over the merged rows; that call alone
 tests the room), and ``align`` and ``stoppers.estimate_base``, once per
 candidate, its ``align`` (the same without the merge and the store).
-The compiled kernels are ``fs_absorb`` and ``fs_spread`` in
-``_kernels.c``; the Python ones, the reference, are :func:`_absorb` and
-:func:`_align` here, which run ``metrics.pairwise_costs`` /
+The compiled kernels are ``fs_align``, ``fs_merge`` and ``fs_spread``
+in ``_kernels.c``; the Python ones, the reference, are :func:`_absorb`
+and :func:`_align` here, which run ``metrics.pairwise_costs`` /
 ``gap_costs``, ``metrics.cost_table``, the traceback :func:`_path`,
 :func:`_merge` and the numpy scan (:func:`_spread`).
 
@@ -215,11 +215,11 @@ def align(frame, result):
     ValueError, as in ``metrics.gld``.
 
     This is one ``align`` call of the kernels (see the module docstring):
-    ``fs_absorb`` with no merge and no store, whose costs equal
-    ``metrics.pairwise_costs`` / ``gap_costs`` bit for bit, or
-    :func:`_align`, the reference.  ``stoppers.estimate_base`` calls the
-    kernels' ``align`` itself, once per candidate, reading the cost and
-    the step count, so it builds no :class:`Alignment`.  A ``base`` stage
+    ``fs_align``, whose costs equal ``metrics.pairwise_costs`` /
+    ``gap_costs`` bit for bit, or :func:`_align`, the reference.
+    ``stoppers.estimate_base`` calls the kernels' ``align`` itself, once
+    per candidate, reading the cost and the step count, so it builds no
+    :class:`Alignment`.  A ``base`` stage
     at n=25 is 26 kernel alignments, the absorb's and 25 candidates', and
     an ``a`` stage one, so a faster kernel alignment narrows criterion 7's
     ratio (``base`` at least 10x ``a`` per stage at n=25), as ``a``'s
@@ -325,7 +325,11 @@ def _absorb(result, frame, factor, order, blocks, used, slots, frame_index, shar
     ``(d, g, sum of g, sum of d)``, d the nGLD of g at 2 S, or None without
     a store.  None, writing nothing, where ``order`` lacks S + M entries
     or the store the frame, M rows or S + M row ids; ValueError, writing
-    nothing, where the alignment cost is not finite."""
+    nothing, where the alignment cost is not finite.  The phases run in
+    the compiled entry point's order (see ``_kernels``): align, allocate
+    the merged rows at exactly steps + 1, then merge, write and scan, so
+    only building the answer can fail after ``order`` and the store are
+    written."""
     s, m = len(result) - 1, len(frame) - 1
     if len(order) < s + m or blocks is not None and not (
         frame_index < len(slots) and s + m <= slots.shape[1]
@@ -511,10 +515,11 @@ class CombinerState:
         again.  ``absorb`` refuses a non-finite alignment cost as
         :func:`align` does, writing nothing, and hands back the merged rows,
         followed by the empty row, write-protected: the array the state
-        keeps.  Only a MemoryError in the compiled entry point's cut, after
-        the row ids and the store are written, leaves the state
-        inconsistent.  A frame of the common weight merges by the cached
-        ``_share``, :func:`merge_share`'s float even for zero weights.
+        keeps.  Only a MemoryError in building the kernels' answer, the one
+        step after the row ids and the store are written (see
+        ``_kernels``), leaves the state inconsistent.  A frame of the
+        common weight merges by the cached ``_share``, :func:`merge_share`'s
+        float even for zero weights.
         """
         self._check_frame(frame)
         w = frame.weight

@@ -26,12 +26,12 @@ Three estimators compute the same quantity at different price points:
   cell, which holds for unit weights alone.
 
 A stage of ``a`` or ``b`` is one compiled call on the compiled route:
-the absorb that every method pays (``fs_absorb``: the alignment, the
-merge and the store write) runs the history scan (``fs_spread``) over
-the merged rows in the same call.  On either route the absorb keeps the
-scan, write-protected, and the estimate only reads it, in O(1); ``a``'s
-breakdown makes Python floats of its n distances only when
-``per_candidate`` is read.  The stage is the absorb's O(S * M * K)
+the absorb that every method pays (``fs_align`` and ``fs_merge``: the
+alignment, the merge and the store write) runs the history scan
+(``fs_spread``) over the merged rows in the same call.  On either route
+the absorb keeps the scan, write-protected, and the estimate only reads
+it, in O(1); ``a``'s breakdown makes Python floats of its n distances
+only when ``per_candidate`` is read.  The stage is the absorb's O(S * M * K)
 alignment and merge plus the scan's O(n * S * K), which is most of it at
 large n; ``scripts/record_bench.py`` measures it, and the committed
 ``BENCH_*.json`` files hold the figures.

@@ -322,10 +322,10 @@ CLONES = '__attribute__((target_clones("avx2", "default")))'
 
 
 def _kernel_dump(frames, alphabet):
-    """float.hex of everything fs_absorb and fs_spread give over ``frames``:
-    after every absorb, the alignment against the result before it, the
-    merged rows, the row ids and the kept scan's distances and sums, nGLD
-    and GLD; at the end, the history store."""
+    """float.hex of everything fs_align, fs_merge and fs_spread give over
+    ``frames``: after every absorb, the alignment against the result before
+    it, the merged rows, the row ids and the kept scan's distances and
+    sums, nGLD and GLD; at the end, the history store."""
     state = CombinerState(alphabet, track_history=True)
     out = []
     for frame in frames:
@@ -379,7 +379,7 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # sanitized build at argv[1] and the directories of framestop and of these
 # tests at argv[2:4]: the costs at every width of COST_WIDTHS against the
 # Python reference, the entry points' refusal cases, the result absorb
-# cuts and write-protects, the scan it keeps (in the tiny store too, where
+# allocates and write-protects, the scan it keeps (in the tiny store too, where
 # it answers for more room), then a clip of acceptance criterion 7's recipe
 # and looped_clip(150) through all three entry points
 SANITIZED_RUN = """
@@ -1011,6 +1011,37 @@ def test_the_compiled_absorb_hands_back_the_result_the_state_keeps(compiled):
 def test_the_python_absorb_keeps_its_result_as_the_compiled_one_does():
     with python_kernels():
         _check_the_result_a_state_keeps()
+
+
+def _owned_result_clips():
+    """``random_clip`` clips, then one whose zero-row frames come into a
+    state of zero rows and into one with rows."""
+    rng = random.Random(337)
+    clips = [random_clip(rng, i, weighted=i % 2 == 1) for i in range(30)]
+    rows = np.random.default_rng(3).dirichlet(np.ones(3), 2)
+    frames = [make_frame(raw, num_classes=3) for raw in ([], [], rows, [])]
+    return [*clips, Clip("zero-rows", Alphabet("ABC"), "AB", frames)]
+
+
+@pytest.mark.parametrize("route", ["compiled", "python"])
+@pytest.mark.parametrize("track", [True, False], ids=["store", "no-store"])
+def test_the_absorbed_result_owns_exactly_steps_plus_one_rows(request, route, track):
+    # the merged array the kernels' absorb answers, which the state keeps
+    # as it is: its own data, not a view of a larger block, holding the
+    # alignment's steps followed by the empty row and nothing more
+    seen = set()
+    with kernel_route(request, route):
+        for clip in _owned_result_clips():
+            state = CombinerState(clip.alphabet, track_history=track)
+            for frame in clip.frames:
+                steps = len(align(frame, state.mean_rows).result_rows)
+                seen.add((state.num_chars == 0, len(frame.rows) == 0))
+                state.absorb(frame)
+                merged = state._padded
+                assert merged.base is None and merged.flags.owndata
+                assert merged.shape == (steps + 1, clip.alphabet.size + 1)
+    # zero-row frames and states of zero rows, each with and without the other
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _store(width, blocks, block_rows, frames, stride):
